@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass
@@ -57,6 +56,7 @@ from shellkit.reduction import (
     CnfError,
     Formula,
     ReductionError,
+    SweepCapError,
     _satisfies,
     assignment_from_removal,
     build_K_phi,
@@ -336,7 +336,13 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[RunReport, dict]:
 def _cmd_solve_sat(args: argparse.Namespace) -> tuple[RunReport, dict]:
     text = _read_input(args.input)
     phi = parse_cnf(text)
-    cert = decide_phi_via_complex(phi, jobs=args.jobs)
+    try:
+        cert = decide_phi_via_complex(phi)
+    except SweepCapError as exc:
+        report = RunReport(
+            "solve-sat", _digest(text), "budget_exceeded", None, 0.0, 0, "exceeded"
+        )
+        return report, {"reason": str(exc)}
     model = sat_oracle(phi) if phi.n <= 24 else None
     if phi.n <= 24 and (cert is None) != (model is None):
         dump = {
@@ -433,9 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build, decide, verify, and convert small simplicial complexes.",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON report line")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="seed shared randomness for this run"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="print f-vector and structural facts")
@@ -468,7 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-sat", help="decide satisfiability via the complex")
     p.add_argument("input", help="DIMACS CNF file, - for stdin")
-    p.add_argument("--jobs", type=int, default=1, help="removal-test worker count")
     p.add_argument("--witness", default=None, help="certificate output path")
     p.set_defaults(handler=_cmd_solve_sat)
 
@@ -514,8 +516,6 @@ def _emit(report: RunReport, payload: Mapping, as_json: bool, to_stderr: bool) -
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     started = time.perf_counter()
     try:
         report, payload = args.handler(args)

@@ -293,6 +293,179 @@ def is_collapsible_2d_greedy(
     return (True, tuple(pairs))
 
 
+class TriangleErasure:
+    """Incremental greedy erasure of a 2-complex's triangles, with undo.
+
+    Erasing a triangle through a free edge (one lying in exactly one live
+    triangle) is the 2-dimensional elementary collapse.  It is confluent:
+    an edge's live-triangle count only ever falls, so every maximal
+    erasure leaves the same triangles, namely the largest subset with no
+    free edge.  Hence erase(K - R - t) = erase(erase(K - R) - t), and a
+    removal search can puncture one triangle at a time, paying only for
+    what that triangle frees, and undo back to any earlier mark.
+
+    Triangles (ids in ``face_key`` order) and edges are numbered once; the
+    state is a live and a punctured flag per triangle, a live-triangle
+    count per edge, and a log of punctures and erasures that ``undo``
+    rolls back.
+    """
+
+    def __init__(self, k: Complex):
+        if k.dim > 2:
+            raise ValueError("erasure requires dimension <= 2")
+        triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
+        self.tri_id: dict[Face, int] = {t: i for i, t in enumerate(triangles)}
+        edge_id: dict[tuple[int, int], int] = {}
+        for e in k.faces:
+            if len(e) == 2:
+                edge_id[face_key(e)] = len(edge_id)
+        self._tri_edges: list[tuple[int, int, int]] = []
+        for t in triangles:
+            a, b, c = face_key(t)
+            self._tri_edges.append((edge_id[a, b], edge_id[a, c], edge_id[b, c]))
+        self._edge_tris: list[list[int]] = [[] for _ in edge_id]
+        for i, es in enumerate(self._tri_edges):
+            for e in es:
+                self._edge_tris[e].append(i)
+        self._count = [len(ts) for ts in self._edge_tris]
+        self._live = [True] * len(triangles)
+        self._punctured = [False] * len(triangles)
+        # Entries are (triangle, was live, was punctured): an erasure is
+        # (t, True, False), a puncture (t, live before, True).
+        self._log: list[tuple[int, bool, bool]] = []
+        self._chi = k.reduced_euler_characteristic()
+        self._connected = bool(k.vertices) and one_skeleton_connected(k)
+        self.removed = 0
+        self.remaining = len(triangles)
+        self._erase([e for e, c in enumerate(self._count) if c == 1])
+
+    def _drop(self, t: int) -> None:
+        self._live[t] = False
+        self.remaining -= 1
+        count = self._count
+        for e in self._tri_edges[t]:
+            count[e] -= 1
+
+    def _erase(self, stack: list[int]) -> None:
+        count, live, edge_tris, tri_edges, log = (
+            self._count, self._live, self._edge_tris, self._tri_edges, self._log,
+        )
+        while stack:
+            e = stack.pop()
+            if count[e] != 1:
+                continue
+            t = next(i for i in edge_tris[e] if live[i])
+            self._drop(t)
+            log.append((t, True, False))
+            stack.extend(f for f in tri_edges[t] if count[f] == 1)
+
+    def puncture(self, t: int) -> int:
+        """Remove triangle ``t`` and erase what it frees; returns the mark
+        to ``undo`` to.  An already erased triangle counts as removed but
+        frees nothing; puncturing the same triangle twice is a no-op."""
+        mark = len(self._log)
+        if self._punctured[t]:
+            return mark
+        live = self._live[t]
+        self._punctured[t] = True
+        self.removed += 1
+        self._log.append((t, live, True))
+        if live:
+            self._drop(t)
+            self._erase([e for e in self._tri_edges[t] if self._count[e] == 1])
+        return mark
+
+    def undo(self, mark: int) -> None:
+        """Roll back every puncture and erasure made since ``mark``."""
+        log, count = self._log, self._count
+        while len(log) > mark:
+            t, was_live, punctured = log.pop()
+            if was_live:
+                self._live[t] = True
+                self.remaining += 1
+                for e in self._tri_edges[t]:
+                    count[e] += 1
+            if punctured:
+                self._punctured[t] = False
+                self.removed -= 1
+
+    def collapsible(self) -> bool:
+        """Does the complex minus the punctured triangles collapse to a
+        point?  Exactly when erasure leaves no triangle and the residual
+        graph is a tree.  Erasure keeps the 1-skeleton, which removals do
+        not touch, connected, and keeps the reduced Euler characteristic,
+        which each removal lowers by one; a connected graph is a tree
+        exactly when that characteristic is 0."""
+        return self.remaining == 0 and self._connected and self._chi == self.removed
+
+    def first_collapsible(
+        self, pools: Sequence[Sequence[Face]], ascending: bool = False
+    ) -> tuple[Face, ...] | None:
+        """First choice of one triangle per pool whose removal leaves a
+        collapsible complex, or None.
+
+        Choices are tried in ``itertools.product`` order over the pools;
+        with ``ascending`` each pick must also come later in its pool than
+        the previous pick, which over copies of one pool is
+        ``itertools.combinations`` order.  The search is a depth-first
+        walk that punctures on the way down and undoes on the way up.
+        """
+        ids = [[self.tri_id[t] for t in pool] for pool in pools]
+        depth = len(ids)
+        if not self._connected:
+            return None
+        if depth == 0:
+            return () if self.collapsible() else None
+
+        def positions(level: int, prev: int) -> range:
+            if ascending:
+                return range(prev + 1, len(ids[level]) - (depth - level) + 1)
+            return range(len(ids[level]))
+
+        chosen: list[int] = []
+        marks: list[int] = []
+        frames = [iter(positions(0, -1))]
+        while frames:
+            pos = next(frames[-1], None)
+            if pos is None:
+                frames.pop()
+                if chosen:
+                    chosen.pop()
+                    self.undo(marks.pop())
+                continue
+            level = len(chosen)
+            chosen.append(pos)
+            marks.append(self.puncture(ids[level][pos]))
+            if level + 1 < depth:
+                frames.append(iter(positions(level + 1, pos)))
+                continue
+            if self.collapsible():
+                self.undo(marks[0])
+                return tuple(pools[i][p] for i, p in enumerate(chosen))
+            chosen.pop()
+            self.undo(marks.pop())
+        return None
+
+
+def collapse_after_removal(k: Complex, removal: Sequence[Face]) -> tuple:
+    """Greedy collapse witness for ``k`` with ``removal`` taken out.
+
+    Used on the removal an erasure search picked: the greedy decider
+    replays the verdict on the real punctured complex, and a disagreement
+    is an internal error, not a property of the input.
+    """
+    punctured = k
+    for tau in removal:
+        punctured = punctured.remove_facet(tau)
+    ok, pairs = is_collapsible_2d_greedy(punctured)
+    if not ok or pairs is None:
+        raise RuntimeError(
+            "internal error: erasure found "
+            f"{sorted(map(face_key, removal))} collapsible, greedy disagrees"
+        )
+    return pairs
+
+
 def _triangle_edges(t: Face) -> list[Face]:
     a, b, c = sorted(t)
     return [frozenset((a, b)), frozenset((a, c)), frozenset((b, c))]

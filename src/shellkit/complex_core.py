@@ -180,19 +180,15 @@ class Complex:
     def facets(self) -> frozenset:
         """Inclusion-maximal nonempty faces."""
         if self._facets is None:
-            by_size: dict[int, set] = {}
+            # In a closed complex a non-maximal face always has a coface one
+            # dimension up, so marking every codimension-1 subface finds them.
+            covered = set()
             for f in self._faces:
-                if f:
-                    by_size.setdefault(len(f), set()).add(f)
-            out = set()
-            for size, group in by_size.items():
-                bigger = by_size.get(size + 1, ())
-                for f in group:
-                    # In a closed complex a non-maximal face always has a
-                    # coface one dimension up.
-                    if not any(f < g for g in bigger):
-                        out.add(f)
-            self._facets = frozenset(out)
+                if len(f) > 1:
+                    covered.update(f - {v} for v in f)
+            self._facets = frozenset(
+                f for f in self._faces if f and f not in covered
+            )
         return self._facets
 
     def faces_of_dim(self, d: int) -> list[frozenset]:

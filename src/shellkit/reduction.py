@@ -6,9 +6,9 @@ complex whose reduced Euler characteristic equals the variable count.
 ``schedule_collapse`` turns a satisfying assignment into a removal set
 plus a replayable collapse of the punctured complex down to one vertex,
 ``assignment_from_removal`` reads an assignment back off a removal set,
-and ``decide_phi_via_complex`` closes the loop at desk scale by
-enumerating admissible removals and testing each with the greedy
-collapser.  ``sat_oracle`` provides brute-force ground truth.
+and ``decide_phi_via_complex`` closes the loop at desk scale by searching
+the admissible removals with incremental 2-d erasure.  ``sat_oracle``
+provides brute-force ground truth.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ import functools
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from shellkit.collapse import (
     CollapsePair,
     CollapseSequence,
+    TriangleErasure,
+    collapse_after_removal,
     collapse_disk_to_tree,
     collapses_to,
     glue_local_collapse,
@@ -68,6 +69,10 @@ class CnfError(ValueError):
 class ReductionError(ValueError):
     """Raised on bad reduction inputs, blown scale guards, or broken
     internal collapse preconditions."""
+
+
+class SweepCapError(ReductionError):
+    """The removal search would enumerate more candidates than its cap."""
 
 
 @dataclass(frozen=True)
@@ -584,18 +589,28 @@ def decide_phi_via_complex(
     phi: Formula,
     *,
     full_sweep: bool = False,
-    jobs: int = 1,
     subdivisions: int = 0,
 ) -> ReductionCertificate | None:
     """Decide satisfiability through the compiled complex, at desk scale.
 
-    Enumerates admissible removal sets (one triangle per variable
-    sphere; with ``full_sweep`` every subset of the right size) and
-    greedily collapses each punctured complex.  Returns a certificate
-    with the first winning removal, its collapse witness, and the
-    extracted assignment cross-checked against the formula, or None when
-    no candidate collapses.  ``subdivisions`` reruns the search on a
-    barycentric subdivision with the removal pool mapped along.
+    Searches the admissible removal sets (one triangle per variable
+    sphere, in ``itertools.product`` order over the spheres; with
+    ``full_sweep`` every set of χ̃ triangles, in ``itertools.combinations``
+    order) for the first one whose removal leaves a collapsible complex.
+    The test is greedy 2-d erasure, which is confluent: every maximal
+    erasure leaves the same triangles, so erase(K - R - t) equals
+    erase(erase(K - R) - t) and the search punctures one triangle per
+    level of a depth-first walk, paying only for what each choice frees.
+    Erasure keeps the 1-skeleton connected and a removal of χ̃ triangles
+    leaves χ̃ = 0, so on the connected complex a removal wins exactly when
+    erasure leaves no triangle.
+
+    Returns a certificate with the first winning removal, the greedy
+    collapse witness of the punctured complex, and the extracted
+    assignment cross-checked against the formula, or None when no
+    removal collapses.  ``subdivisions`` reruns the search on a
+    barycentric subdivision with the removal pool mapped along.  Raises
+    ``SweepCapError`` when the removal count exceeds the sweep cap.
     """
     comp = _compile(phi)
     lc = comp.labeled
@@ -606,42 +621,26 @@ def decide_phi_via_complex(
         chi = base.reduced_euler_characteristic()
         pool = sorted((f for f in base.faces if len(f) == 3), key=face_key)
         count = math.comb(len(pool), chi)
-        candidates: Iterator[tuple[Face, ...]] = itertools.combinations(pool, chi)
+        pools = [pool] * chi
     else:
         pools = [
             sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
             for i in range(1, phi.n + 1)
         ]
         count = math.prod(len(p) for p in pools)
-        candidates = itertools.product(*pools)
     if count > _SWEEP_CAP:
-        raise ReductionError(
+        raise SweepCapError(
             f"removal enumeration needs {count} candidates; cap is {_SWEEP_CAP}"
         )
-
-    def attempt(cand: tuple[Face, ...]) -> tuple[bool, CollapseSequence | None]:
-        punctured = base
-        for tau in cand:
-            punctured = punctured.remove_facet(tau)
-        return is_collapsible_2d_greedy(punctured)
-
-    executor = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    if executor is not None:
-        outcomes = executor.map(lambda c: (c, attempt(c)), candidates)
-    else:
-        outcomes = ((c, attempt(c)) for c in candidates)
-    try:
-        for cand, (ok, cpairs) in outcomes:
-            if not ok or cpairs is None:
-                continue
-            extracted = assignment_from_removal(lc, frozenset(cand))
-            if extracted is None or not _satisfies(phi, extracted):
-                raise ReductionError(
-                    "collapsible removal fails to read back as a model: "
-                    f"{sorted(map(face_key, cand))}"
-                )
-            return ReductionCertificate(tuple(cand), cpairs, extracted)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-    return None
+    removal = TriangleErasure(base).first_collapsible(pools, ascending=full_sweep)
+    if removal is None:
+        return None
+    extracted = assignment_from_removal(lc, frozenset(removal))
+    if extracted is None or not _satisfies(phi, extracted):
+        raise ReductionError(
+            "collapsible removal fails to read back as a model: "
+            f"{sorted(map(face_key, removal))}"
+        )
+    return ReductionCertificate(
+        removal, collapse_after_removal(base, removal), extracted
+    )

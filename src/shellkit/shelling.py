@@ -9,7 +9,6 @@ always shellable.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from typing import Iterable, Mapping, Sequence
@@ -23,7 +22,12 @@ from shellkit.complex_core import (
     face_key,
     vertex_links_connected,
 )
-from shellkit.collapse import DEFAULT_BUDGET, SearchResult, is_collapsible_2d_greedy
+from shellkit.collapse import (
+    DEFAULT_BUDGET,
+    SearchResult,
+    TriangleErasure,
+    collapse_after_removal,
+)
 
 
 class ShellingError(ValueError):
@@ -279,9 +283,19 @@ def hachimori_decide_sd2(
     The double barycentric subdivision of a 2-complex is shellable
     exactly when every vertex link of the complex itself is connected
     and removing some set of χ̃ triangles leaves it collapsible.  The
-    removal subsets are searched in lexicographic order, restricted to
-    ``pool`` when one is supplied; the search is skipped as
+    removal subsets are searched in ``itertools.combinations`` order,
+    restricted to ``pool`` when one is supplied; the search is skipped as
     budget_exceeded when the subset count alone overruns ``budget``.
+
+    Each subset is tested by greedy 2-d erasure.  Erasure is confluent
+    (every maximal erasure leaves the same triangles), so
+    erase(K - R - t) = erase(erase(K - R) - t): the search punctures one
+    triangle per level of a depth-first walk and pays only for what each
+    choice frees.  A removal of χ̃ triangles from a connected complex
+    leaves χ̃ = 0, and erasure keeps the 1-skeleton connected, so a subset
+    wins exactly when erasure leaves no triangle; a disconnected complex
+    has no winner.  The greedy decider replays the winner on the real
+    punctured complex to produce the witness.
 
     Returns ``(verdict, certificate)`` with verdict one of
     ``"shellable"``, ``"not_shellable"``, ``"budget_exceeded"``; the
@@ -306,14 +320,10 @@ def hachimori_decide_sd2(
         candidates = sorted(wanted, key=face_key)
     if math.comb(len(candidates), chi) > budget:
         return "budget_exceeded", None
-    for removal in itertools.combinations(candidates, chi):
-        trimmed = k
-        for tau in removal:
-            trimmed = trimmed.remove_facet(tau)
-        good, pairs = is_collapsible_2d_greedy(trimmed)
-        if good:
-            return "shellable", {"removal": removal, "pairs": pairs}
-    return "not_shellable", None
+    removal = TriangleErasure(k).first_collapsible([candidates] * chi, ascending=True)
+    if removal is None:
+        return "not_shellable", None
+    return "shellable", {"removal": removal, "pairs": collapse_after_removal(k, removal)}
 
 
 # -- witness serialization ----------------------------------------------------

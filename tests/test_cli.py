@@ -171,6 +171,19 @@ def test_solve_sat_unsat(tmp_path, capsys):
     assert "verdict: no" in out
 
 
+def test_solve_sat_sweep_cap_is_budget_exit_three(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 7 1\n1 2 3 0\n"))
+    code, out, _ = run(["--json", "solve-sat", "-"], capsys)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["verdict"] == "budget_exceeded"
+    assert doc["budget_status"] == "exceeded"
+    assert doc["witness_path"] is None
+    assert "cap is 200000" in doc["reason"]
+
+
 def test_verify_certificate_against_other_formula(tmp_path, capsys):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text(CNF)

@@ -1,0 +1,251 @@
+"""Fast paths against the code they replaced, kept here as the reference.
+
+The removal searches puncture an incremental erasure engine instead of
+building and greedily collapsing one complex per candidate, and
+``Complex.facets`` marks codimension-1 subfaces instead of scanning for
+supersets.  Each reference below is the straightforward version.
+"""
+
+import itertools
+import random
+from collections import Counter
+
+from shellkit.collapse import TriangleErasure, is_collapsible_2d_greedy
+from shellkit.complex_core import (
+    Complex,
+    face_key,
+    one_skeleton_connected,
+    vertex_links_connected,
+)
+from shellkit.reduction import (
+    Formula,
+    _satisfies,
+    assignment_from_removal,
+    build_K_phi,
+    decide_phi_via_complex,
+    random_formula,
+)
+from shellkit.shelling import hachimori_decide_sd2
+
+
+def facets_by_subset_scan(k: Complex) -> frozenset:
+    return frozenset(
+        f for f in k.faces if f and not any(f < g for g in k.faces if len(g) == len(f) + 1)
+    )
+
+
+def erase_naive(triangles) -> set:
+    """Remove triangles with a free edge, one at a time, until none has one."""
+    live = set(triangles)
+    while True:
+        count = Counter(e for t in live for e in itertools.combinations(sorted(t), 2))
+        free = [
+            t for t in live
+            if any(count[e] == 1 for e in itertools.combinations(sorted(t), 2))
+        ]
+        if not free:
+            return live
+        live.remove(min(free, key=face_key))
+
+
+def first_greedy_removal(k: Complex, candidates):
+    """The removal loop the erasure search replaced."""
+    for removal in candidates:
+        trimmed = k
+        for tau in removal:
+            trimmed = trimmed.remove_facet(tau)
+        ok, pairs = is_collapsible_2d_greedy(trimmed)
+        if ok:
+            return tuple(removal), pairs
+    return None
+
+
+def random_small_complex(rng: random.Random) -> Complex:
+    """Triangles, stray edges and isolated vertices, often disconnected."""
+    pool = rng.randint(3, 8)
+    facets = [rng.sample(range(pool), 3) for _ in range(rng.randint(0, 9))]
+    facets += [rng.sample(range(pool + 2), 2) for _ in range(rng.randint(0, 2))]
+    facets += [[rng.randrange(pool + 3)] for _ in range(rng.randint(0, 1))]
+    if not facets:
+        facets = [[0, 1, 2]]
+    return Complex.from_facets(facets)
+
+
+# -- (a) the engine's verdict against the greedy decider ---------------------
+
+
+def test_erasure_matches_greedy_after_random_removals():
+    rng = random.Random(2016)
+    seen = Counter()
+    for _ in range(400):
+        k = random_small_complex(rng)
+        triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
+        engine = TriangleErasure(k)
+        base = (engine.remaining, engine.collapsible())
+        assert base[0] == len(erase_naive(triangles))
+        assert base[1] == is_collapsible_2d_greedy(k)[0]
+        for _ in range(4):
+            removal = []
+            mark = None
+            for _ in range(rng.randint(0, min(3, len(triangles)))):
+                tau = rng.choice(triangles)
+                if tau in removal:
+                    continue
+                if tau not in erase_naive(set(triangles) - set(removal)):
+                    seen["already erased"] += 1
+                removal.append(tau)
+                m = engine.puncture(engine.tri_id[tau])
+                mark = m if mark is None else mark
+                trimmed = k
+                for t in removal:
+                    trimmed = trimmed.remove_facet(t)
+                assert engine.remaining == len(erase_naive(set(triangles) - set(removal)))
+                assert engine.collapsible() == is_collapsible_2d_greedy(trimmed)[0], (
+                    sorted(map(face_key, k.facets)),
+                    sorted(map(face_key, removal)),
+                )
+                seen["collapsible" if engine.collapsible() else "not collapsible"] += 1
+                if k.reduced_euler_characteristic() != len(removal):
+                    seen["chi != |R|"] += 1
+            if mark is not None:
+                engine.undo(mark)
+            assert (engine.remaining, engine.collapsible()) == base
+        seen["connected" if one_skeleton_connected(k) else "disconnected"] += 1
+        seen["non-pure" if not k.is_pure(2) else "pure"] += 1
+    for case in (
+        "already erased", "collapsible", "not collapsible", "chi != |R|",
+        "disconnected", "connected", "non-pure", "pure",
+    ):
+        assert seen[case] > 0, case
+
+
+def test_erasure_puncture_of_erased_triangle():
+    # A lone triangle erases completely, yet removing it leaves a cycle.
+    k = Complex.from_facets([[0, 1, 2]])
+    engine = TriangleErasure(k)
+    assert engine.remaining == 0 and engine.collapsible()
+    mark = engine.puncture(engine.tri_id[frozenset({0, 1, 2})])
+    assert engine.remaining == 0 and not engine.collapsible()
+    assert not is_collapsible_2d_greedy(k.remove_facet({0, 1, 2}))[0]
+    engine.puncture(engine.tri_id[frozenset({0, 1, 2})])  # twice: no-op
+    assert engine.remaining == 0 and not engine.collapsible()
+    engine.undo(mark)
+    assert engine.collapsible()
+
+
+# -- (b) the removal searches against the candidate loops --------------------
+
+
+def _decide_phi_reference(phi: Formula, full_sweep: bool = False):
+    lc = build_K_phi(phi)
+    base = lc.complex
+    if full_sweep:
+        pool = sorted((f for f in base.faces if len(f) == 3), key=face_key)
+        candidates = itertools.combinations(pool, base.reduced_euler_characteristic())
+    else:
+        pools = [
+            sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
+            for i in range(1, phi.n + 1)
+        ]
+        candidates = itertools.product(*pools)
+    found = first_greedy_removal(base, candidates)
+    if found is None:
+        return None
+    removal, pairs = found
+    extracted = assignment_from_removal(lc, frozenset(removal))
+    assert extracted is not None and _satisfies(phi, extracted)
+    return removal, pairs, extracted
+
+
+def test_decide_phi_matches_product_loop():
+    rng = random.Random(2017)
+    family = [random_formula(rng.randint(1, 2), rng.randint(1, 3), rng) for _ in range(10)]
+    family += [Formula(2, ((1, 2, 2), (-1, -2, -2), (1, -2, -2), (-1, 2, 2)))]
+    outcomes = Counter()
+    for phi in family:
+        cert = decide_phi_via_complex(phi)
+        ref = _decide_phi_reference(phi)
+        outcomes[cert is None] += 1
+        if ref is None:
+            assert cert is None, phi
+            continue
+        assert cert is not None, phi
+        assert (cert.removal, cert.pairs, cert.assignment) == ref, phi
+    assert outcomes[True] and outcomes[False]
+
+
+def test_decide_phi_full_sweep_matches_combinations_loop():
+    for phi in (Formula(1, ((1, 1, 1),)), Formula(1, ((1, 1, 1), (-1, -1, -1)))):
+        cert = decide_phi_via_complex(phi, full_sweep=True)
+        ref = _decide_phi_reference(phi, full_sweep=True)
+        if ref is None:
+            assert cert is None
+        else:
+            assert (cert.removal, cert.pairs, cert.assignment) == ref
+
+
+def _hachimori_reference(k: Complex, pool=None):
+    chi = k.reduced_euler_characteristic()
+    if pool is None:
+        candidates = sorted((f for f in k.faces if len(f) == 3), key=face_key)
+    else:
+        candidates = sorted({frozenset(f) for f in pool}, key=face_key)
+    return first_greedy_removal(k, itertools.combinations(candidates, chi))
+
+
+def test_hachimori_matches_combinations_loop():
+    rng = random.Random(2018)
+    verdicts = Counter()
+    checked = 0
+    while checked < 120:
+        k = random_small_complex(rng)
+        if k.dim != 2:
+            continue
+        pool = None
+        if rng.random() < 0.3:
+            triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
+            pool = rng.sample(triangles, rng.randint(1, len(triangles)))
+        verdict, cert = hachimori_decide_sd2(k, pool=pool)
+        verdicts[verdict] += 1
+        chi = k.reduced_euler_characteristic()
+        if verdict == "shellable":
+            assert (cert["removal"], cert["pairs"]) == _hachimori_reference(k, pool)
+        elif verdict == "not_shellable" and chi >= 0 and vertex_links_connected(k)[0]:
+            assert _hachimori_reference(k, pool) is None
+        checked += 1
+    assert verdicts["shellable"] and verdicts["not_shellable"]
+
+
+def test_hachimori_on_compiled_complexes_matches_combinations_loop():
+    rng = random.Random(2019)
+    for _ in range(3):
+        phi = random_formula(1, rng.randint(1, 2), rng)
+        lc = build_K_phi(phi)
+        pool = sorted(lc.subcomplex("S(u1)").facets, key=face_key)
+        verdict, cert = hachimori_decide_sd2(lc.complex, pool=pool)
+        ref = _hachimori_reference(lc.complex, pool)
+        assert (verdict == "shellable") == (ref is not None)
+        if ref is not None:
+            assert (cert["removal"], cert["pairs"]) == ref
+
+
+# -- (c) linear facets against the subset scan -------------------------------
+
+
+def test_facets_match_subset_scan():
+    rng = random.Random(2020)
+    dims = Counter()
+    for _ in range(300):
+        pool = rng.randint(1, 8)
+        facets = [
+            rng.sample(range(pool), rng.randint(1, min(pool, 5)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        k = Complex.from_facets(facets)
+        dims[k.dim] += 1
+        assert k.facets == facets_by_subset_scan(k)
+        assert k.facets == frozenset(
+            frozenset(f) for f in facets if not any(set(f) < set(g) for g in facets)
+        )
+    assert all(dims[d] for d in range(5)), dims
+    assert Complex.empty().facets == frozenset()

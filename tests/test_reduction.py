@@ -208,11 +208,6 @@ def test_decide_certificate_replays():
     assert len(final.facets) == 1
 
 
-def test_decide_parallel_matches_serial():
-    assert decide_phi_via_complex(XXX, jobs=2) is not None
-    assert decide_phi_via_complex(CONTRA, jobs=2) is None
-
-
 def test_decide_survives_subdivision():
     assert decide_phi_via_complex(XXX, subdivisions=1) is not None
     assert decide_phi_via_complex(CONTRA, subdivisions=1) is None

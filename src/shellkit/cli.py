@@ -2,8 +2,9 @@
 
 Every subcommand emits a RunReport (line-oriented text, or one JSON
 object with ``--json``) and exits 0 on yes/valid, 1 on no/invalid, 2 on
-usage or parse or precondition errors, and 3 when a search budget ran
-out, so batch callers can tell refutation from resignation.
+usage or parse or precondition errors, 3 when a search budget ran out,
+and 4 when an internal invariant failed, so batch callers can tell
+refutation from resignation and a bad input from a fault of shellkit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from shellkit.collapse import (
 from shellkit.complex_core import (
     Complex,
     FormatError,
+    InternalError,
     LabeledComplex,
     face_key,
     face_sort_key,
@@ -43,7 +45,6 @@ from shellkit.complex_core import (
     vertex_links_connected,
 )
 from shellkit.gadgets import (
-    GadgetError,
     OneHouseSpec,
     build_literal_house,
     build_O,
@@ -53,7 +54,6 @@ from shellkit.gadgets import (
     fixtures,
 )
 from shellkit.reduction import (
-    CnfError,
     Formula,
     ReductionError,
     SweepCapError,
@@ -78,15 +78,6 @@ from shellkit.shelling import (
 )
 
 _EXIT = {"yes": 0, "no": 1, "inadmissible": 1, "budget_exceeded": 3}
-_USER_ERRORS = (
-    CnfError,
-    CollapseError,
-    FormatError,
-    GadgetError,
-    ReductionError,
-    ShellingError,
-    OSError,
-)
 
 
 class CliError(ValueError):
@@ -188,15 +179,12 @@ def _cmd_check(args: argparse.Namespace) -> tuple[RunReport, dict]:
         if k.dim <= 2:
             ok, pairs = is_collapsible_2d_greedy(k)
             verdict = "yes" if ok else "no"
-            if ok:
-                final = verify_collapse_sequence(k, pairs)
-                witness_json = collapse_witness_to_json(pairs, final)
         else:
             res = is_collapsible_dfs(k, budget=args.budget)
-            verdict, nodes = res.verdict, res.nodes
-            if res.yes:
-                final = verify_collapse_sequence(k, res.witness)
-                witness_json = collapse_witness_to_json(res.witness, final)
+            verdict, nodes, pairs = res.verdict, res.nodes, res.witness
+        if pairs is not None:
+            final = verify_collapse_sequence(k, pairs)
+            witness_json = collapse_witness_to_json(pairs, final)
     elif prop == "k-decomposable":
         res = decide_k_decomposable(k, kk, budget=args.budget)
         verdict, nodes = res.verdict, res.nodes
@@ -356,7 +344,7 @@ def _cmd_solve_sat(args: argparse.Namespace) -> tuple[RunReport, dict]:
             "brute-force oracle:\n" + json.dumps(dump, indent=2),
             file=sys.stderr,
         )
-        raise CliError("solver disagreement; see diagnostic dump on stderr")
+        raise InternalError("solver disagreement; see diagnostic dump on stderr")
     witness_path = None
     payload: dict = {}
     if cert is not None:
@@ -519,7 +507,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, payload = args.handler(args)
-    except (CliError, ValueError, *_USER_ERRORS) as exc:
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = dataclasses.replace(report, wall_time=time.perf_counter() - started)

@@ -15,15 +15,19 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from shellkit.complex_core import (
     Complex,
     Face,
     FormatError,
+    InternalError,
+    boundary_ridges,
     canonical_form,
     face_key,
     face_sort_key,
+    graph_connected,
     is_pseudomanifold,
     one_skeleton_connected,
 )
@@ -69,19 +73,6 @@ class SearchResult:
         return self.verdict == "yes"
 
 
-def _facet_containment_counts(k: Complex) -> dict[Face, int]:
-    """For every nonempty face, the number of facets strictly containing it."""
-    from itertools import combinations
-
-    counts: dict[Face, int] = {f: 0 for f in k.faces if f}
-    for facet in k.facets:
-        vs = sorted(facet)
-        for r in range(1, len(vs)):
-            for sub in combinations(vs, r):
-                counts[frozenset(sub)] += 1
-    return counts
-
-
 def free_faces(k: Complex) -> list[tuple[Face, Face]]:
     """All free faces with their unique maximal coface, sorted.
 
@@ -89,18 +80,15 @@ def free_faces(k: Complex) -> list[tuple[Face, Face]]:
     (a pendant triangle's interior vertex is free with the triangle as its
     coface).
     """
-    counts = _facet_containment_counts(k)
-    facet_of: dict[Face, Face] = {}
-    from itertools import combinations
-
+    # A proper face lying in a second facet maps to None: it is not free.
+    facet_of: dict[Face, Face | None] = {}
     for facet in k.facets:
         vs = sorted(facet)
         for r in range(1, len(vs)):
             for sub in combinations(vs, r):
-                facet_of[frozenset(sub)] = facet
-    out = [
-        (f, facet_of[f]) for f, c in counts.items() if c == 1
-    ]
+                s = frozenset(sub)
+                facet_of[s] = None if s in facet_of else facet
+    out = [(f, g) for f, g in facet_of.items() if g is not None]
     out.sort(key=lambda p: face_sort_key(p[0]))
     return out
 
@@ -127,35 +115,65 @@ def elementary_collapse(k: Complex, free: Iterable[int], coface: Iterable[int] |
     return k.delete(f)
 
 
-class _ReplayState:
-    """Incremental face store for verifying long collapse sequences."""
+class _FaceIndex:
+    """Mutable set of nonempty faces with a by-vertex index.
+
+    Collapse replay and the DFS deciders both work on one of these: each
+    step looks up cofaces through the vertex index instead of scanning
+    every face, and removes or restores a handful of faces in place.
+    """
 
     def __init__(self, k: Complex):
-        self.faces: set[Face] = set(k.faces)
+        self.faces: set[Face] = {f for f in k.faces if f}
         self.by_vertex: dict[int, set[Face]] = {}
-        for f in k.faces:
+        for f in self.faces:
             for v in f:
                 self.by_vertex.setdefault(v, set()).add(f)
 
     def cofaces(self, face: Face) -> list[Face]:
         """Faces strictly containing ``face`` (face itself excluded)."""
         it = iter(face)
-        first = next(it)
-        cands = self.by_vertex.get(first, set())
+        cands = self.by_vertex.get(next(it), set())
         for v in it:
             cands = cands & self.by_vertex.get(v, set())
         return [g for g in cands if len(g) > len(face)]
 
-    def remove_interval(self, face: Face) -> list[Face]:
-        doomed = self.cofaces(face) + [face]
-        for g in doomed:
+    def facets(self) -> list[Face]:
+        return [
+            f
+            for f in self.faces
+            if not any(len(g) == len(f) + 1 for g in self.cofaces(f))
+        ]
+
+    def free_gap_one_pairs(self) -> list[tuple[Face, Face]]:
+        """Pairs (free face, facet one dimension up) legal to collapse now."""
+        candidates: set[Face] = set()
+        for facet in self.facets():
+            if len(facet) > 1:
+                vs = sorted(facet)
+                candidates.update(map(frozenset, combinations(vs, len(vs) - 1)))
+        out = []
+        for ridge in candidates:
+            strict = self.cofaces(ridge)
+            maximal = [g for g in strict if not any(g < h for h in strict)]
+            if len(maximal) == 1 and len(maximal[0]) == len(ridge) + 1:
+                out.append((ridge, maximal[0]))
+        return out
+
+    def remove(self, faces: Iterable[Face]) -> None:
+        for g in faces:
             self.faces.discard(g)
             for v in g:
                 self.by_vertex[v].discard(g)
-        return doomed
+
+    def restore(self, faces: Iterable[Face]) -> None:
+        for g in faces:
+            self.faces.add(g)
+            for v in g:
+                self.by_vertex.setdefault(v, set()).add(g)
 
     def complex(self) -> Complex:
-        return Complex.from_faces(f for f in self.faces if f)
+        return Complex.from_faces(self.faces)
 
 
 def verify_collapse_sequence(
@@ -169,12 +187,12 @@ def verify_collapse_sequence(
     coface equal to the recorded one.  When ``target`` is given the final
     face set must match it exactly.
     """
-    state = _ReplayState(k)
+    index = _FaceIndex(k)
     for i, pair in enumerate(pairs):
         f = pair.free
-        if f not in state.faces:
+        if f not in index.faces:
             raise CollapseError(f"step {i}: {face_key(f)} already removed")
-        cof = state.cofaces(f)
+        cof = index.cofaces(f)
         maximal = [g for g in cof if not any(g < h for h in cof)]
         if len(maximal) != 1:
             raise CollapseError(
@@ -186,8 +204,8 @@ def verify_collapse_sequence(
                 f"step {i}: recorded coface {face_key(pair.coface)} but the "
                 f"unique maximal coface is {face_key(maximal[0])}"
             )
-        state.remove_interval(f)
-    result = state.complex()
+        index.remove(cof + [f])
+    result = index.complex()
     if target is not None and result != target:
         missing = sorted(
             (face_key(f) for f in target.faces - result.faces if f), key=lambda t: (len(t), t)
@@ -205,39 +223,74 @@ def verify_collapse_sequence(
 # -- greedy 2-dimensional decider -------------------------------------------
 
 
-def _prune_tree(
-    vertices: set[int],
-    edges: set[Face],
-    keep: int | None,
-) -> list[CollapsePair]:
-    """Collapse a tree down to one vertex by removing lex-least leaves.
+def _triangle_edges(t: Face) -> list[Face]:
+    a, b, c = sorted(t)
+    return [frozenset((a, b)), frozenset((a, c)), frozenset((b, c))]
 
-    ``keep`` forces which vertex survives; by default the pruning order
-    decides.  The caller guarantees the graph is a tree.
+
+def _erase_2d(
+    k: Complex, protected_edges: set[Face]
+) -> tuple[list[CollapsePair], set[Face], set[Face]]:
+    """Collapse the lexicographically least free edge, with its triangle,
+    until no free edge outside ``protected_edges`` is left.
+
+    Returns the pairs and the live triangles and edges left over.
     """
-    degree: dict[int, int] = {v: 0 for v in vertices}
+    edges = {f for f in k.faces if len(f) == 2}
+    live_tris = {f for f in k.faces if len(f) == 3}
+    tris_of_edge: dict[Face, set[Face]] = {e: set() for e in edges}
+    for t in live_tris:
+        for e in _triangle_edges(t):
+            tris_of_edge[e].add(t)
+    live_edges = set(edges)
+
+    def free(e: Face) -> bool:
+        # A collapsed edge has no triangle left, so it never looks free.
+        return len(tris_of_edge[e]) == 1 and e not in protected_edges
+
+    heap = [face_key(e) for e in edges if free(e)]
+    heapq.heapify(heap)
+    pairs: list[CollapsePair] = []
+    while heap:
+        e = frozenset(heapq.heappop(heap))
+        if not free(e):
+            continue
+        (t,) = tris_of_edge[e]
+        pairs.append(CollapsePair(e, t))
+        live_tris.discard(t)
+        live_edges.discard(e)
+        for other in _triangle_edges(t):
+            tris_of_edge[other].discard(t)
+            if free(other):
+                heapq.heappush(heap, face_key(other))
+    return pairs, live_tris, live_edges
+
+
+def _prune_tree(
+    vertices: set[int], edges: set[Face], keep: set[int]
+) -> list[CollapsePair]:
+    """Collapse a tree onto its vertices in ``keep`` by removing lex-least
+    leaves outside ``keep``; with ``keep`` empty, down to one vertex.
+
+    The caller guarantees the graph is a tree, so degrees only fall and
+    each vertex enters the heap at most once.
+    """
     incident: dict[int, set[Face]] = {v: set() for v in vertices}
     for e in edges:
         for v in e:
-            degree[v] += 1
             incident[v].add(e)
-    heap = [v for v in vertices if degree[v] == 1 and v != keep]
+    heap = [v for v in vertices if len(incident[v]) == 1 and v not in keep]
     heapq.heapify(heap)
-    live_edges = set(edges)
-    live = set(vertices)
     pairs: list[CollapsePair] = []
     while heap:
         v = heapq.heappop(heap)
-        if v not in live or degree[v] != 1 or v == keep:
+        if len(incident[v]) != 1:
             continue
-        (edge,) = (e for e in incident[v] if e in live_edges)
+        (edge,) = incident[v]
         pairs.append(CollapsePair(frozenset([v]), edge))
-        live.discard(v)
-        live_edges.discard(edge)
         (other,) = edge - {v}
-        degree[other] -= 1
         incident[other].discard(edge)
-        if degree[other] == 1 and other != keep:
+        if len(incident[other]) == 1 and other not in keep:
             heapq.heappush(heap, other)
     return pairs
 
@@ -258,38 +311,16 @@ def is_collapsible_2d_greedy(
         raise ValueError("greedy decider requires dimension <= 2")
     if not k.faces:
         return (False, None)
-    triangles = {f for f in k.faces if len(f) == 3}
-    edges = {f for f in k.faces if len(f) == 2}
+    pairs, live_tris, live_edges = _erase_2d(k, set())
     vertices = set(k.vertices)
-    tris_of_edge: dict[Face, set[Face]] = {e: set() for e in edges}
-    for t in triangles:
-        a, b, c = sorted(t)
-        for e in (frozenset((a, b)), frozenset((a, c)), frozenset((b, c))):
-            tris_of_edge[e].add(t)
-    heap = [face_key(e) for e in edges if len(tris_of_edge[e]) == 1]
-    heapq.heapify(heap)
-    live_tris = set(triangles)
-    live_edges = set(edges)
-    pairs: list[CollapsePair] = []
-    while heap:
-        e = frozenset(heapq.heappop(heap))
-        if e not in live_edges or len(tris_of_edge[e]) != 1:
-            continue
-        (t,) = tris_of_edge[e]
-        pairs.append(CollapsePair(e, t))
-        live_tris.discard(t)
-        live_edges.discard(e)
-        for other in _triangle_edges(t):
-            tris_of_edge[other].discard(t)
-            if other in live_edges and len(tris_of_edge[other]) == 1:
-                heapq.heappush(heap, face_key(other))
-    if live_tris:
+    if (
+        live_tris
+        or len(live_edges) != len(vertices) - 1
+        or not graph_connected(vertices, live_edges)
+    ):
         return (False, None)
-    if len(live_edges) != len(vertices) - 1:
-        return (False, None)
-    if not _connected_graph(vertices, live_edges):
-        return (False, None)
-    pairs.extend(_prune_tree(vertices, live_edges, keep_vertex))
+    keep = set() if keep_vertex is None else {keep_vertex}
+    pairs.extend(_prune_tree(vertices, live_edges, keep))
     return (True, tuple(pairs))
 
 
@@ -459,99 +490,14 @@ def collapse_after_removal(k: Complex, removal: Sequence[Face]) -> tuple:
         punctured = punctured.remove_facet(tau)
     ok, pairs = is_collapsible_2d_greedy(punctured)
     if not ok or pairs is None:
-        raise RuntimeError(
-            "internal error: erasure found "
+        raise InternalError(
+            "erasure found "
             f"{sorted(map(face_key, removal))} collapsible, greedy disagrees"
         )
     return pairs
 
 
-def _triangle_edges(t: Face) -> list[Face]:
-    a, b, c = sorted(t)
-    return [frozenset((a, b)), frozenset((a, c)), frozenset((b, c))]
-
-
-def _connected_graph(vertices: set[int], edges: set[Face]) -> bool:
-    if len(vertices) <= 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for e in edges:
-        a, b = e
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = set()
-    stack = [next(iter(vertices))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(u for u in adj[v] if u not in seen)
-    return len(seen) == len(vertices)
-
-
 # -- budgeted depth-first searches -------------------------------------------
-
-
-class _SearchState:
-    """Mutable face set with undo, for the DFS deciders."""
-
-    def __init__(self, k: Complex):
-        self.faces: set[Face] = {f for f in k.faces if f}
-        self.by_vertex: dict[int, set[Face]] = {}
-        for f in self.faces:
-            for v in f:
-                self.by_vertex.setdefault(v, set()).add(f)
-
-    def facets(self) -> list[Face]:
-        out = []
-        for f in self.faces:
-            if not any(len(g) == len(f) + 1 for g in self._cofaces(f)):
-                out.append(f)
-        return out
-
-    def _cofaces(self, face: Face) -> list[Face]:
-        it = iter(face)
-        cands = set(self.by_vertex.get(next(it), set()))
-        for v in it:
-            cands &= self.by_vertex.get(v, set())
-        return [g for g in cands if len(g) > len(face)]
-
-    def free_gap_one_pairs(self) -> list[tuple[Face, Face]]:
-        """Pairs (free face, facet one dimension up) legal to collapse now."""
-        from itertools import combinations
-
-        candidates: set[Face] = set()
-        for facet in self.facets():
-            vs = sorted(facet)
-            if len(vs) < 2:
-                continue
-            candidates.update(frozenset(sub) for sub in combinations(vs, len(vs) - 1))
-        out = []
-        for ridge in candidates:
-            strict = self._cofaces(ridge)
-            maximal = [g for g in strict if not any(g < h for h in strict)]
-            if len(maximal) == 1 and len(maximal[0]) == len(ridge) + 1:
-                out.append((ridge, maximal[0]))
-        return out
-
-    def remove_pair(self, ridge: Face, facet: Face) -> None:
-        for g in (ridge, facet):
-            self.faces.discard(g)
-            for v in g:
-                self.by_vertex[v].discard(g)
-
-    def restore_pair(self, ridge: Face, facet: Face) -> None:
-        for g in (ridge, facet):
-            self.faces.add(g)
-            for v in g:
-                self.by_vertex.setdefault(v, set()).add(g)
-
-    def snapshot(self) -> frozenset:
-        return frozenset(self.faces)
-
-    def complex(self) -> Complex:
-        return Complex.from_faces(self.faces)
 
 
 def _order_moves(
@@ -566,6 +512,53 @@ def _order_moves(
         return (-len(facet), local, face_key(ridge), face_key(facet))
 
     return sorted(moves, key=key)
+
+
+def _collapse_search(
+    k: Complex,
+    budget: int,
+    done: Callable[[_FaceIndex], bool],
+    memo_key: Callable[[_FaceIndex], Hashable],
+    protected: set[Face],
+) -> SearchResult:
+    """Budgeted DFS over one-dimension collapse pairs until ``done``.
+
+    Free faces in ``protected`` are never collapsed.  States that failed
+    are memoized under ``memo_key``; the verdict "no" is only returned
+    after the search space is exhausted within budget.
+    """
+    index = _FaceIndex(k)
+    memo: set = set()
+    nodes = 0
+    budget_hit = False
+
+    def dfs(last: Face | None) -> tuple | None:
+        nonlocal nodes, budget_hit
+        nodes += 1
+        if nodes > budget:
+            budget_hit = True
+            return None
+        if done(index):
+            return ()
+        key = memo_key(index)
+        if key in memo:
+            return None
+        moves = [(r, f) for r, f in index.free_gap_one_pairs() if r not in protected]
+        for ridge, facet in _order_moves(moves, last):
+            index.remove((ridge, facet))
+            suffix = dfs(ridge | facet)
+            index.restore((ridge, facet))
+            if suffix is not None:
+                return (CollapsePair(ridge, facet),) + suffix
+            if budget_hit:
+                return None
+        memo.add(key)
+        return None
+
+    witness = dfs(None)
+    if witness is not None:
+        return SearchResult("yes", witness, nodes)
+    return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
 
 
 def is_collapsible_dfs(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -583,42 +576,14 @@ def is_collapsible_dfs(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult
         return SearchResult("no", None, 0)
     if k.reduced_euler_characteristic() != 0 or not one_skeleton_connected(k):
         return SearchResult("no", None, 0)
-    state = _SearchState(k)
-    memo: set = set()
-    nodes = 0
-    budget_hit = False
-
-    def vertex_count():
-        return sum(1 for f in state.faces if len(f) == 1)
-
-    def dfs(last: Face | None) -> tuple | None:
-        nonlocal nodes, budget_hit
-        if budget_hit:
-            return None
-        nodes += 1
-        if nodes > budget:
-            budget_hit = True
-            return None
-        if len(state.faces) == 1 and vertex_count() == 1:
-            return ()
-        key = canonical_form(state.complex())
-        if key in memo:
-            return None
-        for ridge, facet in _order_moves(state.free_gap_one_pairs(), last):
-            state.remove_pair(ridge, facet)
-            suffix = dfs(ridge | facet)
-            state.restore_pair(ridge, facet)
-            if suffix is not None:
-                return (CollapsePair(ridge, facet),) + suffix
-            if budget_hit:
-                return None
-        memo.add(key)
-        return None
-
-    witness = dfs(None)
-    if witness is not None:
-        return SearchResult("yes", witness, nodes)
-    return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
+    # Collapses keep the face set closed, so a single face left is a vertex.
+    return _collapse_search(
+        k,
+        budget,
+        done=lambda index: len(index.faces) == 1,
+        memo_key=lambda index: canonical_form(index.complex()),
+        protected=set(),
+    )
 
 
 def collapses_to(
@@ -634,55 +599,16 @@ def collapses_to(
     target_faces = {f for f in target.faces if f}
     if not target_faces <= {f for f in k.faces if f}:
         raise CollapseError("target is not a subcomplex")
-    state = _SearchState(k)
-    memo: set = set()
-    nodes = 0
-    budget_hit = False
-
-    def dfs(last: Face | None) -> tuple | None:
-        nonlocal nodes, budget_hit
-        if budget_hit:
-            return None
-        nodes += 1
-        if nodes > budget:
-            budget_hit = True
-            return None
-        if state.faces == target_faces:
-            return ()
-        snap = state.snapshot()
-        if snap in memo:
-            return None
-        moves = [
-            (r, f) for r, f in state.free_gap_one_pairs() if r not in target_faces
-        ]
-        for ridge, facet in _order_moves(moves, last):
-            state.remove_pair(ridge, facet)
-            suffix = dfs(ridge | facet)
-            state.restore_pair(ridge, facet)
-            if suffix is not None:
-                return (CollapsePair(ridge, facet),) + suffix
-            if budget_hit:
-                return None
-        memo.add(snap)
-        return None
-
-    witness = dfs(None)
-    if witness is not None:
-        return SearchResult("yes", witness, nodes)
-    return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
+    return _collapse_search(
+        k,
+        budget,
+        done=lambda index: index.faces == target_faces,
+        memo_key=lambda index: frozenset(index.faces),
+        protected=target_faces,
+    )
 
 
 # -- disks onto trees ---------------------------------------------------------
-
-
-def _boundary_edges_2d(k: Complex) -> set[Face]:
-    count: dict[Face, int] = {}
-    for f in k.faces:
-        if len(f) == 3:
-            a, b, c = sorted(f)
-            for e in (frozenset((a, b)), frozenset((a, c)), frozenset((b, c))):
-                count[e] = count.get(e, 0) + 1
-    return {e for e in k.faces if len(e) == 2 and count.get(e, 0) == 1}
 
 
 def check_disk(k: Complex) -> None:
@@ -700,22 +626,15 @@ def check_disk(k: Complex) -> None:
         raise CollapseError("reduced Euler characteristic is not 0")
     if not one_skeleton_connected(k):
         raise CollapseError("not connected")
-    boundary = _boundary_edges_2d(k)
+    boundary = boundary_ridges(k)
     deg: dict[int, int] = {}
     for e in boundary:
         for v in e:
             deg[v] = deg.get(v, 0) + 1
     if any(c != 2 for c in deg.values()):
         raise CollapseError("boundary is not a single cycle")
-    if not _connected_graph(set(deg), boundary):
+    if not graph_connected(deg, boundary):
         raise CollapseError("boundary has several components")
-
-
-def _check_tree(vertices: set[int], edges: set[Face]) -> None:
-    if not vertices:
-        raise CollapseError("tree target has no vertices")
-    if len(edges) != len(vertices) - 1 or not _connected_graph(vertices, edges):
-        raise CollapseError("target is not a tree")
 
 
 def collapse_disk_to_tree(disk: Complex, tree: Complex) -> tuple:
@@ -734,82 +653,21 @@ def collapse_disk_to_tree(disk: Complex, tree: Complex) -> tuple:
     tree_edges = {f for f in tree_faces if len(f) == 2}
     if any(len(f) > 2 for f in tree_faces):
         raise CollapseError("target contains a face of dimension 2 or more")
-    _check_tree(tree_vertices, tree_edges)
-
-    triangles = {f for f in disk.faces if len(f) == 3}
-    edges = {f for f in disk.faces if len(f) == 2}
-    tris_of_edge: dict[Face, set[Face]] = {e: set() for e in edges}
-    for t in triangles:
-        for e in _triangle_edges(t):
-            tris_of_edge[e].add(t)
-    heap = [
-        face_key(e)
-        for e in edges
-        if e not in tree_edges and len(tris_of_edge[e]) == 1
-    ]
-    heapq.heapify(heap)
-    live_tris = set(triangles)
-    live_edges = set(edges)
-    pairs: list[CollapsePair] = []
-    while live_tris:
-        while heap:
-            e = frozenset(heap[0])
-            if e in live_edges and e not in tree_edges and len(tris_of_edge[e]) == 1:
-                break
-            heapq.heappop(heap)
-        if not heap:
-            raise CollapseError(
-                "greedy collapse stalled with triangles left; input is not a disk"
-            )
-        e = frozenset(heapq.heappop(heap))
-        (t,) = tris_of_edge[e]
-        pairs.append(CollapsePair(e, t))
-        live_tris.discard(t)
-        live_edges.discard(e)
-        for other in _triangle_edges(t):
-            tris_of_edge[other].discard(t)
-            if (
-                other in live_edges
-                and other not in tree_edges
-                and len(tris_of_edge[other]) == 1
-            ):
-                heapq.heappush(heap, face_key(other))
-    vertices = set(disk.vertices)
+    if not tree_vertices:
+        raise CollapseError("tree target has no vertices")
+    if len(tree_edges) != len(tree_vertices) - 1 or not graph_connected(
+        tree_vertices, tree_edges
+    ):
+        raise CollapseError("target is not a tree")
+    pairs, live_tris, live_edges = _erase_2d(disk, tree_edges)
+    if live_tris:
+        raise CollapseError(
+            "greedy collapse stalled with triangles left; input is not a disk"
+        )
     # The residue is a tree containing the target (an extra edge between two
     # target vertices would close a cycle); prune leaves outside the target.
-    doomed_pairs = _prune_tree_to_subtree(vertices, live_edges, tree_vertices)
-    pairs.extend(doomed_pairs)
+    pairs.extend(_prune_tree(set(disk.vertices), live_edges, tree_vertices))
     return tuple(pairs)
-
-
-def _prune_tree_to_subtree(
-    vertices: set[int], edges: set[Face], keep_vertices: set[int]
-) -> list[CollapsePair]:
-    degree: dict[int, int] = {v: 0 for v in vertices}
-    incident: dict[int, set[Face]] = {v: set() for v in vertices}
-    for e in edges:
-        for v in e:
-            degree[v] += 1
-            incident[v].add(e)
-    heap = [v for v in vertices if degree[v] == 1 and v not in keep_vertices]
-    heapq.heapify(heap)
-    live_edges = set(edges)
-    live = set(vertices)
-    pairs: list[CollapsePair] = []
-    while heap:
-        v = heapq.heappop(heap)
-        if v not in live or degree[v] != 1 or v in keep_vertices:
-            continue
-        (edge,) = (e for e in incident[v] if e in live_edges)
-        pairs.append(CollapsePair(frozenset([v]), edge))
-        live.discard(v)
-        live_edges.discard(edge)
-        (other,) = edge - {v}
-        degree[other] -= 1
-        incident[other].discard(edge)
-        if degree[other] == 1 and other not in keep_vertices:
-            heapq.heappush(heap, other)
-    return pairs
 
 
 # -- constrain complex and gluing --------------------------------------------
@@ -824,8 +682,6 @@ def constrain_complex(k: Complex, m: Complex) -> Complex:
     m_faces = {f for f in m.faces if f}
     if not m_faces <= {f for f in k.faces if f}:
         raise ValueError("m is not a subcomplex of k")
-    from itertools import combinations
-
     out: set[Face] = set()
     for eta in k.faces:
         if not eta or eta in m_faces:
@@ -853,6 +709,14 @@ def glue_local_collapse(
     ``k`` with result ``(k - m) + m_prime``.  Returns the sequence, now
     valid as a global collapse of ``k``.
     """
+    _glue_step(k, m, m_prime, pairs)
+    return tuple(pairs)
+
+
+def _glue_step(
+    k: Complex, m: Complex, m_prime: Complex, pairs: Sequence[CollapsePair]
+) -> Complex:
+    """``glue_local_collapse``, returning the glued complex (k - m) + m_prime."""
     m_faces = {f for f in m.faces if f}
     mp_faces = {f for f in m_prime.faces if f}
     if not mp_faces <= m_faces:
@@ -871,8 +735,7 @@ def glue_local_collapse(
     expected = Complex.from_faces(
         ({f for f in k.faces if f} - m_faces) | mp_faces
     )
-    verify_collapse_sequence(k, pairs, expected)
-    return tuple(pairs)
+    return verify_collapse_sequence(k, pairs, expected)
 
 
 # -- witness serialization ----------------------------------------------------

@@ -24,6 +24,10 @@ class FormatError(ValueError):
     """Raised for malformed facet-list text, JSON documents, or witnesses."""
 
 
+class InternalError(RuntimeError):
+    """An internal invariant failed: a fault of shellkit, not of its input."""
+
+
 def face_key(face: Iterable[int]) -> tuple[int, ...]:
     """Deterministic sort key for a face: its sorted vertex tuple."""
     return tuple(sorted(face))
@@ -312,15 +316,14 @@ def is_pseudomanifold(k: Complex) -> str:
     return "with_boundary"
 
 
-def _skeleton_connected(vertices: Iterable[int], edges: Iterable[frozenset]) -> bool:
+def graph_connected(vertices: Iterable, edges: Iterable) -> bool:
+    """Connectivity of a graph given as vertices and vertex pairs; an empty
+    or one-vertex graph counts as connected."""
     vs = list(vertices)
     if len(vs) <= 1:
         return True
     uf = UnionFind()
-    for v in vs:
-        uf.find(v)
-    for e in edges:
-        a, b = sorted(e)
+    for a, b in edges:
         uf.union(a, b)
     root = uf.find(vs[0])
     return all(uf.find(v) == root for v in vs)
@@ -328,7 +331,7 @@ def _skeleton_connected(vertices: Iterable[int], edges: Iterable[frozenset]) -> 
 
 def one_skeleton_connected(k: Complex) -> bool:
     """Connectivity of the graph of vertices and edges (void: True)."""
-    return _skeleton_connected(k.vertices, (f for f in k.faces if len(f) == 2))
+    return graph_connected(k.vertices, (f for f in k.faces if len(f) == 2))
 
 
 def vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
@@ -339,8 +342,7 @@ def vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
     """
     bad = []
     for v in k.vertices:
-        lk = k.link((v,))
-        if not _skeleton_connected(lk.vertices, (f for f in lk.faces if len(f) == 2)):
+        if not one_skeleton_connected(k.link((v,))):
             bad.append(v)
     return (not bad, tuple(bad))
 
@@ -460,8 +462,18 @@ def canonical_form(k: Complex) -> tuple:
     converse direction is not promised: isomorphic complexes with different
     ids may produce different keys, which only costs memo hits.
     """
+    return _canonical(k)[0]
+
+
+def _canonical(k: Complex) -> tuple[tuple, dict[int, int]]:
+    """``canonical_form`` together with the vertex renaming behind it.
+
+    Two complexes with equal keys become the same complex under their
+    renamings, so composing one renaming with the inverse of the other is
+    an isomorphism between them.
+    """
     if not k.faces:
-        return ("void",)
+        return ("void",), {}
     verts = k.vertices
     adj: dict[int, list[int]] = {v: [] for v in verts}
     for f in k.faces:
@@ -488,7 +500,7 @@ def canonical_form(k: Complex) -> tuple:
     facets = tuple(
         sorted(tuple(sorted(rename[v] for v in f)) for f in k.facets)
     )
-    return ("cx", facets)
+    return ("cx", facets), rename
 
 
 def _rank_colors(color: Mapping[int, tuple], verts: Iterable[int]) -> dict[int, int]:

@@ -26,12 +26,11 @@ from typing import Mapping, Sequence
 
 from shellkit.collapse import (
     CollapseSequence,
+    _glue_step,
     collapse_disk_to_tree,
     collapses_to,
     free_faces,
-    glue_local_collapse,
     is_collapsible_2d_greedy,
-    verify_collapse_sequence,
 )
 from shellkit.complex_core import (
     Complex,
@@ -39,6 +38,7 @@ from shellkit.complex_core import (
     Feature,
     LabeledComplex,
     UnionFind,
+    boundary_ridges,
     face_key,
     is_pseudomanifold,
     vertex_links_connected,
@@ -574,7 +574,7 @@ def build_O(u: str) -> LabeledComplex:
         raise GadgetError("O gadget is not pure")
     if k.reduced_euler_characteristic() != -1:
         raise GadgetError("O gadget must have reduced Euler characteristic -1")
-    boundary = {f for f in k.faces if len(f) == 2 and len(_cofacets(k, f)) == 1}
+    boundary = set(boundary_ridges(k))
     wanted = set(lc.feature(f"s({u})").edge_list())
     wanted |= set(lc.feature(f"b({u})").edge_list())
     wanted |= set(lc.feature(f"p({u})").edge_list())
@@ -584,10 +584,6 @@ def build_O(u: str) -> LabeledComplex:
     if ok or tuple(failing) != (c0,):
         raise GadgetError("O gadget must be pinched exactly at v(u)")
     return lc
-
-
-def _cofacets(k: Complex, face: Face) -> list[Face]:
-    return [t for t in k.facets if face < t]
 
 
 # -- scheduled house collapses ---------------------------------------------------
@@ -649,26 +645,18 @@ def collapse_house(
     sequence and the collapsed complex.
     """
     wall_cx = Complex.from_facets(frame.wall)
-    boundary = {
-        f
-        for f in wall_cx.faces
-        if len(f) == 2 and len(_cofacets(wall_cx, f)) == 1
-    }
     keep = {f for f in target.faces if f and f in wall_cx.faces}
-    for e in boundary - set(frame.arc):
-        keep.add(e)
+    keep.update(e for e in boundary_ridges(wall_cx) if e not in frame.arc)
     m1_prime = wall_cx.subcomplex_closure(keep)
     pairs = list(collapse_disk_to_tree(wall_cx, m1_prime))
-    glue_local_collapse(k, wall_cx, m1_prime, pairs)
-    k = verify_collapse_sequence(k, pairs)
+    k = _glue_step(k, wall_cx, m1_prime, pairs)
 
     fan_cx = Complex.from_facets(frame.fan)
     arc2 = fan_cx.subcomplex_closure(
         {frozenset((frame.contact, frame.apex)), frozenset((frame.apex, frame.far))}
     )
     fan_pairs = collapse_disk_to_tree(fan_cx, arc2)
-    glue_local_collapse(k, fan_cx, arc2, fan_pairs)
-    k = verify_collapse_sequence(k, fan_pairs)
+    k = _glue_step(k, fan_cx, arc2, fan_pairs)
     pairs.extend(fan_pairs)
 
     cap_cx = Complex.from_facets(frame.cap)
@@ -676,8 +664,7 @@ def collapse_house(
     if not collapsed:
         raise GadgetError("house cap failed to collapse to its contact vertex")
     point = Complex.from_facets([[frame.contact]])
-    glue_local_collapse(k, cap_cx, point, cap_pairs)
-    k = verify_collapse_sequence(k, cap_pairs)
+    k = _glue_step(k, cap_cx, point, cap_pairs)
     pairs.extend(cap_pairs)
     return tuple(pairs), k
 

@@ -18,16 +18,16 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from shellkit.collapse import (
     CollapsePair,
     CollapseSequence,
     TriangleErasure,
+    _glue_step,
     collapse_after_removal,
     collapse_disk_to_tree,
     collapses_to,
-    glue_local_collapse,
     is_collapsible_2d_greedy,
     verify_collapse_sequence,
 )
@@ -35,6 +35,7 @@ from shellkit.complex_core import (
     Complex,
     Face,
     Feature,
+    InternalError,
     LabeledComplex,
     face_key,
     subdivide_labeled,
@@ -360,15 +361,6 @@ def _part_complex(comp: _Compiled, part: str) -> Complex:
     )
 
 
-def _glue_step(
-    k: Complex, m: Complex, m_prime: Complex, pairs: Sequence[CollapsePair]
-) -> Complex:
-    glue_local_collapse(k, m, m_prime, pairs)
-    kept = {f for f in k.faces if f} - {f for f in m.faces if f}
-    kept |= {f for f in m_prime.faces if f}
-    return Complex.from_faces(kept)
-
-
 @functools.lru_cache(maxsize=3)
 def _clause_exit_pairs(entry: int) -> tuple[CollapseSequence, frozenset[Face]]:
     """Collapse of the canonical three-house once door ``entry`` is free.
@@ -610,7 +602,9 @@ def decide_phi_via_complex(
     assignment cross-checked against the formula, or None when no
     removal collapses.  ``subdivisions`` reruns the search on a
     barycentric subdivision with the removal pool mapped along.  Raises
-    ``SweepCapError`` when the removal count exceeds the sweep cap.
+    ``SweepCapError`` when the removal count exceeds the sweep cap, and
+    ``InternalError`` when the winning removal does not read back as a
+    model.
     """
     comp = _compile(phi)
     lc = comp.labeled
@@ -637,7 +631,7 @@ def decide_phi_via_complex(
         return None
     extracted = assignment_from_removal(lc, frozenset(removal))
     if extracted is None or not _satisfies(phi, extracted):
-        raise ReductionError(
+        raise InternalError(
             "collapsible removal fails to read back as a model: "
             f"{sorted(map(face_key, removal))}"
         )

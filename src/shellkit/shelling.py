@@ -17,9 +17,9 @@ from shellkit.complex_core import (
     Complex,
     Face,
     FormatError,
-    UnionFind,
-    canonical_form,
+    _canonical,
     face_key,
+    graph_connected,
     vertex_links_connected,
 )
 from shellkit.collapse import (
@@ -71,23 +71,6 @@ def verify_shelling(k: Complex, order: Sequence[Iterable[int]]) -> None:
             )
 
 
-def _facet_graph_connected(facets: Sequence[Face], d: int) -> bool:
-    """Facets adjacent when sharing a (d-1)-face.  Sound precheck: every
-    shelling glues each new facet along such a face, so a shellable complex
-    has a connected facet graph."""
-    if len(facets) <= 1:
-        return True
-    uf = UnionFind()
-    for i in range(len(facets)):
-        uf.find(i)
-    for i in range(len(facets)):
-        for j in range(i + 1, len(facets)):
-            if len(facets[i] & facets[j]) == d:
-                uf.union(i, j)
-    root = uf.find(0)
-    return all(uf.find(i) == root for i in range(len(facets)))
-
-
 def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Backtracking shellability decider with a node budget.
 
@@ -100,7 +83,13 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     m = len(facets)
     if m == 1 or d == 0:
         return SearchResult("yes", tuple(facets), 0)
-    if not _facet_graph_connected(facets, d):
+    # Sound precheck: every shelling glues each new facet along a
+    # (d-1)-face, so a shellable complex has a connected facet graph.
+    adjacent = (
+        (i, j) for i in range(m) for j in range(i + 1, m)
+        if len(facets[i] & facets[j]) == d
+    )
+    if not graph_connected(range(m), adjacent):
         return SearchResult("no", None, 0)
 
     dead: set[frozenset] = set()
@@ -165,7 +154,8 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     if kk < 0:
         raise ShellingError("k must be >= 0")
     _check_pure_input(k)
-    memo: dict[tuple, tuple[str, dict | None]] = {}
+    # Canonical key -> shedding tree in canonical vertex ids, or None for no.
+    memo: dict[tuple, dict | None] = {}
     nodes = 0
     budget_hit = False
 
@@ -183,13 +173,17 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         if _is_full_simplex(c):
             (facet,) = c.facets
             return {"leaf": list(face_key(facet))}
-        key = (canonical_form(c), kk)
+        key, rename = _canonical(c)
         if key in memo:
-            verdict, tree = memo[key]
-            return tree if verdict == "yes" else None
+            tree = memo[key]
+            if tree is None:
+                return None
+            # Equal keys: the stored tree, renamed back through this
+            # complex's renaming, is a tree for this complex.
+            return _rename_tree(tree, {i: v for v, i in rename.items()})
         d = c.dim
         if not c.is_pure(d):
-            memo[key] = ("no", None)
+            memo[key] = None
             return None
         sheddable = sorted(
             (f for f in c.faces if f and len(f) <= kk + 1), key=face_key
@@ -212,15 +206,26 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
                     return None
                 continue
             tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
-            memo[key] = ("yes", tree)
+            memo[key] = _rename_tree(tree, rename)
             return tree
-        memo[key] = ("no", None)
+        memo[key] = None
         return None
 
     tree = rec(k)
     if tree is not None:
         return SearchResult("yes", (tree,), nodes)
     return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
+
+
+def _rename_tree(tree: Mapping, rename: Mapping[int, int]) -> dict:
+    """A shedding tree with every vertex id mapped through ``rename``."""
+    if "leaf" in tree:
+        return {"leaf": sorted(rename[v] for v in tree["leaf"])}
+    return {
+        "shedding": sorted(rename[v] for v in tree["shedding"]),
+        "link": _rename_tree(tree["link"], rename),
+        "delete": _rename_tree(tree["delete"], rename),
+    }
 
 
 def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> None:

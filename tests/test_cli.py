@@ -5,7 +5,7 @@ import json
 import pytest
 
 from shellkit import cli
-from shellkit.complex_core import parse_facet_lines
+from shellkit.complex_core import InternalError, parse_facet_lines
 from shellkit.gadgets import OneHouseSpec, boundary_simplex, build_one_house
 
 SPHERE = "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
@@ -182,6 +182,19 @@ def test_solve_sat_sweep_cap_is_budget_exit_three(capsys, monkeypatch):
     assert doc["budget_status"] == "exceeded"
     assert doc["witness_path"] is None
     assert "cap is 200000" in doc["reason"]
+
+
+def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
+    def broken(phi):
+        raise InternalError("erasure and greedy disagree")
+
+    monkeypatch.setattr(cli, "decide_phi_via_complex", broken)
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(CNF)
+    code, out, err = run(["solve-sat", str(cnf)], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: erasure and greedy disagree\n"
 
 
 def test_verify_certificate_against_other_formula(tmp_path, capsys):

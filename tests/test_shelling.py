@@ -108,6 +108,36 @@ def test_shellable_iff_2_decomposable_random():
         assert a.yes == b.yes
 
 
+OCTAHEDRON = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+
+
+@pytest.mark.parametrize(
+    "name, k, kk",
+    [("octahedron", Complex.from_facets(OCTAHEDRON), kk) for kk in (0, 1, 2)]
+    + [("modified_dunce_hat", fixtures()["modified_dunce_hat"].complex, 1)],
+)
+def test_k_decomposable_witness_after_memo_hit_verifies(name, k, kk):
+    # These searches reach isomorphic subcomplexes with different vertex
+    # ids, so the tree they return includes memoized subtrees.
+    res = decide_k_decomposable(k, kk)
+    assert res.yes, name
+    verify_decomposition(k, kk, res.witness[0])
+
+
+def test_k_decomposable_yes_witnesses_verify_random():
+    # Few vertices make isomorphic subcomplexes, and so memo hits, common.
+    rng = random.Random(41)
+    yes = 0
+    for _ in range(60):
+        k = random_pure_2complex(rng, max_facets=8, pool=5)
+        for kk in (0, 1, 2):
+            res = decide_k_decomposable(k, kk, budget=20000)
+            if res.yes:
+                yes += 1
+                verify_decomposition(k, kk, res.witness[0])
+    assert yes >= 100
+
+
 def test_verify_decomposition_and_tampering():
     bd3 = Complex.from_facets(BD3)
     res = decide_k_decomposable(bd3, 0)

@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from shellkit.collapse import (
     DEFAULT_BUDGET,
@@ -168,6 +168,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[RunReport, dict]:
     text = _read_input(args.input)
     k = _load_complex(text).complex
     witness_json: str | None = None
+    pairs = removal = None
     nodes = 0
 
     if prop == "shellable":
@@ -182,9 +183,6 @@ def _cmd_check(args: argparse.Namespace) -> tuple[RunReport, dict]:
         else:
             res = is_collapsible_dfs(k, budget=args.budget)
             verdict, nodes, pairs = res.verdict, res.nodes, res.witness
-        if pairs is not None:
-            final = verify_collapse_sequence(k, pairs)
-            witness_json = collapse_witness_to_json(pairs, final)
     elif prop == "k-decomposable":
         res = decide_k_decomposable(k, kk, budget=args.budget)
         verdict, nodes = res.verdict, res.nodes
@@ -198,21 +196,18 @@ def _cmd_check(args: argparse.Namespace) -> tuple[RunReport, dict]:
             "budget_exceeded": "budget_exceeded",
         }[sd2_verdict]
         if cert is not None:
-            trimmed = k
-            for tau in cert["removal"]:
-                trimmed = trimmed.remove_facet(tau)
-            final = verify_collapse_sequence(trimmed, cert["pairs"])
-            doc = json.loads(collapse_witness_to_json(cert["pairs"], final))
-            doc["removed_facets"] = [
-                list(face_key(f))
-                for f in sorted(cert["removal"], key=face_sort_key)
-            ]
-            witness_json = (
-                json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-            )
+            pairs, removal = cert["pairs"], cert["removal"]
     else:
         raise CliError(f"unknown property {args.property!r}")
 
+    # Fail closed: a witness is written only after it replays on the input.
+    try:
+        if pairs is not None:
+            witness_json = _collapse_witness_json(k, pairs, removal)
+        if witness_json is not None:
+            _replay_witness(k, json.loads(witness_json))
+    except (CollapseError, ShellingError) as exc:
+        raise InternalError(f"the {prop} witness does not verify: {exc}") from None
     witness_path = None
     if witness_json is not None:
         witness_path = args.witness or f"{_stem(args.input)}.{prop}.witness.json"
@@ -241,15 +236,44 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[RunReport, dict]:
     return report, payload
 
 
-def _replay_collapse_witness(k: Complex, doc: Mapping) -> None:
-    pairs, target = collapse_witness_from_json(doc)
-    removed = doc.get("removed_facets")
-    if removed is not None:
-        if not isinstance(removed, list):
-            raise FormatError("'removed_facets' must be a list of faces")
-        for face in removed:
-            k = k.remove_facet(frozenset(face))
-    verify_collapse_sequence(k, pairs, target)
+def _collapse_witness_json(
+    k: Complex, pairs: Sequence[CollapsePair], removal: Iterable[frozenset] | None
+) -> str:
+    """A collapse witness for ``k`` with the facets in ``removal`` taken out
+    first; ``removal=None`` leaves out the ``removed_facets`` key."""
+    for tau in removal or ():
+        k = k.remove_facet(tau)
+    doc = json.loads(collapse_witness_to_json(pairs, verify_collapse_sequence(k, pairs)))
+    if removal is not None:
+        doc["removed_facets"] = [
+            list(face_key(f)) for f in sorted(removal, key=face_sort_key)
+        ]
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _replay_witness(k: Complex, doc: Mapping) -> None:
+    """Replay a shelling, decomposition or collapse witness on ``k``.
+
+    Raises ShellingError or CollapseError when the witness does not hold,
+    and FormatError when the document is malformed or of another kind.
+    """
+    kind = doc.get("kind")
+    if kind == "shelling":
+        verify_shelling(k, shelling_witness_from_json(doc))
+    elif kind == "decomposition":
+        kk, tree = decomposition_witness_from_json(doc)
+        verify_decomposition(k, kk, tree)
+    elif kind == "collapse":
+        pairs, target = collapse_witness_from_json(doc)
+        removed = doc.get("removed_facets")
+        if removed is not None:
+            if not isinstance(removed, list):
+                raise FormatError("'removed_facets' must be a list of faces")
+            for face in removed:
+                k = k.remove_facet(frozenset(face))
+        verify_collapse_sequence(k, pairs, target)
+    else:
+        raise FormatError(f"unknown witness kind {kind!r}")
 
 
 def _verify_reduction_certificate(text: str, doc: Mapping) -> str:
@@ -299,20 +323,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[RunReport, dict]:
     kind = doc.get("kind")
     reason = None
     try:
-        if kind == "shelling":
-            verify_shelling(_load_complex(text).complex, shelling_witness_from_json(doc))
-            verdict = "yes"
-        elif kind == "decomposition":
-            kk, tree = decomposition_witness_from_json(doc)
-            verify_decomposition(_load_complex(text).complex, kk, tree)
-            verdict = "yes"
-        elif kind == "collapse":
-            _replay_collapse_witness(_load_complex(text).complex, doc)
-            verdict = "yes"
-        elif kind == "reduction-certificate":
+        if kind == "reduction-certificate":
             verdict = _verify_reduction_certificate(text, doc)
         else:
-            raise FormatError(f"unknown witness kind {kind!r}")
+            _replay_witness(_load_complex(text).complex, doc)
+            verdict = "yes"
     except (CollapseError, ShellingError) as exc:
         verdict, reason = "no", str(exc)
     report = RunReport(

@@ -10,8 +10,9 @@ f-vector its leading ``f_{-1}`` entry.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping
 
 Face = frozenset
@@ -305,10 +306,7 @@ def is_pseudomanifold(k: Complex) -> str:
     d = k.dim
     if not k.is_pure(d):
         raise ValueError("pseudomanifold check needs a pure complex")
-    degree: dict[frozenset, int] = {}
-    for facet in k.facets:
-        for ridge in combinations(sorted(facet), d):
-            degree[frozenset(ridge)] = degree.get(frozenset(ridge), 0) + 1
+    degree = _ridge_degrees(k)
     if any(c > 2 for c in degree.values()):
         return "no"
     if all(c == 2 for c in degree.values()):
@@ -340,23 +338,38 @@ def vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
     Returns ``(ok, failing_vertices)``.  A link that is empty or a single
     vertex counts as connected.
     """
-    bad = []
-    for v in k.vertices:
-        if not one_skeleton_connected(k.link((v,))):
-            bad.append(v)
-    return (not bad, tuple(bad))
+    # One pass over the faces: an edge {a, b} puts b in the link of a and a
+    # in the link of b; a triangle puts f - {v} among the link edges of v.
+    link_vertices: dict[int, list] = {v: [] for v in k.vertices}
+    link_edges: dict[int, list] = {v: [] for v in k.vertices}
+    for f in k.faces:
+        if len(f) == 2:
+            a, b = f
+            link_vertices[a].append(b)
+            link_vertices[b].append(a)
+        elif len(f) == 3:
+            for v in f:
+                link_edges[v].append(f - {v})
+    bad = tuple(
+        v for v in k.vertices if not graph_connected(link_vertices[v], link_edges[v])
+    )
+    return (not bad, bad)
+
+
+def _ridge_degrees(k: Complex) -> Counter:
+    """How many top-dimensional facets contain each (d-1)-face."""
+    d = k.dim
+    return Counter(
+        frozenset(ridge)
+        for facet in k.facets
+        if len(facet) == d + 1
+        for ridge in combinations(sorted(facet), d)
+    )
 
 
 def boundary_ridges(k: Complex) -> list[frozenset]:
     """Ridges ((d-1)-faces) contained in exactly one facet."""
-    d = k.dim
-    degree: dict[frozenset, int] = {}
-    for facet in k.facets:
-        if len(facet) != d + 1:
-            continue
-        for ridge in combinations(sorted(facet), d):
-            degree[frozenset(ridge)] = degree.get(frozenset(ridge), 0) + 1
-    return sorted((r for r, c in degree.items() if c == 1), key=face_key)
+    return sorted((r for r, c in _ridge_degrees(k).items() if c == 1), key=face_key)
 
 
 # -- barycentric subdivision ------------------------------------------------
@@ -377,10 +390,7 @@ class Subdivision:
     levels: int
 
     def face_carrier(self, face: Iterable[int]) -> frozenset:
-        out: frozenset = frozenset()
-        for v in face:
-            out = out | self.vertex_carrier[v]
-        return out
+        return frozenset().union(*(self.vertex_carrier[v] for v in face))
 
     def preimage_faces(self, faces: Iterable[Iterable[int]]) -> frozenset:
         """All subdivided faces whose carrier lies in the given face set."""
@@ -390,22 +400,15 @@ class Subdivision:
         )
 
 
-def _subdivide_once(k: Complex) -> tuple[Complex, dict[int, frozenset]]:
-    originals = sorted((f for f in k.faces if f), key=face_sort_key)
-    vid = {f: i for i, f in enumerate(originals)}
-    carrier = {i: f for f, i in vid.items()}
-    faces: set = {frozenset()}
-    # Chains of strict inclusion among nonempty faces.  Built by extending
-    # chains upward; every chain's faces are nested so the top determines
-    # the carrier.
-    stack: list[tuple[frozenset, tuple[int, ...]]] = [(f, (vid[f],)) for f in originals]
-    while stack:
-        top, chain = stack.pop()
-        faces.add(frozenset(chain))
-        for g in originals:
-            if len(g) > len(top) and top < g:
-                stack.append((g, chain + (vid[g],)))
-    return Complex(frozenset(faces), _trusted=True), carrier
+def _flags(faces: Iterable[frozenset], vid: Mapping[frozenset, int]) -> Iterator[tuple[int, ...]]:
+    """The maximal chains of faces inside each given face, as ``vid`` tuples.
+
+    A maximal chain {v1} < {v1, v2} < ... < f is one ordering of the
+    vertices of f, so each face yields one tuple per vertex ordering.
+    """
+    for f in faces:
+        for order in permutations(sorted(f)):
+            yield tuple(vid[frozenset(order[:i])] for i in range(1, len(order) + 1))
 
 
 def barycentric_subdivision(k: Complex, levels: int = 1) -> Subdivision:
@@ -417,37 +420,7 @@ def barycentric_subdivision(k: Complex, levels: int = 1) -> Subdivision:
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    current = k
-    carrier = {v: frozenset([v]) for v in k.vertices}
-    for _ in range(levels):
-        current, table = _subdivide_once(current)
-        carrier = {
-            new: _compose_carrier(prev_face, carrier)
-            for new, prev_face in table.items()
-        }
-    return Subdivision(complex=current, vertex_carrier=carrier, levels=levels)
-
-
-def _compose_carrier(prev_face: frozenset, carrier: Mapping[int, frozenset]) -> frozenset:
-    out: frozenset = frozenset()
-    for v in prev_face:
-        out = out | carrier[v]
-    return out
-
-
-def _subdivide_once_chains_in(faces: Iterable[frozenset], vid: Mapping[frozenset, int]) -> set:
-    """Chains (as vid-sets) lying inside the given closed face family."""
-    members = sorted((f for f in faces if f), key=face_sort_key)
-    out: set = set()
-    stack: list[tuple[frozenset, tuple[int, ...]]] = [(f, (vid[f],)) for f in members]
-    member_set = set(members)
-    while stack:
-        top, chain = stack.pop()
-        out.add(frozenset(chain))
-        for g in member_set:
-            if len(g) > len(top) and top < g:
-                stack.append((g, chain + (vid[g],)))
-    return out
+    return subdivide_labeled(LabeledComplex(k, {}), levels)[1]
 
 
 # -- canonical form ---------------------------------------------------------
@@ -619,20 +592,21 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
     time).
     """
     current = lc
-    overall = barycentric_subdivision(lc.complex, 0)
+    overall = Subdivision(lc.complex, {v: frozenset([v]) for v in lc.complex.vertices}, 0)
     for _ in range(levels):
-        sub = barycentric_subdivision(current.complex, 1)
-        vid = {sub.vertex_carrier[i]: i for i in sub.vertex_carrier}
-        labels: dict[str, Feature] = {}
-        for name, feat in current.labels.items():
-            labels[name] = _map_feature_once(feat, vid)
-        current = LabeledComplex(sub.complex, labels)
+        k = current.complex
+        originals = sorted(k.nonempty_faces, key=face_sort_key)
+        vid = {f: i for i, f in enumerate(originals)}
+        # Every chain of faces extends to the flag of a facet, so sd is the
+        # closure of the flags; the empty face makes sd(void) the empty-face
+        # complex.
+        flags = Complex.from_facets(_flags(k.facets, vid))
+        sd = Complex(flags.faces | {frozenset()}, _trusted=True)
+        labels = {name: _map_feature_once(feat, vid) for name, feat in current.labels.items()}
+        current = LabeledComplex(sd, labels)
         overall = Subdivision(
-            complex=sub.complex,
-            vertex_carrier={
-                v: _compose_carrier(sub.vertex_carrier[v], overall.vertex_carrier)
-                for v in sub.vertex_carrier
-            },
+            complex=sd,
+            vertex_carrier={i: overall.face_carrier(f) for i, f in enumerate(originals)},
             levels=overall.levels + 1,
         )
     return current, overall
@@ -653,13 +627,8 @@ def _map_feature_once(feat: Feature, vid: Mapping[frozenset, int]) -> Feature:
             out.append(vid[frozenset((a, b))])
             out.append(vid[frozenset([b])])
         return Feature.path(out)
-    closure: set = set()
-    for facet in feat.value:
-        for r in range(1, len(facet) + 1):
-            closure.update(frozenset(c) for c in combinations(facet, r))
-    chains = _subdivide_once_chains_in(closure, vid)
-    maximal = [c for c in chains if not any(c < d for d in chains)]
-    return Feature.subcomplex(maximal)
+    # The maximal chains inside a closure are the flags of its facets.
+    return Feature.subcomplex(_flags(Complex.from_facets(feat.value).facets, vid))
 
 
 # -- serialization -----------------------------------------------------------

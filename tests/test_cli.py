@@ -5,6 +5,7 @@ import json
 import pytest
 
 from shellkit import cli
+from shellkit.collapse import SearchResult
 from shellkit.complex_core import InternalError, parse_facet_lines
 from shellkit.gadgets import OneHouseSpec, boundary_simplex, build_one_house
 
@@ -61,6 +62,19 @@ def test_check_no_has_exit_one(tmp_path, capsys):
     assert code == 1
     assert "verdict: no" in out
     assert not (tmp_path / "wedge.shellable.witness.json").exists()
+
+
+def test_check_fails_closed_on_a_bad_witness(tmp_path, capsys, monkeypatch):
+    # 2 3 4 meets 0 1 2 only in a vertex, so this order is not a shelling.
+    order = tuple(map(frozenset, ((0, 1, 2), (2, 3, 4), (1, 2, 3))))
+    monkeypatch.setattr(cli, "decide_shellable", lambda k, budget: SearchResult("yes", order, 3))
+    path = tmp_path / "disk.txt"
+    path.write_text("0 1 2\n1 2 3\n2 3 4\n")
+    code, out, err = run(["check", "shellable", str(path)], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: the shellable witness does not verify")
+    assert not (tmp_path / "disk.shellable.witness.json").exists()
 
 
 def test_check_k_decomposable_both_spellings(tmp_path, capsys):

@@ -55,18 +55,30 @@ def link_brute(k: Complex, sigma: frozenset) -> set:
     return out
 
 
-def count_chains_brute(faces) -> int:
-    """Number of nonempty chains under strict inclusion, by DFS."""
+def chains_brute(faces) -> set:
+    """Every nonempty chain under strict inclusion, as a set of faces, by DFS."""
     faces = sorted(faces, key=len)
-    total = 0
+    out = set()
     stack = [(f,) for f in faces]
     while stack:
         chain = stack.pop()
-        total += 1
+        out.add(frozenset(chain))
         for g in faces:
             if len(g) > len(chain[-1]) and chain[-1] < g:
                 stack.append(chain + (g,))
-    return total
+    return out
+
+
+def random_complex_upto(rng: random.Random, dim: int) -> Complex:
+    """Random complex with facets of dimension at most ``dim``, often non-pure
+    and sometimes with isolated vertices."""
+    pool = rng.randint(1, 7)
+    facets = [
+        rng.sample(range(pool), rng.randint(1, min(pool, dim + 1)))
+        for _ in range(rng.randint(1, 5))
+    ]
+    facets += [[pool + i] for i in range(rng.randint(0, 2))]
+    return Complex.from_facets(facets)
 
 
 # -- construction and enumeration --
@@ -249,11 +261,34 @@ def test_subdivision_frozen():
 
 
 def test_subdivision_faces_are_chains_oracle():
-    for facets in (BD3, STRIP, [[0, 1, 2, 3]]):
-        k = Complex.from_facets(facets)
-        sd = barycentric_subdivision(k).complex
-        nonempty = sum(1 for _ in sd.nonempty_faces)
-        assert nonempty == count_chains_brute(all_faces_brute(facets))
+    rng = random.Random(23)
+    cases = [Complex.empty()] + [Complex.from_facets(f) for f in (BD3, STRIP, [[0, 1, 2, 3]])]
+    cases += [random_complex_upto(rng, dim) for dim in (0, 1, 2, 3) for _ in range(8)]
+    for k in cases:
+        sub = barycentric_subdivision(k)
+        chains = {
+            frozenset(sub.vertex_carrier[v] for v in f) for f in sub.complex.nonempty_faces
+        }
+        assert chains == chains_brute(k.nonempty_faces)
+        # The carriers name the new faces one to one; the empty face is kept.
+        assert len(chains) == len(sub.complex) - 1
+
+
+def test_subdivided_subcomplex_label_is_maximal_chains():
+    rng = random.Random(29)
+    for _ in range(12):
+        k = random_complex_upto(rng, 3)
+        faces = sorted(k.nonempty_faces, key=sorted)
+        part = rng.sample(faces, rng.randint(1, min(4, len(faces))))
+        lc = LabeledComplex(k, {"part": Feature.subcomplex(part)})
+        sub, overall = subdivide_labeled(lc, 1)
+        chains = chains_brute(all_faces_brute(part))
+        maximal = {c for c in chains if not any(c < d for d in chains)}
+        image = {
+            frozenset(overall.vertex_carrier[v] for v in f)
+            for f in sub.feature("part").value
+        }
+        assert image == maximal
 
 
 def test_subdivision_preserves_chi():

@@ -1,4 +1,4 @@
-"""Pinned outputs of the collapse core on a fixed, seeded input set.
+"""Pinned outputs of the collapse core and of subdivision on fixed inputs.
 
 One SHA-256 covers the verdicts, search node counts and witness pairs of
 free_faces, the greedy and DFS collapse deciders, collapses_to,
@@ -10,6 +10,12 @@ that changes any verdict, node count or witness byte fails here.
 k-decomposability is left out on purpose: its witnesses changed when
 memoized shedding trees started being renamed into the ids of the
 complex they are returned for.
+
+A second SHA-256 covers subdivision: the JSON of labeled subdivisions at
+one and two levels, and the faces and carriers of
+barycentric_subdivision on the fixtures and on the void and empty-face
+complexes.  It was recorded before the chain enumerators, carrier
+composers and level loops were merged into one flag-based routine.
 """
 
 import hashlib
@@ -26,12 +32,28 @@ from shellkit.collapse import (
     is_collapsible_2d_greedy,
     is_collapsible_dfs,
 )
-from shellkit.complex_core import Complex, cone, face_key
-from shellkit.gadgets import dunce_hat, fixtures
-from shellkit.reduction import Formula, decide_phi_via_complex, schedule_collapse, sat_oracle
+from shellkit.complex_core import (
+    Complex,
+    LabeledComplex,
+    barycentric_subdivision,
+    cone,
+    face_key,
+    face_sort_key,
+    subdivide_labeled,
+    to_json,
+)
+from shellkit.gadgets import build_literal_house, build_three_house, dunce_hat, fixtures
+from shellkit.reduction import (
+    Formula,
+    build_K_phi,
+    decide_phi_via_complex,
+    sat_oracle,
+    schedule_collapse,
+)
 from shellkit.shelling import decide_shellable, hachimori_decide_sd2
 
 PINNED_SHA256 = "3ec4f12334dd6bc835ee6fa38ca6b6f9911a70f2dbc64c56ab98285d0023f7b0"
+SUBDIVISION_SHA256 = "d6eadad5452d90a8f44e69b77983554f07ee69dd42a1c5d5676e5cf54ececd62"
 
 
 def _faces(faces):
@@ -104,3 +126,34 @@ def test_collapse_core_outputs_are_pinned():
     for outcome in ("yes", "no", "budget_exceeded", "shellable", "not_shellable", "disk"):
         assert f'"{outcome}"' in blob, outcome
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_SHA256
+
+
+def _carriers(sub) -> list:
+    return [[v, list(face_key(c))] for v, c in sorted(sub.vertex_carrier.items())]
+
+
+def subdivision_records() -> list:
+    labeled = [
+        build_K_phi(Formula(1, ((1, 1, 1),))),
+        build_three_house(),
+        build_literal_house(1),
+        LabeledComplex(dunce_hat(), {}),
+    ]
+    records = []
+    for lc in labeled:
+        for levels in (1, 2):
+            sub, overall = subdivide_labeled(lc, levels)
+            records.append([to_json(sub), _carriers(overall)])
+    empty_face = Complex(frozenset({frozenset()}), _trusted=True)
+    inputs = [lc.complex for _, lc in sorted(fixtures().items())]
+    for k in inputs + [Complex.empty(), empty_face]:
+        for levels in (1, 2):
+            sub = barycentric_subdivision(k, levels)
+            faces = sorted(sub.complex.faces, key=face_sort_key)
+            records.append([_faces(faces), _carriers(sub), sub.levels])
+    return records
+
+
+def test_subdivision_outputs_are_pinned():
+    blob = json.dumps(subdivision_records(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SUBDIVISION_SHA256

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from shellkit.collapse import verify_collapse_sequence
-from shellkit.complex_core import vertex_links_connected
+from shellkit.complex_core import subdivide_labeled, vertex_links_connected
 from shellkit.reduction import (
     CnfError,
     Formula,
@@ -108,6 +108,16 @@ def test_chi_equals_variable_count():
         k = build_K_phi(phi).complex
         assert k.reduced_euler_characteristic() == n
         ok, bad = vertex_links_connected(k)
+        assert ok, bad
+
+
+def test_sd2_keeps_chi_and_connected_links():
+    rng = random.Random(41)
+    for _ in range(3):
+        phi = random_formula(1, 2, rng)
+        _, sub = subdivide_labeled(build_K_phi(phi), 2)
+        assert sub.complex.reduced_euler_characteristic() == phi.n
+        ok, bad = vertex_links_connected(sub.complex)
         assert ok, bad
 
 

@@ -5,6 +5,10 @@ object with ``--json``) and exits 0 on yes/valid, 1 on no/invalid, 2 on
 usage or parse or precondition errors, 3 when a search budget ran out,
 and 4 when an internal invariant failed, so batch callers can tell
 refutation from resignation and a bad input from a fault of shellkit.
+The deciders recurse once per search level, so an input that drives one
+deeper than Python's recursion limit (``check shellable`` on a strip of a
+thousand triangles) ends with a message and exit 3, as a cap that ran
+out, never with a "no".
 """
 
 from __future__ import annotations
@@ -525,6 +529,13 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except RecursionError:
+        print(
+            f"error: the search went deeper than the recursion limit "
+            f"({sys.getrecursionlimit()}); no verdict",
+            file=sys.stderr,
+        )
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -447,17 +447,19 @@ def _canonical(k: Complex) -> tuple[tuple, dict[int, int]]:
     """
     if not k.faces:
         return ("void",), {}
-    verts = k.vertices
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for f in k.faces:
-        if len(f) == 2:
-            a, b = f
-            adj[a].append(b)
-            adj[b].append(a)
-    profile: dict[int, list[int]] = {v: [] for v in verts}
-    for facet in k.facets:
+    return _canonical_facets(k.facets)
+
+
+def _canonical_facets(facets: frozenset) -> tuple[tuple, dict[int, int]]:
+    """``_canonical`` of the complex a facet set closes to, read from the
+    facets alone: its vertices are their union and its edges their 2-subsets."""
+    adj: dict[int, set[int]] = {}
+    profile: dict[int, list[int]] = {}
+    for facet in facets:
         for v in facet:
-            profile[v].append(len(facet))
+            adj.setdefault(v, set()).update(facet - {v})
+            profile.setdefault(v, []).append(len(facet))
+    verts = sorted(adj)
     color = {v: (tuple(sorted(profile[v])),) for v in verts}
     ranks = _rank_colors(color, verts)
     while True:
@@ -470,10 +472,8 @@ def _canonical(k: Complex) -> tuple[tuple, dict[int, int]]:
         ranks = new_ranks
     order = sorted(verts, key=lambda v: (ranks[v], v))
     rename = {v: i for i, v in enumerate(order)}
-    facets = tuple(
-        sorted(tuple(sorted(rename[v] for v in f)) for f in k.facets)
-    )
-    return ("cx", facets), rename
+    key = tuple(sorted(tuple(sorted(rename[v] for v in f)) for f in facets))
+    return ("cx", key), rename
 
 
 def _rank_colors(color: Mapping[int, tuple], verts: Iterable[int]) -> dict[int, int]:

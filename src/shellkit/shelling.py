@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from shellkit.complex_core import (
     Complex,
     Face,
     FormatError,
-    _canonical,
+    _canonical_facets,
     face_key,
     graph_connected,
     vertex_links_connected,
@@ -85,25 +87,14 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
         return SearchResult("yes", tuple(facets), 0)
     # Sound precheck: every shelling glues each new facet along a
     # (d-1)-face, so a shellable complex has a connected facet graph.
-    adjacent = (
-        (i, j) for i in range(m) for j in range(i + 1, m)
-        if len(facets[i] & facets[j]) == d
-    )
-    if not graph_connected(range(m), adjacent):
+    nbrs = [{j for j in range(m) if len(facets[i] & facets[j]) == d} for i in range(m)]
+    if not graph_connected(range(m), ((i, j) for i in range(m) for j in nbrs[i])):
         return SearchResult("no", None, 0)
 
     dead: set[frozenset] = set()
     nodes = 0
     budget_hit = False
     chosen: list[Face] = []
-    chosen_idx: list[int] = []
-
-    def candidate_order(remaining: list[int]) -> list[int]:
-        def key(i: int):
-            shared = sum(1 for f in chosen if len(facets[i] & f) == d)
-            return (-shared, face_key(facets[i]))
-
-        return sorted(remaining, key=key)
 
     def extend(used: frozenset) -> bool:
         nonlocal nodes, budget_hit
@@ -115,16 +106,16 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
         if nodes > budget:
             budget_hit = True
             return False
+        # Most chosen neighbours first; ties in facet order, since the
+        # facets are sorted and the sort is stable.
         remaining = [i for i in range(m) if i not in used]
-        for i in candidate_order(remaining):
+        for i in sorted(remaining, key=lambda i: -len(nbrs[i] & used)):
             if chosen and not _prefix_intersection_ok(facets[i], chosen, d):
                 continue
             chosen.append(facets[i])
-            chosen_idx.append(i)
             if extend(used | {i}):
                 return True
             chosen.pop()
-            chosen_idx.pop()
             if budget_hit:
                 return False
         dead.add(used)
@@ -138,10 +129,6 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
 # -- k-decomposability --------------------------------------------------------
 
 
-def _is_full_simplex(k: Complex) -> bool:
-    return len(k.facets) == 1
-
-
 def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Provan–Billera style k-decomposability decider.
 
@@ -150,6 +137,14 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     link and a pure (same-dimensional) k-decomposable deletion.  Witness
     is a nested shedding tree.  0-decomposable is vertex-decomposable and
     d-decomposable coincides with shellable.
+
+    The search runs on facet sets.  In a pure d-complex the link of σ is
+    pure of dimension d - |σ|, with facets {F - σ : F ⊇ σ}.  A face that
+    misses σ but lies in some F ⊇ σ lies in a ridge F - v with v in σ, and
+    every other facet through that ridge misses σ; so the deletion is pure
+    d-dimensional exactly when each such ridge lies in two or more facets,
+    and its facets are then those missing σ.  One ridge-degree count per
+    node tests every σ, and both children are pure by construction.
     """
     if kk < 0:
         raise ShellingError("k must be >= 0")
@@ -159,7 +154,7 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     nodes = 0
     budget_hit = False
 
-    def rec(c: Complex) -> dict | None:
+    def rec(facets: frozenset) -> dict | None:
         nonlocal nodes, budget_hit
         if budget_hit:
             return None
@@ -167,13 +162,13 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         if nodes > budget:
             budget_hit = True
             return None
-        if len(c.faces) <= 1:
-            # Void or empty-face complex: nothing left to shed.
+        if not facets:
+            # The empty-face complex, the link of a facet: nothing to shed.
             return {"leaf": []}
-        if _is_full_simplex(c):
-            (facet,) = c.facets
+        if len(facets) == 1:
+            (facet,) = facets
             return {"leaf": list(face_key(facet))}
-        key, rename = _canonical(c)
+        key, rename = _canonical_facets(facets)
         if key in memo:
             tree = memo[key]
             if tree is None:
@@ -181,26 +176,24 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
             # Equal keys: the stored tree, renamed back through this
             # complex's renaming, is a tree for this complex.
             return _rename_tree(tree, {i: v for v, i in rename.items()})
-        d = c.dim
-        if not c.is_pure(d):
-            memo[key] = None
-            return None
-        sheddable = sorted(
-            (f for f in c.faces if f and len(f) <= kk + 1), key=face_key
-        )
-        for sigma in sheddable:
-            lk = c.link(sigma)
-            if lk.dim != d - len(sigma) or not lk.is_pure(lk.dim):
+        degree = Counter(f - {v} for f in facets for v in f)
+        # v is in boundary[f] when the ridge f - v lies in f alone.
+        boundary = {f: {v for v in f if degree[f - {v}] == 1} for f in facets}
+        cofacets: dict[Face, list[Face]] = {}
+        for f in facets:
+            for r in range(1, min(kk + 1, len(f)) + 1):
+                for sigma in combinations(f, r):
+                    cofacets.setdefault(frozenset(sigma), []).append(f)
+        for sigma in sorted(cofacets, key=face_key):
+            around = cofacets[sigma]
+            if any(not boundary[f].isdisjoint(sigma) for f in around):
                 continue
-            dl = c.delete(sigma)
-            if not dl.faces or dl.dim != d or not dl.is_pure(d):
-                continue
-            lk_tree = rec(lk)
+            lk_tree = rec(frozenset(f - sigma for f in around if f != sigma))
             if lk_tree is None:
                 if budget_hit:
                     return None
                 continue
-            dl_tree = rec(dl)
+            dl_tree = rec(facets.difference(around))
             if dl_tree is None:
                 if budget_hit:
                     return None
@@ -211,7 +204,7 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         memo[key] = None
         return None
 
-    tree = rec(k)
+    tree = rec(k.facets)
     if tree is not None:
         return SearchResult("yes", (tree,), nodes)
     return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line entry point, in process."""
 
 import json
+import sys
 
 import pytest
 
@@ -209,6 +210,33 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "internal error: erasure and greedy disagree\n"
+
+
+def test_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
+    # A strip of triangles is a shellable disk, but the shelling search
+    # recurses once per facet.  Under a recursion limit 100 frames above
+    # this one, a 300-triangle strip runs out of stack as a longer strip
+    # does under the default limit.
+    path = tmp_path / "strip.txt"
+    path.write_text("".join(f"{i} {i + 1} {i + 2}\n" for i in range(300)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        code, out, err = run(["check", "shellable", str(path)], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: the search went deeper than the recursion limit")
+    assert not (tmp_path / "strip.shellable.witness.json").exists()
+    # Under the restored limit the same strip is a yes with a witness.
+    code, _, _ = run(["check", "shellable", str(path)], capsys)
+    assert code == 0
+    witness = tmp_path / "strip.shellable.witness.json"
+    assert run(["verify", str(path), str(witness)], capsys)[0] == 0
 
 
 def test_verify_certificate_against_other_formula(tmp_path, capsys):

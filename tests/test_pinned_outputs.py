@@ -16,6 +16,12 @@ one and two levels, and the faces and carriers of
 barycentric_subdivision on the fixtures and on the void and empty-face
 complexes.  It was recorded before the chain enumerators, carrier
 composers and level loops were merged into one flag-based routine.
+
+A third SHA-256 covers decide_k_decomposable: verdicts, node counts and
+shedding trees on the pure fixtures, the octahedron, cone(dunce_hat())
+and seeded random pure 2-complexes at k = 0, 1, 2, with budget overruns.
+It was recorded while the search still built a full-face Complex, with
+its link and deletion, at every node.
 """
 
 import hashlib
@@ -50,10 +56,11 @@ from shellkit.reduction import (
     sat_oracle,
     schedule_collapse,
 )
-from shellkit.shelling import decide_shellable, hachimori_decide_sd2
+from shellkit.shelling import decide_k_decomposable, decide_shellable, hachimori_decide_sd2
 
 PINNED_SHA256 = "3ec4f12334dd6bc835ee6fa38ca6b6f9911a70f2dbc64c56ab98285d0023f7b0"
 SUBDIVISION_SHA256 = "d6eadad5452d90a8f44e69b77983554f07ee69dd42a1c5d5676e5cf54ececd62"
+DECOMPOSITION_SHA256 = "c88d8d7565ecfa617fd1ae6ee4ca6b91f40223ab6afc301eb49be44864571af6"
 
 
 def _faces(faces):
@@ -157,3 +164,28 @@ def subdivision_records() -> list:
 def test_subdivision_outputs_are_pinned():
     blob = json.dumps(subdivision_records(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == SUBDIVISION_SHA256
+
+
+def decomposition_records() -> list:
+    rng = random.Random(5)
+    octahedron = Complex.from_facets(
+        [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    )
+    inputs = [(lc.complex, 2000) for _, lc in sorted(fixtures().items())]
+    inputs += [(octahedron, 2000), (cone(dunce_hat()), 300)]
+    # A small vertex pool makes yes-instances and memo hits common.
+    inputs += [(random_pure_2complex(rng, pool=6), 2000) for _ in range(40)]
+    records = [
+        _search(decide_k_decomposable(k, kk, budget=budget), list)
+        for k, budget in inputs
+        for kk in (0, 1, 2)
+    ]
+    records.append(_search(decide_k_decomposable(octahedron, 0, budget=5), list))
+    return records
+
+
+def test_decomposition_outputs_are_pinned():
+    blob = json.dumps(decomposition_records(), sort_keys=True, separators=(",", ":"))
+    for outcome in ("yes", "no", "budget_exceeded"):
+        assert f'"{outcome}"' in blob, outcome
+    assert hashlib.sha256(blob.encode()).hexdigest() == DECOMPOSITION_SHA256

@@ -1,17 +1,26 @@
 """Shelling order search, decomposability, and the sd2 shellability test."""
 
+import collections
 import itertools
 import json
+import math
 import random
 
 import pytest
 
-from conftest import random_pure_2complex
+from conftest import random_complex, random_pure_2complex
 from shellkit.collapse import verify_collapse_sequence
-from shellkit.complex_core import Complex, barycentric_subdivision
+from shellkit.complex_core import (
+    Complex,
+    _canonical,
+    _rank_colors,
+    barycentric_subdivision,
+    face_key,
+)
 from shellkit.gadgets import fixtures
 from shellkit.shelling import (
     ShellingError,
+    _rename_tree,
     decide_k_decomposable,
     decide_shellable,
     decomposition_witness_from_json,
@@ -136,6 +145,134 @@ def test_k_decomposable_yes_witnesses_verify_random():
                 yes += 1
                 verify_decomposition(k, kk, res.witness[0])
     assert yes >= 100
+
+
+def reference_canonical(k: Complex):
+    """The canonical key and renaming computed from the full face set:
+    vertices are the 0-faces and adjacency the 1-faces."""
+    if not k.faces:
+        return ("void",), {}
+    verts = k.vertices
+    adj = {v: [] for v in verts}
+    for f in k.faces:
+        if len(f) == 2:
+            a, b = f
+            adj[a].append(b)
+            adj[b].append(a)
+    profile = {v: [] for v in verts}
+    for facet in k.facets:
+        for v in facet:
+            profile[v].append(len(facet))
+    ranks = _rank_colors({v: (tuple(sorted(profile[v])),) for v in verts}, verts)
+    while True:
+        sig = {v: (ranks[v], tuple(sorted(ranks[u] for u in adj[v]))) for v in verts}
+        new_ranks = _rank_colors(sig, verts)
+        if len(set(new_ranks.values())) == len(set(ranks.values())):
+            break
+        ranks = new_ranks
+    rename = {v: i for i, v in enumerate(sorted(verts, key=lambda v: (ranks[v], v)))}
+    facets = tuple(sorted(tuple(sorted(rename[v] for v in f)) for f in k.facets))
+    return ("cx", facets), rename
+
+
+def reference_k_decomposable(k: Complex, kk: int, budget: int):
+    """The search on full-face complexes: every tried face builds its link
+    and deletion with Complex.link and Complex.delete and checks purity."""
+    memo = {}
+    nodes = 0
+    budget_hit = False
+
+    def rec(c: Complex):
+        nonlocal nodes, budget_hit
+        if budget_hit:
+            return None
+        nodes += 1
+        if nodes > budget:
+            budget_hit = True
+            return None
+        if len(c.faces) <= 1:
+            return {"leaf": []}
+        if len(c.facets) == 1:
+            (facet,) = c.facets
+            return {"leaf": list(face_key(facet))}
+        key, rename = reference_canonical(c)
+        if key in memo:
+            tree = memo[key]
+            if tree is None:
+                return None
+            return _rename_tree(tree, {i: v for v, i in rename.items()})
+        d = c.dim
+        if not c.is_pure(d):
+            memo[key] = None
+            return None
+        for sigma in sorted((f for f in c.faces if f and len(f) <= kk + 1), key=face_key):
+            lk = c.link(sigma)
+            if lk.dim != d - len(sigma) or not lk.is_pure(lk.dim):
+                continue
+            dl = c.delete(sigma)
+            if not dl.faces or dl.dim != d or not dl.is_pure(d):
+                continue
+            lk_tree = rec(lk)
+            if lk_tree is None:
+                if budget_hit:
+                    return None
+                continue
+            dl_tree = rec(dl)
+            if dl_tree is None:
+                if budget_hit:
+                    return None
+                continue
+            tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
+            memo[key] = _rename_tree(tree, rename)
+            return tree
+        memo[key] = None
+        return None
+
+    tree = rec(k)
+    if tree is not None:
+        return "yes", nodes, tree
+    return ("budget_exceeded" if budget_hit else "no"), nodes, None
+
+
+def random_pure_complex(rng: random.Random, d: int) -> Complex:
+    pool = rng.randint(d + 2, d + 4)
+    want = rng.randint(1, min(8, math.comb(pool, d + 1)))
+    facets = set()
+    while len(facets) < want:
+        facets.add(frozenset(rng.sample(range(pool), d + 1)))
+    return Complex.from_facets(facets)
+
+
+def test_k_decomposable_matches_full_face_oracle():
+    rng = random.Random(53)
+    seen = collections.Counter()
+    for _ in range(90):
+        d = rng.randint(0, 3)
+        k = random_pure_complex(rng, d)
+        for kk in range(d + 2):
+            for budget in (12, 3000):
+                res = decide_k_decomposable(k, kk, budget=budget)
+                tree = None if res.witness is None else res.witness[0]
+                assert (res.verdict, res.nodes, tree) == reference_k_decomposable(
+                    k, kk, budget
+                ), (sorted(map(sorted, k.facets)), kk, budget)
+                if res.yes:
+                    verify_decomposition(k, kk, tree)
+                seen[res.verdict] += 1
+    assert min(seen[v] for v in ("yes", "no", "budget_exceeded")) >= 20, seen
+
+
+def test_canonical_from_facets_matches_full_face_oracle():
+    rng = random.Random(59)
+    inputs = [Complex.empty(), Complex.from_faces([frozenset()])]
+    for _ in range(150):
+        k = random_complex(rng)
+        inputs.append(k)
+        # An isolated vertex, as a JSON document can declare one.
+        inputs.append(Complex.from_faces(k.faces | {frozenset([rng.randint(8, 9)])}))
+    assert any(not k.is_pure() for k in inputs)
+    for k in inputs:
+        assert _canonical(k) == reference_canonical(k)
 
 
 def test_verify_decomposition_and_tampering():

@@ -27,6 +27,7 @@ from shellkit.collapse import (
     DEFAULT_BUDGET,
     CollapseError,
     CollapsePair,
+    _pairs_from_json,
     collapse_witness_from_json,
     collapse_witness_to_json,
     is_collapsible_2d_greedy,
@@ -44,6 +45,7 @@ from shellkit.complex_core import (
     from_json,
     is_pseudomanifold,
     parse_facet_lines,
+    read_faces,
     subdivide_labeled,
     to_json,
     vertex_links_connected,
@@ -245,8 +247,7 @@ def _collapse_witness_json(
 ) -> str:
     """A collapse witness for ``k`` with the facets in ``removal`` taken out
     first; ``removal=None`` leaves out the ``removed_facets`` key."""
-    for tau in removal or ():
-        k = k.remove_facet(tau)
+    k = k.remove_facets(removal or ())
     doc = json.loads(collapse_witness_to_json(pairs, verify_collapse_sequence(k, pairs)))
     if removal is not None:
         doc["removed_facets"] = [
@@ -271,10 +272,7 @@ def _replay_witness(k: Complex, doc: Mapping) -> None:
         pairs, target = collapse_witness_from_json(doc)
         removed = doc.get("removed_facets")
         if removed is not None:
-            if not isinstance(removed, list):
-                raise FormatError("'removed_facets' must be a list of faces")
-            for face in removed:
-                k = k.remove_facet(frozenset(face))
+            k = k.remove_facets(read_faces(removed, "'removed_facets'"))
         verify_collapse_sequence(k, pairs, target)
     else:
         raise FormatError(f"unknown witness kind {kind!r}")
@@ -284,35 +282,33 @@ def _verify_reduction_certificate(text: str, doc: Mapping) -> str:
     spec = doc.get("formula")
     if not isinstance(spec, dict):
         raise FormatError("reduction certificate needs a 'formula' object")
-    witness_phi = Formula(spec.get("n", -1), tuple(map(tuple, spec.get("clauses", ()))))
+    clauses = spec.get("clauses", [])
+    if not (isinstance(clauses, list) and all(isinstance(c, list) for c in clauses)):
+        raise FormatError("certificate formula needs a list of clauses")
+    witness_phi = Formula(spec.get("n", -1), tuple(map(tuple, clauses)))
     phi = parse_cnf(text)
     if phi != witness_phi:
         raise CliError("witness formula does not match the input formula")
     lc = build_K_phi(phi)
-    removal = frozenset(frozenset(f) for f in doc.get("removal", ()))
+    removal = frozenset(read_faces(doc.get("removal", []), "'removal'"))
     try:
         extracted = assignment_from_removal(lc, removal)
     except ReductionError:
         extracted = None
     if extracted is None:
         return "inadmissible"
-    assignment = {int(v): bool(b) for v, b in (doc.get("assignment") or {}).items()}
+    raw_assignment = doc.get("assignment") or {}
+    if not isinstance(raw_assignment, dict):
+        raise FormatError("certificate 'assignment' must be an object")
+    assignment = {int(v): bool(b) for v, b in raw_assignment.items()}
     if extracted != assignment or not _satisfies(phi, assignment):
         raise CollapseError("certificate assignment does not match its removal")
-    pairs = tuple(_pair_from_lists(entry) for entry in doc.get("pairs", ()))
-    k = lc.complex
-    for tau in sorted(removal, key=face_sort_key):
-        k = k.remove_facet(tau)
+    pairs = _pairs_from_json(doc.get("pairs", []))
+    k = lc.complex.remove_facets(sorted(removal, key=face_sort_key))
     final = verify_collapse_sequence(k, pairs)
     if sorted(map(len, final.facets)) != [1]:
         raise CollapseError("certificate collapse does not end at a single vertex")
     return "yes"
-
-
-def _pair_from_lists(entry) -> CollapsePair:
-    if not (isinstance(entry, list) and len(entry) == 2):
-        raise FormatError(f"bad collapse pair: {entry!r}")
-    return CollapsePair(frozenset(entry[0]), frozenset(entry[1]))
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[RunReport, dict]:

@@ -30,6 +30,7 @@ from shellkit.complex_core import (
     graph_connected,
     is_pseudomanifold,
     one_skeleton_connected,
+    read_faces,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -118,9 +119,10 @@ def elementary_collapse(k: Complex, free: Iterable[int], coface: Iterable[int] |
 class _FaceIndex:
     """Mutable set of nonempty faces with a by-vertex index.
 
-    Collapse replay and the DFS deciders both work on one of these: each
-    step looks up cofaces through the vertex index instead of scanning
-    every face, and removes or restores a handful of faces in place.
+    Collapse replay, gluing and the DFS deciders all work on one of these:
+    each step looks up cofaces through the vertex index instead of
+    scanning every face, and removes or restores a handful of faces in
+    place.
     """
 
     def __init__(self, k: Complex):
@@ -175,6 +177,41 @@ class _FaceIndex:
     def complex(self) -> Complex:
         return Complex.from_faces(self.faces)
 
+    def collapse(self, pairs: Sequence[CollapsePair]) -> set[Face]:
+        """Replay ``pairs`` in place, checking each step; returns the faces
+        removed.
+
+        Each step requires the free face to be present with a unique
+        maximal coface equal to the recorded one.
+        """
+        removed: set[Face] = set()
+        for i, pair in enumerate(pairs):
+            f = pair.free
+            if f not in self.faces:
+                raise CollapseError(f"step {i}: {face_key(f)} already removed")
+            cof = self.cofaces(f)
+            maximal = [g for g in cof if not any(g < h for h in cof)]
+            if len(maximal) != 1:
+                raise CollapseError(
+                    f"step {i}: {face_key(f)} is not free "
+                    f"({len(maximal)} maximal cofaces)"
+                )
+            if maximal[0] != pair.coface:
+                raise CollapseError(
+                    f"step {i}: recorded coface {face_key(pair.coface)} but the "
+                    f"unique maximal coface is {face_key(maximal[0])}"
+                )
+            cof.append(f)
+            self.remove(cof)
+            removed.update(cof)
+        return removed
+
+    def constrain(self, m_faces: set[Face]) -> set[Face]:
+        """Faces in ``m_faces``, a subcomplex, with a strict coface outside it."""
+        if not m_faces <= self.faces:
+            raise CollapseError("m is not a subcomplex of k")
+        return {f for f in m_faces if any(g not in m_faces for g in self.cofaces(f))}
+
 
 def verify_collapse_sequence(
     k: Complex,
@@ -188,23 +225,7 @@ def verify_collapse_sequence(
     face set must match it exactly.
     """
     index = _FaceIndex(k)
-    for i, pair in enumerate(pairs):
-        f = pair.free
-        if f not in index.faces:
-            raise CollapseError(f"step {i}: {face_key(f)} already removed")
-        cof = index.cofaces(f)
-        maximal = [g for g in cof if not any(g < h for h in cof)]
-        if len(maximal) != 1:
-            raise CollapseError(
-                f"step {i}: {face_key(f)} is not free "
-                f"({len(maximal)} maximal cofaces)"
-            )
-        if maximal[0] != pair.coface:
-            raise CollapseError(
-                f"step {i}: recorded coface {face_key(pair.coface)} but the "
-                f"unique maximal coface is {face_key(maximal[0])}"
-            )
-        index.remove(cof + [f])
+    index.collapse(pairs)
     result = index.complex()
     if target is not None and result != target:
         missing = sorted(
@@ -485,10 +506,7 @@ def collapse_after_removal(k: Complex, removal: Sequence[Face]) -> tuple:
     replays the verdict on the real punctured complex, and a disagreement
     is an internal error, not a property of the input.
     """
-    punctured = k
-    for tau in removal:
-        punctured = punctured.remove_facet(tau)
-    ok, pairs = is_collapsible_2d_greedy(punctured)
+    ok, pairs = is_collapsible_2d_greedy(k.remove_facets(removal))
     if not ok or pairs is None:
         raise InternalError(
             "erasure found "
@@ -679,20 +697,7 @@ def constrain_complex(k: Complex, m: Complex) -> Complex:
     This is the part of ``m`` the rest of ``k`` leans on: a local collapse
     of ``m`` may only be glued into ``k`` if it keeps all of it.
     """
-    m_faces = {f for f in m.faces if f}
-    if not m_faces <= {f for f in k.faces if f}:
-        raise ValueError("m is not a subcomplex of k")
-    out: set[Face] = set()
-    for eta in k.faces:
-        if not eta or eta in m_faces:
-            continue
-        vs = sorted(eta)
-        for r in range(1, len(vs)):
-            for sub in combinations(vs, r):
-                s = frozenset(sub)
-                if s in m_faces:
-                    out.add(s)
-    return Complex.from_faces(out)
+    return Complex.from_faces(_FaceIndex(k).constrain({f for f in m.faces if f}))
 
 
 def glue_local_collapse(
@@ -704,38 +709,41 @@ def glue_local_collapse(
     """Globalize a local collapse ``m`` -> ``m_prime`` inside ``k``.
 
     Requires ``m_prime`` to be a subcomplex of ``m``, the constrain complex
-    of ``m`` in ``k`` to lie inside ``m_prime``, the pairs to replay as a
-    collapse of ``m`` onto ``m_prime``, and the same pairs to replay inside
-    ``k`` with result ``(k - m) + m_prime``.  Returns the sequence, now
-    valid as a global collapse of ``k``.
+    of ``m`` in ``k`` to lie inside ``m_prime``, and the pairs to replay
+    both as a collapse of ``m`` onto ``m_prime`` and inside ``k``, where
+    they must remove exactly the faces of ``m`` outside ``m_prime``.
+    Returns the sequence, now valid as a global collapse of ``k``.
     """
-    _glue_step(k, m, m_prime, pairs)
+    _glue_step(_FaceIndex(k), m, m_prime, pairs)
     return tuple(pairs)
 
 
 def _glue_step(
-    k: Complex, m: Complex, m_prime: Complex, pairs: Sequence[CollapsePair]
-) -> Complex:
-    """``glue_local_collapse``, returning the glued complex (k - m) + m_prime."""
+    index: _FaceIndex, m: Complex, m_prime: Complex, pairs: Sequence[CollapsePair]
+) -> None:
+    """``glue_local_collapse`` into the complex ``index`` holds, in place.
+
+    Every check of ``glue_local_collapse`` runs: the constrain complex
+    comes from the cofaces of ``m``'s faces in the index, the local replay
+    runs on ``m``, and the global replay runs on the index itself, whose
+    complex becomes ``(k - m) + m_prime``.  Nothing over all of ``k`` is
+    built.
+    """
     m_faces = {f for f in m.faces if f}
     mp_faces = {f for f in m_prime.faces if f}
     if not mp_faces <= m_faces:
         raise CollapseError("m_prime is not a subcomplex of m")
-    gamma = constrain_complex(k, m)
-    offenders = sorted(
-        (face_key(f) for f in gamma.faces if f and f not in mp_faces),
-        key=lambda t: (len(t), t),
-    )
+    offenders = sorted(map(face_key, index.constrain(m_faces) - mp_faces), key=face_sort_key)
     if offenders:
         raise CollapseError(
             f"constrain complex is not contained in the kept subcomplex; "
             f"offending faces: {offenders[:8]}"
         )
     verify_collapse_sequence(m, pairs, m_prime)
-    expected = Complex.from_faces(
-        ({f for f in k.faces if f} - m_faces) | mp_faces
-    )
-    return verify_collapse_sequence(k, pairs, expected)
+    # Since m_prime <= m <= k, ending at (k - m) + m_prime is removing
+    # exactly the faces of m outside m_prime.
+    if index.collapse(pairs) != m_faces - mp_faces:
+        raise CollapseError("the pairs remove other faces of k than m - m_prime")
 
 
 # -- witness serialization ----------------------------------------------------
@@ -753,19 +761,23 @@ def collapse_witness_to_json(pairs: Sequence[CollapsePair], target: Complex) -> 
 def collapse_witness_from_json(doc: Mapping) -> tuple[tuple, Complex]:
     if doc.get("kind") != "collapse":
         raise FormatError("witness kind is not 'collapse'")
-    raw_pairs = doc.get("pairs")
-    if not isinstance(raw_pairs, list):
+    pairs = _pairs_from_json(doc.get("pairs"))
+    return pairs, Complex.from_facets(read_faces(doc.get("target_facets"), "'target_facets'"))
+
+
+def _pairs_from_json(raw) -> tuple:
+    """Collapse pairs from a JSON list of ``[free, coface]`` face pairs;
+    a malformed entry, or a free face that is not a proper nonempty
+    subface of its coface, raises FormatError."""
+    if not isinstance(raw, list):
         raise FormatError("collapse witness needs a 'pairs' list")
     pairs = []
-    for entry in raw_pairs:
+    for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise FormatError(f"bad collapse pair: {entry!r}")
+        free, coface = read_faces(entry, "collapse pair")
         try:
-            pairs.append(CollapsePair(frozenset(entry[0]), frozenset(entry[1])))
+            pairs.append(CollapsePair(free, coface))
         except CollapseError as exc:
             raise FormatError(str(exc)) from None
-    target_facets = doc.get("target_facets")
-    if not isinstance(target_facets, list):
-        raise FormatError("collapse witness needs 'target_facets'")
-    target = Complex.from_facets(target_facets) if target_facets else Complex.empty()
-    return tuple(pairs), target
+    return tuple(pairs)

@@ -76,6 +76,18 @@ def _validate_vertex(v) -> int:
     return v
 
 
+def read_faces(raw, what: str) -> list[frozenset]:
+    """Faces from a JSON document: a list of lists of distinct int vertex
+    ids.  Any other shape raises FormatError naming ``what``."""
+    if not (isinstance(raw, list) and all(isinstance(f, list) for f in raw)):
+        raise FormatError(f"{what} must be a list of faces, each a list of vertex ids")
+    faces = [frozenset(map(_validate_vertex, f)) for f in raw]
+    for face, f in zip(raw, faces):
+        if len(face) != len(f):
+            raise FormatError(f"{what}: face {face} repeats a vertex")
+    return faces
+
+
 class Complex:
     """An immutable abstract simplicial complex.
 
@@ -250,6 +262,14 @@ class Complex:
         if f not in self.facets:
             raise ValueError(f"{face_key(f)} is not a facet")
         return Complex(self._faces - {f}, _trusted=True)
+
+    def remove_facets(self, facets: Iterable[Iterable[int]]) -> "Complex":
+        """Drop the given facets in order through ``remove_facet``, so a
+        repeat or a face that is not a facet by its turn raises."""
+        k = self
+        for f in facets:
+            k = k.remove_facet(f)
+        return k
 
     def subcomplex_closure(self, faces: Iterable[Iterable[int]]) -> "Complex":
         """Closure of the given faces, which must all belong to the complex."""
@@ -689,8 +709,11 @@ def from_json(text: str) -> LabeledComplex:
     for key in ("vertices", "facets"):
         if key not in doc:
             raise FormatError(f"missing key {key!r}")
-    k = Complex.from_facets(doc["facets"])
-    declared = {v["id"] if isinstance(v, dict) else v for v in doc["vertices"]}
+    k = Complex.from_facets(read_faces(doc["facets"], "'facets'"))
+    vertices = doc["vertices"]
+    if not isinstance(vertices, list):
+        raise FormatError("'vertices' must be a list")
+    declared = {_validate_vertex(v.get("id") if isinstance(v, dict) else v) for v in vertices}
     used = set(k.vertices)
     if not used <= declared:
         raise FormatError(f"facets use undeclared vertices: {sorted(used - declared)}")
@@ -699,9 +722,10 @@ def from_json(text: str) -> LabeledComplex:
         # Isolated vertices are legitimate 0-faces.
         faces = set(k.faces) | {frozenset([v]) for v in isolated} | {frozenset()}
         k = Complex(frozenset(faces), _trusted=True)
-    labels: dict[str, Feature] = {}
-    for name, spec in (doc.get("labels") or {}).items():
-        labels[name] = _feature_from_json(name, spec)
+    raw_labels = doc.get("labels") or {}
+    if not isinstance(raw_labels, dict):
+        raise FormatError("'labels' must be an object")
+    labels = {name: _feature_from_json(name, spec) for name, spec in raw_labels.items()}
     try:
         return LabeledComplex(k, labels)
     except ValueError as exc:
@@ -723,7 +747,5 @@ def _feature_from_json(name: str, spec) -> Feature:
             raise FormatError(f"label {name!r}: path value must list vertices")
         return Feature.path([_validate_vertex(v) for v in value])
     if kind == "subcomplex":
-        if not isinstance(value, list):
-            raise FormatError(f"label {name!r}: subcomplex value must list facets")
-        return Feature.subcomplex([[_validate_vertex(v) for v in f] for f in value])
+        return Feature.subcomplex(read_faces(value, f"label {name!r}: subcomplex value"))
     raise FormatError(f"label {name!r}: unknown kind {kind!r}")

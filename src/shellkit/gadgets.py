@@ -22,10 +22,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from shellkit.collapse import (
     CollapseSequence,
+    _FaceIndex,
     _glue_step,
     collapse_disk_to_tree,
     collapses_to,
@@ -467,7 +468,8 @@ def build_three_house() -> LabeledComplex:
     lc = LabeledComplex(Complex.from_facets(facets), labels)
     _check_house(lc, free_edges, "three-house")
     _check_three_house_star(lc)
-    _check_three_house_collapses(lc)
+    for entry in (1, 2, 3):
+        three_house_exit(lc, entry)
     return lc
 
 
@@ -492,22 +494,28 @@ def _check_three_house_star(lc: LabeledComplex) -> None:
         raise GadgetError("contact features do not form a subdivided star")
 
 
-def _check_three_house_collapses(lc: LabeledComplex) -> None:
-    """Any two free edges can be kept: the house collapses onto the star
-    spanned by e, the three p's, and those two f's."""
-    k = lc.complex
-    for keep in itertools.combinations((1, 2, 3), 2):
-        faces = set(lc.feature("e").face_set())
-        for pos in (1, 2, 3):
-            faces |= lc.feature(f"p{pos}").face_set()
-        for pos in keep:
-            faces |= lc.feature(f"f{pos}").face_set()
-        target = k.subcomplex_closure(faces)
-        result = collapses_to(k, target, budget=10**7)
-        if result.verdict != "yes":
-            raise GadgetError(
-                f"three-house failed to collapse keeping f{keep}: {result.verdict}"
-            )
+def _features_complex(lc: LabeledComplex, names: Iterable[str]) -> Complex:
+    """The subcomplex that the closures of the named features span."""
+    faces: set[Face] = set()
+    for name in names:
+        faces |= lc.feature(name).face_set()
+    return Complex.from_faces(faces)
+
+
+def three_house_exit(lc: LabeledComplex, entry: int) -> tuple[CollapseSequence, Complex]:
+    """Collapse the three-house ``lc`` once door ``f<entry>`` is free.
+
+    Returns the witness and the kept subcomplex: the hub edge ``e``, all
+    three two-edge paths, and the two doors other than ``entry``.
+    """
+    names = ["e", "p1", "p2", "p3"] + [f"f{t}" for t in (1, 2, 3) if t != entry]
+    kept = _features_complex(lc, names)
+    result = collapses_to(lc.complex, kept, budget=10**7)
+    if not result.yes:
+        raise GadgetError(
+            f"three-house failed to collapse keeping all doors but f{entry}: {result.verdict}"
+        )
+    return result.witness, kept
 
 
 # -- variable-side gadgets -------------------------------------------------------
@@ -632,41 +640,38 @@ def house_frame(lc: LabeledComplex) -> HouseFrame:
 
 
 def collapse_house(
-    k: Complex, frame: HouseFrame, target: Complex
-) -> tuple[CollapseSequence, Complex]:
-    """Collapse one house inside ``k`` onto ``target``, in three glued phases.
+    index: _FaceIndex, frame: HouseFrame, target: Complex
+) -> CollapseSequence:
+    """Collapse one house onto ``target`` inside the complex ``index``
+    holds, in three glued phases, and return the concatenated pairs.
 
     Phase one collapses the lower wall (a disk) onto the union of the
     target's wall faces and the non-free part of the wall boundary; phase
     two folds the fan onto the contact--apex--far arc; phase three
-    collapses the cap to the contact vertex.  Every phase goes through
-    ``glue_local_collapse``, so each constrain-complex precondition is
-    machine-checked rather than assumed.  Returns the concatenated
-    sequence and the collapsed complex.
+    collapses the cap to the contact vertex.  Every phase is glued into
+    ``index`` in place by the gluing step behind ``glue_local_collapse``,
+    so each constrain-complex precondition is machine-checked rather than
+    assumed, and ``index`` ends at the collapsed complex.
     """
     wall_cx = Complex.from_facets(frame.wall)
     keep = {f for f in target.faces if f and f in wall_cx.faces}
     keep.update(e for e in boundary_ridges(wall_cx) if e not in frame.arc)
-    m1_prime = wall_cx.subcomplex_closure(keep)
-    pairs = list(collapse_disk_to_tree(wall_cx, m1_prime))
-    k = _glue_step(k, wall_cx, m1_prime, pairs)
-
     fan_cx = Complex.from_facets(frame.fan)
-    arc2 = fan_cx.subcomplex_closure(
-        {frozenset((frame.contact, frame.apex)), frozenset((frame.apex, frame.far))}
-    )
-    fan_pairs = collapse_disk_to_tree(fan_cx, arc2)
-    k = _glue_step(k, fan_cx, arc2, fan_pairs)
-    pairs.extend(fan_pairs)
+    arc = {frozenset((frame.contact, frame.apex)), frozenset((frame.apex, frame.far))}
+    pairs: list = []
+    for disk, tree in ((wall_cx, keep), (fan_cx, arc)):
+        tree_cx = disk.subcomplex_closure(tree)
+        local = collapse_disk_to_tree(disk, tree_cx)
+        _glue_step(index, disk, tree_cx, local)
+        pairs.extend(local)
 
     cap_cx = Complex.from_facets(frame.cap)
     collapsed, cap_pairs = is_collapsible_2d_greedy(cap_cx, keep_vertex=frame.contact)
     if not collapsed:
         raise GadgetError("house cap failed to collapse to its contact vertex")
-    point = Complex.from_facets([[frame.contact]])
-    k = _glue_step(k, cap_cx, point, cap_pairs)
+    _glue_step(index, cap_cx, Complex.from_facets([[frame.contact]]), cap_pairs)
     pairs.extend(cap_pairs)
-    return tuple(pairs), k
+    return tuple(pairs)
 
 
 # -- amalgamation ----------------------------------------------------------------

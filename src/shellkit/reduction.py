@@ -18,12 +18,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from shellkit.collapse import (
     CollapsePair,
     CollapseSequence,
     TriangleErasure,
+    _FaceIndex,
     _glue_step,
     collapse_after_removal,
     collapse_disk_to_tree,
@@ -45,6 +46,7 @@ from shellkit.gadgets import (
     HouseAttachment,
     OneHouseSpec,
     _amalgamate_with_maps,
+    _features_complex,
     build_literal_house,
     build_O,
     build_one_house,
@@ -53,6 +55,7 @@ from shellkit.gadgets import (
     collapse_house,
     house_frame,
     map_feature,
+    three_house_exit,
 )
 
 Assignment = Mapping[int, bool]
@@ -89,8 +92,8 @@ class Formula:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        if self.n < 0:
-            raise ReductionError("variable count must be nonnegative")
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ReductionError("variable count must be a nonnegative integer")
         for clause in self.clauses:
             if len(clause) != 3:
                 raise ReductionError(f"clause {clause!r} does not have 3 literals")
@@ -347,44 +350,10 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
 # -- the collapse schedule --------------------------------------------------------
 
 
-def _features_complex(lc: LabeledComplex, names: Iterable[str]) -> Complex:
-    faces: set[Face] = set()
-    for name in names:
-        faces |= lc.feature(name).face_set()
-    return Complex.from_faces(faces)
-
-
-def _part_complex(comp: _Compiled, part: str) -> Complex:
-    vmap = comp.vmaps[part]
-    return Complex.from_facets(
-        frozenset(vmap[v] for v in f) for f in comp.parts[part].complex.facets
-    )
-
-
 @functools.lru_cache(maxsize=3)
-def _clause_exit_pairs(entry: int) -> tuple[CollapseSequence, frozenset[Face]]:
-    """Collapse of the canonical three-house once door ``entry`` is free.
-
-    Returns the witness and the kept faces: the hub edge, all three
-    two-edge paths, and the two doors other than ``entry``.
-    """
-    lc = build_three_house()
-    names = ["e", "p1", "p2", "p3"]
-    names += [f"f{t}" for t in (1, 2, 3) if t != entry]
-    faces: set[Face] = set()
-    for name in names:
-        faces |= lc.feature(name).face_set()
-    res = collapses_to(lc.complex, Complex.from_faces(faces), budget=10**7)
-    if not res.yes:
-        raise ReductionError("three-house failed to collapse onto its exit tree")
-    return res.witness, frozenset(faces)
-
-
-def _entry_position(clause: tuple[int, int, int], a: Assignment) -> int:
-    for t, lit in enumerate(clause, start=1):
-        if a[abs(lit)] == (lit > 0):
-            return t
-    raise ReductionError(f"clause {clause!r} is not satisfied")
+def _clause_exit_pairs(entry: int) -> tuple[CollapseSequence, Complex]:
+    """``three_house_exit`` of the canonical three-house."""
+    return three_house_exit(build_three_house(), entry)
 
 
 def schedule_collapse(
@@ -400,10 +369,13 @@ def schedule_collapse(
     house down to its variable star, (e) flatten each ``B(u)`` onto
     ``b(u)`` and each ``O(u)`` onto ``s(u) + p(u)``, (f) finish the
     unsatisfied disks and literal houses, and (g) prune the residual
-    star to ``v_and``.  Every phase is globalized via
-    ``glue_local_collapse``, and the concatenated sequence is verified
-    end to end before returning, so the result is replayable evidence,
-    not a trace of intent.
+    star to ``v_and``.  One face index of K_phi carries the whole
+    schedule: the punctures come out of it, and every phase is glued
+    into it in place by the gluing step behind ``glue_local_collapse``,
+    which checks the constrain complex and replays the phase both on its
+    own part and on the index.  The concatenated sequence is verified end
+    to end on a fresh copy before returning, so the result is replayable
+    evidence, not a trace of intent.
     """
     comp = _compile(phi)
     a = {int(v): bool(assignment[v]) for v in assignment}
@@ -413,106 +385,95 @@ def schedule_collapse(
         raise ReductionError("assignment does not satisfy the formula")
 
     lc = comp.labeled
-    k = lc.complex
+    index = _FaceIndex(lc.complex)
     v_and = lc.feature("v_and").value[0]
-    lit_of = {i: _lit_name(i if a[i] else -i) for i in a}
-    neg_of = {i: _lit_name(-i if a[i] else i) for i in a}
+    sat_sign = {i: i if a[i] else -i for i in a}
+    neg_of = {i: _lit_name(-sat_sign[i]) for i in a}
     pairs: list[CollapsePair] = []
     removal: list[Face] = []
 
-    # (a) puncture each satisfied disk and retract it to rim plus spoke.
-    for i in range(1, phi.n + 1):
-        lit = lit_of[i]
-        disk_faces = {f for f in lc.subcomplex(f"D[{lit}]").faces if f}
-        tau = min((f for f in disk_faces if len(f) == 3), key=face_key)
-        k = k.remove_facet(tau)
-        removal.append(tau)
-        m = Complex.from_faces(disk_faces - {tau})
-        m_prime = _features_complex(lc, [f"s(u{i})", f"f[{lit}]"])
+    def glue(m: Complex, m_prime: Complex, local: CollapseSequence) -> None:
+        _glue_step(index, m, m_prime, local)
+        pairs.extend(local)
+
+    def retract(m: Complex, m_prime: Complex, failure: str) -> None:
         res = collapses_to(m, m_prime, budget=10**5)
         if not res.yes:
-            raise ReductionError(f"punctured disk D[{lit}] failed to retract")
-        k = _glue_step(k, m, m_prime, res.witness)
-        pairs.extend(res.witness)
+            raise ReductionError(failure)
+        glue(m, m_prime, res.witness)
 
-    # (b) collapse each satisfied literal house onto its occurrence star.
-    for i in range(1, phi.n + 1):
-        lit, sign = lit_of[i], (i if a[i] else -i)
+    def house(part: str, target: Complex) -> None:
+        frame = house_frame(comp.parts[part]).mapped(comp.vmaps[part])
+        pairs.extend(collapse_house(index, frame, target))
+
+    def literal_house(i: int, sign: int) -> None:
+        lit = _lit_name(sign)
         names = [f"p(u{i})"]
         for j, t in comp.occ.get(sign, ()):
             names += [f"p[{lit},c{j}#{t}]", f"f[{lit},c{j}#{t}]"]
-        frame = house_frame(comp.parts[f"X[{lit}]"]).mapped(comp.vmaps[f"X[{lit}]"])
-        seq, k = collapse_house(k, frame, _features_complex(lc, names))
-        pairs.extend(seq)
+        house(f"X[{lit}]", _features_complex(lc, names))
+
+    # (a) puncture each satisfied disk and retract it to rim plus spoke.
+    for i in range(1, phi.n + 1):
+        lit = _lit_name(sat_sign[i])
+        disk_faces = {f for f in lc.subcomplex(f"D[{lit}]").faces if f}
+        tau = min((f for f in disk_faces if len(f) == 3), key=face_key)
+        index.remove([tau])
+        removal.append(tau)
+        m = Complex.from_faces(disk_faces - {tau})
+        m_prime = _features_complex(lc, [f"s(u{i})", f"f[{lit}]"])
+        retract(m, m_prime, f"punctured disk D[{lit}] failed to retract")
+
+    # (b) collapse each satisfied literal house onto its occurrence star.
+    for i in range(1, phi.n + 1):
+        literal_house(i, sat_sign[i])
 
     # (c) collapse each clause house through its first satisfied door.
     for j, clause in enumerate(phi.clauses, start=1):
-        local_pairs, local_faces = _clause_exit_pairs(_entry_position(clause, a))
+        # a satisfies phi, so every clause has a true literal.
+        entry = next(t for t, lit in enumerate(clause, 1) if a[abs(lit)] == (lit > 0))
+        local_pairs, kept = _clause_exit_pairs(entry)
         vmap = comp.vmaps[f"C(c{j})"]
-        mapped = tuple(
-            CollapsePair(
-                frozenset(vmap[v] for v in p.free),
-                frozenset(vmap[v] for v in p.coface),
-            )
-            for p in local_pairs
+
+        def mapped(face: Face) -> Face:
+            return frozenset(vmap[v] for v in face)
+
+        glue(
+            lc.subcomplex(f"C(c{j})"),
+            Complex.from_faces(map(mapped, kept.faces)),
+            tuple(CollapsePair(mapped(p.free), mapped(p.coface)) for p in local_pairs),
         )
-        m = _part_complex(comp, f"C(c{j})")
-        m_prime = Complex.from_faces(
-            {frozenset(vmap[v] for v in f) for f in local_faces}
-        )
-        k = _glue_step(k, m, m_prime, mapped)
-        pairs.extend(mapped)
 
     # (d) open the conjunction house down to its variable star.
-    frame = house_frame(comp.parts["A"]).mapped(comp.vmaps["A"])
-    if phi.n:
-        target = _features_complex(lc, [f"f(u{i})" for i in range(1, phi.n + 1)])
-    else:
-        target = Complex.from_facets([[v_and]])
-    seq, k = collapse_house(k, frame, target)
-    pairs.extend(seq)
+    star = [f"f(u{i})" for i in range(1, phi.n + 1)]
+    house("A", _features_complex(lc, star) if star else Complex.from_facets([[v_and]]))
 
     # (e) flatten B(u) onto b(u), then O(u) onto s(u) + p(u).
     for i in range(1, phi.n + 1):
         u = f"u{i}"
-        frame = house_frame(comp.parts[f"B({u})"]).mapped(comp.vmaps[f"B({u})"])
-        seq, k = collapse_house(k, frame, _features_complex(lc, [f"b({u})"]))
-        pairs.extend(seq)
-        m = _part_complex(comp, f"O({u})")
+        house(f"B({u})", _features_complex(lc, [f"b({u})"]))
         m_prime = _features_complex(lc, [f"s({u})", f"p({u})"])
-        res = collapses_to(m, m_prime, budget=10**5)
-        if not res.yes:
-            raise ReductionError(f"O({u}) failed to retract onto s+p")
-        k = _glue_step(k, m, m_prime, res.witness)
-        pairs.extend(res.witness)
+        retract(lc.subcomplex(f"O({u})"), m_prime, f"O({u}) failed to retract onto s+p")
 
     # (f) finish each unsatisfied disk, then its literal house.
     for i in range(1, phi.n + 1):
-        lit, sign = neg_of[i], (-i if a[i] else i)
+        lit = neg_of[i]
         m = lc.subcomplex(f"D[{lit}]")
         m_prime = _features_complex(lc, [f"f[{lit}]"])
-        dpairs = collapse_disk_to_tree(m, m_prime)
-        k = _glue_step(k, m, m_prime, dpairs)
-        pairs.extend(dpairs)
-        names = [f"p(u{i})"]
-        for j, t in comp.occ.get(sign, ()):
-            names += [f"p[{lit},c{j}#{t}]", f"f[{lit},c{j}#{t}]"]
-        frame = house_frame(comp.parts[f"X[{lit}]"]).mapped(comp.vmaps[f"X[{lit}]"])
-        seq, k = collapse_house(k, frame, _features_complex(lc, names))
-        pairs.extend(seq)
+        glue(m, m_prime, collapse_disk_to_tree(m, m_prime))
+        literal_house(i, -sat_sign[i])
 
     # (g) prune the residual star down to the hub vertex.
-    ok, tail = is_collapsible_2d_greedy(k, keep_vertex=v_and)
+    ok, tail = is_collapsible_2d_greedy(index.complex(), keep_vertex=v_and)
     if not ok or tail is None:
         raise ReductionError("residual complex failed to collapse to v_and")
     pairs.extend(tail)
 
     sequence = tuple(pairs)
     _check_conjunction_precedence(lc, phi, sequence, neg_of)
-    start = lc.complex
-    for tau in removal:
-        start = start.remove_facet(tau)
-    verify_collapse_sequence(start, sequence, Complex.from_facets([[v_and]]))
+    verify_collapse_sequence(
+        lc.complex.remove_facets(removal), sequence, Complex.from_facets([[v_and]])
+    )
     return frozenset(removal), sequence
 
 

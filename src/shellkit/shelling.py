@@ -22,6 +22,7 @@ from shellkit.complex_core import (
     _canonical_facets,
     face_key,
     graph_connected,
+    read_faces,
     vertex_links_connected,
 )
 from shellkit.collapse import (
@@ -338,7 +339,7 @@ def shelling_witness_from_json(doc: Mapping) -> tuple[Face, ...]:
     order = doc.get("order")
     if not isinstance(order, list) or not order:
         raise FormatError("shelling witness needs a nonempty 'order' list")
-    return tuple(frozenset(f) for f in order)
+    return tuple(read_faces(order, "shelling order"))
 
 
 def decomposition_witness_to_json(kk: int, tree: Mapping) -> str:

@@ -239,6 +239,58 @@ def test_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
     assert run(["verify", str(path), str(witness)], capsys)[0] == 0
 
 
+# Each case is (complex file text or None for the CNF, witness base, patch):
+# "stats" runs stats on the text; otherwise verify runs on a witness of the
+# given kind with the patch applied on top.
+TRIANGLE = "0 1 2\n"
+MALFORMED = {
+    "facets-not-faces": ('{"vertices":[0],"facets":[5]}', "stats", {}),
+    "vertices-not-a-list": ('{"vertices":5,"facets":[[0]]}', "stats", {}),
+    "vertex-entry-without-id": ('{"vertices":[{"v":0}],"facets":[[0]]}', "stats", {}),
+    "labels-not-an-object": ('{"vertices":[0],"facets":[[0]],"labels":[1]}', "stats", {}),
+    "label-facets-not-faces": (
+        '{"vertices":[0],"facets":[[0]],"labels":{"x":{"kind":"subcomplex","value":[5]}}}',
+        "stats",
+        {},
+    ),
+    "removed-facets-not-faces": (TRIANGLE, "collapse", {"removed_facets": [5]}),
+    "pair-face-not-a-list": (TRIANGLE, "collapse", {"pairs": [[1, [0, 1]]]}),
+    "pair-not-proper": (TRIANGLE, "collapse", {"pairs": [[[0, 1], [0, 1]]]}),
+    "pair-face-repeats-a-vertex": (TRIANGLE, "collapse", {"pairs": [[[0, 0], [0, 1]]]}),
+    "target-not-faces": (TRIANGLE, "collapse", {"target_facets": [[0, "1"]]}),
+    "shelling-order-not-faces": (TRIANGLE, "shelling", {"order": [1, 2]}),
+    "certificate-clauses-not-lists": (None, "certificate", {"formula": {"n": 2, "clauses": [5]}}),
+    "certificate-n-not-an-integer": (None, "certificate", {"formula": {"n": "2", "clauses": []}}),
+    "certificate-removal-not-faces": (None, "certificate", {"removal": [5, 6]}),
+    "certificate-assignment-not-an-object": (None, "certificate", {"assignment": [1]}),
+    "certificate-pair-not-proper": (None, "certificate", {"pairs": [[[0, 1], [0, 1]]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_is_usage_error(case, tmp_path, capsys):
+    text, base, patch = MALFORMED[case]
+    path = tmp_path / ("phi.cnf" if text is None else "input.json")
+    path.write_text(CNF if text is None else text)
+    if base == "stats":
+        argv = ["stats", str(path)]
+    else:
+        witness = tmp_path / "witness.json"
+        if base == "certificate":
+            run(["solve-sat", str(path), "--witness", str(witness)], capsys)
+            doc = json.loads(witness.read_text())
+        elif base == "collapse":
+            doc = {"kind": "collapse", "pairs": [], "target_facets": [[0, 1, 2]]}
+        else:
+            doc = {"kind": "shelling", "order": [[0, 1, 2]]}
+        witness.write_text(json.dumps({**doc, **patch}))
+        argv = ["verify", str(path), str(witness)]
+    code, out, err = run(argv, capsys)
+    assert code == 2, (out, err)
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_verify_certificate_against_other_formula(tmp_path, capsys):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text(CNF)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_pure_2complex
+from conftest import random_complex, random_pure_2complex
 from shellkit.collapse import (
     CollapseError,
     CollapsePair,
@@ -186,6 +186,36 @@ def test_constrain_complex_frozen():
     assert whole.faces == Complex.empty().faces
 
 
+def constrain_complex_scan(k: Complex, m: Complex) -> Complex:
+    """Reference: every proper subface in m of every face of k outside m."""
+    m_faces = {f for f in m.faces if f}
+    out = set()
+    for eta in k.faces:
+        if not eta or eta in m_faces:
+            continue
+        vs = sorted(eta)
+        for r in range(1, len(vs)):
+            for sub in itertools.combinations(vs, r):
+                if frozenset(sub) in m_faces:
+                    out.add(frozenset(sub))
+    return Complex.from_faces(out)
+
+
+def test_constrain_complex_matches_scan_oracle():
+    rng = random.Random(606)
+    nonempty = 0
+    for i in range(300):
+        k = random_pure_2complex(rng) if i % 2 else random_complex(rng)
+        faces = sorted((f for f in k.faces if f), key=sorted)
+        m = k.subcomplex_closure(rng.sample(faces, rng.randint(0, len(faces))))
+        gamma = constrain_complex(k, m)
+        assert gamma == constrain_complex_scan(k, m)
+        nonempty += bool(gamma.faces)
+    assert nonempty > 100
+    with pytest.raises(ValueError, match="not a subcomplex"):
+        constrain_complex(Complex.from_facets(STRIP), Complex.from_facets([[0, 3]]))
+
+
 def test_glue_local_collapse_checks_containment():
     strip = Complex.from_facets(STRIP)
     m = strip.subcomplex_closure([[0, 1, 2]])
@@ -203,8 +233,11 @@ def test_glue_local_collapse_checks_containment():
         CollapsePair(frozenset({0, 1}), frozenset({0, 1, 2})),
         CollapsePair(frozenset({1}), frozenset({1, 2})),
     )
-    with pytest.raises(CollapseError):
-        glue_local_collapse(strip, m, bad_pairs and bad_prime, bad_pairs)
+    # The pairs do collapse m onto bad_prime, so only the constrain check
+    # tells this case apart before the global replay fails.
+    assert verify_collapse_sequence(m, bad_pairs) == bad_prime
+    with pytest.raises(CollapseError, match="constrain complex"):
+        glue_local_collapse(strip, m, bad_prime, bad_pairs)
 
 
 def test_witness_json_round_trip():

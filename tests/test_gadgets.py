@@ -5,6 +5,7 @@ import importlib.resources
 import pytest
 
 from shellkit.collapse import (
+    _FaceIndex,
     collapses_to,
     free_faces,
     is_collapsible_2d_greedy,
@@ -162,7 +163,9 @@ def test_collapse_house_reaches_target():
     target = k.subcomplex_closure(
         [sorted(e) for e in lc.feature("t").edge_list()]
     )
-    pairs, residue = collapse_house(k, house_frame(lc), target)
+    index = _FaceIndex(k)
+    pairs = collapse_house(index, house_frame(lc), target)
+    residue = index.complex()
     assert verify_collapse_sequence(k, pairs) == residue
     assert target.faces <= residue.faces
     assert not any(len(f) == 3 for f in residue.facets)

@@ -22,6 +22,13 @@ shedding trees on the pure fixtures, the octahedron, cone(dunce_hat())
 and seeded random pure 2-complexes at k = 0, 1, 2, with budget overruns.
 It was recorded while the search still built a full-face Complex, with
 its link and deletion, at every node.
+
+A fourth SHA-256 covers schedule_collapse: the removal and the collapse
+sequence for the formula without variables and for seeded satisfiable
+formulas with n = 2..6, repeated literals among them, under every model
+of the n = 2 formulas and the first and last model of the others.  It
+was recorded while every gluing step still replayed its pairs on a
+fresh copy of the whole complex.
 """
 
 import hashlib
@@ -51,8 +58,10 @@ from shellkit.complex_core import (
 from shellkit.gadgets import build_literal_house, build_three_house, dunce_hat, fixtures
 from shellkit.reduction import (
     Formula,
+    _satisfies,
     build_K_phi,
     decide_phi_via_complex,
+    random_formula,
     sat_oracle,
     schedule_collapse,
 )
@@ -61,6 +70,7 @@ from shellkit.shelling import decide_k_decomposable, decide_shellable, hachimori
 PINNED_SHA256 = "3ec4f12334dd6bc835ee6fa38ca6b6f9911a70f2dbc64c56ab98285d0023f7b0"
 SUBDIVISION_SHA256 = "d6eadad5452d90a8f44e69b77983554f07ee69dd42a1c5d5676e5cf54ececd62"
 DECOMPOSITION_SHA256 = "c88d8d7565ecfa617fd1ae6ee4ca6b91f40223ab6afc301eb49be44864571af6"
+SCHEDULE_SHA256 = "466809d12594686d02cf40f9f60504eb4f94bfdab0efe90374b2ed26fa0e3615"
 
 
 def _faces(faces):
@@ -189,3 +199,45 @@ def test_decomposition_outputs_are_pinned():
     for outcome in ("yes", "no", "budget_exceeded"):
         assert f'"{outcome}"' in blob, outcome
     assert hashlib.sha256(blob.encode()).hexdigest() == DECOMPOSITION_SHA256
+
+
+def _models(phi: Formula) -> list[dict[int, bool]]:
+    out = []
+    for bits in range(2**phi.n):
+        a = {i: bool(bits >> (i - 1) & 1) for i in range(1, phi.n + 1)}
+        if _satisfies(phi, a):
+            out.append(a)
+    return out
+
+
+def schedule_inputs() -> list[tuple[Formula, dict[int, bool]]]:
+    rng = random.Random(6)
+    formulas = [Formula(0, ()), Formula(2, ((1, 1, -2), (2, 2, 2), (1, -1, -1)))]
+    for n in (2, 2, 3, 3, 4, 5, 6):
+        while True:
+            phi = random_formula(n, n, rng)
+            if sat_oracle(phi) is not None:
+                formulas.append(phi)
+                break
+    inputs = []
+    for phi in formulas:
+        models = _models(phi)
+        picked = models if phi.n <= 2 else [models[0], models[-1]]
+        inputs += [(phi, a) for a in picked]
+    return inputs
+
+
+def schedule_records() -> list:
+    records = []
+    for phi, a in schedule_inputs():
+        removal, sequence = schedule_collapse(phi, a)
+        records.append([sorted(_faces(removal)), _pairs(sequence)])
+    return records
+
+
+def test_schedule_collapse_outputs_are_pinned():
+    inputs = schedule_inputs()
+    assert any(len(set(c)) < 3 for phi, _ in inputs for c in phi.clauses)
+    assert {phi.n for phi, _ in inputs} == {0, 2, 3, 4, 5, 6}
+    blob = json.dumps(schedule_records(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SCHEDULE_SHA256

@@ -23,8 +23,8 @@ from shellkit.complex_core import (
     Face,
     FormatError,
     InternalError,
+    _canonical_facets,
     boundary_ridges,
-    canonical_form,
     face_key,
     face_sort_key,
     graph_connected,
@@ -147,10 +147,11 @@ class _FaceIndex:
             if not any(len(g) == len(f) + 1 for g in self.cofaces(f))
         ]
 
-    def free_gap_one_pairs(self) -> list[tuple[Face, Face]]:
-        """Pairs (free face, facet one dimension up) legal to collapse now."""
+    def free_gap_one_pairs(self, facets: Iterable[Face]) -> list[tuple[Face, Face]]:
+        """Pairs (free face, facet one dimension up) legal to collapse now,
+        given the index's current ``facets()``."""
         candidates: set[Face] = set()
-        for facet in self.facets():
+        for facet in facets:
             if len(facet) > 1:
                 vs = sorted(facet)
                 candidates.update(map(frozenset, combinations(vs, len(vs) - 1)))
@@ -536,14 +537,15 @@ def _collapse_search(
     k: Complex,
     budget: int,
     done: Callable[[_FaceIndex], bool],
-    memo_key: Callable[[_FaceIndex], Hashable],
+    memo_key: Callable[[_FaceIndex, list[Face]], Hashable],
     protected: set[Face],
 ) -> SearchResult:
     """Budgeted DFS over one-dimension collapse pairs until ``done``.
 
     Free faces in ``protected`` are never collapsed.  States that failed
-    are memoized under ``memo_key``; the verdict "no" is only returned
-    after the search space is exhausted within budget.
+    are memoized under ``memo_key``, which sees the index and its facets;
+    the verdict "no" is only returned after the search space is exhausted
+    within budget.
     """
     index = _FaceIndex(k)
     memo: set = set()
@@ -558,10 +560,11 @@ def _collapse_search(
             return None
         if done(index):
             return ()
-        key = memo_key(index)
+        facets = index.facets()
+        key = memo_key(index, facets)
         if key in memo:
             return None
-        moves = [(r, f) for r, f in index.free_gap_one_pairs() if r not in protected]
+        moves = [(r, f) for r, f in index.free_gap_one_pairs(facets) if r not in protected]
         for ridge, facet in _order_moves(moves, last):
             index.remove((ridge, facet))
             suffix = dfs(ridge | facet)
@@ -582,9 +585,9 @@ def _collapse_search(
 def is_collapsible_dfs(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Exhaustive collapsibility decider with memoization and a node budget.
 
-    Branches over one-dimension collapse pairs; states are memoized by
-    canonical form.  The verdict "no" is only returned after the search
-    space is exhausted within budget.
+    Branches over one-dimension collapse pairs; states are memoized by the
+    canonical form, read from the index's facets.  The verdict "no" is
+    only returned after the search space is exhausted within budget.
 
     Elementary collapses preserve the reduced Euler characteristic and
     connectivity, so complexes failing either invariant of the point are
@@ -599,7 +602,7 @@ def is_collapsible_dfs(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult
         k,
         budget,
         done=lambda index: len(index.faces) == 1,
-        memo_key=lambda index: canonical_form(index.complex()),
+        memo_key=lambda index, facets: _canonical_facets(facets)[0],
         protected=set(),
     )
 
@@ -621,7 +624,7 @@ def collapses_to(
         k,
         budget,
         done=lambda index: index.faces == target_faces,
-        memo_key=lambda index: frozenset(index.faces),
+        memo_key=lambda index, facets: frozenset(index.faces),
         protected=target_faces,
     )
 

@@ -258,18 +258,28 @@ class Complex:
 
     def remove_facet(self, facet: Iterable[int]) -> "Complex":
         """Drop a single maximal face, keeping all of its proper faces."""
-        f = frozenset(facet)
-        if f not in self.facets:
-            raise ValueError(f"{face_key(f)} is not a facet")
-        return Complex(self._faces - {f}, _trusted=True)
+        return self.remove_facets([facet])
 
     def remove_facets(self, facets: Iterable[Iterable[int]]) -> "Complex":
-        """Drop the given facets in order through ``remove_facet``, so a
-        repeat or a face that is not a facet by its turn raises."""
-        k = self
-        for f in facets:
-            k = k.remove_facet(f)
-        return k
+        """Drop the given facets in order; a repeat or a face that is not a
+        facet by its turn raises ``ValueError``.
+
+        Removing facets keeps the face set closed, so a face is a facet by
+        its turn when it is a facet here, or when each face one vertex
+        bigger has already been dropped.
+        """
+        removed: set = set()
+        for raw in facets:
+            f = frozenset(raw)
+            covered = f not in self.facets and any(
+                f | {v} in self._faces and f | {v} not in removed
+                for v in self.vertices
+                if v not in f
+            )
+            if not f or f in removed or f not in self._faces or covered:
+                raise ValueError(f"{face_key(f)} is not a facet")
+            removed.add(f)
+        return Complex(self._faces - removed, _trusted=True)
 
     def subcomplex_closure(self, faces: Iterable[Iterable[int]]) -> "Complex":
         """Closure of the given faces, which must all belong to the complex."""
@@ -482,14 +492,17 @@ def _canonical_facets(facets: frozenset) -> tuple[tuple, dict[int, int]]:
     verts = sorted(adj)
     color = {v: (tuple(sorted(profile[v])),) for v in verts}
     ranks = _rank_colors(color, verts)
-    while True:
+    classes = len(set(ranks.values()))
+    # Once every vertex has its own colour no round can split a class.
+    while classes < len(verts):
         sig = {
             v: (ranks[v], tuple(sorted(ranks[u] for u in adj[v]))) for v in verts
         }
         new_ranks = _rank_colors(sig, verts)
-        if len(set(new_ranks.values())) == len(set(ranks.values())):
+        new_classes = len(set(new_ranks.values()))
+        if new_classes == classes:
             break
-        ranks = new_ranks
+        ranks, classes = new_ranks, new_classes
     order = sorted(verts, key=lambda v: (ranks[v], v))
     rename = {v: i for i, v in enumerate(order)}
     key = tuple(sorted(tuple(sorted(rename[v] for v in f)) for f in facets))

@@ -46,39 +46,57 @@ def _check_pure_input(k: Complex) -> int:
     return d
 
 
-def _prefix_intersection_ok(candidate: Face, chosen: Sequence[Face], d: int) -> bool:
-    """Does ``candidate`` meet the union of ``chosen`` in a nonempty pure
-    (d-1)-complex?  (For d = 0: in exactly the empty face.)"""
-    inters = [candidate & prev for prev in chosen]
-    if d == 0:
-        return all(not x for x in inters)
-    tops = [x for x in inters if len(x) == d]
-    if not tops:
-        return False
-    return all(any(x <= t for t in tops) for x in inters)
+def _faces_of(facet: Face) -> list[Face]:
+    """Every face of ``facet``, the empty face included."""
+    vs = sorted(facet)
+    return [frozenset(c) for r in range(len(vs) + 1) for c in combinations(vs, r)]
+
+
+def _restriction_ok(facet: Face, placed: Counter) -> bool:
+    """May ``facet`` come next after at least one placed facet?  ``placed``
+    counts the faces of the placed facets.
+
+    The restriction face R is the set of v in ``facet`` whose ridge
+    facet - v lies in a placed facet.  The facet meets the union of the
+    placed ones in a nonempty pure (d-1)-complex exactly when R is nonempty
+    and lies in no placed facet G: then F ∩ G lies in the placed ridge
+    F - v for a v in R that misses G.  An empty R lies in every placed
+    facet, so one lookup tests both.  For d = 0 the ridge is the empty
+    face, so R is the facet itself.
+    """
+    r = frozenset(v for v in facet if placed[facet - {v}])
+    return not placed[r]
 
 
 def verify_shelling(k: Complex, order: Sequence[Iterable[int]]) -> None:
-    """Raise ShellingError unless ``order`` is a shelling of ``k``."""
+    """Raise ShellingError unless ``order`` is a shelling of ``k``.
+
+    One restriction-face test per facet, so the check is linear in the
+    number of facets.
+    """
     d = _check_pure_input(k)
     facets = [frozenset(f) for f in order]
     if len(set(facets)) != len(facets):
         raise ShellingError("order repeats a facet")
     if set(facets) != set(k.facets):
         raise ShellingError("order does not enumerate the facets exactly")
-    for i in range(1, len(facets)):
-        if not _prefix_intersection_ok(facets[i], facets[:i], d):
+    placed: Counter = Counter()
+    for i, facet in enumerate(facets):
+        if i and not _restriction_ok(facet, placed):
             raise ShellingError(
-                f"facet #{i + 1} {face_key(facets[i])} meets its predecessors "
+                f"facet #{i + 1} {face_key(facet)} meets its predecessors "
                 f"in a set that is not pure {d - 1}-dimensional and nonempty"
             )
+        placed.update(_faces_of(facet))
 
 
 def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Backtracking shellability decider with a node budget.
 
-    Failed prefixes are memoized as facet index sets: whether a partial
-    order extends depends only on which facets it uses, not their order.
+    Failed prefixes are memoized as bitmasks of facet indices: whether a
+    partial order extends depends only on which facets it uses, not their
+    order.  Candidates go most placed ridge neighbours first, and each is
+    tested by its restriction face (``_restriction_ok``) in d + 2 lookups.
     The verdict "no" is an exhaustive refutation.
     """
     d = _check_pure_input(k)
@@ -86,18 +104,29 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     m = len(facets)
     if m == 1 or d == 0:
         return SearchResult("yes", tuple(facets), 0)
+    by_ridge: dict[Face, list[int]] = {}
+    for i, f in enumerate(facets):
+        for v in f:
+            by_ridge.setdefault(f - {v}, []).append(i)
     # Sound precheck: every shelling glues each new facet along a
     # (d-1)-face, so a shellable complex has a connected facet graph.
-    nbrs = [{j for j in range(m) if len(facets[i] & facets[j]) == d} for i in range(m)]
-    if not graph_connected(range(m), ((i, j) for i in range(m) for j in nbrs[i])):
+    if not graph_connected(range(m), ((a[0], j) for a in by_ridge.values() for j in a[1:])):
         return SearchResult("no", None, 0)
+    # Bit j of nbrs[i] is set when facets i and j share a ridge.
+    nbrs = [0] * m
+    for around in by_ridge.values():
+        bits = sum(1 << i for i in around)
+        for i in around:
+            nbrs[i] |= bits & ~(1 << i)
+    faces_of = [_faces_of(f) for f in facets]
 
-    dead: set[frozenset] = set()
+    dead: set[int] = set()
     nodes = 0
     budget_hit = False
     chosen: list[Face] = []
+    placed: Counter = Counter()
 
-    def extend(used: frozenset) -> bool:
+    def extend(used: int) -> bool:
         nonlocal nodes, budget_hit
         if len(chosen) == m:
             return True
@@ -109,20 +138,22 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
             return False
         # Most chosen neighbours first; ties in facet order, since the
         # facets are sorted and the sort is stable.
-        remaining = [i for i in range(m) if i not in used]
-        for i in sorted(remaining, key=lambda i: -len(nbrs[i] & used)):
-            if chosen and not _prefix_intersection_ok(facets[i], chosen, d):
+        remaining = [i for i in range(m) if not used >> i & 1]
+        for i in sorted(remaining, key=lambda i: -(nbrs[i] & used).bit_count()):
+            if chosen and not _restriction_ok(facets[i], placed):
                 continue
             chosen.append(facets[i])
-            if extend(used | {i}):
+            placed.update(faces_of[i])
+            if extend(used | 1 << i):
                 return True
             chosen.pop()
+            placed.subtract(faces_of[i])
             if budget_hit:
                 return False
         dead.add(used)
         return False
 
-    if extend(frozenset()):
+    if extend(0):
         return SearchResult("yes", tuple(chosen), nodes)
     return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
 
@@ -146,12 +177,22 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     d-dimensional exactly when each such ridge lies in two or more facets,
     and its facets are then those missing σ.  One ridge-degree count per
     node tests every σ, and both children are pure by construction.
+
+    Results are memoized twice: up to isomorphism by the canonical key,
+    whose tree is renamed back on a hit, and exactly by the facet set.  The
+    exact memo is looked up first, because the canonical key costs a colour
+    refinement; it returns what the canonical memo would, so node counts
+    and witnesses do not depend on it.
     """
     if kk < 0:
         raise ShellingError("k must be >= 0")
     _check_pure_input(k)
     # Canonical key -> shedding tree in canonical vertex ids, or None for no.
     memo: dict[tuple, dict | None] = {}
+    # Facet set, as a bitmask over ids handed out to facets as they are
+    # first seen -> exactly what rec returned for it.
+    exact: dict[int, dict | None] = {}
+    facet_ids: dict[Face, int] = {}
     nodes = 0
     budget_hit = False
 
@@ -169,14 +210,20 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         if len(facets) == 1:
             (facet,) = facets
             return {"leaf": list(face_key(facet))}
+        mask = 0
+        for f in facets:
+            mask |= 1 << facet_ids.setdefault(f, len(facet_ids))
+        if mask in exact:
+            return exact[mask]
         key, rename = _canonical_facets(facets)
         if key in memo:
             tree = memo[key]
-            if tree is None:
-                return None
             # Equal keys: the stored tree, renamed back through this
             # complex's renaming, is a tree for this complex.
-            return _rename_tree(tree, {i: v for v, i in rename.items()})
+            if tree is not None:
+                tree = _rename_tree(tree, {i: v for v, i in rename.items()})
+            exact[mask] = tree
+            return tree
         degree = Counter(f - {v} for f in facets for v in f)
         # v is in boundary[f] when the ridge f - v lies in f alone.
         boundary = {f: {v for v in f if degree[f - {v}] == 1} for f in facets}
@@ -201,8 +248,9 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
                 continue
             tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
             memo[key] = _rename_tree(tree, rename)
+            exact[mask] = tree
             return tree
-        memo[key] = None
+        memo[key] = exact[mask] = None
         return None
 
     tree = rec(k.facets)
@@ -224,7 +272,10 @@ def _rename_tree(tree: Mapping, rename: Mapping[int, int]) -> dict:
 
 def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> None:
     """Check a shedding tree: links and deletions are recomputed, never
-    trusted from the witness."""
+    trusted from the witness.  A node that is not an object is a
+    ``FormatError``."""
+    if not isinstance(tree, Mapping):
+        raise FormatError("decomposition tree node must be an object")
     if "leaf" in tree:
         facet = tree["leaf"]
         if not isinstance(facet, (list, tuple)) or not all(

@@ -243,6 +243,7 @@ def test_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
 # "stats" runs stats on the text; otherwise verify runs on a witness of the
 # given kind with the patch applied on top.
 TRIANGLE = "0 1 2\n"
+TRIANGLE_BOUNDARY = "0 1\n1 2\n0 2\n"
 MALFORMED = {
     "facets-not-faces": ('{"vertices":[0],"facets":[5]}', "stats", {}),
     "vertices-not-a-list": ('{"vertices":5,"facets":[[0]]}', "stats", {}),
@@ -259,6 +260,22 @@ MALFORMED = {
     "pair-face-repeats-a-vertex": (TRIANGLE, "collapse", {"pairs": [[[0, 0], [0, 1]]]}),
     "target-not-faces": (TRIANGLE, "collapse", {"target_facets": [[0, "1"]]}),
     "shelling-order-not-faces": (TRIANGLE, "shelling", {"order": [1, 2]}),
+    "decomposition-link-not-an-object": (
+        TRIANGLE_BOUNDARY,
+        "decomposition",
+        {"tree": {"shedding": [0], "link": 5, "delete": {"leaf": [1, 2]}}},
+    ),
+    "decomposition-delete-not-an-object": (
+        TRIANGLE_BOUNDARY,
+        "decomposition",
+        {
+            "tree": {
+                "shedding": [0],
+                "link": {"shedding": [1], "link": {"leaf": []}, "delete": {"leaf": [2]}},
+                "delete": [1, 2],
+            }
+        },
+    ),
     "certificate-clauses-not-lists": (None, "certificate", {"formula": {"n": 2, "clauses": [5]}}),
     "certificate-n-not-an-integer": (None, "certificate", {"formula": {"n": "2", "clauses": []}}),
     "certificate-removal-not-faces": (None, "certificate", {"removal": [5, 6]}),
@@ -281,6 +298,8 @@ def test_malformed_json_is_usage_error(case, tmp_path, capsys):
             doc = json.loads(witness.read_text())
         elif base == "collapse":
             doc = {"kind": "collapse", "pairs": [], "target_facets": [[0, 1, 2]]}
+        elif base == "decomposition":
+            doc = {"kind": "decomposition", "k": 1}
         else:
             doc = {"kind": "shelling", "order": [[0, 1, 2]]}
         witness.write_text(json.dumps({**doc, **patch}))

@@ -9,6 +9,7 @@ import pytest
 from conftest import random_complex, random_pure_2complex
 from shellkit.collapse import (
     CollapseError,
+    _FaceIndex,
     CollapsePair,
     check_disk,
     collapse_disk_to_tree,
@@ -23,8 +24,8 @@ from shellkit.collapse import (
     is_collapsible_dfs,
     verify_collapse_sequence,
 )
-from shellkit.complex_core import Complex
-from shellkit.gadgets import fixtures
+from shellkit.complex_core import Complex, _canonical_facets, canonical_form, cone
+from shellkit.gadgets import dunce_hat, fixtures
 
 STRIP = [[0, 1, 2], [1, 2, 3]]
 FAN = [[0, 1, 2], [0, 2, 3], [0, 3, 4]]
@@ -140,6 +141,31 @@ def test_dfs_no_free_faces_is_a_fast_no():
     # exhausts the search honestly.
     res = is_collapsible_dfs(fixtures()["dunce_hat"].complex, budget=3)
     assert res.verdict == "no"
+
+
+def test_dfs_memo_key_is_canonical_form():
+    # The DFS keys a state by the canonical key of the index's facets; it
+    # must equal canonical_form of the state's complex, the key it replaced,
+    # along random collapse walks.
+    rng = random.Random(53)
+    for _ in range(150):
+        index = _FaceIndex(random_complex(rng))
+        while True:
+            facets = index.facets()
+            assert _canonical_facets(facets)[0] == canonical_form(index.complex())
+            moves = index.free_gap_one_pairs(facets)
+            if not moves:
+                break
+            index.remove(rng.choice(sorted(moves, key=lambda mv: (sorted(mv[0]), sorted(mv[1])))))
+    res = is_collapsible_dfs(cone(dunce_hat()))
+    assert (res.verdict, res.nodes) == ("yes", 80)
+    # The pendant path and edge collapse in either order to one state, so
+    # this count depends on the memo: 9 nodes without one, 5 under a key
+    # that only counts facets.
+    hat = dunce_hat()
+    a, b = hat.vertices[:2]
+    res = is_collapsible_dfs(Complex.from_facets([*hat.facets, [a, 100], [b, 101], [100, 102]]))
+    assert (res.verdict, res.nodes) == ("no", 8)
 
 
 def test_collapses_to_frozen():

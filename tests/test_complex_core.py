@@ -16,6 +16,7 @@ from shellkit.complex_core import (
     barycentric_subdivision,
     canonical_form,
     cone,
+    face_key,
     format_facet_lines,
     from_json,
     is_pseudomanifold,
@@ -158,6 +159,56 @@ def test_delete_and_remove_facet():
     assert frozenset({0, 1}) in trimmed.faces
     with pytest.raises(ValueError):
         k.remove_facet([1, 2])
+
+
+def remove_facets_one_by_one(k: Complex, facets) -> Complex:
+    """Reference: the per-facet loop, a new complex and its facets for every
+    facet removed."""
+    for raw in facets:
+        f = frozenset(raw)
+        if f not in k.facets:
+            raise ValueError(f"{face_key(f)} is not a facet")
+        k = Complex(k.faces - {f}, _trusted=True)
+    return k
+
+
+def _outcome(fn):
+    try:
+        return fn().faces
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_remove_facets_matches_one_by_one():
+    rng = random.Random(41)
+    raised = valid = 0
+    for _ in range(400):
+        k = random_complex(rng, max_facets=6, pool=7)
+        faces = sorted(k.nonempty_faces, key=sorted)
+        cur, picks = k, []
+        for _ in range(rng.randint(0, 6)):
+            roll = rng.random()
+            if roll < 0.6 and cur.facets:
+                # A facet by its turn, possibly one that earlier removals exposed.
+                pick = rng.choice(sorted(cur.facets, key=sorted))
+            elif roll < 0.75:
+                pick = rng.choice(faces)
+            elif roll < 0.85 and picks:
+                pick = rng.choice(picks)
+            elif roll < 0.95:
+                pick = frozenset(rng.sample(range(9), rng.randint(1, 3)))
+            else:
+                pick = frozenset()
+            picks.append(pick)
+            if pick in cur.facets:
+                cur = cur.remove_facet(pick)
+        order = [sorted(f) for f in picks]
+        expected = _outcome(lambda: remove_facets_one_by_one(k, order))
+        assert _outcome(lambda: k.remove_facets(order)) == expected
+        raised += isinstance(expected, tuple)
+        valid += not isinstance(expected, tuple) and any(f not in k.facets for f in picks)
+    # Both kinds of outcome occur, and so do removals of exposed faces.
+    assert raised > 50 and valid > 20
 
 
 # -- join, cone --

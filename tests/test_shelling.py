@@ -20,7 +20,9 @@ from shellkit.complex_core import (
 from shellkit.gadgets import fixtures
 from shellkit.shelling import (
     ShellingError,
+    _faces_of,
     _rename_tree,
+    _restriction_ok,
     decide_k_decomposable,
     decide_shellable,
     decomposition_witness_from_json,
@@ -77,6 +79,66 @@ def test_verify_shelling_requires_exact_facet_list():
     k = Complex.from_facets(BD3)
     with pytest.raises(ShellingError):
         verify_shelling(k, [sorted(f) for f in sorted(k.facets, key=sorted)][:3])
+
+
+def prefix_intersection_ok(candidate, chosen, d) -> bool:
+    """The shelling step test before restriction faces: intersect the
+    candidate with every chosen facet and ask for a nonempty pure
+    (d-1)-dimensional union (for d = 0: the empty face alone)."""
+    inters = [candidate & prev for prev in chosen]
+    if d == 0:
+        return all(not x for x in inters)
+    tops = [x for x in inters if len(x) == d]
+    if not tops:
+        return False
+    return all(any(x <= t for t in tops) for x in inters)
+
+
+def test_restriction_face_test_matches_prefix_intersection():
+    rng = random.Random(23)
+    outcomes = collections.Counter()
+    for _ in range(600):
+        d = rng.randint(0, 3)
+        pool = range(d + 1 + rng.randint(1, 4))
+        want = min(rng.randint(2, 9), math.comb(len(pool), d + 1))
+        facets = set()
+        while len(facets) < want:
+            facets.add(frozenset(rng.sample(pool, d + 1)))
+        order = sorted(facets, key=sorted)
+        rng.shuffle(order)
+        chosen = order[: rng.randint(1, len(order) - 1)]
+        placed = collections.Counter(g for f in chosen for g in _faces_of(f))
+        # Placed candidates too: there R(F) = F is a placed facet, the one
+        # case where "R(F) lies in G" and "R(F) lies strictly in G" differ.
+        for candidate in order:
+            expected = prefix_intersection_ok(candidate, chosen, d)
+            assert _restriction_ok(candidate, placed) == expected, (chosen, candidate)
+            outcomes[d, expected, candidate in chosen] += 1
+    # For d = 0 every new facet is accepted.
+    for d in range(4):
+        assert outcomes[d, True, False] > 20 and outcomes[d, False, True] > 20, outcomes
+        assert d == 0 or outcomes[d, False, False] > 20, outcomes
+
+
+def test_verify_shelling_on_a_long_strip():
+    # One restriction-face test per facet: a 5,000-facet strip replays in
+    # linear time, where intersecting with every predecessor is quadratic.
+    n = 5000
+    strip = [[i, i + 1, i + 2] for i in range(n)]
+    k = Complex.from_facets(strip)
+    verify_shelling(k, strip)
+    swapped = strip[:2500] + [strip[2501], strip[2500]] + strip[2502:]
+    # (2501, 2502, 2503) meets its predecessors in the vertex 2501 alone.
+    with pytest.raises(ShellingError, match="facet #2501 "):
+        verify_shelling(k, swapped)
+
+
+def test_decider_node_counts_are_pinned():
+    fx = fixtures()
+    res = decide_shellable(fx["torus_7"].complex)
+    assert (res.verdict, res.nodes) == ("no", 246)
+    res = decide_k_decomposable(fx["modified_dunce_hat"].complex, 1)
+    assert (res.verdict, res.nodes) == ("yes", 1588)
 
 
 def test_decide_shellable_frozen():

@@ -143,12 +143,14 @@ def _cmd_stats(args: argparse.Namespace) -> tuple[RunReport, dict]:
     text = _read_input(args.input)
     k = _load_complex(text).complex
     links_ok, _ = vertex_links_connected(k)
+    pure = k.is_pure(k.dim)
     payload = {
         "f-vector": list(k.f_vector()),
         "reduced-euler-characteristic": k.reduced_euler_characteristic(),
         "dimension": k.dim,
-        "pure": k.is_pure(k.dim),
-        "pseudomanifold": is_pseudomanifold(k),
+        "pure": pure,
+        # A pseudomanifold is pure, so a non-pure complex is not one.
+        "pseudomanifold": is_pseudomanifold(k) if pure else "no",
         "links-connected": links_ok,
     }
     report = RunReport("stats", _digest(text), "yes", None, 0.0, 0, "within")

@@ -27,6 +27,7 @@ from shellkit.complex_core import (
     boundary_ridges,
     face_key,
     face_sort_key,
+    facets_of,
     graph_connected,
     is_pseudomanifold,
     one_skeleton_connected,
@@ -74,6 +75,33 @@ class SearchResult:
         return self.verdict == "yes"
 
 
+def _sole_facets(facets: Iterable[Face]) -> dict[Face, Face | None]:
+    """Each nonempty proper face of ``facets`` mapped to the one facet
+    containing it, or to None when two or more do.
+
+    By the rule in the module docstring, the faces mapped to a facet are
+    exactly the free faces, and that facet is their unique maximal coface.
+    """
+    facet_of: dict[Face, Face | None] = {}
+    for facet in facets:
+        vs = sorted(facet)
+        for r in range(1, len(vs)):
+            for sub in combinations(vs, r):
+                s = frozenset(sub)
+                facet_of[s] = None if s in facet_of else facet
+    return facet_of
+
+
+def _free_gap_one_pairs(facets: Iterable[Face]) -> list[tuple[Face, Face]]:
+    """Free faces paired with their facet when it has one more vertex:
+    the moves of the collapse searches."""
+    return [
+        (f, g)
+        for f, g in _sole_facets(facets).items()
+        if g is not None and len(g) == len(f) + 1
+    ]
+
+
 def free_faces(k: Complex) -> list[tuple[Face, Face]]:
     """All free faces with their unique maximal coface, sorted.
 
@@ -81,15 +109,7 @@ def free_faces(k: Complex) -> list[tuple[Face, Face]]:
     (a pendant triangle's interior vertex is free with the triangle as its
     coface).
     """
-    # A proper face lying in a second facet maps to None: it is not free.
-    facet_of: dict[Face, Face | None] = {}
-    for facet in k.facets:
-        vs = sorted(facet)
-        for r in range(1, len(vs)):
-            for sub in combinations(vs, r):
-                s = frozenset(sub)
-                facet_of[s] = None if s in facet_of else facet
-    out = [(f, g) for f, g in facet_of.items() if g is not None]
+    out = [(f, g) for f, g in _sole_facets(k.facets).items() if g is not None]
     out.sort(key=lambda p: face_sort_key(p[0]))
     return out
 
@@ -98,31 +118,24 @@ def elementary_collapse(k: Complex, free: Iterable[int], coface: Iterable[int] |
     """Collapse away ``free`` and all faces containing it.
 
     ``free`` must be a free face of ``k``; when ``coface`` is supplied it
-    must be that unique maximal coface.
+    must be that unique maximal coface.  The step is replayed by
+    ``verify_collapse_sequence``, which checks both.
     """
     f = frozenset(free)
-    if f not in k.faces or not f:
-        raise CollapseError(f"{face_key(f)} is not a nonempty face")
-    maximal = [g for g in k.facets if f < g]
-    if len(maximal) != 1:
-        raise CollapseError(
-            f"{face_key(f)} is not free: {len(maximal)} facets strictly contain it"
-        )
-    if coface is not None and frozenset(coface) != maximal[0]:
-        raise CollapseError(
-            f"coface of {face_key(f)} is {face_key(maximal[0])}, "
-            f"not {face_key(frozenset(coface))}"
-        )
-    return k.delete(f)
+    facet = _sole_facets(k.facets).get(f)
+    if facet is None:
+        raise CollapseError(f"{face_key(f)} is not free: no single facet strictly contains it")
+    pair = CollapsePair(f, facet if coface is None else frozenset(coface))
+    return verify_collapse_sequence(k, (pair,))
 
 
 class _FaceIndex:
     """Mutable set of nonempty faces with a by-vertex index.
 
-    Collapse replay, gluing and the DFS deciders all work on one of these:
-    each step looks up cofaces through the vertex index instead of
-    scanning every face, and removes or restores a handful of faces in
-    place.
+    Collapse replay, gluing and the DFS deciders all work on one of these
+    and remove or restore a handful of faces in place.  Replay and gluing
+    look up cofaces through the vertex index instead of scanning every
+    face.
     """
 
     def __init__(self, k: Complex):
@@ -139,29 +152,6 @@ class _FaceIndex:
         for v in it:
             cands = cands & self.by_vertex.get(v, set())
         return [g for g in cands if len(g) > len(face)]
-
-    def facets(self) -> list[Face]:
-        return [
-            f
-            for f in self.faces
-            if not any(len(g) == len(f) + 1 for g in self.cofaces(f))
-        ]
-
-    def free_gap_one_pairs(self, facets: Iterable[Face]) -> list[tuple[Face, Face]]:
-        """Pairs (free face, facet one dimension up) legal to collapse now,
-        given the index's current ``facets()``."""
-        candidates: set[Face] = set()
-        for facet in facets:
-            if len(facet) > 1:
-                vs = sorted(facet)
-                candidates.update(map(frozenset, combinations(vs, len(vs) - 1)))
-        out = []
-        for ridge in candidates:
-            strict = self.cofaces(ridge)
-            maximal = [g for g in strict if not any(g < h for h in strict)]
-            if len(maximal) == 1 and len(maximal[0]) == len(ridge) + 1:
-                out.append((ridge, maximal[0]))
-        return out
 
     def remove(self, faces: Iterable[Face]) -> None:
         for g in faces:
@@ -545,7 +535,8 @@ def _collapse_search(
     Free faces in ``protected`` are never collapsed.  States that failed
     are memoized under ``memo_key``, which sees the index and its facets;
     the verdict "no" is only returned after the search space is exhausted
-    within budget.
+    within budget.  The index's face set stays closed, as ``facets_of``
+    needs: it starts as a complex and only loses free pairs.
     """
     index = _FaceIndex(k)
     memo: set = set()
@@ -560,11 +551,11 @@ def _collapse_search(
             return None
         if done(index):
             return ()
-        facets = index.facets()
+        facets = facets_of(index.faces)
         key = memo_key(index, facets)
         if key in memo:
             return None
-        moves = [(r, f) for r, f in index.free_gap_one_pairs(facets) if r not in protected]
+        moves = [(r, f) for r, f in _free_gap_one_pairs(facets) if r not in protected]
         for ridge, facet in _order_moves(moves, last):
             index.remove((ridge, facet))
             suffix = dfs(ridge | facet)

@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 Face = frozenset
 
@@ -40,6 +40,20 @@ def face_sort_key(face: Iterable[int]) -> tuple:
     return (len(k), k)
 
 
+def facets_of(faces: Collection[frozenset]) -> frozenset:
+    """Facets of a closed face set: the nonempty faces that are not a
+    codimension-1 face of another face.
+
+    In a closed face set a non-maximal face always has a coface one
+    dimension up, so marking every codimension-1 subface finds them.
+    """
+    covered = set()
+    for f in faces:
+        if len(f) > 1:
+            covered.update(f - {v} for v in f)
+    return frozenset(f for f in faces if f and f not in covered)
+
+
 class UnionFind:
     """Disjoint sets over arbitrary hashable items, with path compression."""
 
@@ -62,12 +76,6 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[rb] = ra
-
-    def groups(self) -> list[set]:
-        out: dict = {}
-        for x in self._parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return list(out.values())
 
 
 def _validate_vertex(v) -> int:
@@ -197,19 +205,8 @@ class Complex:
     def facets(self) -> frozenset:
         """Inclusion-maximal nonempty faces."""
         if self._facets is None:
-            # In a closed complex a non-maximal face always has a coface one
-            # dimension up, so marking every codimension-1 subface finds them.
-            covered = set()
-            for f in self._faces:
-                if len(f) > 1:
-                    covered.update(f - {v} for v in f)
-            self._facets = frozenset(
-                f for f in self._faces if f and f not in covered
-            )
+            self._facets = facets_of(self._faces)
         return self._facets
-
-    def faces_of_dim(self, d: int) -> list[frozenset]:
-        return sorted((f for f in self._faces if len(f) == d + 1), key=face_key)
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_d); the void complex reports (0,)."""
@@ -421,13 +418,6 @@ class Subdivision:
 
     def face_carrier(self, face: Iterable[int]) -> frozenset:
         return frozenset().union(*(self.vertex_carrier[v] for v in face))
-
-    def preimage_faces(self, faces: Iterable[Iterable[int]]) -> frozenset:
-        """All subdivided faces whose carrier lies in the given face set."""
-        allowed = {frozenset(f) for f in faces}
-        return frozenset(
-            f for f in self.complex.faces if f and self.face_carrier(f) in allowed
-        )
 
 
 def _flags(faces: Iterable[frozenset], vid: Mapping[frozenset, int]) -> Iterator[tuple[int, ...]]:

@@ -405,7 +405,6 @@ def build_literal_house(occurrences: int) -> LabeledComplex:
 # -- the three-free-edge house -------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
 def build_three_house() -> LabeledComplex:
     """The clause house: three free edges, any two of which can be kept.
 
@@ -421,6 +420,14 @@ def build_three_house() -> LabeledComplex:
     paths ``p1..p3`` with p_i meeting f_i in one vertex and missing the
     other free edges.
     """
+    return _three_house_and_exits()[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _three_house_and_exits() -> tuple[LabeledComplex, tuple[tuple[CollapseSequence, Complex], ...]]:
+    """``build_three_house`` and its ``three_house_exit`` through doors
+    1, 2 and 3, in that order; the exits are also the build's
+    postcondition."""
     v, w = 0, 1
     alpha = [2 + 5 * i for i in range(3)]
     beta = [3 + 5 * i for i in range(3)]
@@ -468,9 +475,7 @@ def build_three_house() -> LabeledComplex:
     lc = LabeledComplex(Complex.from_facets(facets), labels)
     _check_house(lc, free_edges, "three-house")
     _check_three_house_star(lc)
-    for entry in (1, 2, 3):
-        three_house_exit(lc, entry)
-    return lc
+    return lc, tuple(three_house_exit(lc, entry) for entry in (1, 2, 3))
 
 
 def _check_three_house_star(lc: LabeledComplex) -> None:

@@ -47,6 +47,7 @@ from shellkit.gadgets import (
     OneHouseSpec,
     _amalgamate_with_maps,
     _features_complex,
+    _three_house_and_exits,
     build_literal_house,
     build_O,
     build_one_house,
@@ -55,7 +56,6 @@ from shellkit.gadgets import (
     collapse_house,
     house_frame,
     map_feature,
-    three_house_exit,
 )
 
 Assignment = Mapping[int, bool]
@@ -350,12 +350,6 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
 # -- the collapse schedule --------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=3)
-def _clause_exit_pairs(entry: int) -> tuple[CollapseSequence, Complex]:
-    """``three_house_exit`` of the canonical three-house."""
-    return three_house_exit(build_three_house(), entry)
-
-
 def schedule_collapse(
     phi: Formula, assignment: Assignment
 ) -> tuple[frozenset[Face], CollapseSequence]:
@@ -432,7 +426,7 @@ def schedule_collapse(
     for j, clause in enumerate(phi.clauses, start=1):
         # a satisfies phi, so every clause has a true literal.
         entry = next(t for t, lit in enumerate(clause, 1) if a[abs(lit)] == (lit > 0))
-        local_pairs, kept = _clause_exit_pairs(entry)
+        local_pairs, kept = _three_house_and_exits()[1][entry - 1]
         vmap = comp.vmaps[f"C(c{j})"]
 
         def mapped(face: Face) -> Face:

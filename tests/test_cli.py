@@ -44,6 +44,20 @@ def test_stats_json(tmp_path, capsys):
     assert len(doc["input_digest"]) == 12
 
 
+def test_stats_non_pure_is_not_a_pseudomanifold(tmp_path, capsys):
+    path = tmp_path / "mixed.txt"
+    path.write_text("0 1 2\n2 3\n")
+    code, out, _ = run(["stats", str(path)], capsys)
+    assert code == 0
+    assert "pure: no" in out
+    assert "pseudomanifold: no" in out
+    code, out, _ = run(["--json", "stats", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["stats"]["pure"] is False
+    assert doc["stats"]["pseudomanifold"] == "no"
+
+
 def test_check_shellable_writes_witness(tmp_path, capsys):
     path = tmp_path / "sphere.txt"
     path.write_text(SPHERE)

@@ -10,6 +10,7 @@ from conftest import random_complex, random_pure_2complex
 from shellkit.collapse import (
     CollapseError,
     _FaceIndex,
+    _free_gap_one_pairs,
     CollapsePair,
     check_disk,
     collapse_disk_to_tree,
@@ -24,7 +25,7 @@ from shellkit.collapse import (
     is_collapsible_dfs,
     verify_collapse_sequence,
 )
-from shellkit.complex_core import Complex, _canonical_facets, canonical_form, cone
+from shellkit.complex_core import Complex, _canonical_facets, canonical_form, cone, facets_of
 from shellkit.gadgets import dunce_hat, fixtures
 
 STRIP = [[0, 1, 2], [1, 2, 3]]
@@ -42,10 +43,52 @@ def free_faces_brute(k: Complex) -> set:
     return out
 
 
+def facets_scan(index: _FaceIndex) -> set:
+    """Reference: faces of the index with no coface one dimension up."""
+    return {
+        f
+        for f in index.faces
+        if not any(len(g) == len(f) + 1 for g in index.cofaces(f))
+    }
+
+
+def free_gap_one_pairs_scan(index: _FaceIndex, facets) -> set:
+    """Reference: ridges of the facets whose strict cofaces in the index
+    have one maximal element, one dimension up."""
+    candidates = set()
+    for facet in facets:
+        if len(facet) > 1:
+            vs = sorted(facet)
+            candidates.update(map(frozenset, itertools.combinations(vs, len(vs) - 1)))
+    out = set()
+    for ridge in candidates:
+        strict = index.cofaces(ridge)
+        maximal = [g for g in strict if not any(g < h for h in strict)]
+        if len(maximal) == 1 and len(maximal[0]) == len(ridge) + 1:
+            out.add((ridge, maximal[0]))
+    return out
+
+
+def collapse_walk(rng: random.Random, k: Complex):
+    """Yield the face index of ``k`` along a random walk of gap-one
+    collapses, with its facets and moves, until no move is left."""
+    index = _FaceIndex(k)
+    while True:
+        facets = facets_of(index.faces)
+        moves = _free_gap_one_pairs(facets)
+        yield index, facets, moves
+        if not moves:
+            return
+        index.remove(rng.choice(sorted(moves, key=lambda mv: (sorted(mv[0]), sorted(mv[1])))))
+
+
 def test_free_faces_match_brute_oracle():
     rng = random.Random(23)
     samples = [Complex.from_facets(STRIP), Complex.from_facets(FAN)]
     samples += [random_pure_2complex(rng) for _ in range(20)]
+    # Mixed dimensions up to 3, where a free face's facet may be more than
+    # one dimension up.
+    samples += [cone(random_complex(rng)) for _ in range(20)]
     for k in samples:
         assert set(free_faces(k)) == free_faces_brute(k)
 
@@ -64,10 +107,33 @@ def test_elementary_collapse():
     assert frozenset({0, 1}) not in smaller.faces
     assert frozenset({0, 1, 2}) not in smaller.faces
     assert frozenset({0, 2}) in smaller.faces
+    assert elementary_collapse(k, [0], [0, 1, 2]) == k.delete([0])
     with pytest.raises(CollapseError, match="not free"):
         elementary_collapse(k, [1, 2])
     with pytest.raises(CollapseError):
         elementary_collapse(k, [0, 3])
+    with pytest.raises(CollapseError, match="recorded coface"):
+        elementary_collapse(k, [0], [0, 1])
+
+
+def test_facet_and_free_rules_match_coface_scan():
+    # The facets helper and the DFS move generator agree with coface
+    # intersection in the index, on mixed-dimension complexes up to
+    # dimension 3 and along random collapse walks.
+    rng = random.Random(71)
+    states = 0
+    for i in range(120):
+        k = random_complex(rng)
+        k = cone(k) if i % 2 else k
+        assert k.facets == facets_of(k.faces)
+        for index, facets, moves in collapse_walk(rng, k):
+            assert facets == facets_scan(index)
+            assert set(moves) == free_gap_one_pairs_scan(index, facets)
+            states += 1
+        for f, g in free_faces(k):
+            assert elementary_collapse(k, f) == k.delete(f)
+            assert elementary_collapse(k, f, g) == k.delete(f)
+    assert states > 500
 
 
 def test_verify_collapse_sequence_replays():
@@ -149,14 +215,8 @@ def test_dfs_memo_key_is_canonical_form():
     # along random collapse walks.
     rng = random.Random(53)
     for _ in range(150):
-        index = _FaceIndex(random_complex(rng))
-        while True:
-            facets = index.facets()
+        for index, facets, _ in collapse_walk(rng, random_complex(rng)):
             assert _canonical_facets(facets)[0] == canonical_form(index.complex())
-            moves = index.free_gap_one_pairs(facets)
-            if not moves:
-                break
-            index.remove(rng.choice(sorted(moves, key=lambda mv: (sorted(mv[0]), sorted(mv[1])))))
     res = is_collapsible_dfs(cone(dunce_hat()))
     assert (res.verdict, res.nodes) == ("yes", 80)
     # The pendant path and edge collapse in either order to one state, so

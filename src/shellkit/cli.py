@@ -149,8 +149,8 @@ def _cmd_stats(args: argparse.Namespace) -> tuple[RunReport, dict]:
         "reduced-euler-characteristic": k.reduced_euler_characteristic(),
         "dimension": k.dim,
         "pure": pure,
-        # A pseudomanifold is pure, so a non-pure complex is not one.
-        "pseudomanifold": is_pseudomanifold(k) if pure else "no",
+        # A pseudomanifold is pure and nonempty; anything else is not one.
+        "pseudomanifold": is_pseudomanifold(k) if pure and k.faces else "no",
         "links-connected": links_ok,
     }
     report = RunReport("stats", _digest(text), "yes", None, 0.0, 0, "within")

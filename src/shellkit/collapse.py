@@ -27,7 +27,6 @@ from shellkit.complex_core import (
     boundary_ridges,
     face_key,
     face_sort_key,
-    facets_of,
     graph_connected,
     is_pseudomanifold,
     one_skeleton_connected,
@@ -75,6 +74,12 @@ class SearchResult:
         return self.verdict == "yes"
 
 
+def _proper_faces(facet: Face) -> list[Face]:
+    """The nonempty proper faces of ``facet``."""
+    vs = sorted(facet)
+    return [frozenset(sub) for r in range(1, len(vs)) for sub in combinations(vs, r)]
+
+
 def _sole_facets(facets: Iterable[Face]) -> dict[Face, Face | None]:
     """Each nonempty proper face of ``facets`` mapped to the one facet
     containing it, or to None when two or more do.
@@ -84,22 +89,9 @@ def _sole_facets(facets: Iterable[Face]) -> dict[Face, Face | None]:
     """
     facet_of: dict[Face, Face | None] = {}
     for facet in facets:
-        vs = sorted(facet)
-        for r in range(1, len(vs)):
-            for sub in combinations(vs, r):
-                s = frozenset(sub)
-                facet_of[s] = None if s in facet_of else facet
+        for s in _proper_faces(facet):
+            facet_of[s] = None if s in facet_of else facet
     return facet_of
-
-
-def _free_gap_one_pairs(facets: Iterable[Face]) -> list[tuple[Face, Face]]:
-    """Free faces paired with their facet when it has one more vertex:
-    the moves of the collapse searches."""
-    return [
-        (f, g)
-        for f, g in _sole_facets(facets).items()
-        if g is not None and len(g) == len(f) + 1
-    ]
 
 
 def free_faces(k: Complex) -> list[tuple[Face, Face]]:
@@ -132,10 +124,9 @@ def elementary_collapse(k: Complex, free: Iterable[int], coface: Iterable[int] |
 class _FaceIndex:
     """Mutable set of nonempty faces with a by-vertex index.
 
-    Collapse replay, gluing and the DFS deciders all work on one of these
-    and remove or restore a handful of faces in place.  Replay and gluing
-    look up cofaces through the vertex index instead of scanning every
-    face.
+    Collapse replay and gluing work on one of these and remove a handful
+    of faces in place, looking up cofaces through the vertex index instead
+    of scanning every face.
     """
 
     def __init__(self, k: Complex):
@@ -158,12 +149,6 @@ class _FaceIndex:
             self.faces.discard(g)
             for v in g:
                 self.by_vertex[v].discard(g)
-
-    def restore(self, faces: Iterable[Face]) -> None:
-        for g in faces:
-            self.faces.add(g)
-            for v in g:
-                self.by_vertex.setdefault(v, set()).add(g)
 
     def complex(self) -> Complex:
         return Complex.from_faces(self.faces)
@@ -513,32 +498,95 @@ def _order_moves(
     moves: list[tuple[Face, Face]], last_removed: Face | None
 ) -> list[tuple[Face, Face]]:
     """Deterministic move order: deeper collapses first, near the last
-    removal first, then lexicographic."""
+    removal first, then lexicographic.  Each ridge has one move, so the
+    ridge settles every tie."""
 
     def key(mv):
         ridge, facet = mv
         local = 0 if (last_removed is not None and ridge & last_removed) else 1
-        return (-len(facet), local, face_key(ridge), face_key(facet))
+        return (-len(facet), local, face_key(ridge))
 
     return sorted(moves, key=key)
+
+
+class _CollapseState:
+    """The facets and the free gap-one pairs of a complex, kept up to date
+    as collapse moves are made and undone.
+
+    ``holders`` maps each nonempty proper face of the facets to the facets
+    containing it, and ``moves`` maps each face outside ``protected`` with
+    one holder, one vertex larger, to that holder: the rules of
+    ``facets_of`` and ``_sole_facets``, updated where a move touches them
+    instead of recomputed.  ``size`` counts the nonempty faces.
+    """
+
+    def __init__(self, k: Complex, protected: set[Face]):
+        self.protected = protected
+        self.size = sum(1 for f in k.faces if f)
+        self.facets: set[Face] = set()
+        self.holders: dict[Face, set[Face]] = {}
+        self.moves: dict[Face, Face] = {}
+        for facet in k.facets:
+            self._add_facet(facet)
+
+    def _update_move(self, face: Face) -> None:
+        held = self.holders[face]
+        if len(held) == 1 and face not in self.protected:
+            (facet,) = held
+            if len(facet) == len(face) + 1:
+                self.moves[face] = facet
+                return
+        self.moves.pop(face, None)
+
+    def _add_facet(self, facet: Face) -> None:
+        self.facets.add(facet)
+        for s in _proper_faces(facet):
+            self.holders.setdefault(s, set()).add(facet)
+            self._update_move(s)
+
+    def _drop_facet(self, facet: Face) -> None:
+        self.facets.discard(facet)
+        for s in _proper_faces(facet):
+            self.holders[s].discard(facet)
+            self._update_move(s)
+
+    def remove(self, ridge: Face, facet: Face) -> None:
+        """Collapse the move ``(ridge, facet)``: the facet goes, and each of
+        its other ridges that no facet holds any more becomes a facet.
+        Smaller faces of the facet stay inside one of those ridges."""
+        self._drop_facet(facet)
+        for v in ridge:
+            other = facet - {v}
+            if not self.holders[other]:
+                self._add_facet(other)
+        self.size -= 2
+
+    def restore(self, ridge: Face, facet: Face) -> None:
+        """Undo ``remove(ridge, facet)``.  The facet held its other ridges,
+        so those that are facets now are the ones ``remove`` added."""
+        for v in ridge:
+            other = facet - {v}
+            if other in self.facets:
+                self._drop_facet(other)
+        self._add_facet(facet)
+        self.size += 2
 
 
 def _collapse_search(
     k: Complex,
     budget: int,
-    done: Callable[[_FaceIndex], bool],
-    memo_key: Callable[[_FaceIndex, list[Face]], Hashable],
+    done: Callable[[_CollapseState], bool],
+    memo_key: Callable[[_CollapseState], Hashable],
     protected: set[Face],
 ) -> SearchResult:
     """Budgeted DFS over one-dimension collapse pairs until ``done``.
 
     Free faces in ``protected`` are never collapsed.  States that failed
-    are memoized under ``memo_key``, which sees the index and its facets;
-    the verdict "no" is only returned after the search space is exhausted
-    within budget.  The index's face set stays closed, as ``facets_of``
-    needs: it starts as a complex and only loses free pairs.
+    are memoized under ``memo_key``, computed only when the memo could hold
+    it or a state is refuted; the verdict "no" is only returned after the
+    search space is exhausted within budget.
     """
-    index = _FaceIndex(k)
+    state = _CollapseState(k, protected)
     memo: set = set()
     nodes = 0
     budget_hit = False
@@ -549,22 +597,22 @@ def _collapse_search(
         if nodes > budget:
             budget_hit = True
             return None
-        if done(index):
+        if done(state):
             return ()
-        facets = facets_of(index.faces)
-        key = memo_key(index, facets)
-        if key in memo:
-            return None
-        moves = [(r, f) for r, f in _free_gap_one_pairs(facets) if r not in protected]
-        for ridge, facet in _order_moves(moves, last):
-            index.remove((ridge, facet))
-            suffix = dfs(ridge | facet)
-            index.restore((ridge, facet))
+        key = None
+        if memo:
+            key = memo_key(state)
+            if key in memo:
+                return None
+        for ridge, facet in _order_moves(list(state.moves.items()), last):
+            state.remove(ridge, facet)
+            suffix = dfs(facet)
+            state.restore(ridge, facet)
             if suffix is not None:
                 return (CollapsePair(ridge, facet),) + suffix
             if budget_hit:
                 return None
-        memo.add(key)
+        memo.add(memo_key(state) if key is None else key)
         return None
 
     witness = dfs(None)
@@ -592,8 +640,8 @@ def is_collapsible_dfs(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult
     return _collapse_search(
         k,
         budget,
-        done=lambda index: len(index.faces) == 1,
-        memo_key=lambda index, facets: _canonical_facets(facets)[0],
+        done=lambda state: state.size == 1,
+        memo_key=lambda state: _canonical_facets(state.facets)[0],
         protected=set(),
     )
 
@@ -606,16 +654,18 @@ def collapses_to(
     Moves never remove a target face.  The leftmost branch follows the
     lexicographic greedy order (with a locality preference), so when greedy
     succeeds no backtracking happens.  States are memoized by exact face
-    set, deduplicating orders of commuting moves.
+    set (its facets), deduplicating orders of commuting moves.
     """
     target_faces = {f for f in target.faces if f}
     if not target_faces <= {f for f in k.faces if f}:
         raise CollapseError("target is not a subcomplex")
+    # No move removes a target face (the target is closed), so the search
+    # is done when the face counts are equal.
     return _collapse_search(
         k,
         budget,
-        done=lambda index: index.faces == target_faces,
-        memo_key=lambda index, facets: frozenset(index.faces),
+        done=lambda state: state.size == len(target_faces),
+        memo_key=lambda state: frozenset(state.facets),
         protected=target_faces,
     )
 

@@ -58,6 +58,22 @@ def test_stats_non_pure_is_not_a_pseudomanifold(tmp_path, capsys):
     assert doc["stats"]["pseudomanifold"] == "no"
 
 
+def test_stats_void_complex(tmp_path, capsys):
+    path = tmp_path / "void.txt"
+    path.write_text("# no facets\n")
+    code, out, _ = run(["stats", str(path)], capsys)
+    assert code == 0
+    assert "f-vector: [0]" in out
+    assert "pseudomanifold: no" in out
+    code, out, _ = run(["--json", "stats", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["stats"]["f-vector"] == [0]
+    assert doc["stats"]["dimension"] == -1
+    assert doc["stats"]["reduced-euler-characteristic"] == 0
+    assert doc["stats"]["pseudomanifold"] == "no"
+
+
 def test_check_shellable_writes_witness(tmp_path, capsys):
     path = tmp_path / "sphere.txt"
     path.write_text(SPHERE)

@@ -9,9 +9,11 @@ import pytest
 from conftest import random_complex, random_pure_2complex
 from shellkit.collapse import (
     CollapseError,
+    _CollapseState,
     _FaceIndex,
-    _free_gap_one_pairs,
+    _sole_facets,
     CollapsePair,
+    SearchResult,
     check_disk,
     collapse_disk_to_tree,
     collapse_witness_from_json,
@@ -25,7 +27,14 @@ from shellkit.collapse import (
     is_collapsible_dfs,
     verify_collapse_sequence,
 )
-from shellkit.complex_core import Complex, _canonical_facets, canonical_form, cone, facets_of
+from shellkit.complex_core import (
+    Complex,
+    _canonical_facets,
+    canonical_form,
+    cone,
+    facets_of,
+    one_skeleton_connected,
+)
 from shellkit.gadgets import dunce_hat, fixtures
 
 STRIP = [[0, 1, 2], [1, 2, 3]]
@@ -69,17 +78,37 @@ def free_gap_one_pairs_scan(index: _FaceIndex, facets) -> set:
     return out
 
 
-def collapse_walk(rng: random.Random, k: Complex):
-    """Yield the face index of ``k`` along a random walk of gap-one
-    collapses, with its facets and moves, until no move is left."""
+def restore_faces(index: _FaceIndex, faces) -> None:
+    """Put faces that ``index.remove`` took out back into the index."""
+    for g in faces:
+        index.faces.add(g)
+        for v in g:
+            index.by_vertex[v].add(g)
+
+
+def collapse_walk(rng: random.Random, k: Complex, undo: float = 0.0):
+    """Yield the face index of ``k`` and the search's incremental state of
+    it along a random walk of gap-one collapses, made on both, until no
+    move is left.  With probability ``undo`` a step takes back the last
+    move instead."""
     index = _FaceIndex(k)
+    state = _CollapseState(k, set())
+    made = []
     while True:
-        facets = facets_of(index.faces)
-        moves = _free_gap_one_pairs(facets)
-        yield index, facets, moves
-        if not moves:
+        yield index, state
+        if made and rng.random() < undo:
+            ridge, facet = made.pop()
+            restore_faces(index, (ridge, facet))
+            state.restore(ridge, facet)
+            continue
+        if not state.moves:
             return
-        index.remove(rng.choice(sorted(moves, key=lambda mv: (sorted(mv[0]), sorted(mv[1])))))
+        ridge, facet = rng.choice(
+            sorted(state.moves.items(), key=lambda mv: (sorted(mv[0]), sorted(mv[1])))
+        )
+        index.remove((ridge, facet))
+        state.remove(ridge, facet)
+        made.append((ridge, facet))
 
 
 def test_free_faces_match_brute_oracle():
@@ -117,23 +146,34 @@ def test_elementary_collapse():
 
 
 def test_facet_and_free_rules_match_coface_scan():
-    # The facets helper and the DFS move generator agree with coface
-    # intersection in the index, on mixed-dimension complexes up to
-    # dimension 3 and along random collapse walks.
+    # The facet rule and the free-face rule, and the search state that keeps
+    # both up to date, agree with coface intersection in the index, on
+    # mixed-dimension complexes up to dimension 3, along random collapse
+    # walks that also take moves back.
     rng = random.Random(71)
-    states = 0
+    states = undos = 0
     for i in range(120):
         k = random_complex(rng)
         k = cone(k) if i % 2 else k
         assert k.facets == facets_of(k.faces)
-        for index, facets, moves in collapse_walk(rng, k):
-            assert facets == facets_scan(index)
-            assert set(moves) == free_gap_one_pairs_scan(index, facets)
+        size = None
+        for index, state in collapse_walk(rng, k, undo=0.3):
+            facets = facets_scan(index)
+            assert state.facets == facets == facets_of(index.faces)
+            moves = free_gap_one_pairs_scan(index, facets)
+            assert set(state.moves.items()) == moves
+            assert moves == {
+                (f, g) for f, g in _sole_facets(facets).items()
+                if g is not None and len(g) == len(f) + 1
+            }
+            assert state.size == len(index.faces)
+            undos += size is not None and state.size > size
+            size = state.size
             states += 1
         for f, g in free_faces(k):
             assert elementary_collapse(k, f) == k.delete(f)
             assert elementary_collapse(k, f, g) == k.delete(f)
-    assert states > 500
+    assert states > 500 and undos > 100
 
 
 def test_verify_collapse_sequence_replays():
@@ -215,8 +255,8 @@ def test_dfs_memo_key_is_canonical_form():
     # along random collapse walks.
     rng = random.Random(53)
     for _ in range(150):
-        for index, facets, _ in collapse_walk(rng, random_complex(rng)):
-            assert _canonical_facets(facets)[0] == canonical_form(index.complex())
+        for index, state in collapse_walk(rng, random_complex(rng)):
+            assert _canonical_facets(state.facets)[0] == canonical_form(index.complex())
     res = is_collapsible_dfs(cone(dunce_hat()))
     assert (res.verdict, res.nodes) == ("yes", 80)
     # The pendant path and edge collapse in either order to one state, so
@@ -226,6 +266,110 @@ def test_dfs_memo_key_is_canonical_form():
     a, b = hat.vertices[:2]
     res = is_collapsible_dfs(Complex.from_facets([*hat.facets, [a, 100], [b, 101], [100, 102]]))
     assert (res.verdict, res.nodes) == ("no", 8)
+
+
+def oracle_move_key(move, last_removed):
+    """Reference move order: deeper collapses first, near the last removal
+    first, then lexicographic by ridge and facet."""
+    ridge, facet = move
+    local = 0 if (last_removed is not None and ridge & last_removed) else 1
+    return (-len(facet), local, sorted(ridge), sorted(facet))
+
+
+def oracle_collapse_search(k, budget, done, memo_key, protected):
+    """Reference: the collapse DFS with the facets and the free pairs
+    rebuilt from the face set at every node, and the memo key computed at
+    every node."""
+    index = _FaceIndex(k)
+    memo = set()
+    nodes = 0
+    budget_hit = False
+
+    def dfs(last):
+        nonlocal nodes, budget_hit
+        nodes += 1
+        if nodes > budget:
+            budget_hit = True
+            return None
+        if done(index):
+            return ()
+        facets = facets_of(index.faces)
+        key = memo_key(index, facets)
+        if key in memo:
+            return None
+        moves = [
+            (r, f) for r, f in _sole_facets(facets).items()
+            if f is not None and len(f) == len(r) + 1 and r not in protected
+        ]
+        for ridge, facet in sorted(moves, key=lambda mv: oracle_move_key(mv, last)):
+            index.remove((ridge, facet))
+            suffix = dfs(ridge | facet)
+            restore_faces(index, (ridge, facet))
+            if suffix is not None:
+                return (CollapsePair(ridge, facet),) + suffix
+            if budget_hit:
+                return None
+        memo.add(key)
+        return None
+
+    witness = dfs(None)
+    if witness is not None:
+        return SearchResult("yes", witness, nodes)
+    return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
+
+
+def oracle_is_collapsible_dfs(k, budget):
+    if not k.faces:
+        return SearchResult("no", None, 0)
+    if k.reduced_euler_characteristic() != 0 or not one_skeleton_connected(k):
+        return SearchResult("no", None, 0)
+    return oracle_collapse_search(
+        k, budget, lambda index: len(index.faces) == 1,
+        lambda index, facets: _canonical_facets(facets)[0], set(),
+    )
+
+
+def oracle_collapses_to(k, target, budget):
+    target_faces = {f for f in target.faces if f}
+    return oracle_collapse_search(
+        k, budget, lambda index: index.faces == target_faces,
+        lambda index, facets: frozenset(index.faces), target_faces,
+    )
+
+
+def random_pure_3complex(rng: random.Random) -> Complex:
+    """Random pure 3-complex: two to five distinct tetrahedra on 7 vertices."""
+    want = rng.randint(2, 5)
+    facets = set()
+    while len(facets) < want:
+        facets.add(frozenset(rng.sample(range(7), 4)))
+    return Complex.from_facets(facets)
+
+
+def test_incremental_search_matches_rebuilding_oracle():
+    # Same verdict, node count and witness as the search that rebuilds its
+    # state at every node, for the whole-complex decider and for collapses
+    # onto a vertex and onto a random subcomplex, in dimensions 2 and 3.
+    rng = random.Random(404)
+    budget = 600
+    seen = set()
+    for i in range(75):
+        if i % 3 == 0:
+            k = random_pure_2complex(rng, max_facets=9, pool=8)
+        elif i % 3 == 1:
+            k = cone(random_pure_2complex(rng, max_facets=5, pool=7))
+        else:
+            k = random_pure_3complex(rng)
+        faces = sorted((f for f in k.faces if f), key=sorted)
+        vertex = k.subcomplex_closure([[rng.choice(k.vertices)]])
+        sub = k.subcomplex_closure(rng.sample(faces, rng.randint(1, len(faces) // 3 + 1)))
+        runs = [(is_collapsible_dfs(k, budget), oracle_is_collapsible_dfs(k, budget))]
+        for target in (vertex, sub):
+            runs.append((collapses_to(k, target, budget), oracle_collapses_to(k, target, budget)))
+        for got, want in runs:
+            assert got == want
+            seen.add((k.dim, got.verdict))
+    assert seen >= {(d, v) for d in (2, 3) for v in ("yes", "no", "budget_exceeded")}
 
 
 def test_collapses_to_frozen():

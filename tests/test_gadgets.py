@@ -26,6 +26,7 @@ from shellkit.gadgets import (
     fixtures,
     house_frame,
     map_feature,
+    three_house_exit,
 )
 from shellkit.complex_core import Feature, LabeledComplex
 
@@ -95,13 +96,17 @@ def test_three_house_exit_targets_collapse():
     lc = build_three_house()
     k = lc.complex
     spanned = ["e", "p1", "p2", "p3"]
-    for keep in (("f1", "f2"), ("f1", "f3"), ("f2", "f3")):
+    for entry, keep in ((3, ("f1", "f2")), (2, ("f1", "f3")), (1, ("f2", "f3"))):
         faces = set()
         for name in spanned + list(keep):
             faces.update(lc.feature(name).face_set())
         target = Complex.from_faces(faces)
         res = collapses_to(k, target, budget=10**7)
         assert res.yes, keep
+        # Each exit is found without a dead end: one node per pair, plus
+        # the node that reaches the target.
+        assert (res.nodes, len(res.witness)) == (50, 49), keep
+        assert three_house_exit(lc, entry) == (res.witness, target)
         verify_collapse_sequence(k, res.witness, target)
 
 

@@ -569,18 +569,39 @@ class Feature:
 
 
 def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
-    for face in feat.face_set():
+    """Check that ``feat`` is well formed and lies in ``k``.
+
+    Only the faces that generate the feature are looked up: the vertex, the
+    vertices and edges of an edge or path, or the facets of a subcomplex.
+    The face set of a ``Complex`` is closed under subsets, so this accepts
+    exactly when every face of ``feat.face_set()`` is in ``k``.  Each step
+    of an edge or path must join two distinct vertices and each face of a
+    subcomplex must be nonempty.
+    """
+    if feat.kind == "vertex":
+        faces = [frozenset(feat.value)]
+    elif feat.kind == "subcomplex":
+        faces = [frozenset(f) for f in feat.value]
+        if frozenset() in faces:
+            raise ValueError(f"label {name!r}: subcomplex has an empty face")
+    else:
+        vs = feat.value
+        if any(a == b for a, b in zip(vs, vs[1:])):
+            raise ValueError(
+                f"label {name!r}: a {feat.kind} step must join two distinct vertices"
+            )
+        if feat.kind == "path":
+            if len(vs) < 2:
+                raise ValueError(f"label {name!r}: path needs at least two vertices")
+            interior = vs[:-1] if vs[0] == vs[-1] else vs
+            if len(set(interior)) != len(interior):
+                raise ValueError(f"label {name!r}: path revisits a vertex")
+        faces = [frozenset([v]) for v in vs] + feat.edge_list()
+    for face in faces:
         if face not in k.faces:
             raise ValueError(
                 f"label {name!r}: face {face_key(face)} is not in the complex"
             )
-    if feat.kind == "path":
-        vs = feat.value
-        if len(vs) < 2:
-            raise ValueError(f"label {name!r}: path needs at least two vertices")
-        interior = vs[:-1] if vs[0] == vs[-1] else vs
-        if len(set(interior)) != len(interior):
-            raise ValueError(f"label {name!r}: path revisits a vertex")
 
 
 @dataclass(frozen=True)

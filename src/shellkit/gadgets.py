@@ -756,14 +756,14 @@ def _amalgamate_with_maps(
         vmap = vmaps[pname]
         for face in feat.face_set():
             allowed.add(frozenset(vmap[v] for v in face))
+    # Each part maps injectively, so its mapped faces are closed under
+    # subsets and the faces of the union are exactly the keys of ``owners``.
     owners: dict[Face, set[str]] = {}
-    facets: list[Face] = []
     for name, lc in parts:
         vmap = vmaps[name]
         for face in lc.complex.faces:
             if face:
                 owners.setdefault(frozenset(vmap[v] for v in face), set()).add(name)
-        facets.extend(frozenset(vmap[v] for v in f) for f in lc.complex.facets)
     collisions = sorted(
         (face_key(f) for f, who in owners.items() if len(who) > 1 and f not in allowed),
         key=lambda t: (len(t), t),
@@ -778,7 +778,7 @@ def _amalgamate_with_maps(
         for name, lc in parts
         for lname, feat in lc.labels.items()
     }
-    return LabeledComplex(Complex.from_facets(facets), labels), vmaps
+    return LabeledComplex(Complex.from_faces(owners), labels), vmaps
 
 
 def amalgamate(

@@ -92,13 +92,14 @@ class Formula:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        if not isinstance(self.n, int) or self.n < 0:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
             raise ReductionError("variable count must be a nonnegative integer")
         for clause in self.clauses:
             if len(clause) != 3:
                 raise ReductionError(f"clause {clause!r} does not have 3 literals")
             for lit in clause:
-                if not isinstance(lit, int) or lit == 0 or abs(lit) > self.n:
+                bad = isinstance(lit, bool) or not isinstance(lit, int)
+                if bad or lit == 0 or abs(lit) > self.n:
                     raise ReductionError(
                         f"literal {lit!r} out of range for {self.n} variables"
                     )
@@ -226,24 +227,28 @@ def _compile(phi: Formula) -> _Compiled:
     attachments = tuple(
         HouseAttachment(f"f(u{i})") for i in range(1, phi.n + 1)
     )
+    # Every copy of a gadget shape shares one build, checked once here.
+    shapes: dict[tuple, LabeledComplex] = {}
+
+    def shape(build, arg) -> LabeledComplex:
+        if (build, arg) not in shapes:
+            shapes[build, arg] = build(arg)
+        return shapes[build, arg]
+
     parts: list[tuple[str, LabeledComplex]] = [
         ("A", build_one_house(OneHouseSpec(attachments=attachments)))
     ]
     idents: list[tuple[str, str, str, str]] = []
+    b_spec = OneHouseSpec(attachments=(HouseAttachment("b"),))
     for i in range(1, phi.n + 1):
         u, nu = f"u{i}", f"~u{i}"
         parts.extend(
             [
                 (f"S({u})", build_variable_sphere(u)),
                 (f"O({u})", build_O(u)),
-                (
-                    f"B({u})",
-                    build_one_house(
-                        OneHouseSpec(attachments=(HouseAttachment("b"),))
-                    ),
-                ),
-                (f"X[{u}]", build_literal_house(len(occ.get(i, ())))),
-                (f"X[{nu}]", build_literal_house(len(occ.get(-i, ())))),
+                (f"B({u})", shape(build_one_house, b_spec)),
+                (f"X[{u}]", shape(build_literal_house, len(occ.get(i, ())))),
+                (f"X[{nu}]", shape(build_literal_house, len(occ.get(-i, ())))),
             ]
         )
         idents.extend(

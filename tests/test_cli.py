@@ -308,6 +308,11 @@ MALFORMED = {
     ),
     "certificate-clauses-not-lists": (None, "certificate", {"formula": {"n": 2, "clauses": [5]}}),
     "certificate-n-not-an-integer": (None, "certificate", {"formula": {"n": "2", "clauses": []}}),
+    "certificate-literal-a-bool": (
+        None,
+        "certificate",
+        {"formula": {"n": 2, "clauses": [[1, -2, 2], [-1, True, 2]]}},
+    ),
     "certificate-removal-not-faces": (None, "certificate", {"removal": [5, 6]}),
     "certificate-assignment-not-an-object": (None, "certificate", {"assignment": [1]}),
     "certificate-pair-not-proper": (None, "certificate", {"pairs": [[[0, 1], [0, 1]]]}),
@@ -338,6 +343,23 @@ def test_malformed_json_is_usage_error(case, tmp_path, capsys):
     assert code == 2, (out, err)
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        {"kind": "edge", "value": [0, 0]},
+        {"kind": "path", "value": [0, 0]},
+        {"kind": "subcomplex", "value": [[]]},
+    ],
+)
+def test_degenerate_label_is_rejected_on_load(label, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    doc = {"vertices": [0, 1, 2], "facets": [[0, 1, 2]], "labels": {"bad": label}}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["stats", str(path)], capsys)
+    assert code == 2, (out, err)
+    assert err.startswith("error: label 'bad'")
 
 
 def test_verify_certificate_against_other_formula(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,12 @@ from shellkit.complex_core import (
     Feature,
     FormatError,
     LabeledComplex,
+    _validate_feature,
     barycentric_subdivision,
     canonical_form,
     cone,
     face_key,
+    face_sort_key,
     format_facet_lines,
     from_json,
     is_pseudomanifold,
@@ -393,6 +396,88 @@ def test_labeled_complex_validates_features():
         LabeledComplex(k, {"bad": Feature.edge(0, 3)})
     with pytest.raises(ValueError, match="revisits"):
         LabeledComplex(k, {"p": Feature.path([0, 1, 2, 1])})
+    for feat in (Feature.edge(0, 0), Feature.path([0, 1, 1, 2]), Feature.subcomplex([[]])):
+        with pytest.raises(ValueError, match="label 'bad'"):
+            LabeledComplex(k, {"bad": feat})
+
+
+def _validate_feature_closure_oracle(name: str, feat: Feature, k: Complex) -> None:
+    """The feature check that expands the feature's full closure."""
+    for face in feat.face_set():
+        if face not in k.faces:
+            raise ValueError(f"label {name!r}: face {face_key(face)} is not in the complex")
+    if feat.kind == "path":
+        vs = feat.value
+        if len(vs) < 2:
+            raise ValueError(f"label {name!r}: path needs at least two vertices")
+        interior = vs[:-1] if vs[0] == vs[-1] else vs
+        if len(set(interior)) != len(interior):
+            raise ValueError(f"label {name!r}: path revisits a vertex")
+
+
+def _degenerate(feat: Feature) -> bool:
+    if feat.kind == "subcomplex":
+        return () in feat.value
+    return feat.kind != "vertex" and any(a == b for a, b in zip(feat.value, feat.value[1:]))
+
+
+def random_feature(rng: random.Random, k: Complex) -> Feature:
+    """A feature of a random kind, drawn from the faces of ``k`` half the
+    time and from a vertex pool wider than the complex otherwise."""
+    faces = sorted(k.nonempty_faces, key=face_sort_key)
+    inside = rng.random() < 0.5
+    verts = list(k.vertices) if inside else list(range(9))
+    kind = rng.choice(("vertex", "edge", "path", "subcomplex"))
+    if kind == "vertex":
+        return Feature.vertex(rng.choice(verts))
+    if kind == "subcomplex":
+        if inside:
+            picked = rng.sample(faces, min(len(faces), rng.randint(0, 3)))
+        else:
+            picked = [rng.sample(verts, rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.1:
+            picked.append([])
+        return Feature.subcomplex(picked)
+    edges = [face_key(f) for f in faces if len(f) == 2]
+    if inside and edges:
+        walk = list(rng.choice(edges))
+        for _ in range(rng.randint(0, 3)):
+            walk.append(rng.choice([b for e in edges for a, b in (e, e[::-1]) if a == walk[-1]]))
+    else:
+        walk = [rng.choice(verts) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.1:
+        i = rng.randrange(len(walk))
+        walk.insert(i, walk[i])
+    if kind == "edge":
+        return Feature.edge(walk[0], walk[-1])
+    return Feature.path(walk)
+
+
+def _check_outcome(check, feat: Feature, k: Complex):
+    try:
+        check("x", feat, k)
+    except Exception as exc:  # the exception type is what is compared
+        return type(exc)
+    return None
+
+
+def test_feature_check_matches_closure_oracle():
+    rng = random.Random(12)
+    seen = Counter()
+    for _ in range(300):
+        k = random_complex(rng)
+        for _ in range(8):
+            feat = random_feature(rng, k)
+            want = _check_outcome(_validate_feature_closure_oracle, feat, k)
+            if want is None and _degenerate(feat):
+                want = ValueError
+            got = _check_outcome(_validate_feature, feat, k)
+            assert got == want, (feat, sorted(map(face_key, k.facets)))
+            seen[feat.kind, got is None, _degenerate(feat)] += 1
+    for kind in ("vertex", "edge", "path", "subcomplex"):
+        assert seen[kind, True, False] and seen[kind, False, False], kind
+        if kind != "vertex":
+            assert seen[kind, False, True], kind
 
 
 # -- serialization --

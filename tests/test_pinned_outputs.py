@@ -29,6 +29,14 @@ formulas with n = 2..6, repeated literals among them, under every model
 of the n = 2 formulas and the first and last model of the others.  It
 was recorded while every gluing step still replayed its pairs on a
 fresh copy of the whole complex.
+
+A fifth SHA-256 covers build_K_phi: the JSON of the compiled complex,
+labels included, for the formula without variables, one with repeated
+literals in its clauses, one with literals that never occur, and seeded
+satisfiable formulas with n = 1..6.  It was recorded while every label
+was still validated by expanding its full closure, the union of the parts
+closed every mapped facet a second time, and each gadget copy was built
+on its own.
 """
 
 import hashlib
@@ -71,6 +79,7 @@ PINNED_SHA256 = "3ec4f12334dd6bc835ee6fa38ca6b6f9911a70f2dbc64c56ab98285d0023f7b
 SUBDIVISION_SHA256 = "d6eadad5452d90a8f44e69b77983554f07ee69dd42a1c5d5676e5cf54ececd62"
 DECOMPOSITION_SHA256 = "c88d8d7565ecfa617fd1ae6ee4ca6b91f40223ab6afc301eb49be44864571af6"
 SCHEDULE_SHA256 = "466809d12594686d02cf40f9f60504eb4f94bfdab0efe90374b2ed26fa0e3615"
+K_PHI_SHA256 = "5d973ea5f1d9e515df112344101b44890f4c3fdcffa62b727f036dd5fe211b23"
 
 
 def _faces(faces):
@@ -241,3 +250,28 @@ def test_schedule_collapse_outputs_are_pinned():
     assert {phi.n for phi, _ in inputs} == {0, 2, 3, 4, 5, 6}
     blob = json.dumps(schedule_records(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == SCHEDULE_SHA256
+
+
+def compile_inputs() -> list[Formula]:
+    rng = random.Random(10)
+    formulas = [
+        Formula(0, ()),
+        Formula(2, ((1, 1, -2), (2, 2, 2), (-1, -1, 1))),
+        Formula(3, ((1, 2, 2), (-2, 1, 1))),
+    ]
+    for n in (1, 2, 3, 4, 5, 6):
+        while True:
+            phi = random_formula(n, n, rng)
+            if sat_oracle(phi) is not None:
+                formulas.append(phi)
+                break
+    return formulas
+
+
+def test_build_K_phi_outputs_are_pinned():
+    formulas = compile_inputs()
+    assert any(len(set(c)) < 3 for phi in formulas for c in phi.clauses)
+    occurring = {lit for c in formulas[2].clauses for lit in c}
+    assert {-1, 3, -3}.isdisjoint(occurring)
+    blob = "".join(to_json(build_K_phi(phi)) for phi in formulas)
+    assert hashlib.sha256(blob.encode()).hexdigest() == K_PHI_SHA256

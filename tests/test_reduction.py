@@ -53,6 +53,11 @@ def test_formula_validation():
         Formula(1, ((0, 1, 1),))
     with pytest.raises(ReductionError):
         Formula(1, ((2, 1, 1),))
+    # Booleans are ints in Python but not literals or counts.
+    with pytest.raises(ReductionError):
+        Formula(1, ((1, 1, True),))
+    with pytest.raises(ReductionError):
+        Formula(True, ((1, 1, 1),))
 
 
 def test_sat_oracle():

@@ -288,6 +288,12 @@ def _verify_reduction_certificate(text: str, doc: Mapping) -> str:
     if not (isinstance(clauses, list) and all(isinstance(c, list) for c in clauses)):
         raise FormatError("certificate formula needs a list of clauses")
     witness_phi = Formula(spec.get("n", -1), tuple(map(tuple, clauses)))
+    raw_assignment = doc.get("assignment") or {}
+    if not isinstance(raw_assignment, dict) or not all(
+        isinstance(b, bool) for b in raw_assignment.values()
+    ):
+        raise FormatError("certificate 'assignment' must map variables to true or false")
+    assignment = {int(v): b for v, b in raw_assignment.items()}
     phi = parse_cnf(text)
     if phi != witness_phi:
         raise CliError("witness formula does not match the input formula")
@@ -299,10 +305,6 @@ def _verify_reduction_certificate(text: str, doc: Mapping) -> str:
         extracted = None
     if extracted is None:
         return "inadmissible"
-    raw_assignment = doc.get("assignment") or {}
-    if not isinstance(raw_assignment, dict):
-        raise FormatError("certificate 'assignment' must be an object")
-    assignment = {int(v): bool(b) for v, b in raw_assignment.items()}
     if extracted != assignment or not _satisfies(phi, assignment):
         raise CollapseError("certificate assignment does not match its removal")
     pairs = _pairs_from_json(doc.get("pairs", []))

@@ -13,13 +13,13 @@ import json
 import math
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from shellkit.complex_core import (
     Complex,
     Face,
     FormatError,
-    _canonical_facets,
+    _validate_vertex,
     face_key,
     graph_connected,
     read_faces,
@@ -68,6 +68,41 @@ def _restriction_ok(facet: Face, placed: Counter) -> bool:
     return not placed[r]
 
 
+def _may_be_shellable(facets: Collection[Face]) -> bool:
+    """False when the pure complex with these (nonempty) facets cannot be
+    shellable; True promises nothing.
+
+    A shellable pure d-complex passes three tests.  For d >= 1 each facet
+    after the first meets its predecessors along a ridge, so the facet
+    graph (facets joined along shared ridges) is connected.  Its vertex
+    links are shellable, so for d >= 2 each link's facet graph is
+    connected; the facets f - v of the link of v meet along r - v for the
+    ridges r through v, so that graph is the one on the facets through v
+    joined along the ridges through v.  It is a wedge of d-spheres up to
+    homotopy, so (-1)^d χ̃ >= 0.
+    """
+    d = len(next(iter(facets))) - 1
+    by_ridge: dict[Face, list[Face]] = {}
+    star: dict[int, list[Face]] = {}
+    for f in facets:
+        for v in f:
+            by_ridge.setdefault(f - {v}, []).append(f)
+            star.setdefault(v, []).append(f)
+    edges = []
+    star_edges: dict[int, list[tuple[Face, Face]]] = {v: [] for v in star}
+    for ridge, around in by_ridge.items():
+        for g in around[1:]:
+            edges.append((around[0], g))
+            for v in ridge:
+                star_edges[v].append((around[0], g))
+    if d >= 1 and not graph_connected(facets, edges):
+        return False
+    if d >= 2 and not all(graph_connected(star[v], star_edges[v]) for v in star):
+        return False
+    chi = sum(1 if len(g) % 2 else -1 for g in {g for f in facets for g in _faces_of(f)})
+    return (-1) ** d * chi >= 0
+
+
 def verify_shelling(k: Complex, order: Sequence[Iterable[int]]) -> None:
     """Raise ShellingError unless ``order`` is a shelling of ``k``.
 
@@ -97,21 +132,24 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     partial order extends depends only on which facets it uses, not their
     order.  Candidates go most placed ridge neighbours first, and each is
     tested by its restriction face (``_restriction_ok``) in d + 2 lookups.
-    The verdict "no" is an exhaustive refutation.
+    The verdict "no" is an exhaustive refutation, or, at 0 nodes, a failed
+    ``_may_be_shellable``.
     """
     d = _check_pure_input(k)
     facets = sorted(k.facets, key=face_key)
     m = len(facets)
     if m == 1 or d == 0:
         return SearchResult("yes", tuple(facets), 0)
+    # Sound precheck: a complex that fails it has no shelling.  It runs
+    # once, on the whole complex.  Inside the search it could not prune:
+    # each prefix the search builds is a shelling of its own facets, so it
+    # passes, and the facets left to place need not pass it.
+    if not _may_be_shellable(facets):
+        return SearchResult("no", None, 0)
     by_ridge: dict[Face, list[int]] = {}
     for i, f in enumerate(facets):
         for v in f:
             by_ridge.setdefault(f - {v}, []).append(i)
-    # Sound precheck: every shelling glues each new facet along a
-    # (d-1)-face, so a shellable complex has a connected facet graph.
-    if not graph_connected(range(m), ((a[0], j) for a in by_ridge.values() for j in a[1:])):
-        return SearchResult("no", None, 0)
     # Bit j of nbrs[i] is set when facets i and j share a ridge.
     nbrs = [0] * m
     for around in by_ridge.values():
@@ -178,19 +216,19 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     and its facets are then those missing σ.  One ridge-degree count per
     node tests every σ, and both children are pure by construction.
 
-    Results are memoized twice: up to isomorphism by the canonical key,
-    whose tree is renamed back on a hit, and exactly by the facet set.  The
-    exact memo is looked up first, because the canonical key costs a colour
-    refinement; it returns what the canonical memo would, so node counts
-    and witnesses do not depend on it.
+    A k-decomposable complex is shellable (Provan and Billera, 1980), so
+    a node that fails ``_may_be_shellable`` is refuted at once; the full
+    search would refute it too, so verdicts and trees do not change.
+    Results are memoized exactly, by the facet set.  The search tries
+    shedding faces in one fixed order and each child's result depends on
+    its facet set alone, so the tree returned for a "yes" is the first one
+    in that order.
     """
     if kk < 0:
         raise ShellingError("k must be >= 0")
     _check_pure_input(k)
-    # Canonical key -> shedding tree in canonical vertex ids, or None for no.
-    memo: dict[tuple, dict | None] = {}
     # Facet set, as a bitmask over ids handed out to facets as they are
-    # first seen -> exactly what rec returned for it.
+    # first seen -> the tree rec returned for it, or None for no.
     exact: dict[int, dict | None] = {}
     facet_ids: dict[Face, int] = {}
     nodes = 0
@@ -215,15 +253,9 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
             mask |= 1 << facet_ids.setdefault(f, len(facet_ids))
         if mask in exact:
             return exact[mask]
-        key, rename = _canonical_facets(facets)
-        if key in memo:
-            tree = memo[key]
-            # Equal keys: the stored tree, renamed back through this
-            # complex's renaming, is a tree for this complex.
-            if tree is not None:
-                tree = _rename_tree(tree, {i: v for v, i in rename.items()})
-            exact[mask] = tree
-            return tree
+        if not _may_be_shellable(facets):
+            exact[mask] = None
+            return None
         degree = Counter(f - {v} for f in facets for v in f)
         # v is in boundary[f] when the ridge f - v lies in f alone.
         boundary = {f: {v for v in f if degree[f - {v}] == 1} for f in facets}
@@ -247,10 +279,9 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
                     return None
                 continue
             tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
-            memo[key] = _rename_tree(tree, rename)
             exact[mask] = tree
             return tree
-        memo[key] = exact[mask] = None
+        exact[mask] = None
         return None
 
     tree = rec(k.facets)
@@ -259,29 +290,20 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
 
 
-def _rename_tree(tree: Mapping, rename: Mapping[int, int]) -> dict:
-    """A shedding tree with every vertex id mapped through ``rename``."""
-    if "leaf" in tree:
-        return {"leaf": sorted(rename[v] for v in tree["leaf"])}
-    return {
-        "shedding": sorted(rename[v] for v in tree["shedding"]),
-        "link": _rename_tree(tree["link"], rename),
-        "delete": _rename_tree(tree["delete"], rename),
-    }
+def _vertex_ids(raw, what: str) -> list[int]:
+    if not isinstance(raw, (list, tuple)):
+        raise ShellingError(f"{what} must be a list of vertex ids")
+    return [_validate_vertex(v) for v in raw]
 
 
 def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> None:
     """Check a shedding tree: links and deletions are recomputed, never
-    trusted from the witness.  A node that is not an object is a
-    ``FormatError``."""
+    trusted from the witness.  A node that is not an object, or a vertex
+    id that is not an int (a bool included), is a ``FormatError``."""
     if not isinstance(tree, Mapping):
         raise FormatError("decomposition tree node must be an object")
     if "leaf" in tree:
-        facet = tree["leaf"]
-        if not isinstance(facet, (list, tuple)) or not all(
-            isinstance(v, int) for v in facet
-        ):
-            raise ShellingError("leaf must be a list of vertex ids")
+        facet = _vertex_ids(tree["leaf"], "leaf")
         if not facet:
             if len(k.faces) > 1:
                 raise ShellingError("leaf [] claims an empty complex")
@@ -294,13 +316,10 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> None:
         return
     if "shedding" not in tree:
         raise ShellingError("tree node needs 'leaf' or 'shedding'")
-    if not isinstance(tree["shedding"], (list, tuple)) or not all(
-        isinstance(v, int) for v in tree["shedding"]
-    ):
-        raise ShellingError("shedding face must be a list of vertex ids")
-    sigma = frozenset(tree["shedding"])
+    shedding = _vertex_ids(tree["shedding"], "shedding face")
+    sigma = frozenset(shedding)
     if not sigma or sigma not in k.faces:
-        raise ShellingError(f"shedding face {sorted(tree['shedding'])} not in complex")
+        raise ShellingError(f"shedding face {sorted(shedding)} not in complex")
     if len(sigma) > kk + 1:
         raise ShellingError(
             f"shedding face of dimension {len(sigma) - 1} exceeds k={kk}"
@@ -401,6 +420,7 @@ def decomposition_witness_to_json(kk: int, tree: Mapping) -> str:
 def decomposition_witness_from_json(doc: Mapping) -> tuple[int, Mapping]:
     if doc.get("kind") != "decomposition":
         raise FormatError("witness kind is not 'decomposition'")
-    if not isinstance(doc.get("k"), int) or not isinstance(doc.get("tree"), dict):
+    kk = doc.get("k")
+    if not isinstance(kk, int) or isinstance(kk, bool) or not isinstance(doc.get("tree"), dict):
         raise FormatError("decomposition witness needs integer 'k' and object 'tree'")
-    return doc["k"], doc["tree"]
+    return kk, doc["tree"]

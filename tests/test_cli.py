@@ -274,6 +274,11 @@ def test_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
 # given kind with the patch applied on top.
 TRIANGLE = "0 1 2\n"
 TRIANGLE_BOUNDARY = "0 1\n1 2\n0 2\n"
+TRIANGLE_BOUNDARY_TREE = {
+    "shedding": [0],
+    "link": {"shedding": [1], "link": {"leaf": []}, "delete": {"leaf": [2]}},
+    "delete": {"leaf": [1, 2]},
+}
 MALFORMED = {
     "facets-not-faces": ('{"vertices":[0],"facets":[5]}', "stats", {}),
     "vertices-not-a-list": ('{"vertices":5,"facets":[[0]]}', "stats", {}),
@@ -306,6 +311,28 @@ MALFORMED = {
             }
         },
     ),
+    # The next three trees are valid for k=1 once True reads as 1.
+    "decomposition-k-a-bool": (
+        TRIANGLE_BOUNDARY,
+        "decomposition",
+        {"k": True, "tree": TRIANGLE_BOUNDARY_TREE},
+    ),
+    "decomposition-leaf-vertex-a-bool": (
+        TRIANGLE_BOUNDARY,
+        "decomposition",
+        {"tree": {**TRIANGLE_BOUNDARY_TREE, "delete": {"leaf": [True, 2]}}},
+    ),
+    "decomposition-shedding-vertex-a-bool": (
+        TRIANGLE_BOUNDARY,
+        "decomposition",
+        {
+            "tree": {
+                "shedding": [True],
+                "link": {"shedding": [0], "link": {"leaf": []}, "delete": {"leaf": [2]}},
+                "delete": {"leaf": [0, 2]},
+            }
+        },
+    ),
     "certificate-clauses-not-lists": (None, "certificate", {"formula": {"n": 2, "clauses": [5]}}),
     "certificate-n-not-an-integer": (None, "certificate", {"formula": {"n": "2", "clauses": []}}),
     "certificate-literal-a-bool": (
@@ -314,6 +341,12 @@ MALFORMED = {
         {"formula": {"n": 2, "clauses": [[1, -2, 2], [-1, True, 2]]}},
     ),
     "certificate-removal-not-faces": (None, "certificate", {"removal": [5, 6]}),
+    # Every value is truthy, and bool() would read each as true.
+    "certificate-assignment-value-not-a-bool": (
+        None,
+        "certificate",
+        {"assignment": {"1": "no", "2": "no"}},
+    ),
     "certificate-assignment-not-an-object": (None, "certificate", {"assignment": [1]}),
     "certificate-pair-not-proper": (None, "certificate", {"pairs": [[[0, 1], [0, 1]]]}),
 }
@@ -343,6 +376,21 @@ def test_malformed_json_is_usage_error(case, tmp_path, capsys):
     assert code == 2, (out, err)
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_decomposition_witness_with_int_ids_verifies(tmp_path, capsys):
+    # The trees of the bool cases above, with ints in place of the bools.
+    path = tmp_path / "input.txt"
+    path.write_text(TRIANGLE_BOUNDARY)
+    shed_1 = {
+        "shedding": [1],
+        "link": {"shedding": [0], "link": {"leaf": []}, "delete": {"leaf": [2]}},
+        "delete": {"leaf": [0, 2]},
+    }
+    for tree in (TRIANGLE_BOUNDARY_TREE, shed_1):
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps({"kind": "decomposition", "k": 1, "tree": tree}))
+        assert run(["verify", str(path), str(witness)], capsys)[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,13 @@ and seeded random pure 2-complexes at k = 0, 1, 2, with budget overruns.
 It was recorded while the search still built a full-face Complex, with
 its link and deletion, at every node.
 
+The first and third digests were recorded again when both deciders
+started to refute complexes that fail the cheap shellability tests
+(``shelling._may_be_shellable``) without a search.  Only node counts
+moved, and a few budget overruns became verdicts; every other verdict and
+every witness was checked equal, record by record, before the new digests
+were taken.
+
 A fourth SHA-256 covers schedule_collapse: the removal and the collapse
 sequence for the formula without variables and for seeded satisfiable
 formulas with n = 2..6, repeated literals among them, under every model
@@ -75,9 +82,9 @@ from shellkit.reduction import (
 )
 from shellkit.shelling import decide_k_decomposable, decide_shellable, hachimori_decide_sd2
 
-PINNED_SHA256 = "3ec4f12334dd6bc835ee6fa38ca6b6f9911a70f2dbc64c56ab98285d0023f7b0"
+PINNED_SHA256 = "9a948894bfd7aeeee3a0097d65181f1642b6e79bd1f435286e7f5d2cec304e65"
 SUBDIVISION_SHA256 = "d6eadad5452d90a8f44e69b77983554f07ee69dd42a1c5d5676e5cf54ececd62"
-DECOMPOSITION_SHA256 = "c88d8d7565ecfa617fd1ae6ee4ca6b91f40223ab6afc301eb49be44864571af6"
+DECOMPOSITION_SHA256 = "d01bb5dc0a8939f4b65d182f1fee995c0cc5bd95a5e401cfde8b9e0effc46730"
 SCHEDULE_SHA256 = "466809d12594686d02cf40f9f60504eb4f94bfdab0efe90374b2ed26fa0e3615"
 K_PHI_SHA256 = "5d973ea5f1d9e515df112344101b44890f4c3fdcffa62b727f036dd5fe211b23"
 

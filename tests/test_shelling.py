@@ -1,6 +1,7 @@
 """Shelling order search, decomposability, and the sd2 shellability test."""
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -16,12 +17,15 @@ from shellkit.complex_core import (
     _rank_colors,
     barycentric_subdivision,
     face_key,
+    graph_connected,
+    vertex_links_connected,
 )
-from shellkit.gadgets import fixtures
+from shellkit import shelling
+from shellkit.gadgets import dunce_hat, fixtures, torus_7
 from shellkit.shelling import (
     ShellingError,
     _faces_of,
-    _rename_tree,
+    _may_be_shellable,
     _restriction_ok,
     decide_k_decomposable,
     decide_shellable,
@@ -136,9 +140,10 @@ def test_verify_shelling_on_a_long_strip():
 def test_decider_node_counts_are_pinned():
     fx = fixtures()
     res = decide_shellable(fx["torus_7"].complex)
-    assert (res.verdict, res.nodes) == ("no", 246)
+    # χ̃(torus) = -1: refuted before the search.
+    assert (res.verdict, res.nodes) == ("no", 0)
     res = decide_k_decomposable(fx["modified_dunce_hat"].complex, 1)
-    assert (res.verdict, res.nodes) == ("yes", 1588)
+    assert (res.verdict, res.nodes) == ("yes", 113)
 
 
 def test_decide_shellable_frozen():
@@ -188,15 +193,15 @@ OCTAHEDRON = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
     + [("modified_dunce_hat", fixtures()["modified_dunce_hat"].complex, 1)],
 )
 def test_k_decomposable_witness_after_memo_hit_verifies(name, k, kk):
-    # These searches reach isomorphic subcomplexes with different vertex
-    # ids, so the tree they return includes memoized subtrees.
+    # These searches reach the same facet set along different branches,
+    # so the tree they return includes memoized subtrees.
     res = decide_k_decomposable(k, kk)
     assert res.yes, name
     verify_decomposition(k, kk, res.witness[0])
 
 
 def test_k_decomposable_yes_witnesses_verify_random():
-    # Few vertices make isomorphic subcomplexes, and so memo hits, common.
+    # Few vertices make repeated facet sets, and so memo hits, common.
     rng = random.Random(41)
     yes = 0
     for _ in range(60):
@@ -238,8 +243,9 @@ def reference_canonical(k: Complex):
 
 
 def reference_k_decomposable(k: Complex, kk: int, budget: int):
-    """The search on full-face complexes: every tried face builds its link
-    and deletion with Complex.link and Complex.delete and checks purity."""
+    """The unpruned search on full-face complexes: every tried face builds
+    its link and deletion with Complex.link and Complex.delete and checks
+    purity.  Results are memoized by the face set."""
     memo = {}
     nodes = 0
     budget_hit = False
@@ -257,15 +263,11 @@ def reference_k_decomposable(k: Complex, kk: int, budget: int):
         if len(c.facets) == 1:
             (facet,) = c.facets
             return {"leaf": list(face_key(facet))}
-        key, rename = reference_canonical(c)
-        if key in memo:
-            tree = memo[key]
-            if tree is None:
-                return None
-            return _rename_tree(tree, {i: v for v, i in rename.items()})
+        if c.faces in memo:
+            return memo[c.faces]
         d = c.dim
         if not c.is_pure(d):
-            memo[key] = None
+            memo[c.faces] = None
             return None
         for sigma in sorted((f for f in c.faces if f and len(f) <= kk + 1), key=face_key):
             lk = c.link(sigma)
@@ -285,15 +287,32 @@ def reference_k_decomposable(k: Complex, kk: int, budget: int):
                     return None
                 continue
             tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
-            memo[key] = _rename_tree(tree, rename)
+            memo[c.faces] = tree
             return tree
-        memo[key] = None
+        memo[c.faces] = None
         return None
 
     tree = rec(k)
     if tree is not None:
         return "yes", nodes, tree
     return ("budget_exceeded" if budget_hit else "no"), nodes, None
+
+
+def reference_shellable(k: Complex) -> bool:
+    """Exhaustive shelling search on the definition, with no precheck:
+    orders grow one facet at a time, each step tested by intersecting
+    with every chosen facet, and results are memoized by the chosen set."""
+    facets = list(k.facets)
+
+    @functools.cache
+    def extends(used: frozenset) -> bool:
+        return len(used) == len(facets) or any(
+            extends(used | {f})
+            for f in facets
+            if f not in used and (not used or prefix_intersection_ok(f, used, k.dim))
+        )
+
+    return extends(frozenset())
 
 
 def random_pure_complex(rng: random.Random, d: int) -> Complex:
@@ -305,23 +324,112 @@ def random_pure_complex(rng: random.Random, d: int) -> Complex:
     return Complex.from_facets(facets)
 
 
-def test_k_decomposable_matches_full_face_oracle():
+def random_pure_complexes(count: int) -> list[Complex]:
     rng = random.Random(53)
-    seen = collections.Counter()
-    for _ in range(90):
-        d = rng.randint(0, 3)
-        k = random_pure_complex(rng, d)
-        for kk in range(d + 2):
+    return [random_pure_complex(rng, rng.randint(0, 3)) for _ in range(count)]
+
+
+def k_decomposable_mismatches(complexes, seen: collections.Counter) -> list:
+    """Searches where decide_k_decomposable departs from the unpruned
+    oracle: a different verdict or witness wherever the oracle decides, or
+    more nodes.  Every yes the library returns must verify."""
+    bad = []
+    for k in complexes:
+        for kk in range(k.dim + 2):
             for budget in (12, 3000):
                 res = decide_k_decomposable(k, kk, budget=budget)
-                tree = None if res.witness is None else res.witness[0]
-                assert (res.verdict, res.nodes, tree) == reference_k_decomposable(
-                    k, kk, budget
-                ), (sorted(map(sorted, k.facets)), kk, budget)
+                verdict, nodes, tree = reference_k_decomposable(k, kk, budget)
+                got = None
                 if res.yes:
-                    verify_decomposition(k, kk, tree)
-                seen[res.verdict] += 1
-    assert min(seen[v] for v in ("yes", "no", "budget_exceeded")) >= 20, seen
+                    verify_decomposition(k, kk, res.witness[0])
+                    got = decomposition_witness_to_json(kk, res.witness[0])
+                if tree is not None:
+                    tree = decomposition_witness_to_json(kk, tree)
+                same = verdict == "budget_exceeded" or (res.verdict, got) == (verdict, tree)
+                if not same or res.nodes > nodes:
+                    bad.append((sorted(map(sorted, k.facets)), kk, budget, res, verdict, nodes))
+                seen[budget, verdict, res.verdict] += 1
+    return bad
+
+
+def shellable_mismatches(complexes) -> list:
+    """Complexes where decide_shellable's verdict departs from the
+    exhaustive search on the definition; every yes must verify."""
+    bad = []
+    for k in complexes:
+        res = decide_shellable(k, budget=3000)
+        assert res.verdict != "budget_exceeded"
+        if res.yes:
+            verify_shelling(k, res.witness)
+        if res.yes != reference_shellable(k):
+            bad.append((sorted(map(sorted, k.facets)), res))
+    return bad
+
+
+def test_k_decomposable_matches_full_face_oracle():
+    seen = collections.Counter()
+    assert k_decomposable_mismatches(random_pure_complexes(90), seen) == []
+    decided = {v: sum(n for (_, ref, _), n in seen.items() if ref == v) for v in ("yes", "no")}
+    assert min(decided.values()) >= 40, seen
+    # The library still runs out of budget, and the pruning decides some
+    # searches on which the unpruned oracle runs out.
+    assert seen[12, "budget_exceeded", "budget_exceeded"] >= 20, seen
+    assert seen[12, "budget_exceeded", "no"] + seen[12, "budget_exceeded", "yes"] >= 10, seen
+
+
+def test_decide_shellable_matches_definition_oracle():
+    complexes = random_pure_complexes(120)
+    assert shellable_mismatches(complexes) == []
+    verdicts = collections.Counter(reference_shellable(k) for k in complexes)
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_oracle_comparisons_catch_a_wrong_pruning_rule(monkeypatch):
+    # A mutant of _may_be_shellable whose χ̃ test has the wrong sign
+    # refutes shellable complexes; both oracle comparisons must see it.
+    def chi_sign_flipped(facets):
+        k = Complex.from_facets(facets)
+        return (-1) ** k.dim * k.reduced_euler_characteristic() <= 0
+
+    monkeypatch.setattr(shelling, "_may_be_shellable", chi_sign_flipped)
+    complexes = random_pure_complexes(30)
+    assert k_decomposable_mismatches(complexes, collections.Counter())
+    assert shellable_mismatches(complexes)
+
+
+def _pinched_sphere() -> Complex:
+    """sd(∂Δ³) with the barycentres of the edges 01 and 23 identified.
+    They are three edges apart, so the quotient is still a simplicial
+    complex: a sphere with two points glued, χ̃ = 0, facet graph
+    connected, and the glued vertex's link two disjoint 4-cycles."""
+    sub = barycentric_subdivision(Complex.from_facets(BD3), 1)
+    carrier = {c: v for v, c in sub.vertex_carrier.items()}
+    a, b = carrier[frozenset({0, 1})], carrier[frozenset({2, 3})]
+    return Complex.from_facets([[a if v == b else v for v in f] for f in sub.complex.facets])
+
+
+def test_may_be_shellable_each_rule_refutes():
+    def facet_graph_connected(k):
+        pairs = itertools.combinations(k.facets, 2)
+        return graph_connected(k.facets, ((f, g) for f, g in pairs if len(f & g) == k.dim))
+
+    # Each refuted complex fails one of the three tests alone.
+    disjoint = Complex.from_facets([[0, 1, 2], [3, 4, 5]])
+    pinched = _pinched_sphere()
+    torus = torus_7()
+    assert not facet_graph_connected(disjoint)
+    assert vertex_links_connected(disjoint)[0] and disjoint.reduced_euler_characteristic() == 1
+    assert facet_graph_connected(pinched) and not vertex_links_connected(pinched)[0]
+    assert pinched.reduced_euler_characteristic() == 0
+    assert facet_graph_connected(torus) and vertex_links_connected(torus)[0]
+    assert torus.reduced_euler_characteristic() == -1
+    refuted = [disjoint, pinched, torus, Complex.from_facets([[0, 1], [2, 3]])]
+    assert not any(_may_be_shellable(k.facets) for k in refuted)
+    # Necessary, not sufficient: the dunce hat passes, but it is contractible
+    # and not collapsible, so not shellable.
+    passing = [Complex.from_facets(BD3), Complex.from_facets(OCTAHEDRON), dunce_hat()]
+    passing += [Complex.from_facets([[0], [1], [2]]), Complex.from_facets([[0, 1], [1, 2]])]
+    assert all(_may_be_shellable(k.facets) for k in passing)
 
 
 def test_canonical_from_facets_matches_full_face_oracle():

@@ -97,10 +97,11 @@ class RunReport:
     command: str
     input_digest: str
     verdict: str
-    witness_path: str | None
-    wall_time: float
-    search_nodes: int
-    budget_status: str
+    witness_path: str | None = None
+    wall_time: float = 0.0
+    search_nodes: int = 0
+    # ``main`` sets this from the verdict.
+    budget_status: str = "within"
 
 
 def _digest(text: str) -> str:
@@ -153,7 +154,7 @@ def _cmd_stats(args: argparse.Namespace) -> tuple[RunReport, dict]:
         "pseudomanifold": is_pseudomanifold(k) if pure and k.faces else "no",
         "links-connected": links_ok,
     }
-    report = RunReport("stats", _digest(text), "yes", None, 0.0, 0, "within")
+    report = RunReport("stats", _digest(text), "yes")
     return report, {"stats": payload}
 
 
@@ -172,6 +173,8 @@ def _parse_property(args: argparse.Namespace) -> tuple[str, int | None]:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[RunReport, dict]:
+    if args.budget < 0:
+        raise CliError(f"--budget must be >= 0, got {args.budget}")
     prop, kk = _parse_property(args)
     text = _read_input(args.input)
     k = _load_complex(text).complex
@@ -220,9 +223,8 @@ def _cmd_check(args: argparse.Namespace) -> tuple[RunReport, dict]:
     if witness_json is not None:
         witness_path = args.witness or f"{_stem(args.input)}.{prop}.witness.json"
         Path(witness_path).write_text(witness_json)
-    budget_status = "exceeded" if verdict == "budget_exceeded" else "within"
     report = RunReport(
-        f"check {prop}", _digest(text), verdict, witness_path, 0.0, nodes, budget_status
+        f"check {prop}", _digest(text), verdict, witness_path, search_nodes=nodes
     )
     return report, {}
 
@@ -240,7 +242,7 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[RunReport, dict]:
         "f-vector": list(lc.complex.f_vector()),
         "reduced-euler-characteristic": lc.complex.reduced_euler_characteristic(),
     }
-    report = RunReport("reduce", _digest(text), "yes", None, 0.0, 0, "within")
+    report = RunReport("reduce", _digest(text), "yes")
     return report, payload
 
 
@@ -334,9 +336,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[RunReport, dict]:
             verdict = "yes"
     except (CollapseError, ShellingError) as exc:
         verdict, reason = "no", str(exc)
-    report = RunReport(
-        f"verify {kind}", _digest(text), verdict, args.witness, 0.0, 0, "within"
-    )
+    report = RunReport(f"verify {kind}", _digest(text), verdict, args.witness)
     return report, {"reason": reason} if reason else {}
 
 
@@ -346,9 +346,7 @@ def _cmd_solve_sat(args: argparse.Namespace) -> tuple[RunReport, dict]:
     try:
         cert = decide_phi_via_complex(phi)
     except SweepCapError as exc:
-        report = RunReport(
-            "solve-sat", _digest(text), "budget_exceeded", None, 0.0, 0, "exceeded"
-        )
+        report = RunReport("solve-sat", _digest(text), "budget_exceeded")
         return report, {"reason": str(exc)}
     model = sat_oracle(phi) if phi.n <= 24 else None
     if phi.n <= 24 and (cert is None) != (model is None):
@@ -386,9 +384,7 @@ def _cmd_solve_sat(args: argparse.Namespace) -> tuple[RunReport, dict]:
             str(v): bool(cert.assignment[v]) for v in sorted(cert.assignment)
         }
     verdict = "yes" if cert is not None else "no"
-    report = RunReport(
-        "solve-sat", _digest(text), verdict, witness_path, 0.0, 0, "within"
-    )
+    report = RunReport("solve-sat", _digest(text), verdict, witness_path)
     return report, payload
 
 
@@ -409,14 +405,14 @@ def _cmd_gadget(args: argparse.Namespace) -> tuple[RunReport, dict]:
     builders = _gadget_builders()
     if args.name is None:
         payload = {"gadgets": sorted(builders)}
-        return RunReport("gadget", "-", "yes", None, 0.0, 0, "within"), payload
+        return RunReport("gadget", "-", "yes"), payload
     if args.name not in builders:
         raise CliError(
             f"unknown gadget {args.name!r}; available: {', '.join(sorted(builders))}"
         )
     text = format_facet_lines(builders[args.name]().complex)
     written = _write_output(args.output, text)
-    report = RunReport(f"gadget {args.name}", _digest(text), "yes", None, 0.0, 0, "within")
+    report = RunReport(f"gadget {args.name}", _digest(text), "yes")
     return report, {"output_path": written}
 
 
@@ -433,7 +429,7 @@ def _cmd_subdivide(args: argparse.Namespace) -> tuple[RunReport, dict]:
         "output_path": written,
         "f-vector": list(sub.complex.f_vector()),
     }
-    report = RunReport("subdivide", _digest(text), "yes", None, 0.0, 0, "within")
+    report = RunReport("subdivide", _digest(text), "yes")
     return report, payload
 
 
@@ -539,7 +535,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = dataclasses.replace(report, wall_time=time.perf_counter() - started)
+    report = dataclasses.replace(
+        report,
+        wall_time=time.perf_counter() - started,
+        budget_status="exceeded" if report.verdict == "budget_exceeded" else "within",
+    )
     stdout_taken = payload.get("output_path", "unused") is None
     _emit(report, payload, args.json, to_stderr=stdout_taken)
     return _EXIT[report.verdict]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -428,9 +429,9 @@ class TriangleErasure:
 
     def first_collapsible(
         self, pools: Sequence[Sequence[Face]], ascending: bool = False
-    ) -> tuple[Face, ...] | None:
+    ) -> tuple[tuple[Face, ...] | None, int]:
         """First choice of one triangle per pool whose removal leaves a
-        collapsible complex, or None.
+        collapsible complex, or None, with the number of choices tried.
 
         Choices are tried in ``itertools.product`` order over the pools;
         with ``ascending`` each pick must also come later in its pool than
@@ -441,9 +442,9 @@ class TriangleErasure:
         ids = [[self.tri_id[t] for t in pool] for pool in pools]
         depth = len(ids)
         if not self._connected:
-            return None
+            return None, 0
         if depth == 0:
-            return () if self.collapsible() else None
+            return (() if self.collapsible() else None), 1
 
         def positions(level: int, prev: int) -> range:
             if ascending:
@@ -453,6 +454,7 @@ class TriangleErasure:
         chosen: list[int] = []
         marks: list[int] = []
         frames = [iter(positions(0, -1))]
+        tried = 0
         while frames:
             pos = next(frames[-1], None)
             if pos is None:
@@ -467,28 +469,49 @@ class TriangleErasure:
             if level + 1 < depth:
                 frames.append(iter(positions(level + 1, pos)))
                 continue
+            tried += 1
             if self.collapsible():
                 self.undo(marks[0])
-                return tuple(pools[i][p] for i, p in enumerate(chosen))
+                return tuple(pools[i][p] for i, p in enumerate(chosen)), tried
             chosen.pop()
             self.undo(marks.pop())
-        return None
+        return None, tried
 
 
-def collapse_after_removal(k: Complex, removal: Sequence[Face]) -> tuple:
-    """Greedy collapse witness for ``k`` with ``removal`` taken out.
+def find_removal(
+    k: Complex,
+    pools: Sequence[Sequence[Face]],
+    budget: int,
+    ascending: bool = False,
+) -> SearchResult:
+    """Search for one triangle per pool whose removal leaves ``k``
+    collapsible, in the order of ``TriangleErasure.first_collapsible``.
 
-    Used on the removal an erasure search picked: the greedy decider
-    replays the verdict on the real punctured complex, and a disagreement
-    is an internal error, not a property of the input.
+    The search does not start, and the verdict is budget_exceeded, when
+    the candidate count alone exceeds ``budget``: the product of the pool
+    sizes, or with ``ascending`` over copies of one pool, the number of
+    its subsets of size ``len(pools)``.  ``nodes`` counts the removals
+    tried.  On yes the witness is ``(removal, pairs)``: the greedy decider
+    replays the verdict on the punctured complex, and its pairs collapse
+    it to a vertex.  A disagreement is an internal error, not a property
+    of the input.
     """
+    if ascending and pools:
+        count = math.comb(len(pools[0]), len(pools))
+    else:
+        count = math.prod(len(p) for p in pools)
+    if count > budget:
+        return SearchResult("budget_exceeded", None, 0)
+    removal, tried = TriangleErasure(k).first_collapsible(pools, ascending)
+    if removal is None:
+        return SearchResult("no", None, tried)
     ok, pairs = is_collapsible_2d_greedy(k.remove_facets(removal))
-    if not ok or pairs is None:
+    if not ok:
         raise InternalError(
             "erasure found "
             f"{sorted(map(face_key, removal))} collapsible, greedy disagrees"
         )
-    return pairs
+    return SearchResult("yes", (removal, pairs), tried)
 
 
 # -- budgeted depth-first searches -------------------------------------------
@@ -641,7 +664,7 @@ def is_collapsible_dfs(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult
         k,
         budget,
         done=lambda state: state.size == 1,
-        memo_key=lambda state: _canonical_facets(state.facets)[0],
+        memo_key=lambda state: _canonical_facets(state.facets),
         protected=set(),
     )
 

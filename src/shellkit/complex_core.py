@@ -438,8 +438,6 @@ def barycentric_subdivision(k: Complex, levels: int = 1) -> Subdivision:
     itself).  New vertex ids are assigned by sorting the subdivided faces
     by dimension then lexicographically, so the numbering is deterministic.
     """
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
     return subdivide_labeled(LabeledComplex(k, {}), levels)[1]
 
 
@@ -455,24 +453,15 @@ def canonical_form(k: Complex) -> tuple:
     converse direction is not promised: isomorphic complexes with different
     ids may produce different keys, which only costs memo hits.
     """
-    return _canonical(k)[0]
-
-
-def _canonical(k: Complex) -> tuple[tuple, dict[int, int]]:
-    """``canonical_form`` together with the vertex renaming behind it.
-
-    Two complexes with equal keys become the same complex under their
-    renamings, so composing one renaming with the inverse of the other is
-    an isomorphism between them.
-    """
     if not k.faces:
-        return ("void",), {}
+        return ("void",)
     return _canonical_facets(k.facets)
 
 
-def _canonical_facets(facets: frozenset) -> tuple[tuple, dict[int, int]]:
-    """``_canonical`` of the complex a facet set closes to, read from the
-    facets alone: its vertices are their union and its edges their 2-subsets."""
+def _canonical_facets(facets: frozenset) -> tuple:
+    """``canonical_form`` of the complex a facet set closes to, read from
+    the facets alone: its vertices are their union and its edges their
+    2-subsets."""
     adj: dict[int, set[int]] = {}
     profile: dict[int, list[int]] = {}
     for facet in facets:
@@ -496,7 +485,7 @@ def _canonical_facets(facets: frozenset) -> tuple[tuple, dict[int, int]]:
     order = sorted(verts, key=lambda v: (ranks[v], v))
     rename = {v: i for i, v in enumerate(order)}
     key = tuple(sorted(tuple(sorted(rename[v] for v in f)) for f in facets))
-    return ("cx", key), rename
+    return ("cx", key)
 
 
 def _rank_colors(color: Mapping[int, tuple], verts: Iterable[int]) -> dict[int, int]:
@@ -635,6 +624,8 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
     as long, and subcomplexes to their carrier preimage (one level at a
     time).
     """
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     current = lc
     overall = Subdivision(lc.complex, {v: frozenset([v]) for v in lc.complex.vertices}, 0)
     for _ in range(levels):

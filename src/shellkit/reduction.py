@@ -7,7 +7,7 @@ complex whose reduced Euler characteristic equals the variable count.
 plus a replayable collapse of the punctured complex down to one vertex,
 ``assignment_from_removal`` reads an assignment back off a removal set,
 and ``decide_phi_via_complex`` closes the loop at desk scale by searching
-the admissible removals with incremental 2-d erasure.  ``sat_oracle``
+the admissible removals with ``collapse.find_removal``.  ``sat_oracle``
 provides brute-force ground truth.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Mapping
@@ -23,12 +22,11 @@ from typing import Mapping
 from shellkit.collapse import (
     CollapsePair,
     CollapseSequence,
-    TriangleErasure,
     _FaceIndex,
     _glue_step,
-    collapse_after_removal,
     collapse_disk_to_tree,
     collapses_to,
+    find_removal,
     is_collapsible_2d_greedy,
     verify_collapse_sequence,
 )
@@ -39,7 +37,6 @@ from shellkit.complex_core import (
     InternalError,
     LabeledComplex,
     face_key,
-    subdivide_labeled,
     vertex_links_connected,
 )
 from shellkit.gadgets import (
@@ -537,64 +534,38 @@ class ReductionCertificate:
     assignment: Mapping[int, bool]
 
 
-def decide_phi_via_complex(
-    phi: Formula,
-    *,
-    full_sweep: bool = False,
-    subdivisions: int = 0,
-) -> ReductionCertificate | None:
+def decide_phi_via_complex(phi: Formula) -> ReductionCertificate | None:
     """Decide satisfiability through the compiled complex, at desk scale.
 
     Searches the admissible removal sets (one triangle per variable
-    sphere, in ``itertools.product`` order over the spheres; with
-    ``full_sweep`` every set of χ̃ triangles, in ``itertools.combinations``
-    order) for the first one whose removal leaves a collapsible complex.
-    The test is greedy 2-d erasure, which is confluent: every maximal
-    erasure leaves the same triangles, so erase(K - R - t) equals
-    erase(erase(K - R) - t) and the search punctures one triangle per
-    level of a depth-first walk, paying only for what each choice frees.
-    Erasure keeps the 1-skeleton connected and a removal of χ̃ triangles
-    leaves χ̃ = 0, so on the connected complex a removal wins exactly when
-    erasure leaves no triangle.
+    sphere, in ``itertools.product`` order over the spheres) with
+    ``collapse.find_removal`` for the first one whose removal leaves a
+    collapsible complex.
 
     Returns a certificate with the first winning removal, the greedy
     collapse witness of the punctured complex, and the extracted
     assignment cross-checked against the formula, or None when no
-    removal collapses.  ``subdivisions`` reruns the search on a
-    barycentric subdivision with the removal pool mapped along.  Raises
-    ``SweepCapError`` when the removal count exceeds the sweep cap, and
-    ``InternalError`` when the winning removal does not read back as a
-    model.
+    removal collapses.  Raises ``SweepCapError`` when the removal count
+    exceeds the sweep cap, and ``InternalError`` when the winning removal
+    does not read back as a model.
     """
-    comp = _compile(phi)
-    lc = comp.labeled
-    if subdivisions:
-        lc, _ = subdivide_labeled(lc, subdivisions)
-    base = lc.complex
-    if full_sweep:
-        chi = base.reduced_euler_characteristic()
-        pool = sorted((f for f in base.faces if len(f) == 3), key=face_key)
-        count = math.comb(len(pool), chi)
-        pools = [pool] * chi
-    else:
-        pools = [
-            sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
-            for i in range(1, phi.n + 1)
-        ]
-        count = math.prod(len(p) for p in pools)
-    if count > _SWEEP_CAP:
+    lc = _compile(phi).labeled
+    pools = [
+        sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
+        for i in range(1, phi.n + 1)
+    ]
+    res = find_removal(lc.complex, pools, _SWEEP_CAP)
+    if res.verdict == "budget_exceeded":
         raise SweepCapError(
-            f"removal enumeration needs {count} candidates; cap is {_SWEEP_CAP}"
+            f"removal enumeration needs more candidates than its cap; cap is {_SWEEP_CAP}"
         )
-    removal = TriangleErasure(base).first_collapsible(pools, ascending=full_sweep)
-    if removal is None:
+    if not res.yes:
         return None
+    removal, pairs = res.witness
     extracted = assignment_from_removal(lc, frozenset(removal))
     if extracted is None or not _satisfies(phi, extracted):
         raise InternalError(
             "collapsible removal fails to read back as a model: "
             f"{sorted(map(face_key, removal))}"
         )
-    return ReductionCertificate(
-        removal, collapse_after_removal(base, removal), extracted
-    )
+    return ReductionCertificate(removal, pairs, extracted)

@@ -10,7 +10,6 @@ always shellable.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from itertools import combinations
 from typing import Collection, Iterable, Mapping, Sequence
@@ -25,12 +24,7 @@ from shellkit.complex_core import (
     read_faces,
     vertex_links_connected,
 )
-from shellkit.collapse import (
-    DEFAULT_BUDGET,
-    SearchResult,
-    TriangleErasure,
-    collapse_after_removal,
-)
+from shellkit.collapse import DEFAULT_BUDGET, SearchResult, find_removal
 
 
 class ShellingError(ValueError):
@@ -343,28 +337,17 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> None:
 
 
 def hachimori_decide_sd2(
-    k: Complex,
-    budget: int = DEFAULT_BUDGET,
-    pool: Sequence[Iterable[int]] | None = None,
+    k: Complex, budget: int = DEFAULT_BUDGET
 ) -> tuple[str, Mapping | None]:
     """Decide shellability of sd²(k) without constructing it.
 
     The double barycentric subdivision of a 2-complex is shellable
     exactly when every vertex link of the complex itself is connected
     and removing some set of χ̃ triangles leaves it collapsible.  The
-    removal subsets are searched in ``itertools.combinations`` order,
-    restricted to ``pool`` when one is supplied; the search is skipped as
-    budget_exceeded when the subset count alone overruns ``budget``.
-
-    Each subset is tested by greedy 2-d erasure.  Erasure is confluent
-    (every maximal erasure leaves the same triangles), so
-    erase(K - R - t) = erase(erase(K - R) - t): the search punctures one
-    triangle per level of a depth-first walk and pays only for what each
-    choice frees.  A removal of χ̃ triangles from a connected complex
-    leaves χ̃ = 0, and erasure keeps the 1-skeleton connected, so a subset
-    wins exactly when erasure leaves no triangle; a disconnected complex
-    has no winner.  The greedy decider replays the winner on the real
-    punctured complex to produce the witness.
+    removal sets are searched with ``collapse.find_removal`` in
+    ``itertools.combinations`` order over the triangles; the search is
+    skipped as budget_exceeded when the set count alone overruns
+    ``budget``.
 
     Returns ``(verdict, certificate)`` with verdict one of
     ``"shellable"``, ``"not_shellable"``, ``"budget_exceeded"``; the
@@ -379,20 +362,14 @@ def hachimori_decide_sd2(
     chi = k.reduced_euler_characteristic()
     if chi < 0:
         return "not_shellable", None
-    triangles = {f for f in k.faces if len(f) == 3}
-    if pool is None:
-        candidates = sorted(triangles, key=face_key)
-    else:
-        wanted = {frozenset(f) for f in pool}
-        if not wanted <= triangles:
-            raise ShellingError("removal pool contains non-triangles of the complex")
-        candidates = sorted(wanted, key=face_key)
-    if math.comb(len(candidates), chi) > budget:
+    triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
+    res = find_removal(k, [triangles] * chi, budget, ascending=True)
+    if res.verdict == "budget_exceeded":
         return "budget_exceeded", None
-    removal = TriangleErasure(k).first_collapsible([candidates] * chi, ascending=True)
-    if removal is None:
+    if not res.yes:
         return "not_shellable", None
-    return "shellable", {"removal": removal, "pairs": collapse_after_removal(k, removal)}
+    removal, pairs = res.witness
+    return "shellable", {"removal": removal, "pairs": pairs}
 
 
 # -- witness serialization ----------------------------------------------------

@@ -242,6 +242,17 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     assert err == "internal error: erasure and greedy disagree\n"
 
 
+@pytest.mark.parametrize("prop, budget", [("shellable", "-5"), ("hachimori-sd2", "-1")])
+def test_check_negative_budget_is_usage_error(prop, budget, tmp_path, capsys):
+    path = tmp_path / "strip.txt"
+    path.write_text("0 1 2\n1 2 3\n2 3 4\n")
+    code, out, err = run(["check", prop, str(path), "--budget", budget], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --budget must be >= 0, got {budget}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
     # A strip of triangles is a shellable disk, but the shelling search
     # recurses once per facet.  Under a recursion limit 100 frames above
@@ -471,6 +482,16 @@ def test_subdivide_default_path_and_levels(tmp_path, capsys):
     sd2 = tmp_path / "tri.sd2.txt"
     k = parse_facet_lines(sd2.read_text())
     assert k.f_vector() == (1, 25, 60, 36)
+
+
+def test_subdivide_negative_levels_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "tri.txt"
+    path.write_text("0 1 2\n")
+    code, out, err = run(["subdivide", "--levels", "-1", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: levels must be >= 0\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_parse_error_is_usage_error(tmp_path, capsys):

@@ -256,7 +256,7 @@ def test_dfs_memo_key_is_canonical_form():
     rng = random.Random(53)
     for _ in range(150):
         for index, state in collapse_walk(rng, random_complex(rng)):
-            assert _canonical_facets(state.facets)[0] == canonical_form(index.complex())
+            assert _canonical_facets(state.facets) == canonical_form(index.complex())
     res = is_collapsible_dfs(cone(dunce_hat()))
     assert (res.verdict, res.nodes) == ("yes", 80)
     # The pendant path and edge collapse in either order to one state, so
@@ -325,7 +325,7 @@ def oracle_is_collapsible_dfs(k, budget):
         return SearchResult("no", None, 0)
     return oracle_collapse_search(
         k, budget, lambda index: len(index.faces) == 1,
-        lambda index, facets: _canonical_facets(facets)[0], set(),
+        lambda index, facets: _canonical_facets(facets), set(),
     )
 
 

@@ -10,9 +10,13 @@ import itertools
 import random
 from collections import Counter
 
-from shellkit.collapse import TriangleErasure, is_collapsible_2d_greedy
+import pytest
+
+from shellkit import collapse, reduction, shelling
+from shellkit.collapse import TriangleErasure, find_removal, is_collapsible_2d_greedy
 from shellkit.complex_core import (
     Complex,
+    InternalError,
     face_key,
     one_skeleton_connected,
     vertex_links_connected,
@@ -136,19 +140,13 @@ def test_erasure_puncture_of_erased_triangle():
 # -- (b) the removal searches against the candidate loops --------------------
 
 
-def _decide_phi_reference(phi: Formula, full_sweep: bool = False):
+def _decide_phi_reference(phi: Formula):
     lc = build_K_phi(phi)
-    base = lc.complex
-    if full_sweep:
-        pool = sorted((f for f in base.faces if len(f) == 3), key=face_key)
-        candidates = itertools.combinations(pool, base.reduced_euler_characteristic())
-    else:
-        pools = [
-            sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
-            for i in range(1, phi.n + 1)
-        ]
-        candidates = itertools.product(*pools)
-    found = first_greedy_removal(base, candidates)
+    pools = [
+        sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
+        for i in range(1, phi.n + 1)
+    ]
+    found = first_greedy_removal(lc.complex, itertools.product(*pools))
     if found is None:
         return None
     removal, pairs = found
@@ -175,13 +173,16 @@ def test_decide_phi_matches_product_loop():
 
 
 def test_decide_phi_full_sweep_matches_combinations_loop():
+    # Every set of chi triangles of K_phi, as Hachimori's criterion searches.
     for phi in (Formula(1, ((1, 1, 1),)), Formula(1, ((1, 1, 1), (-1, -1, -1)))):
-        cert = decide_phi_via_complex(phi, full_sweep=True)
-        ref = _decide_phi_reference(phi, full_sweep=True)
+        k = build_K_phi(phi).complex
+        verdict, cert = hachimori_decide_sd2(k)
+        ref = _hachimori_reference(k)
         if ref is None:
-            assert cert is None
+            assert verdict == "not_shellable"
         else:
-            assert (cert.removal, cert.pairs, cert.assignment) == ref
+            assert verdict == "shellable"
+            assert (cert["removal"], cert["pairs"]) == ref
 
 
 def _hachimori_reference(k: Complex, pool=None):
@@ -193,6 +194,12 @@ def _hachimori_reference(k: Complex, pool=None):
     return first_greedy_removal(k, itertools.combinations(candidates, chi))
 
 
+def _find_in_pool(k: Complex, pool):
+    """The search ``hachimori_decide_sd2`` runs, over a part of the triangles."""
+    pool = sorted({frozenset(f) for f in pool}, key=face_key)
+    return find_removal(k, [pool] * k.reduced_euler_characteristic(), 10**6, ascending=True)
+
+
 def test_hachimori_matches_combinations_loop():
     rng = random.Random(2018)
     verdicts = Counter()
@@ -201,19 +208,23 @@ def test_hachimori_matches_combinations_loop():
         k = random_small_complex(rng)
         if k.dim != 2:
             continue
-        pool = None
-        if rng.random() < 0.3:
+        chi = k.reduced_euler_characteristic()
+        checked += 1
+        if rng.random() < 0.3 and chi >= 0:
             triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
             pool = rng.sample(triangles, rng.randint(1, len(triangles)))
-        verdict, cert = hachimori_decide_sd2(k, pool=pool)
+            res = _find_in_pool(k, pool)
+            verdicts[f"pool {res.verdict}"] += 1
+            assert res.witness == _hachimori_reference(k, pool)
+            continue
+        verdict, cert = hachimori_decide_sd2(k)
         verdicts[verdict] += 1
-        chi = k.reduced_euler_characteristic()
         if verdict == "shellable":
-            assert (cert["removal"], cert["pairs"]) == _hachimori_reference(k, pool)
-        elif verdict == "not_shellable" and chi >= 0 and vertex_links_connected(k)[0]:
-            assert _hachimori_reference(k, pool) is None
-        checked += 1
-    assert verdicts["shellable"] and verdicts["not_shellable"]
+            assert (cert["removal"], cert["pairs"]) == _hachimori_reference(k)
+        elif chi >= 0 and vertex_links_connected(k)[0]:
+            assert _hachimori_reference(k) is None
+    for case in ("shellable", "not_shellable", "pool yes", "pool no"):
+        assert verdicts[case] > 0, case
 
 
 def test_hachimori_on_compiled_complexes_matches_combinations_loop():
@@ -222,11 +233,33 @@ def test_hachimori_on_compiled_complexes_matches_combinations_loop():
         phi = random_formula(1, rng.randint(1, 2), rng)
         lc = build_K_phi(phi)
         pool = sorted(lc.subcomplex("S(u1)").facets, key=face_key)
-        verdict, cert = hachimori_decide_sd2(lc.complex, pool=pool)
-        ref = _hachimori_reference(lc.complex, pool)
-        assert (verdict == "shellable") == (ref is not None)
-        if ref is not None:
-            assert (cert["removal"], cert["pairs"]) == ref
+        res = _find_in_pool(lc.complex, pool)
+        assert res.witness == _hachimori_reference(lc.complex, pool)
+
+
+def test_removals_tried_are_pinned(monkeypatch):
+    # An unsatisfiable search tries every removal: the 8 triangles of one
+    # sphere, all 241 triangles of K_phi, and 8**3 over three spheres.
+    tried = []
+
+    def spy(*args, **kwargs):
+        res = find_removal(*args, **kwargs)
+        tried.append((res.verdict, res.nodes))
+        return res
+
+    monkeypatch.setattr(reduction, "find_removal", spy)
+    monkeypatch.setattr(shelling, "find_removal", spy)
+    contra = Formula(1, ((1, 1, 1), (-1, -1, -1)))
+    assert decide_phi_via_complex(contra) is None
+    assert hachimori_decide_sd2(build_K_phi(contra).complex)[0] == "not_shellable"
+    assert decide_phi_via_complex(Formula(3, ((1, 1, 1), (-1, -1, -1), (2, 3, -2)))) is None
+    assert tried == [("no", 8), ("no", 241), ("no", 512)]
+
+
+def test_find_removal_raises_when_greedy_disagrees(monkeypatch):
+    monkeypatch.setattr(collapse, "is_collapsible_2d_greedy", lambda k: (False, None))
+    with pytest.raises(InternalError, match="greedy disagrees"):
+        find_removal(Complex.from_facets([[0, 1, 2]]), [], budget=1)
 
 
 # -- (c) linear facets against the subset scan -------------------------------

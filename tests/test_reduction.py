@@ -210,7 +210,6 @@ def test_decide_agrees_with_oracle():
 
 def test_decide_unsat_full_sweep():
     assert decide_phi_via_complex(CONTRA) is None
-    assert decide_phi_via_complex(CONTRA, full_sweep=True) is None
 
 
 def test_decide_certificate_replays():
@@ -221,11 +220,6 @@ def test_decide_certificate_replays():
         k = k.remove_facet(tau)
     final = verify_collapse_sequence(k, cert.pairs)
     assert len(final.facets) == 1
-
-
-def test_decide_survives_subdivision():
-    assert decide_phi_via_complex(XXX, subdivisions=1) is not None
-    assert decide_phi_via_complex(CONTRA, subdivisions=1) is None
 
 
 def test_simplex_count_grows_linearly():

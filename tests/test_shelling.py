@@ -10,12 +10,12 @@ import random
 import pytest
 
 from conftest import random_complex, random_pure_2complex
-from shellkit.collapse import verify_collapse_sequence
+from shellkit.collapse import find_removal, verify_collapse_sequence
 from shellkit.complex_core import (
     Complex,
-    _canonical,
     _rank_colors,
     barycentric_subdivision,
+    canonical_form,
     face_key,
     graph_connected,
     vertex_links_connected,
@@ -442,7 +442,7 @@ def test_canonical_from_facets_matches_full_face_oracle():
         inputs.append(Complex.from_faces(k.faces | {frozenset([rng.randint(8, 9)])}))
     assert any(not k.is_pure() for k in inputs)
     for k in inputs:
-        assert _canonical(k) == reference_canonical(k)
+        assert canonical_form(k) == reference_canonical(k)[0]
 
 
 def test_verify_decomposition_and_tampering():
@@ -500,13 +500,12 @@ def test_hachimori_budget_and_pool():
 
     # bd3 plus a pendant triangle: only removals inside the sphere work.
     k = Complex.from_facets(BD3 + [[1, 2, 4]])
-    verdict, cert = hachimori_decide_sd2(k, pool=[[0, 1, 2], [0, 1, 3]])
-    assert verdict == "shellable"
-    assert cert["removal"][0] in {frozenset({0, 1, 2}), frozenset({0, 1, 3})}
-    verdict, _ = hachimori_decide_sd2(k, pool=[[1, 2, 4]])
-    assert verdict == "not_shellable"
-    with pytest.raises(ShellingError):
-        hachimori_decide_sd2(k, pool=[[0, 1, 4]])
+    sphere = [frozenset({0, 1, 2}), frozenset({0, 1, 3})]
+    res = find_removal(k, [sphere], budget=2)
+    assert res.yes
+    assert res.witness[0][0] in sphere
+    assert find_removal(k, [sphere], budget=1).verdict == "budget_exceeded"
+    assert find_removal(k, [[frozenset({1, 2, 4})]], budget=1).verdict == "no"
 
 
 def test_hachimori_rejects_wrong_dimension():

@@ -62,7 +62,7 @@ from shellkit.gadgets import (
 from shellkit.reduction import (
     Formula,
     ReductionError,
-    SweepCapError,
+    _SWEEP_CAP,
     _satisfies,
     assignment_from_removal,
     build_K_phi,
@@ -200,14 +200,10 @@ def _cmd_check(args: argparse.Namespace) -> tuple[RunReport, dict]:
         if res.yes:
             witness_json = decomposition_witness_to_json(kk, res.witness[0])
     elif prop == "hachimori-sd2":
-        sd2_verdict, cert = hachimori_decide_sd2(k, budget=args.budget)
-        verdict = {
-            "shellable": "yes",
-            "not_shellable": "no",
-            "budget_exceeded": "budget_exceeded",
-        }[sd2_verdict]
-        if cert is not None:
-            pairs, removal = cert["pairs"], cert["removal"]
+        res = hachimori_decide_sd2(k, budget=args.budget)
+        verdict, nodes = res.verdict, res.nodes
+        if res.yes:
+            removal, pairs = res.witness
     else:
         raise CliError(f"unknown property {args.property!r}")
 
@@ -275,9 +271,21 @@ def _replay_witness(k: Complex, doc: Mapping) -> None:
     elif kind == "collapse":
         pairs, target = collapse_witness_from_json(doc)
         removed = doc.get("removed_facets")
-        if removed is not None:
-            k = k.remove_facets(read_faces(removed, "'removed_facets'"))
-        verify_collapse_sequence(k, pairs, target)
+        if removed is None:
+            verify_collapse_sequence(k, pairs, target)
+            return
+        # Removed facets claim Hachimori's criterion for sd²(k): k is
+        # 2-dimensional with connected vertex links, and taking out the
+        # triangles leaves a complex that collapses to a single vertex.
+        removed = read_faces(removed, "'removed_facets'")
+        final = verify_collapse_sequence(k.remove_facets(removed), pairs, target)
+        if k.dim != 2 or any(len(f) != 3 for f in removed):
+            raise CollapseError("removed facets must be triangles of a 2-complex")
+        ok, bad = vertex_links_connected(k)
+        if not ok:
+            raise CollapseError(f"the link of vertex {bad[0]} is disconnected")
+        if sorted(map(len, final.facets)) != [1]:
+            raise CollapseError("the collapse does not end at a single vertex")
     else:
         raise FormatError(f"unknown witness kind {kind!r}")
 
@@ -343,11 +351,12 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[RunReport, dict]:
 def _cmd_solve_sat(args: argparse.Namespace) -> tuple[RunReport, dict]:
     text = _read_input(args.input)
     phi = parse_cnf(text)
-    try:
-        cert = decide_phi_via_complex(phi)
-    except SweepCapError as exc:
-        report = RunReport("solve-sat", _digest(text), "budget_exceeded")
-        return report, {"reason": str(exc)}
+    res = decide_phi_via_complex(phi)
+    report = RunReport("solve-sat", _digest(text), res.verdict, search_nodes=res.nodes)
+    if res.verdict == "budget_exceeded":
+        reason = "removal enumeration needs more candidates than its cap"
+        return report, {"reason": f"{reason}; cap is {_SWEEP_CAP}"}
+    cert = res.witness[0] if res.yes else None
     model = sat_oracle(phi) if phi.n <= 24 else None
     if phi.n <= 24 and (cert is None) != (model is None):
         dump = {
@@ -362,30 +371,22 @@ def _cmd_solve_sat(args: argparse.Namespace) -> tuple[RunReport, dict]:
             file=sys.stderr,
         )
         raise InternalError("solver disagreement; see diagnostic dump on stderr")
-    witness_path = None
-    payload: dict = {}
-    if cert is not None:
-        doc = {
-            "kind": "reduction-certificate",
-            "formula": {"n": phi.n, "clauses": [list(c) for c in phi.clauses]},
-            "removal": [
-                list(face_key(f)) for f in sorted(cert.removal, key=face_sort_key)
-            ],
-            "pairs": [p.as_lists() for p in cert.pairs],
-            "assignment": {
-                str(v): bool(cert.assignment[v]) for v in sorted(cert.assignment)
-            },
-        }
-        witness_path = args.witness or f"{_stem(args.input)}.sat.witness.json"
-        Path(witness_path).write_text(
-            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-        payload["assignment"] = {
-            str(v): bool(cert.assignment[v]) for v in sorted(cert.assignment)
-        }
-    verdict = "yes" if cert is not None else "no"
-    report = RunReport("solve-sat", _digest(text), verdict, witness_path)
-    return report, payload
+    if cert is None:
+        return report, {}
+    assignment = {str(v): bool(cert.assignment[v]) for v in sorted(cert.assignment)}
+    doc = {
+        "kind": "reduction-certificate",
+        "formula": {"n": phi.n, "clauses": [list(c) for c in phi.clauses]},
+        "removal": [list(face_key(f)) for f in sorted(cert.removal, key=face_sort_key)],
+        "pairs": [p.as_lists() for p in cert.pairs],
+        "assignment": assignment,
+    }
+    witness_path = args.witness or f"{_stem(args.input)}.sat.witness.json"
+    Path(witness_path).write_text(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    )
+    report = dataclasses.replace(report, witness_path=witness_path)
+    return report, {"assignment": assignment}
 
 
 def _gadget_builders() -> dict:

@@ -7,8 +7,9 @@ complex whose reduced Euler characteristic equals the variable count.
 plus a replayable collapse of the punctured complex down to one vertex,
 ``assignment_from_removal`` reads an assignment back off a removal set,
 and ``decide_phi_via_complex`` closes the loop at desk scale by searching
-the admissible removals with ``collapse.find_removal``.  ``sat_oracle``
-provides brute-force ground truth.
+the admissible removals with ``collapse.find_removal``; its
+``SearchResult`` carries a certificate as the witness of a yes.
+``sat_oracle`` provides brute-force ground truth.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Mapping
 from shellkit.collapse import (
     CollapsePair,
     CollapseSequence,
+    SearchResult,
     _FaceIndex,
     _glue_step,
     collapse_disk_to_tree,
@@ -70,10 +72,6 @@ class CnfError(ValueError):
 class ReductionError(ValueError):
     """Raised on bad reduction inputs, blown scale guards, or broken
     internal collapse preconditions."""
-
-
-class SweepCapError(ReductionError):
-    """The removal search would enumerate more candidates than its cap."""
 
 
 @dataclass(frozen=True)
@@ -534,20 +532,19 @@ class ReductionCertificate:
     assignment: Mapping[int, bool]
 
 
-def decide_phi_via_complex(phi: Formula) -> ReductionCertificate | None:
+def decide_phi_via_complex(phi: Formula) -> SearchResult:
     """Decide satisfiability through the compiled complex, at desk scale.
 
     Searches the admissible removal sets (one triangle per variable
     sphere, in ``itertools.product`` order over the spheres) with
     ``collapse.find_removal`` for the first one whose removal leaves a
-    collapsible complex.
-
-    Returns a certificate with the first winning removal, the greedy
-    collapse witness of the punctured complex, and the extracted
-    assignment cross-checked against the formula, or None when no
-    removal collapses.  Raises ``SweepCapError`` when the removal count
-    exceeds the sweep cap, and ``InternalError`` when the winning removal
-    does not read back as a model.
+    collapsible complex, and returns its result: ``nodes`` counts the
+    removals tried, and the verdict is budget_exceeded, with no search,
+    when the removal count exceeds ``_SWEEP_CAP``.  On yes the witness is
+    ``(certificate,)``: the winning removal, the greedy collapse witness
+    of the punctured complex, and the extracted assignment.  Raises
+    ``InternalError`` when the winning removal does not read back as a
+    model.
     """
     lc = _compile(phi).labeled
     pools = [
@@ -555,12 +552,8 @@ def decide_phi_via_complex(phi: Formula) -> ReductionCertificate | None:
         for i in range(1, phi.n + 1)
     ]
     res = find_removal(lc.complex, pools, _SWEEP_CAP)
-    if res.verdict == "budget_exceeded":
-        raise SweepCapError(
-            f"removal enumeration needs more candidates than its cap; cap is {_SWEEP_CAP}"
-        )
     if not res.yes:
-        return None
+        return res
     removal, pairs = res.witness
     extracted = assignment_from_removal(lc, frozenset(removal))
     if extracted is None or not _satisfies(phi, extracted):
@@ -568,4 +561,5 @@ def decide_phi_via_complex(phi: Formula) -> ReductionCertificate | None:
             "collapsible removal fails to read back as a model: "
             f"{sorted(map(face_key, removal))}"
         )
-    return ReductionCertificate(removal, pairs, extracted)
+    cert = ReductionCertificate(removal, pairs, extracted)
+    return SearchResult("yes", (cert,), res.nodes)

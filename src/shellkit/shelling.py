@@ -336,40 +336,27 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> None:
 # -- shellability of the double barycentric subdivision -----------------------
 
 
-def hachimori_decide_sd2(
-    k: Complex, budget: int = DEFAULT_BUDGET
-) -> tuple[str, Mapping | None]:
+def hachimori_decide_sd2(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Decide shellability of sd²(k) without constructing it.
 
     The double barycentric subdivision of a 2-complex is shellable
     exactly when every vertex link of the complex itself is connected
-    and removing some set of χ̃ triangles leaves it collapsible.  The
-    removal sets are searched with ``collapse.find_removal`` in
-    ``itertools.combinations`` order over the triangles; the search is
-    skipped as budget_exceeded when the set count alone overruns
-    ``budget``.
-
-    Returns ``(verdict, certificate)`` with verdict one of
-    ``"shellable"``, ``"not_shellable"``, ``"budget_exceeded"``; the
-    certificate carries the removed triangles and a collapse witness
-    for the remainder.
+    and removing some set of χ̃ triangles leaves it collapsible.  A
+    disconnected link or a negative χ̃ is a no with 0 nodes; otherwise
+    the removal sets are searched with ``collapse.find_removal`` in
+    ``itertools.combinations`` order over the triangles, and its result
+    is returned as it is: on yes the witness is ``(removal, pairs)``, the
+    removed triangles and a collapse of the remainder to a vertex, and
+    ``nodes`` counts the removals tried.  The verdict is budget_exceeded,
+    with no search, when the set count alone overruns ``budget``.
     """
     if k.dim != 2:
         raise ShellingError("the sd2 criterion applies to 2-dimensional complexes")
-    ok, _ = vertex_links_connected(k)
-    if not ok:
-        return "not_shellable", None
     chi = k.reduced_euler_characteristic()
-    if chi < 0:
-        return "not_shellable", None
+    if chi < 0 or not vertex_links_connected(k)[0]:
+        return SearchResult("no", None, 0)
     triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
-    res = find_removal(k, [triangles] * chi, budget, ascending=True)
-    if res.verdict == "budget_exceeded":
-        return "budget_exceeded", None
-    if not res.yes:
-        return "not_shellable", None
-    removal, pairs = res.witness
-    return "shellable", {"removal": removal, "pairs": pairs}
+    return find_removal(k, [triangles] * chi, budget, ascending=True)
 
 
 # -- witness serialization ----------------------------------------------------

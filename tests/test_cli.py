@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from shellkit import cli
-from shellkit.collapse import SearchResult
+from shellkit.collapse import SearchResult, is_collapsible_2d_greedy
 from shellkit.complex_core import InternalError, parse_facet_lines
 from shellkit.gadgets import OneHouseSpec, boundary_simplex, build_one_house
 
@@ -156,6 +156,54 @@ def test_verify_rejects_tampered_witness(tmp_path, capsys):
     assert code == 1
     assert "verdict: no" in out
     assert "reason:" in out
+
+
+# Collapse witnesses with removed facets that replay, but do not show
+# Hachimori's criterion for sd² of the input: (input, removed facets,
+# whether the remainder is collapsed, exit code of check hachimori-sd2 or
+# None).
+FORGED_SD2 = {
+    # Vertex 0's link is a triangle boundary plus the edge 4 5.
+    "disconnected link": (SPHERE + "0 4 5\n", [[1, 2, 3]], True, 1),
+    # Taking out the isolated vertex 6 leaves a disk.  The criterion is
+    # not meant for such non-pure input, so check's answer is not pinned.
+    "removed vertex": ("0 1 2\n0 2 3\n6\n", [[6]], True, None),
+    "one-dimensional": ("0 1\n", [], True, 2),
+    "no collapse": ("0 1 2\n", [], False, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_SD2))
+def test_verify_checks_the_whole_sd2_claim(case, tmp_path, capsys):
+    text, removed, collapse, check_code = FORGED_SD2[case]
+    k = parse_facet_lines(text)
+    removed = [frozenset(f) for f in removed]
+    pairs = is_collapsible_2d_greedy(k.remove_facets(removed))[1] if collapse else ()
+    path = tmp_path / "k.txt"
+    path.write_text(text)
+    witness = tmp_path / "forged.json"
+    witness.write_text(cli._collapse_witness_json(k, pairs, removed))
+    code, out, _ = run(["verify", str(path), str(witness)], capsys)
+    assert code == 1
+    assert "verdict: no" in out and "reason:" in out
+    if check_code is not None:
+        assert run(["check", "hachimori-sd2", str(path)], capsys)[0] == check_code
+
+
+def test_report_counts_the_removals_tried(tmp_path, capsys):
+    unsat, sat = tmp_path / "unsat.cnf", tmp_path / "sat.cnf"
+    unsat.write_text(UNSAT)
+    sat.write_text(CNF)
+    run(["reduce", str(unsat)], capsys)
+    for argv, exit_code, nodes in (
+        (["solve-sat", str(unsat)], 1, 8),
+        (["check", "hachimori-sd2", str(tmp_path / "unsat.kphi.json")], 1, 241),
+    ):
+        code, out, _ = run(["--json", *argv], capsys)
+        assert (code, json.loads(out)["search_nodes"]) == (exit_code, nodes), argv
+    code, out, _ = run(["--json", "solve-sat", str(sat)], capsys)
+    assert code == 0
+    assert json.loads(out)["search_nodes"] >= 1
 
 
 def test_verify_garbage_witness_is_usage_error(tmp_path, capsys):

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from shellkit import collapse, reduction, shelling
+from shellkit import collapse
 from shellkit.collapse import TriangleErasure, find_removal, is_collapsible_2d_greedy
 from shellkit.complex_core import (
     Complex,
@@ -161,13 +161,14 @@ def test_decide_phi_matches_product_loop():
     family += [Formula(2, ((1, 2, 2), (-1, -2, -2), (1, -2, -2), (-1, 2, 2)))]
     outcomes = Counter()
     for phi in family:
-        cert = decide_phi_via_complex(phi)
+        res = decide_phi_via_complex(phi)
         ref = _decide_phi_reference(phi)
-        outcomes[cert is None] += 1
+        outcomes[res.yes] += 1
         if ref is None:
-            assert cert is None, phi
+            assert res.verdict == "no", phi
             continue
-        assert cert is not None, phi
+        assert res.yes, phi
+        (cert,) = res.witness
         assert (cert.removal, cert.pairs, cert.assignment) == ref, phi
     assert outcomes[True] and outcomes[False]
 
@@ -176,13 +177,13 @@ def test_decide_phi_full_sweep_matches_combinations_loop():
     # Every set of chi triangles of K_phi, as Hachimori's criterion searches.
     for phi in (Formula(1, ((1, 1, 1),)), Formula(1, ((1, 1, 1), (-1, -1, -1)))):
         k = build_K_phi(phi).complex
-        verdict, cert = hachimori_decide_sd2(k)
+        res = hachimori_decide_sd2(k)
         ref = _hachimori_reference(k)
         if ref is None:
-            assert verdict == "not_shellable"
+            assert res.verdict == "no"
         else:
-            assert verdict == "shellable"
-            assert (cert["removal"], cert["pairs"]) == ref
+            assert res.verdict == "yes"
+            assert res.witness == ref
 
 
 def _hachimori_reference(k: Complex, pool=None):
@@ -217,13 +218,13 @@ def test_hachimori_matches_combinations_loop():
             verdicts[f"pool {res.verdict}"] += 1
             assert res.witness == _hachimori_reference(k, pool)
             continue
-        verdict, cert = hachimori_decide_sd2(k)
-        verdicts[verdict] += 1
-        if verdict == "shellable":
-            assert (cert["removal"], cert["pairs"]) == _hachimori_reference(k)
+        res = hachimori_decide_sd2(k)
+        verdicts[res.verdict] += 1
+        if res.yes:
+            assert res.witness == _hachimori_reference(k)
         elif chi >= 0 and vertex_links_connected(k)[0]:
             assert _hachimori_reference(k) is None
-    for case in ("shellable", "not_shellable", "pool yes", "pool no"):
+    for case in ("yes", "no", "pool yes", "pool no"):
         assert verdicts[case] > 0, case
 
 
@@ -237,22 +238,16 @@ def test_hachimori_on_compiled_complexes_matches_combinations_loop():
         assert res.witness == _hachimori_reference(lc.complex, pool)
 
 
-def test_removals_tried_are_pinned(monkeypatch):
+def test_removals_tried_are_pinned():
     # An unsatisfiable search tries every removal: the 8 triangles of one
     # sphere, all 241 triangles of K_phi, and 8**3 over three spheres.
-    tried = []
-
-    def spy(*args, **kwargs):
-        res = find_removal(*args, **kwargs)
-        tried.append((res.verdict, res.nodes))
-        return res
-
-    monkeypatch.setattr(reduction, "find_removal", spy)
-    monkeypatch.setattr(shelling, "find_removal", spy)
     contra = Formula(1, ((1, 1, 1), (-1, -1, -1)))
-    assert decide_phi_via_complex(contra) is None
-    assert hachimori_decide_sd2(build_K_phi(contra).complex)[0] == "not_shellable"
-    assert decide_phi_via_complex(Formula(3, ((1, 1, 1), (-1, -1, -1), (2, 3, -2)))) is None
+    results = [
+        decide_phi_via_complex(contra),
+        hachimori_decide_sd2(build_K_phi(contra).complex),
+        decide_phi_via_complex(Formula(3, ((1, 1, 1), (-1, -1, -1), (2, 3, -2)))),
+    ]
+    tried = [(res.verdict, res.nodes) for res in results]
     assert tried == [("no", 8), ("no", 241), ("no", 512)]
 
 

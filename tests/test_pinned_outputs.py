@@ -119,9 +119,13 @@ def _complex_records(k: Complex) -> list:
             out.append("disk")
         except CollapseError as exc:
             out.append(str(exc))
-        verdict, cert = hachimori_decide_sd2(k, budget=2000)
-        if cert is not None:
-            cert = [_faces(cert["removal"]), _pairs(cert["pairs"])]
+        res = hachimori_decide_sd2(k, budget=2000)
+        # The digest was recorded with the criterion's own verdict words.
+        verdict = {"yes": "shellable", "no": "not_shellable"}.get(res.verdict, res.verdict)
+        cert = None
+        if res.yes:
+            removal, pairs = res.witness
+            cert = [_faces(removal), _pairs(pairs)]
         out.append([verdict, cert])
     return out
 
@@ -143,8 +147,12 @@ def pinned_records() -> list:
         Formula(2, ((1, -2, 2), (-1, 1, 2))),
         Formula(2, ((1, 2, 2), (-1, -2, -2), (1, -2, -2))),
     ):
-        cert = decide_phi_via_complex(phi)
-        records.append(None if cert is None else [_faces(cert.removal), _pairs(cert.pairs)])
+        res = decide_phi_via_complex(phi)
+        if res.yes:
+            (cert,) = res.witness
+            records.append([_faces(cert.removal), _pairs(cert.pairs)])
+        else:
+            records.append(None)
     phi = Formula(1, ((1, 1, 1),))
     removal, sequence = schedule_collapse(phi, sat_oracle(phi))
     records.append([sorted(_faces(removal)), _pairs(sequence)])

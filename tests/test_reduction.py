@@ -200,21 +200,23 @@ def test_decide_agrees_with_oracle():
     rng = random.Random(43)
     for _ in range(12):
         phi = random_formula(rng.randint(1, 2), rng.randint(1, 2), rng)
-        cert = decide_phi_via_complex(phi)
+        res = decide_phi_via_complex(phi)
         model = sat_oracle(phi)
-        assert (cert is None) == (model is None), phi
-        if cert is not None:
+        assert res.verdict == ("no" if model is None else "yes"), phi
+        if res.yes:
+            (cert,) = res.witness
             assert len(cert.removal) == phi.n
             assert sat_oracle(Formula(phi.n, phi.clauses)) is not None
 
 
 def test_decide_unsat_full_sweep():
-    assert decide_phi_via_complex(CONTRA) is None
+    assert decide_phi_via_complex(CONTRA).verdict == "no"
 
 
 def test_decide_certificate_replays():
-    cert = decide_phi_via_complex(MIXED)
-    assert cert is not None
+    res = decide_phi_via_complex(MIXED)
+    assert res.yes
+    (cert,) = res.witness
     k = build_K_phi(MIXED).complex
     for tau in cert.removal:
         k = k.remove_facet(tau)

@@ -462,41 +462,43 @@ def test_verify_decomposition_and_tampering():
 
 def test_hachimori_frozen_verdicts():
     mdh = fixtures()["modified_dunce_hat"].complex
-    verdict, cert = hachimori_decide_sd2(mdh)
-    assert verdict == "shellable"
-    assert cert["removal"] == ()
-    verify_collapse_sequence(mdh, cert["pairs"])
+    res = hachimori_decide_sd2(mdh)
+    assert res.verdict == "yes"
+    removal, pairs = res.witness
+    assert removal == ()
+    verify_collapse_sequence(mdh, pairs)
 
-    assert hachimori_decide_sd2(fixtures()["torus_7"].complex)[0] == "not_shellable"
+    assert hachimori_decide_sd2(fixtures()["torus_7"].complex).verdict == "no"
     wedge = Complex.from_facets([[0, 1, 2], [2, 3, 4]])
-    assert hachimori_decide_sd2(wedge)[0] == "not_shellable"
+    assert hachimori_decide_sd2(wedge).verdict == "no"
     disjoint = Complex.from_facets([[0, 1, 2], [3, 4, 5]])
-    assert hachimori_decide_sd2(disjoint)[0] == "not_shellable"
+    assert hachimori_decide_sd2(disjoint).verdict == "no"
 
 
 def test_hachimori_certificate_replays():
     bd3 = Complex.from_facets(BD3)
-    verdict, cert = hachimori_decide_sd2(bd3)
-    assert verdict == "shellable"
-    assert len(cert["removal"]) == 1
+    res = hachimori_decide_sd2(bd3)
+    assert res.verdict == "yes"
+    removal, pairs = res.witness
+    assert len(removal) == 1
     trimmed = bd3
-    for tau in cert["removal"]:
+    for tau in removal:
         trimmed = trimmed.remove_facet(tau)
-    final = verify_collapse_sequence(trimmed, cert["pairs"])
+    final = verify_collapse_sequence(trimmed, pairs)
     assert all(len(f) == 1 for f in final.facets) and len(final.facets) == 1
 
 
 def test_hachimori_matches_direct_sd2_decision():
     for facets in (BD3, [[0, 1, 2]], [[0, 1, 2], [2, 3, 4]]):
         k = Complex.from_facets(facets)
-        verdict, _ = hachimori_decide_sd2(k)
+        res = hachimori_decide_sd2(k)
         direct = decide_shellable(barycentric_subdivision(k, 2).complex)
-        assert (verdict == "shellable") == direct.yes
+        assert res.yes == direct.yes
 
 
 def test_hachimori_budget_and_pool():
     disjoint = Complex.from_facets([[0, 1, 2], [3, 4, 5]])
-    assert hachimori_decide_sd2(disjoint, budget=1)[0] == "budget_exceeded"
+    assert hachimori_decide_sd2(disjoint, budget=1).verdict == "budget_exceeded"
 
     # bd3 plus a pendant triangle: only removals inside the sphere work.
     k = Complex.from_facets(BD3 + [[1, 2, 4]])

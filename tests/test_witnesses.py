@@ -58,9 +58,10 @@ def test_every_yes_witness_replays():
         if res.yes:
             docs.append(("collapsible", json.dumps(collapse_doc(k, res.witness))))
         if k.dim == 2:
-            verdict, cert = hachimori_decide_sd2(k, budget=2000)
-            if verdict == "shellable":
-                doc = collapse_doc(k, cert["pairs"], cert["removal"])
+            res = hachimori_decide_sd2(k, budget=2000)
+            if res.yes:
+                removal, pairs = res.witness
+                doc = collapse_doc(k, pairs, removal)
                 docs.append(("hachimori-sd2", json.dumps(doc)))
         for name, text in docs:
             cli._replay_witness(k, json.loads(text))

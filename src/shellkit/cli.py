@@ -9,6 +9,13 @@ The deciders recurse once per search level, so an input that drives one
 deeper than Python's recursion limit (``check shellable`` on a strip of a
 thousand triangles) ends with a message and exit 3, as a cap that ran
 out, never with a "no".
+
+Every decider returns a ``SearchResult``, and this module alone knows the
+witness format: ``check`` builds the document of a yes, replays it and
+only then writes it, and ``verify`` reads it back through the same
+replay.  The report's ``nodes`` counts what ran: search nodes, greedy
+collapse steps or removals tried, and in ``verify`` the facets placed,
+tree nodes checked or pairs replayed.
 """
 
 from __future__ import annotations
@@ -21,15 +28,12 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from shellkit.collapse import (
     DEFAULT_BUDGET,
     CollapseError,
     CollapsePair,
-    _pairs_from_json,
-    collapse_witness_from_json,
-    collapse_witness_to_json,
     is_collapsible_2d_greedy,
     is_collapsible_dfs,
     verify_collapse_sequence,
@@ -74,11 +78,7 @@ from shellkit.shelling import (
     ShellingError,
     decide_k_decomposable,
     decide_shellable,
-    decomposition_witness_from_json,
-    decomposition_witness_to_json,
     hachimori_decide_sd2,
-    shelling_witness_from_json,
-    shelling_witness_to_json,
     verify_decomposition,
     verify_shelling,
 )
@@ -158,69 +158,48 @@ def _cmd_stats(args: argparse.Namespace) -> tuple[RunReport, dict]:
     return report, {"stats": payload}
 
 
-def _parse_property(args: argparse.Namespace) -> tuple[str, int | None]:
-    prop = args.property
+def _parse_property(prop: str) -> tuple[str, int | None]:
+    if prop in ("shellable", "collapsible", "hachimori-sd2"):
+        return prop, None
     if prop.startswith("k-decomposable(") and prop.endswith(")"):
         try:
             return "k-decomposable", int(prop[len("k-decomposable(") : -1])
         except ValueError:
             raise CliError(f"bad decomposability order in {prop!r}") from None
-    if prop == "k-decomposable":
-        if args.k is None:
-            raise CliError("k-decomposable needs --k or the k-decomposable(N) form")
-        return prop, args.k
-    return prop, None
+    raise CliError(
+        f"unknown property {prop!r}; the properties are shellable, "
+        "collapsible, k-decomposable(N) for order N, and hachimori-sd2"
+    )
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[RunReport, dict]:
     if args.budget < 0:
         raise CliError(f"--budget must be >= 0, got {args.budget}")
-    prop, kk = _parse_property(args)
+    prop, kk = _parse_property(args.property)
     text = _read_input(args.input)
     k = _load_complex(text).complex
-    witness_json: str | None = None
-    pairs = removal = None
-    nodes = 0
-
     if prop == "shellable":
         res = decide_shellable(k, budget=args.budget)
-        verdict, nodes = res.verdict, res.nodes
-        if res.yes:
-            witness_json = shelling_witness_to_json(res.witness)
+    elif prop == "collapsible" and k.dim <= 2:
+        res = is_collapsible_2d_greedy(k)
     elif prop == "collapsible":
-        if k.dim <= 2:
-            ok, pairs = is_collapsible_2d_greedy(k)
-            verdict = "yes" if ok else "no"
-        else:
-            res = is_collapsible_dfs(k, budget=args.budget)
-            verdict, nodes, pairs = res.verdict, res.nodes, res.witness
+        res = is_collapsible_dfs(k, budget=args.budget)
     elif prop == "k-decomposable":
         res = decide_k_decomposable(k, kk, budget=args.budget)
-        verdict, nodes = res.verdict, res.nodes
-        if res.yes:
-            witness_json = decomposition_witness_to_json(kk, res.witness[0])
-    elif prop == "hachimori-sd2":
-        res = hachimori_decide_sd2(k, budget=args.budget)
-        verdict, nodes = res.verdict, res.nodes
-        if res.yes:
-            removal, pairs = res.witness
     else:
-        raise CliError(f"unknown property {args.property!r}")
-
-    # Fail closed: a witness is written only after it replays on the input.
-    try:
-        if pairs is not None:
-            witness_json = _collapse_witness_json(k, pairs, removal)
-        if witness_json is not None:
-            _replay_witness(k, json.loads(witness_json))
-    except (CollapseError, ShellingError) as exc:
-        raise InternalError(f"the {prop} witness does not verify: {exc}") from None
+        res = hachimori_decide_sd2(k, budget=args.budget)
     witness_path = None
-    if witness_json is not None:
+    if res.yes:
+        # Fail closed: a witness is written only after it replays on the input.
+        try:
+            doc = _witness_doc(prop, k, res.witness, kk)
+            _replay_witness(k, doc)
+        except (CollapseError, ShellingError) as exc:
+            raise InternalError(f"the {prop} witness does not verify: {exc}") from None
         witness_path = args.witness or f"{_stem(args.input)}.{prop}.witness.json"
-        Path(witness_path).write_text(witness_json)
+        Path(witness_path).write_text(_dump(doc))
     report = RunReport(
-        f"check {prop}", _digest(text), verdict, witness_path, search_nodes=nodes
+        f"check {prop}", _digest(text), res.verdict, witness_path, search_nodes=res.nodes
     )
     return report, {}
 
@@ -242,55 +221,124 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[RunReport, dict]:
     return report, payload
 
 
-def _collapse_witness_json(
-    k: Complex, pairs: Sequence[CollapsePair], removal: Iterable[frozenset] | None
-) -> str:
-    """A collapse witness for ``k`` with the facets in ``removal`` taken out
-    first; ``removal=None`` leaves out the ``removed_facets`` key."""
-    k = k.remove_facets(removal or ())
-    doc = json.loads(collapse_witness_to_json(pairs, verify_collapse_sequence(k, pairs)))
-    if removal is not None:
-        doc["removed_facets"] = [
-            list(face_key(f)) for f in sorted(removal, key=face_sort_key)
-        ]
+# -- witnesses ---------------------------------------------------------------------
+# A witness is a dict until ``_dump`` writes it: ``_witness_doc`` builds one,
+# and ``_replay_witness`` and ``_verify_reduction_certificate`` read one.
+
+
+def _dump(doc: Mapping) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _replay_witness(k: Complex, doc: Mapping) -> None:
-    """Replay a shelling, decomposition or collapse witness on ``k``.
+def _face_lists(faces: Iterable[frozenset]) -> list[list[int]]:
+    return [list(face_key(f)) for f in sorted(faces, key=face_sort_key)]
+
+
+def _witness_doc(prop: str, k: Complex | Formula, witness: tuple, kk: int | None = None) -> dict:
+    """The document for the witness of a yes: of ``check prop`` on the
+    complex ``k`` (``kk`` is the order of ``k-decomposable``), or with
+    ``prop`` "sat" the certificate of ``solve-sat`` on the formula ``k``.
+    A collapse is replayed once to find the complex it ends at."""
+    if prop == "shellable":
+        return {"kind": "shelling", "order": [list(face_key(f)) for f in witness]}
+    if prop == "k-decomposable":
+        return {"kind": "decomposition", "k": kk, "tree": witness[0]}
+    if prop == "sat":
+        (cert,) = witness
+        return {
+            "kind": "reduction-certificate",
+            "formula": {"n": k.n, "clauses": [list(c) for c in k.clauses]},
+            "removal": _face_lists(cert.removal),
+            "pairs": [p.as_lists() for p in cert.pairs],
+            "assignment": {str(v): bool(cert.assignment[v]) for v in sorted(cert.assignment)},
+        }
+    # Removed facets claim Hachimori's criterion for sd²(k).
+    removal, pairs = witness if prop == "hachimori-sd2" else (None, witness)
+    final = verify_collapse_sequence(k.remove_facets(removal or ()), pairs)
+    doc = {
+        "kind": "collapse",
+        "pairs": [p.as_lists() for p in pairs],
+        "target_facets": _face_lists(final.facets),
+    }
+    if removal is not None:
+        doc["removed_facets"] = _face_lists(removal)
+    return doc
+
+
+def _pairs_from_json(raw) -> tuple:
+    """Collapse pairs from a JSON list of ``[free, coface]`` face pairs;
+    a malformed entry, or a free face that is not a proper nonempty
+    subface of its coface, raises FormatError."""
+    if not isinstance(raw, list):
+        raise FormatError("collapse witness needs a 'pairs' list")
+    pairs = []
+    for entry in raw:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise FormatError(f"bad collapse pair: {entry!r}")
+        free, coface = read_faces(entry, "collapse pair")
+        try:
+            pairs.append(CollapsePair(free, coface))
+        except CollapseError as exc:
+            raise FormatError(str(exc)) from None
+    return tuple(pairs)
+
+
+def _replay_removal(
+    k: Complex, removed: Iterable[frozenset], pairs: tuple, target: Complex | None = None
+) -> int:
+    """Take the facets in ``removed`` out of ``k``, replay ``pairs`` on the
+    rest (ending at ``target`` when given), and require the collapse to end
+    at a single vertex; returns the number of pairs replayed."""
+    final = verify_collapse_sequence(k.remove_facets(removed), pairs, target)
+    if sorted(map(len, final.facets)) != [1]:
+        raise CollapseError("the collapse does not end at a single vertex")
+    return len(pairs)
+
+
+def _replay_witness(k: Complex, doc: Mapping) -> int:
+    """Replay a shelling, decomposition or collapse witness on ``k``, and
+    return what was replayed: facets placed, tree nodes checked or pairs.
 
     Raises ShellingError or CollapseError when the witness does not hold,
     and FormatError when the document is malformed or of another kind.
     """
     kind = doc.get("kind")
     if kind == "shelling":
-        verify_shelling(k, shelling_witness_from_json(doc))
-    elif kind == "decomposition":
-        kk, tree = decomposition_witness_from_json(doc)
-        verify_decomposition(k, kk, tree)
-    elif kind == "collapse":
-        pairs, target = collapse_witness_from_json(doc)
-        removed = doc.get("removed_facets")
-        if removed is None:
-            verify_collapse_sequence(k, pairs, target)
-            return
-        # Removed facets claim Hachimori's criterion for sd²(k): k is
-        # 2-dimensional with connected vertex links, and taking out the
-        # triangles leaves a complex that collapses to a single vertex.
-        removed = read_faces(removed, "'removed_facets'")
-        final = verify_collapse_sequence(k.remove_facets(removed), pairs, target)
-        if k.dim != 2 or any(len(f) != 3 for f in removed):
-            raise CollapseError("removed facets must be triangles of a 2-complex")
-        ok, bad = vertex_links_connected(k)
-        if not ok:
-            raise CollapseError(f"the link of vertex {bad[0]} is disconnected")
-        if sorted(map(len, final.facets)) != [1]:
-            raise CollapseError("the collapse does not end at a single vertex")
-    else:
+        order = doc.get("order")
+        if not isinstance(order, list) or not order:
+            raise FormatError("shelling witness needs a nonempty 'order' list")
+        verify_shelling(k, read_faces(order, "shelling order"))
+        return len(order)
+    if kind == "decomposition":
+        kk = doc.get("k")
+        if not isinstance(kk, int) or isinstance(kk, bool) or not isinstance(doc.get("tree"), dict):
+            raise FormatError("decomposition witness needs integer 'k' and object 'tree'")
+        return verify_decomposition(k, kk, doc["tree"])
+    if kind != "collapse":
         raise FormatError(f"unknown witness kind {kind!r}")
+    pairs = _pairs_from_json(doc.get("pairs"))
+    target = Complex.from_facets(read_faces(doc.get("target_facets"), "'target_facets'"))
+    removed = doc.get("removed_facets")
+    if removed is None:
+        verify_collapse_sequence(k, pairs, target)
+        return len(pairs)
+    # Hachimori's criterion for sd²(k): k is 2-dimensional with connected
+    # vertex links, and taking out the triangles leaves a complex that
+    # collapses to a single vertex.  Such a k is pure: a maximal edge or
+    # vertex would disconnect a link or the complex.
+    removed = read_faces(removed, "'removed_facets'")
+    replayed = _replay_removal(k, removed, pairs, target)
+    if k.dim != 2 or any(len(f) != 3 for f in removed):
+        raise CollapseError("removed facets must be triangles of a 2-complex")
+    ok, bad = vertex_links_connected(k)
+    if not ok:
+        raise CollapseError(f"the link of vertex {bad[0]} is disconnected")
+    return replayed
 
 
-def _verify_reduction_certificate(text: str, doc: Mapping) -> str:
+def _verify_reduction_certificate(text: str, doc: Mapping) -> int | None:
+    """Replay a certificate on the formula in ``text``: the number of pairs
+    replayed, or None when its removal is inadmissible."""
     spec = doc.get("formula")
     if not isinstance(spec, dict):
         raise FormatError("reduction certificate needs a 'formula' object")
@@ -314,15 +362,11 @@ def _verify_reduction_certificate(text: str, doc: Mapping) -> str:
     except ReductionError:
         extracted = None
     if extracted is None:
-        return "inadmissible"
+        return None
     if extracted != assignment or not _satisfies(phi, assignment):
         raise CollapseError("certificate assignment does not match its removal")
     pairs = _pairs_from_json(doc.get("pairs", []))
-    k = lc.complex.remove_facets(sorted(removal, key=face_sort_key))
-    final = verify_collapse_sequence(k, pairs)
-    if sorted(map(len, final.facets)) != [1]:
-        raise CollapseError("certificate collapse does not end at a single vertex")
-    return "yes"
+    return _replay_removal(lc.complex, sorted(removal, key=face_sort_key), pairs)
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[RunReport, dict]:
@@ -335,16 +379,18 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[RunReport, dict]:
     if not isinstance(doc, dict):
         raise FormatError("witness must be a JSON object")
     kind = doc.get("kind")
-    reason = None
+    reason, nodes = None, 0
     try:
         if kind == "reduction-certificate":
-            verdict = _verify_reduction_certificate(text, doc)
+            nodes = _verify_reduction_certificate(text, doc)
         else:
-            _replay_witness(_load_complex(text).complex, doc)
-            verdict = "yes"
+            nodes = _replay_witness(_load_complex(text).complex, doc)
+        verdict = "yes" if nodes is not None else "inadmissible"
     except (CollapseError, ShellingError) as exc:
         verdict, reason = "no", str(exc)
-    report = RunReport(f"verify {kind}", _digest(text), verdict, args.witness)
+    report = RunReport(
+        f"verify {kind}", _digest(text), verdict, args.witness, search_nodes=nodes or 0
+    )
     return report, {"reason": reason} if reason else {}
 
 
@@ -373,20 +419,11 @@ def _cmd_solve_sat(args: argparse.Namespace) -> tuple[RunReport, dict]:
         raise InternalError("solver disagreement; see diagnostic dump on stderr")
     if cert is None:
         return report, {}
-    assignment = {str(v): bool(cert.assignment[v]) for v in sorted(cert.assignment)}
-    doc = {
-        "kind": "reduction-certificate",
-        "formula": {"n": phi.n, "clauses": [list(c) for c in phi.clauses]},
-        "removal": [list(face_key(f)) for f in sorted(cert.removal, key=face_sort_key)],
-        "pairs": [p.as_lists() for p in cert.pairs],
-        "assignment": assignment,
-    }
+    doc = _witness_doc("sat", phi, res.witness)
     witness_path = args.witness or f"{_stem(args.input)}.sat.witness.json"
-    Path(witness_path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    Path(witness_path).write_text(_dump(doc))
     report = dataclasses.replace(report, witness_path=witness_path)
-    return report, {"assignment": assignment}
+    return report, {"assignment": doc["assignment"]}
 
 
 def _gadget_builders() -> dict:
@@ -456,7 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input", help="facet-list or JSON complex file, - for stdin")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--k", type=int, default=None, help="order for k-decomposable")
     p.add_argument("--witness", default=None, help="witness output path")
     p.set_defaults(handler=_cmd_check)
 

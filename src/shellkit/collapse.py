@@ -13,16 +13,14 @@ is complete because any wider collapse factors into one-dimension steps.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from shellkit.complex_core import (
     Complex,
     Face,
-    FormatError,
     InternalError,
     _canonical_facets,
     boundary_ridges,
@@ -31,7 +29,6 @@ from shellkit.complex_core import (
     graph_connected,
     is_pseudomanifold,
     one_skeleton_connected,
-    read_faces,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -293,22 +290,21 @@ def _prune_tree(
     return pairs
 
 
-def is_collapsible_2d_greedy(
-    k: Complex, keep_vertex: int | None = None
-) -> tuple[bool, tuple | None]:
+def is_collapsible_2d_greedy(k: Complex, keep_vertex: int | None = None) -> SearchResult:
     """Greedy collapsibility decider for complexes of dimension <= 2.
 
     Repeatedly collapses the lexicographically least free edge until no
     triangle-bearing free edge remains, then demands the residue be a tree
     and prunes pendant vertices.  Complete in dimension two: a greedy stall
     with triangles left or a non-tree residue means the complex is not
-    collapsible.  Returns ``(verdict, witness)`` where the witness collapses
-    the complex to a single vertex.
+    collapsible.  On yes the witness is the pairs, which collapse the
+    complex to a single vertex (``keep_vertex`` when given); ``nodes``
+    counts the collapse steps made, a stalled erasure's included.
     """
     if k.dim > 2:
         raise ValueError("greedy decider requires dimension <= 2")
     if not k.faces:
-        return (False, None)
+        return SearchResult("no", None, 0)
     pairs, live_tris, live_edges = _erase_2d(k, set())
     vertices = set(k.vertices)
     if (
@@ -316,10 +312,10 @@ def is_collapsible_2d_greedy(
         or len(live_edges) != len(vertices) - 1
         or not graph_connected(vertices, live_edges)
     ):
-        return (False, None)
+        return SearchResult("no", None, len(pairs))
     keep = set() if keep_vertex is None else {keep_vertex}
     pairs.extend(_prune_tree(vertices, live_edges, keep))
-    return (True, tuple(pairs))
+    return SearchResult("yes", tuple(pairs), len(pairs))
 
 
 class TriangleErasure:
@@ -505,13 +501,13 @@ def find_removal(
     removal, tried = TriangleErasure(k).first_collapsible(pools, ascending)
     if removal is None:
         return SearchResult("no", None, tried)
-    ok, pairs = is_collapsible_2d_greedy(k.remove_facets(removal))
-    if not ok:
+    greedy = is_collapsible_2d_greedy(k.remove_facets(removal))
+    if not greedy.yes:
         raise InternalError(
             "erasure found "
             f"{sorted(map(face_key, removal))} collapsible, greedy disagrees"
         )
-    return SearchResult("yes", (removal, pairs), tried)
+    return SearchResult("yes", (removal, greedy.witness), tried)
 
 
 # -- budgeted depth-first searches -------------------------------------------
@@ -812,39 +808,3 @@ def _glue_step(
     if index.collapse(pairs) != m_faces - mp_faces:
         raise CollapseError("the pairs remove other faces of k than m - m_prime")
 
-
-# -- witness serialization ----------------------------------------------------
-
-
-def collapse_witness_to_json(pairs: Sequence[CollapsePair], target: Complex) -> str:
-    doc = {
-        "kind": "collapse",
-        "pairs": [p.as_lists() for p in pairs],
-        "target_facets": [list(face_key(f)) for f in sorted(target.facets, key=face_sort_key)],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def collapse_witness_from_json(doc: Mapping) -> tuple[tuple, Complex]:
-    if doc.get("kind") != "collapse":
-        raise FormatError("witness kind is not 'collapse'")
-    pairs = _pairs_from_json(doc.get("pairs"))
-    return pairs, Complex.from_facets(read_faces(doc.get("target_facets"), "'target_facets'"))
-
-
-def _pairs_from_json(raw) -> tuple:
-    """Collapse pairs from a JSON list of ``[free, coface]`` face pairs;
-    a malformed entry, or a free face that is not a proper nonempty
-    subface of its coface, raises FormatError."""
-    if not isinstance(raw, list):
-        raise FormatError("collapse witness needs a 'pairs' list")
-    pairs = []
-    for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise FormatError(f"bad collapse pair: {entry!r}")
-        free, coface = read_faces(entry, "collapse pair")
-        try:
-            pairs.append(CollapsePair(free, coface))
-        except CollapseError as exc:
-            raise FormatError(str(exc)) from None
-    return tuple(pairs)

@@ -671,11 +671,11 @@ def collapse_house(
         pairs.extend(local)
 
     cap_cx = Complex.from_facets(frame.cap)
-    collapsed, cap_pairs = is_collapsible_2d_greedy(cap_cx, keep_vertex=frame.contact)
-    if not collapsed:
+    cap = is_collapsible_2d_greedy(cap_cx, keep_vertex=frame.contact)
+    if not cap.yes:
         raise GadgetError("house cap failed to collapse to its contact vertex")
-    _glue_step(index, cap_cx, Complex.from_facets([[frame.contact]]), cap_pairs)
-    pairs.extend(cap_pairs)
+    _glue_step(index, cap_cx, Complex.from_facets([[frame.contact]]), cap.witness)
+    pairs.extend(cap.witness)
     return tuple(pairs)
 
 

@@ -458,10 +458,10 @@ def schedule_collapse(
         literal_house(i, -sat_sign[i])
 
     # (g) prune the residual star down to the hub vertex.
-    ok, tail = is_collapsible_2d_greedy(index.complex(), keep_vertex=v_and)
-    if not ok or tail is None:
+    tail = is_collapsible_2d_greedy(index.complex(), keep_vertex=v_and)
+    if not tail.yes:
         raise ReductionError("residual complex failed to collapse to v_and")
-    pairs.extend(tail)
+    pairs.extend(tail.witness)
 
     sequence = tuple(pairs)
     _check_conjunction_precedence(lc, phi, sequence, neg_of)

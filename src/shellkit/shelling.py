@@ -9,7 +9,6 @@ always shellable.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import combinations
 from typing import Collection, Iterable, Mapping, Sequence
@@ -21,7 +20,6 @@ from shellkit.complex_core import (
     _validate_vertex,
     face_key,
     graph_connected,
-    read_faces,
     vertex_links_connected,
 )
 from shellkit.collapse import DEFAULT_BUDGET, SearchResult, find_removal
@@ -290,10 +288,11 @@ def _vertex_ids(raw, what: str) -> list[int]:
     return [_validate_vertex(v) for v in raw]
 
 
-def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> None:
-    """Check a shedding tree: links and deletions are recomputed, never
-    trusted from the witness.  A node that is not an object, or a vertex
-    id that is not an int (a bool included), is a ``FormatError``."""
+def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:
+    """Check a shedding tree and return the number of its nodes checked:
+    links and deletions are recomputed, never trusted from the witness.  A
+    node that is not an object, or a vertex id that is not an int (a bool
+    included), is a ``FormatError``."""
     if not isinstance(tree, Mapping):
         raise FormatError("decomposition tree node must be an object")
     if "leaf" in tree:
@@ -301,13 +300,13 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> None:
         if not facet:
             if len(k.faces) > 1:
                 raise ShellingError("leaf [] claims an empty complex")
-            return
+            return 1
         expected = Complex.from_facets([facet])
         if k != expected:
             raise ShellingError(
                 f"leaf {facet} does not match the complex at this node"
             )
-        return
+        return 1
     if "shedding" not in tree:
         raise ShellingError("tree node needs 'leaf' or 'shedding'")
     shedding = _vertex_ids(tree["shedding"], "shedding face")
@@ -327,10 +326,12 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> None:
     dl = k.delete(sigma)
     if not dl.faces or dl.dim != d or not dl.is_pure(d):
         raise ShellingError(f"deletion of {sorted(sigma)} is not pure {d}-dimensional")
+    checked = 1
     for child_key, sub in (("link", lk), ("delete", dl)):
         if child_key not in tree:
             raise ShellingError(f"tree node missing {child_key!r}")
-        verify_decomposition(sub, kk, tree[child_key])
+        checked += verify_decomposition(sub, kk, tree[child_key])
+    return checked
 
 
 # -- shellability of the double barycentric subdivision -----------------------
@@ -339,9 +340,10 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> None:
 def hachimori_decide_sd2(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Decide shellability of sd²(k) without constructing it.
 
-    The double barycentric subdivision of a 2-complex is shellable
+    The double barycentric subdivision of a pure 2-complex is shellable
     exactly when every vertex link of the complex itself is connected
-    and removing some set of χ̃ triangles leaves it collapsible.  A
+    and removing some set of χ̃ triangles leaves it collapsible.  Any
+    other input raises ShellingError, as in ``decide_shellable``.  A
     disconnected link or a negative χ̃ is a no with 0 nodes; otherwise
     the removal sets are searched with ``collapse.find_removal`` in
     ``itertools.combinations`` order over the triangles, and its result
@@ -350,41 +352,11 @@ def hachimori_decide_sd2(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResu
     ``nodes`` counts the removals tried.  The verdict is budget_exceeded,
     with no search, when the set count alone overruns ``budget``.
     """
-    if k.dim != 2:
-        raise ShellingError("the sd2 criterion applies to 2-dimensional complexes")
+    if k.dim != 2 or not k.is_pure():
+        raise ShellingError("the sd2 criterion applies to pure 2-dimensional complexes")
     chi = k.reduced_euler_characteristic()
     if chi < 0 or not vertex_links_connected(k)[0]:
         return SearchResult("no", None, 0)
     triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
     return find_removal(k, [triangles] * chi, budget, ascending=True)
 
-
-# -- witness serialization ----------------------------------------------------
-
-
-def shelling_witness_to_json(order: Sequence[Face]) -> str:
-    doc = {"kind": "shelling", "order": [list(face_key(f)) for f in order]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def shelling_witness_from_json(doc: Mapping) -> tuple[Face, ...]:
-    if doc.get("kind") != "shelling":
-        raise FormatError("witness kind is not 'shelling'")
-    order = doc.get("order")
-    if not isinstance(order, list) or not order:
-        raise FormatError("shelling witness needs a nonempty 'order' list")
-    return tuple(read_faces(order, "shelling order"))
-
-
-def decomposition_witness_to_json(kk: int, tree: Mapping) -> str:
-    doc = {"kind": "decomposition", "k": kk, "tree": tree}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def decomposition_witness_from_json(doc: Mapping) -> tuple[int, Mapping]:
-    if doc.get("kind") != "decomposition":
-        raise FormatError("witness kind is not 'decomposition'")
-    kk = doc.get("k")
-    if not isinstance(kk, int) or isinstance(kk, bool) or not isinstance(doc.get("tree"), dict):
-        raise FormatError("decomposition witness needs integer 'k' and object 'tree'")
-    return kk, doc["tree"]

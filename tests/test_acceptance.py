@@ -190,8 +190,7 @@ def test_criterion_05_unsatisfiable_pipeline():
             k = lc.complex
             for tau in cand:
                 k = k.remove_facet(tau)
-            ok, _ = is_collapsible_2d_greedy(k)
-            assert not ok, (phi, cand)
+            assert not is_collapsible_2d_greedy(k).yes, (phi, cand)
     # n = 1: sweep every chi-tilde-sized subset of triangles, not just the
     # admissible ones.
     base = build_K_phi(contra).complex
@@ -205,8 +204,7 @@ def test_criterion_05_unsatisfiable_pipeline():
                 break
             k = k.remove_facet(tau)
         else:
-            ok, _ = is_collapsible_2d_greedy(k)
-            assert not ok, cand
+            assert not is_collapsible_2d_greedy(k).yes, cand
             swept += 1
     assert swept == math.comb(len(triangles), chi)
     elapsed = time.perf_counter() - t0
@@ -331,7 +329,7 @@ def test_criterion_11_greedy_dfs_equivalence():
     rng = random.Random(606)
     for _ in range(500):
         k = random_pure_2complex(rng, max_facets=12, pool=10)
-        ok, _ = is_collapsible_2d_greedy(k)
+        ok = is_collapsible_2d_greedy(k).yes
         res = is_collapsible_dfs(k)
         assert res.verdict in ("yes", "no"), k.facets
         assert res.yes == ok, k.facets

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line entry point, in process."""
 
 import json
+import random
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ from shellkit import cli
 from shellkit.collapse import SearchResult, is_collapsible_2d_greedy
 from shellkit.complex_core import InternalError, parse_facet_lines
 from shellkit.gadgets import OneHouseSpec, boundary_simplex, build_one_house
+from shellkit.reduction import random_formula
 
 SPHERE = "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 WEDGE = "0 1 2\n2 3 4\n"
@@ -111,12 +113,16 @@ def test_check_fails_closed_on_a_bad_witness(tmp_path, capsys, monkeypatch):
 def test_check_k_decomposable_both_spellings(tmp_path, capsys):
     path = tmp_path / "sphere.txt"
     path.write_text(SPHERE)
-    code, _, _ = run(["check", "k-decomposable(0)", str(path)], capsys)
-    assert code == 0
-    code, _, _ = run(
-        ["check", "k-decomposable", "--k", "2", str(path)], capsys
-    )
-    assert code == 0
+    for order in (0, 2):
+        code, _, _ = run(["check", f"k-decomposable({order})", str(path)], capsys)
+        assert code == 0
+    # The order has one spelling: --k is gone, and the bare name says so.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "k-decomposable", "--k", "2", str(path)])
+    assert exc.value.code == 2
+    code, out, err = run(["check", "k-decomposable", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "k-decomposable(N)" in err
 
 
 def test_check_hachimori_witness_replays(tmp_path, capsys):
@@ -160,14 +166,16 @@ def test_verify_rejects_tampered_witness(tmp_path, capsys):
 
 # Collapse witnesses with removed facets that replay, but do not show
 # Hachimori's criterion for sd² of the input: (input, removed facets,
-# whether the remainder is collapsed, exit code of check hachimori-sd2 or
-# None).
+# whether the remainder is collapsed, exit code of check hachimori-sd2).
 FORGED_SD2 = {
     # Vertex 0's link is a triangle boundary plus the edge 4 5.
     "disconnected link": (SPHERE + "0 4 5\n", [[1, 2, 3]], True, 1),
     # Taking out the isolated vertex 6 leaves a disk.  The criterion is
-    # not meant for such non-pure input, so check's answer is not pinned.
-    "removed vertex": ("0 1 2\n0 2 3\n6\n", [[6]], True, None),
+    # defined for pure input only, so check refuses this one.
+    "removed vertex": ("0 1 2\n0 2 3\n6\n", [[6]], True, 2),
+    # A pendant edge leaves a collapsible complex, but vertex 3's link is
+    # the edge 0 2 plus the vertex 4.
+    "pendant edge": ("0 1 2\n0 2 3\n3 4\n", [], True, 2),
     "one-dimensional": ("0 1\n", [], True, 2),
     "no collapse": ("0 1 2\n", [], False, 0),
 }
@@ -178,16 +186,42 @@ def test_verify_checks_the_whole_sd2_claim(case, tmp_path, capsys):
     text, removed, collapse, check_code = FORGED_SD2[case]
     k = parse_facet_lines(text)
     removed = [frozenset(f) for f in removed]
-    pairs = is_collapsible_2d_greedy(k.remove_facets(removed))[1] if collapse else ()
+    pairs = is_collapsible_2d_greedy(k.remove_facets(removed)).witness if collapse else ()
     path = tmp_path / "k.txt"
     path.write_text(text)
     witness = tmp_path / "forged.json"
-    witness.write_text(cli._collapse_witness_json(k, pairs, removed))
+    witness.write_text(cli._dump(cli._witness_doc("hachimori-sd2", k, (removed, pairs))))
     code, out, _ = run(["verify", str(path), str(witness)], capsys)
     assert code == 1
     assert "verdict: no" in out and "reason:" in out
-    if check_code is not None:
-        assert run(["check", "hachimori-sd2", str(path)], capsys)[0] == check_code
+    assert run(["check", "hachimori-sd2", str(path)], capsys)[0] == check_code
+
+
+def test_certificate_and_sd2_witness_share_the_removal_replay(tmp_path, capsys):
+    # A certificate's removal and pairs, written as a removed_facets witness
+    # on the reduce output, show Hachimori's criterion for sd²(K_phi).
+    rng = random.Random(15)
+    cnf, cert, kphi = tmp_path / "phi.cnf", tmp_path / "cert.json", tmp_path / "kphi.json"
+    sd2 = tmp_path / "sd2.json"
+    for n in (1, 2, 3, 1, 2, 3):
+        while True:
+            phi = random_formula(n, rng.randint(1, 3), rng)
+            lines = [f"p cnf {n} {len(phi.clauses)}"] + [f"{a} {b} {c} 0" for a, b, c in phi.clauses]
+            cnf.write_text("\n".join(lines) + "\n")
+            if run(["solve-sat", str(cnf), "--witness", str(cert)], capsys)[0] == 0:
+                break
+        assert run(["reduce", str(cnf), "-o", str(kphi)], capsys)[0] == 0
+        cert_doc = json.loads(cert.read_text())
+        removal = [frozenset(f) for f in cert_doc["removal"]]
+        pairs = cli._pairs_from_json(cert_doc["pairs"])
+        k = cli._load_complex(kphi.read_text()).complex
+        sd2_doc = cli._witness_doc("hachimori-sd2", k, (removal, pairs))
+        assert (sd2_doc["removed_facets"], sd2_doc["pairs"]) == (cert_doc["removal"], cert_doc["pairs"])
+        for short in (False, True):
+            for doc, path, source in ((cert_doc, cert, cnf), (sd2_doc, sd2, kphi)):
+                path.write_text(json.dumps({**doc, "pairs": doc["pairs"][: -1 if short else None]}))
+                code, out, _ = run(["verify", str(source), str(path)], capsys)
+                assert code == (1 if short else 0), (phi, doc["kind"], out)
 
 
 def test_report_counts_the_removals_tried(tmp_path, capsys):
@@ -204,6 +238,35 @@ def test_report_counts_the_removals_tried(tmp_path, capsys):
     code, out, _ = run(["--json", "solve-sat", str(sat)], capsys)
     assert code == 0
     assert json.loads(out)["search_nodes"] >= 1
+    # Greedy check collapsible counts its collapse steps, and verify counts
+    # what it replayed: facets placed, tree nodes checked or pairs.
+    disk, sphere = tmp_path / "disk.txt", tmp_path / "sphere.txt"
+    disk.write_text("0 1 2\n0 2 3\n")
+    sphere.write_text(SPHERE)
+    code, out, _ = run(["--json", "check", "collapsible", str(disk)], capsys)
+    assert (code, json.loads(out)["search_nodes"]) == (0, 5)
+    for prop in ("shellable", "k-decomposable(0)", "hachimori-sd2"):
+        assert run(["check", prop, str(sphere)], capsys)[0] == 0
+    replayed = {}
+    for path, witness in (
+        (disk, "disk.collapsible"),
+        (sphere, "sphere.shellable"),
+        (sphere, "sphere.k-decomposable"),
+        (sphere, "sphere.hachimori-sd2"),
+        (sat, "sat.sat"),
+    ):
+        argv = ["--json", "verify", str(path), str(tmp_path / f"{witness}.witness.json")]
+        code, out, _ = run(argv, capsys)
+        assert code == 0, witness
+        replayed[witness] = json.loads(out)["search_nodes"]
+    assert all(count > 0 for count in replayed.values()), replayed
+    assert (replayed["disk.collapsible"], replayed["sphere.shellable"]) == (5, 4)
+
+    def tree_nodes(tree):
+        return 1 + sum(tree_nodes(tree[key]) for key in ("link", "delete") if key in tree)
+
+    tree = json.loads((tmp_path / "sphere.k-decomposable.witness.json").read_text())["tree"]
+    assert replayed["sphere.k-decomposable"] == tree_nodes(tree) > 1
 
 
 def test_verify_garbage_witness_is_usage_error(tmp_path, capsys):

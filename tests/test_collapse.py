@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import random_complex, random_pure_2complex
+from shellkit import cli
 from shellkit.collapse import (
     CollapseError,
     _CollapseState,
@@ -16,8 +17,6 @@ from shellkit.collapse import (
     SearchResult,
     check_disk,
     collapse_disk_to_tree,
-    collapse_witness_from_json,
-    collapse_witness_to_json,
     collapses_to,
     constrain_complex,
     elementary_collapse,
@@ -201,17 +200,17 @@ def test_verify_collapse_sequence_rejects_tampering():
 
 
 def test_greedy_frozen_verdicts():
-    yes, pairs = is_collapsible_2d_greedy(fixtures()["modified_dunce_hat"].complex)
-    assert yes and pairs
-    assert not is_collapsible_2d_greedy(fixtures()["dunce_hat"].complex)[0]
-    assert not is_collapsible_2d_greedy(fixtures()["torus_7"].complex)[0]
-    assert is_collapsible_2d_greedy(Complex.from_facets([[0, 1, 2]]))[0]
-    assert not is_collapsible_2d_greedy(Complex.from_facets([[0, 1, 2], [3, 4, 5]]))[0]
+    res = is_collapsible_2d_greedy(fixtures()["modified_dunce_hat"].complex)
+    assert res.yes and res.witness and res.nodes == len(res.witness)
+    assert not is_collapsible_2d_greedy(fixtures()["dunce_hat"].complex).yes
+    assert not is_collapsible_2d_greedy(fixtures()["torus_7"].complex).yes
+    assert is_collapsible_2d_greedy(Complex.from_facets([[0, 1, 2]])).yes
+    assert not is_collapsible_2d_greedy(Complex.from_facets([[0, 1, 2], [3, 4, 5]])).yes
 
 
 def test_greedy_witness_replays_to_point():
     k = fixtures()["modified_dunce_hat"].complex
-    _, pairs = is_collapsible_2d_greedy(k)
+    pairs = is_collapsible_2d_greedy(k).witness
     final = verify_collapse_sequence(k, pairs)
     assert len(final.facets) == 1 and all(len(f) == 1 for f in final.facets)
 
@@ -219,9 +218,9 @@ def test_greedy_witness_replays_to_point():
 def test_greedy_keep_vertex():
     k = Complex.from_facets(FAN)
     for v in k.vertices:
-        yes, pairs = is_collapsible_2d_greedy(k, keep_vertex=v)
-        assert yes
-        final = verify_collapse_sequence(k, pairs)
+        res = is_collapsible_2d_greedy(k, keep_vertex=v)
+        assert res.yes
+        final = verify_collapse_sequence(k, res.witness)
         assert final.facets == frozenset({frozenset({v})})
 
 
@@ -231,7 +230,7 @@ def test_dfs_agrees_with_greedy_on_random_family():
         k = random_pure_2complex(rng, max_facets=7, pool=8)
         res = is_collapsible_dfs(k, budget=10**6)
         assert res.verdict in ("yes", "no")
-        assert res.yes == is_collapsible_2d_greedy(k)[0]
+        assert res.yes == is_collapsible_2d_greedy(k).yes
         if res.yes:
             verify_collapse_sequence(k, res.witness)
 
@@ -472,9 +471,11 @@ def test_glue_local_collapse_checks_containment():
 
 def test_witness_json_round_trip():
     k = Complex.from_facets(STRIP)
-    _, pairs = is_collapsible_2d_greedy(k)
+    pairs = is_collapsible_2d_greedy(k).witness
     final = verify_collapse_sequence(k, pairs)
-    doc = json.loads(collapse_witness_to_json(pairs, final))
-    back_pairs, back_target = collapse_witness_from_json(doc)
-    assert back_pairs == pairs
-    assert back_target == final
+    doc = cli._witness_doc("collapsible", k, pairs)
+    back = json.loads(cli._dump(doc))
+    assert back == doc
+    assert cli._pairs_from_json(back["pairs"]) == pairs
+    assert Complex.from_facets(back["target_facets"]) == final
+    assert cli._replay_witness(k, back) == len(pairs)

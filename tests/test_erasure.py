@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from shellkit import collapse
-from shellkit.collapse import TriangleErasure, find_removal, is_collapsible_2d_greedy
+from shellkit.collapse import SearchResult, TriangleErasure, find_removal, is_collapsible_2d_greedy
 from shellkit.complex_core import (
     Complex,
     InternalError,
@@ -29,7 +29,7 @@ from shellkit.reduction import (
     decide_phi_via_complex,
     random_formula,
 )
-from shellkit.shelling import hachimori_decide_sd2
+from shellkit.shelling import ShellingError, hachimori_decide_sd2
 
 
 def facets_by_subset_scan(k: Complex) -> frozenset:
@@ -58,9 +58,9 @@ def first_greedy_removal(k: Complex, candidates):
         trimmed = k
         for tau in removal:
             trimmed = trimmed.remove_facet(tau)
-        ok, pairs = is_collapsible_2d_greedy(trimmed)
-        if ok:
-            return tuple(removal), pairs
+        res = is_collapsible_2d_greedy(trimmed)
+        if res.yes:
+            return tuple(removal), res.witness
     return None
 
 
@@ -87,7 +87,7 @@ def test_erasure_matches_greedy_after_random_removals():
         engine = TriangleErasure(k)
         base = (engine.remaining, engine.collapsible())
         assert base[0] == len(erase_naive(triangles))
-        assert base[1] == is_collapsible_2d_greedy(k)[0]
+        assert base[1] == is_collapsible_2d_greedy(k).yes
         for _ in range(4):
             removal = []
             mark = None
@@ -104,7 +104,7 @@ def test_erasure_matches_greedy_after_random_removals():
                 for t in removal:
                     trimmed = trimmed.remove_facet(t)
                 assert engine.remaining == len(erase_naive(set(triangles) - set(removal)))
-                assert engine.collapsible() == is_collapsible_2d_greedy(trimmed)[0], (
+                assert engine.collapsible() == is_collapsible_2d_greedy(trimmed).yes, (
                     sorted(map(face_key, k.facets)),
                     sorted(map(face_key, removal)),
                 )
@@ -130,7 +130,7 @@ def test_erasure_puncture_of_erased_triangle():
     assert engine.remaining == 0 and engine.collapsible()
     mark = engine.puncture(engine.tri_id[frozenset({0, 1, 2})])
     assert engine.remaining == 0 and not engine.collapsible()
-    assert not is_collapsible_2d_greedy(k.remove_facet({0, 1, 2}))[0]
+    assert not is_collapsible_2d_greedy(k.remove_facet({0, 1, 2})).yes
     engine.puncture(engine.tri_id[frozenset({0, 1, 2})])  # twice: no-op
     assert engine.remaining == 0 and not engine.collapsible()
     engine.undo(mark)
@@ -218,13 +218,23 @@ def test_hachimori_matches_combinations_loop():
             verdicts[f"pool {res.verdict}"] += 1
             assert res.witness == _hachimori_reference(k, pool)
             continue
+        if not k.is_pure():
+            # The criterion refuses non-pure input; its search still runs.
+            with pytest.raises(ShellingError):
+                hachimori_decide_sd2(k)
+            if chi >= 0:
+                triangles = [f for f in k.faces if len(f) == 3]
+                res = _find_in_pool(k, triangles)
+                verdicts[f"non-pure {res.verdict}"] += 1
+                assert res.witness == _hachimori_reference(k)
+            continue
         res = hachimori_decide_sd2(k)
         verdicts[res.verdict] += 1
         if res.yes:
             assert res.witness == _hachimori_reference(k)
         elif chi >= 0 and vertex_links_connected(k)[0]:
             assert _hachimori_reference(k) is None
-    for case in ("yes", "no", "pool yes", "pool no"):
+    for case in ("yes", "no", "pool yes", "pool no", "non-pure yes", "non-pure no"):
         assert verdicts[case] > 0, case
 
 
@@ -252,7 +262,7 @@ def test_removals_tried_are_pinned():
 
 
 def test_find_removal_raises_when_greedy_disagrees(monkeypatch):
-    monkeypatch.setattr(collapse, "is_collapsible_2d_greedy", lambda k: (False, None))
+    monkeypatch.setattr(collapse, "is_collapsible_2d_greedy", lambda k: SearchResult("no", None, 0))
     with pytest.raises(InternalError, match="greedy disagrees"):
         find_removal(Complex.from_facets([[0, 1, 2]]), [], budget=1)
 

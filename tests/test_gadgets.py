@@ -58,7 +58,7 @@ def test_one_house_frozen():
     assert k.reduced_euler_characteristic() == 0
     free = {f for f, _ in free_faces(k)}
     assert free == set(lc.feature("f").edge_list())
-    assert is_collapsible_2d_greedy(k)[0]
+    assert is_collapsible_2d_greedy(k).yes
 
 
 def test_one_house_subdivided_free_edge():
@@ -129,7 +129,7 @@ def test_o_gadget_frozen():
     assert k.f_vector() == (1, 6, 11, 5)
     # The O gadget is a triangulated ring, not a disk.
     assert k.reduced_euler_characteristic() == -1
-    assert not is_collapsible_2d_greedy(k)[0]
+    assert not is_collapsible_2d_greedy(k).yes
     for name in ("v(u1)", "v_and", "s(u1)", "b(u1)", "p(u1)"):
         assert name in lc.labels
 

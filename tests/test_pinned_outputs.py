@@ -44,18 +44,37 @@ satisfiable formulas with n = 1..6.  It was recorded while every label
 was still validated by expanding its full closure, the union of the parts
 closed every mapped facet a second time, and each gadget copy was built
 on its own.
+
+Since hachimori_decide_sd2 refuses non-pure input, the first digest's
+records for non-pure 2-complexes run the criterion's prechecks and its
+removal search directly, which is what the criterion answered when the
+digest was recorded.
+
+A sixth SHA-256 covers the command line: the exit codes, the --json
+reports (without node counts, times and witness paths) and the witness
+files of check, verify and solve-sat on the fixtures, seeded pure
+2-complexes and seeded formulas.  It was recorded while the witness
+writers and readers still lived in the shelling and collapse modules.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+from pathlib import Path
+
+import pytest
 
 from conftest import random_complex, random_pure_2complex
+from shellkit import cli
 from shellkit.collapse import (
     CollapseError,
+    SearchResult,
     check_disk,
     collapse_disk_to_tree,
     collapses_to,
+    find_removal,
     free_faces,
     is_collapsible_2d_greedy,
     is_collapsible_dfs,
@@ -67,8 +86,10 @@ from shellkit.complex_core import (
     cone,
     face_key,
     face_sort_key,
+    format_facet_lines,
     subdivide_labeled,
     to_json,
+    vertex_links_connected,
 )
 from shellkit.gadgets import build_literal_house, build_three_house, dunce_hat, fixtures
 from shellkit.reduction import (
@@ -80,13 +101,20 @@ from shellkit.reduction import (
     sat_oracle,
     schedule_collapse,
 )
-from shellkit.shelling import decide_k_decomposable, decide_shellable, hachimori_decide_sd2
+from shellkit.shelling import (
+    ShellingError,
+    decide_k_decomposable,
+    decide_shellable,
+    hachimori_decide_sd2,
+)
 
 PINNED_SHA256 = "9a948894bfd7aeeee3a0097d65181f1642b6e79bd1f435286e7f5d2cec304e65"
 SUBDIVISION_SHA256 = "d6eadad5452d90a8f44e69b77983554f07ee69dd42a1c5d5676e5cf54ececd62"
 DECOMPOSITION_SHA256 = "d01bb5dc0a8939f4b65d182f1fee995c0cc5bd95a5e401cfde8b9e0effc46730"
 SCHEDULE_SHA256 = "466809d12594686d02cf40f9f60504eb4f94bfdab0efe90374b2ed26fa0e3615"
 K_PHI_SHA256 = "5d973ea5f1d9e515df112344101b44890f4c3fdcffa62b727f036dd5fe211b23"
+CLI_SHA256 = "bf070efdb627496b87e4f8bd73fc805979e72001abfe351f6de9a0acbaf9fb07"
+CLI_PROPERTIES = ("shellable", "collapsible", "k-decomposable(0)", "k-decomposable(1)", "hachimori-sd2")
 
 
 def _faces(faces):
@@ -101,13 +129,25 @@ def _search(res, witness):
     return [res.verdict, res.nodes, None if res.witness is None else witness(res.witness)]
 
 
+def _sd2_search_on_non_pure(k: Complex):
+    """What hachimori_decide_sd2 answered on a non-pure 2-complex when the
+    digest was recorded: its prechecks, then its removal search.  It now
+    refuses such input."""
+    with pytest.raises(ShellingError):
+        hachimori_decide_sd2(k)
+    chi = k.reduced_euler_characteristic()
+    if chi < 0 or not vertex_links_connected(k)[0]:
+        return SearchResult("no", None, 0)
+    triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
+    return find_removal(k, [triangles] * chi, 2000, ascending=True)
+
+
 def _complex_records(k: Complex) -> list:
     out = [[[list(face_key(a)), list(face_key(b))] for a, b in free_faces(k)]]
     if k.dim <= 2:
-        ok, pairs = is_collapsible_2d_greedy(k)
-        out.append([ok, _pairs(pairs)])
-        ok, pairs = is_collapsible_2d_greedy(k, keep_vertex=k.vertices[-1])
-        out.append([ok, _pairs(pairs)])
+        for keep in (None, k.vertices[-1]):
+            res = is_collapsible_2d_greedy(k, keep_vertex=keep)
+            out.append([res.yes, _pairs(res.witness)])
     out.append(_search(is_collapsible_dfs(k, budget=200), _pairs))
     point = Complex.from_facets([[k.vertices[0]]])
     out.append(_search(collapses_to(k, point, budget=200), _pairs))
@@ -119,7 +159,10 @@ def _complex_records(k: Complex) -> list:
             out.append("disk")
         except CollapseError as exc:
             out.append(str(exc))
-        res = hachimori_decide_sd2(k, budget=2000)
+        if k.is_pure():
+            res = hachimori_decide_sd2(k, budget=2000)
+        else:
+            res = _sd2_search_on_non_pure(k)
         # The digest was recorded with the criterion's own verdict words.
         verdict = {"yes": "shellable", "no": "not_shellable"}.get(res.verdict, res.verdict)
         cert = None
@@ -290,3 +333,55 @@ def test_build_K_phi_outputs_are_pinned():
     assert {-1, 3, -3}.isdisjoint(occurring)
     blob = "".join(to_json(build_K_phi(phi)) for phi in formulas)
     assert hashlib.sha256(blob.encode()).hexdigest() == K_PHI_SHA256
+
+
+def _cli_record(argv: list[str]) -> list:
+    """The exit code and --json report of one CLI run, without its node
+    count, time and witness path, and the witness file it wrote."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["--json", *argv])
+    report = json.loads(out.getvalue() or "{}")
+    path = report.pop("witness_path", None)
+    report.pop("search_nodes", None)
+    report.pop("wall_time", None)
+    witness = Path(path).read_text() if path and argv[0] != "verify" else None
+    return [argv[:2] if argv[0] == "check" else argv[:1], code, report, witness]
+
+
+def cli_records(work: Path) -> list:
+    rng = random.Random(14)
+    inputs = [(name, lc.complex) for name, lc in sorted(fixtures().items())]
+    inputs += [(f"k{i}", random_pure_2complex(rng, pool=6 + i % 2)) for i in range(40)]
+    records = []
+    for name, k in inputs:
+        path = work / f"{name}.txt"
+        path.write_text(format_facet_lines(k))
+        for prop in CLI_PROPERTIES:
+            witness = work / f"{name}.{prop}.json"
+            argv = ["check", prop, str(path), "--budget", "3000", "--witness", str(witness)]
+            records.append(_cli_record(argv))
+            if records[-1][1] == 0:
+                records.append(_cli_record(["verify", str(path), str(witness)]))
+    formulas = [Formula(1, ((1, 1, 1), (-1, -1, -1))), Formula(2, ((1, 1, 1), (-1, -1, -1), (2, 2, -2)))]
+    formulas += [random_formula(1 + i % 3, 2 + i % 3, rng) for i in range(10)]
+    for i, phi in enumerate(formulas):
+        cnf, cert = work / f"phi{i}.cnf", work / f"phi{i}.cert.json"
+        lines = [f"p cnf {phi.n} {len(phi.clauses)}"] + [f"{a} {b} {c} 0" for a, b, c in phi.clauses]
+        cnf.write_text("\n".join(lines) + "\n")
+        records.append(_cli_record(["solve-sat", str(cnf), "--witness", str(cert)]))
+        if records[-1][1] == 0:
+            records.append(_cli_record(["verify", str(cnf), str(cert)]))
+    return records
+
+
+def test_cli_witness_bytes_are_pinned(tmp_path):
+    records = cli_records(tmp_path)
+    # Both verdicts of every check property and of solve-sat, a budget
+    # overrun and a usage error are reached, and every witness verifies.
+    for argv in [["check", prop] for prop in CLI_PROPERTIES] + [["solve-sat"]]:
+        assert {code for r, code, _, _ in records if r == argv} >= {0, 1}, argv
+    assert {code for _, code, _, _ in records} == {0, 1, 2, 3}
+    assert {code for r, code, _, _ in records if r == ["verify"]} == {0}
+    blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == CLI_SHA256

@@ -20,7 +20,7 @@ from shellkit.complex_core import (
     graph_connected,
     vertex_links_connected,
 )
-from shellkit import shelling
+from shellkit import cli, shelling
 from shellkit.gadgets import dunce_hat, fixtures, torus_7
 from shellkit.shelling import (
     ShellingError,
@@ -29,11 +29,7 @@ from shellkit.shelling import (
     _restriction_ok,
     decide_k_decomposable,
     decide_shellable,
-    decomposition_witness_from_json,
-    decomposition_witness_to_json,
     hachimori_decide_sd2,
-    shelling_witness_from_json,
-    shelling_witness_to_json,
     verify_decomposition,
     verify_shelling,
 )
@@ -342,9 +338,9 @@ def k_decomposable_mismatches(complexes, seen: collections.Counter) -> list:
                 got = None
                 if res.yes:
                     verify_decomposition(k, kk, res.witness[0])
-                    got = decomposition_witness_to_json(kk, res.witness[0])
+                    got = cli._dump(cli._witness_doc("k-decomposable", k, res.witness, kk))
                 if tree is not None:
-                    tree = decomposition_witness_to_json(kk, tree)
+                    tree = cli._dump(cli._witness_doc("k-decomposable", k, (tree,), kk))
                 same = verdict == "budget_exceeded" or (res.verdict, got) == (verdict, tree)
                 if not same or res.nodes > nodes:
                     bad.append((sorted(map(sorted, k.facets)), kk, budget, res, verdict, nodes))
@@ -518,11 +514,11 @@ def test_hachimori_rejects_wrong_dimension():
 def test_witness_json_round_trips():
     bd3 = Complex.from_facets(BD3)
     order = decide_shellable(bd3).witness
-    doc = json.loads(shelling_witness_to_json(order))
-    assert shelling_witness_from_json(doc) == order
+    doc = json.loads(cli._dump(cli._witness_doc("shellable", bd3, order)))
+    assert tuple(map(frozenset, doc["order"])) == order
+    assert cli._replay_witness(bd3, doc) == len(order)
 
     res = decide_k_decomposable(bd3, 1)
-    doc = json.loads(decomposition_witness_to_json(1, res.witness[0]))
-    kk, tree = decomposition_witness_from_json(doc)
-    assert kk == 1
-    verify_decomposition(bd3, kk, tree)
+    doc = json.loads(cli._dump(cli._witness_doc("k-decomposable", bd3, res.witness, 1)))
+    assert (doc["k"], doc["tree"]) == (1, res.witness[0])
+    assert cli._replay_witness(bd3, doc) == verify_decomposition(bd3, 1, res.witness[0]) > 1

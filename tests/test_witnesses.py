@@ -1,9 +1,9 @@
 """Every yes a decider emits replays as the witness ``check`` writes.
 
 The witness of each yes from decide_shellable, decide_k_decomposable,
-is_collapsible_dfs and hachimori_decide_sd2 is serialized as the CLI
-serializes it and replayed through ``cli._replay_witness``, the replay
-behind both ``check`` and ``verify``.
+is_collapsible_dfs and hachimori_decide_sd2 is built and written as the
+CLI builds and writes it, read back, and replayed through
+``cli._replay_witness``, the replay behind both ``check`` and ``verify``.
 """
 
 import collections
@@ -15,13 +15,7 @@ from shellkit import cli
 from shellkit.collapse import is_collapsible_dfs
 from shellkit.complex_core import Complex, cone
 from shellkit.gadgets import dunce_hat, fixtures
-from shellkit.shelling import (
-    decide_k_decomposable,
-    decide_shellable,
-    decomposition_witness_to_json,
-    hachimori_decide_sd2,
-    shelling_witness_to_json,
-)
+from shellkit.shelling import decide_k_decomposable, decide_shellable, hachimori_decide_sd2
 
 OCTAHEDRON = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
 
@@ -35,13 +29,6 @@ def witness_inputs() -> list:
     return inputs
 
 
-def collapse_doc(k: Complex, pairs, removal=None) -> dict:
-    doc = json.loads(cli._collapse_witness_json(k, pairs, removal))
-    # A yes of either collapse decider collapses to a single vertex.
-    assert len(doc["target_facets"]) == 1 and len(doc["target_facets"][0]) == 1
-    return doc
-
-
 def test_every_yes_witness_replays():
     yes = collections.Counter()
     for k in witness_inputs():
@@ -49,22 +36,23 @@ def test_every_yes_witness_replays():
         if k.is_pure():
             res = decide_shellable(k, budget=500)
             if res.yes:
-                docs.append(("shellable", shelling_witness_to_json(res.witness)))
+                docs.append(("shellable", cli._witness_doc("shellable", k, res.witness)))
             for kk in (0, 1, 2):
                 res = decide_k_decomposable(k, kk, budget=500)
                 if res.yes:
-                    docs.append(("k-decomposable", decomposition_witness_to_json(kk, res.witness[0])))
+                    docs.append(("k-decomposable", cli._witness_doc("k-decomposable", k, res.witness, kk)))
         res = is_collapsible_dfs(k, budget=300)
         if res.yes:
-            docs.append(("collapsible", json.dumps(collapse_doc(k, res.witness))))
-        if k.dim == 2:
+            docs.append(("collapsible", cli._witness_doc("collapsible", k, res.witness)))
+        if k.dim == 2 and k.is_pure():
             res = hachimori_decide_sd2(k, budget=2000)
             if res.yes:
-                removal, pairs = res.witness
-                doc = collapse_doc(k, pairs, removal)
-                docs.append(("hachimori-sd2", json.dumps(doc)))
-        for name, text in docs:
-            cli._replay_witness(k, json.loads(text))
+                docs.append(("hachimori-sd2", cli._witness_doc("hachimori-sd2", k, res.witness)))
+        for name, doc in docs:
+            if name in ("collapsible", "hachimori-sd2"):
+                # A yes of either collapse decider collapses to a single vertex.
+                assert len(doc["target_facets"]) == 1 and len(doc["target_facets"][0]) == 1
+            cli._replay_witness(k, json.loads(cli._dump(doc)))
             yes[name] += 1
     for name in ("shellable", "k-decomposable", "collapsible", "hachimori-sd2"):
         assert yes[name] >= 5, yes

@@ -238,7 +238,8 @@ def _witness_doc(prop: str, k: Complex | Formula, witness: tuple, kk: int | None
     """The document for the witness of a yes: of ``check prop`` on the
     complex ``k`` (``kk`` is the order of ``k-decomposable``), or with
     ``prop`` "sat" the certificate of ``solve-sat`` on the formula ``k``.
-    A collapse is replayed once to find the complex it ends at."""
+    A collapse's target is read off its pairs, as the vertices that no
+    pair frees; the replay in ``check`` confirms it."""
     if prop == "shellable":
         return {"kind": "shelling", "order": [list(face_key(f)) for f in witness]}
     if prop == "k-decomposable":
@@ -254,12 +255,9 @@ def _witness_doc(prop: str, k: Complex | Formula, witness: tuple, kk: int | None
         }
     # Removed facets claim Hachimori's criterion for sd²(k).
     removal, pairs = witness if prop == "hachimori-sd2" else (None, witness)
-    final = verify_collapse_sequence(k.remove_facets(removal or ()), pairs)
-    doc = {
-        "kind": "collapse",
-        "pairs": [p.as_lists() for p in pairs],
-        "target_facets": _face_lists(final.facets),
-    }
+    freed = {p.free for p in pairs}
+    target = [[v] for v in k.remove_facets(removal or ()).vertices if frozenset([v]) not in freed]
+    doc = {"kind": "collapse", "pairs": [p.as_lists() for p in pairs], "target_facets": target}
     if removal is not None:
         doc["removed_facets"] = _face_lists(removal)
     return doc
@@ -527,6 +525,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: building costs far more than parsing, and the
+# handlers look up the deciders when they run.
+_PARSER = _build_parser()
+
+
 def _emit(report: RunReport, payload: Mapping, as_json: bool, to_stderr: bool) -> None:
     out = sys.stderr if to_stderr else sys.stdout
     if as_json:
@@ -554,8 +557,7 @@ def _emit(report: RunReport, payload: Mapping, as_json: bool, to_stderr: bool) -
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         report, payload = args.handler(args)

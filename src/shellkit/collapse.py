@@ -218,76 +218,41 @@ def verify_collapse_sequence(
 # -- greedy 2-dimensional decider -------------------------------------------
 
 
-def _triangle_edges(t: Face) -> list[Face]:
-    a, b, c = sorted(t)
-    return [frozenset((a, b)), frozenset((a, c)), frozenset((b, c))]
+def _erase(faces: Iterable[Face], keep: set[Face]) -> tuple[list[CollapsePair], set[Face]]:
+    """Collapse the lexicographically least free ridge outside ``keep``
+    into the one face of ``faces`` holding it, until no ridge is free.
 
-
-def _erase_2d(
-    k: Complex, protected_edges: set[Face]
-) -> tuple[list[CollapsePair], set[Face], set[Face]]:
-    """Collapse the lexicographically least free edge, with its triangle,
-    until no free edge outside ``protected_edges`` is left.
-
-    Returns the pairs and the live triangles and edges left over.
+    ``faces`` all have one size, and their ridges are their faces one
+    vertex smaller.  A ridge's count of live holders only falls, so it
+    enters the heap when it becomes free, and stale entries are skipped.
+    Returns the pairs and the faces left.
     """
-    edges = {f for f in k.faces if len(f) == 2}
-    live_tris = {f for f in k.faces if len(f) == 3}
-    tris_of_edge: dict[Face, set[Face]] = {e: set() for e in edges}
-    for t in live_tris:
-        for e in _triangle_edges(t):
-            tris_of_edge[e].add(t)
-    live_edges = set(edges)
+    live = set(faces)
+    holders: dict[Face, set[Face]] = {}
+    for f in live:
+        for v in f:
+            holders.setdefault(f - {v}, set()).add(f)
 
-    def free(e: Face) -> bool:
-        # A collapsed edge has no triangle left, so it never looks free.
-        return len(tris_of_edge[e]) == 1 and e not in protected_edges
+    def free(r: Face) -> bool:
+        # A collapsed ridge has no holder left, so it never looks free.
+        return len(holders[r]) == 1 and r not in keep
 
-    heap = [face_key(e) for e in edges if free(e)]
+    heap = [face_key(r) for r in holders if free(r)]
     heapq.heapify(heap)
     pairs: list[CollapsePair] = []
     while heap:
-        e = frozenset(heapq.heappop(heap))
-        if not free(e):
+        r = frozenset(heapq.heappop(heap))
+        if not free(r):
             continue
-        (t,) = tris_of_edge[e]
-        pairs.append(CollapsePair(e, t))
-        live_tris.discard(t)
-        live_edges.discard(e)
-        for other in _triangle_edges(t):
-            tris_of_edge[other].discard(t)
+        (f,) = holders[r]
+        pairs.append(CollapsePair(r, f))
+        live.discard(f)
+        for v in f:
+            other = f - {v}
+            holders[other].discard(f)
             if free(other):
                 heapq.heappush(heap, face_key(other))
-    return pairs, live_tris, live_edges
-
-
-def _prune_tree(
-    vertices: set[int], edges: set[Face], keep: set[int]
-) -> list[CollapsePair]:
-    """Collapse a tree onto its vertices in ``keep`` by removing lex-least
-    leaves outside ``keep``; with ``keep`` empty, down to one vertex.
-
-    The caller guarantees the graph is a tree, so degrees only fall and
-    each vertex enters the heap at most once.
-    """
-    incident: dict[int, set[Face]] = {v: set() for v in vertices}
-    for e in edges:
-        for v in e:
-            incident[v].add(e)
-    heap = [v for v in vertices if len(incident[v]) == 1 and v not in keep]
-    heapq.heapify(heap)
-    pairs: list[CollapsePair] = []
-    while heap:
-        v = heapq.heappop(heap)
-        if len(incident[v]) != 1:
-            continue
-        (edge,) = incident[v]
-        pairs.append(CollapsePair(frozenset([v]), edge))
-        (other,) = edge - {v}
-        incident[other].discard(edge)
-        if len(incident[other]) == 1 and other not in keep:
-            heapq.heappush(heap, other)
-    return pairs
+    return pairs, live
 
 
 def is_collapsible_2d_greedy(k: Complex, keep_vertex: int | None = None) -> SearchResult:
@@ -305,16 +270,13 @@ def is_collapsible_2d_greedy(k: Complex, keep_vertex: int | None = None) -> Sear
         raise ValueError("greedy decider requires dimension <= 2")
     if not k.faces:
         return SearchResult("no", None, 0)
-    pairs, live_tris, live_edges = _erase_2d(k, set())
+    pairs, live_tris = _erase({f for f in k.faces if len(f) == 3}, set())
+    edges = {f for f in k.faces if len(f) == 2}.difference(p.free for p in pairs)
     vertices = set(k.vertices)
-    if (
-        live_tris
-        or len(live_edges) != len(vertices) - 1
-        or not graph_connected(vertices, live_edges)
-    ):
+    if live_tris or len(edges) != len(vertices) - 1 or not graph_connected(vertices, edges):
         return SearchResult("no", None, len(pairs))
-    keep = set() if keep_vertex is None else {keep_vertex}
-    pairs.extend(_prune_tree(vertices, live_edges, keep))
+    keep = set() if keep_vertex is None else {frozenset([keep_vertex])}
+    pairs.extend(_erase(edges, keep)[0])
     return SearchResult("yes", tuple(pairs), len(pairs))
 
 
@@ -740,14 +702,15 @@ def collapse_disk_to_tree(disk: Complex, tree: Complex) -> tuple:
         tree_vertices, tree_edges
     ):
         raise CollapseError("target is not a tree")
-    pairs, live_tris, live_edges = _erase_2d(disk, tree_edges)
+    pairs, live_tris = _erase({f for f in disk.faces if len(f) == 3}, tree_faces)
     if live_tris:
         raise CollapseError(
             "greedy collapse stalled with triangles left; input is not a disk"
         )
     # The residue is a tree containing the target (an extra edge between two
     # target vertices would close a cycle); prune leaves outside the target.
-    pairs.extend(_prune_tree(set(disk.vertices), live_edges, tree_vertices))
+    edges = {f for f in disk.faces if len(f) == 2}.difference(p.free for p in pairs)
+    pairs.extend(_erase(edges, tree_faces)[0])
     return tuple(pairs)
 
 

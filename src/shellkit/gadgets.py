@@ -70,25 +70,13 @@ MODIFIED_DUNCE_HAT_FACETS: tuple[tuple[int, int, int], ...] = (
     (5, 6, 7),
 )
 
-def _cap_mesh(arc_edges: int) -> tuple[tuple[Face, ...], tuple[int, ...]]:
-    """Modified dunce hat with its free edge subdivided into an arc.
-
-    Replaces the facet {1, 3, 4} by a fan from 4 over the path
-    1, 8, 9, ..., 3 with ``arc_edges`` edges.  Standalone, the free faces
-    are exactly the arc edges; glued along the arc it removes their
-    freeness while staying collapsible.  Returns (facets, arc path).
-    """
-    if arc_edges < 1:
-        raise GadgetError("cap arc needs at least one edge")
-    interior = list(range(8, 8 + arc_edges - 1))
-    arc = [1] + interior + [3]
-    facets = [f for f in MODIFIED_DUNCE_HAT_FACETS if f != (1, 3, 4)]
-    facets += [(a, b, 4) for a, b in zip(arc, arc[1:])]
-    return tuple(frozenset(f) for f in facets), tuple(arc)
-
-
-#: Cap used by the houses: free edge subdivided once, arc 1--8--3.
-SUBDIVIDED_CAP_FACETS: tuple[Face, ...] = _cap_mesh(2)[0]
+#: Cap used by the houses: the modified dunce hat with its free edge
+#: {1, 3} subdivided by the vertex 8, so the facet {1, 3, 4} becomes a fan
+#: from 4 over the arc 1--8--3.  Standalone, its free faces are exactly the
+#: arc edges; glued along the arc it loses them while staying collapsible.
+SUBDIVIDED_CAP_FACETS: tuple[Face, ...] = tuple(
+    frozenset(f) for f in MODIFIED_DUNCE_HAT_FACETS + ((1, 8, 4), (8, 3, 4)) if f != (1, 3, 4)
+)
 
 
 def modified_dunce_hat() -> LabeledComplex:

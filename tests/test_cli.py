@@ -455,6 +455,12 @@ MALFORMED = {
             }
         },
     ),
+    # Read as a set, [0, 0] is the shedding vertex of the valid tree.
+    "decomposition-shedding-repeats-a-vertex": (
+        TRIANGLE_BOUNDARY,
+        "decomposition",
+        {"tree": {**TRIANGLE_BOUNDARY_TREE, "shedding": [0, 0]}},
+    ),
     "certificate-clauses-not-lists": (None, "certificate", {"formula": {"n": 2, "clauses": [5]}}),
     "certificate-n-not-an-integer": (None, "certificate", {"formula": {"n": "2", "clauses": []}}),
     "certificate-literal-a-bool": (
@@ -498,6 +504,84 @@ def test_malformed_json_is_usage_error(case, tmp_path, capsys):
     assert code == 2, (out, err)
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# Keys whose value is a set of faces: a repeated entry there is the same
+# witness, so verify may accept it.
+SET_VALUED = ("target_facets", "removal")
+
+
+def parsed(value, key=None):
+    """A witness document with every scalar tagged by its type, so that
+    True, 1 and 1.0 differ, and the set-valued keys read as sets."""
+    if isinstance(value, dict):
+        return frozenset((k, parsed(v, k)) for k, v in value.items())
+    if isinstance(value, list):
+        items = tuple(parsed(v) for v in value)
+        return frozenset(items) if key in SET_VALUED else items
+    return type(value).__name__, value
+
+
+def mutations(rng: random.Random, doc: dict, count: int):
+    """``count`` copies of ``doc``, each with one value changed: its type
+    swapped, its key dropped, or its list entry repeated.  The value is
+    found by a walk down from the top that stops at each level with
+    probability one half, so every field of the format gets its share."""
+    for _ in range(count):
+        mutant = json.loads(json.dumps(doc))
+        parent = mutant
+        while True:
+            key = rng.choice(list(parent) if isinstance(parent, dict) else range(len(parent)))
+            old = parent[key]
+            if not (isinstance(old, (dict, list)) and old and rng.random() < 0.5):
+                break
+            parent = old
+        number = isinstance(old, (int, float))
+        ops = ["bool", "float", "string", "null", "list", "object"]
+        ops.append("drop" if isinstance(parent, dict) else "repeat")
+        op = rng.choice(ops)
+        if op == "drop":
+            del parent[key]
+        elif op == "repeat":
+            parent.insert(key, old)
+        else:
+            parent[key] = {
+                "bool": bool(old) if number else True,
+                "float": float(old) if number else 0.5,
+                "string": str(old),
+                "null": None,
+                "list": [old],
+                "object": {"0": old},
+            }[op]
+        yield mutant
+
+
+def test_verify_fuzz_never_accepts_another_witness(tmp_path, capsys):
+    disk = "0 1 2\n0 2 3\n0 3 4\n"
+    kinds = (
+        ("shelling", SPHERE, ["check", "shellable"], 200),
+        ("decomposition", disk, ["check", "k-decomposable(0)"], 200),
+        ("collapse", disk, ["check", "collapsible"], 200),
+        ("removed-facets", SPHERE, ["check", "hachimori-sd2"], 200),
+        # Each certificate replay builds K_phi, so it gets fewer draws.
+        ("certificate", CNF, ["solve-sat"], 80),
+    )
+    rng = random.Random(1711)
+    witness = tmp_path / "mutant.json"
+    for name, text, argv, count in kinds:
+        source, valid = tmp_path / f"{name}.in", tmp_path / f"{name}.json"
+        source.write_text(text)
+        assert run([*argv, str(source), "--witness", str(valid)], capsys)[0] == 0
+        doc = json.loads(valid.read_text())
+        exits = []
+        for mutant in mutations(rng, doc, count):
+            witness.write_text(json.dumps(mutant))
+            code, out, err = run(["verify", str(source), str(witness)], capsys)
+            assert code in (1, 2) or (code == 0 and parsed(mutant) == parsed(doc)), (
+                name, mutant, out, err,
+            )
+            exits.append(code)
+        assert exits.count(1) and exits.count(2) > count // 2, (name, exits)
 
 
 def test_decomposition_witness_with_int_ids_verifies(tmp_path, capsys):

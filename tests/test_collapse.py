@@ -406,6 +406,93 @@ def test_collapse_disk_to_tree():
         collapse_disk_to_tree(fan, Complex.from_facets([[7, 8]]))
 
 
+def lex_erasure_oracle(k: Complex, keep: set) -> tuple[list, set, int]:
+    """Brute force: at each step scan every face for the lexicographically
+    least free edge, then vertex, outside ``keep``, and collapse it into
+    its only coface.  Returns the pairs, the faces left and the number of
+    edge steps."""
+    faces = {f for f in k.faces if f}
+    pairs = []
+    for size in (2, 1):
+        edge_steps = len(pairs)
+        while True:
+            free = []
+            for f in faces:
+                if len(f) == size and f not in keep:
+                    cofaces = [g for g in faces if f < g]
+                    if len(cofaces) == 1:
+                        free.append((sorted(f), f, cofaces[0]))
+            if not free:
+                break
+            _, f, g = min(free, key=lambda c: c[0])
+            pairs.append(CollapsePair(f, g))
+            faces -= {f, g}
+    return pairs, faces, edge_steps
+
+
+def random_disk(rng: random.Random, steps: int) -> Complex:
+    """A disk grown from a triangle: each step glues a triangle along one
+    boundary edge with a new vertex, or along two consecutive boundary
+    edges whose ends are not yet joined, which makes their middle vertex
+    interior."""
+    boundary = [0, 1, 2]
+    facets = [(0, 1, 2)]
+    edges = {frozenset(e) for e in ((0, 1), (1, 2), (0, 2))}
+    for fresh in range(3, 3 + steps):
+        i = rng.randrange(len(boundary))
+        a, b, c = boundary[i - 1], boundary[i], boundary[(i + 1) % len(boundary)]
+        if len(boundary) > 3 and frozenset((a, c)) not in edges and rng.random() < 0.4:
+            facets.append((a, b, c))
+            edges.add(frozenset((a, c)))
+            del boundary[i]
+        else:
+            facets.append((b, c, fresh))
+            edges |= {frozenset((b, fresh)), frozenset((c, fresh))}
+            boundary.insert(i + 1, fresh)
+    return Complex.from_facets(facets)
+
+
+def random_subtree(rng: random.Random, k: Complex) -> Complex:
+    """A random tree in the 1-skeleton of ``k``, grown from one vertex; it
+    spans ``k`` when it reaches every vertex."""
+    edges = [f for f in k.faces if len(f) == 2]
+    size = rng.choice([1, rng.randint(1, len(k.vertices)), len(k.vertices)])
+    reached = {rng.choice(k.vertices)}
+    tree = [[v] for v in reached]
+    while len(reached) < size:
+        a, b = rng.choice([sorted(e) for e in edges if len(e & reached) == 1])
+        reached |= {a, b}
+        tree.append([a, b])
+    return Complex.from_facets(tree)
+
+
+def test_greedy_layer_matches_lex_erasure_oracle():
+    rng = random.Random(15)
+    yes = 0
+    for _ in range(150):
+        k = random_pure_2complex(rng, max_facets=7, pool=8)
+        for keep_vertex in (None, rng.choice(k.vertices)):
+            keep = set() if keep_vertex is None else {frozenset([keep_vertex])}
+            pairs, left, edge_steps = lex_erasure_oracle(k, keep)
+            res = is_collapsible_2d_greedy(k, keep_vertex=keep_vertex)
+            assert res.yes == (len(left) == 1), sorted(map(sorted, k.facets))
+            if res.yes:
+                yes += 1
+                assert (res.witness, res.nodes) == (tuple(pairs), len(pairs))
+            else:
+                assert res.nodes == edge_steps
+    disks = 0
+    for _ in range(80):
+        disk = random_disk(rng, rng.randint(1, 20))
+        check_disk(disk)
+        tree = random_subtree(rng, disk)
+        pairs, left, _ = lex_erasure_oracle(disk, {f for f in tree.faces if f})
+        assert left == {f for f in tree.faces if f}
+        assert collapse_disk_to_tree(disk, tree) == tuple(pairs)
+        disks += len(disk.facets) > 6
+    assert yes > 50 and disks > 40
+
+
 def test_constrain_complex_frozen():
     strip = Complex.from_facets(STRIP)
     m = strip.subcomplex_closure([[0, 1, 2]])

@@ -13,8 +13,8 @@ out, never with a "no".
 Every decider returns a ``SearchResult``, and this module alone knows the
 witness format: ``check`` builds the document of a yes, replays it and
 only then writes it, and ``verify`` reads it back through the same
-replay.  The report's ``nodes`` counts what ran: search nodes, greedy
-collapse steps or removals tried, and in ``verify`` the facets placed,
+replay.  The report's ``nodes`` counts what ran: search nodes, collapse
+steps or removals tried, and in ``verify`` the facets placed,
 tree nodes checked or pairs replayed.
 """
 
@@ -34,7 +34,6 @@ from shellkit.collapse import (
     DEFAULT_BUDGET,
     CollapseError,
     CollapsePair,
-    is_collapsible_2d_greedy,
     is_collapsible_dfs,
     verify_collapse_sequence,
 )
@@ -180,8 +179,6 @@ def _cmd_check(args: argparse.Namespace) -> tuple[RunReport, dict]:
     k = _load_complex(text).complex
     if prop == "shellable":
         res = decide_shellable(k, budget=args.budget)
-    elif prop == "collapsible" and k.dim <= 2:
-        res = is_collapsible_2d_greedy(k)
     elif prop == "collapsible":
         res = is_collapsible_dfs(k, budget=args.budget)
     elif prop == "k-decomposable":

@@ -16,13 +16,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from shellkit.complex_core import (
     Complex,
     Face,
     InternalError,
-    _canonical_facets,
     boundary_ridges,
     face_key,
     face_sort_key,
@@ -102,21 +101,6 @@ def free_faces(k: Complex) -> list[tuple[Face, Face]]:
     out = [(f, g) for f, g in _sole_facets(k.facets).items() if g is not None]
     out.sort(key=lambda p: face_sort_key(p[0]))
     return out
-
-
-def elementary_collapse(k: Complex, free: Iterable[int], coface: Iterable[int] | None = None) -> Complex:
-    """Collapse away ``free`` and all faces containing it.
-
-    ``free`` must be a free face of ``k``; when ``coface`` is supplied it
-    must be that unique maximal coface.  The step is replayed by
-    ``verify_collapse_sequence``, which checks both.
-    """
-    f = frozenset(free)
-    facet = _sole_facets(k.facets).get(f)
-    if facet is None:
-        raise CollapseError(f"{face_key(f)} is not free: no single facet strictly contains it")
-    pair = CollapsePair(f, facet if coface is None else frozenset(coface))
-    return verify_collapse_sequence(k, (pair,))
 
 
 class _FaceIndex:
@@ -215,7 +199,7 @@ def verify_collapse_sequence(
     return result
 
 
-# -- greedy 2-dimensional decider -------------------------------------------
+# -- lexicographic erasure and the greedy 2-dimensional decider ---------------
 
 
 def _erase(faces: Iterable[Face], keep: set[Face]) -> tuple[list[CollapsePair], set[Face]]:
@@ -255,28 +239,45 @@ def _erase(faces: Iterable[Face], keep: set[Face]) -> tuple[list[CollapsePair], 
     return pairs, live
 
 
+def _erase_down(
+    faces: Iterable[Face], keep: set[Face], top: int
+) -> tuple[list[CollapsePair], set[Face]]:
+    """Run ``_erase`` on the faces of each size from ``top`` down to
+    edges, and stop after a size that leaves a face outside ``keep``.
+
+    No face larger than ``top`` may lie outside ``keep``: then a ridge
+    outside ``keep`` lies in no larger face, and the faces of its own
+    size are all the cofaces it can have.  Returns the pairs and the
+    faces left.
+    """
+    rest = set(faces)
+    pairs: list[CollapsePair] = []
+    for size in range(top, 1, -1):
+        step, left = _erase([f for f in rest if len(f) == size], keep)
+        pairs += step
+        rest.difference_update(f for p in step for f in (p.free, p.coface))
+        if not left <= keep:
+            break
+    return pairs, rest
+
+
 def is_collapsible_2d_greedy(k: Complex, keep_vertex: int | None = None) -> SearchResult:
     """Greedy collapsibility decider for complexes of dimension <= 2.
 
-    Repeatedly collapses the lexicographically least free edge until no
-    triangle-bearing free edge remains, then demands the residue be a tree
-    and prunes pendant vertices.  Complete in dimension two: a greedy stall
-    with triangles left or a non-tree residue means the complex is not
-    collapsible.  On yes the witness is the pairs, which collapse the
-    complex to a single vertex (``keep_vertex`` when given); ``nodes``
-    counts the collapse steps made, a stalled erasure's included.
+    Erases triangles through the lexicographically least free edge, then
+    prunes the least free vertex, until nothing is free.  Complete in
+    dimension two, because erasure is confluent: the complex is
+    collapsible exactly when one vertex is left.  On yes the witness is
+    the pairs, which collapse the complex to that vertex (``keep_vertex``
+    when given); ``nodes`` counts the collapse steps made, a stalled
+    erasure's included.
     """
     if k.dim > 2:
         raise ValueError("greedy decider requires dimension <= 2")
-    if not k.faces:
-        return SearchResult("no", None, 0)
-    pairs, live_tris = _erase({f for f in k.faces if len(f) == 3}, set())
-    edges = {f for f in k.faces if len(f) == 2}.difference(p.free for p in pairs)
-    vertices = set(k.vertices)
-    if live_tris or len(edges) != len(vertices) - 1 or not graph_connected(vertices, edges):
-        return SearchResult("no", None, len(pairs))
     keep = set() if keep_vertex is None else {frozenset([keep_vertex])}
-    pairs.extend(_erase(edges, keep)[0])
+    pairs, rest = _erase_down((f for f in k.faces if f), keep, 3)
+    if len(rest) != 1:
+        return SearchResult("no", None, len(pairs))
     return SearchResult("yes", tuple(pairs), len(pairs))
 
 
@@ -472,159 +473,93 @@ def find_removal(
     return SearchResult("yes", (removal, greedy.witness), tried)
 
 
-# -- budgeted depth-first searches -------------------------------------------
+# -- collapse search by dimension ---------------------------------------------
 
 
-def _order_moves(
-    moves: list[tuple[Face, Face]], last_removed: Face | None
-) -> list[tuple[Face, Face]]:
-    """Deterministic move order: deeper collapses first, near the last
-    removal first, then lexicographic.  Each ridge has one move, so the
-    ridge settles every tie."""
+def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> SearchResult:
+    """Collapse ``k`` onto ``size`` faces without collapsing a face of ``keep``.
 
-    def key(mv):
-        ridge, facet = mv
-        local = 0 if (last_removed is not None and ridge & last_removed) else 1
-        return (-len(facet), local, face_key(ridge))
-
-    return sorted(moves, key=key)
-
-
-class _CollapseState:
-    """The facets and the free gap-one pairs of a complex, kept up to date
-    as collapse moves are made and undone.
-
-    ``holders`` maps each nonempty proper face of the facets to the facets
-    containing it, and ``moves`` maps each face outside ``protected`` with
-    one holder, one vertex larger, to that holder: the rules of
-    ``facets_of`` and ``_sole_facets``, updated where a move touches them
-    instead of recomputed.  ``size`` counts the nonempty faces.
+    A collapse can be reordered so that the dimensions of its steps never
+    increase (Whitehead, 1939), so the faces outside ``keep`` go one size
+    at a time, from the top down.  Up to triangles one lexicographic
+    ``_erase_down`` is exact: erasure in one size is confluent, so every
+    maximal erasure of the triangles leaves the same ones, and the graph
+    left collapses onto the target exactly when the target's inclusion is
+    a homotopy equivalence, whichever edges the erasure used.  Above that
+    a DFS branches over the (ridge, top face) moves in lex order,
+    memoizes refuted states by their exact removed-face set, and hands
+    each state with no top face outside ``keep`` to the size below.
+    ``nodes`` counts the states the DFS enters plus the erasure steps;
+    ``budget`` bounds the states only.
     """
-
-    def __init__(self, k: Complex, protected: set[Face]):
-        self.protected = protected
-        self.size = sum(1 for f in k.faces if f)
-        self.facets: set[Face] = set()
-        self.holders: dict[Face, set[Face]] = {}
-        self.moves: dict[Face, Face] = {}
-        for facet in k.facets:
-            self._add_facet(facet)
-
-    def _update_move(self, face: Face) -> None:
-        held = self.holders[face]
-        if len(held) == 1 and face not in self.protected:
-            (facet,) = held
-            if len(facet) == len(face) + 1:
-                self.moves[face] = facet
-                return
-        self.moves.pop(face, None)
-
-    def _add_facet(self, facet: Face) -> None:
-        self.facets.add(facet)
-        for s in _proper_faces(facet):
-            self.holders.setdefault(s, set()).add(facet)
-            self._update_move(s)
-
-    def _drop_facet(self, facet: Face) -> None:
-        self.facets.discard(facet)
-        for s in _proper_faces(facet):
-            self.holders[s].discard(facet)
-            self._update_move(s)
-
-    def remove(self, ridge: Face, facet: Face) -> None:
-        """Collapse the move ``(ridge, facet)``: the facet goes, and each of
-        its other ridges that no facet holds any more becomes a facet.
-        Smaller faces of the facet stay inside one of those ridges."""
-        self._drop_facet(facet)
-        for v in ridge:
-            other = facet - {v}
-            if not self.holders[other]:
-                self._add_facet(other)
-        self.size -= 2
-
-    def restore(self, ridge: Face, facet: Face) -> None:
-        """Undo ``remove(ridge, facet)``.  The facet held its other ridges,
-        so those that are facets now are the ones ``remove`` added."""
-        for v in ridge:
-            other = facet - {v}
-            if other in self.facets:
-                self._drop_facet(other)
-        self._add_facet(facet)
-        self.size += 2
-
-
-def _collapse_search(
-    k: Complex,
-    budget: int,
-    done: Callable[[_CollapseState], bool],
-    memo_key: Callable[[_CollapseState], Hashable],
-    protected: set[Face],
-) -> SearchResult:
-    """Budgeted DFS over one-dimension collapse pairs until ``done``.
-
-    Free faces in ``protected`` are never collapsed.  States that failed
-    are memoized under ``memo_key``, computed only when the memo could hold
-    it or a state is refuted; the verdict "no" is only returned after the
-    search space is exhausted within budget.
-    """
-    state = _CollapseState(k, protected)
-    memo: set = set()
-    nodes = 0
+    live = {f for f in k.faces if f}
+    removed: set[Face] = set()
+    memo: set[frozenset[Face]] = set()
+    states = steps = 0
     budget_hit = False
 
-    def dfs(last: Face | None) -> tuple | None:
-        nonlocal nodes, budget_hit
-        nodes += 1
-        if nodes > budget:
+    def search(top: int) -> list[CollapsePair] | None:
+        nonlocal states, steps, budget_hit
+        if top <= 3:
+            pairs, rest = _erase_down(live, keep, top)
+            steps += len(pairs)
+            # Collapses keep the face set closed and never remove a kept face.
+            return pairs if len(rest) == size else None
+        states += 1
+        if states > budget:
             budget_hit = True
             return None
-        if done(state):
-            return ()
-        key = None
-        if memo:
-            key = memo_key(state)
-            if key in memo:
-                return None
-        for ridge, facet in _order_moves(list(state.moves.items()), last):
-            state.remove(ridge, facet)
-            suffix = dfs(facet)
-            state.restore(ridge, facet)
-            if suffix is not None:
-                return (CollapsePair(ridge, facet),) + suffix
+        key = frozenset(removed)
+        if key in memo:
+            return None
+        # As in ``_erase_down``, a free ridge is one that a single face of
+        # size ``top`` outside keep holds.
+        holders: dict[Face, list[Face]] = {}
+        for f in live:
+            if len(f) == top and f not in keep:
+                for v in f:
+                    holders.setdefault(f - {v}, []).append(f)
+        found = None if holders else search(top - 1)
+        for ridge in sorted(
+            (r for r, fs in holders.items() if len(fs) == 1 and r not in keep), key=face_key
+        ):
+            move = (ridge, holders[ridge][0])
+            live.difference_update(move)
+            removed.update(move)
+            rest = search(top)
+            live.update(move)
+            removed.difference_update(move)
+            if rest is not None:
+                found = [CollapsePair(*move), *rest]
+                break
             if budget_hit:
                 return None
-        memo.add(memo_key(state) if key is None else key)
-        return None
+        if found is None:
+            memo.add(key)
+        return found
 
-    witness = dfs(None)
-    if witness is not None:
-        return SearchResult("yes", witness, nodes)
-    return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
+    pairs = search(k.dim + 1)
+    if pairs is not None:
+        return SearchResult("yes", tuple(pairs), states + steps)
+    return SearchResult("budget_exceeded" if budget_hit else "no", None, states + steps)
 
 
 def is_collapsible_dfs(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Exhaustive collapsibility decider with memoization and a node budget.
+    """Exact collapsibility decider: does ``k`` collapse to a vertex?
 
-    Branches over one-dimension collapse pairs; states are memoized by the
-    canonical form, read from the index's facets.  The verdict "no" is
-    only returned after the search space is exhausted within budget.
-
-    Elementary collapses preserve the reduced Euler characteristic and
-    connectivity, so complexes failing either invariant of the point are
-    refused without search.
+    Runs the search by dimension of ``_collapse_search``, so only faces
+    above dimension 2 are searched, under ``budget`` states; the verdict
+    "no" is only returned after the search space is exhausted within
+    budget.  Elementary collapses preserve the reduced Euler
+    characteristic and connectivity, so complexes failing either invariant
+    of the point are refused without search.
     """
     if not k.faces:
         return SearchResult("no", None, 0)
     if k.reduced_euler_characteristic() != 0 or not one_skeleton_connected(k):
         return SearchResult("no", None, 0)
     # Collapses keep the face set closed, so a single face left is a vertex.
-    return _collapse_search(
-        k,
-        budget,
-        done=lambda state: state.size == 1,
-        memo_key=lambda state: _canonical_facets(state.facets),
-        protected=set(),
-    )
+    return _collapse_search(k, set(), 1, budget)
 
 
 def collapses_to(
@@ -632,23 +567,17 @@ def collapses_to(
 ) -> SearchResult:
     """Search for a collapse of ``k`` onto the subcomplex ``target``.
 
-    Moves never remove a target face.  The leftmost branch follows the
-    lexicographic greedy order (with a locality preference), so when greedy
-    succeeds no backtracking happens.  States are memoized by exact face
-    set (its facets), deduplicating orders of commuting moves.
+    Moves never remove a target face, and the search by dimension of
+    ``_collapse_search`` spends ``budget`` on states above dimension 2
+    only.  Up to dimension 2 the witness is the lexicographic greedy
+    collapse.
     """
     target_faces = {f for f in target.faces if f}
     if not target_faces <= {f for f in k.faces if f}:
         raise CollapseError("target is not a subcomplex")
     # No move removes a target face (the target is closed), so the search
     # is done when the face counts are equal.
-    return _collapse_search(
-        k,
-        budget,
-        done=lambda state: state.size == len(target_faces),
-        memo_key=lambda state: frozenset(state.facets),
-        protected=target_faces,
-    )
+    return _collapse_search(k, target_faces, len(target_faces), budget)
 
 
 # -- disks onto trees ---------------------------------------------------------
@@ -702,58 +631,29 @@ def collapse_disk_to_tree(disk: Complex, tree: Complex) -> tuple:
         tree_vertices, tree_edges
     ):
         raise CollapseError("target is not a tree")
-    pairs, live_tris = _erase({f for f in disk.faces if len(f) == 3}, tree_faces)
-    if live_tris:
+    pairs, rest = _erase_down((f for f in disk.faces if f), tree_faces, 3)
+    if rest != tree_faces:
         raise CollapseError(
             "greedy collapse stalled with triangles left; input is not a disk"
         )
-    # The residue is a tree containing the target (an extra edge between two
-    # target vertices would close a cycle); prune leaves outside the target.
-    edges = {f for f in disk.faces if len(f) == 2}.difference(p.free for p in pairs)
-    pairs.extend(_erase(edges, tree_faces)[0])
     return tuple(pairs)
 
 
 # -- constrain complex and gluing --------------------------------------------
 
 
-def constrain_complex(k: Complex, m: Complex) -> Complex:
-    """Faces of ``m`` having a strict coface outside ``m``.
-
-    This is the part of ``m`` the rest of ``k`` leans on: a local collapse
-    of ``m`` may only be glued into ``k`` if it keeps all of it.
-    """
-    return Complex.from_faces(_FaceIndex(k).constrain({f for f in m.faces if f}))
-
-
-def glue_local_collapse(
-    k: Complex,
-    m: Complex,
-    m_prime: Complex,
-    pairs: Sequence[CollapsePair],
-) -> CollapseSequence:
-    """Globalize a local collapse ``m`` -> ``m_prime`` inside ``k``.
-
-    Requires ``m_prime`` to be a subcomplex of ``m``, the constrain complex
-    of ``m`` in ``k`` to lie inside ``m_prime``, and the pairs to replay
-    both as a collapse of ``m`` onto ``m_prime`` and inside ``k``, where
-    they must remove exactly the faces of ``m`` outside ``m_prime``.
-    Returns the sequence, now valid as a global collapse of ``k``.
-    """
-    _glue_step(_FaceIndex(k), m, m_prime, pairs)
-    return tuple(pairs)
-
-
 def _glue_step(
     index: _FaceIndex, m: Complex, m_prime: Complex, pairs: Sequence[CollapsePair]
 ) -> None:
-    """``glue_local_collapse`` into the complex ``index`` holds, in place.
+    """Globalize a local collapse ``m`` -> ``m_prime`` into the complex
+    ``k`` that ``index`` holds, in place.
 
-    Every check of ``glue_local_collapse`` runs: the constrain complex
-    comes from the cofaces of ``m``'s faces in the index, the local replay
-    runs on ``m``, and the global replay runs on the index itself, whose
-    complex becomes ``(k - m) + m_prime``.  Nothing over all of ``k`` is
-    built.
+    Requires ``m_prime`` to be a subcomplex of ``m``, the constrain complex
+    of ``m`` in ``k`` (the faces of ``m`` with a strict coface outside it)
+    to lie inside ``m_prime``, and the pairs to replay both as a collapse
+    of ``m`` onto ``m_prime`` and inside ``k``, where they must remove
+    exactly the faces of ``m`` outside ``m_prime``.  The index's complex
+    becomes ``(k - m) + m_prime``; nothing over all of ``k`` is built.
     """
     m_faces = {f for f in m.faces if f}
     mp_faces = {f for f in m_prime.faces if f}

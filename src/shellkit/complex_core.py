@@ -455,16 +455,9 @@ def canonical_form(k: Complex) -> tuple:
     """
     if not k.faces:
         return ("void",)
-    return _canonical_facets(k.facets)
-
-
-def _canonical_facets(facets: frozenset) -> tuple:
-    """``canonical_form`` of the complex a facet set closes to, read from
-    the facets alone: its vertices are their union and its edges their
-    2-subsets."""
     adj: dict[int, set[int]] = {}
     profile: dict[int, list[int]] = {}
-    for facet in facets:
+    for facet in k.facets:
         for v in facet:
             adj.setdefault(v, set()).update(facet - {v})
             profile.setdefault(v, []).append(len(facet))
@@ -484,7 +477,7 @@ def _canonical_facets(facets: frozenset) -> tuple:
         ranks, classes = new_ranks, new_classes
     order = sorted(verts, key=lambda v: (ranks[v], v))
     rename = {v: i for i, v in enumerate(order)}
-    key = tuple(sorted(tuple(sorted(rename[v] for v in f)) for f in facets))
+    key = tuple(sorted(tuple(sorted(rename[v] for v in f)) for f in k.facets))
     return ("cx", key)
 
 

@@ -503,7 +503,7 @@ def three_house_exit(lc: LabeledComplex, entry: int) -> tuple[CollapseSequence, 
     """
     names = ["e", "p1", "p2", "p3"] + [f"f{t}" for t in (1, 2, 3) if t != entry]
     kept = _features_complex(lc, names)
-    result = collapses_to(lc.complex, kept, budget=10**7)
+    result = collapses_to(lc.complex, kept)
     if not result.yes:
         raise GadgetError(
             f"three-house failed to collapse keeping all doors but f{entry}: {result.verdict}"
@@ -642,8 +642,8 @@ def collapse_house(
     target's wall faces and the non-free part of the wall boundary; phase
     two folds the fan onto the contact--apex--far arc; phase three
     collapses the cap to the contact vertex.  Every phase is glued into
-    ``index`` in place by the gluing step behind ``glue_local_collapse``,
-    so each constrain-complex precondition is machine-checked rather than
+    ``index`` in place by the gluing step ``collapse._glue_step``, so
+    each constrain-complex precondition is machine-checked rather than
     assumed, and ``index`` ends at the collapsed complex.
     """
     wall_cx = Complex.from_facets(frame.wall)

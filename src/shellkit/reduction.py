@@ -365,8 +365,8 @@ def schedule_collapse(
     unsatisfied disks and literal houses, and (g) prune the residual
     star to ``v_and``.  One face index of K_phi carries the whole
     schedule: the punctures come out of it, and every phase is glued
-    into it in place by the gluing step behind ``glue_local_collapse``,
-    which checks the constrain complex and replays the phase both on its
+    into it in place by the gluing step ``collapse._glue_step``, which
+    checks the constrain complex and replays the phase both on its
     own part and on the index.  The concatenated sequence is verified end
     to end on a fresh copy before returning, so the result is replayable
     evidence, not a trace of intent.
@@ -391,7 +391,7 @@ def schedule_collapse(
         pairs.extend(local)
 
     def retract(m: Complex, m_prime: Complex, failure: str) -> None:
-        res = collapses_to(m, m_prime, budget=10**5)
+        res = collapses_to(m, m_prime)
         if not res.yes:
             raise ReductionError(failure)
         glue(m, m_prime, res.witness)

@@ -284,7 +284,7 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
 
 def _vertex_ids(raw, what: str) -> list[int]:
     if not isinstance(raw, (list, tuple)):
-        raise ShellingError(f"{what} must be a list of vertex ids")
+        raise FormatError(f"{what} must be a list of vertex ids")
     ids = [_validate_vertex(v) for v in raw]
     if len(set(ids)) != len(ids):
         raise FormatError(f"{what} {ids} repeats a vertex")
@@ -294,8 +294,9 @@ def _vertex_ids(raw, what: str) -> list[int]:
 def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:
     """Check a shedding tree and return the number of its nodes checked:
     links and deletions are recomputed, never trusted from the witness.  A
-    node that is not an object, a vertex id that is not an int (a bool
-    included), or a face that repeats a vertex is a ``FormatError``."""
+    node that is not an object, a face that is not a list, a vertex id
+    that is not an int (a bool included), or a face that repeats a vertex
+    is a ``FormatError``."""
     if not isinstance(tree, Mapping):
         raise FormatError("decomposition tree node must be an object")
     if "leaf" in tree:

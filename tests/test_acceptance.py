@@ -41,7 +41,7 @@ from shellkit.shelling import (
     verify_shelling,
 )
 
-from conftest import random_pure_2complex
+from conftest import oracle_is_collapsible_dfs, random_pure_2complex
 
 
 def _twenty_formulas() -> list[Formula]:
@@ -326,6 +326,8 @@ def test_criterion_10_hachimori_consistency():
 
 def test_criterion_11_greedy_dfs_equivalence():
     t0 = time.perf_counter()
+    # The decider is compared with the greedy one and with the all-dimension
+    # search of the oracle, which shares no code with either.
     rng = random.Random(606)
     for _ in range(500):
         k = random_pure_2complex(rng, max_facets=12, pool=10)
@@ -333,6 +335,10 @@ def test_criterion_11_greedy_dfs_equivalence():
         res = is_collapsible_dfs(k)
         assert res.verdict in ("yes", "no"), k.facets
         assert res.yes == ok, k.facets
+        assert res.verdict == oracle_is_collapsible_dfs(k).verdict, k.facets
+        if res.yes:
+            end = verify_collapse_sequence(k, res.witness)
+            assert len(end.facets) == 1 and end.dim == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     print(f"PASS criterion 11: greedy agrees with DFS on 500 complexes, {elapsed:.2f}s")

@@ -461,6 +461,16 @@ MALFORMED = {
         "decomposition",
         {"tree": {**TRIANGLE_BOUNDARY_TREE, "shedding": [0, 0]}},
     ),
+    "decomposition-shedding-not-a-list": (
+        TRIANGLE_BOUNDARY,
+        "decomposition",
+        {"tree": {**TRIANGLE_BOUNDARY_TREE, "shedding": 5}},
+    ),
+    "decomposition-leaf-not-a-list": (
+        TRIANGLE_BOUNDARY,
+        "decomposition",
+        {"tree": {**TRIANGLE_BOUNDARY_TREE, "delete": {"leaf": 5}}},
+    ),
     "certificate-clauses-not-lists": (None, "certificate", {"formula": {"n": 2, "clauses": [5]}}),
     "certificate-n-not-an-integer": (None, "certificate", {"formula": {"n": "2", "clauses": []}}),
     "certificate-literal-a-bool": (

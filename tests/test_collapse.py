@@ -6,34 +6,29 @@ import random
 
 import pytest
 
-from conftest import random_complex, random_pure_2complex
+from conftest import (
+    oracle_collapses_to,
+    oracle_is_collapsible_dfs,
+    random_complex,
+    random_pure_2complex,
+    restore_faces,
+)
 from shellkit import cli
 from shellkit.collapse import (
     CollapseError,
-    _CollapseState,
     _FaceIndex,
+    _glue_step,
     _sole_facets,
     CollapsePair,
-    SearchResult,
     check_disk,
     collapse_disk_to_tree,
     collapses_to,
-    constrain_complex,
-    elementary_collapse,
     free_faces,
-    glue_local_collapse,
     is_collapsible_2d_greedy,
     is_collapsible_dfs,
     verify_collapse_sequence,
 )
-from shellkit.complex_core import (
-    Complex,
-    _canonical_facets,
-    canonical_form,
-    cone,
-    facets_of,
-    one_skeleton_connected,
-)
+from shellkit.complex_core import Complex, cone, facets_of
 from shellkit.gadgets import dunce_hat, fixtures
 
 STRIP = [[0, 1, 2], [1, 2, 3]]
@@ -77,37 +72,31 @@ def free_gap_one_pairs_scan(index: _FaceIndex, facets) -> set:
     return out
 
 
-def restore_faces(index: _FaceIndex, faces) -> None:
-    """Put faces that ``index.remove`` took out back into the index."""
-    for g in faces:
-        index.faces.add(g)
-        for v in g:
-            index.by_vertex[v].add(g)
-
-
 def collapse_walk(rng: random.Random, k: Complex, undo: float = 0.0):
-    """Yield the face index of ``k`` and the search's incremental state of
-    it along a random walk of gap-one collapses, made on both, until no
+    """Yield the face index of ``k`` along a random walk of gap-one
+    collapses, read off the facet rule and the free-face rule, until no
     move is left.  With probability ``undo`` a step takes back the last
     move instead."""
     index = _FaceIndex(k)
-    state = _CollapseState(k, set())
     made = []
     while True:
-        yield index, state
+        yield index
         if made and rng.random() < undo:
-            ridge, facet = made.pop()
-            restore_faces(index, (ridge, facet))
-            state.restore(ridge, facet)
+            restore_faces(index, made.pop())
             continue
-        if not state.moves:
-            return
-        ridge, facet = rng.choice(
-            sorted(state.moves.items(), key=lambda mv: (sorted(mv[0]), sorted(mv[1])))
+        moves = sorted(
+            (
+                (sorted(f), sorted(g), f, g)
+                for f, g in _sole_facets(facets_of(index.faces)).items()
+                if g is not None and len(g) == len(f) + 1
+            ),
+            key=lambda mv: mv[:2],
         )
-        index.remove((ridge, facet))
-        state.remove(ridge, facet)
-        made.append((ridge, facet))
+        if not moves:
+            return
+        move = rng.choice(moves)[2:]
+        index.remove(move)
+        made.append(move)
 
 
 def test_free_faces_match_brute_oracle():
@@ -129,26 +118,29 @@ def test_free_faces_frozen():
     assert strip_free == {(0,), (3,), (0, 1), (0, 2), (1, 3), (2, 3)}
 
 
+def collapse_step(k: Complex, free, coface) -> Complex:
+    return verify_collapse_sequence(k, (CollapsePair(frozenset(free), frozenset(coface)),))
+
+
 def test_elementary_collapse():
     k = Complex.from_facets(STRIP)
-    smaller = elementary_collapse(k, [0, 1])
+    smaller = collapse_step(k, [0, 1], [0, 1, 2])
     assert frozenset({0, 1}) not in smaller.faces
     assert frozenset({0, 1, 2}) not in smaller.faces
     assert frozenset({0, 2}) in smaller.faces
-    assert elementary_collapse(k, [0], [0, 1, 2]) == k.delete([0])
+    assert collapse_step(k, [0], [0, 1, 2]) == k.delete([0])
     with pytest.raises(CollapseError, match="not free"):
-        elementary_collapse(k, [1, 2])
-    with pytest.raises(CollapseError):
-        elementary_collapse(k, [0, 3])
+        collapse_step(k, [1, 2], [1, 2, 3])
+    with pytest.raises(CollapseError, match="already removed"):
+        collapse_step(k, [0, 3], [0, 1, 3])
     with pytest.raises(CollapseError, match="recorded coface"):
-        elementary_collapse(k, [0], [0, 1])
+        collapse_step(k, [0], [0, 1])
 
 
 def test_facet_and_free_rules_match_coface_scan():
-    # The facet rule and the free-face rule, and the search state that keeps
-    # both up to date, agree with coface intersection in the index, on
-    # mixed-dimension complexes up to dimension 3, along random collapse
-    # walks that also take moves back.
+    # The facet rule and the free-face rule agree with coface intersection
+    # in the face index, on mixed-dimension complexes up to dimension 3,
+    # along random collapse walks that also take moves back.
     rng = random.Random(71)
     states = undos = 0
     for i in range(120):
@@ -156,22 +148,18 @@ def test_facet_and_free_rules_match_coface_scan():
         k = cone(k) if i % 2 else k
         assert k.facets == facets_of(k.faces)
         size = None
-        for index, state in collapse_walk(rng, k, undo=0.3):
+        for index in collapse_walk(rng, k, undo=0.3):
             facets = facets_scan(index)
-            assert state.facets == facets == facets_of(index.faces)
-            moves = free_gap_one_pairs_scan(index, facets)
-            assert set(state.moves.items()) == moves
-            assert moves == {
+            assert facets == facets_of(index.faces)
+            assert free_gap_one_pairs_scan(index, facets) == {
                 (f, g) for f, g in _sole_facets(facets).items()
                 if g is not None and len(g) == len(f) + 1
             }
-            assert state.size == len(index.faces)
-            undos += size is not None and state.size > size
-            size = state.size
+            undos += size is not None and len(index.faces) > size
+            size = len(index.faces)
             states += 1
         for f, g in free_faces(k):
-            assert elementary_collapse(k, f) == k.delete(f)
-            assert elementary_collapse(k, f, g) == k.delete(f)
+            assert collapse_step(k, f, g) == k.delete(f)
     assert states > 500 and undos > 100
 
 
@@ -236,7 +224,9 @@ def test_dfs_agrees_with_greedy_on_random_family():
 
 
 def test_dfs_budget_exhaustion_reported():
-    res = is_collapsible_dfs(fixtures()["modified_dunce_hat"].complex, budget=3)
+    # The budget bounds the states of the search above dimension 2, so a
+    # 3-dimensional input is needed to overrun it.
+    res = is_collapsible_dfs(cone(dunce_hat()), budget=3)
     assert res.verdict == "budget_exceeded"
     assert res.witness is None
 
@@ -248,92 +238,20 @@ def test_dfs_no_free_faces_is_a_fast_no():
     assert res.verdict == "no"
 
 
-def test_dfs_memo_key_is_canonical_form():
-    # The DFS keys a state by the canonical key of the index's facets; it
-    # must equal canonical_form of the state's complex, the key it replaced,
-    # along random collapse walks.
-    rng = random.Random(53)
-    for _ in range(150):
-        for index, state in collapse_walk(rng, random_complex(rng)):
-            assert _canonical_facets(state.facets) == canonical_form(index.complex())
+def test_dfs_node_counts_are_pinned():
+    # 28 states above dimension 2 and 52 erasure steps below it.
     res = is_collapsible_dfs(cone(dunce_hat()))
     assert (res.verdict, res.nodes) == ("yes", 80)
-    # The pendant path and edge collapse in either order to one state, so
-    # this count depends on the memo: 9 nodes without one, 5 under a key
-    # that only counts facets.
+    # A 2-dimensional yes counts its erasure steps, as the greedy decider.
+    k = fixtures()["modified_dunce_hat"].complex
+    assert is_collapsible_dfs(k).nodes == is_collapsible_2d_greedy(k).nodes == 19
+    # Two solid tetrahedra hung on the dunce hat come off in either order
+    # to one state, so this count depends on the memo: 233 without one.
     hat = dunce_hat()
     a, b = hat.vertices[:2]
-    res = is_collapsible_dfs(Complex.from_facets([*hat.facets, [a, 100], [b, 101], [100, 102]]))
-    assert (res.verdict, res.nodes) == ("no", 8)
-
-
-def oracle_move_key(move, last_removed):
-    """Reference move order: deeper collapses first, near the last removal
-    first, then lexicographic by ridge and facet."""
-    ridge, facet = move
-    local = 0 if (last_removed is not None and ridge & last_removed) else 1
-    return (-len(facet), local, sorted(ridge), sorted(facet))
-
-
-def oracle_collapse_search(k, budget, done, memo_key, protected):
-    """Reference: the collapse DFS with the facets and the free pairs
-    rebuilt from the face set at every node, and the memo key computed at
-    every node."""
-    index = _FaceIndex(k)
-    memo = set()
-    nodes = 0
-    budget_hit = False
-
-    def dfs(last):
-        nonlocal nodes, budget_hit
-        nodes += 1
-        if nodes > budget:
-            budget_hit = True
-            return None
-        if done(index):
-            return ()
-        facets = facets_of(index.faces)
-        key = memo_key(index, facets)
-        if key in memo:
-            return None
-        moves = [
-            (r, f) for r, f in _sole_facets(facets).items()
-            if f is not None and len(f) == len(r) + 1 and r not in protected
-        ]
-        for ridge, facet in sorted(moves, key=lambda mv: oracle_move_key(mv, last)):
-            index.remove((ridge, facet))
-            suffix = dfs(ridge | facet)
-            restore_faces(index, (ridge, facet))
-            if suffix is not None:
-                return (CollapsePair(ridge, facet),) + suffix
-            if budget_hit:
-                return None
-        memo.add(key)
-        return None
-
-    witness = dfs(None)
-    if witness is not None:
-        return SearchResult("yes", witness, nodes)
-    return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
-
-
-def oracle_is_collapsible_dfs(k, budget):
-    if not k.faces:
-        return SearchResult("no", None, 0)
-    if k.reduced_euler_characteristic() != 0 or not one_skeleton_connected(k):
-        return SearchResult("no", None, 0)
-    return oracle_collapse_search(
-        k, budget, lambda index: len(index.faces) == 1,
-        lambda index, facets: _canonical_facets(facets), set(),
-    )
-
-
-def oracle_collapses_to(k, target, budget):
-    target_faces = {f for f in target.faces if f}
-    return oracle_collapse_search(
-        k, budget, lambda index: index.faces == target_faces,
-        lambda index, facets: frozenset(index.faces), target_faces,
-    )
+    k = Complex.from_facets([*hat.facets, [a, 100, 101, 102], [b, 103, 104, 105]])
+    res = is_collapsible_dfs(k)
+    assert (res.verdict, res.nodes) == ("no", 137)
 
 
 def random_pure_3complex(rng: random.Random) -> Complex:
@@ -345,13 +263,23 @@ def random_pure_3complex(rng: random.Random) -> Complex:
     return Complex.from_facets(facets)
 
 
+def replays(k: Complex, res, target: Complex | None) -> bool:
+    """Does the witness of a yes collapse ``k`` onto ``target``, or onto
+    one vertex when there is no target?"""
+    end = verify_collapse_sequence(k, res.witness, target)
+    return target is not None or (len(end.facets) == 1 and end.dim == 0)
+
+
 def test_incremental_search_matches_rebuilding_oracle():
-    # Same verdict, node count and witness as the search that rebuilds its
-    # state at every node, for the whole-complex decider and for collapses
-    # onto a vertex and onto a random subcomplex, in dimensions 2 and 3.
+    # The search by dimension gives the verdict of the all-dimension search
+    # that rebuilds its state at every node, for the whole-complex decider
+    # and for collapses onto a vertex and onto a random subcomplex, in
+    # dimensions 2 and 3.  Every yes replays onto its target, also where
+    # the oracle overran its budget.
     rng = random.Random(404)
     budget = 600
     seen = set()
+    decided = set()
     for i in range(75):
         if i % 3 == 0:
             k = random_pure_2complex(rng, max_facets=9, pool=8)
@@ -362,13 +290,35 @@ def test_incremental_search_matches_rebuilding_oracle():
         faces = sorted((f for f in k.faces if f), key=sorted)
         vertex = k.subcomplex_closure([[rng.choice(k.vertices)]])
         sub = k.subcomplex_closure(rng.sample(faces, rng.randint(1, len(faces) // 3 + 1)))
-        runs = [(is_collapsible_dfs(k, budget), oracle_is_collapsible_dfs(k, budget))]
+        runs = [(is_collapsible_dfs(k, budget), oracle_is_collapsible_dfs(k, budget), None)]
         for target in (vertex, sub):
-            runs.append((collapses_to(k, target, budget), oracle_collapses_to(k, target, budget)))
-        for got, want in runs:
-            assert got == want
-            seen.add((k.dim, got.verdict))
+            runs.append(
+                (collapses_to(k, target, budget), oracle_collapses_to(k, target, budget), target)
+            )
+        for got, want, target in runs:
+            if want.verdict != "budget_exceeded":
+                assert got.verdict == want.verdict
+            if k.dim <= 2:
+                assert got.verdict != "budget_exceeded"
+            if got.yes:
+                assert replays(k, got, target)
+            seen.add((k.dim, want.verdict))
+            decided.add((k.dim, got.verdict))
     assert seen >= {(d, v) for d in (2, 3) for v in ("yes", "no", "budget_exceeded")}
+    assert decided >= {(d, v) for d in (2, 3) for v in ("yes", "no")}
+
+
+def test_collapse_search_backtracks():
+    # The lexicographically least tetrahedron move, (0 1 2, 0 1 2 5), then
+    # (0 3 4, 0 3 4 5) strands six triangles; the search must come back and
+    # take (0 3 5, 0 3 4 5) instead.  A search that tries only the least
+    # top move at each state says no here.
+    k = Complex.from_facets([[0, 1, 2, 5], [0, 1, 3], [0, 3, 4, 5], [1, 3, 4]])
+    target = k.subcomplex_closure([[0, 4], [1, 2, 5], [1, 4]])
+    res = collapses_to(k, target)
+    assert (res.verdict, res.nodes) == ("yes", 13)
+    assert replays(k, res, target)
+    assert oracle_collapses_to(k, target).yes
 
 
 def test_collapses_to_frozen():
@@ -480,7 +430,15 @@ def test_greedy_layer_matches_lex_erasure_oracle():
                 yes += 1
                 assert (res.witness, res.nodes) == (tuple(pairs), len(pairs))
             else:
-                assert res.nodes == edge_steps
+                assert res.nodes == len(pairs)
+    # A stalled triangle erasure ends the collapse before the pendant path
+    # that the oracle goes on to prune.
+    hat = dunce_hat()
+    a, b = sorted(min(hat.facets, key=sorted))[:2]
+    k = Complex.from_facets([*hat.facets, [a, b, 100], [100, 101]])
+    pairs, left, edge_steps = lex_erasure_oracle(k, set())
+    res = is_collapsible_2d_greedy(k)
+    assert (res.verdict, res.nodes, edge_steps, len(pairs)) == ("no", 1, 1, 3)
     disks = 0
     for _ in range(80):
         disk = random_disk(rng, rng.randint(1, 20))
@@ -493,16 +451,18 @@ def test_greedy_layer_matches_lex_erasure_oracle():
     assert yes > 50 and disks > 40
 
 
+def constrain(k: Complex, m: Complex) -> set:
+    return _FaceIndex(k).constrain({f for f in m.faces if f})
+
+
 def test_constrain_complex_frozen():
     strip = Complex.from_facets(STRIP)
     m = strip.subcomplex_closure([[0, 1, 2]])
-    gamma = constrain_complex(strip, m)
-    assert gamma.facets == frozenset({frozenset({1, 2})})
-    whole = constrain_complex(strip, strip)
-    assert whole.faces == Complex.empty().faces
+    assert constrain(strip, m) == {frozenset({1, 2}), frozenset({1}), frozenset({2})}
+    assert constrain(strip, strip) == set()
 
 
-def constrain_complex_scan(k: Complex, m: Complex) -> Complex:
+def constrain_complex_scan(k: Complex, m: Complex) -> set:
     """Reference: every proper subface in m of every face of k outside m."""
     m_faces = {f for f in m.faces if f}
     out = set()
@@ -514,7 +474,7 @@ def constrain_complex_scan(k: Complex, m: Complex) -> Complex:
             for sub in itertools.combinations(vs, r):
                 if frozenset(sub) in m_faces:
                     out.add(frozenset(sub))
-    return Complex.from_faces(out)
+    return out
 
 
 def test_constrain_complex_matches_scan_oracle():
@@ -524,12 +484,12 @@ def test_constrain_complex_matches_scan_oracle():
         k = random_pure_2complex(rng) if i % 2 else random_complex(rng)
         faces = sorted((f for f in k.faces if f), key=sorted)
         m = k.subcomplex_closure(rng.sample(faces, rng.randint(0, len(faces))))
-        gamma = constrain_complex(k, m)
+        gamma = constrain(k, m)
         assert gamma == constrain_complex_scan(k, m)
-        nonempty += bool(gamma.faces)
+        nonempty += bool(gamma)
     assert nonempty > 100
     with pytest.raises(ValueError, match="not a subcomplex"):
-        constrain_complex(Complex.from_facets(STRIP), Complex.from_facets([[0, 3]]))
+        constrain(Complex.from_facets(STRIP), Complex.from_facets([[0, 3]]))
 
 
 def test_glue_local_collapse_checks_containment():
@@ -540,8 +500,9 @@ def test_glue_local_collapse_checks_containment():
         CollapsePair(frozenset({0}), frozenset({0, 2})),
     )
     m_prime = m.subcomplex_closure([[1, 2]])
-    glued = glue_local_collapse(strip, m, m_prime, pairs)
-    assert glued == pairs
+    index = _FaceIndex(strip)
+    _glue_step(index, m, m_prime, pairs)
+    assert index.complex() == strip.subcomplex_closure([[1, 2, 3]])
 
     # Removing the shared edge would strand the other triangle.
     bad_prime = m.subcomplex_closure([[0, 2]])
@@ -553,7 +514,12 @@ def test_glue_local_collapse_checks_containment():
     # tells this case apart before the global replay fails.
     assert verify_collapse_sequence(m, bad_pairs) == bad_prime
     with pytest.raises(CollapseError, match="constrain complex"):
-        glue_local_collapse(strip, m, bad_prime, bad_pairs)
+        _glue_step(_FaceIndex(strip), m, bad_prime, bad_pairs)
+    # Pairs that remove less than m - m_prime, and a kept part outside m.
+    with pytest.raises(CollapseError, match="wrong complex"):
+        _glue_step(_FaceIndex(strip), m, m_prime, pairs[:1])
+    with pytest.raises(CollapseError, match="not a subcomplex of m"):
+        _glue_step(_FaceIndex(strip), m, strip, pairs)
 
 
 def test_witness_json_round_trip():

@@ -50,6 +50,17 @@ records for non-pure 2-complexes run the criterion's prechecks and its
 removal search directly, which is what the criterion answered when the
 digest was recorded.
 
+The first and fourth digests were recorded again when the DFS behind
+is_collapsible_dfs and collapses_to became a search by dimension
+(erasure up to dimension 2, branching only on top-dimensional moves).
+Compared record by record with the records before: every verdict held,
+except that 37 budget overruns of collapses_to onto a vertex, on
+2-dimensional inputs, became "no"; node counts and the DFS witnesses
+moved; every other record, greedy, disk-onto-tree and removal search
+included, stayed byte-identical.  The schedules kept their removals and
+their numbers of pairs; the pairs of the three-house exits and the
+retractions moved to the lexicographic greedy collapse.
+
 A sixth SHA-256 covers the command line: the exit codes, the --json
 reports (without node counts, times and witness paths) and the witness
 files of check, verify and solve-sat on the fixtures, seeded pure
@@ -108,10 +119,10 @@ from shellkit.shelling import (
     hachimori_decide_sd2,
 )
 
-PINNED_SHA256 = "9a948894bfd7aeeee3a0097d65181f1642b6e79bd1f435286e7f5d2cec304e65"
+PINNED_SHA256 = "e9d889274080c9bc27513946206ea76a869846a3d03586e584c84ab13da8a639"
 SUBDIVISION_SHA256 = "d6eadad5452d90a8f44e69b77983554f07ee69dd42a1c5d5676e5cf54ececd62"
 DECOMPOSITION_SHA256 = "d01bb5dc0a8939f4b65d182f1fee995c0cc5bd95a5e401cfde8b9e0effc46730"
-SCHEDULE_SHA256 = "466809d12594686d02cf40f9f60504eb4f94bfdab0efe90374b2ed26fa0e3615"
+SCHEDULE_SHA256 = "be456ebe3b1a219fa36bedda6c7b28297d53f63e15173aa597372a206c31337c"
 K_PHI_SHA256 = "5d973ea5f1d9e515df112344101b44890f4c3fdcffa62b727f036dd5fe211b23"
 CLI_SHA256 = "bf070efdb627496b87e4f8bd73fc805979e72001abfe351f6de9a0acbaf9fb07"
 CLI_PROPERTIES = ("shellable", "collapsible", "k-decomposable(0)", "k-decomposable(1)", "hachimori-sd2")

@@ -13,6 +13,7 @@ from conftest import random_complex, random_pure_2complex
 from shellkit.collapse import find_removal, verify_collapse_sequence
 from shellkit.complex_core import (
     Complex,
+    FormatError,
     _rank_colors,
     barycentric_subdivision,
     canonical_form,
@@ -446,7 +447,8 @@ def test_verify_decomposition_and_tampering():
     res = decide_k_decomposable(bd3, 0)
     tree = res.witness[0]
     verify_decomposition(bd3, 0, tree)
-    with pytest.raises(ShellingError, match="list of vertex ids"):
+    # A face of the wrong shape is a parse error, not a refutation.
+    with pytest.raises(FormatError, match="list of vertex ids"):
         verify_decomposition(bd3, 0, {"leaf": True})
     with pytest.raises(ShellingError):
         verify_decomposition(bd3, 0, {"leaf": [0, 1, 2]})

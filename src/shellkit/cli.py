@@ -14,7 +14,7 @@ Every decider returns a ``SearchResult``, and this module alone knows the
 witness format: ``check`` builds the document of a yes, replays it and
 only then writes it, and ``verify`` reads it back through the same
 replay.  The report's ``nodes`` counts what ran: search nodes, collapse
-steps or removals tried, and in ``verify`` the facets placed,
+steps or removals checked, and in ``verify`` the facets placed,
 tree nodes checked or pairs replayed.
 """
 

@@ -397,6 +397,22 @@ class TriangleErasure:
         the previous pick, which over copies of one pool is
         ``itertools.combinations`` order.  The search is a depth-first
         walk that punctures on the way down and undoes on the way up.
+
+        The picks of one choice must be distinct triangles.  Then the
+        walk skips, untried, every candidate that an earlier refuted
+        sibling dominates.  Say the prefix P plus the candidate t is
+        refuted, and a later sibling t' is not live in erase(K - P - t):
+        it is t itself or its puncture erased it.  Erasure is monotone
+        and confluent, so for every completion C of t',
+        erase(K - P - t' - C) contains erase(K - P - t - t' - C), which
+        is erase(K - P - t - C).  With distinct picks a choice is
+        collapsible exactly when nothing is left, and each completion of
+        t' is one of t (the same later pools, or in ascending order later
+        positions), so P plus t' is refuted too.  The dominated ids of a
+        level are those logged since a refuted candidate's mark, and they
+        hold for that level's prefix only, so each level entered starts
+        an empty set.  The first collapsible choice does not change; only
+        the count of choices tried falls.
         """
         ids = [[self.tri_id[t] for t in pool] for pool in pools]
         depth = len(ids)
@@ -413,27 +429,40 @@ class TriangleErasure:
         chosen: list[int] = []
         marks: list[int] = []
         frames = [iter(positions(0, -1))]
+        dominated: list[set[int]] = [set()]
         tried = 0
+
+        def refute() -> None:
+            # The children of the last pick are undone already, so the log
+            # since its mark is the pick and what its puncture erased.
+            chosen.pop()
+            mark = marks.pop()
+            dominated[-1].update(t for t, _, _ in self._log[mark:])
+            self.undo(mark)
+
         while frames:
+            level = len(chosen)
             pos = next(frames[-1], None)
             if pos is None:
                 frames.pop()
+                dominated.pop()
                 if chosen:
-                    chosen.pop()
-                    self.undo(marks.pop())
+                    refute()
                 continue
-            level = len(chosen)
+            t = ids[level][pos]
+            if t in dominated[-1]:
+                continue
             chosen.append(pos)
-            marks.append(self.puncture(ids[level][pos]))
+            marks.append(self.puncture(t))
             if level + 1 < depth:
                 frames.append(iter(positions(level + 1, pos)))
+                dominated.append(set())
                 continue
             tried += 1
             if self.collapsible():
                 self.undo(marks[0])
                 return tuple(pools[i][p] for i, p in enumerate(chosen)), tried
-            chosen.pop()
-            self.undo(marks.pop())
+            refute()
         return None, tried
 
 
@@ -450,11 +479,21 @@ def find_removal(
     the candidate count alone exceeds ``budget``: the product of the pool
     sizes, or with ``ascending`` over copies of one pool, the number of
     its subsets of size ``len(pools)``.  ``nodes`` counts the removals
-    tried.  On yes the witness is ``(removal, pairs)``: the greedy decider
-    replays the verdict on the punctured complex, and its pairs collapse
-    it to a vertex.  A disagreement is an internal error, not a property
-    of the input.
+    checked after dominance pruning.  On yes the witness is
+    ``(removal, pairs)``: the greedy decider replays the verdict on the
+    punctured complex, and its pairs collapse it to a vertex.  A
+    disagreement is an internal error, not a property of the input.
+
+    The pruning needs the picks of a removal to be distinct, so a
+    triangle in two pools, or twice in the one pool of ``ascending``,
+    raises ValueError.
     """
+    seen: set[Face] = set()
+    for pool in pools[:1] if ascending else map(set, pools):
+        for t in pool:
+            if t in seen:
+                raise ValueError(f"triangle {face_key(t)} could be picked twice")
+            seen.add(t)
     if ascending and pools:
         count = math.comb(len(pools[0]), len(pools))
     else:

@@ -539,8 +539,9 @@ def decide_phi_via_complex(phi: Formula) -> SearchResult:
     sphere, in ``itertools.product`` order over the spheres) with
     ``collapse.find_removal`` for the first one whose removal leaves a
     collapsible complex, and returns its result: ``nodes`` counts the
-    removals tried, and the verdict is budget_exceeded, with no search,
-    when the removal count exceeds ``_SWEEP_CAP``.  On yes the witness is
+    removals checked after dominance pruning, and the verdict is
+    budget_exceeded, with no search, when the removal count exceeds
+    ``_SWEEP_CAP``.  On yes the witness is
     ``(certificate,)``: the winning removal, the greedy collapse witness
     of the punctured complex, and the extracted assignment.  Raises
     ``InternalError`` when the winning removal does not read back as a

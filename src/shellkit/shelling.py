@@ -353,8 +353,9 @@ def hachimori_decide_sd2(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResu
     ``itertools.combinations`` order over the triangles, and its result
     is returned as it is: on yes the witness is ``(removal, pairs)``, the
     removed triangles and a collapse of the remainder to a vertex, and
-    ``nodes`` counts the removals tried.  The verdict is budget_exceeded,
-    with no search, when the set count alone overruns ``budget``.
+    ``nodes`` counts the removals checked after dominance pruning.  The
+    verdict is budget_exceeded, with no search, when the set count alone
+    overruns ``budget``.
     """
     if k.dim != 2 or not k.is_pure():
         raise ShellingError("the sd2 criterion applies to pure 2-dimensional complexes")

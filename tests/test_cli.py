@@ -230,8 +230,8 @@ def test_report_counts_the_removals_tried(tmp_path, capsys):
     sat.write_text(CNF)
     run(["reduce", str(unsat)], capsys)
     for argv, exit_code, nodes in (
-        (["solve-sat", str(unsat)], 1, 8),
-        (["check", "hachimori-sd2", str(tmp_path / "unsat.kphi.json")], 1, 241),
+        (["solve-sat", str(unsat)], 1, 2),
+        (["check", "hachimori-sd2", str(tmp_path / "unsat.kphi.json")], 1, 7),
     ):
         code, out, _ = run(["--json", *argv], capsys)
         assert (code, json.loads(out)["search_nodes"]) == (exit_code, nodes), argv

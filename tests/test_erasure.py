@@ -7,6 +7,7 @@ supersets.  Each reference below is the straightforward version.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -28,6 +29,7 @@ from shellkit.reduction import (
     build_K_phi,
     decide_phi_via_complex,
     random_formula,
+    sat_oracle,
 )
 from shellkit.shelling import ShellingError, hachimori_decide_sd2
 
@@ -248,17 +250,68 @@ def test_hachimori_on_compiled_complexes_matches_combinations_loop():
         assert res.witness == _hachimori_reference(lc.complex, pool)
 
 
+def random_pooled_complex(rng: random.Random):
+    """A random pure 2-complex with chi >= 2, its triangles split into chi
+    disjoint pools, or None when the draw has chi < 2."""
+    n = rng.randint(6, 7)
+    k = Complex.from_facets(
+        rng.sample(list(itertools.combinations(range(n), 3)), rng.randint(6, 13))
+    )
+    chi = k.reduced_euler_characteristic()
+    if chi < 2:
+        return None
+    triangles = sorted(k.facets, key=face_key)
+    rng.shuffle(triangles)
+    cuts = [0, *sorted(rng.sample(range(1, len(triangles)), chi - 1)), len(triangles)]
+    return k, [triangles[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def test_product_order_matches_product_loop_on_random_pools():
+    # Dominance pruning skips removals, never the first collapsible one.
+    rng = random.Random(2021)
+    verdicts = Counter()
+    while sum(verdicts.values()) < 120:
+        case = random_pooled_complex(rng)
+        if case is None:
+            continue
+        k, pools = case
+        res = find_removal(k, pools, 10**6)
+        assert res.witness == first_greedy_removal(k, itertools.product(*pools)), (
+            sorted(map(face_key, k.facets)), [sorted(map(face_key, p)) for p in pools],
+        )
+        assert res.nodes <= math.prod(map(len, pools))
+        verdicts[res.verdict] += 1
+    assert verdicts["yes"] and verdicts["no"], verdicts
+
+
+def test_find_removal_needs_distinct_picks():
+    k = Complex.from_facets([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [1, 2, 4]])
+    a, b, c = frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({1, 2, 4})
+    with pytest.raises(ValueError, match="picked twice"):
+        find_removal(k, [[a, b], [c, a]], budget=10)
+    with pytest.raises(ValueError, match="picked twice"):
+        find_removal(k, [[a, b, a]] * 2, budget=10, ascending=True)
+    # A repeat inside one pool of the product order still picks distinct triangles.
+    assert find_removal(k, [[a, a]], budget=10).yes
+
+
 def test_removals_tried_are_pinned():
-    # An unsatisfiable search tries every removal: the 8 triangles of one
-    # sphere, all 241 triangles of K_phi, and 8**3 over three spheres.
+    # Dominance pruning checks far fewer removals than the 8 triangles of
+    # one sphere, the 241 of K_phi and the 8**n over n spheres.
     contra = Formula(1, ((1, 1, 1), (-1, -1, -1)))
     results = [
         decide_phi_via_complex(contra),
         hachimori_decide_sd2(build_K_phi(contra).complex),
         decide_phi_via_complex(Formula(3, ((1, 1, 1), (-1, -1, -1), (2, 3, -2)))),
     ]
+    for n in (4, 5):
+        rng = random.Random(7)
+        phi = random_formula(n, 5 * n, rng)
+        while sat_oracle(phi) is not None:
+            phi = random_formula(n, 5 * n, rng)
+        results.append(decide_phi_via_complex(phi))
     tried = [(res.verdict, res.nodes) for res in results]
-    assert tried == [("no", 8), ("no", 241), ("no", 512)]
+    assert tried == [("no", 2), ("no", 7), ("no", 8), ("no", 16), ("no", 32)]
 
 
 def test_find_removal_raises_when_greedy_disagrees(monkeypatch):

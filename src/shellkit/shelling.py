@@ -64,14 +64,18 @@ def _may_be_shellable(facets: Collection[Face]) -> bool:
     """False when the pure complex with these (nonempty) facets cannot be
     shellable; True promises nothing.
 
-    A shellable pure d-complex passes three tests.  For d >= 1 each facet
+    A shellable pure d-complex passes four tests.  For d >= 1 each facet
     after the first meets its predecessors along a ridge, so the facet
     graph (facets joined along shared ridges) is connected.  Its vertex
     links are shellable, so for d >= 2 each link's facet graph is
     connected; the facets f - v of the link of v meet along r - v for the
     ridges r through v, so that graph is the one on the facets through v
     joined along the ridges through v.  It is a wedge of d-spheres up to
-    homotopy, so (-1)^d χ̃ >= 0.
+    homotopy, so (-1)^d χ̃ >= 0.  And for d >= 1, when χ̃ = 0 some ridge
+    lies in one facet alone: a shelling has exactly (-1)^d χ̃ facets whose
+    restriction face is the whole facet (Björner and Wachs, 1996), so with
+    χ̃ = 0 the last facet F has a vertex v outside its restriction face,
+    and the ridge F - v lies in no other facet.
     """
     d = len(next(iter(facets))) - 1
     by_ridge: dict[Face, list[Face]] = {}
@@ -92,7 +96,21 @@ def _may_be_shellable(facets: Collection[Face]) -> bool:
     if d >= 2 and not all(graph_connected(star[v], star_edges[v]) for v in star):
         return False
     chi = sum(1 if len(g) % 2 else -1 for g in {g for f in facets for g in _faces_of(f)})
+    if d >= 1 and chi == 0 and all(len(around) > 1 for around in by_ridge.values()):
+        return False
     return (-1) ** d * chi >= 0
+
+
+def _cone_base(k: Complex) -> tuple[Complex, frozenset]:
+    """``k`` as a join base * apexes: while the complex has two or more
+    facets and some vertex lies in all of them, it is the cone over the
+    link of the least such vertex v, so pass to that link and add v to
+    the apexes.  A pure d-complex goes down at most d + 1 times."""
+    apexes: frozenset = frozenset()
+    while len(k.facets) > 1 and (common := frozenset.intersection(*k.facets)):
+        v = min(common)
+        k, apexes = k.link([v]), apexes | {v}
+    return k, apexes
 
 
 def verify_shelling(k: Complex, order: Sequence[Iterable[int]]) -> None:
@@ -126,12 +144,20 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     tested by its restriction face (``_restriction_ok``) in d + 2 lookups.
     The verdict "no" is an exhaustive refutation, or, at 0 nodes, a failed
     ``_may_be_shellable``.
+
+    A cone is decided through its apex link (``_cone_base``): a cone
+    v * L is shellable exactly when L is (Provan and Billera, 1980), and a
+    shelling of L lifts to one of v * L by adding v to every facet.  So
+    the search runs on the base L, ``nodes`` counts that search, and the
+    apexes join every facet of its shelling.
     """
-    d = _check_pure_input(k)
+    _check_pure_input(k)
+    k, apexes = _cone_base(k)
+    d = k.dim
     facets = sorted(k.facets, key=face_key)
     m = len(facets)
     if m == 1 or d == 0:
-        return SearchResult("yes", tuple(facets), 0)
+        return SearchResult("yes", tuple(f | apexes for f in facets), 0)
     # Sound precheck: a complex that fails it has no shelling.  It runs
     # once, on the whole complex.  Inside the search it could not prune:
     # each prefix the search builds is a shelling of its own facets, so it
@@ -184,7 +210,7 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
         return False
 
     if extend(0):
-        return SearchResult("yes", tuple(chosen), nodes)
+        return SearchResult("yes", tuple(f | apexes for f in chosen), nodes)
     return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
 
 
@@ -215,10 +241,20 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     shedding faces in one fixed order and each child's result depends on
     its facet set alone, so the tree returned for a "yes" is the first one
     in that order.
+
+    A cone v * L is k-decomposable exactly when L is (Provan and Billera,
+    1980), so a cone is decided through its apex link (``_cone_base``), as
+    in ``decide_shellable``: the search runs on the base L, ``nodes``
+    counts that search, and the cone's tree is the lift of the base's
+    tree.  The link and deletion of a shedding face σ in v * L are the
+    cones over its link and deletion in L, so the lift keeps every
+    shedding face and adds v to every leaf; the leaf [] of the empty-face
+    complex becomes [v].
     """
     if kk < 0:
         raise ShellingError("k must be >= 0")
     _check_pure_input(k)
+    k, apexes = _cone_base(k)
     # Facet set, as a bitmask over ids handed out to facets as they are
     # first seen -> the tree rec returned for it, or None for no.
     exact: dict[int, dict | None] = {}
@@ -278,8 +314,22 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
 
     tree = rec(k.facets)
     if tree is not None:
-        return SearchResult("yes", (tree,), nodes)
+        return SearchResult("yes", (_cone_tree(tree, apexes),), nodes)
     return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
+
+
+def _cone_tree(tree: dict, apexes: frozenset) -> dict:
+    """The shedding tree of the join of the complex that ``tree``
+    decomposes with the simplex on ``apexes``."""
+    if not apexes:
+        return tree
+    if "leaf" in tree:
+        return {"leaf": list(face_key(apexes.union(tree["leaf"])))}
+    return {
+        "shedding": tree["shedding"],
+        "link": _cone_tree(tree["link"], apexes),
+        "delete": _cone_tree(tree["delete"], apexes),
+    }
 
 
 def _vertex_ids(raw, what: str) -> list[int]:

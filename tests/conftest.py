@@ -1,7 +1,8 @@
 import random
 
 from shellkit.collapse import DEFAULT_BUDGET, CollapsePair, SearchResult, _FaceIndex, _sole_facets
-from shellkit.complex_core import Complex, canonical_form, facets_of, one_skeleton_connected
+from shellkit.complex_core import Complex, canonical_form, face_key, facets_of, one_skeleton_connected
+from shellkit.gadgets import dunce_hat
 
 
 def random_pure_2complex(rng: random.Random, max_facets: int = 8, pool: int = 9) -> Complex:
@@ -18,6 +19,16 @@ def random_complex(rng: random.Random, max_facets: int = 6, pool: int = 8) -> Co
     want = rng.randint(1, max_facets)
     facets = [rng.sample(range(pool), rng.randint(1, 3)) for _ in range(want)]
     return Complex.from_facets(facets)
+
+
+def pendant_dunce_hat() -> Complex:
+    """The dunce hat with a pendant triangle on its least edge: χ̃ = 0 and
+    two free edges, so it passes every test of
+    ``shelling._may_be_shellable``, but it is not collapsible, so not
+    shellable."""
+    hat = dunce_hat()
+    edge = min((f for f in hat.faces if len(f) == 2), key=face_key)
+    return Complex.from_facets([*hat.facets, edge | {max(hat.vertices) + 1}])
 
 
 # -- the all-dimension collapse search, rebuilt at every node ------------------

@@ -66,6 +66,23 @@ reports (without node counts, times and witness paths) and the witness
 files of check, verify and solve-sat on the fixtures, seeded pure
 2-complexes and seeded formulas.  It was recorded while the witness
 writers and readers still lived in the shelling and collapse modules.
+
+The first, third and sixth digests were recorded again when the shelling
+deciders gained two rules: a pure d-complex (d >= 1) with χ̃ = 0 and no
+ridge in one facet alone is refuted without a search, and a cone is
+decided through the link of its least apex, its witness lifted back.
+Compared record by record with the records before, no yes became no and
+no no became yes, and no witness byte changed.  Six core records moved:
+the two decide_shellable budget overruns, on the dunce hat and its cone,
+became ("no", 0), and four two-facet cones went from 2 nodes to 0 with
+the same shelling.  Six decomposition records moved: the dunce hat's
+refutations at k = 0, 1, 2 took 1 node instead of 175, 353 and 407, and
+its cone's three budget overruns became "no" in 1 node.  One command-line
+record moved: check shellable on the dunce hat exits 1 (no) where it
+exited 3.  The core and command-line records also gained the dunce hat
+with a pendant triangle on its least edge, whose shelling search still
+overruns budget 200 and --budget 3000, and so keeps a budget overrun
+among the core records and an exit 3 among the command-line ones.
 """
 
 import contextlib
@@ -77,7 +94,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_complex, random_pure_2complex
+from conftest import pendant_dunce_hat, random_complex, random_pure_2complex
 from shellkit import cli
 from shellkit.collapse import (
     CollapseError,
@@ -119,12 +136,12 @@ from shellkit.shelling import (
     hachimori_decide_sd2,
 )
 
-PINNED_SHA256 = "e9d889274080c9bc27513946206ea76a869846a3d03586e584c84ab13da8a639"
+PINNED_SHA256 = "7dade3fcffc316ffd374187624cccaf583580f86afac7b36b8d65e3b9bc72065"
 SUBDIVISION_SHA256 = "d6eadad5452d90a8f44e69b77983554f07ee69dd42a1c5d5676e5cf54ececd62"
-DECOMPOSITION_SHA256 = "d01bb5dc0a8939f4b65d182f1fee995c0cc5bd95a5e401cfde8b9e0effc46730"
+DECOMPOSITION_SHA256 = "a7fcd1ef48439f2fb3d7ed7c425ef060944c7f84e332cd9b5f089d8f6cb0b90d"
 SCHEDULE_SHA256 = "be456ebe3b1a219fa36bedda6c7b28297d53f63e15173aa597372a206c31337c"
 K_PHI_SHA256 = "5d973ea5f1d9e515df112344101b44890f4c3fdcffa62b727f036dd5fe211b23"
-CLI_SHA256 = "bf070efdb627496b87e4f8bd73fc805979e72001abfe351f6de9a0acbaf9fb07"
+CLI_SHA256 = "0fc83f3c687d5f890f92b969265bee045a2d70b5bfed130d4d7408bb3410a943"
 CLI_PROPERTIES = ("shellable", "collapsible", "k-decomposable(0)", "k-decomposable(1)", "hachimori-sd2")
 
 
@@ -189,6 +206,8 @@ def pinned_records() -> list:
     fan = Complex.from_facets([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5]])
     inputs = [lc.complex for _, lc in sorted(fixtures().items())]
     inputs += [cone(dunce_hat()), fan]
+    # Its shelling search overruns budget 200: the one overrun here.
+    inputs += [pendant_dunce_hat()]
     inputs += [random_pure_2complex(rng) for _ in range(60)]
     inputs += [random_complex(rng) for _ in range(30)]
     records = [_complex_records(k) for k in inputs]
@@ -363,6 +382,8 @@ def _cli_record(argv: list[str]) -> list:
 def cli_records(work: Path) -> list:
     rng = random.Random(14)
     inputs = [(name, lc.complex) for name, lc in sorted(fixtures().items())]
+    # Its shelling search overruns --budget 3000: the one exit 3 here.
+    inputs += [("pendant_dunce_hat", pendant_dunce_hat())]
     inputs += [(f"k{i}", random_pure_2complex(rng, pool=6 + i % 2)) for i in range(40)]
     records = []
     for name, k in inputs:

@@ -9,14 +9,15 @@ import random
 
 import pytest
 
-from conftest import random_complex, random_pure_2complex
-from shellkit.collapse import find_removal, verify_collapse_sequence
+from conftest import pendant_dunce_hat, random_complex, random_pure_2complex
+from shellkit.collapse import find_removal, is_collapsible_2d_greedy, verify_collapse_sequence
 from shellkit.complex_core import (
     Complex,
     FormatError,
     _rank_colors,
     barycentric_subdivision,
     canonical_form,
+    cone,
     face_key,
     graph_connected,
     vertex_links_connected,
@@ -141,6 +142,13 @@ def test_decider_node_counts_are_pinned():
     assert (res.verdict, res.nodes) == ("no", 0)
     res = decide_k_decomposable(fx["modified_dunce_hat"].complex, 1)
     assert (res.verdict, res.nodes) == ("yes", 113)
+    # χ̃(dunce hat) = 0 and no ridge is free: refuted before the search.
+    res = decide_shellable(dunce_hat())
+    assert (res.verdict, res.nodes) == ("no", 0)
+    # A cone is decided through its apex's link, here the dunce hat.
+    coned = cone(dunce_hat())
+    for res in [decide_shellable(coned)] + [decide_k_decomposable(coned, kk) for kk in (0, 1)]:
+        assert res.verdict == "no" and res.nodes <= 1, res
 
 
 def test_decide_shellable_frozen():
@@ -394,15 +402,52 @@ def test_oracle_comparisons_catch_a_wrong_pruning_rule(monkeypatch):
     assert shellable_mismatches(complexes)
 
 
+def test_cone_rule_matches_unpruned_oracles():
+    # Random pure 1- and 2-complexes, closed surfaces among them, their
+    # cones and the cones of those cones.  The deciders go through the
+    # apex link and lift the witness; the oracles search the whole cone.
+    rng = random.Random(62)
+    bases = [Complex.from_facets(BD3), Complex.from_facets(OCTAHEDRON)]
+    bases += [
+        random_pure_2complex(rng, max_facets=6, pool=6) if i % 2 else random_pure_complex(rng, 1)
+        for i in range(40)
+    ]
+    seen = collections.Counter()
+    for family, complexes in (
+        ("base", bases),
+        ("cone", [cone(k) for k in bases]),
+        ("cone of cone", [cone(cone(k)) for k in bases]),
+    ):
+        for k in complexes:
+            res = decide_shellable(k, budget=3000)
+            assert res.yes == reference_shellable(k) and res.verdict != "budget_exceeded", k.facets
+            if res.yes:
+                verify_shelling(k, res.witness)
+            seen[family, "shellable", res.verdict] += 1
+            for kk in range(k.dim + 1):
+                res = decide_k_decomposable(k, kk, budget=3000)
+                verdict, _, _ = reference_k_decomposable(k, kk, 3000)
+                assert verdict in ("budget_exceeded", res.verdict), (k.facets, kk, res)
+                if res.yes:
+                    verify_decomposition(k, kk, res.witness[0])
+                seen[family, "k-decomposable", res.verdict] += 1
+    for family in ("base", "cone", "cone of cone"):
+        for what in ("shellable", "k-decomposable"):
+            assert seen[family, what, "yes"] >= 10 and seen[family, what, "no"] >= 10, seen
+
+
 def _pinched_sphere() -> Complex:
-    """sd(∂Δ³) with the barycentres of the edges 01 and 23 identified.
-    They are three edges apart, so the quotient is still a simplicial
-    complex: a sphere with two points glued, χ̃ = 0, facet graph
-    connected, and the glued vertex's link two disjoint 4-cycles."""
+    """sd(∂Δ³) with the barycentres of the edges 01 and 23 identified,
+    and a pendant triangle on the edge 0 a.  The two barycentres are three
+    edges apart, so the quotient is still a simplicial complex: a sphere
+    with two points glued, χ̃ = 0, facet graph connected, and the glued
+    vertex's link two disjoint 4-cycles.  The pendant triangle keeps
+    χ̃ = 0, adds a free edge and leaves that link disconnected."""
     sub = barycentric_subdivision(Complex.from_facets(BD3), 1)
     carrier = {c: v for v, c in sub.vertex_carrier.items()}
     a, b = carrier[frozenset({0, 1})], carrier[frozenset({2, 3})]
-    return Complex.from_facets([[a if v == b else v for v in f] for f in sub.complex.facets])
+    facets = [[a if v == b else v for v in f] for f in sub.complex.facets]
+    return Complex.from_facets(facets + [[carrier[frozenset({0})], a, max(sub.complex.vertices) + 1]])
 
 
 def test_may_be_shellable_each_rule_refutes():
@@ -410,21 +455,30 @@ def test_may_be_shellable_each_rule_refutes():
         pairs = itertools.combinations(k.facets, 2)
         return graph_connected(k.facets, ((f, g) for f, g in pairs if len(f & g) == k.dim))
 
-    # Each refuted complex fails one of the three tests alone.
+    def has_free_ridge(k):
+        return any(n == 1 for n in collections.Counter(f - {v} for f in k.facets for v in f).values())
+
+    # Each refuted complex fails one of the four tests alone.
     disjoint = Complex.from_facets([[0, 1, 2], [3, 4, 5]])
     pinched = _pinched_sphere()
     torus = torus_7()
+    hat = dunce_hat()
     assert not facet_graph_connected(disjoint)
     assert vertex_links_connected(disjoint)[0] and disjoint.reduced_euler_characteristic() == 1
     assert facet_graph_connected(pinched) and not vertex_links_connected(pinched)[0]
-    assert pinched.reduced_euler_characteristic() == 0
+    assert pinched.reduced_euler_characteristic() == 0 and has_free_ridge(pinched)
     assert facet_graph_connected(torus) and vertex_links_connected(torus)[0]
     assert torus.reduced_euler_characteristic() == -1
-    refuted = [disjoint, pinched, torus, Complex.from_facets([[0, 1], [2, 3]])]
+    assert facet_graph_connected(hat) and vertex_links_connected(hat)[0]
+    assert hat.reduced_euler_characteristic() == 0 and not has_free_ridge(hat)
+    refuted = [disjoint, pinched, torus, hat, Complex.from_facets([[0, 1], [2, 3]])]
     assert not any(_may_be_shellable(k.facets) for k in refuted)
-    # Necessary, not sufficient: the dunce hat passes, but it is contractible
-    # and not collapsible, so not shellable.
-    passing = [Complex.from_facets(BD3), Complex.from_facets(OCTAHEDRON), dunce_hat()]
+    # Necessary, not sufficient: the dunce hat with a pendant triangle
+    # passes, but it is contractible and not collapsible, so not shellable.
+    pendant = pendant_dunce_hat()
+    assert pendant.reduced_euler_characteristic() == 0 and has_free_ridge(pendant)
+    assert is_collapsible_2d_greedy(pendant).verdict == "no"
+    passing = [Complex.from_facets(BD3), Complex.from_facets(OCTAHEDRON), pendant]
     passing += [Complex.from_facets([[0], [1], [2]]), Complex.from_facets([[0, 1], [1, 2]])]
     assert all(_may_be_shellable(k.facets) for k in passing)
 

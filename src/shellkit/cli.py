@@ -7,8 +7,8 @@ and 4 when an internal invariant failed, so batch callers can tell
 refutation from resignation and a bad input from a fault of shellkit.
 The deciders recurse once per search level, so an input that drives one
 deeper than Python's recursion limit (``check shellable`` on a strip of a
-thousand triangles) ends with a message and exit 3, as a cap that ran
-out, never with a "no".
+thousand triangles) ends with a message and exit 3, as a budget that
+ran out, never with a "no".
 
 Every decider returns a ``SearchResult``, and this module alone knows the
 witness format: ``check`` builds the document of a yes, replays it and
@@ -65,7 +65,6 @@ from shellkit.gadgets import (
 from shellkit.reduction import (
     Formula,
     ReductionError,
-    _SWEEP_CAP,
     _satisfies,
     assignment_from_removal,
     build_K_phi,
@@ -395,8 +394,8 @@ def _cmd_solve_sat(args: argparse.Namespace) -> tuple[RunReport, dict]:
     res = decide_phi_via_complex(phi)
     report = RunReport("solve-sat", _digest(text), res.verdict, search_nodes=res.nodes)
     if res.verdict == "budget_exceeded":
-        reason = "removal enumeration needs more candidates than its cap"
-        return report, {"reason": f"{reason}; cap is {_SWEEP_CAP}"}
+        # The search stops at the first removal past its budget.
+        return report, {"reason": f"removal budget of {res.nodes - 1} exceeded"}
     cert = res.witness[0] if res.yes else None
     model = sat_oracle(phi) if phi.n <= 24 else None
     if phi.n <= 24 and (cert is None) != (model is None):

@@ -13,7 +13,6 @@ is complete because any wider collapse factors into one-dimension steps.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -35,6 +34,11 @@ DEFAULT_BUDGET = 10**6
 
 class CollapseError(ValueError):
     """A collapse step or gluing precondition failed."""
+
+
+class _BudgetExceeded(Exception):
+    """Raised by the search node that overruns its budget; caught once,
+    where the search starts, so no refutation is recorded after it."""
 
 
 @dataclass(frozen=True)
@@ -387,19 +391,23 @@ class TriangleErasure:
         return self.remaining == 0 and self._connected and self._chi == self.removed
 
     def first_collapsible(
-        self, pools: Sequence[Sequence[Face]], ascending: bool = False
-    ) -> tuple[tuple[Face, ...] | None, int]:
+        self, pools: Sequence[Sequence[Face]], budget: int, ascending: bool = False
+    ) -> SearchResult:
         """First choice of one triangle per pool whose removal leaves a
-        collapsible complex, or None, with the number of choices tried.
+        collapsible complex; ``nodes`` counts the choices checked.
 
         Choices are tried in ``itertools.product`` order over the pools;
         with ``ascending`` each pick must also come later in its pool than
         the previous pick, which over copies of one pool is
         ``itertools.combinations`` order.  The search is a depth-first
-        walk that punctures on the way down and undoes on the way up.
+        walk that punctures on the way down and undoes on the way up.  A
+        disconnected complex is a no with 0 nodes; otherwise every choice
+        checked counts, the empty one of no pools included, and the walk
+        stops at the first one past ``budget`` with the verdict
+        budget_exceeded.  Every return leaves the erasure as it found it.
 
         The picks of one choice must be distinct triangles.  Then the
-        walk skips, untried, every candidate that an earlier refuted
+        walk skips, unchecked, every candidate that an earlier refuted
         sibling dominates.  Say the prefix P plus the candidate t is
         refuted, and a later sibling t' is not live in erase(K - P - t):
         it is t itself or its puncture erased it.  Erasure is monotone
@@ -412,24 +420,24 @@ class TriangleErasure:
         level are those logged since a refuted candidate's mark, and they
         hold for that level's prefix only, so each level entered starts
         an empty set.  The first collapsible choice does not change; only
-        the count of choices tried falls.
+        the count of choices checked falls.
         """
         ids = [[self.tri_id[t] for t in pool] for pool in pools]
         depth = len(ids)
         if not self._connected:
-            return None, 0
-        if depth == 0:
-            return (() if self.collapsible() else None), 1
+            return SearchResult("no", None, 0)
 
         def positions(level: int, prev: int) -> range:
             if ascending:
                 return range(prev + 1, len(ids[level]) - (depth - level) + 1)
             return range(len(ids[level]))
 
+        start = len(self._log)
         chosen: list[int] = []
         marks: list[int] = []
-        frames = [iter(positions(0, -1))]
-        dominated: list[set[int]] = [set()]
+        # One position iterator and one dominated set per level entered.
+        frames: list = []
+        dominated: list[set[int]] = []
         tried = 0
 
         def refute() -> None:
@@ -440,30 +448,36 @@ class TriangleErasure:
             dominated[-1].update(t for t, _, _ in self._log[mark:])
             self.undo(mark)
 
-        while frames:
+        while True:
             level = len(chosen)
+            if level == depth:
+                tried += 1
+                if tried > budget:
+                    self.undo(start)
+                    return SearchResult("budget_exceeded", None, tried)
+                if self.collapsible():
+                    removal = tuple(pools[i][p] for i, p in enumerate(chosen))
+                    self.undo(start)
+                    return SearchResult("yes", removal, tried)
+                if not chosen:
+                    return SearchResult("no", None, tried)
+                refute()
+                continue
+            if len(frames) == level:
+                frames.append(iter(positions(level, chosen[-1] if chosen else -1)))
+                dominated.append(set())
             pos = next(frames[-1], None)
             if pos is None:
                 frames.pop()
                 dominated.pop()
-                if chosen:
-                    refute()
+                if not chosen:
+                    return SearchResult("no", None, tried)
+                refute()
                 continue
             t = ids[level][pos]
-            if t in dominated[-1]:
-                continue
-            chosen.append(pos)
-            marks.append(self.puncture(t))
-            if level + 1 < depth:
-                frames.append(iter(positions(level + 1, pos)))
-                dominated.append(set())
-                continue
-            tried += 1
-            if self.collapsible():
-                self.undo(marks[0])
-                return tuple(pools[i][p] for i, p in enumerate(chosen)), tried
-            refute()
-        return None, tried
+            if t not in dominated[-1]:
+                chosen.append(pos)
+                marks.append(self.puncture(t))
 
 
 def find_removal(
@@ -473,16 +487,13 @@ def find_removal(
     ascending: bool = False,
 ) -> SearchResult:
     """Search for one triangle per pool whose removal leaves ``k``
-    collapsible, in the order of ``TriangleErasure.first_collapsible``.
-
-    The search does not start, and the verdict is budget_exceeded, when
-    the candidate count alone exceeds ``budget``: the product of the pool
-    sizes, or with ``ascending`` over copies of one pool, the number of
-    its subsets of size ``len(pools)``.  ``nodes`` counts the removals
-    checked after dominance pruning.  On yes the witness is
-    ``(removal, pairs)``: the greedy decider replays the verdict on the
-    punctured complex, and its pairs collapse it to a vertex.  A
-    disagreement is an internal error, not a property of the input.
+    collapsible, with ``TriangleErasure.first_collapsible``: ``nodes``
+    counts the removals checked after dominance pruning, and the verdict
+    is budget_exceeded, with ``nodes`` = ``budget`` + 1, once they overrun
+    ``budget``.  On yes the witness is ``(removal, pairs)``: the greedy
+    decider replays the verdict on the punctured complex, and its pairs
+    collapse it to a vertex.  A disagreement is an internal error, not a
+    property of the input.
 
     The pruning needs the picks of a removal to be distinct, so a
     triangle in two pools, or twice in the one pool of ``ascending``,
@@ -494,22 +505,16 @@ def find_removal(
             if t in seen:
                 raise ValueError(f"triangle {face_key(t)} could be picked twice")
             seen.add(t)
-    if ascending and pools:
-        count = math.comb(len(pools[0]), len(pools))
-    else:
-        count = math.prod(len(p) for p in pools)
-    if count > budget:
-        return SearchResult("budget_exceeded", None, 0)
-    removal, tried = TriangleErasure(k).first_collapsible(pools, ascending)
-    if removal is None:
-        return SearchResult("no", None, tried)
-    greedy = is_collapsible_2d_greedy(k.remove_facets(removal))
+    res = TriangleErasure(k).first_collapsible(pools, budget, ascending)
+    if not res.yes:
+        return res
+    greedy = is_collapsible_2d_greedy(k.remove_facets(res.witness))
     if not greedy.yes:
         raise InternalError(
             "erasure found "
-            f"{sorted(map(face_key, removal))} collapsible, greedy disagrees"
+            f"{sorted(map(face_key, res.witness))} collapsible, greedy disagrees"
         )
-    return SearchResult("yes", (removal, greedy.witness), tried)
+    return SearchResult("yes", (res.witness, greedy.witness), res.nodes)
 
 
 # -- collapse search by dimension ---------------------------------------------
@@ -535,10 +540,9 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
     removed: set[Face] = set()
     memo: set[frozenset[Face]] = set()
     states = steps = 0
-    budget_hit = False
 
     def search(top: int) -> list[CollapsePair] | None:
-        nonlocal states, steps, budget_hit
+        nonlocal states, steps
         if top <= 3:
             pairs, rest = _erase_down(live, keep, top)
             steps += len(pairs)
@@ -546,8 +550,7 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
             return pairs if len(rest) == size else None
         states += 1
         if states > budget:
-            budget_hit = True
-            return None
+            raise _BudgetExceeded
         key = frozenset(removed)
         if key in memo:
             return None
@@ -571,16 +574,17 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
             if rest is not None:
                 found = [CollapsePair(*move), *rest]
                 break
-            if budget_hit:
-                return None
         if found is None:
             memo.add(key)
         return found
 
-    pairs = search(k.dim + 1)
+    try:
+        pairs = search(k.dim + 1)
+    except _BudgetExceeded:
+        return SearchResult("budget_exceeded", None, states + steps)
     if pairs is not None:
         return SearchResult("yes", tuple(pairs), states + steps)
-    return SearchResult("budget_exceeded" if budget_hit else "no", None, states + steps)
+    return SearchResult("no", None, states + steps)
 
 
 def is_collapsible_dfs(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from shellkit.collapse import (
+    DEFAULT_BUDGET,
     CollapsePair,
     CollapseSequence,
     SearchResult,
@@ -61,8 +62,6 @@ Assignment = Mapping[int, bool]
 
 # Ceiling on simplices per unit of formula size, checked at compile time.
 _SIZE_CONSTANT = 400
-# Ceiling on enumerated removal candidates in decide_phi_via_complex.
-_SWEEP_CAP = 200_000
 
 
 class CnfError(ValueError):
@@ -540,19 +539,18 @@ def decide_phi_via_complex(phi: Formula) -> SearchResult:
     ``collapse.find_removal`` for the first one whose removal leaves a
     collapsible complex, and returns its result: ``nodes`` counts the
     removals checked after dominance pruning, and the verdict is
-    budget_exceeded, with no search, when the removal count exceeds
-    ``_SWEEP_CAP``.  On yes the witness is
-    ``(certificate,)``: the winning removal, the greedy collapse witness
-    of the punctured complex, and the extracted assignment.  Raises
-    ``InternalError`` when the winning removal does not read back as a
-    model.
+    budget_exceeded once they overrun ``DEFAULT_BUDGET``, read when the
+    call is made.  On yes the witness is ``(certificate,)``: the winning
+    removal, the greedy collapse witness of the punctured complex, and
+    the extracted assignment.  Raises ``InternalError`` when the winning
+    removal does not read back as a model.
     """
     lc = _compile(phi).labeled
     pools = [
         sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
         for i in range(1, phi.n + 1)
     ]
-    res = find_removal(lc.complex, pools, _SWEEP_CAP)
+    res = find_removal(lc.complex, pools, DEFAULT_BUDGET)
     if not res.yes:
         return res
     removal, pairs = res.witness

@@ -22,7 +22,7 @@ from shellkit.complex_core import (
     graph_connected,
     vertex_links_connected,
 )
-from shellkit.collapse import DEFAULT_BUDGET, SearchResult, find_removal
+from shellkit.collapse import DEFAULT_BUDGET, SearchResult, _BudgetExceeded, find_removal
 
 
 class ShellingError(ValueError):
@@ -178,20 +178,18 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
 
     dead: set[int] = set()
     nodes = 0
-    budget_hit = False
     chosen: list[Face] = []
     placed: Counter = Counter()
 
     def extend(used: int) -> bool:
-        nonlocal nodes, budget_hit
+        nonlocal nodes
         if len(chosen) == m:
             return True
         if used in dead:
             return False
         nodes += 1
         if nodes > budget:
-            budget_hit = True
-            return False
+            raise _BudgetExceeded
         # Most chosen neighbours first; ties in facet order, since the
         # facets are sorted and the sort is stable.
         remaining = [i for i in range(m) if not used >> i & 1]
@@ -204,14 +202,15 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
                 return True
             chosen.pop()
             placed.subtract(faces_of[i])
-            if budget_hit:
-                return False
         dead.add(used)
         return False
 
-    if extend(0):
-        return SearchResult("yes", tuple(f | apexes for f in chosen), nodes)
-    return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
+    try:
+        if extend(0):
+            return SearchResult("yes", tuple(f | apexes for f in chosen), nodes)
+    except _BudgetExceeded:
+        return SearchResult("budget_exceeded", None, nodes)
+    return SearchResult("no", None, nodes)
 
 
 # -- k-decomposability --------------------------------------------------------
@@ -260,16 +259,12 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     exact: dict[int, dict | None] = {}
     facet_ids: dict[Face, int] = {}
     nodes = 0
-    budget_hit = False
 
     def rec(facets: frozenset) -> dict | None:
-        nonlocal nodes, budget_hit
-        if budget_hit:
-            return None
+        nonlocal nodes
         nodes += 1
         if nodes > budget:
-            budget_hit = True
-            return None
+            raise _BudgetExceeded
         if not facets:
             # The empty-face complex, the link of a facet: nothing to shed.
             return {"leaf": []}
@@ -298,13 +293,9 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
                 continue
             lk_tree = rec(frozenset(f - sigma for f in around if f != sigma))
             if lk_tree is None:
-                if budget_hit:
-                    return None
                 continue
             dl_tree = rec(facets.difference(around))
             if dl_tree is None:
-                if budget_hit:
-                    return None
                 continue
             tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
             exact[mask] = tree
@@ -312,10 +303,13 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         exact[mask] = None
         return None
 
-    tree = rec(k.facets)
+    try:
+        tree = rec(k.facets)
+    except _BudgetExceeded:
+        return SearchResult("budget_exceeded", None, nodes)
     if tree is not None:
         return SearchResult("yes", (_cone_tree(tree, apexes),), nodes)
-    return SearchResult("budget_exceeded" if budget_hit else "no", None, nodes)
+    return SearchResult("no", None, nodes)
 
 
 def _cone_tree(tree: dict, apexes: frozenset) -> dict:
@@ -404,8 +398,8 @@ def hachimori_decide_sd2(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResu
     is returned as it is: on yes the witness is ``(removal, pairs)``, the
     removed triangles and a collapse of the remainder to a vertex, and
     ``nodes`` counts the removals checked after dominance pruning.  The
-    verdict is budget_exceeded, with no search, when the set count alone
-    overruns ``budget``.
+    verdict is budget_exceeded once the removals checked overrun
+    ``budget``.
     """
     if k.dim != 2 or not k.is_pure():
         raise ShellingError("the sd2 criterion applies to pure 2-dimensional complexes")

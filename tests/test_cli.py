@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from shellkit import cli
+from shellkit import cli, reduction
 from shellkit.collapse import SearchResult, is_collapsible_2d_greedy
 from shellkit.complex_core import InternalError, parse_facet_lines
 from shellkit.gadgets import OneHouseSpec, boundary_simplex, build_one_house
@@ -141,10 +141,12 @@ def test_check_hachimori_witness_replays(tmp_path, capsys):
 
 
 def test_check_budget_exceeded_exit_three(tmp_path, capsys):
-    path = tmp_path / "pair.txt"
-    path.write_text("0 1 2\n3 4 5\n")
+    # K_phi of the unsatisfiable n=1 formula needs 7 removals checked.
+    cnf = tmp_path / "unsat.cnf"
+    cnf.write_text(UNSAT)
+    run(["reduce", str(cnf)], capsys)
     code, out, _ = run(
-        ["check", "hachimori-sd2", "--budget", "1", str(path)], capsys
+        ["check", "hachimori-sd2", "--budget", "1", str(tmp_path / "unsat.kphi.json")], capsys
     )
     assert code == 3
     assert "budget: exceeded" in out
@@ -327,17 +329,28 @@ def test_solve_sat_unsat(tmp_path, capsys):
     assert "verdict: no" in out
 
 
-def test_solve_sat_sweep_cap_is_budget_exit_three(capsys, monkeypatch):
+def test_solve_sat_removal_budget_overrun_exits_three(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 7 1\n1 2 3 0\n"))
+    # The ROADMAP's unsatisfiable n=3 formula needs 8 removals checked.
+    monkeypatch.setattr(reduction, "DEFAULT_BUDGET", 4)
+    monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 3 3\n1 1 1 0\n-1 -1 -1 0\n2 3 -2 0\n"))
     code, out, _ = run(["--json", "solve-sat", "-"], capsys)
     assert code == 3
     doc = json.loads(out)
     assert doc["verdict"] == "budget_exceeded"
     assert doc["budget_status"] == "exceeded"
     assert doc["witness_path"] is None
-    assert "cap is 200000" in doc["reason"]
+
+
+def test_solve_sat_decides_seven_variables(tmp_path, capsys):
+    # 8**7 candidate removals; the budget counts only those the walk checks.
+    cnf = tmp_path / "seven.cnf"
+    cnf.write_text("p cnf 7 1\n1 2 3 0\n")
+    code, out, _ = run(["solve-sat", str(cnf)], capsys)
+    assert code == 0 and "verdict: yes" in out
+    vcode, vout, _ = run(["verify", str(cnf), str(tmp_path / "seven.sat.witness.json")], capsys)
+    assert vcode == 0 and "verdict: yes" in vout
 
 
 def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):

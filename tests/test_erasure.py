@@ -284,6 +284,75 @@ def test_product_order_matches_product_loop_on_random_pools():
     assert verdicts["yes"] and verdicts["no"], verdicts
 
 
+def engine_state(engine: TriangleErasure) -> tuple:
+    return (
+        engine.remaining, engine.removed, list(engine._live), list(engine._punctured),
+        list(engine._count), list(engine._log),
+    )
+
+
+def budget_sweep_cases():
+    """(complex, pools, ascending) triples: random pooled 2-complexes in
+    product order and, over all their triangles, in ascending order; K_phi
+    over its sphere pools for n <= 3, sat and unsat; K_phi of the
+    unsatisfiable n=1 formula over all its triangles, as the sd² criterion
+    searches; removals of no triangle; and a disconnected complex."""
+    rng = random.Random(2022)
+    cases = []
+    while len(cases) < 80:
+        case = random_pooled_complex(rng)
+        if case is None:
+            continue
+        k, pools = case
+        flat = sorted(k.facets, key=face_key)
+        cases += [(k, pools, False), (k, [flat] * len(pools), True)]
+    for phi in (
+        Formula(1, ((1, 1, 1), (-1, -1, -1))),
+        Formula(2, ((1, 2, 2), (-1, -2, -2), (1, -2, -2))),
+        Formula(3, ((1, 1, 1), (-1, -1, -1), (2, 3, -2))),
+        Formula(3, ((1, 2, 3), (-1, -2, 3), (-3, 1, 1))),
+    ):
+        lc = build_K_phi(phi)
+        pools = [
+            sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
+            for i in range(1, phi.n + 1)
+        ]
+        cases.append((lc.complex, pools, False))
+    kphi = build_K_phi(Formula(1, ((1, 1, 1), (-1, -1, -1)))).complex
+    cases.append((kphi, [sorted(kphi.facets, key=face_key)], True))
+    for facets in ([[0, 1, 2]], [[0, 1], [1, 2], [0, 2]]):
+        cases.append((Complex.from_facets(facets), [], False))
+    a, b = frozenset({0, 1, 2}), frozenset({3, 4, 5})
+    cases.append((Complex.from_facets([a, b]), [[a], [b]], False))
+    return cases
+
+
+def test_removal_budget_sweep():
+    # Below the unbounded count N the walk overruns at the first removal
+    # past the budget; from N on the budget is invisible.  Every call,
+    # an overrun included, leaves the erasure as it was built.
+    verdicts = Counter()
+    for k, pools, ascending in budget_sweep_cases():
+        engine = TriangleErasure(k)
+        fresh = engine_state(engine)
+        full = engine.first_collapsible(pools, 10**6, ascending)
+        assert engine_state(engine) == fresh
+        verdicts[full.verdict] += 1
+        for b in range(full.nodes + 2):
+            res = engine.first_collapsible(pools, b, ascending)
+            assert engine_state(engine) == fresh, (b, full)
+            if b < full.nodes:
+                assert (res.verdict, res.witness, res.nodes) == ("budget_exceeded", None, b + 1)
+            else:
+                assert res == full, (b, full)
+        over = find_removal(k, pools, full.nodes - 1, ascending) if full.nodes else None
+        assert over is None or (over.verdict, over.nodes) == ("budget_exceeded", full.nodes)
+        res = find_removal(k, pools, full.nodes, ascending)
+        assert (res.verdict, res.nodes) == (full.verdict, full.nodes)
+        assert res.witness is None or res.witness[0] == full.witness
+    assert verdicts["yes"] and verdicts["no"] > 4, verdicts
+
+
 def test_find_removal_needs_distinct_picks():
     k = Complex.from_facets([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [1, 2, 4]])
     a, b, c = frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({1, 2, 4})
@@ -304,14 +373,16 @@ def test_removals_tried_are_pinned():
         hachimori_decide_sd2(build_K_phi(contra).complex),
         decide_phi_via_complex(Formula(3, ((1, 1, 1), (-1, -1, -1), (2, 3, -2)))),
     ]
-    for n in (4, 5):
+    # The first unsatisfiable draws for n = 4..6: 2**n removals checked
+    # of 8**n candidates, which the budget does not count.
+    for n in (4, 5, 6):
         rng = random.Random(7)
         phi = random_formula(n, 5 * n, rng)
         while sat_oracle(phi) is not None:
             phi = random_formula(n, 5 * n, rng)
         results.append(decide_phi_via_complex(phi))
     tried = [(res.verdict, res.nodes) for res in results]
-    assert tried == [("no", 2), ("no", 7), ("no", 8), ("no", 16), ("no", 32)]
+    assert tried == [("no", 2), ("no", 7), ("no", 8), ("no", 16), ("no", 32), ("no", 64)]
 
 
 def test_find_removal_raises_when_greedy_disagrees(monkeypatch):

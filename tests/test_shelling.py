@@ -10,7 +10,12 @@ import random
 import pytest
 
 from conftest import pendant_dunce_hat, random_complex, random_pure_2complex
-from shellkit.collapse import find_removal, is_collapsible_2d_greedy, verify_collapse_sequence
+from shellkit.collapse import (
+    find_removal,
+    is_collapsible_2d_greedy,
+    is_collapsible_dfs,
+    verify_collapse_sequence,
+)
 from shellkit.complex_core import (
     Complex,
     FormatError,
@@ -24,6 +29,7 @@ from shellkit.complex_core import (
 )
 from shellkit import cli, shelling
 from shellkit.gadgets import dunce_hat, fixtures, torus_7
+from shellkit.reduction import Formula, build_K_phi
 from shellkit.shelling import (
     ShellingError,
     _faces_of,
@@ -149,6 +155,50 @@ def test_decider_node_counts_are_pinned():
     coned = cone(dunce_hat())
     for res in [decide_shellable(coned)] + [decide_k_decomposable(coned, kk) for kk in (0, 1)]:
         assert res.verdict == "no" and res.nodes <= 1, res
+
+
+# A pure 2-complex whose shelling search refutes it in 133 nodes, and
+# whose vertex-decomposability search refutes it in 29.
+SEARCHED_NO = [
+    [0, 3, 7], [0, 4, 5], [0, 5, 6], [0, 6, 7], [1, 2, 3],
+    [1, 2, 5], [1, 3, 5], [2, 3, 5], [3, 5, 7], [4, 5, 7],
+]
+
+
+def test_recursive_search_budget_sweep():
+    # A node past the budget ends the whole search: the verdict is
+    # budget_exceeded, never a refutation, and below the unbounded count
+    # the shelling deciders stop at budget + 1 nodes.  From that count on
+    # the budget is invisible.
+    mdh = fixtures()["modified_dunce_hat"].complex
+    searched_no = Complex.from_facets(SEARCHED_NO)
+    runs = [
+        (decide_shellable, mdh, ("yes", 14)),
+        (decide_shellable, searched_no, ("no", 133)),
+        (lambda k, budget: decide_k_decomposable(k, 1, budget), mdh, ("yes", 113)),
+        (lambda k, budget: decide_k_decomposable(k, 0, budget), searched_no, ("no", 29)),
+    ]
+    for decide, k, pinned in runs:
+        full = decide(k, budget=10**6)
+        assert (full.verdict, full.nodes) == pinned
+        for b in range(full.nodes + 2):
+            res = decide(k, budget=b)
+            if b < full.nodes:
+                assert (res.verdict, res.witness, res.nodes) == ("budget_exceeded", None, b + 1)
+            else:
+                assert res == full, b
+    # The collapse search spends its budget on states above dimension 2
+    # (28 here) and adds the erasure steps below it to ``nodes``.
+    coned = cone(dunce_hat())
+    full = is_collapsible_dfs(coned)
+    assert (full.verdict, full.nodes) == ("yes", 80)
+    for b in range(30):
+        res = is_collapsible_dfs(coned, budget=b)
+        if b < 28:
+            assert (res.verdict, res.witness) == ("budget_exceeded", None)
+            assert res.nodes > b
+        else:
+            assert res == full, b
 
 
 def test_decide_shellable_frozen():
@@ -549,16 +599,18 @@ def test_hachimori_matches_direct_sd2_decision():
 
 
 def test_hachimori_budget_and_pool():
-    disjoint = Complex.from_facets([[0, 1, 2], [3, 4, 5]])
-    assert hachimori_decide_sd2(disjoint, budget=1).verdict == "budget_exceeded"
+    # K_phi of the unsatisfiable n=1 formula needs 7 removals checked.
+    kphi = build_K_phi(Formula(1, ((1, 1, 1), (-1, -1, -1)))).complex
+    res = hachimori_decide_sd2(kphi, budget=1)
+    assert (res.verdict, res.nodes) == ("budget_exceeded", 2)
 
     # bd3 plus a pendant triangle: only removals inside the sphere work.
     k = Complex.from_facets(BD3 + [[1, 2, 4]])
-    sphere = [frozenset({0, 1, 2}), frozenset({0, 1, 3})]
-    res = find_removal(k, [sphere], budget=2)
-    assert res.yes
-    assert res.witness[0][0] in sphere
-    assert find_removal(k, [sphere], budget=1).verdict == "budget_exceeded"
+    pool = [frozenset({1, 2, 4}), frozenset({0, 1, 2})]
+    res = find_removal(k, [pool], budget=1)
+    assert (res.verdict, res.nodes) == ("budget_exceeded", 2)
+    res = find_removal(k, [pool], budget=2)
+    assert (res.verdict, res.nodes, res.witness[0]) == ("yes", 2, (frozenset({0, 1, 2}),))
     assert find_removal(k, [[frozenset({1, 2, 4})]], budget=1).verdict == "no"
 
 

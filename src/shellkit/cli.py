@@ -5,10 +5,10 @@ object with ``--json``) and exits 0 on yes/valid, 1 on no/invalid, 2 on
 usage or parse or precondition errors, 3 when a search budget ran out,
 and 4 when an internal invariant failed, so batch callers can tell
 refutation from resignation and a bad input from a fault of shellkit.
-The deciders recurse once per search level, so an input that drives one
-deeper than Python's recursion limit (``check shellable`` on a strip of a
-thousand triangles) ends with a message and exit 3, as a budget that
-ran out, never with a "no".
+The deciders recurse once per search level and witnesses once per level
+of nesting, so an input deeper than Python's recursion limit (``check
+shellable`` on a strip of a thousand triangles) ends with a message that
+names the command and exit 3, as a budget that ran out, never with a "no".
 
 Every decider returns a ``SearchResult``, and this module alone knows the
 witness format: ``check`` builds the document of a yes, replays it and
@@ -561,8 +561,10 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except RecursionError:
+        # ``verify`` searches nothing: only its witness's nesting recurses.
+        what = "the witness nests" if args.command == "verify" else "the search went"
         print(
-            f"error: the search went deeper than the recursion limit "
+            f"error: {args.command}: {what} deeper than the recursion limit "
             f"({sys.getrecursionlimit()}); no verdict",
             file=sys.stderr,
         )

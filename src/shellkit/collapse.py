@@ -21,11 +21,8 @@ from shellkit.complex_core import (
     Complex,
     Face,
     InternalError,
-    boundary_ridges,
     face_key,
     face_sort_key,
-    graph_connected,
-    is_pseudomanifold,
     one_skeleton_connected,
 )
 
@@ -265,21 +262,21 @@ def _erase_down(
     return pairs, rest
 
 
-def is_collapsible_2d_greedy(k: Complex, keep_vertex: int | None = None) -> SearchResult:
+def is_collapsible_2d_greedy(k: Complex) -> SearchResult:
     """Greedy collapsibility decider for complexes of dimension <= 2.
 
     Erases triangles through the lexicographically least free edge, then
     prunes the least free vertex, until nothing is free.  Complete in
     dimension two, because erasure is confluent: the complex is
     collapsible exactly when one vertex is left.  On yes the witness is
-    the pairs, which collapse the complex to that vertex (``keep_vertex``
-    when given); ``nodes`` counts the collapse steps made, a stalled
-    erasure's included.
+    the pairs, which collapse the complex to that vertex; ``nodes``
+    counts the collapse steps made, a stalled erasure's included.  To
+    collapse onto a chosen vertex, or any other subcomplex, use
+    ``collapses_to``.
     """
     if k.dim > 2:
         raise ValueError("greedy decider requires dimension <= 2")
-    keep = set() if keep_vertex is None else {frozenset([keep_vertex])}
-    pairs, rest = _erase_down((f for f in k.faces if f), keep, 3)
+    pairs, rest = _erase_down((f for f in k.faces if f), set(), 3)
     if len(rest) != 1:
         return SearchResult("no", None, len(pairs))
     return SearchResult("yes", tuple(pairs), len(pairs))
@@ -608,12 +605,15 @@ def is_collapsible_dfs(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult
 def collapses_to(
     k: Complex, target: Complex, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
-    """Search for a collapse of ``k`` onto the subcomplex ``target``.
+    """Search for a collapse of ``k`` onto the subcomplex ``target``: the
+    one collapse onto a target, be it a disk onto a tree, a house's
+    pieces onto what they share, or a complex onto a vertex.
 
     Moves never remove a target face, and the search by dimension of
     ``_collapse_search`` spends ``budget`` on states above dimension 2
-    only.  Up to dimension 2 the witness is the lexicographic greedy
-    collapse.
+    only; up to dimension 2 it is one lexicographic ``_erase_down``,
+    exact because erasure is confluent.  A target that is not a
+    subcomplex raises CollapseError.
     """
     target_faces = {f for f in target.faces if f}
     if not target_faces <= {f for f in k.faces if f}:
@@ -621,65 +621,6 @@ def collapses_to(
     # No move removes a target face (the target is closed), so the search
     # is done when the face counts are equal.
     return _collapse_search(k, target_faces, len(target_faces), budget)
-
-
-# -- disks onto trees ---------------------------------------------------------
-
-
-def check_disk(k: Complex) -> None:
-    """Raise unless ``k`` triangulates a disk.
-
-    Checks: pure 2-dimensional, pseudomanifold with boundary, reduced Euler
-    characteristic zero, connected, and a single boundary cycle (every
-    boundary vertex on exactly two boundary edges).
-    """
-    if k.dim != 2 or not k.is_pure(2):
-        raise CollapseError("not pure 2-dimensional")
-    if is_pseudomanifold(k) != "with_boundary":
-        raise CollapseError("not a pseudomanifold with boundary")
-    if k.reduced_euler_characteristic() != 0:
-        raise CollapseError("reduced Euler characteristic is not 0")
-    if not one_skeleton_connected(k):
-        raise CollapseError("not connected")
-    boundary = boundary_ridges(k)
-    deg: dict[int, int] = {}
-    for e in boundary:
-        for v in e:
-            deg[v] = deg.get(v, 0) + 1
-    if any(c != 2 for c in deg.values()):
-        raise CollapseError("boundary is not a single cycle")
-    if not graph_connected(deg, boundary):
-        raise CollapseError("boundary has several components")
-
-
-def collapse_disk_to_tree(disk: Complex, tree: Complex) -> tuple:
-    """Collapse a triangulated disk onto a tree in its 1-skeleton.
-
-    Greedily removes the least free edge outside the tree; such an edge
-    always exists while triangles remain (a stall would make the remaining
-    triangles a nonzero 2-cycle mod 2, impossible in a disk), then prunes
-    pendant vertices outside the tree.  Returns the collapse pairs.
-    """
-    check_disk(disk)
-    tree_faces = {f for f in tree.faces if f}
-    if not tree_faces <= {f for f in disk.faces if f}:
-        raise CollapseError("tree is not a subcomplex of the disk")
-    tree_vertices = {v for f in tree_faces if len(f) == 1 for v in f}
-    tree_edges = {f for f in tree_faces if len(f) == 2}
-    if any(len(f) > 2 for f in tree_faces):
-        raise CollapseError("target contains a face of dimension 2 or more")
-    if not tree_vertices:
-        raise CollapseError("tree target has no vertices")
-    if len(tree_edges) != len(tree_vertices) - 1 or not graph_connected(
-        tree_vertices, tree_edges
-    ):
-        raise CollapseError("target is not a tree")
-    pairs, rest = _erase_down((f for f in disk.faces if f), tree_faces, 3)
-    if rest != tree_faces:
-        raise CollapseError(
-            "greedy collapse stalled with triangles left; input is not a disk"
-        )
-    return tuple(pairs)
 
 
 # -- constrain complex and gluing --------------------------------------------

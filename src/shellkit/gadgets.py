@@ -28,10 +28,8 @@ from shellkit.collapse import (
     CollapseSequence,
     _FaceIndex,
     _glue_step,
-    collapse_disk_to_tree,
     collapses_to,
     free_faces,
-    is_collapsible_2d_greedy,
 )
 from shellkit.complex_core import (
     Complex,
@@ -638,12 +636,13 @@ def collapse_house(
     """Collapse one house onto ``target`` inside the complex ``index``
     holds, in three glued phases, and return the concatenated pairs.
 
-    Phase one collapses the lower wall (a disk) onto the union of the
-    target's wall faces and the non-free part of the wall boundary; phase
-    two folds the fan onto the contact--apex--far arc; phase three
-    collapses the cap to the contact vertex.  Every phase is glued into
-    ``index`` in place by the gluing step ``collapse._glue_step``, so
-    each constrain-complex precondition is machine-checked rather than
+    Phase one collapses the lower wall onto the union of the target's
+    wall faces and the non-free part of the wall boundary; phase two
+    folds the fan onto the contact--apex--far arc; phase three collapses
+    the cap to the contact vertex.  Each phase is one ``collapses_to``,
+    a no raises GadgetError, and the pairs are glued into ``index`` in
+    place by the gluing step ``collapse._glue_step``, so each
+    constrain-complex precondition is machine-checked rather than
     assumed, and ``index`` ends at the collapsed complex.
     """
     wall_cx = Complex.from_facets(frame.wall)
@@ -652,18 +651,16 @@ def collapse_house(
     fan_cx = Complex.from_facets(frame.fan)
     arc = {frozenset((frame.contact, frame.apex)), frozenset((frame.apex, frame.far))}
     pairs: list = []
-    for disk, tree in ((wall_cx, keep), (fan_cx, arc)):
-        tree_cx = disk.subcomplex_closure(tree)
-        local = collapse_disk_to_tree(disk, tree_cx)
-        _glue_step(index, disk, tree_cx, local)
-        pairs.extend(local)
-
-    cap_cx = Complex.from_facets(frame.cap)
-    cap = is_collapsible_2d_greedy(cap_cx, keep_vertex=frame.contact)
-    if not cap.yes:
-        raise GadgetError("house cap failed to collapse to its contact vertex")
-    _glue_step(index, cap_cx, Complex.from_facets([[frame.contact]]), cap.witness)
-    pairs.extend(cap.witness)
+    for what, piece, kept in (
+        ("lower wall", wall_cx, wall_cx.subcomplex_closure(keep)),
+        ("fan", fan_cx, fan_cx.subcomplex_closure(arc)),
+        ("cap", Complex.from_facets(frame.cap), Complex.from_facets([[frame.contact]])),
+    ):
+        res = collapses_to(piece, kept)
+        if not res.yes:
+            raise GadgetError(f"house {what} failed to collapse onto its kept faces")
+        _glue_step(index, piece, kept, res.witness)
+        pairs.extend(res.witness)
     return tuple(pairs)
 
 

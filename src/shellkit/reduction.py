@@ -27,10 +27,8 @@ from shellkit.collapse import (
     SearchResult,
     _FaceIndex,
     _glue_step,
-    collapse_disk_to_tree,
     collapses_to,
     find_removal,
-    is_collapsible_2d_greedy,
     verify_collapse_sequence,
 )
 from shellkit.complex_core import (
@@ -362,7 +360,9 @@ def schedule_collapse(
     house down to its variable star, (e) flatten each ``B(u)`` onto
     ``b(u)`` and each ``O(u)`` onto ``s(u) + p(u)``, (f) finish the
     unsatisfied disks and literal houses, and (g) prune the residual
-    star to ``v_and``.  One face index of K_phi carries the whole
+    star to ``v_and``.  Every piece, a house's wall, fan and cap
+    included, goes onto its kept faces by one ``collapses_to``, and a
+    no raises.  One face index of K_phi carries the whole
     schedule: the punctures come out of it, and every phase is glued
     into it in place by the gluing step ``collapse._glue_step``, which
     checks the constrain complex and replays the phase both on its
@@ -451,13 +451,12 @@ def schedule_collapse(
     # (f) finish each unsatisfied disk, then its literal house.
     for i in range(1, phi.n + 1):
         lit = neg_of[i]
-        m = lc.subcomplex(f"D[{lit}]")
         m_prime = _features_complex(lc, [f"f[{lit}]"])
-        glue(m, m_prime, collapse_disk_to_tree(m, m_prime))
+        retract(lc.subcomplex(f"D[{lit}]"), m_prime, f"disk D[{lit}] failed to retract")
         literal_house(i, -sat_sign[i])
 
     # (g) prune the residual star down to the hub vertex.
-    tail = is_collapsible_2d_greedy(index.complex(), keep_vertex=v_and)
+    tail = collapses_to(index.complex(), Complex.from_facets([[v_and]]))
     if not tail.yes:
         raise ReductionError("residual complex failed to collapse to v_and")
     pairs.extend(tail.witness)

@@ -395,13 +395,31 @@ def test_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert code == 3
     assert out == ""
-    assert err.startswith("error: the search went deeper than the recursion limit")
+    assert err.startswith("error: check: the search went deeper than the recursion limit")
     assert not (tmp_path / "strip.shellable.witness.json").exists()
     # Under the restored limit the same strip is a yes with a witness.
     code, _, _ = run(["check", "shellable", str(path)], capsys)
     assert code == 0
     witness = tmp_path / "strip.shellable.witness.json"
     assert run(["verify", str(path), str(witness)], capsys)[0] == 0
+
+
+def test_verify_deeper_than_recursion_limit_names_the_witness(tmp_path, capsys):
+    # verify searches nothing; a shedding tree nested 5,000 deep is too
+    # deep to read, and the message says so rather than blame a search.
+    path = tmp_path / "triangle.txt"
+    path.write_text("0 1 2\n")
+    node = '{"shedding":[0],"link":{"leaf":[]},"delete":'
+    tree = node * 5000 + '{"leaf":[]}' + "}" * 5000
+    witness = tmp_path / "deep.json"
+    witness.write_text('{"kind":"decomposition","k":0,"tree":' + tree + "}")
+    code, out, err = run(["verify", str(path), str(witness)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: verify: the witness nests deeper than the recursion limit "
+        f"({sys.getrecursionlimit()}); no verdict\n"
+    )
 
 
 # Each case is (complex file text or None for the CNF, witness base, patch):

@@ -20,15 +20,13 @@ from shellkit.collapse import (
     _glue_step,
     _sole_facets,
     CollapsePair,
-    check_disk,
-    collapse_disk_to_tree,
     collapses_to,
     free_faces,
     is_collapsible_2d_greedy,
     is_collapsible_dfs,
     verify_collapse_sequence,
 )
-from shellkit.complex_core import Complex, cone, facets_of
+from shellkit.complex_core import Complex, cone, facets_of, is_pseudomanifold
 from shellkit.gadgets import dunce_hat, fixtures
 
 STRIP = [[0, 1, 2], [1, 2, 3]]
@@ -206,7 +204,7 @@ def test_greedy_witness_replays_to_point():
 def test_greedy_keep_vertex():
     k = Complex.from_facets(FAN)
     for v in k.vertices:
-        res = is_collapsible_2d_greedy(k, keep_vertex=v)
+        res = collapses_to(k, Complex.from_facets([[v]]))
         assert res.yes
         final = verify_collapse_sequence(k, res.witness)
         assert final.facets == frozenset({frozenset({v})})
@@ -337,23 +335,17 @@ def test_collapses_to_refuses_impossible_target():
     assert collapses_to(torus, vertex, budget=20000).verdict != "yes"
 
 
-def test_check_disk():
-    check_disk(Complex.from_facets(FAN))
-    with pytest.raises(CollapseError):
-        check_disk(Complex.from_facets([[0, 1, 2], [3, 4, 5]]))
-    with pytest.raises(CollapseError):
-        check_disk(fixtures()["torus_7"].complex)
-
-
 def test_collapse_disk_to_tree():
     fan = Complex.from_facets(FAN)
     tree = fan.subcomplex_closure([[1, 2], [2, 3], [3, 4]])
-    pairs = collapse_disk_to_tree(fan, tree)
-    assert verify_collapse_sequence(fan, pairs).faces == tree.faces
+    res = collapses_to(fan, tree)
+    assert res.yes
+    assert verify_collapse_sequence(fan, res.witness).faces == tree.faces
+    # A disk cannot collapse onto a cycle: a no, not an error.
+    cycle = fan.subcomplex_closure([[0, 2], [1, 2], [0, 1]])
+    assert collapses_to(fan, cycle).verdict == "no"
     with pytest.raises(CollapseError):
-        collapse_disk_to_tree(fan, fan.subcomplex_closure([[0, 2], [1, 2], [0, 1]]))
-    with pytest.raises(CollapseError):
-        collapse_disk_to_tree(fan, Complex.from_facets([[7, 8]]))
+        collapses_to(fan, Complex.from_facets([[7, 8]]))
 
 
 def lex_erasure_oracle(k: Complex, keep: set) -> tuple[list, set, int]:
@@ -422,9 +414,12 @@ def test_greedy_layer_matches_lex_erasure_oracle():
     for _ in range(150):
         k = random_pure_2complex(rng, max_facets=7, pool=8)
         for keep_vertex in (None, rng.choice(k.vertices)):
-            keep = set() if keep_vertex is None else {frozenset([keep_vertex])}
-            pairs, left, edge_steps = lex_erasure_oracle(k, keep)
-            res = is_collapsible_2d_greedy(k, keep_vertex=keep_vertex)
+            if keep_vertex is None:
+                pairs, left, edge_steps = lex_erasure_oracle(k, set())
+                res = is_collapsible_2d_greedy(k)
+            else:
+                pairs, left, edge_steps = lex_erasure_oracle(k, {frozenset([keep_vertex])})
+                res = collapses_to(k, Complex.from_facets([[keep_vertex]]))
             assert res.yes == (len(left) == 1), sorted(map(sorted, k.facets))
             if res.yes:
                 yes += 1
@@ -442,11 +437,13 @@ def test_greedy_layer_matches_lex_erasure_oracle():
     disks = 0
     for _ in range(80):
         disk = random_disk(rng, rng.randint(1, 20))
-        check_disk(disk)
+        assert is_pseudomanifold(disk) == "with_boundary"
+        assert disk.reduced_euler_characteristic() == 0
         tree = random_subtree(rng, disk)
         pairs, left, _ = lex_erasure_oracle(disk, {f for f in tree.faces if f})
         assert left == {f for f in tree.faces if f}
-        assert collapse_disk_to_tree(disk, tree) == tuple(pairs)
+        res = collapses_to(disk, tree)
+        assert (res.verdict, res.witness, res.nodes) == ("yes", tuple(pairs), len(pairs))
         disks += len(disk.facets) > 6
     assert yes > 50 and disks > 40
 

@@ -2,11 +2,11 @@
 
 One SHA-256 covers the verdicts, search node counts and witness pairs of
 free_faces, the greedy and DFS collapse deciders, collapses_to,
-decide_shellable, check_disk, collapse_disk_to_tree,
-hachimori_decide_sd2, decide_phi_via_complex and schedule_collapse.  The
-digest was recorded before the face indexes, DFS drivers, erasure loops
-and tree pruners were merged into one implementation each, so a refactor
-that changes any verdict, node count or witness byte fails here.
+decide_shellable, hachimori_decide_sd2, decide_phi_via_complex and
+schedule_collapse.  The digest was recorded before the face indexes, DFS
+drivers, erasure loops and tree pruners were merged into one
+implementation each, so a refactor that changes any verdict, node count
+or witness byte fails here.
 k-decomposability is left out on purpose: its witnesses changed when
 memoized shedding trees started being renamed into the ids of the
 complex they are returned for.
@@ -83,6 +83,16 @@ exited 3.  The core and command-line records also gained the dunce hat
 with a pendant triangle on its least edge, whose shelling search still
 overruns budget 200 and --budget 3000, and so keeps a budget overrun
 among the core records and an exit 3 among the command-line ones.
+
+The first digest was recorded again when collapses_to became the one
+collapse onto a target, and check_disk, collapse_disk_to_tree and the
+greedy decider's kept vertex were removed.  The greedy records with a
+kept vertex now come from collapses_to onto that vertex, and the four
+disk-onto-tree records from collapses_to onto the tree.  Compared record
+by record with the records before, only the check_disk entries went:
+one from each of the 85 records of a 2-dimensional input, 16 of them
+"disk" and 69 the reason it was not one.  No other entry moved; every
+verdict, node count and witness byte is the same.
 """
 
 import contextlib
@@ -97,10 +107,7 @@ import pytest
 from conftest import pendant_dunce_hat, random_complex, random_pure_2complex
 from shellkit import cli
 from shellkit.collapse import (
-    CollapseError,
     SearchResult,
-    check_disk,
-    collapse_disk_to_tree,
     collapses_to,
     find_removal,
     free_faces,
@@ -136,7 +143,7 @@ from shellkit.shelling import (
     hachimori_decide_sd2,
 )
 
-PINNED_SHA256 = "7dade3fcffc316ffd374187624cccaf583580f86afac7b36b8d65e3b9bc72065"
+PINNED_SHA256 = "c502621ac6a3c90a7e669ee26fb893710ed0962651dfbcef1654dd199ac6d31a"
 SUBDIVISION_SHA256 = "d6eadad5452d90a8f44e69b77983554f07ee69dd42a1c5d5676e5cf54ececd62"
 DECOMPOSITION_SHA256 = "a7fcd1ef48439f2fb3d7ed7c425ef060944c7f84e332cd9b5f089d8f6cb0b90d"
 SCHEDULE_SHA256 = "be456ebe3b1a219fa36bedda6c7b28297d53f63e15173aa597372a206c31337c"
@@ -173,20 +180,16 @@ def _sd2_search_on_non_pure(k: Complex):
 def _complex_records(k: Complex) -> list:
     out = [[[list(face_key(a)), list(face_key(b))] for a, b in free_faces(k)]]
     if k.dim <= 2:
-        for keep in (None, k.vertices[-1]):
-            res = is_collapsible_2d_greedy(k, keep_vertex=keep)
-            out.append([res.yes, _pairs(res.witness)])
+        res = is_collapsible_2d_greedy(k)
+        out.append([res.yes, _pairs(res.witness)])
+        res = collapses_to(k, Complex.from_facets([[k.vertices[-1]]]))
+        out.append([res.yes, _pairs(res.witness)])
     out.append(_search(is_collapsible_dfs(k, budget=200), _pairs))
     point = Complex.from_facets([[k.vertices[0]]])
     out.append(_search(collapses_to(k, point, budget=200), _pairs))
     if k.is_pure():
         out.append(_search(decide_shellable(k, budget=200), _faces))
     if k.dim == 2:
-        try:
-            check_disk(k)
-            out.append("disk")
-        except CollapseError as exc:
-            out.append(str(exc))
         if k.is_pure():
             res = hachimori_decide_sd2(k, budget=2000)
         else:
@@ -212,7 +215,7 @@ def pinned_records() -> list:
     inputs += [random_complex(rng) for _ in range(30)]
     records = [_complex_records(k) for k in inputs]
     for tree in ([[0, 1]], [[1, 2], [2, 3]], [[0]], [[2, 3], [3, 4], [4, 5]]):
-        records.append(_pairs(collapse_disk_to_tree(fan, fan.subcomplex_closure(tree))))
+        records.append(_pairs(collapses_to(fan, fan.subcomplex_closure(tree)).witness))
 
     for phi in (
         Formula(1, ((1, 1, 1),)),
@@ -236,8 +239,8 @@ def test_collapse_core_outputs_are_pinned():
     records = pinned_records()
     blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
     # The digest only pins what the inputs reach: both verdicts of each
-    # decider, a DFS budget overrun and a disk.
-    for outcome in ("yes", "no", "budget_exceeded", "shellable", "not_shellable", "disk"):
+    # decider and a DFS budget overrun.
+    for outcome in ("yes", "no", "budget_exceeded", "shellable", "not_shellable"):
         assert f'"{outcome}"' in blob, outcome
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_SHA256
 

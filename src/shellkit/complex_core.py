@@ -79,6 +79,8 @@ class UnionFind:
 
 
 def _validate_vertex(v) -> int:
+    if type(v) is int:
+        return v
     if isinstance(v, bool) or not isinstance(v, int):
         raise FormatError(f"vertex id must be an int, got {v!r}")
     return v
@@ -124,25 +126,34 @@ class Complex:
 
         Rejects empty facets, repeated vertices inside a facet, and
         non-integer vertex ids.  Facets that are faces of other facets are
-        harmless (they disappear into the closure).
+        harmless (they disappear into the closure).  The facets of a closure
+        are the inclusion-maximal faces given, so when every given facet has
+        the same size the distinct ones are recorded as :attr:`facets`, with
+        no pass over the faces; with mixed sizes ``facets`` stays lazy.
         """
         faces: set = set()
-        seen_any = False
+        given: list = []
+        sizes: set = set()
         for raw in facets:
-            vs = [_validate_vertex(v) for v in raw]
+            vs = list(map(_validate_vertex, raw))
             if not vs:
                 raise FormatError("empty facet")
-            if len(set(vs)) != len(vs):
+            f = frozenset(vs)
+            if len(f) != len(vs):
                 raise FormatError(f"facet {vs} repeats a vertex")
             if len(vs) > MAX_FACET_SIZE:
                 raise FormatError(f"facet with {len(vs)} vertices exceeds limit")
-            seen_any = True
-            for r in range(len(vs) + 1):
-                for sub in combinations(sorted(vs), r):
-                    faces.add(frozenset(sub))
-        if not seen_any:
-            return cls(frozenset(), _trusted=True)
-        return cls(frozenset(faces), _trusted=True)
+            sizes.add(len(vs))
+            if f in faces:
+                continue
+            given.append(f)
+            faces.add(f)
+            for r in range(len(vs)):
+                faces.update(map(frozenset, combinations(vs, r)))
+        k = cls(frozenset(faces), _trusted=True)
+        if len(sizes) == 1:
+            k._facets = frozenset(given)
+        return k
 
     @classmethod
     def from_faces(cls, faces: Iterable[frozenset]) -> "Complex":
@@ -203,7 +214,9 @@ class Complex:
 
     @property
     def facets(self) -> frozenset:
-        """Inclusion-maximal nonempty faces."""
+        """Inclusion-maximal nonempty faces: recorded by :meth:`from_facets`
+        when its facets all have one size, else found once by
+        :func:`facets_of`."""
         if self._facets is None:
             self._facets = facets_of(self._faces)
         return self._facets
@@ -341,46 +354,62 @@ def is_pseudomanifold(k: Complex) -> str:
     return "with_boundary"
 
 
-def graph_connected(vertices: Iterable, edges: Iterable) -> bool:
-    """Connectivity of a graph given as vertices and vertex pairs; an empty
-    or one-vertex graph counts as connected."""
-    vs = list(vertices)
-    if len(vs) <= 1:
+def graph_connected(vertices: Collection, adj: Mapping) -> bool:
+    """Connectivity of a graph given as its distinct vertices and a map
+    from a vertex to its neighbours, all among ``vertices`` (a vertex with
+    none may be missing from ``adj``): one depth-first search from any
+    vertex must reach them all.  An empty or one-vertex graph counts as
+    connected."""
+    if len(vertices) <= 1:
         return True
-    uf = UnionFind()
-    for a, b in edges:
-        uf.union(a, b)
-    root = uf.find(vs[0])
-    return all(uf.find(v) == root for v in vs)
+    start = next(iter(vertices))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj.get(stack.pop(), ()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(vertices)
 
 
 def one_skeleton_connected(k: Complex) -> bool:
     """Connectivity of the graph of vertices and edges (void: True)."""
-    return graph_connected(k.vertices, (f for f in k.faces if len(f) == 2))
+    adj: dict[int, list] = {}
+    for f in k.faces:
+        if len(f) == 2:
+            a, b = f
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+    return graph_connected(k.vertices, adj)
 
 
 def vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
     """Check every vertex link for 1-skeleton connectivity.
 
-    Returns ``(ok, failing_vertices)``.  A link that is empty or a single
-    vertex counts as connected.
+    Returns ``(ok, failing_vertices)``, the failing vertices in vertex
+    order.  A link that is empty or a single vertex counts as connected.
+    One pass over the faces reads every link: an edge {a, b} puts b among
+    the link vertices of a and a among those of b, and a triangle {a, b, c}
+    puts the edge {b, c} in the link of a, {a, c} in that of b and {a, b}
+    in that of c.  Then :func:`graph_connected` runs on each link, whose
+    edge ends closure puts among its vertices.
     """
-    # One pass over the faces: an edge {a, b} puts b in the link of a and a
-    # in the link of b; a triangle puts f - {v} among the link edges of v.
     link_vertices: dict[int, list] = {v: [] for v in k.vertices}
-    link_edges: dict[int, list] = {v: [] for v in k.vertices}
+    link_adj: dict[int, dict] = {v: {} for v in k.vertices}
     for f in k.faces:
         if len(f) == 2:
             a, b = f
             link_vertices[a].append(b)
             link_vertices[b].append(a)
         elif len(f) == 3:
-            for v in f:
-                link_edges[v].append(f - {v})
-    bad = tuple(
-        v for v in k.vertices if not graph_connected(link_vertices[v], link_edges[v])
-    )
-    return (not bad, bad)
+            a, b, c = f
+            for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+                adj = link_adj[v]
+                adj.setdefault(x, []).append(y)
+                adj.setdefault(y, []).append(x)
+    bad = [v for v in k.vertices if not graph_connected(link_vertices[v], link_adj[v])]
+    return (not bad, tuple(bad))
 
 
 def _ridge_degrees(k: Complex) -> Counter:
@@ -629,7 +658,7 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
         # closure of the flags; the empty face makes sd(void) the empty-face
         # complex.
         flags = Complex.from_facets(_flags(k.facets, vid))
-        sd = Complex(flags.faces | {frozenset()}, _trusted=True)
+        sd = flags or Complex(frozenset({frozenset()}), _trusted=True)
         labels = {name: _map_feature_once(feat, vid) for name, feat in current.labels.items()}
         current = LabeledComplex(sd, labels)
         overall = Subdivision(

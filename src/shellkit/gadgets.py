@@ -694,11 +694,11 @@ def _pairing(fa: Feature, fb: Feature, what: str) -> list[tuple[int, int]]:
 def _amalgamate_with_maps(
     parts: Sequence[tuple[str, LabeledComplex]],
     identifications: Sequence[tuple[str, str, str, str]],
-) -> tuple[LabeledComplex, dict[str, dict[int, int]]]:
+) -> tuple[Complex, dict[str, dict[int, int]]]:
     """Quotient labeled parts along feature identifications.
 
-    Returns the merged complex (labels prefixed with their part name) and
-    the vertex map of each part into it.
+    Returns the merged complex, without labels, and the vertex map of each
+    part into it; callers map the labels they need through the maps.
     """
     table = dict(parts)
     if len(table) != len(parts):
@@ -758,12 +758,7 @@ def _amalgamate_with_maps(
             f"parts overlap outside the declared identifications: {collisions[:8]}"
         )
 
-    labels = {
-        f"{name}.{lname}": map_feature(feat, vmaps[name])
-        for name, lc in parts
-        for lname, feat in lc.labels.items()
-    }
-    return LabeledComplex(Complex.from_faces(owners), labels), vmaps
+    return Complex.from_faces(owners), vmaps
 
 
 def amalgamate(
@@ -779,7 +774,12 @@ def amalgamate(
     gluing.  Faces of two parts may coincide only inside the closures of
     identified features; any other overlap raises, reporting the colliding
     faces.  The merged label table carries every part label, prefixed with
-    its part name.
+    its part name, and is built and validated here, not in the quotient.
     """
-    merged, _ = _amalgamate_with_maps(parts, identifications)
-    return merged
+    merged, vmaps = _amalgamate_with_maps(parts, identifications)
+    labels = {
+        f"{name}.{lname}": map_feature(feat, vmaps[name])
+        for name, lc in parts
+        for lname, feat in lc.labels.items()
+    }
+    return LabeledComplex(merged, labels)

@@ -304,7 +304,7 @@ def _compile(phi: Formula) -> _Compiled:
             labels[f"p[{name},c{j}#{t}]"] = feat(f"X[{name}]", f"occ{k}.p")
             labels[f"f[{name},c{j}#{t}]"] = feat(f"X[{name}]", f"occ{k}.f")
 
-    lc = LabeledComplex(merged.complex, labels)
+    lc = LabeledComplex(merged, labels)
     _check_compiled(phi, lc)
     return _Compiled(phi, lc, table, vmaps, occ)
 

@@ -84,16 +84,17 @@ def _may_be_shellable(facets: Collection[Face]) -> bool:
         for v in f:
             by_ridge.setdefault(f - {v}, []).append(f)
             star.setdefault(v, []).append(f)
-    edges = []
-    star_edges: dict[int, list[tuple[Face, Face]]] = {v: [] for v in star}
+    adj: dict[Face, list[Face]] = {}
+    star_adj: dict[int, dict[Face, list[Face]]] = {v: {} for v in star}
     for ridge, around in by_ridge.items():
+        f = around[0]
         for g in around[1:]:
-            edges.append((around[0], g))
-            for v in ridge:
-                star_edges[v].append((around[0], g))
-    if d >= 1 and not graph_connected(facets, edges):
+            for graph in (adj, *(star_adj[v] for v in ridge)):
+                graph.setdefault(f, []).append(g)
+                graph.setdefault(g, []).append(f)
+    if d >= 1 and not graph_connected(facets, adj):
         return False
-    if d >= 2 and not all(graph_connected(star[v], star_edges[v]) for v in star):
+    if d >= 2 and not all(graph_connected(star[v], star_adj[v]) for v in star):
         return False
     chi = sum(1 if len(g) % 2 else -1 for g in {g for f in facets for g in _faces_of(f)})
     if d >= 1 and chi == 0 and all(len(around) > 1 for around in by_ridge.values()):

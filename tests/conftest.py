@@ -1,7 +1,14 @@
 import random
 
 from shellkit.collapse import DEFAULT_BUDGET, CollapsePair, SearchResult, _FaceIndex, _sole_facets
-from shellkit.complex_core import Complex, canonical_form, face_key, facets_of, one_skeleton_connected
+from shellkit.complex_core import (
+    Complex,
+    UnionFind,
+    canonical_form,
+    face_key,
+    facets_of,
+    one_skeleton_connected,
+)
 from shellkit.gadgets import dunce_hat
 
 
@@ -29,6 +36,33 @@ def pendant_dunce_hat() -> Complex:
     hat = dunce_hat()
     edge = min((f for f in hat.faces if len(f) == 2), key=face_key)
     return Complex.from_facets([*hat.facets, edge | {max(hat.vertices) + 1}])
+
+
+def oracle_vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
+    """Reference: one union-find per vertex over its link vertices and link
+    edges, collected from the edges and triangles."""
+    link_vertices: dict[int, list] = {v: [] for v in k.vertices}
+    link_edges: dict[int, list] = {v: [] for v in k.vertices}
+    for f in k.faces:
+        if len(f) == 2:
+            a, b = f
+            link_vertices[a].append(b)
+            link_vertices[b].append(a)
+        elif len(f) == 3:
+            for v in f:
+                link_edges[v].append(f - {v})
+    bad = []
+    for v in k.vertices:
+        vs = link_vertices[v]
+        if len(vs) <= 1:
+            continue
+        uf = UnionFind()
+        for a, b in link_edges[v]:
+            uf.union(a, b)
+        root = uf.find(vs[0])
+        if not all(uf.find(w) == root for w in vs):
+            bad.append(v)
+    return (not bad, tuple(bad))
 
 
 # -- the all-dimension collapse search, rebuilt at every node ------------------

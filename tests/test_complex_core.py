@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex, random_pure_2complex
+from conftest import oracle_vertex_links_connected, random_complex, random_pure_2complex
 from shellkit.complex_core import (
     Complex,
     Feature,
@@ -20,6 +20,7 @@ from shellkit.complex_core import (
     cone,
     face_key,
     face_sort_key,
+    facets_of,
     format_facet_lines,
     from_json,
     is_pseudomanifold,
@@ -29,7 +30,7 @@ from shellkit.complex_core import (
     to_json,
     vertex_links_connected,
 )
-from shellkit.gadgets import fixtures
+from shellkit.gadgets import build_O, fixtures
 
 BD3 = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 STRIP = [[0, 1, 2], [1, 2, 3]]
@@ -101,6 +102,64 @@ def test_face_enumeration_small():
 def test_from_facets_drops_nested_faces():
     k = Complex.from_facets([[0, 1, 2], [0, 1], [2]])
     assert k.facets == frozenset({frozenset({0, 1, 2})})
+
+
+def random_facet_list(rng: random.Random, sizes: tuple[int, ...]) -> list:
+    """Facets of the given sizes on a small pool, with duplicates and faces
+    of other facets mixed in, shuffled, each a list, tuple or frozenset."""
+    pool = rng.randint(max(sizes), 8)
+    facets = [rng.sample(range(pool), rng.choice(sizes)) for _ in range(rng.randint(1, 6))]
+    for _ in range(rng.randint(0, 3)):
+        f = rng.choice(facets)
+        facets.append(rng.sample(f, rng.choice([s for s in sizes if s <= len(f)])))
+    rng.shuffle(facets)
+    return [rng.choice((list, tuple, frozenset))(f) for f in facets]
+
+
+def test_from_facets_matches_closure_oracle():
+    # Nested facets before their cofaces in the mixed-size draws: recording
+    # the given facets there would name non-maximal faces as facets.
+    rng = random.Random(20)
+    draws = 0
+    for _ in range(300):
+        sizes = rng.choice(((1,), (2,), (3,), (4,), (1, 3), (2, 3), (1, 2, 3, 4)))
+        facets = random_facet_list(rng, sizes)
+        k = Complex.from_facets(facets)
+        assert k.faces == all_faces_brute(facets) | {frozenset()}
+        assert k.facets == facets_of(k.faces)
+        sd = subdivide_labeled(LabeledComplex(k, {}), rng.randint(1, 2 if k.dim < 2 else 1))[0]
+        assert sd.complex.facets == facets_of(sd.complex.faces)
+        draws += any(
+            len(f) < len(g) and set(f) < set(g)
+            for i, f in enumerate(facets)
+            for g in facets[i + 1 :]
+        )
+    assert draws >= 50
+    assert Complex.from_facets([]).faces == frozenset()
+    assert subdivide_labeled(LabeledComplex(Complex.empty(), {}), 1)[0].complex.faces == {
+        frozenset()
+    }
+
+
+@pytest.mark.parametrize(
+    "facets, message",
+    [
+        ([[0, 1], []], "empty facet"),
+        ([[0, 1, 0]], "facet [0, 1, 0] repeats a vertex"),
+        ([(2, 1, 2)], "facet [2, 1, 2] repeats a vertex"),
+        ([[0, True]], "vertex id must be an int, got True"),
+        ([[0, "1"]], "vertex id must be an int, got '1'"),
+        ([[0, 1.0]], "vertex id must be an int, got 1.0"),
+        ([range(17)], "facet with 17 vertices exceeds limit"),
+        # The checks run in this order: vertex type, empty, repeat, size.
+        ([[0, 0, "a"]], "vertex id must be an int, got 'a'"),
+        ([[*range(17), 0]], f"facet {[*range(17), 0]} repeats a vertex"),
+    ],
+)
+def test_from_facets_input_errors(facets, message):
+    with pytest.raises(FormatError) as exc:
+        Complex.from_facets(facets)
+    assert type(exc.value) is FormatError and str(exc.value) == message
 
 
 def test_f_vector_frozen():
@@ -275,6 +334,28 @@ def test_vertex_links_connected():
     assert ok and bad == ()
     ok, bad = vertex_links_connected(Complex.from_facets(WEDGE))
     assert not ok and bad == (2,)
+
+
+def test_vertex_links_match_union_find_oracle():
+    o_gadget = build_O("u1")
+    cases = [
+        Complex.empty(),
+        Complex.from_facets(WEDGE),
+        Complex.from_facets(WEDGE + [[4, 5], [6]]),
+        Complex.from_facets([[0, 1, 2, 3], [3, 4, 5, 6], [6, 7]]),
+        o_gadget.complex,
+        fixtures()["torus_7"].complex,
+    ]
+    rng = random.Random(21)
+    cases += [random_complex_upto(rng, rng.randint(1, 3)) for _ in range(300)]
+    pinched = 0
+    for k in cases:
+        ok, bad = vertex_links_connected(k)
+        assert (ok, bad) == oracle_vertex_links_connected(k)
+        pinched += not ok
+    assert pinched >= 50
+    v = o_gadget.feature("v(u1)").value[0]
+    assert vertex_links_connected(o_gadget.complex) == (False, (v,))
 
 
 # -- canonical form --

@@ -606,8 +606,8 @@ def collapses_to(
     k: Complex, target: Complex, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
     """Search for a collapse of ``k`` onto the subcomplex ``target``: the
-    one collapse onto a target, be it a disk onto a tree, a house's
-    pieces onto what they share, or a complex onto a vertex.
+    one collapse onto a target, be it a disk onto a tree, a house onto
+    the faces it shares with its neighbours, or a complex onto a vertex.
 
     Moves never remove a target face, and the search by dimension of
     ``_collapse_search`` spends ``budget`` on states above dimension 2
@@ -638,6 +638,9 @@ def _glue_step(
     of ``m`` onto ``m_prime`` and inside ``k``, where they must remove
     exactly the faces of ``m`` outside ``m_prime``.  The index's complex
     becomes ``(k - m) + m_prime``; nothing over all of ``k`` is built.
+    ``reduction.schedule_collapse`` calls it once per piece of its
+    schedule, with ``m`` the piece and ``m_prime`` the faces the piece
+    shares with what comes later.
     """
     m_faces = {f for f in m.faces if f}
     mp_faces = {f for f in m_prime.faces if f}

@@ -293,14 +293,11 @@ class Complex:
 
     def subcomplex_closure(self, faces: Iterable[Iterable[int]]) -> "Complex":
         """Closure of the given faces, which must all belong to the complex."""
-        out: set = set()
-        for raw in faces:
-            f = frozenset(raw)
+        given = [frozenset(raw) for raw in faces]
+        for f in given:
             if f not in self._faces:
                 raise ValueError(f"{face_key(f)} is not a face of the complex")
-            for r in range(len(f) + 1):
-                out.update(frozenset(c) for c in combinations(sorted(f), r))
-        return Complex.from_faces(out)
+        return Complex.from_facets(f for f in given if f)
 
 
 # -- joins and cones -------------------------------------------------------

@@ -24,13 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from shellkit.collapse import (
-    CollapseSequence,
-    _FaceIndex,
-    _glue_step,
-    collapses_to,
-    free_faces,
-)
+from shellkit.collapse import CollapseSequence, collapses_to, free_faces
 from shellkit.complex_core import (
     Complex,
     Face,
@@ -287,8 +281,10 @@ def build_one_house(spec: OneHouseSpec) -> LabeledComplex:
 
     Labels: ``f`` (the free arc), ``anchor`` (the wall-boundary endpoint of
     ``f`` where attachments start), ``L`` (the lower-wall subcomplex), one
-    label per requested attachment, and underscore-prefixed internals used
-    by the collapse scheduler.
+    label per requested attachment, and the layers ``_fan``, ``_cap`` and
+    ``_apex`` of the assembly.  Nothing reads those three; they stay
+    because the pinned subdivision output holds the JSON of
+    ``build_literal_house(1)``, which carries them too.
     """
     spec.validate()
     j = spec.free_edge_subdivisions
@@ -404,16 +400,15 @@ def build_three_house() -> LabeledComplex:
     the house collapses onto the contact star no matter which two free
     edges are kept.  Labels: ``v``, ``e``, ``f1..f3``, and two-edge
     paths ``p1..p3`` with p_i meeting f_i in one vertex and missing the
-    other free edges.
+    other free edges.  The house is built and checked once per process,
+    and its postconditions include ``three_house_exit`` through each door.
     """
-    return _three_house_and_exits()[0]
+    return _three_house()
 
 
 @functools.lru_cache(maxsize=1)
-def _three_house_and_exits() -> tuple[LabeledComplex, tuple[tuple[CollapseSequence, Complex], ...]]:
-    """``build_three_house`` and its ``three_house_exit`` through doors
-    1, 2 and 3, in that order; the exits are also the build's
-    postcondition."""
+def _three_house() -> LabeledComplex:
+    """The one build behind ``build_three_house``."""
     v, w = 0, 1
     alpha = [2 + 5 * i for i in range(3)]
     beta = [3 + 5 * i for i in range(3)]
@@ -461,7 +456,9 @@ def _three_house_and_exits() -> tuple[LabeledComplex, tuple[tuple[CollapseSequen
     lc = LabeledComplex(Complex.from_facets(facets), labels)
     _check_house(lc, free_edges, "three-house")
     _check_three_house_star(lc)
-    return lc, tuple(three_house_exit(lc, entry) for entry in (1, 2, 3))
+    for entry in (1, 2, 3):
+        three_house_exit(lc, entry)
+    return lc
 
 
 def _check_three_house_star(lc: LabeledComplex) -> None:
@@ -497,7 +494,10 @@ def three_house_exit(lc: LabeledComplex, entry: int) -> tuple[CollapseSequence, 
     """Collapse the three-house ``lc`` once door ``f<entry>`` is free.
 
     Returns the witness and the kept subcomplex: the hub edge ``e``, all
-    three two-edge paths, and the two doors other than ``entry``.
+    three two-edge paths, and the two doors other than ``entry``.  The
+    build runs it through every door as a postcondition.  The collapse
+    schedule keeps the same faces of each clause house, read off K_phi's
+    own labels, with ``f_and`` in the place of ``e``.
     """
     names = ["e", "p1", "p2", "p3"] + [f"f{t}" for t in (1, 2, 3) if t != entry]
     kept = _features_complex(lc, names)
@@ -583,85 +583,6 @@ def build_O(u: str) -> LabeledComplex:
     if ok or tuple(failing) != (c0,):
         raise GadgetError("O gadget must be pinched exactly at v(u)")
     return lc
-
-
-# -- scheduled house collapses ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HouseFrame:
-    """The pieces of one house instance, in the coordinates of a host complex."""
-
-    wall: tuple[Face, ...]
-    fan: tuple[Face, ...]
-    cap: tuple[Face, ...]
-    arc: tuple[Face, ...]
-    contact: int
-    far: int
-    apex: int
-
-    def mapped(self, vmap: Mapping[int, int]) -> "HouseFrame":
-        def remap(faces):
-            return tuple(frozenset(vmap[v] for v in f) for f in faces)
-
-        return HouseFrame(
-            wall=remap(self.wall),
-            fan=remap(self.fan),
-            cap=remap(self.cap),
-            arc=remap(self.arc),
-            contact=vmap[self.contact],
-            far=vmap[self.far],
-            apex=vmap[self.apex],
-        )
-
-
-def house_frame(lc: LabeledComplex) -> HouseFrame:
-    """Read a house's collapse frame off its labels."""
-    f_verts = lc.feature("f").value
-    arc = tuple(frozenset(e) for e in zip(f_verts, f_verts[1:]))
-    return HouseFrame(
-        wall=tuple(lc.subcomplex("L").facets),
-        fan=tuple(lc.subcomplex("_fan").facets),
-        cap=tuple(lc.subcomplex("_cap").facets),
-        arc=arc,
-        contact=f_verts[0],
-        far=f_verts[-1],
-        apex=lc.feature("_apex").value[0],
-    )
-
-
-def collapse_house(
-    index: _FaceIndex, frame: HouseFrame, target: Complex
-) -> CollapseSequence:
-    """Collapse one house onto ``target`` inside the complex ``index``
-    holds, in three glued phases, and return the concatenated pairs.
-
-    Phase one collapses the lower wall onto the union of the target's
-    wall faces and the non-free part of the wall boundary; phase two
-    folds the fan onto the contact--apex--far arc; phase three collapses
-    the cap to the contact vertex.  Each phase is one ``collapses_to``,
-    a no raises GadgetError, and the pairs are glued into ``index`` in
-    place by the gluing step ``collapse._glue_step``, so each
-    constrain-complex precondition is machine-checked rather than
-    assumed, and ``index`` ends at the collapsed complex.
-    """
-    wall_cx = Complex.from_facets(frame.wall)
-    keep = {f for f in target.faces if f and f in wall_cx.faces}
-    keep.update(e for e in boundary_ridges(wall_cx) if e not in frame.arc)
-    fan_cx = Complex.from_facets(frame.fan)
-    arc = {frozenset((frame.contact, frame.apex)), frozenset((frame.apex, frame.far))}
-    pairs: list = []
-    for what, piece, kept in (
-        ("lower wall", wall_cx, wall_cx.subcomplex_closure(keep)),
-        ("fan", fan_cx, fan_cx.subcomplex_closure(arc)),
-        ("cap", Complex.from_facets(frame.cap), Complex.from_facets([[frame.contact]])),
-    ):
-        res = collapses_to(piece, kept)
-        if not res.yes:
-            raise GadgetError(f"house {what} failed to collapse onto its kept faces")
-        _glue_step(index, piece, kept, res.witness)
-        pairs.extend(res.witness)
-    return tuple(pairs)
 
 
 # -- amalgamation ----------------------------------------------------------------

@@ -45,14 +45,11 @@ from shellkit.gadgets import (
     OneHouseSpec,
     _amalgamate_with_maps,
     _features_complex,
-    _three_house_and_exits,
     build_literal_house,
     build_O,
     build_one_house,
     build_three_house,
     build_variable_sphere,
-    collapse_house,
-    house_frame,
     map_feature,
 )
 
@@ -199,17 +196,8 @@ def _occurrences(phi: Formula) -> dict[int, tuple[tuple[int, int], ...]]:
     return {lit: tuple(slots) for lit, slots in occ.items()}
 
 
-@dataclass(frozen=True)
-class _Compiled:
-    phi: Formula
-    labeled: LabeledComplex
-    parts: Mapping[str, LabeledComplex]
-    vmaps: Mapping[str, Mapping[int, int]]
-    occ: Mapping[int, tuple[tuple[int, int], ...]]
-
-
 @functools.lru_cache(maxsize=8)
-def _compile(phi: Formula) -> _Compiled:
+def _compile(phi: Formula) -> LabeledComplex:
     occ = _occurrences(phi)
     occ_slot = {
         jt: k
@@ -306,7 +294,7 @@ def _compile(phi: Formula) -> _Compiled:
 
     lc = LabeledComplex(merged, labels)
     _check_compiled(phi, lc)
-    return _Compiled(phi, lc, table, vmaps, occ)
+    return lc
 
 
 def _check_compiled(phi: Formula, lc: LabeledComplex) -> None:
@@ -341,7 +329,7 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
     in a clause stay distinguishable.  All of these postconditions are
     machine-checked before returning.
     """
-    return _compile(phi).labeled
+    return _compile(phi)
 
 
 # -- the collapse schedule --------------------------------------------------------
@@ -360,24 +348,25 @@ def schedule_collapse(
     house down to its variable star, (e) flatten each ``B(u)`` onto
     ``b(u)`` and each ``O(u)`` onto ``s(u) + p(u)``, (f) finish the
     unsatisfied disks and literal houses, and (g) prune the residual
-    star to ``v_and``.  Every piece, a house's wall, fan and cap
-    included, goes onto its kept faces by one ``collapses_to``, and a
-    no raises.  One face index of K_phi carries the whole
-    schedule: the punctures come out of it, and every phase is glued
-    into it in place by the gluing step ``collapse._glue_step``, which
-    checks the constrain complex and replays the phase both on its
-    own part and on the index.  The concatenated sequence is verified end
-    to end on a fresh copy before returning, so the result is replayable
-    evidence, not a trace of intent.
+    star to ``v_and``.  Each piece, a punctured disk, a disk, a whole
+    house or an ``O(u)``, goes onto the faces it shares with what comes
+    later, read off K_phi's own labels, by one ``collapses_to``, and a
+    no raises.  One face index of K_phi carries the whole schedule: the
+    punctures come out of it, and each piece is glued into it in place
+    by one call of the gluing step ``collapse._glue_step``, which checks
+    the constrain complex and replays the piece both on its own and on
+    the index.  The concatenated sequence is verified end to end on a
+    fresh copy before returning, so the result is replayable evidence,
+    not a trace of intent.
     """
-    comp = _compile(phi)
+    lc = _compile(phi)
     a = {int(v): bool(assignment[v]) for v in assignment}
     if set(a) != set(range(1, phi.n + 1)):
         raise ReductionError("assignment must cover exactly the formula's variables")
     if not _satisfies(phi, a):
         raise ReductionError("assignment does not satisfy the formula")
 
-    lc = comp.labeled
+    occ = _occurrences(phi)
     index = _FaceIndex(lc.complex)
     v_and = lc.feature("v_and").value[0]
     sat_sign = {i: i if a[i] else -i for i in a}
@@ -385,26 +374,20 @@ def schedule_collapse(
     pairs: list[CollapsePair] = []
     removal: list[Face] = []
 
-    def glue(m: Complex, m_prime: Complex, local: CollapseSequence) -> None:
-        _glue_step(index, m, m_prime, local)
-        pairs.extend(local)
-
-    def retract(m: Complex, m_prime: Complex, failure: str) -> None:
-        res = collapses_to(m, m_prime)
+    def collapse(what: str, piece: Complex, kept_labels: list[str]) -> None:
+        kept = _features_complex(lc, kept_labels)
+        res = collapses_to(piece, kept)
         if not res.yes:
-            raise ReductionError(failure)
-        glue(m, m_prime, res.witness)
+            raise ReductionError(f"{what} failed to collapse onto {kept_labels}")
+        _glue_step(index, piece, kept, res.witness)
+        pairs.extend(res.witness)
 
-    def house(part: str, target: Complex) -> None:
-        frame = house_frame(comp.parts[part]).mapped(comp.vmaps[part])
-        pairs.extend(collapse_house(index, frame, target))
-
-    def literal_house(i: int, sign: int) -> None:
+    def literal_house(sign: int) -> None:
         lit = _lit_name(sign)
-        names = [f"p(u{i})"]
-        for j, t in comp.occ.get(sign, ()):
-            names += [f"p[{lit},c{j}#{t}]", f"f[{lit},c{j}#{t}]"]
-        house(f"X[{lit}]", _features_complex(lc, names))
+        kept = [f"p(u{abs(sign)})"]
+        for j, t in occ.get(sign, ()):
+            kept += [f"p[{lit},c{j}#{t}]", f"f[{lit},c{j}#{t}]"]
+        collapse(f"X[{lit}]", lc.subcomplex(f"X[{lit}]"), kept)
 
     # (a) puncture each satisfied disk and retract it to rim plus spoke.
     for i in range(1, phi.n + 1):
@@ -413,47 +396,37 @@ def schedule_collapse(
         tau = min((f for f in disk_faces if len(f) == 3), key=face_key)
         index.remove([tau])
         removal.append(tau)
-        m = Complex.from_faces(disk_faces - {tau})
-        m_prime = _features_complex(lc, [f"s(u{i})", f"f[{lit}]"])
-        retract(m, m_prime, f"punctured disk D[{lit}] failed to retract")
+        punctured = Complex.from_faces(disk_faces - {tau})
+        collapse(f"punctured D[{lit}]", punctured, [f"s(u{i})", f"f[{lit}]"])
 
     # (b) collapse each satisfied literal house onto its occurrence star.
     for i in range(1, phi.n + 1):
-        literal_house(i, sat_sign[i])
+        literal_house(sat_sign[i])
 
     # (c) collapse each clause house through its first satisfied door.
     for j, clause in enumerate(phi.clauses, start=1):
         # a satisfies phi, so every clause has a true literal.
         entry = next(t for t, lit in enumerate(clause, 1) if a[abs(lit)] == (lit > 0))
-        local_pairs, kept = _three_house_and_exits()[1][entry - 1]
-        vmap = comp.vmaps[f"C(c{j})"]
-
-        def mapped(face: Face) -> Face:
-            return frozenset(vmap[v] for v in face)
-
-        glue(
-            lc.subcomplex(f"C(c{j})"),
-            Complex.from_faces(map(mapped, kept.faces)),
-            tuple(CollapsePair(mapped(p.free), mapped(p.coface)) for p in local_pairs),
-        )
+        slots = [(t, _lit_name(lit)) for t, lit in enumerate(clause, 1)]
+        kept = ["f_and"] + [f"p[{name},c{j}#{t}]" for t, name in slots]
+        kept += [f"f[{name},c{j}#{t}]" for t, name in slots if t != entry]
+        collapse(f"C(c{j})", lc.subcomplex(f"C(c{j})"), kept)
 
     # (d) open the conjunction house down to its variable star.
     star = [f"f(u{i})" for i in range(1, phi.n + 1)]
-    house("A", _features_complex(lc, star) if star else Complex.from_facets([[v_and]]))
+    collapse("A", lc.subcomplex("A"), star or ["v_and"])
 
     # (e) flatten B(u) onto b(u), then O(u) onto s(u) + p(u).
     for i in range(1, phi.n + 1):
         u = f"u{i}"
-        house(f"B({u})", _features_complex(lc, [f"b({u})"]))
-        m_prime = _features_complex(lc, [f"s({u})", f"p({u})"])
-        retract(lc.subcomplex(f"O({u})"), m_prime, f"O({u}) failed to retract onto s+p")
+        collapse(f"B({u})", lc.subcomplex(f"B({u})"), [f"b({u})"])
+        collapse(f"O({u})", lc.subcomplex(f"O({u})"), [f"s({u})", f"p({u})"])
 
     # (f) finish each unsatisfied disk, then its literal house.
     for i in range(1, phi.n + 1):
         lit = neg_of[i]
-        m_prime = _features_complex(lc, [f"f[{lit}]"])
-        retract(lc.subcomplex(f"D[{lit}]"), m_prime, f"disk D[{lit}] failed to retract")
-        literal_house(i, -sat_sign[i])
+        collapse(f"D[{lit}]", lc.subcomplex(f"D[{lit}]"), [f"f[{lit}]"])
+        literal_house(-sat_sign[i])
 
     # (g) prune the residual star down to the hub vertex.
     tail = collapses_to(index.complex(), Complex.from_facets([[v_and]]))
@@ -544,7 +517,7 @@ def decide_phi_via_complex(phi: Formula) -> SearchResult:
     the extracted assignment.  Raises ``InternalError`` when the winning
     removal does not read back as a model.
     """
-    lc = _compile(phi).labeled
+    lc = _compile(phi)
     pools = [
         sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
         for i in range(1, phi.n + 1)

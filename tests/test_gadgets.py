@@ -6,6 +6,7 @@ import pytest
 
 from shellkit.collapse import (
     _FaceIndex,
+    _glue_step,
     collapses_to,
     free_faces,
     is_collapsible_2d_greedy,
@@ -22,9 +23,7 @@ from shellkit.gadgets import (
     build_one_house,
     build_three_house,
     build_variable_sphere,
-    collapse_house,
     fixtures,
-    house_frame,
     map_feature,
     three_house_exit,
 )
@@ -151,25 +150,19 @@ def test_literal_house_frozen():
         assert f"occ{occ + 1}.p" not in lc.labels
 
 
-def test_house_frame_partition():
-    lc = build_one_house(OneHouseSpec())
-    frame = house_frame(lc)
-    union = set(frame.wall) | set(frame.fan) | set(frame.cap)
-    assert union == set(lc.complex.facets)
-    arc_vertices = {v for e in frame.arc for v in e}
-    assert frame.contact in arc_vertices and frame.far in arc_vertices
-
-
 def test_collapse_house_reaches_target():
-    # Target a wall attachment path; the free arc itself is consumed in
-    # the wall phase, so it can never be part of the target.
+    # Target a wall attachment path.  The free arc is where the collapse
+    # starts, so it can never be part of the target.
     lc = build_one_house(OneHouseSpec(attachments=(HouseAttachment("t", 2),)))
     k = lc.complex
     target = k.subcomplex_closure(
         [sorted(e) for e in lc.feature("t").edge_list()]
     )
+    res = collapses_to(k, target)
+    assert res.yes
+    pairs = res.witness
     index = _FaceIndex(k)
-    pairs = collapse_house(index, house_frame(lc), target)
+    _glue_step(index, k, target, pairs)
     residue = index.complex()
     assert verify_collapse_sequence(k, pairs) == residue
     assert target.faces <= residue.faces

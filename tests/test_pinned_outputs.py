@@ -93,6 +93,16 @@ by record with the records before, only the check_disk entries went:
 one from each of the 85 records of a 2-dimensional input, 16 of them
 "disk" and 69 the reason it was not one.  No other entry moved; every
 verdict, node count and witness byte is the same.
+
+The first and fourth digests were recorded again when schedule_collapse
+started to collapse each house with one collapses_to onto the faces it
+shares, in K_phi's coordinates, in place of a wall, fan and cap phase or
+a three-house exit mapped from the house's own coordinates.  Compared
+record by record with the records before: every record of the first
+digest but its one schedule stayed byte-identical; every schedule, that
+one and the 19 of the fourth digest, kept its removal and its number of
+pairs, each part of K_phi lost the same faces, and every sequence
+replays to v_and.  Only the order of the pairs moved.
 """
 
 import contextlib
@@ -143,10 +153,10 @@ from shellkit.shelling import (
     hachimori_decide_sd2,
 )
 
-PINNED_SHA256 = "c502621ac6a3c90a7e669ee26fb893710ed0962651dfbcef1654dd199ac6d31a"
+PINNED_SHA256 = "7cbae23395fbaa1a14de2be1667139bddd1bb78daa8deae3955de4ab8df6d726"
 SUBDIVISION_SHA256 = "d6eadad5452d90a8f44e69b77983554f07ee69dd42a1c5d5676e5cf54ececd62"
 DECOMPOSITION_SHA256 = "a7fcd1ef48439f2fb3d7ed7c425ef060944c7f84e332cd9b5f089d8f6cb0b90d"
-SCHEDULE_SHA256 = "be456ebe3b1a219fa36bedda6c7b28297d53f63e15173aa597372a206c31337c"
+SCHEDULE_SHA256 = "3944e193906e0482d46e8532697d0e86d6ef72cb8112e5e52fed4ccbf956139b"
 K_PHI_SHA256 = "5d973ea5f1d9e515df112344101b44890f4c3fdcffa62b727f036dd5fe211b23"
 CLI_SHA256 = "0fc83f3c687d5f890f92b969265bee045a2d70b5bfed130d4d7408bb3410a943"
 CLI_PROPERTIES = ("shellable", "collapsible", "k-decomposable(0)", "k-decomposable(1)", "hachimori-sd2")

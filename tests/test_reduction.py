@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from shellkit.collapse import verify_collapse_sequence
-from shellkit.complex_core import subdivide_labeled, vertex_links_connected
+from shellkit import reduction
+from shellkit.collapse import CollapseError, _FaceIndex, _glue_step, verify_collapse_sequence
+from shellkit.complex_core import Complex, subdivide_labeled, vertex_links_connected
 from shellkit.reduction import (
     CnfError,
     Formula,
@@ -161,6 +162,48 @@ def test_schedule_collapse_rejects_bad_assignments():
         schedule_collapse(XXX, {1: False})
     with pytest.raises(ReductionError):
         schedule_collapse(MIXED, {1: True})
+
+
+@pytest.mark.parametrize("phi", [XXX, MIXED])
+def test_house_targets_keep_what_neighbours_share(monkeypatch, phi):
+    # Each house is collapsed onto the faces it shares with pieces that
+    # are still whole.  Dropping one of them from the schedule's own
+    # target, b(u1) from B(u1) or an f(u_i) edge from A, must fail the
+    # constrain check of the gluing step at that house's turn.
+    steps = []  # each piece, its kept faces and its pairs, in order
+    glue = reduction._glue_step
+
+    def record(index, m, m_prime, pairs):
+        steps.append((m, m_prime, tuple(pairs)))
+        glue(index, m, m_prime, pairs)
+
+    monkeypatch.setattr(reduction, "_glue_step", record)
+    removal, _ = schedule_collapse(phi, sat_oracle(phi))
+    lc = build_K_phi(phi)
+    shared = {
+        "B(u1)": ["b(u1)"],
+        "A": [f"f(u{i})" for i in range(1, phi.n + 1)],
+    }
+    for part, labels in shared.items():
+        house = lc.subcomplex(part)
+        turn = next(s for s, (m, _, _) in enumerate(steps) if m == house)
+        _, kept, pairs = steps[turn]
+
+        def index_at_turn() -> _FaceIndex:
+            index = _FaceIndex(lc.complex)
+            index.remove(removal)
+            index.collapse([p for _, _, earlier in steps[:turn] for p in earlier])
+            return index
+
+        edges = [frozenset(e) for name in labels for e in lc.feature(name).edge_list()]
+        assert edges and all(e in kept.faces for e in edges)
+        for edge in edges:
+            dropped = Complex.from_faces(kept.faces - {edge})
+            with pytest.raises(CollapseError, match="constrain complex"):
+                _glue_step(index_at_turn(), house, dropped, pairs)
+        index = index_at_turn()
+        _glue_step(index, house, kept, pairs)
+        assert not any(f in index.faces for f in house.faces - kept.faces)
 
 
 def test_removal_reads_back_as_assignment():

@@ -1,8 +1,10 @@
-"""Every name a module of shellkit imports at module level is used there.
+"""Every name a module of shellkit imports at module level is used there,
+and every private module-level name is read by some module of shellkit.
 
 The project has no linter; this keeps an import from outliving the last
-caller of what it imports.  Standard library only: it reads the modules
-with ``ast`` and never imports them.
+caller of what it imports, and a private helper from outliving its last
+caller.  Standard library only: it reads the modules with ``ast`` and
+never imports them.
 """
 
 import ast
@@ -11,8 +13,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "shellkit"
+SOURCES = sorted(SRC.glob("*.py"))
 # ``__init__`` imports names to re-export them.
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +44,59 @@ def test_unused_imports_finds_what_is_never_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """The module-level functions, classes and constants of ``source``
+    whose names start with one underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """The names that ``source`` loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private module-level name of ``sources``,
+    a map from module name to source, that no module of them reads."""
+    read = set().union(*map(names_read, sources.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in private_definitions(source) - read
+    )
+
+
+def test_dead_private_names_finds_what_no_module_reads():
+    sources = {
+        "a": (
+            "_K = 1\n_dead: int = 2\n__version__ = '1'\n"
+            "def _f():\n    return _K\n"
+            "class _C:\n    pass\n"
+            "def _g():\n    _local = 0\n"
+        ),
+        "b": "import a\nfrom a import _g\nx = a._C\n",
+    }
+    assert dead_private_names(sources) == ["a._dead", "a._f"]
+
+
+def test_no_dead_private_module_level_names():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert dead_private_names(sources) == []

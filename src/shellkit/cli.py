@@ -283,7 +283,11 @@ def _replay_removal(
     """Take the facets in ``removed`` out of ``k``, replay ``pairs`` on the
     rest (ending at ``target`` when given), and require the collapse to end
     at a single vertex; returns the number of pairs replayed."""
-    final = verify_collapse_sequence(k.remove_facets(removed), pairs, target)
+    try:
+        rest = k.remove_facets(removed)
+    except ValueError as exc:
+        raise CollapseError(str(exc)) from None
+    final = verify_collapse_sequence(rest, pairs, target)
     if sorted(map(len, final.facets)) != [1]:
         raise CollapseError("the collapse does not end at a single vertex")
     return len(pairs)
@@ -305,8 +309,8 @@ def _replay_witness(k: Complex, doc: Mapping) -> int:
         return len(order)
     if kind == "decomposition":
         kk = doc.get("k")
-        if not isinstance(kk, int) or isinstance(kk, bool) or not isinstance(doc.get("tree"), dict):
-            raise FormatError("decomposition witness needs integer 'k' and object 'tree'")
+        if type(kk) is not int or kk < 0 or not isinstance(doc.get("tree"), dict):
+            raise FormatError("decomposition witness needs integer 'k' >= 0 and object 'tree'")
         return verify_decomposition(k, kk, doc["tree"])
     if kind != "collapse":
         raise FormatError(f"unknown witness kind {kind!r}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from shellkit.complex_core import (
@@ -24,6 +23,8 @@ from shellkit.complex_core import (
     face_key,
     face_sort_key,
     one_skeleton_connected,
+    ridge_holders,
+    subfaces,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -72,12 +73,6 @@ class SearchResult:
         return self.verdict == "yes"
 
 
-def _proper_faces(facet: Face) -> list[Face]:
-    """The nonempty proper faces of ``facet``."""
-    vs = sorted(facet)
-    return [frozenset(sub) for r in range(1, len(vs)) for sub in combinations(vs, r)]
-
-
 def _sole_facets(facets: Iterable[Face]) -> dict[Face, Face | None]:
     """Each nonempty proper face of ``facets`` mapped to the one facet
     containing it, or to None when two or more do.
@@ -87,7 +82,7 @@ def _sole_facets(facets: Iterable[Face]) -> dict[Face, Face | None]:
     """
     facet_of: dict[Face, Face | None] = {}
     for facet in facets:
-        for s in _proper_faces(facet):
+        for s in subfaces(facet, range(1, len(facet))):
             facet_of[s] = None if s in facet_of else facet
     return facet_of
 
@@ -208,15 +203,13 @@ def _erase(faces: Iterable[Face], keep: set[Face]) -> tuple[list[CollapsePair], 
     into the one face of ``faces`` holding it, until no ridge is free.
 
     ``faces`` all have one size, and their ridges are their faces one
-    vertex smaller.  A ridge's count of live holders only falls, so it
-    enters the heap when it becomes free, and stale entries are skipped.
-    Returns the pairs and the faces left.
+    vertex smaller; their ``ridge_holders`` map keeps each ridge's live
+    holders.  A ridge's count of live holders only falls, so it enters the
+    heap when it becomes free, and stale entries are skipped.  Returns the
+    pairs and the faces left.
     """
     live = set(faces)
-    holders: dict[Face, set[Face]] = {}
-    for f in live:
-        for v in f:
-            holders.setdefault(f - {v}, set()).add(f)
+    holders = ridge_holders(live)
 
     def free(r: Face) -> bool:
         # A collapsed ridge has no holder left, so it never looks free.
@@ -234,7 +227,7 @@ def _erase(faces: Iterable[Face], keep: set[Face]) -> tuple[list[CollapsePair], 
         live.discard(f)
         for v in f:
             other = f - {v}
-            holders[other].discard(f)
+            holders[other].remove(f)
             if free(other):
                 heapq.heappush(heap, face_key(other))
     return pairs, live
@@ -270,16 +263,14 @@ def is_collapsible_2d_greedy(k: Complex) -> SearchResult:
     dimension two, because erasure is confluent: the complex is
     collapsible exactly when one vertex is left.  On yes the witness is
     the pairs, which collapse the complex to that vertex; ``nodes``
-    counts the collapse steps made, a stalled erasure's included.  To
-    collapse onto a chosen vertex, or any other subcomplex, use
-    ``collapses_to``.
+    counts the collapse steps made, a stalled erasure's included.  It is
+    ``_collapse_search`` onto one face with nothing kept, which at
+    dimension 2 or less is one ``_erase_down``.  To collapse onto a
+    chosen vertex, or any other subcomplex, use ``collapses_to``.
     """
     if k.dim > 2:
         raise ValueError("greedy decider requires dimension <= 2")
-    pairs, rest = _erase_down((f for f in k.faces if f), set(), 3)
-    if len(rest) != 1:
-        return SearchResult("no", None, len(pairs))
-    return SearchResult("yes", tuple(pairs), len(pairs))
+    return _collapse_search(k, set(), 1, DEFAULT_BUDGET)
 
 
 class TriangleErasure:
@@ -293,10 +284,12 @@ class TriangleErasure:
     removal search can puncture one triangle at a time, paying only for
     what that triangle frees, and undo back to any earlier mark.
 
-    Triangles (ids in ``face_key`` order) and edges are numbered once; the
-    state is a live and a punctured flag per triangle, a live-triangle
+    Triangles (ids in ``face_key`` order) and the edges in a triangle, in
+    the order of the triangles' ``ridge_holders`` map, are numbered once;
+    the state is a live and a punctured flag per triangle, a live-triangle
     count per edge, and a log of punctures and erasures that ``undo``
-    rolls back.
+    rolls back.  The edge order sets only the order of erasures, which by
+    confluence leave the same triangles.
     """
 
     def __init__(self, k: Complex):
@@ -304,18 +297,11 @@ class TriangleErasure:
             raise ValueError("erasure requires dimension <= 2")
         triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
         self.tri_id: dict[Face, int] = {t: i for i, t in enumerate(triangles)}
-        edge_id: dict[tuple[int, int], int] = {}
-        for e in k.faces:
-            if len(e) == 2:
-                edge_id[face_key(e)] = len(edge_id)
-        self._tri_edges: list[tuple[int, int, int]] = []
-        for t in triangles:
-            a, b, c = face_key(t)
-            self._tri_edges.append((edge_id[a, b], edge_id[a, c], edge_id[b, c]))
-        self._edge_tris: list[list[int]] = [[] for _ in edge_id]
-        for i, es in enumerate(self._tri_edges):
-            for e in es:
-                self._edge_tris[e].append(i)
+        self._edge_tris = [[self.tri_id[t] for t in ts] for ts in ridge_holders(triangles).values()]
+        self._tri_edges: list[list[int]] = [[] for _ in triangles]
+        for e, ts in enumerate(self._edge_tris):
+            for t in ts:
+                self._tri_edges[t].append(e)
         self._count = [len(ts) for ts in self._edge_tris]
         self._live = [True] * len(triangles)
         self._punctured = [False] * len(triangles)
@@ -529,7 +515,8 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
     a homotopy equivalence, whichever edges the erasure used.  Above that
     a DFS branches over the (ridge, top face) moves in lex order,
     memoizes refuted states by their exact removed-face set, and hands
-    each state with no top face outside ``keep`` to the size below.
+    each state with no top face outside ``keep`` to the size below.  Each
+    state reads its free ridges off one ``ridge_holders`` map.
     ``nodes`` counts the states the DFS enters plus the erasure steps;
     ``budget`` bounds the states only.
     """
@@ -553,11 +540,7 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
             return None
         # As in ``_erase_down``, a free ridge is one that a single face of
         # size ``top`` outside keep holds.
-        holders: dict[Face, list[Face]] = {}
-        for f in live:
-            if len(f) == top and f not in keep:
-                for v in f:
-                    holders.setdefault(f - {v}, []).append(f)
+        holders = ridge_holders(f for f in live if len(f) == top and f not in keep)
         found = None if holders else search(top - 1)
         for ridge in sorted(
             (r for r, fs in holders.items() if len(fs) == 1 and r not in keep), key=face_key

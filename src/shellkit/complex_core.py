@@ -10,7 +10,6 @@ f-vector its leading ``f_{-1}`` entry.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Collection, Iterable, Iterator, Mapping
@@ -52,6 +51,24 @@ def facets_of(faces: Collection[frozenset]) -> frozenset:
         if len(f) > 1:
             covered.update(f - {v} for v in f)
     return frozenset(f for f in faces if f and f not in covered)
+
+
+def subfaces(facet: Collection[int], sizes: Iterable[int]) -> list[frozenset]:
+    """The faces of ``facet`` with the given numbers of vertices, size by
+    size in the order of ``sizes``, each size in no particular order.
+    Every face enumeration but ``Complex.from_facets``'s goes through it."""
+    return [frozenset(c) for r in sizes for c in combinations(facet, r)]
+
+
+def ridge_holders(facets: Iterable[frozenset]) -> dict[frozenset, list[frozenset]]:
+    """Each ridge of ``facets`` (a facet minus one vertex) mapped to the
+    facets that hold it, in the order given.  This is the one ridge map
+    of the package: a ridge's degree is the length of its list."""
+    holders: dict[frozenset, list[frozenset]] = {}
+    for f in facets:
+        for v in f:
+            holders.setdefault(f - {v}, []).append(f)
+    return holders
 
 
 class UnionFind:
@@ -343,10 +360,10 @@ def is_pseudomanifold(k: Complex) -> str:
     d = k.dim
     if not k.is_pure(d):
         raise ValueError("pseudomanifold check needs a pure complex")
-    degree = _ridge_degrees(k)
-    if any(c > 2 for c in degree.values()):
+    degrees = [len(fs) for fs in ridge_holders(k.facets).values()]
+    if any(c > 2 for c in degrees):
         return "no"
-    if all(c == 2 for c in degree.values()):
+    if all(c == 2 for c in degrees):
         return "closed"
     return "with_boundary"
 
@@ -409,20 +426,10 @@ def vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
     return (not bad, tuple(bad))
 
 
-def _ridge_degrees(k: Complex) -> Counter:
-    """How many top-dimensional facets contain each (d-1)-face."""
-    d = k.dim
-    return Counter(
-        frozenset(ridge)
-        for facet in k.facets
-        if len(facet) == d + 1
-        for ridge in combinations(sorted(facet), d)
-    )
-
-
 def boundary_ridges(k: Complex) -> list[frozenset]:
-    """Ridges ((d-1)-faces) contained in exactly one facet."""
-    return sorted((r for r, c in _ridge_degrees(k).items() if c == 1), key=face_key)
+    """Ridges ((d-1)-faces) contained in exactly one top-dimensional facet."""
+    top = (f for f in k.facets if len(f) == k.dim + 1)
+    return sorted((r for r, fs in ridge_holders(top).items() if len(fs) == 1), key=face_key)
 
 
 # -- barycentric subdivision ------------------------------------------------
@@ -569,11 +576,7 @@ class Feature:
             out = {frozenset([v]) for v in self.value}
             out.update(self.edge_list())
             return out
-        out = set()
-        for facet in self.value:
-            for r in range(1, len(facet) + 1):
-                out.update(frozenset(c) for c in combinations(facet, r))
-        return out
+        return {g for facet in self.value for g in subfaces(facet, range(1, len(facet) + 1))}
 
 
 def _validate_feature(name: str, feat: Feature, k: Complex) -> None:

@@ -20,7 +20,6 @@ violation, so a constructed gadget is trustworthy by construction.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -34,6 +33,7 @@ from shellkit.complex_core import (
     boundary_ridges,
     face_key,
     is_pseudomanifold,
+    subfaces,
     vertex_links_connected,
 )
 
@@ -107,7 +107,7 @@ def boundary_simplex(d: int) -> Complex:
     """The boundary of the d-simplex on vertices 0..d."""
     if d < 1:
         raise GadgetError("boundary_simplex needs d >= 1")
-    return Complex.from_facets(itertools.combinations(range(d + 1), d))
+    return Complex.from_facets(subfaces(range(d + 1), [d]))
 
 
 @functools.lru_cache(maxsize=1)

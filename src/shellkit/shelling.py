@@ -10,7 +10,6 @@ always shellable.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from typing import Collection, Iterable, Mapping, Sequence
 
 from shellkit.complex_core import (
@@ -20,6 +19,8 @@ from shellkit.complex_core import (
     _validate_vertex,
     face_key,
     graph_connected,
+    ridge_holders,
+    subfaces,
     vertex_links_connected,
 )
 from shellkit.collapse import DEFAULT_BUDGET, SearchResult, _BudgetExceeded, find_removal
@@ -38,12 +39,6 @@ def _check_pure_input(k: Complex) -> int:
     return d
 
 
-def _faces_of(facet: Face) -> list[Face]:
-    """Every face of ``facet``, the empty face included."""
-    vs = sorted(facet)
-    return [frozenset(c) for r in range(len(vs) + 1) for c in combinations(vs, r)]
-
-
 def _restriction_ok(facet: Face, placed: Counter) -> bool:
     """May ``facet`` come next after at least one placed facet?  ``placed``
     counts the faces of the placed facets.
@@ -60,9 +55,10 @@ def _restriction_ok(facet: Face, placed: Counter) -> bool:
     return not placed[r]
 
 
-def _may_be_shellable(facets: Collection[Face]) -> bool:
+def _may_be_shellable(facets: Collection[Face], by_ridge: Mapping[Face, list[Face]]) -> bool:
     """False when the pure complex with these (nonempty) facets cannot be
-    shellable; True promises nothing.
+    shellable; True promises nothing.  ``by_ridge`` is the caller's
+    ``ridge_holders`` map of ``facets``, which the caller reads too.
 
     A shellable pure d-complex passes four tests.  For d >= 1 each facet
     after the first meets its predecessors along a ridge, so the facet
@@ -78,11 +74,9 @@ def _may_be_shellable(facets: Collection[Face]) -> bool:
     and the ridge F - v lies in no other facet.
     """
     d = len(next(iter(facets))) - 1
-    by_ridge: dict[Face, list[Face]] = {}
     star: dict[int, list[Face]] = {}
     for f in facets:
         for v in f:
-            by_ridge.setdefault(f - {v}, []).append(f)
             star.setdefault(v, []).append(f)
     adj: dict[Face, list[Face]] = {}
     star_adj: dict[int, dict[Face, list[Face]]] = {v: {} for v in star}
@@ -96,7 +90,8 @@ def _may_be_shellable(facets: Collection[Face]) -> bool:
         return False
     if d >= 2 and not all(graph_connected(star[v], star_adj[v]) for v in star):
         return False
-    chi = sum(1 if len(g) % 2 else -1 for g in {g for f in facets for g in _faces_of(f)})
+    faces = {g for f in facets for g in subfaces(f, range(d + 2))}
+    chi = sum(1 if len(g) % 2 else -1 for g in faces)
     if d >= 1 and chi == 0 and all(len(around) > 1 for around in by_ridge.values()):
         return False
     return (-1) ** d * chi >= 0
@@ -133,7 +128,7 @@ def verify_shelling(k: Complex, order: Sequence[Iterable[int]]) -> None:
                 f"facet #{i + 1} {face_key(facet)} meets its predecessors "
                 f"in a set that is not pure {d - 1}-dimensional and nonempty"
             )
-        placed.update(_faces_of(facet))
+        placed.update(subfaces(facet, range(d + 2)))
 
 
 def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -163,19 +158,14 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     # once, on the whole complex.  Inside the search it could not prune:
     # each prefix the search builds is a shelling of its own facets, so it
     # passes, and the facets left to place need not pass it.
-    if not _may_be_shellable(facets):
+    by_ridge = ridge_holders(facets)
+    if not _may_be_shellable(facets, by_ridge):
         return SearchResult("no", None, 0)
-    by_ridge: dict[Face, list[int]] = {}
-    for i, f in enumerate(facets):
-        for v in f:
-            by_ridge.setdefault(f - {v}, []).append(i)
-    # Bit j of nbrs[i] is set when facets i and j share a ridge.
-    nbrs = [0] * m
-    for around in by_ridge.values():
-        bits = sum(1 << i for i in around)
-        for i in around:
-            nbrs[i] |= bits & ~(1 << i)
-    faces_of = [_faces_of(f) for f in facets]
+    # Bit j of nbrs[i] is set when facets i and j share a ridge, and two
+    # facets share at most one.
+    bit = {f: 1 << i for i, f in enumerate(facets)}
+    nbrs = [sum(bit[g] for v in f for g in by_ridge[f - {v}] if g != f) for f in facets]
+    faces_of = [subfaces(f, range(d + 2)) for f in facets]
 
     dead: set[int] = set()
     nodes = 0
@@ -231,8 +221,9 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     misses σ but lies in some F ⊇ σ lies in a ridge F - v with v in σ, and
     every other facet through that ridge misses σ; so the deletion is pure
     d-dimensional exactly when each such ridge lies in two or more facets,
-    and its facets are then those missing σ.  One ridge-degree count per
-    node tests every σ, and both children are pure by construction.
+    and its facets are then those missing σ.  One ``ridge_holders`` map per
+    node tests every σ, and serves ``_may_be_shellable`` too; both
+    children are pure by construction.
 
     A k-decomposable complex is shellable (Provan and Billera, 1980), so
     a node that fails ``_may_be_shellable`` is refuted at once; the full
@@ -277,17 +268,16 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
             mask |= 1 << facet_ids.setdefault(f, len(facet_ids))
         if mask in exact:
             return exact[mask]
-        if not _may_be_shellable(facets):
+        by_ridge = ridge_holders(facets)
+        if not _may_be_shellable(facets, by_ridge):
             exact[mask] = None
             return None
-        degree = Counter(f - {v} for f in facets for v in f)
         # v is in boundary[f] when the ridge f - v lies in f alone.
-        boundary = {f: {v for v in f if degree[f - {v}] == 1} for f in facets}
+        boundary = {f: {v for v in f if len(by_ridge[f - {v}]) == 1} for f in facets}
         cofacets: dict[Face, list[Face]] = {}
         for f in facets:
-            for r in range(1, min(kk + 1, len(f)) + 1):
-                for sigma in combinations(f, r):
-                    cofacets.setdefault(frozenset(sigma), []).append(f)
+            for sigma in subfaces(f, range(1, min(kk + 1, len(f)) + 1)):
+                cofacets.setdefault(sigma, []).append(f)
         for sigma in sorted(cofacets, key=face_key):
             around = cofacets[sigma]
             if any(not boundary[f].isdisjoint(sigma) for f in around):

@@ -140,6 +140,26 @@ def test_check_hachimori_witness_replays(tmp_path, capsys):
     assert vcode == 0 and "verdict: yes" in vout
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [lambda r: [[0, 1, 7]], lambda r: r + r, lambda r: [[0, 1]]],
+    ids=["not-a-face", "repeated", "an-edge"],
+)
+def test_verify_tampered_removal_is_a_no(tamper, tmp_path, capsys):
+    # A well-formed removed_facets list that is not a sequence of facets
+    # is a witness that does not hold, not a parse error.
+    path = tmp_path / "sphere.txt"
+    path.write_text(SPHERE)
+    run(["check", "hachimori-sd2", str(path)], capsys)
+    witness = tmp_path / "sphere.hachimori-sd2.witness.json"
+    doc = json.loads(witness.read_text())
+    doc["removed_facets"] = tamper(doc["removed_facets"])
+    witness.write_text(json.dumps(doc))
+    code, out, _ = run(["verify", str(path), str(witness)], capsys)
+    assert code == 1, out
+    assert "verdict: no" in out and "is not a facet" in out
+
+
 def test_check_budget_exceeded_exit_three(tmp_path, capsys):
     # K_phi of the unsatisfiable n=1 formula needs 7 removals checked.
     cnf = tmp_path / "unsat.cnf"
@@ -469,6 +489,11 @@ MALFORMED = {
         TRIANGLE_BOUNDARY,
         "decomposition",
         {"k": True, "tree": TRIANGLE_BOUNDARY_TREE},
+    ),
+    "decomposition-k-negative": (
+        TRIANGLE,
+        "decomposition",
+        {"k": -1, "tree": {"leaf": [0, 1, 2]}},
     ),
     "decomposition-leaf-vertex-a-bool": (
         TRIANGLE_BOUNDARY,

@@ -26,7 +26,9 @@ from shellkit.complex_core import (
     is_pseudomanifold,
     join,
     parse_facet_lines,
+    ridge_holders,
     subdivide_labeled,
+    subfaces,
     to_json,
     vertex_links_connected,
 )
@@ -341,6 +343,41 @@ def test_pseudomanifold_matches_ridge_count_oracle():
             else ("closed" if min(counts.values()) == 2 else "with_boundary")
         )
         assert is_pseudomanifold(k) == expected
+
+
+def random_facet_lists(count: int, seed: int) -> list[list[frozenset]]:
+    """Lists of 1 to 8 facets of 1 to 4 vertices each, mixed sizes and
+    repeats allowed, on 7 vertices."""
+    rng = random.Random(seed)
+    return [
+        [frozenset(rng.sample(range(7), rng.randint(1, 4))) for _ in range(rng.randint(1, 8))]
+        for _ in range(count)
+    ]
+
+
+def test_subfaces_matches_subset_filter():
+    rng = random.Random(24)
+    for facets in random_facet_lists(300, 24):
+        for f in facets:
+            sizes = rng.sample(range(len(f) + 2), rng.randint(1, len(f) + 2))
+            got = subfaces(f, sizes)
+            vs = sorted(f)
+            masks = range(1 << len(vs))
+            subsets = [frozenset(v for i, v in enumerate(vs) if m >> i & 1) for m in masks]
+            assert Counter(got) == Counter(g for g in subsets if len(g) in sizes), (f, sizes)
+            # Size by size, in the order asked for.
+            assert [len(g) for g in got] == sorted(map(len, got), key=sizes.index), (f, sizes)
+
+
+def test_ridge_holders_matches_scan():
+    seen = Counter()
+    for facets in random_facet_lists(300, 25):
+        ridges = {g for f in facets for g in subfaces(f, [len(f) - 1])}
+        expected = {r: [f for f in facets if len(f) == len(r) + 1 and r < f] for r in ridges}
+        assert ridge_holders(facets) == expected, facets
+        seen.update(min(len(fs), 3) for fs in expected.values())
+    # Ridges held once, twice, and three or more times.
+    assert min(seen[n] for n in (1, 2, 3)) > 40, seen
 
 
 def test_vertex_links_connected():

@@ -25,6 +25,8 @@ from shellkit.complex_core import (
     cone,
     face_key,
     graph_connected,
+    ridge_holders,
+    subfaces,
     vertex_links_connected,
 )
 from shellkit import cli, shelling
@@ -32,7 +34,6 @@ from shellkit.gadgets import dunce_hat, fixtures, torus_7
 from shellkit.reduction import Formula, build_K_phi
 from shellkit.shelling import (
     ShellingError,
-    _faces_of,
     _may_be_shellable,
     _restriction_ok,
     decide_k_decomposable,
@@ -115,7 +116,7 @@ def test_restriction_face_test_matches_prefix_intersection():
         order = sorted(facets, key=sorted)
         rng.shuffle(order)
         chosen = order[: rng.randint(1, len(order) - 1)]
-        placed = collections.Counter(g for f in chosen for g in _faces_of(f))
+        placed = collections.Counter(g for f in chosen for g in subfaces(f, range(d + 2)))
         # Placed candidates too: there R(F) = F is a placed facet, the one
         # case where "R(F) lies in G" and "R(F) lies strictly in G" differ.
         for candidate in order:
@@ -442,7 +443,7 @@ def test_decide_shellable_matches_definition_oracle():
 def test_oracle_comparisons_catch_a_wrong_pruning_rule(monkeypatch):
     # A mutant of _may_be_shellable whose χ̃ test has the wrong sign
     # refutes shellable complexes; both oracle comparisons must see it.
-    def chi_sign_flipped(facets):
+    def chi_sign_flipped(facets, by_ridge):
         k = Complex.from_facets(facets)
         return (-1) ** k.dim * k.reduced_euler_characteristic() <= 0
 
@@ -526,7 +527,7 @@ def test_may_be_shellable_each_rule_refutes():
     assert facet_graph_connected(hat) and vertex_links_connected(hat)[0]
     assert hat.reduced_euler_characteristic() == 0 and not has_free_ridge(hat)
     refuted = [disjoint, pinched, torus, hat, Complex.from_facets([[0, 1], [2, 3]])]
-    assert not any(_may_be_shellable(k.facets) for k in refuted)
+    assert not any(_may_be_shellable(k.facets, ridge_holders(k.facets)) for k in refuted)
     # Necessary, not sufficient: the dunce hat with a pendant triangle
     # passes, but it is contractible and not collapsible, so not shellable.
     pendant = pendant_dunce_hat()
@@ -534,7 +535,7 @@ def test_may_be_shellable_each_rule_refutes():
     assert is_collapsible_2d_greedy(pendant).verdict == "no"
     passing = [Complex.from_facets(BD3), Complex.from_facets(OCTAHEDRON), pendant]
     passing += [Complex.from_facets([[0], [1], [2]]), Complex.from_facets([[0, 1], [1, 2]])]
-    assert all(_may_be_shellable(k.facets) for k in passing)
+    assert all(_may_be_shellable(k.facets, ridge_holders(k.facets)) for k in passing)
 
 
 def test_canonical_from_facets_matches_full_face_oracle():

@@ -100,3 +100,47 @@ def test_dead_private_names_finds_what_no_module_reads():
 def test_no_dead_private_module_level_names():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert dead_private_names(sources) == []
+
+
+def combinations_uses(source: str) -> list[int]:
+    """The lines of ``source`` that import ``itertools.combinations`` by
+    name or read it as an attribute of the ``itertools`` module, under
+    any alias."""
+    tree = ast.parse(source)
+    modules = {"itertools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "itertools")
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(a.name == "combinations" for a in node.names):
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "combinations"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_combinations_uses_finds_names_and_attributes():
+    source = (
+        "import itertools\nimport itertools as it\n"
+        "from itertools import product, combinations as pick\n"
+        "x = itertools.combinations(a, 2)\ny = it.combinations\n"
+        "z = itertools.combinations_with_replacement(a, 2)\nw = other.combinations\n"
+        "def f():\n    from itertools import combinations\n"
+    )
+    assert combinations_uses(source) == [3, 4, 5, 9]
+
+
+# Faces of a facet come from ``complex_core.subfaces`` alone, so no other
+# module enumerates them with ``itertools.combinations``.
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "complex_core.py"], ids=lambda p: p.name
+)
+def test_one_face_enumerator(path):
+    assert combinations_uses(path.read_text()) == []

@@ -8,6 +8,8 @@ it, which preserves the reduced Euler characteristic.
 Witness sequences emitted by the deciders here always pair a free face with
 a coface exactly one dimension up; searches branch over such pairs, which
 is complete because any wider collapse factors into one-dimension steps.
+Every sequence is replayed by one checked loop, ``_FaceIndex.collapse``;
+gluing a local collapse into a larger complex is that same replay there.
 """
 
 from __future__ import annotations
@@ -102,9 +104,10 @@ def free_faces(k: Complex) -> list[tuple[Face, Face]]:
 class _FaceIndex:
     """Mutable set of nonempty faces with a by-vertex index.
 
-    Collapse replay and gluing work on one of these and remove a handful
-    of faces in place, looking up cofaces through the vertex index instead
-    of scanning every face.
+    The checked collapse replay removes a handful of faces in place,
+    looking up cofaces through the vertex index instead of scanning every
+    face.  ``reduction.schedule_collapse`` glues its pieces into one of
+    K_phi, where this replay is also the gluing check.
     """
 
     def __init__(self, k: Complex):
@@ -160,12 +163,6 @@ class _FaceIndex:
             removed.update(cof)
         return removed
 
-    def constrain(self, m_faces: set[Face]) -> set[Face]:
-        """Faces in ``m_faces``, a subcomplex, with a strict coface outside it."""
-        if not m_faces <= self.faces:
-            raise CollapseError("m is not a subcomplex of k")
-        return {f for f in m_faces if any(g not in m_faces for g in self.cofaces(f))}
-
 
 def verify_collapse_sequence(
     k: Complex,
@@ -182,12 +179,8 @@ def verify_collapse_sequence(
     index.collapse(pairs)
     result = index.complex()
     if target is not None and result != target:
-        missing = sorted(
-            (face_key(f) for f in target.faces - result.faces if f), key=lambda t: (len(t), t)
-        )
-        extra = sorted(
-            (face_key(f) for f in result.faces - target.faces if f), key=lambda t: (len(t), t)
-        )
+        missing = sorted((face_key(f) for f in target.faces - result.faces if f), key=face_sort_key)
+        extra = sorted((face_key(f) for f in result.faces - target.faces if f), key=face_sort_key)
         raise CollapseError(
             f"sequence ends at the wrong complex (missing {missing[:5]}, "
             f"extra {extra[:5]})"
@@ -233,26 +226,23 @@ def _erase(faces: Iterable[Face], keep: set[Face]) -> tuple[list[CollapsePair], 
     return pairs, live
 
 
-def _erase_down(
-    faces: Iterable[Face], keep: set[Face], top: int
-) -> tuple[list[CollapsePair], set[Face]]:
-    """Run ``_erase`` on the faces of each size from ``top`` down to
-    edges, and stop after a size that leaves a face outside ``keep``.
+def _erase_down(live: set[Face], keep: set[Face], top: int) -> list[CollapsePair]:
+    """Run ``_erase`` on the faces of ``live`` of each size from ``top``
+    down to edges, until a size leaves a face outside ``keep``.
 
     No face larger than ``top`` may lie outside ``keep``: then a ridge
     outside ``keep`` lies in no larger face, and the faces of its own
-    size are all the cofaces it can have.  Returns the pairs and the
-    faces left.
+    size are all the cofaces it can have.  The erased faces leave
+    ``live`` in place; returns the pairs.
     """
-    rest = set(faces)
     pairs: list[CollapsePair] = []
     for size in range(top, 1, -1):
-        step, left = _erase([f for f in rest if len(f) == size], keep)
+        step, left = _erase([f for f in live if len(f) == size], keep)
         pairs += step
-        rest.difference_update(f for p in step for f in (p.free, p.coface))
+        live.difference_update(f for p in step for f in (p.free, p.coface))
         if not left <= keep:
             break
-    return pairs, rest
+    return pairs
 
 
 def is_collapsible_2d_greedy(k: Complex) -> SearchResult:
@@ -528,10 +518,14 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
     def search(top: int) -> list[CollapsePair] | None:
         nonlocal states, steps
         if top <= 3:
-            pairs, rest = _erase_down(live, keep, top)
+            pairs = _erase_down(live, keep, top)
             steps += len(pairs)
             # Collapses keep the face set closed and never remove a kept face.
-            return pairs if len(rest) == size else None
+            if len(live) == size:
+                return pairs
+            # The erased faces go back, for the DFS above to backtrack over.
+            live.update(f for p in pairs for f in (p.free, p.coface))
+            return None
         states += 1
         if states > budget:
             raise _BudgetExceeded
@@ -604,40 +598,3 @@ def collapses_to(
     # No move removes a target face (the target is closed), so the search
     # is done when the face counts are equal.
     return _collapse_search(k, target_faces, len(target_faces), budget)
-
-
-# -- constrain complex and gluing --------------------------------------------
-
-
-def _glue_step(
-    index: _FaceIndex, m: Complex, m_prime: Complex, pairs: Sequence[CollapsePair]
-) -> None:
-    """Globalize a local collapse ``m`` -> ``m_prime`` into the complex
-    ``k`` that ``index`` holds, in place.
-
-    Requires ``m_prime`` to be a subcomplex of ``m``, the constrain complex
-    of ``m`` in ``k`` (the faces of ``m`` with a strict coface outside it)
-    to lie inside ``m_prime``, and the pairs to replay both as a collapse
-    of ``m`` onto ``m_prime`` and inside ``k``, where they must remove
-    exactly the faces of ``m`` outside ``m_prime``.  The index's complex
-    becomes ``(k - m) + m_prime``; nothing over all of ``k`` is built.
-    ``reduction.schedule_collapse`` calls it once per piece of its
-    schedule, with ``m`` the piece and ``m_prime`` the faces the piece
-    shares with what comes later.
-    """
-    m_faces = {f for f in m.faces if f}
-    mp_faces = {f for f in m_prime.faces if f}
-    if not mp_faces <= m_faces:
-        raise CollapseError("m_prime is not a subcomplex of m")
-    offenders = sorted(map(face_key, index.constrain(m_faces) - mp_faces), key=face_sort_key)
-    if offenders:
-        raise CollapseError(
-            f"constrain complex is not contained in the kept subcomplex; "
-            f"offending faces: {offenders[:8]}"
-        )
-    verify_collapse_sequence(m, pairs, m_prime)
-    # Since m_prime <= m <= k, ending at (k - m) + m_prime is removing
-    # exactly the faces of m outside m_prime.
-    if index.collapse(pairs) != m_faces - mp_faces:
-        raise CollapseError("the pairs remove other faces of k than m - m_prime")
-

@@ -22,14 +22,13 @@ from typing import Mapping
 
 from shellkit.collapse import (
     DEFAULT_BUDGET,
+    CollapseError,
     CollapsePair,
     CollapseSequence,
     SearchResult,
     _FaceIndex,
-    _glue_step,
     collapses_to,
     find_removal,
-    verify_collapse_sequence,
 )
 from shellkit.complex_core import (
     Complex,
@@ -340,9 +339,9 @@ def schedule_collapse(
 ) -> tuple[frozenset[Face], CollapseSequence]:
     """Turn a satisfying assignment into a removal set plus collapse.
 
-    Removes one triangle from the satisfied disk ``D[l(u)]`` of every
-    variable sphere, then replays the phase schedule: (a) retract each
-    punctured disk to its rim and spoke, (b) collapse each satisfied
+    Removes the least triangle of the satisfied disk ``D[l(u)]`` of
+    every variable sphere, then replays the phase schedule: (a) retract
+    each punctured disk to its rim and spoke, (b) collapse each satisfied
     literal house onto its occurrence star, (c) collapse each clause
     house through its first satisfied door, (d) open the conjunction
     house down to its variable star, (e) flatten each ``B(u)`` onto
@@ -351,13 +350,24 @@ def schedule_collapse(
     star to ``v_and``.  Each piece, a punctured disk, a disk, a whole
     house or an ``O(u)``, goes onto the faces it shares with what comes
     later, read off K_phi's own labels, by one ``collapses_to``, and a
-    no raises.  One face index of K_phi carries the whole schedule: the
-    punctures come out of it, and each piece is glued into it in place
-    by one call of the gluing step ``collapse._glue_step``, which checks
-    the constrain complex and replays the piece both on its own and on
-    the index.  The concatenated sequence is verified end to end on a
-    fresh copy before returning, so the result is replayable evidence,
-    not a trace of intent.
+    no raises.
+
+    One face index of K_phi minus the punctures, which
+    ``Complex.remove_facets`` checks, carries the schedule: each pair is
+    replayed on it once, each piece's pairs must remove exactly its
+    faces outside its kept ones, and the prune must leave exactly
+    ``v_and``.  So the result is replayable evidence, not a trace of
+    intent.
+
+    This one replay implies both conditions for gluing local collapses.
+    Let a piece M keep M', and let its pairs, which come from M, remove
+    exactly M - M' from the index.  Each step removes every coface of
+    its free face, so these cofaces lie in M - M', all of which is in
+    the index until removed: they are the free face's cofaces in M's
+    own state, and the pairs collapse M onto M' (the replay of the piece
+    alone).  A face of M - M' under a face g outside M would take g with
+    it, so the constrain complex of M, its faces under a face outside
+    it, lies in M' (the gluing lemma's hypothesis).
     """
     lc = _compile(phi)
     a = {int(v): bool(assignment[v]) for v in assignment}
@@ -367,19 +377,21 @@ def schedule_collapse(
         raise ReductionError("assignment does not satisfy the formula")
 
     occ = _occurrences(phi)
-    index = _FaceIndex(lc.complex)
     v_and = lc.feature("v_and").value[0]
     sat_sign = {i: i if a[i] else -i for i in a}
     neg_of = {i: _lit_name(-sat_sign[i]) for i in a}
+    disks = [lc.subcomplex(f"D[{_lit_name(sat_sign[i])}]") for i in range(1, phi.n + 1)]
+    removal = [min((f for f in d.faces if len(f) == 3), key=face_key) for d in disks]
+    index = _FaceIndex(lc.complex.remove_facets(removal))
     pairs: list[CollapsePair] = []
-    removal: list[Face] = []
 
     def collapse(what: str, piece: Complex, kept_labels: list[str]) -> None:
         kept = _features_complex(lc, kept_labels)
         res = collapses_to(piece, kept)
         if not res.yes:
             raise ReductionError(f"{what} failed to collapse onto {kept_labels}")
-        _glue_step(index, piece, kept, res.witness)
+        if index.collapse(res.witness) != piece.faces - kept.faces:
+            raise CollapseError(f"the pairs of {what} remove other faces than its own")
         pairs.extend(res.witness)
 
     def literal_house(sign: int) -> None:
@@ -389,15 +401,10 @@ def schedule_collapse(
             kept += [f"p[{lit},c{j}#{t}]", f"f[{lit},c{j}#{t}]"]
         collapse(f"X[{lit}]", lc.subcomplex(f"X[{lit}]"), kept)
 
-    # (a) puncture each satisfied disk and retract it to rim plus spoke.
-    for i in range(1, phi.n + 1):
+    # (a) retract each punctured disk to rim plus spoke.
+    for i, disk, tau in zip(range(1, phi.n + 1), disks, removal):
         lit = _lit_name(sat_sign[i])
-        disk_faces = {f for f in lc.subcomplex(f"D[{lit}]").faces if f}
-        tau = min((f for f in disk_faces if len(f) == 3), key=face_key)
-        index.remove([tau])
-        removal.append(tau)
-        punctured = Complex.from_faces(disk_faces - {tau})
-        collapse(f"punctured D[{lit}]", punctured, [f"s(u{i})", f"f[{lit}]"])
+        collapse(f"punctured D[{lit}]", disk.remove_facet(tau), [f"s(u{i})", f"f[{lit}]"])
 
     # (b) collapse each satisfied literal house onto its occurrence star.
     for i in range(1, phi.n + 1):
@@ -432,13 +439,13 @@ def schedule_collapse(
     tail = collapses_to(index.complex(), Complex.from_facets([[v_and]]))
     if not tail.yes:
         raise ReductionError("residual complex failed to collapse to v_and")
+    index.collapse(tail.witness)
+    if index.faces != {frozenset({v_and})}:
+        raise CollapseError("the schedule does not end at v_and")
     pairs.extend(tail.witness)
 
     sequence = tuple(pairs)
     _check_conjunction_precedence(lc, phi, sequence, neg_of)
-    verify_collapse_sequence(
-        lc.complex.remove_facets(removal), sequence, Complex.from_facets([[v_and]])
-    )
     return frozenset(removal), sequence
 
 

@@ -17,7 +17,6 @@ from shellkit import cli
 from shellkit.collapse import (
     CollapseError,
     _FaceIndex,
-    _glue_step,
     _sole_facets,
     CollapsePair,
     collapses_to,
@@ -446,77 +445,6 @@ def test_greedy_layer_matches_lex_erasure_oracle():
         assert (res.verdict, res.witness, res.nodes) == ("yes", tuple(pairs), len(pairs))
         disks += len(disk.facets) > 6
     assert yes > 50 and disks > 40
-
-
-def constrain(k: Complex, m: Complex) -> set:
-    return _FaceIndex(k).constrain({f for f in m.faces if f})
-
-
-def test_constrain_complex_frozen():
-    strip = Complex.from_facets(STRIP)
-    m = strip.subcomplex_closure([[0, 1, 2]])
-    assert constrain(strip, m) == {frozenset({1, 2}), frozenset({1}), frozenset({2})}
-    assert constrain(strip, strip) == set()
-
-
-def constrain_complex_scan(k: Complex, m: Complex) -> set:
-    """Reference: every proper subface in m of every face of k outside m."""
-    m_faces = {f for f in m.faces if f}
-    out = set()
-    for eta in k.faces:
-        if not eta or eta in m_faces:
-            continue
-        vs = sorted(eta)
-        for r in range(1, len(vs)):
-            for sub in itertools.combinations(vs, r):
-                if frozenset(sub) in m_faces:
-                    out.add(frozenset(sub))
-    return out
-
-
-def test_constrain_complex_matches_scan_oracle():
-    rng = random.Random(606)
-    nonempty = 0
-    for i in range(300):
-        k = random_pure_2complex(rng) if i % 2 else random_complex(rng)
-        faces = sorted((f for f in k.faces if f), key=sorted)
-        m = k.subcomplex_closure(rng.sample(faces, rng.randint(0, len(faces))))
-        gamma = constrain(k, m)
-        assert gamma == constrain_complex_scan(k, m)
-        nonempty += bool(gamma)
-    assert nonempty > 100
-    with pytest.raises(ValueError, match="not a subcomplex"):
-        constrain(Complex.from_facets(STRIP), Complex.from_facets([[0, 3]]))
-
-
-def test_glue_local_collapse_checks_containment():
-    strip = Complex.from_facets(STRIP)
-    m = strip.subcomplex_closure([[0, 1, 2]])
-    pairs = (
-        CollapsePair(frozenset({0, 1}), frozenset({0, 1, 2})),
-        CollapsePair(frozenset({0}), frozenset({0, 2})),
-    )
-    m_prime = m.subcomplex_closure([[1, 2]])
-    index = _FaceIndex(strip)
-    _glue_step(index, m, m_prime, pairs)
-    assert index.complex() == strip.subcomplex_closure([[1, 2, 3]])
-
-    # Removing the shared edge would strand the other triangle.
-    bad_prime = m.subcomplex_closure([[0, 2]])
-    bad_pairs = (
-        CollapsePair(frozenset({0, 1}), frozenset({0, 1, 2})),
-        CollapsePair(frozenset({1}), frozenset({1, 2})),
-    )
-    # The pairs do collapse m onto bad_prime, so only the constrain check
-    # tells this case apart before the global replay fails.
-    assert verify_collapse_sequence(m, bad_pairs) == bad_prime
-    with pytest.raises(CollapseError, match="constrain complex"):
-        _glue_step(_FaceIndex(strip), m, bad_prime, bad_pairs)
-    # Pairs that remove less than m - m_prime, and a kept part outside m.
-    with pytest.raises(CollapseError, match="wrong complex"):
-        _glue_step(_FaceIndex(strip), m, m_prime, pairs[:1])
-    with pytest.raises(CollapseError, match="not a subcomplex of m"):
-        _glue_step(_FaceIndex(strip), m, strip, pairs)
 
 
 def test_witness_json_round_trip():

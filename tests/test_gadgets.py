@@ -6,7 +6,6 @@ import pytest
 
 from shellkit.collapse import (
     _FaceIndex,
-    _glue_step,
     collapses_to,
     free_faces,
     is_collapsible_2d_greedy,
@@ -162,11 +161,8 @@ def test_collapse_house_reaches_target():
     assert res.yes
     pairs = res.witness
     index = _FaceIndex(k)
-    _glue_step(index, k, target, pairs)
-    residue = index.complex()
-    assert verify_collapse_sequence(k, pairs) == residue
-    assert target.faces <= residue.faces
-    assert not any(len(f) == 3 for f in residue.facets)
+    assert index.collapse(pairs) == k.faces - target.faces
+    assert verify_collapse_sequence(k, pairs) == index.complex() == target
 
 
 # -- amalgamation --

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from shellkit import reduction
-from shellkit.collapse import CollapseError, _FaceIndex, _glue_step, verify_collapse_sequence
+from shellkit.collapse import CollapseError, SearchResult, _FaceIndex, verify_collapse_sequence
 from shellkit.complex_core import Complex, subdivide_labeled, vertex_links_connected
 from shellkit.reduction import (
     CnfError,
@@ -165,45 +165,58 @@ def test_schedule_collapse_rejects_bad_assignments():
 
 
 @pytest.mark.parametrize("phi", [XXX, MIXED])
+def test_schedule_replays_each_pair_once(monkeypatch, phi):
+    build_K_phi(phi)
+    replayed = []
+    replay = _FaceIndex.collapse
+
+    def count(index, pairs):
+        replayed.extend(pairs)
+        return replay(index, pairs)
+
+    monkeypatch.setattr(_FaceIndex, "collapse", count)
+    _, sequence = schedule_collapse(phi, sat_oracle(phi))
+    assert replayed == list(sequence)
+
+
+@pytest.mark.parametrize("phi", [XXX, MIXED])
 def test_house_targets_keep_what_neighbours_share(monkeypatch, phi):
     # Each house is collapsed onto the faces it shares with pieces that
-    # are still whole.  Dropping one of them from the schedule's own
-    # target, b(u1) from B(u1) or an f(u_i) edge from A, must fail the
-    # constrain check of the gluing step at that house's turn.
-    steps = []  # each piece, its kept faces and its pairs, in order
-    glue = reduction._glue_step
-
-    def record(index, m, m_prime, pairs):
-        steps.append((m, m_prime, tuple(pairs)))
-        glue(index, m, m_prime, pairs)
-
-    monkeypatch.setattr(reduction, "_glue_step", record)
-    removal, _ = schedule_collapse(phi, sat_oracle(phi))
+    # are still whole.  Collapsing B(u1) or A onto one endpoint of b(u1)
+    # or of the f(u1) edge instead removes a face a neighbour still holds,
+    # so the replay of that house on K_phi must refuse it.
     lc = build_K_phi(phi)
+    model = sat_oracle(phi)
+    features_complex = reduction._features_complex
     shared = {
-        "B(u1)": ["b(u1)"],
-        "A": [f"f(u{i})" for i in range(1, phi.n + 1)],
+        "b(u1)": ["b(u1)"],
+        "f(u1)": [f"f(u{i})" for i in range(1, phi.n + 1)],
     }
-    for part, labels in shared.items():
-        house = lc.subcomplex(part)
-        turn = next(s for s, (m, _, _) in enumerate(steps) if m == house)
-        _, kept, pairs = steps[turn]
+    for label, kept_labels in shared.items():
+        (edge,) = lc.feature(label).edge_list()
+        for v in sorted(edge):
 
-        def index_at_turn() -> _FaceIndex:
-            index = _FaceIndex(lc.complex)
-            index.remove(removal)
-            index.collapse([p for _, _, earlier in steps[:turn] for p in earlier])
-            return index
+            def to_endpoint(lc, names, kept_labels=kept_labels, v=v):
+                if list(names) == kept_labels:
+                    return Complex.from_facets([[v]])
+                return features_complex(lc, names)
 
-        edges = [frozenset(e) for name in labels for e in lc.feature(name).edge_list()]
-        assert edges and all(e in kept.faces for e in edges)
-        for edge in edges:
-            dropped = Complex.from_faces(kept.faces - {edge})
-            with pytest.raises(CollapseError, match="constrain complex"):
-                _glue_step(index_at_turn(), house, dropped, pairs)
-        index = index_at_turn()
-        _glue_step(index, house, kept, pairs)
-        assert not any(f in index.faces for f in house.faces - kept.faces)
+            monkeypatch.setattr(reduction, "_features_complex", to_endpoint)
+            with pytest.raises(CollapseError, match=r"not free \(2 maximal cofaces\)"):
+                schedule_collapse(phi, model)
+
+
+def test_schedule_refuses_a_truncated_piece_witness(monkeypatch):
+    # A piece whose pairs stop short leaves faces of the piece behind.
+    search = reduction.collapses_to
+
+    def first_pair(k, target):
+        res = search(k, target)
+        return SearchResult(res.verdict, res.witness[:1], res.nodes)
+
+    monkeypatch.setattr(reduction, "collapses_to", first_pair)
+    with pytest.raises(CollapseError, match="remove other faces"):
+        schedule_collapse(XXX, {1: True})
 
 
 def test_removal_reads_back_as_assignment():

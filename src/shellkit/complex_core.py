@@ -283,6 +283,8 @@ class Complex:
         out = frozenset(f for f in self._faces if not s <= f)
         return Complex(out, _trusted=True)
 
+    # perfbench traces this and tests/test_bench_hooks.py pins it, so it
+    # leaves with the next benchmark change.
     def remove_facet(self, facet: Iterable[int]) -> "Complex":
         """Drop a single maximal face, keeping all of its proper faces."""
         return self.remove_facets([facet])
@@ -307,14 +309,6 @@ class Complex:
                 raise ValueError(f"{face_key(f)} is not a facet")
             removed.add(f)
         return Complex(self._faces - removed, _trusted=True)
-
-    def subcomplex_closure(self, faces: Iterable[Iterable[int]]) -> "Complex":
-        """Closure of the given faces, which must all belong to the complex."""
-        given = [frozenset(raw) for raw in faces]
-        for f in given:
-            if f not in self._faces:
-                raise ValueError(f"{face_key(f)} is not a face of the complex")
-        return Complex.from_facets(f for f in given if f)
 
 
 # -- joins and cones -------------------------------------------------------
@@ -477,6 +471,8 @@ def barycentric_subdivision(k: Complex, levels: int = 1) -> Subdivision:
 # -- canonical form ---------------------------------------------------------
 
 
+# perfbench traces this and tests/test_bench_hooks.py pins it, so it
+# leaves with the next benchmark change.
 def canonical_form(k: Complex) -> tuple:
     """Hashable memoization key: equal keys imply isomorphic complexes.
 

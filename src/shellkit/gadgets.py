@@ -233,12 +233,13 @@ def _assemble_house(
     f_path: Sequence[int],
     rim_path: Sequence[int],
     next_id: int,
-) -> tuple[list[Face], list[Face], list[Face], int, int]:
-    """Add the fan and cap closing a lower wall into a house.
+) -> list[Face]:
+    """The facets of a house: a lower wall, the fan coning the rest of its
+    boundary off a fresh apex, and the cap on the free arc.
 
     ``f_path`` runs contact -> far along the free arc; ``rim_path`` is the
-    rest of the wall boundary, with the same two endpoints.  Returns the
-    facets of (wall+fan+cap, fan, cap), the apex id, and the next fresh id.
+    rest of the wall boundary, with the same two endpoints.  The apex and
+    the cap's fresh vertices take the six ids from ``next_id`` on.
     """
     contact, far = f_path[0], f_path[-1]
     if {rim_path[0], rim_path[-1]} != {contact, far}:
@@ -249,8 +250,7 @@ def _assemble_house(
         frozenset((apex, rim_path[t], rim_path[t + 1]))
         for t in range(len(rim_path) - 1)
     ]
-    cap = _cap_facets(contact, apex, far, fresh)
-    return wall + fan + cap, fan, cap, apex, next_id + 6
+    return wall + fan + _cap_facets(contact, apex, far, fresh)
 
 
 def _path_feature(vertices: Sequence[int]) -> Feature:
@@ -280,11 +280,8 @@ def build_one_house(spec: OneHouseSpec) -> LabeledComplex:
     """A house whose free faces are exactly the edges subdividing ``f``.
 
     Labels: ``f`` (the free arc), ``anchor`` (the wall-boundary endpoint of
-    ``f`` where attachments start), ``L`` (the lower-wall subcomplex), one
-    label per requested attachment, and the layers ``_fan``, ``_cap`` and
-    ``_apex`` of the assembly.  Nothing reads those three; they stay
-    because the pinned subdivision output holds the JSON of
-    ``build_literal_house(1)``, which carries them too.
+    ``f`` where attachments start), ``L`` (the lower-wall subcomplex) and
+    one label per requested attachment.
     """
     spec.validate()
     j = spec.free_edge_subdivisions
@@ -307,15 +304,12 @@ def build_one_house(spec: OneHouseSpec) -> LabeledComplex:
     tips = [r[-1] for r in rays]
     rim = tips + list(reversed(rays[-1][:-1])) + [hub]
     f_path = [hub] + arc
-    facets, fan, cap, apex, next_id = _assemble_house(wall, f_path, rim, next_id)
+    facets = _assemble_house(wall, f_path, rim, next_id)
 
     labels = {
         "f": _path_feature(f_path),
         "anchor": Feature.vertex(hub),
         "L": Feature.subcomplex(map(face_key, wall)),
-        "_fan": Feature.subcomplex(map(face_key, fan)),
-        "_cap": Feature.subcomplex(map(face_key, cap)),
-        "_apex": Feature.vertex(apex),
     }
     for name, verts in attach_feats:
         labels[name] = _path_feature(verts)
@@ -364,7 +358,7 @@ def build_literal_house(occurrences: int) -> LabeledComplex:
     # rest from z back around to v.
     rim = [z] + tips[: tips.index(v) + 1]
     f_path = [v, z]
-    facets, fan, cap, apex, next_id = _assemble_house(wall, f_path, rim, next_id)
+    facets = _assemble_house(wall, f_path, rim, next_id)
 
     labels = {
         "f": Feature.edge(v, z),
@@ -372,9 +366,6 @@ def build_literal_house(occurrences: int) -> LabeledComplex:
         "v": Feature.vertex(v),
         "v_and": Feature.vertex(hub),
         "L": Feature.subcomplex(map(face_key, wall)),
-        "_fan": Feature.subcomplex(map(face_key, fan)),
-        "_cap": Feature.subcomplex(map(face_key, cap)),
-        "_apex": Feature.vertex(apex),
     }
     for n, (p_verts, f_edge) in enumerate(occ_feats, start=1):
         labels[f"occ{n}.p"] = Feature.path(p_verts)
@@ -616,10 +607,12 @@ def _amalgamate_with_maps(
     parts: Sequence[tuple[str, LabeledComplex]],
     identifications: Sequence[tuple[str, str, str, str]],
 ) -> tuple[Complex, dict[str, dict[int, int]]]:
-    """Quotient labeled parts along feature identifications.
-
-    Returns the merged complex, without labels, and the vertex map of each
-    part into it; callers map the labels they need through the maps.
+    """Quotient labeled parts along feature identifications
+    ``(part_a, label_a, part_b, label_b)``: the two features must have the
+    same kind and vertex count and merge positionally, and faces of two
+    parts may coincide only inside identified features.  Returns the
+    merged complex, without labels, and the vertex map of each part into
+    it; callers map the labels they need through the maps.
     """
     table = dict(parts)
     if len(table) != len(parts):
@@ -681,26 +674,3 @@ def _amalgamate_with_maps(
 
     return Complex.from_faces(owners), vmaps
 
-
-def amalgamate(
-    parts: Sequence[tuple[str, LabeledComplex]],
-    identifications: Sequence[tuple[str, str, str, str]],
-) -> LabeledComplex:
-    """Glue labeled complexes along identified features.
-
-    ``parts`` is a sequence of ``(name, labeled complex)`` pairs and each
-    identification reads ``(part_a, label_a, part_b, label_b)``.  The two
-    features must have the same kind and vertex count; their vertices are
-    merged positionally, so a feature's declared orientation fixes the
-    gluing.  Faces of two parts may coincide only inside the closures of
-    identified features; any other overlap raises, reporting the colliding
-    faces.  The merged label table carries every part label, prefixed with
-    its part name, and is built and validated here, not in the quotient.
-    """
-    merged, vmaps = _amalgamate_with_maps(parts, identifications)
-    labels = {
-        f"{name}.{lname}": map_feature(feat, vmaps[name])
-        for name, lc in parts
-        for lname, feat in lc.labels.items()
-    }
-    return LabeledComplex(merged, labels)

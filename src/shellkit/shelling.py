@@ -16,9 +16,9 @@ from shellkit.complex_core import (
     Complex,
     Face,
     FormatError,
-    _validate_vertex,
     face_key,
     graph_connected,
+    read_faces,
     ridge_holders,
     subfaces,
     vertex_links_connected,
@@ -317,15 +317,6 @@ def _cone_tree(tree: dict, apexes: frozenset) -> dict:
     }
 
 
-def _vertex_ids(raw, what: str) -> list[int]:
-    if not isinstance(raw, (list, tuple)):
-        raise FormatError(f"{what} must be a list of vertex ids")
-    ids = [_validate_vertex(v) for v in raw]
-    if len(set(ids)) != len(ids):
-        raise FormatError(f"{what} {ids} repeats a vertex")
-    return ids
-
-
 def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:
     """Check a shedding tree and return the number of its nodes checked:
     links and deletions are recomputed, never trusted from the witness.  A
@@ -335,23 +326,21 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:
     if not isinstance(tree, Mapping):
         raise FormatError("decomposition tree node must be an object")
     if "leaf" in tree:
-        facet = _vertex_ids(tree["leaf"], "leaf")
+        (facet,) = read_faces([tree["leaf"]], "leaf")
         if not facet:
             if len(k.faces) > 1:
                 raise ShellingError("leaf [] claims an empty complex")
             return 1
-        expected = Complex.from_facets([facet])
-        if k != expected:
+        if k != Complex.from_facets([facet]):
             raise ShellingError(
-                f"leaf {facet} does not match the complex at this node"
+                f"leaf {list(face_key(facet))} does not match the complex at this node"
             )
         return 1
     if "shedding" not in tree:
         raise ShellingError("tree node needs 'leaf' or 'shedding'")
-    shedding = _vertex_ids(tree["shedding"], "shedding face")
-    sigma = frozenset(shedding)
+    (sigma,) = read_faces([tree["shedding"]], "shedding face")
     if not sigma or sigma not in k.faces:
-        raise ShellingError(f"shedding face {sorted(shedding)} not in complex")
+        raise ShellingError(f"shedding face {list(face_key(sigma))} not in complex")
     if len(sigma) > kk + 1:
         raise ShellingError(
             f"shedding face of dimension {len(sigma) - 1} exceeds k={kk}"

@@ -285,8 +285,8 @@ def test_incremental_search_matches_rebuilding_oracle():
         else:
             k = random_pure_3complex(rng)
         faces = sorted((f for f in k.faces if f), key=sorted)
-        vertex = k.subcomplex_closure([[rng.choice(k.vertices)]])
-        sub = k.subcomplex_closure(rng.sample(faces, rng.randint(1, len(faces) // 3 + 1)))
+        vertex = Complex.from_facets([[rng.choice(k.vertices)]])
+        sub = Complex.from_facets(rng.sample(faces, rng.randint(1, len(faces) // 3 + 1)))
         runs = [(is_collapsible_dfs(k, budget), oracle_is_collapsible_dfs(k, budget), None)]
         for target in (vertex, sub):
             runs.append(
@@ -311,7 +311,7 @@ def test_collapse_search_backtracks():
     # take (0 3 5, 0 3 4 5) instead.  A search that tries only the least
     # top move at each state says no here.
     k = Complex.from_facets([[0, 1, 2, 5], [0, 1, 3], [0, 3, 4, 5], [1, 3, 4]])
-    target = k.subcomplex_closure([[0, 4], [1, 2, 5], [1, 4]])
+    target = Complex.from_facets([[0, 4], [1, 2, 5], [1, 4]])
     res = collapses_to(k, target)
     assert (res.verdict, res.nodes) == ("yes", 13)
     assert replays(k, res, target)
@@ -320,7 +320,7 @@ def test_collapse_search_backtracks():
 
 def test_collapses_to_frozen():
     strip = Complex.from_facets(STRIP)
-    edge = strip.subcomplex_closure([[2, 3]])
+    edge = Complex.from_facets([[2, 3]])
     res = collapses_to(strip, edge)
     assert res.yes
     assert verify_collapse_sequence(strip, res.witness).faces == edge.faces
@@ -330,18 +330,18 @@ def test_collapses_to_frozen():
 
 def test_collapses_to_refuses_impossible_target():
     torus = fixtures()["torus_7"].complex
-    vertex = torus.subcomplex_closure([[1]])
+    vertex = Complex.from_facets([[1]])
     assert collapses_to(torus, vertex, budget=20000).verdict != "yes"
 
 
 def test_collapse_disk_to_tree():
     fan = Complex.from_facets(FAN)
-    tree = fan.subcomplex_closure([[1, 2], [2, 3], [3, 4]])
+    tree = Complex.from_facets([[1, 2], [2, 3], [3, 4]])
     res = collapses_to(fan, tree)
     assert res.yes
     assert verify_collapse_sequence(fan, res.witness).faces == tree.faces
     # A disk cannot collapse onto a cycle: a no, not an error.
-    cycle = fan.subcomplex_closure([[0, 2], [1, 2], [0, 1]])
+    cycle = Complex.from_facets([[0, 2], [1, 2], [0, 1]])
     assert collapses_to(fan, cycle).verdict == "no"
     with pytest.raises(CollapseError):
         collapses_to(fan, Complex.from_facets([[7, 8]]))

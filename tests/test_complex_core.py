@@ -143,20 +143,6 @@ def test_from_facets_matches_closure_oracle():
     }
 
 
-def test_subcomplex_closure_matches_closure_oracle():
-    rng = random.Random(21)
-    for _ in range(100):
-        k = random_complex(rng)
-        faces = sorted(k.faces, key=face_sort_key)
-        picked = rng.sample(faces, rng.randint(0, min(6, len(faces))))
-        sub = k.subcomplex_closure(picked)
-        closure = all_faces_brute([f for f in picked if f])
-        assert sub.faces == (closure | {frozenset()} if closure else frozenset())
-        assert sub.facets == facets_of(sub.faces)
-    with pytest.raises(ValueError, match="not a face"):
-        Complex.from_facets(STRIP).subcomplex_closure([[0, 3]])
-
-
 @pytest.mark.parametrize(
     "facets, message",
     [

@@ -16,7 +16,7 @@ from shellkit.gadgets import (
     GadgetError,
     HouseAttachment,
     OneHouseSpec,
-    amalgamate,
+    _amalgamate_with_maps,
     build_literal_house,
     build_O,
     build_one_house,
@@ -149,14 +149,23 @@ def test_literal_house_frozen():
         assert f"occ{occ + 1}.p" not in lc.labels
 
 
+def test_house_label_tables_are_pinned():
+    # Every label is one that K_phi glues along or the docstrings promise;
+    # the assembly's layers carry none.
+    assert set(build_one_house(OneHouseSpec()).labels) == {"f", "anchor", "L"}
+    spec = OneHouseSpec(attachments=(HouseAttachment("t", 2), HouseAttachment("s", 1)))
+    assert set(build_one_house(spec).labels) == {"f", "anchor", "L", "t", "s"}
+    assert set(build_literal_house(2).labels) == {
+        "f", "p", "v", "v_and", "L", "occ1.p", "occ1.f", "occ2.p", "occ2.f"
+    }
+
+
 def test_collapse_house_reaches_target():
     # Target a wall attachment path.  The free arc is where the collapse
     # starts, so it can never be part of the target.
     lc = build_one_house(OneHouseSpec(attachments=(HouseAttachment("t", 2),)))
     k = lc.complex
-    target = k.subcomplex_closure(
-        [sorted(e) for e in lc.feature("t").edge_list()]
-    )
+    target = Complex.from_facets(lc.feature("t").edge_list())
     res = collapses_to(k, target)
     assert res.yes
     pairs = res.witness
@@ -179,17 +188,19 @@ def two_triangle_parts():
 
 
 def test_amalgamate_two_triangles():
-    glued = amalgamate(two_triangle_parts(), [("a", "hinge", "b", "hinge")])
-    assert glued.complex.f_vector() == (1, 4, 5, 2)
-    assert "a.hinge" in glued.labels and "b.hinge" in glued.labels
-    assert glued.feature("a.hinge").face_set() == glued.feature("b.hinge").face_set()
+    glued, vmaps = _amalgamate_with_maps(
+        two_triangle_parts(), [("a", "hinge", "b", "hinge")]
+    )
+    assert glued.f_vector() == (1, 4, 5, 2)
+    # a.hinge = (0, 1) meets b.hinge = (1, 2) position by position.
+    assert (vmaps["a"][0], vmaps["a"][1]) == (vmaps["b"][1], vmaps["b"][2])
 
 
 def test_amalgamate_is_order_insensitive():
-    one = amalgamate(two_triangle_parts(), [("a", "hinge", "b", "hinge")])
+    one, _ = _amalgamate_with_maps(two_triangle_parts(), [("a", "hinge", "b", "hinge")])
     parts = list(reversed(two_triangle_parts()))
-    other = amalgamate(parts, [("a", "hinge", "b", "hinge")])
-    assert canonical_form(one.complex) == canonical_form(other.complex)
+    other, _ = _amalgamate_with_maps(parts, [("a", "hinge", "b", "hinge")])
+    assert canonical_form(one) == canonical_form(other)
 
 
 def test_amalgamate_rejects_length_mismatch():
@@ -200,14 +211,14 @@ def test_amalgamate_rejects_length_mismatch():
         Complex.from_facets([[0, 1, 2]]), {"p": Feature.path([0, 1])}
     )
     with pytest.raises(GadgetError, match="vertices"):
-        amalgamate([("a", a), ("b", b)], [("a", "p", "b", "p")])
+        _amalgamate_with_maps([("a", a), ("b", b)], [("a", "p", "b", "p")])
 
 
 def test_amalgamate_rejects_kind_mismatch():
     a = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {"x": Feature.vertex(0)})
     b = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {"x": Feature.edge(0, 1)})
     with pytest.raises(GadgetError, match="cannot identify"):
-        amalgamate([("a", a), ("b", b)], [("a", "x", "b", "x")])
+        _amalgamate_with_maps([("a", a), ("b", b)], [("a", "x", "b", "x")])
 
 
 def test_amalgamate_rejects_hidden_overlap():
@@ -222,7 +233,7 @@ def test_amalgamate_rejects_hidden_overlap():
         {"e1": Feature.edge(0, 1), "e2": Feature.edge(1, 2)},
     )
     with pytest.raises(GadgetError, match="overlap"):
-        amalgamate(
+        _amalgamate_with_maps(
             [("a", a), ("b", b)],
             [("a", "e1", "b", "e1"), ("a", "e2", "b", "e2")],
         )
@@ -231,7 +242,7 @@ def test_amalgamate_rejects_hidden_overlap():
 def test_amalgamate_rejects_duplicate_part_names():
     a = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {})
     with pytest.raises(GadgetError, match="part name"):
-        amalgamate([("a", a), ("a", a)], [])
+        _amalgamate_with_maps([("a", a), ("a", a)], [])
 
 
 def test_map_feature():

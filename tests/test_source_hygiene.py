@@ -1,10 +1,11 @@
 """Every name a module of shellkit imports at module level is used there,
-and every private module-level name is read by some module of shellkit.
+every private module-level name is read by some module of shellkit, and
+every public function, class and method has a reader besides the tests.
 
 The project has no linter; this keeps an import from outliving the last
-caller of what it imports, and a private helper from outliving its last
-caller.  Standard library only: it reads the modules with ``ast`` and
-never imports them.
+caller of what it imports, and a helper from outliving its last caller.
+Standard library only: it reads the modules and the benchmark with
+``ast`` and never imports them.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "shellkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "shellkit"
 SOURCES = sorted(SRC.glob("*.py"))
 # ``__init__`` imports names to re-export them.
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -100,6 +102,96 @@ def test_dead_private_names_finds_what_no_module_reads():
 def test_no_dead_private_module_level_names():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert dead_private_names(sources) == []
+
+
+def public_definitions(source: str) -> set[str]:
+    """The public module-level functions and classes of ``source``, and
+    ``Class.method`` for each public method of those classes."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return {n for n in names if not n.rpartition(".")[2].startswith("_")}
+
+
+def module_all(source: str) -> set[str]:
+    """The names listed in the module-level ``__all__`` of ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def bench_names(source: str) -> set[str]:
+    """The attributes that ``source`` reads, and the attribute strings of
+    its ``TARGETS`` table, such as ``Complex.remove_facet``."""
+    tree = ast.parse(source)
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            names.update(row.elts[2].value for row in node.value.elts)
+    return names
+
+
+def only_tests_read(
+    sources: dict[str, str], exported: set[str], bench: set[str]
+) -> list[str]:
+    """``module.name`` for each public definition of ``sources`` that no
+    module of them reads (``names_read``), that is not in ``exported`` and
+    that the benchmark names in ``bench`` do not hold; a method counts as
+    read under its own name or as ``Class.method``."""
+    known = bench.union(*map(names_read, sources.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in public_definitions(source)
+        if name.rpartition(".")[2] not in known and name not in exported | bench
+    )
+
+
+def test_only_tests_read_finds_unread_public_names():
+    sources = {
+        "a": (
+            "def used():\n    return 1\n"
+            "def exported():\n    pass\n"
+            "def traced():\n    pass\n"
+            "def benched():\n    pass\n"
+            "def dead():\n    pass\n"
+            "class C:\n"
+            "    def read(self):\n        return used()\n"
+            "    def dead(self):\n        pass\n"
+            "    def hooked(self):\n        pass\n"
+            "    def _private(self):\n        pass\n"
+            "    def __len__(self):\n        return 0\n"
+        ),
+        "b": "from a import C\nx = C().read()\n",
+    }
+    bench = bench_names(
+        "TARGETS = (('a.traced', 'a', 'traced', None), ('h', 'a', 'C.hooked', None))\n"
+        "a.benched()\n"
+    )
+    assert bench == {"traced", "C.hooked", "benched"}
+    # A definition is not a read.
+    assert only_tests_read(sources, {"exported"}, bench) == ["a.C.dead", "a.dead"]
+
+
+def test_no_public_name_only_tests_read():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    exported = module_all((SRC / "__init__.py").read_text())
+    bench = set().union(
+        *(bench_names(p.read_text()) for p in (ROOT / "perfbench").glob("*.py"))
+    )
+    assert only_tests_read(sources, exported, bench) == []
 
 
 def combinations_uses(source: str) -> list[int]:

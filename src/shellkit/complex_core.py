@@ -173,13 +173,23 @@ class Complex:
         return k
 
     @classmethod
-    def from_faces(cls, faces: Iterable[frozenset]) -> "Complex":
-        """Wrap an already-closed face set (the empty face is added)."""
+    def from_faces(
+        cls, faces: Iterable[frozenset], facets: Iterable[frozenset] | None = None
+    ) -> "Complex":
+        """Wrap an already-closed face set (the empty face is added).
+
+        ``facets``, when given, is trusted like the faces: it must be
+        exactly their inclusion-maximal nonempty ones, and is recorded as
+        :attr:`facets` so that no pass over the faces looks for them.
+        """
         fs = set(faces)
         fs.discard(frozenset())
         if fs:
             fs.add(frozenset())
-        return cls(frozenset(fs), _trusted=True)
+        k = cls(frozenset(fs), _trusted=True)
+        if facets is not None:
+            k._facets = frozenset(facets)
+        return k
 
     @classmethod
     def empty(cls) -> "Complex":
@@ -392,16 +402,19 @@ def one_skeleton_connected(k: Complex) -> bool:
     return graph_connected(k.vertices, adj)
 
 
-def vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
-    """Check every vertex link for 1-skeleton connectivity.
+def vertex_links_connected(
+    k: Complex, vertices: Collection[int] | None = None
+) -> tuple[bool, tuple[int, ...]]:
+    """Check vertex links for 1-skeleton connectivity: every link, or only
+    those of ``vertices``, some of ``k``'s vertices.
 
     Returns ``(ok, failing_vertices)``, the failing vertices in vertex
     order.  A link that is empty or a single vertex counts as connected.
     One pass over the faces reads every link: an edge {a, b} puts b among
     the link vertices of a and a among those of b, and a triangle {a, b, c}
     puts the edge {b, c} in the link of a, {a, c} in that of b and {a, b}
-    in that of c.  Then :func:`graph_connected` runs on each link, whose
-    edge ends closure puts among its vertices.
+    in that of c.  Then :func:`graph_connected` runs on each link checked,
+    whose edge ends closure puts among its vertices.
     """
     link_vertices: dict[int, list] = {v: [] for v in k.vertices}
     link_adj: dict[int, dict] = {v: {} for v in k.vertices}
@@ -416,7 +429,8 @@ def vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
                 adj = link_adj[v]
                 adj.setdefault(x, []).append(y)
                 adj.setdefault(y, []).append(x)
-    bad = [v for v in k.vertices if not graph_connected(link_vertices[v], link_adj[v])]
+    check = k.vertices if vertices is None else sorted(vertices)
+    bad = [v for v in check if not graph_connected(link_vertices[v], link_adj[v])]
     return (not bad, tuple(bad))
 
 

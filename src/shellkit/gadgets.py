@@ -524,13 +524,24 @@ def build_variable_sphere(u: str) -> LabeledComplex:
         f"D[~{u}]": Feature.subcomplex(map(face_key, lower)),
     }
     lc = LabeledComplex(k, labels)
+    _check_sphere(k)
+    return lc
+
+
+def _check_sphere(k: Complex) -> None:
+    """The variable sphere's postconditions: a closed pseudomanifold with
+    reduced Euler characteristic 1, no free faces and every vertex link
+    connected.  Without the link check two octahedra glued at two
+    vertices would pass the other three."""
     if is_pseudomanifold(k) != "closed":
         raise GadgetError("variable sphere is not a closed pseudomanifold")
     if k.reduced_euler_characteristic() != 1:
         raise GadgetError("variable sphere must have reduced Euler characteristic 1")
     if free_faces(k):
         raise GadgetError("variable sphere must have no free faces")
-    return lc
+    ok, failing = vertex_links_connected(k)
+    if not ok:
+        raise GadgetError(f"variable sphere has disconnected links at {failing}")
 
 
 def build_O(u: str) -> LabeledComplex:
@@ -606,13 +617,33 @@ def _pairing(fa: Feature, fb: Feature, what: str) -> list[tuple[int, int]]:
 def _amalgamate_with_maps(
     parts: Sequence[tuple[str, LabeledComplex]],
     identifications: Sequence[tuple[str, str, str, str]],
-) -> tuple[Complex, dict[str, dict[int, int]]]:
+) -> tuple[Complex, dict[str, dict[int, int]], frozenset[int]]:
     """Quotient labeled parts along feature identifications
     ``(part_a, label_a, part_b, label_b)``: the two features must have the
     same kind and vertex count and merge positionally, and faces of two
     parts may coincide only inside identified features.  Returns the
-    merged complex, without labels, and the vertex map of each part into
-    it; callers map the labels they need through the maps.
+    merged complex, without labels, the vertex map of each part into it,
+    and the glued vertices: those with two or more preimages.  Callers map
+    the labels they need through the maps.
+
+    What the parts fix is not checked again here; the glue checks what
+    gluing can break.
+
+    * Injectivity, at the glue: no part has two of its vertices merged.
+    * Faces, from the parts: each part maps injectively, so its mapped
+      faces are closed under subsets and the faces of the union are
+      exactly the mapped faces of all parts.
+    * Facets, from the parts: when the facets of all parts have one size
+      s, every part is pure, so its faces of size s are its facets, and
+      the faces of size s of the union are the mapped facets of the
+      parts.  No face has more than s vertices, so these are exactly the
+      facets of the union, and they are recorded with no pass over the
+      faces by ``facets_of``.  With mixed sizes the facets stay lazy.
+    * Overlaps, at the glue, among glued vertices only: a nonempty face
+      in two parts has, at each of its vertices, a preimage in each of
+      them, so all its vertices are glued.  Owners are therefore kept for
+      the faces whose vertices are all glued, and any of them owned twice
+      must lie in an identified feature.
     """
     table = dict(parts)
     if len(table) != len(parts):
@@ -632,6 +663,7 @@ def _amalgamate_with_maps(
 
     vmaps: dict[str, dict[int, int]] = {}
     ids: dict = {}
+    preimages: dict[int, int] = {}
     for name, lc in parts:
         vmap: dict[int, int] = {}
         for v in lc.complex.vertices:
@@ -649,20 +681,26 @@ def _amalgamate_with_maps(
                     )
                 seen[mv] = v
         vmaps[name] = vmap
+        for mv in vmap.values():
+            preimages[mv] = preimages.get(mv, 0) + 1
+    glued = frozenset(mv for mv, count in preimages.items() if count > 1)
 
     allowed: set[Face] = set()
     for pname, feat in shared_feats:
         vmap = vmaps[pname]
         for face in feat.face_set():
             allowed.add(frozenset(vmap[v] for v in face))
-    # Each part maps injectively, so its mapped faces are closed under
-    # subsets and the faces of the union are exactly the keys of ``owners``.
+    faces: set[Face] = set()
     owners: dict[Face, set[str]] = {}
     for name, lc in parts:
         vmap = vmaps[name]
+        image = vmap.__getitem__
+        local_glued = frozenset(v for v, mv in vmap.items() if mv in glued)
         for face in lc.complex.faces:
-            if face:
-                owners.setdefault(frozenset(vmap[v] for v in face), set()).add(name)
+            mapped = frozenset(map(image, face))
+            faces.add(mapped)
+            if face and face <= local_glued:
+                owners.setdefault(mapped, set()).add(name)
     collisions = sorted(
         (face_key(f) for f, who in owners.items() if len(who) > 1 and f not in allowed),
         key=lambda t: (len(t), t),
@@ -672,5 +710,6 @@ def _amalgamate_with_maps(
             f"parts overlap outside the declared identifications: {collisions[:8]}"
         )
 
-    return Complex.from_faces(owners), vmaps
-
+    sizes = {len(f) for _, lc in parts for f in lc.complex.facets}
+    facets = [f for f in faces if len(f) in sizes] if len(sizes) == 1 else None
+    return Complex.from_faces(faces, facets), vmaps, glued

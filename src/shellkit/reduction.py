@@ -18,7 +18,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 from shellkit.collapse import (
     DEFAULT_BUDGET,
@@ -206,7 +206,9 @@ def _compile(phi: Formula) -> LabeledComplex:
     attachments = tuple(
         HouseAttachment(f"f(u{i})") for i in range(1, phi.n + 1)
     )
-    # Every copy of a gadget shape shares one build, checked once here.
+    # Every copy of a gadget shape shares one build, checked once here.  The
+    # sphere and O are built for the placeholder variable ``u``, and their
+    # label names are mapped to each variable below.
     shapes: dict[tuple, LabeledComplex] = {}
 
     def shape(build, arg) -> LabeledComplex:
@@ -223,8 +225,8 @@ def _compile(phi: Formula) -> LabeledComplex:
         u, nu = f"u{i}", f"~u{i}"
         parts.extend(
             [
-                (f"S({u})", build_variable_sphere(u)),
-                (f"O({u})", build_O(u)),
+                (f"S({u})", shape(build_variable_sphere, "u")),
+                (f"O({u})", shape(build_O, "u")),
                 (f"B({u})", shape(build_one_house, b_spec)),
                 (f"X[{u}]", shape(build_literal_house, len(occ.get(i, ())))),
                 (f"X[{nu}]", shape(build_literal_house, len(occ.get(-i, ())))),
@@ -233,12 +235,12 @@ def _compile(phi: Formula) -> LabeledComplex:
         idents.extend(
             [
                 (f"B({u})", "f", "A", f"f({u})"),
-                (f"B({u})", "b", f"O({u})", f"b({u})"),
-                (f"O({u})", f"p({u})", f"X[{u}]", "p"),
-                (f"O({u})", f"p({u})", f"X[{nu}]", "p"),
-                (f"S({u})", f"s({u})", f"O({u})", f"s({u})"),
-                (f"S({u})", f"f[{u}]", f"X[{u}]", "f"),
-                (f"S({u})", f"f[{nu}]", f"X[{nu}]", "f"),
+                (f"B({u})", "b", f"O({u})", "b(u)"),
+                (f"O({u})", "p(u)", f"X[{u}]", "p"),
+                (f"O({u})", "p(u)", f"X[{nu}]", "p"),
+                (f"S({u})", "s(u)", f"O({u})", "s(u)"),
+                (f"S({u})", "f[u]", f"X[{u}]", "f"),
+                (f"S({u})", "f[~u]", f"X[{nu}]", "f"),
             ]
         )
     for j, clause in enumerate(phi.clauses, start=1):
@@ -251,7 +253,7 @@ def _compile(phi: Formula) -> LabeledComplex:
             idents.append((cname, f"p{t}", xname, f"occ{k}.p"))
             idents.append((cname, f"f{t}", xname, f"occ{k}.f"))
 
-    merged, vmaps = _amalgamate_with_maps(parts, idents)
+    merged, vmaps, glued = _amalgamate_with_maps(parts, idents)
     table = dict(parts)
 
     def feat(part: str, label: str) -> Feature:
@@ -271,17 +273,10 @@ def _compile(phi: Formula) -> LabeledComplex:
     for i in range(1, phi.n + 1):
         u, nu = f"u{i}", f"~u{i}"
         labels[f"f({u})"] = feat("A", f"f({u})")
-        for name in (
-            f"v({u})",
-            f"s({u})",
-            f"f[{u}]",
-            f"f[{nu}]",
-            f"D[{u}]",
-            f"D[{nu}]",
-        ):
-            labels[name] = feat(f"S({u})", name)
-        labels[f"b({u})"] = feat(f"O({u})", f"b({u})")
-        labels[f"p({u})"] = feat(f"O({u})", f"p({u})")
+        for name in ("v({})", "s({})", "f[{}]", "f[~{}]", "D[{}]", "D[~{}]"):
+            labels[name.format(u)] = feat(f"S({u})", name.format("u"))
+        labels[f"b({u})"] = feat(f"O({u})", "b(u)")
+        labels[f"p({u})"] = feat(f"O({u})", "p(u)")
         for part in (f"S({u})", f"O({u})", f"B({u})", f"X[{u}]", f"X[{nu}]"):
             labels[part] = whole(part)
     for j, clause in enumerate(phi.clauses, start=1):
@@ -292,24 +287,41 @@ def _compile(phi: Formula) -> LabeledComplex:
             labels[f"f[{name},c{j}#{t}]"] = feat(f"X[{name}]", f"occ{k}.f")
 
     lc = LabeledComplex(merged, labels)
-    _check_compiled(phi, lc)
+    _check_compiled(phi, lc, glued)
     return lc
 
 
-def _check_compiled(phi: Formula, lc: LabeledComplex) -> None:
+def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) -> None:
+    """Check K_phi's postconditions where gluing can break them.
+
+    * Pure 2-dimensional: read off the facets recorded at the glue, the
+      mapped facets of the parts (``_amalgamate_with_maps``), so no pass
+      over the faces looks for them.
+    * Reduced Euler characteristic ``phi.n`` and the size bound: both read
+      off one ``f_vector`` pass over the faces.
+    * Connected vertex links: checked here at the ``glued`` vertices only.
+      A vertex w with one preimage v, in part P, lies only in images of
+      faces of P through v, so its link in K_phi is the image of P's link
+      of v, which P's builder checked: ``_check_house`` for every house
+      and ``_check_sphere`` for the sphere check all their links, and
+      ``build_O`` checks all but its pinch v(u).  Every vertex of O(u)
+      lies on s(u), b(u) or p(u), which are identified with other parts,
+      so the pinch is glued and checked here.
+    """
     k = lc.complex
     if not k.is_pure(2):
         raise ReductionError("compiled complex is not pure 2-dimensional")
-    chi = k.reduced_euler_characteristic()
+    fv = k.f_vector()
+    chi = sum(c if size % 2 else -c for size, c in enumerate(fv))
     if chi != phi.n:
         raise ReductionError(
             f"compiled complex has reduced Euler characteristic {chi}, "
             f"expected {phi.n}"
         )
-    ok, failing = vertex_links_connected(k)
+    ok, failing = vertex_links_connected(k, glued)
     if not ok:
         raise ReductionError(f"compiled complex has a disconnected link at {failing}")
-    count = sum(k.f_vector()[1:])
+    count = sum(fv[1:])
     bound = _SIZE_CONSTANT * max(1, phi.n + phi.size)
     if count > bound:
         raise ReductionError(f"compiled complex has {count} simplices > {bound}")
@@ -326,7 +338,19 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
     gadgets ``O``/``B``/``X``, and per-occurrence rays ``p[lit,cj#t]`` /
     ``f[lit,cj#t]`` indexed by clause and position, so repeated literals
     in a clause stay distinguishable.  All of these postconditions are
-    machine-checked before returning.
+    machine-checked on every compile, each where it can fail:
+
+    * on the parts, by their builders, once per shape per compile: each
+      gadget's purity, free faces, reduced Euler characteristic and
+      vertex links;
+    * at the glue, by ``_amalgamate_with_maps``: no part has two of its
+      vertices merged, faces of two parts meet only inside identified
+      features (checked among the glued vertices), and the facets are
+      the mapped facets of the parts;
+    * on K_phi, by ``_check_compiled``: purity on the recorded facets,
+      the reduced Euler characteristic and the size bound on one
+      f-vector, and vertex links at the glued vertices;
+    * the labels, by ``LabeledComplex``: every labeled face is in K_phi.
     """
     return _compile(phi)
 

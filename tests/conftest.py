@@ -3,13 +3,27 @@ import random
 from shellkit.collapse import DEFAULT_BUDGET, CollapsePair, SearchResult, _FaceIndex, _sole_facets
 from shellkit.complex_core import (
     Complex,
+    Feature,
+    LabeledComplex,
     UnionFind,
     canonical_form,
     face_key,
     facets_of,
     one_skeleton_connected,
+    vertex_links_connected,
 )
-from shellkit.gadgets import dunce_hat
+from shellkit.gadgets import (
+    HouseAttachment,
+    OneHouseSpec,
+    build_literal_house,
+    build_O,
+    build_one_house,
+    build_three_house,
+    build_variable_sphere,
+    dunce_hat,
+    map_feature,
+)
+from shellkit.reduction import _SIZE_CONSTANT, _lit_name, _occurrences
 
 
 def random_pure_2complex(rng: random.Random, max_facets: int = 8, pool: int = 9) -> Complex:
@@ -149,3 +163,121 @@ def oracle_collapses_to(k, target, budget=DEFAULT_BUDGET):
         k, budget, lambda index: index.faces == target_faces,
         lambda index, facets: frozenset(index.faces), target_faces,
     )
+
+
+# -- the whole-complex compile of K_phi ----------------------------------------
+#
+# The library compiles K_phi checking only what gluing can break: it records
+# the facets at the glue, looks for overlaps among the glued vertices, checks
+# links at the glued vertices, and builds one sphere and one O per compile.
+# This oracle is the compile it replaced: every variable builds its own
+# sphere and O, every face of every part gets an owner set, the facets are
+# found by a pass over the merged faces, and every vertex link is checked.
+
+
+def oracle_amalgamate(parts, identifications):
+    """Reference quotient: the merged complex and each part's vertex map;
+    asserts that faces of two parts meet only inside identified features."""
+    table = dict(parts)
+    uf = UnionFind()
+    shared = []
+    for pa, la, pb, lb in identifications:
+        fa, fb = table[pa].feature(la), table[pb].feature(lb)
+        assert fa.kind == fb.kind and len(fa.value) == len(fb.value)
+        for va, vb in zip(fa.value, fb.value):
+            uf.union((pa, va), (pb, vb))
+        shared += [(pa, fa), (pb, fb)]
+    ids, vmaps = {}, {}
+    for name, lc in parts:
+        vmap = {v: ids.setdefault(uf.find((name, v)), len(ids)) for v in lc.complex.vertices}
+        assert len(set(vmap.values())) == len(vmap)
+        vmaps[name] = vmap
+    allowed = {
+        frozenset(vmaps[p][v] for v in face) for p, feat in shared for face in feat.face_set()
+    }
+    owners = {}
+    for name, lc in parts:
+        for face in lc.complex.nonempty_faces:
+            owners.setdefault(frozenset(vmaps[name][v] for v in face), set()).add(name)
+    assert all(len(who) == 1 or f in allowed for f, who in owners.items())
+    return Complex.from_faces(owners), vmaps
+
+
+def oracle_build_K_phi(phi):
+    """Reference K_phi: the same parts, identifications and labels as
+    ``reduction._compile``, glued and checked whole."""
+    occ = _occurrences(phi)
+    occ_slot = {jt: k for slots in occ.values() for k, jt in enumerate(slots, start=1)}
+    attachments = tuple(HouseAttachment(f"f(u{i})") for i in range(1, phi.n + 1))
+    parts = [("A", build_one_house(OneHouseSpec(attachments=attachments)))]
+    idents = []
+    b_house = build_one_house(OneHouseSpec(attachments=(HouseAttachment("b"),)))
+    literal_houses = {}
+
+    def literal_house(count):
+        if count not in literal_houses:
+            literal_houses[count] = build_literal_house(count)
+        return literal_houses[count]
+
+    for i in range(1, phi.n + 1):
+        u, nu = f"u{i}", f"~u{i}"
+        parts += [
+            (f"S({u})", build_variable_sphere(u)),
+            (f"O({u})", build_O(u)),
+            (f"B({u})", b_house),
+            (f"X[{u}]", literal_house(len(occ.get(i, ())))),
+            (f"X[{nu}]", literal_house(len(occ.get(-i, ())))),
+        ]
+        idents += [
+            (f"B({u})", "f", "A", f"f({u})"),
+            (f"B({u})", "b", f"O({u})", f"b({u})"),
+            (f"O({u})", f"p({u})", f"X[{u}]", "p"),
+            (f"O({u})", f"p({u})", f"X[{nu}]", "p"),
+            (f"S({u})", f"s({u})", f"O({u})", f"s({u})"),
+            (f"S({u})", f"f[{u}]", f"X[{u}]", "f"),
+            (f"S({u})", f"f[{nu}]", f"X[{nu}]", "f"),
+        ]
+    for j, clause in enumerate(phi.clauses, start=1):
+        cname = f"C(c{j})"
+        parts.append((cname, build_three_house()))
+        idents.append((cname, "e", "A", "f"))
+        for t, lit in enumerate(clause, start=1):
+            xname, k = f"X[{_lit_name(lit)}]", occ_slot[(j, t)]
+            idents.append((cname, f"p{t}", xname, f"occ{k}.p"))
+            idents.append((cname, f"f{t}", xname, f"occ{k}.f"))
+
+    merged, vmaps = oracle_amalgamate(parts, idents)
+    table = dict(parts)
+
+    def feat(part, label):
+        return map_feature(table[part].feature(label), vmaps[part])
+
+    def whole(part):
+        return Feature.subcomplex(
+            tuple(vmaps[part][v] for v in f) for f in table[part].complex.facets
+        )
+
+    labels = {"A": whole("A"), "v_and": feat("A", "anchor"), "f_and": feat("A", "f")}
+    for i in range(1, phi.n + 1):
+        u, nu = f"u{i}", f"~u{i}"
+        labels[f"f({u})"] = feat("A", f"f({u})")
+        for name in (f"v({u})", f"s({u})", f"f[{u}]", f"f[{nu}]", f"D[{u}]", f"D[{nu}]"):
+            labels[name] = feat(f"S({u})", name)
+        labels[f"b({u})"] = feat(f"O({u})", f"b({u})")
+        labels[f"p({u})"] = feat(f"O({u})", f"p({u})")
+        for part in (f"S({u})", f"O({u})", f"B({u})", f"X[{u}]", f"X[{nu}]"):
+            labels[part] = whole(part)
+    for j, clause in enumerate(phi.clauses, start=1):
+        labels[f"C(c{j})"] = whole(f"C(c{j})")
+        for t, lit in enumerate(clause, start=1):
+            name, k = _lit_name(lit), occ_slot[(j, t)]
+            labels[f"p[{name},c{j}#{t}]"] = feat(f"X[{name}]", f"occ{k}.p")
+            labels[f"f[{name},c{j}#{t}]"] = feat(f"X[{name}]", f"occ{k}.f")
+
+    lc = LabeledComplex(merged, labels)
+    k = lc.complex
+    assert all(len(f) == 3 for f in facets_of(k.faces))
+    assert k.reduced_euler_characteristic() == phi.n
+    assert vertex_links_connected(k) == (True, ())
+    assert len(k.faces) - 1 <= _SIZE_CONSTANT * max(1, phi.n + phi.size)
+    return lc

@@ -390,6 +390,10 @@ def test_vertex_links_match_union_find_oracle():
         ok, bad = vertex_links_connected(k)
         assert (ok, bad) == oracle_vertex_links_connected(k)
         pinched += not ok
+        # Checking some vertices finds exactly the failing ones among them.
+        some = [v for v in k.vertices if rng.random() < 0.5]
+        within = tuple(v for v in bad if v in some)
+        assert vertex_links_connected(k, some) == (not within, within)
     assert pinched >= 50
     v = o_gadget.feature("v(u1)").value[0]
     assert vertex_links_connected(o_gadget.complex) == (False, (v,))

@@ -11,12 +11,13 @@ from shellkit.collapse import (
     is_collapsible_2d_greedy,
     verify_collapse_sequence,
 )
-from shellkit.complex_core import Complex, canonical_form, format_facet_lines
+from shellkit.complex_core import Complex, canonical_form, facets_of, format_facet_lines
 from shellkit.gadgets import (
     GadgetError,
     HouseAttachment,
     OneHouseSpec,
     _amalgamate_with_maps,
+    _check_sphere,
     build_literal_house,
     build_O,
     build_one_house,
@@ -188,18 +189,25 @@ def two_triangle_parts():
 
 
 def test_amalgamate_two_triangles():
-    glued, vmaps = _amalgamate_with_maps(
+    merged, vmaps, glued = _amalgamate_with_maps(
         two_triangle_parts(), [("a", "hinge", "b", "hinge")]
     )
-    assert glued.f_vector() == (1, 4, 5, 2)
+    assert merged.f_vector() == (1, 4, 5, 2)
     # a.hinge = (0, 1) meets b.hinge = (1, 2) position by position.
     assert (vmaps["a"][0], vmaps["a"][1]) == (vmaps["b"][1], vmaps["b"][2])
+    assert glued == {vmaps["a"][0], vmaps["a"][1]}
+    assert merged.facets == facets_of(merged.faces)
+    # With facets of mixed sizes the merged facets are found, not recorded.
+    tri = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {"tip": Feature.vertex(2)})
+    edge = LabeledComplex(Complex.from_facets([[0, 1]]), {"tip": Feature.vertex(0)})
+    mixed, _, _ = _amalgamate_with_maps([("t", tri), ("e", edge)], [("t", "tip", "e", "tip")])
+    assert mixed.facets == facets_of(mixed.faces) and len(mixed.facets) == 2
 
 
 def test_amalgamate_is_order_insensitive():
-    one, _ = _amalgamate_with_maps(two_triangle_parts(), [("a", "hinge", "b", "hinge")])
+    one, _, _ = _amalgamate_with_maps(two_triangle_parts(), [("a", "hinge", "b", "hinge")])
     parts = list(reversed(two_triangle_parts()))
-    other, _ = _amalgamate_with_maps(parts, [("a", "hinge", "b", "hinge")])
+    other, _, _ = _amalgamate_with_maps(parts, [("a", "hinge", "b", "hinge")])
     assert canonical_form(one) == canonical_form(other)
 
 
@@ -237,6 +245,32 @@ def test_amalgamate_rejects_hidden_overlap():
             [("a", a), ("b", b)],
             [("a", "e1", "b", "e1"), ("a", "e2", "b", "e2")],
         )
+
+
+def test_amalgamate_rejects_a_triangle_of_glued_vertices():
+    # All three edges are identified, so every vertex and edge may be
+    # shared, and only the triangle, all of whose vertices are glued,
+    # overlaps beyond what was declared.
+    edges = {"e1": Feature.edge(0, 1), "e2": Feature.edge(1, 2), "e3": Feature.edge(2, 0)}
+    a = LabeledComplex(Complex.from_facets([[0, 1, 2]]), edges)
+    b = LabeledComplex(Complex.from_facets([[0, 1, 2], [0, 1, 3]]), edges)
+    idents = [("a", name, "b", name) for name in edges]
+    with pytest.raises(GadgetError, match=r"overlap.*\[\(0, 1, 2\)\]"):
+        _amalgamate_with_maps([("a", a), ("b", b)], idents)
+
+
+def test_sphere_check_refuses_a_pinched_torus():
+    # Two octahedra sharing both poles: a closed pseudomanifold with
+    # reduced Euler characteristic 1 and no free faces, whose links at the
+    # poles are two circles each.
+    def octahedron(rim):
+        return [(pole, rim[i], rim[(i + 1) % 4]) for pole in (4, 5) for i in range(4)]
+
+    pinched = Complex.from_facets(octahedron([0, 1, 2, 3]) + octahedron([6, 7, 8, 9]))
+    assert pinched.reduced_euler_characteristic() == 1 and not free_faces(pinched)
+    with pytest.raises(GadgetError, match=r"disconnected links at \(4, 5\)"):
+        _check_sphere(pinched)
+    _check_sphere(build_variable_sphere("u").complex)
 
 
 def test_amalgamate_rejects_duplicate_part_names():

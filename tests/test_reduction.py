@@ -1,12 +1,20 @@
 """CNF parsing, formula-to-complex compilation, and the collapse schedule."""
 
 import random
+from collections import Counter
 
 import pytest
+from conftest import oracle_build_K_phi
 
-from shellkit import reduction
+from shellkit import complex_core, gadgets, reduction
 from shellkit.collapse import CollapseError, SearchResult, _FaceIndex, verify_collapse_sequence
-from shellkit.complex_core import Complex, subdivide_labeled, vertex_links_connected
+from shellkit.complex_core import (
+    Complex,
+    facets_of,
+    subdivide_labeled,
+    to_json,
+    vertex_links_connected,
+)
 from shellkit.reduction import (
     CnfError,
     Formula,
@@ -129,6 +137,95 @@ def test_sd2_keeps_chi_and_connected_links():
 
 def test_build_K_phi_caches():
     assert build_K_phi(XXX) is build_K_phi(Formula(1, ((1, 1, 1),)))
+
+
+def cold_compile(phi: Formula):
+    """K_phi compiled from nothing, as a fresh process compiles it."""
+    reduction._compile.cache_clear()
+    gadgets._three_house.cache_clear()
+    return build_K_phi(phi)
+
+
+def test_compile_matches_the_whole_complex_oracle(monkeypatch):
+    glued_sets = []
+    check = reduction._check_compiled
+
+    def record(phi, lc, glued):
+        glued_sets.append(glued)
+        check(phi, lc, glued)
+
+    monkeypatch.setattr(reduction, "_check_compiled", record)
+    rng = random.Random(2707)
+    formulas = [Formula(0, ()), XXX, MIXED, Formula(3, ((1, -1, 1), (2, 2, 2), (-3, 3, -3)))]
+    while len(formulas) < 104:
+        # Mostly small formulas keep the test quick; every n up to 8 occurs.
+        n = min(rng.randint(0, 8), rng.randint(0, 8))
+        formulas.append(random_formula(n, rng.randint(0, n), rng) if n else Formula(0, ()))
+    assert {phi.n for phi in formulas} == set(range(9))
+    repeats = 0
+    for phi in formulas:
+        lc, ref = cold_compile(phi), oracle_build_K_phi(phi)
+        k = lc.complex
+        assert k.faces == ref.complex.faces
+        assert k._facets == facets_of(k.faces), "facets not recorded at the glue"
+        assert lc.labels == ref.labels
+        assert to_json(lc) == to_json(ref)
+        glued = glued_sets.pop()
+        assert vertex_links_connected(k, glued) == vertex_links_connected(k) == (True, ())
+        repeats += any(len(set(map(abs, c))) < 3 for c in phi.clauses)
+    assert repeats >= 20
+
+
+def pendants_at(pick, seen):
+    """An amalgamation that also hangs a triangle on two fresh vertices at
+    each glued vertex ``pick`` chooses.  That keeps purity and the reduced
+    Euler characteristic but disconnects the link there, and only there."""
+    amalgamate = reduction._amalgamate_with_maps
+
+    def glue(parts, idents):
+        k, vmaps, glued = amalgamate(parts, idents)
+        fresh = max(k.vertices) + 1
+        pendants = [(v, fresh + 2 * i, fresh + 2 * i + 1) for i, v in enumerate(pick(glued))]
+        seen.append(glued)
+        return Complex.from_facets([*k.facets, *pendants]), vmaps, glued
+
+    return glue
+
+
+@pytest.mark.parametrize("phi", [XXX, MIXED])
+@pytest.mark.parametrize("where", ["one", "every"])
+def test_compile_checks_the_link_at_each_glued_vertex(monkeypatch, phi, where):
+    seen = []
+    pick = (lambda glued: [max(glued)]) if where == "one" else sorted
+    monkeypatch.setattr(reduction, "_amalgamate_with_maps", pendants_at(pick, seen))
+    with pytest.raises(ReductionError, match="disconnected link") as info:
+        cold_compile(phi)
+    assert str(info.value).endswith(str(tuple(pick(seen[0]))))
+
+
+def test_cold_compile_checks_only_what_gluing_adds(monkeypatch):
+    # No pass over K_phi's faces looks for its facets, and each variable
+    # gadget is built once per compile, however many variables there are.
+    scanned = []
+    facets_of_faces = complex_core.facets_of
+
+    def scan(faces):
+        scanned.append(faces)
+        return facets_of_faces(faces)
+
+    monkeypatch.setattr(complex_core, "facets_of", scan)
+    builds = Counter()
+    for name in ("build_variable_sphere", "build_O"):
+
+        def counted(u, name=name, build=getattr(reduction, name)):
+            builds[name] += 1
+            return build(u)
+
+        monkeypatch.setattr(reduction, name, counted)
+    lc = cold_compile(Formula(3, ((1, -2, 3), (-1, 2, -3), (2, 2, -1))))
+    reduction._compile.cache_clear()
+    assert builds == {"build_variable_sphere": 1, "build_O": 1}
+    assert all(faces != lc.complex.faces for faces in scanned)
 
 
 # -- collapse schedule --

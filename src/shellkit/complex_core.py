@@ -434,12 +434,6 @@ def vertex_links_connected(
     return (not bad, tuple(bad))
 
 
-def boundary_ridges(k: Complex) -> list[frozenset]:
-    """Ridges ((d-1)-faces) contained in exactly one top-dimensional facet."""
-    top = (f for f in k.facets if len(f) == k.dim + 1)
-    return sorted((r for r, fs in ridge_holders(top).items() if len(fs) == 1), key=face_key)
-
-
 # -- barycentric subdivision ------------------------------------------------
 
 
@@ -682,12 +676,8 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
 def _map_feature_once(feat: Feature, vid: Mapping[frozenset, int]) -> Feature:
     if feat.kind == "vertex":
         return Feature.vertex(vid[frozenset(feat.value)])
-    if feat.kind == "edge":
-        a, b = feat.value
-        return Feature.path(
-            (vid[frozenset([a])], vid[frozenset((a, b))], vid[frozenset([b])])
-        )
-    if feat.kind == "path":
+    if feat.kind in ("edge", "path"):
+        # An edge (a, b) maps like the two-vertex path: a, ab, b.
         vs = feat.value
         out = [vid[frozenset([vs[0]])]]
         for a, b in zip(vs, vs[1:]):

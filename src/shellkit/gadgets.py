@@ -1,19 +1,20 @@
 """Gadget meshes: Bing-house variants, marked spheres, and small fixtures.
 
 The houses here are triangulated Bing houses (a box with two rooms whose
-only free faces are the edges subdividing one marked boundary edge ``f``).
-Each house is assembled from three layers:
+only free face is one marked boundary edge ``f``).  Each house is
+assembled from three layers:
 
 * a *lower wall* ``L``: a triangulated disk carrying ``f`` on its boundary
-  together with any requested interior attachment features,
+  together with any requested interior attachment edges,
 * a *fan* over the rest of the boundary of ``L`` from a fresh apex, and
 * a *cap*: a modified dunce hat whose subdivided free edge is glued onto
   the path contact--apex--far, closing every face of ``L`` except ``f``.
 
 The lower wall is meshed as a flower of ladders around a hub, which scales
-to any number of attachment rays.  All builders machine-check their
-advertised postconditions (purity, exact free-face set, link connectivity,
-reduced Euler characteristic) and raise :class:`GadgetError` on any
+to any number of attachment rays.  Every builder of a part that K_phi
+glues calls :func:`_check_gadget`, the one postcondition rule (purity,
+exact free-face set, reduced Euler characteristic, the exact set of
+disconnected vertex links), and raises :class:`GadgetError` on any
 violation, so a constructed gadget is trustworthy by construction.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from shellkit.collapse import CollapseSequence, collapses_to, free_faces
 from shellkit.complex_core import (
@@ -30,7 +31,6 @@ from shellkit.complex_core import (
     Feature,
     LabeledComplex,
     UnionFind,
-    boundary_ridges,
     face_key,
     is_pseudomanifold,
     subfaces,
@@ -178,42 +178,23 @@ def _closed_flower(hub: int, rays: Sequence[Sequence[int]]) -> list[Face]:
 
 
 @dataclass(frozen=True)
-class HouseAttachment:
-    """A named feature requested inside a house's lower wall.
-
-    The feature is a path of ``edges`` edges starting at the anchor vertex
-    and running into the interior of the lower wall; with ``edges == 1`` it
-    is a single interior edge at the anchor.
-    """
-
-    name: str
-    edges: int = 1
-
-
-@dataclass(frozen=True)
 class OneHouseSpec:
-    """Build plan for a one-free-edge house.
+    """Build plan for a one-free-edge house: the names of its attachments.
 
-    ``free_edge_subdivisions`` is the number of edges in the free arc
-    ``f``.  Attachments all start at the anchor endpoint of ``f`` and stay
-    interior to the lower wall otherwise.
+    Each attachment is an edge of the lower wall from the anchor endpoint
+    of ``f`` into the wall's interior.
     """
 
-    free_edge_subdivisions: int = 1
-    attachments: tuple[HouseAttachment, ...] = ()
+    attachments: tuple[str, ...] = ()
 
     def validate(self) -> None:
-        if self.free_edge_subdivisions < 1:
-            raise GadgetError("free edge needs at least one edge")
         seen = set()
-        for att in self.attachments:
-            if not att.name or att.name.startswith("_"):
-                raise GadgetError(f"bad attachment name: {att.name!r}")
-            if att.name in seen or att.name in ("f", "anchor", "L"):
-                raise GadgetError(f"duplicate or reserved attachment name: {att.name}")
-            if att.edges < 1:
-                raise GadgetError("attachment needs at least one edge")
-            seen.add(att.name)
+        for name in self.attachments:
+            if not name or name.startswith("_"):
+                raise GadgetError(f"bad attachment name: {name!r}")
+            if name in seen or name in ("f", "anchor", "L"):
+                raise GadgetError(f"duplicate or reserved attachment name: {name}")
+            seen.add(name)
 
 
 def _cap_facets(contact: int, apex: int, far: int, fresh: Sequence[int]) -> list[Face]:
@@ -253,69 +234,61 @@ def _assemble_house(
     return wall + fan + _cap_facets(contact, apex, far, fresh)
 
 
-def _path_feature(vertices: Sequence[int]) -> Feature:
-    if len(vertices) == 2:
-        return Feature.edge(*vertices)
-    return Feature.path(vertices)
+def _check_gadget(
+    lc: LabeledComplex, what: str, chi: int, free: Collection[Face], pinched: tuple[int, ...] = ()
+) -> None:
+    """The one postcondition rule for every part that K_phi glues.
 
-
-def _check_house(lc: LabeledComplex, arc_edges: set[Face], what: str) -> None:
+    ``lc`` must be pure 2-dimensional, its free faces must be exactly
+    ``free``, its reduced Euler characteristic ``chi``, and the vertices
+    with a disconnected link exactly ``pinched``, in vertex order.  So
+    every link is checked: ``reduction._check_compiled`` relies on this
+    to check links only at the vertices that gluing merges.
+    """
     k = lc.complex
     if not k.is_pure(2):
         raise GadgetError(f"{what}: not pure 2-dimensional")
-    free = {f for f, _ in free_faces(k)}
-    if free != arc_edges:
+    got = {f for f, _ in free_faces(k)}
+    if got != set(free):
         raise GadgetError(
-            f"{what}: free faces {sorted(map(face_key, free))} != "
-            f"expected {sorted(map(face_key, arc_edges))}"
+            f"{what}: free faces {sorted(map(face_key, got))} != "
+            f"expected {sorted(map(face_key, free))}"
         )
-    ok, failing = vertex_links_connected(k)
-    if not ok:
-        raise GadgetError(f"{what}: disconnected links at {failing}")
-    if k.reduced_euler_characteristic() != 0:
-        raise GadgetError(f"{what}: reduced Euler characteristic is not 0")
+    if k.reduced_euler_characteristic() != chi:
+        raise GadgetError(f"{what}: reduced Euler characteristic is not {chi}")
+    failing = vertex_links_connected(k)[1]
+    if failing != pinched:
+        raise GadgetError(f"{what}: disconnected links at {failing} != expected {pinched}")
 
 
 def build_one_house(spec: OneHouseSpec) -> LabeledComplex:
-    """A house whose free faces are exactly the edges subdividing ``f``.
+    """A house whose only free face is the edge ``f``.
 
-    Labels: ``f`` (the free arc), ``anchor`` (the wall-boundary endpoint of
-    ``f`` where attachments start), ``L`` (the lower-wall subcomplex) and
-    one label per requested attachment.
+    Labels: ``f`` (the free edge), ``anchor`` (the wall-boundary endpoint
+    of ``f`` where attachments start), ``L`` (the lower-wall subcomplex)
+    and one edge per requested attachment.
     """
     spec.validate()
-    j = spec.free_edge_subdivisions
-    hub = 0
-    arc = list(range(1, j + 1))
-    next_id = j + 1
-    rays: list[list[int]] = [arc]
-    attach_feats: list[tuple[str, list[int]]] = []
-    for att in spec.attachments:
-        chain = list(range(next_id, next_id + att.edges))
-        pad = next_id + att.edges
-        rays.append(chain + [pad])
-        attach_feats.append((att.name, [hub] + chain))
-        next_id = pad + 1
-    guard = next_id
-    rays.append([guard])
-    next_id += 1
+    hub, contact = 0, 1
+    # Attachment i is the edge from the hub to 2 + 2i, on the ray
+    # 2 + 2i -> 3 + 2i; the one-vertex guard ray comes last.
+    ends = {name: 2 + 2 * i for i, name in enumerate(spec.attachments)}
+    guard = 2 + 2 * len(ends)
+    rays = [[contact]] + [[end, end + 1] for end in ends.values()] + [[guard]]
 
     wall = _open_flower(hub, rays)
-    tips = [r[-1] for r in rays]
-    rim = tips + list(reversed(rays[-1][:-1])) + [hub]
-    f_path = [hub] + arc
-    facets = _assemble_house(wall, f_path, rim, next_id)
+    rim = [r[-1] for r in rays] + [hub]
+    f_path = [hub, contact]
+    facets = _assemble_house(wall, f_path, rim, guard + 1)
 
     labels = {
-        "f": _path_feature(f_path),
+        "f": Feature.edge(hub, contact),
         "anchor": Feature.vertex(hub),
         "L": Feature.subcomplex(map(face_key, wall)),
     }
-    for name, verts in attach_feats:
-        labels[name] = _path_feature(verts)
+    labels.update((name, Feature.edge(hub, end)) for name, end in ends.items())
     lc = LabeledComplex(Complex.from_facets(facets), labels)
-    arc_edges = {frozenset(e) for e in zip(f_path, f_path[1:])}
-    _check_house(lc, arc_edges, "one-house")
+    _check_gadget(lc, "one-house", 0, [frozenset(f_path)])
     return lc
 
 
@@ -371,7 +344,7 @@ def build_literal_house(occurrences: int) -> LabeledComplex:
         labels[f"occ{n}.p"] = Feature.path(p_verts)
         labels[f"occ{n}.f"] = Feature.edge(*f_edge)
     lc = LabeledComplex(Complex.from_facets(facets), labels)
-    _check_house(lc, {frozenset(f_path)}, "literal house")
+    _check_gadget(lc, "literal house", 0, [frozenset(f_path)])
     return lc
 
 
@@ -437,15 +410,13 @@ def _three_house() -> LabeledComplex:
         "v": Feature.vertex(v),
         "e": Feature.edge(v, w),
     }
-    free_edges = set()
     for pos in (1, 2, 3):
         i = pos - 1
         labels[f"f{pos}"] = Feature.edge(alpha[i], beta[i])
         labels[f"p{pos}"] = Feature.path((v, mid[i], alpha[i]))
-        free_edges.add(frozenset((alpha[i], beta[i])))
 
     lc = LabeledComplex(Complex.from_facets(facets), labels)
-    _check_house(lc, free_edges, "three-house")
+    _check_gadget(lc, "three-house", 0, [frozenset(door) for door in zip(alpha, beta)])
     _check_three_house_star(lc)
     for entry in (1, 2, 3):
         three_house_exit(lc, entry)
@@ -523,25 +494,11 @@ def build_variable_sphere(u: str) -> LabeledComplex:
         f"D[{u}]": Feature.subcomplex(map(face_key, upper)),
         f"D[~{u}]": Feature.subcomplex(map(face_key, lower)),
     }
-    lc = LabeledComplex(k, labels)
-    _check_sphere(k)
-    return lc
-
-
-def _check_sphere(k: Complex) -> None:
-    """The variable sphere's postconditions: a closed pseudomanifold with
-    reduced Euler characteristic 1, no free faces and every vertex link
-    connected.  Without the link check two octahedra glued at two
-    vertices would pass the other three."""
     if is_pseudomanifold(k) != "closed":
         raise GadgetError("variable sphere is not a closed pseudomanifold")
-    if k.reduced_euler_characteristic() != 1:
-        raise GadgetError("variable sphere must have reduced Euler characteristic 1")
-    if free_faces(k):
-        raise GadgetError("variable sphere must have no free faces")
-    ok, failing = vertex_links_connected(k)
-    if not ok:
-        raise GadgetError(f"variable sphere has disconnected links at {failing}")
+    lc = LabeledComplex(k, labels)
+    _check_gadget(lc, "variable sphere", 1, ())
+    return lc
 
 
 def build_O(u: str) -> LabeledComplex:
@@ -551,7 +508,9 @@ def build_O(u: str) -> LabeledComplex:
     union of the 4-cycle ``s(u)`` and the 3-cycle ``b(u)`` + ``p(u)``:
     ``b(u)`` is a single edge from ``v_and`` to ``v(u)`` and ``p(u)`` a
     two-edge path back.  Its link at v(u) has two components; both circles
-    get filled by neighbouring gadgets in the assembled complex.
+    get filled by neighbouring gadgets in the assembled complex.  No
+    vertex lies in a single triangle, so its free faces are exactly these
+    boundary edges.
     """
     c0, c1, c2, c3 = 0, 1, 2, 3
     hub, x = 4, 5
@@ -571,19 +530,8 @@ def build_O(u: str) -> LabeledComplex:
         f"p({u})": Feature.path((c0, x, hub)),
     }
     lc = LabeledComplex(k, labels)
-    if not k.is_pure(2):
-        raise GadgetError("O gadget is not pure")
-    if k.reduced_euler_characteristic() != -1:
-        raise GadgetError("O gadget must have reduced Euler characteristic -1")
-    boundary = set(boundary_ridges(k))
-    wanted = set(lc.feature(f"s({u})").edge_list())
-    wanted |= set(lc.feature(f"b({u})").edge_list())
-    wanted |= set(lc.feature(f"p({u})").edge_list())
-    if boundary != wanted:
-        raise GadgetError("O gadget boundary is not s + b + p")
-    ok, failing = vertex_links_connected(k)
-    if ok or tuple(failing) != (c0,):
-        raise GadgetError("O gadget must be pinched exactly at v(u)")
+    boundary = [e for n in ("s", "b", "p") for e in lc.feature(f"{n}({u})").edge_list()]
+    _check_gadget(lc, "O gadget", -1, boundary, pinched=(c0,))
     return lc
 
 
@@ -592,13 +540,9 @@ def build_O(u: str) -> LabeledComplex:
 
 def map_feature(feat: Feature, vmap: Mapping[int, int]) -> Feature:
     """Rewrite a feature through a vertex map."""
-    if feat.kind == "vertex":
-        return Feature.vertex(vmap[feat.value[0]])
-    if feat.kind == "edge":
-        return Feature.edge(vmap[feat.value[0]], vmap[feat.value[1]])
-    if feat.kind == "path":
-        return Feature.path(vmap[v] for v in feat.value)
-    return Feature.subcomplex(tuple(vmap[v] for v in f) for f in feat.value)
+    if feat.kind == "subcomplex":
+        return Feature.subcomplex(tuple(vmap[v] for v in f) for f in feat.value)
+    return Feature(feat.kind, tuple(vmap[v] for v in feat.value))
 
 
 def _pairing(fa: Feature, fb: Feature, what: str) -> list[tuple[int, int]]:

@@ -40,7 +40,6 @@ from shellkit.complex_core import (
     vertex_links_connected,
 )
 from shellkit.gadgets import (
-    HouseAttachment,
     OneHouseSpec,
     _amalgamate_with_maps,
     _features_complex,
@@ -203,9 +202,7 @@ def _compile(phi: Formula) -> LabeledComplex:
         for slots in occ.values()
         for k, jt in enumerate(slots, start=1)
     }
-    attachments = tuple(
-        HouseAttachment(f"f(u{i})") for i in range(1, phi.n + 1)
-    )
+    attachments = tuple(f"f(u{i})" for i in range(1, phi.n + 1))
     # Every copy of a gadget shape shares one build, checked once here.  The
     # sphere and O are built for the placeholder variable ``u``, and their
     # label names are mapped to each variable below.
@@ -220,7 +217,7 @@ def _compile(phi: Formula) -> LabeledComplex:
         ("A", build_one_house(OneHouseSpec(attachments=attachments)))
     ]
     idents: list[tuple[str, str, str, str]] = []
-    b_spec = OneHouseSpec(attachments=(HouseAttachment("b"),))
+    b_spec = OneHouseSpec(attachments=("b",))
     for i in range(1, phi.n + 1):
         u, nu = f"u{i}", f"~u{i}"
         parts.extend(
@@ -302,11 +299,12 @@ def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) ->
     * Connected vertex links: checked here at the ``glued`` vertices only.
       A vertex w with one preimage v, in part P, lies only in images of
       faces of P through v, so its link in K_phi is the image of P's link
-      of v, which P's builder checked: ``_check_house`` for every house
-      and ``_check_sphere`` for the sphere check all their links, and
-      ``build_O`` checks all but its pinch v(u).  Every vertex of O(u)
-      lies on s(u), b(u) or p(u), which are identified with other parts,
-      so the pinch is glued and checked here.
+      of v, which P's builder checked: every builder of a part calls
+      ``gadgets._check_gadget``, which finds every disconnected link and
+      allows only the listed pinches, and only O(u) lists one, v(u).
+      Every vertex of O(u) lies on s(u), b(u) or p(u), which are
+      identified with other parts, so the pinch is glued and checked
+      here.
     """
     k = lc.complex
     if not k.is_pure(2):
@@ -340,9 +338,9 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
     in a clause stay distinguishable.  All of these postconditions are
     machine-checked on every compile, each where it can fail:
 
-    * on the parts, by their builders, once per shape per compile: each
-      gadget's purity, free faces, reduced Euler characteristic and
-      vertex links;
+    * on the parts, by ``gadgets._check_gadget``, called by each
+      builder, once per shape per compile: each gadget's purity, free
+      faces, reduced Euler characteristic and vertex links;
     * at the glue, by ``_amalgamate_with_maps``: no part has two of its
       vertices merged, faces of two parts meet only inside identified
       features (checked among the glued vertices), and the facets are
@@ -391,7 +389,10 @@ def schedule_collapse(
     own state, and the pairs collapse M onto M' (the replay of the piece
     alone).  A face of M - M' under a face g outside M would take g with
     it, so the constrain complex of M, its faces under a face outside
-    it, lies in M' (the gluing lemma's hypothesis).
+    it, lies in M' (the gluing lemma's hypothesis).  The same replay
+    enforces the phase order: a piece replayed while another piece still
+    holds a coface of one of its faces meets a step whose face is not
+    free in the index, and the replay raises ``CollapseError``.
     """
     lc = _compile(phi)
     a = {int(v): bool(assignment[v]) for v in assignment}
@@ -403,7 +404,6 @@ def schedule_collapse(
     occ = _occurrences(phi)
     v_and = lc.feature("v_and").value[0]
     sat_sign = {i: i if a[i] else -i for i in a}
-    neg_of = {i: _lit_name(-sat_sign[i]) for i in a}
     disks = [lc.subcomplex(f"D[{_lit_name(sat_sign[i])}]") for i in range(1, phi.n + 1)]
     removal = [min((f for f in d.faces if len(f) == 3), key=face_key) for d in disks]
     index = _FaceIndex(lc.complex.remove_facets(removal))
@@ -455,7 +455,7 @@ def schedule_collapse(
 
     # (f) finish each unsatisfied disk, then its literal house.
     for i in range(1, phi.n + 1):
-        lit = neg_of[i]
+        lit = _lit_name(-sat_sign[i])
         collapse(f"D[{lit}]", lc.subcomplex(f"D[{lit}]"), [f"f[{lit}]"])
         literal_house(-sat_sign[i])
 
@@ -467,33 +467,7 @@ def schedule_collapse(
     if index.faces != {frozenset({v_and})}:
         raise CollapseError("the schedule does not end at v_and")
     pairs.extend(tail.witness)
-
-    sequence = tuple(pairs)
-    _check_conjunction_precedence(lc, phi, sequence, neg_of)
-    return frozenset(removal), sequence
-
-
-def _check_conjunction_precedence(
-    lc: LabeledComplex,
-    phi: Formula,
-    sequence: CollapseSequence,
-    neg_of: Mapping[int, str],
-) -> None:
-    """Assert the first conjunction-house step precedes every step inside
-    an unsatisfied disk."""
-    a_facets = set(lc.subcomplex("A").facets)
-    first_a = min(
-        idx for idx, p in enumerate(sequence) if p.coface in a_facets
-    )
-    for i in range(1, phi.n + 1):
-        d_faces = {f for f in lc.subcomplex(f"D[{neg_of[i]}]").faces if f}
-        first_d = min(
-            idx for idx, p in enumerate(sequence) if p.coface in d_faces
-        )
-        if first_d <= first_a:
-            raise ReductionError(
-                f"disk D[{neg_of[i]}] collapsed before the conjunction house"
-            )
+    return frozenset(removal), tuple(pairs)
 
 
 # -- reading removals back --------------------------------------------------------

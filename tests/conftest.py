@@ -13,7 +13,6 @@ from shellkit.complex_core import (
     vertex_links_connected,
 )
 from shellkit.gadgets import (
-    HouseAttachment,
     OneHouseSpec,
     build_literal_house,
     build_O,
@@ -208,10 +207,10 @@ def oracle_build_K_phi(phi):
     ``reduction._compile``, glued and checked whole."""
     occ = _occurrences(phi)
     occ_slot = {jt: k for slots in occ.values() for k, jt in enumerate(slots, start=1)}
-    attachments = tuple(HouseAttachment(f"f(u{i})") for i in range(1, phi.n + 1))
+    attachments = tuple(f"f(u{i})" for i in range(1, phi.n + 1))
     parts = [("A", build_one_house(OneHouseSpec(attachments=attachments)))]
     idents = []
-    b_house = build_one_house(OneHouseSpec(attachments=(HouseAttachment("b"),)))
+    b_house = build_one_house(OneHouseSpec(attachments=("b",)))
     literal_houses = {}
 
     def literal_house(count):

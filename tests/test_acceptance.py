@@ -19,7 +19,6 @@ from shellkit.collapse import (
 )
 from shellkit.complex_core import Complex, cone, vertex_links_connected
 from shellkit.gadgets import (
-    HouseAttachment,
     OneHouseSpec,
     boundary_simplex,
     build_one_house,
@@ -90,21 +89,15 @@ def test_criterion_03_house_gadget_guarantees():
     assert {f for f, _ in free_faces(plain.complex)} == {
         frozenset(plain.feature("f").value)
     }
-    split = build_one_house(OneHouseSpec(free_edge_subdivisions=3))
-    arc_edges = {
-        frozenset(e)
-        for e in zip(split.feature("f").value, split.feature("f").value[1:])
-    }
-    assert {f for f, _ in free_faces(split.complex)} == arc_edges
-
     three = build_three_house()
     assert {f for f, _ in free_faces(three.complex)} == {
         frozenset(three.feature(name).value) for name in ("f1", "f2", "f3")
     }
 
     # The house collapses onto random lower-wall subtrees through the
-    # anchor endpoint of the free edge.
-    house = build_one_house(OneHouseSpec(attachments=(HouseAttachment("t", 3),)))
+    # anchor endpoint of the free edge; three attachments give the wall
+    # several rays.
+    house = build_one_house(OneHouseSpec(attachments=("t", "s", "r")))
     wall = house.subcomplex("L")
     f_edge = frozenset(house.feature("f").value)
     anchor = house.feature("anchor").value[0]

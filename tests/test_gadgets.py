@@ -14,10 +14,9 @@ from shellkit.collapse import (
 from shellkit.complex_core import Complex, canonical_form, facets_of, format_facet_lines
 from shellkit.gadgets import (
     GadgetError,
-    HouseAttachment,
     OneHouseSpec,
     _amalgamate_with_maps,
-    _check_sphere,
+    _check_gadget,
     build_literal_house,
     build_O,
     build_one_house,
@@ -60,23 +59,16 @@ def test_one_house_frozen():
     assert is_collapsible_2d_greedy(k).yes
 
 
-def test_one_house_subdivided_free_edge():
-    lc = build_one_house(OneHouseSpec(free_edge_subdivisions=3))
-    free = {f for f, _ in free_faces(lc.complex)}
-    arc = set(lc.feature("f").edge_list())
-    assert len(arc) == 3
-    assert free == arc
-
-
 def test_one_house_attachments():
-    spec = OneHouseSpec(attachments=(HouseAttachment("t", 2), HouseAttachment("s", 1)))
+    spec = OneHouseSpec(attachments=("t", "s"))
     lc = build_one_house(spec)
     wall = lc.subcomplex("L")
     for name in ("t", "s"):
         feat = lc.feature(name)
         assert all(f in wall.faces for f in feat.face_set())
-    with pytest.raises(GadgetError):
-        build_one_house(OneHouseSpec(free_edge_subdivisions=0))
+    for bad in (("t", "t"), ("anchor",)):
+        with pytest.raises(GadgetError, match="duplicate or reserved"):
+            build_one_house(OneHouseSpec(attachments=bad))
 
 
 def test_three_house_frozen():
@@ -154,7 +146,7 @@ def test_house_label_tables_are_pinned():
     # Every label is one that K_phi glues along or the docstrings promise;
     # the assembly's layers carry none.
     assert set(build_one_house(OneHouseSpec()).labels) == {"f", "anchor", "L"}
-    spec = OneHouseSpec(attachments=(HouseAttachment("t", 2), HouseAttachment("s", 1)))
+    spec = OneHouseSpec(attachments=("t", "s"))
     assert set(build_one_house(spec).labels) == {"f", "anchor", "L", "t", "s"}
     assert set(build_literal_house(2).labels) == {
         "f", "p", "v", "v_and", "L", "occ1.p", "occ1.f", "occ2.p", "occ2.f"
@@ -162,9 +154,9 @@ def test_house_label_tables_are_pinned():
 
 
 def test_collapse_house_reaches_target():
-    # Target a wall attachment path.  The free arc is where the collapse
+    # Target a wall attachment edge.  The free edge is where the collapse
     # starts, so it can never be part of the target.
-    lc = build_one_house(OneHouseSpec(attachments=(HouseAttachment("t", 2),)))
+    lc = build_one_house(OneHouseSpec(attachments=("t",)))
     k = lc.complex
     target = Complex.from_facets(lc.feature("t").edge_list())
     res = collapses_to(k, target)
@@ -259,18 +251,45 @@ def test_amalgamate_rejects_a_triangle_of_glued_vertices():
         _amalgamate_with_maps([("a", a), ("b", b)], idents)
 
 
-def test_sphere_check_refuses_a_pinched_torus():
-    # Two octahedra sharing both poles: a closed pseudomanifold with
-    # reduced Euler characteristic 1 and no free faces, whose links at the
-    # poles are two circles each.
+def test_gadget_check_refuses_a_pinched_torus():
+    # Two octahedra sharing both poles: pure, with reduced Euler
+    # characteristic 1 and no free faces, whose links at the poles are two
+    # circles each.
     def octahedron(rim):
         return [(pole, rim[i], rim[(i + 1) % 4]) for pole in (4, 5) for i in range(4)]
 
     pinched = Complex.from_facets(octahedron([0, 1, 2, 3]) + octahedron([6, 7, 8, 9]))
     assert pinched.reduced_euler_characteristic() == 1 and not free_faces(pinched)
     with pytest.raises(GadgetError, match=r"disconnected links at \(4, 5\)"):
-        _check_sphere(pinched)
-    _check_sphere(build_variable_sphere("u").complex)
+        _check_gadget(LabeledComplex(pinched, {}), "sphere", 1, ())
+    _check_gadget(build_variable_sphere("u"), "sphere", 1, ())
+
+
+def _o_boundary(lc):
+    return [e for name in ("s(u)", "b(u)", "p(u)") for e in lc.feature(name).edge_list()]
+
+
+def test_gadget_check_refuses_an_unlisted_pinch():
+    o = build_O("u")
+    _check_gadget(o, "O", -1, _o_boundary(o), pinched=(0,))
+    with pytest.raises(GadgetError, match=r"disconnected links at \(0,\)"):
+        _check_gadget(o, "O", -1, _o_boundary(o))
+
+
+def test_gadget_check_refuses_a_missing_door():
+    three = build_three_house()
+    doors = [three.feature(f"f{t}").edge_list()[0] for t in (1, 2, 3)]
+    _check_gadget(three, "three-house", 0, doors)
+    with pytest.raises(GadgetError, match="free faces"):
+        _check_gadget(three, "three-house", 0, doors[:2])
+
+
+def test_gadget_check_refuses_a_wrong_euler_characteristic():
+    house = build_one_house(OneHouseSpec())
+    door = house.feature("f").edge_list()
+    _check_gadget(house, "one-house", 0, door)
+    with pytest.raises(GadgetError, match="reduced Euler characteristic is not 1"):
+        _check_gadget(house, "one-house", 1, door)
 
 
 def test_amalgamate_rejects_duplicate_part_names():

@@ -1,6 +1,7 @@
 """Every name a module of shellkit imports at module level is used there,
 every private module-level name is read by some module of shellkit, and
-every public function, class and method has a reader besides the tests.
+every public function, class and method has a reader besides the tests,
+and every builder of a part that K_phi glues calls the one gadget check.
 
 The project has no linter; this keeps an import from outliving the last
 caller of what it imports, and a helper from outliving its last caller.
@@ -236,3 +237,35 @@ def test_combinations_uses_finds_names_and_attributes():
 )
 def test_one_face_enumerator(path):
     assert combinations_uses(path.read_text()) == []
+
+
+def calls_in(source: str, function: str) -> set[str]:
+    """The names called as plain names inside the module-level function
+    ``function`` of ``source``, nested definitions included."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {
+                n.func.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            }
+    raise LookupError(function)
+
+
+def test_calls_in_finds_named_calls():
+    source = "def f():\n    g(h())\n    x.k()\n    def inner():\n        m()\ndef n():\n    p()\n"
+    assert calls_in(source, "f") == {"g", "h", "m"}
+    with pytest.raises(LookupError):
+        calls_in(source, "inner")
+
+
+# ``reduction._check_compiled`` checks vertex links only where gluing merges
+# vertices, because ``gadgets._check_gadget`` checks every link of each part.
+GADGET_BUILDERS = (
+    "build_one_house", "build_literal_house", "_three_house", "build_variable_sphere", "build_O"
+)
+
+
+@pytest.mark.parametrize("builder", GADGET_BUILDERS)
+def test_gadget_builders_call_the_one_check(builder):
+    assert "_check_gadget" in calls_in((SRC / "gadgets.py").read_text(), builder)

@@ -428,8 +428,8 @@ def _gadget_builders() -> dict:
     builders = {
         "one_house": lambda: build_one_house(OneHouseSpec()),
         "three_house": build_three_house,
-        "variable_sphere": lambda: build_variable_sphere("u1"),
-        "o_gadget": lambda: build_O("u1"),
+        "variable_sphere": build_variable_sphere,
+        "o_gadget": build_O,
         "literal_house_1": lambda: build_literal_house(1),
     }
     for name in sorted(fixtures()):

@@ -574,28 +574,25 @@ class Feature:
 
     def face_set(self) -> set[frozenset]:
         """Closure of the feature as a set of nonempty faces."""
-        if self.kind == "vertex":
-            return {frozenset(self.value)}
-        if self.kind in ("edge", "path"):
-            out = {frozenset([v]) for v in self.value}
+        if self.kind == "subcomplex":
+            return {g for facet in self.value for g in subfaces(facet, range(1, len(facet) + 1))}
+        out = {frozenset([v]) for v in self.value}
+        if self.kind != "vertex":
             out.update(self.edge_list())
-            return out
-        return {g for facet in self.value for g in subfaces(facet, range(1, len(facet) + 1))}
+        return out
 
 
 def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
     """Check that ``feat`` is well formed and lies in ``k``.
 
-    Only the faces that generate the feature are looked up: the vertex, the
-    vertices and edges of an edge or path, or the facets of a subcomplex.
-    The face set of a ``Complex`` is closed under subsets, so this accepts
+    Only the faces that generate the feature are looked up: the facets of
+    a subcomplex, or ``feat.face_set()`` for a vertex, edge or path.  The
+    face set of a ``Complex`` is closed under subsets, so this accepts
     exactly when every face of ``feat.face_set()`` is in ``k``.  Each step
     of an edge or path must join two distinct vertices and each face of a
     subcomplex must be nonempty.
     """
-    if feat.kind == "vertex":
-        faces = [frozenset(feat.value)]
-    elif feat.kind == "subcomplex":
+    if feat.kind == "subcomplex":
         faces = [frozenset(f) for f in feat.value]
         if frozenset() in faces:
             raise ValueError(f"label {name!r}: subcomplex has an empty face")
@@ -611,7 +608,7 @@ def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
             interior = vs[:-1] if vs[0] == vs[-1] else vs
             if len(set(interior)) != len(interior):
                 raise ValueError(f"label {name!r}: path revisits a vertex")
-        faces = [frozenset([v]) for v in vs] + feat.edge_list()
+        faces = feat.face_set()
     for face in faces:
         if face not in k.faces:
             raise ValueError(
@@ -636,11 +633,12 @@ class LabeledComplex:
             raise KeyError(f"no label {name!r}")
         return self.labels[name]
 
-    def subcomplex(self, name: str) -> Complex:
-        feat = self.feature(name)
-        if feat.kind != "subcomplex":
-            raise ValueError(f"label {name!r} has kind {feat.kind}, not subcomplex")
-        return Complex.from_facets(feat.value)
+    def subcomplex(self, *names: str) -> Complex:
+        """The closure of the named features, of any kind."""
+        faces: set[frozenset] = set()
+        for name in names:
+            faces |= self.feature(name).face_set()
+        return Complex.from_faces(faces)
 
 
 def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledComplex, Subdivision]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from shellkit.collapse import CollapseSequence, collapses_to, free_faces
 from shellkit.complex_core import (
@@ -364,15 +364,9 @@ def build_three_house() -> LabeledComplex:
     the house collapses onto the contact star no matter which two free
     edges are kept.  Labels: ``v``, ``e``, ``f1..f3``, and two-edge
     paths ``p1..p3`` with p_i meeting f_i in one vertex and missing the
-    other free edges.  The house is built and checked once per process,
-    and its postconditions include ``three_house_exit`` through each door.
+    other free edges.  Its postconditions include ``three_house_exit``
+    through each door.
     """
-    return _three_house()
-
-
-@functools.lru_cache(maxsize=1)
-def _three_house() -> LabeledComplex:
-    """The one build behind ``build_three_house``."""
     v, w = 0, 1
     alpha = [2 + 5 * i for i in range(3)]
     beta = [3 + 5 * i for i in range(3)]
@@ -444,14 +438,6 @@ def _check_three_house_star(lc: LabeledComplex) -> None:
         raise GadgetError("contact features do not form a subdivided star")
 
 
-def _features_complex(lc: LabeledComplex, names: Iterable[str]) -> Complex:
-    """The subcomplex that the closures of the named features span."""
-    faces: set[Face] = set()
-    for name in names:
-        faces |= lc.feature(name).face_set()
-    return Complex.from_faces(faces)
-
-
 def three_house_exit(lc: LabeledComplex, entry: int) -> tuple[CollapseSequence, Complex]:
     """Collapse the three-house ``lc`` once door ``f<entry>`` is free.
 
@@ -462,7 +448,7 @@ def three_house_exit(lc: LabeledComplex, entry: int) -> tuple[CollapseSequence, 
     own labels, with ``f_and`` in the place of ``e``.
     """
     names = ["e", "p1", "p2", "p3"] + [f"f{t}" for t in (1, 2, 3) if t != entry]
-    kept = _features_complex(lc, names)
+    kept = lc.subcomplex(*names)
     result = collapses_to(lc.complex, kept)
     if not result.yes:
         raise GadgetError(
@@ -474,12 +460,12 @@ def three_house_exit(lc: LabeledComplex, entry: int) -> tuple[CollapseSequence, 
 # -- variable-side gadgets -------------------------------------------------------
 
 
-def build_variable_sphere(u: str) -> LabeledComplex:
+def build_variable_sphere() -> LabeledComplex:
     """An octahedron split into two disks D[u] and D[~u] by a 4-cycle.
 
-    Labels (for variable name ``u``): the equator path ``s(u)``, its
-    marked vertex ``v(u)``, the two open disks ``D[u]`` / ``D[~u]``, and
-    the spoke edges ``f[u]`` / ``f[~u]`` joining v(u) to the two poles.
+    Labels, for the placeholder variable ``u``: the equator path ``s(u)``,
+    its marked vertex ``v(u)``, the two open disks ``D[u]`` / ``D[~u]``,
+    and the spoke edges ``f[u]`` / ``f[~u]`` joining v(u) to the poles.
     """
     rim = [0, 1, 2, 3]
     pole_pos, pole_neg = 4, 5
@@ -487,12 +473,12 @@ def build_variable_sphere(u: str) -> LabeledComplex:
     lower = [frozenset((pole_neg, rim[i], rim[(i + 1) % 4])) for i in range(4)]
     k = Complex.from_facets(upper + lower)
     labels = {
-        f"v({u})": Feature.vertex(0),
-        f"s({u})": Feature.path((0, 1, 2, 3, 0)),
-        f"f[{u}]": Feature.edge(0, pole_pos),
-        f"f[~{u}]": Feature.edge(0, pole_neg),
-        f"D[{u}]": Feature.subcomplex(map(face_key, upper)),
-        f"D[~{u}]": Feature.subcomplex(map(face_key, lower)),
+        "v(u)": Feature.vertex(0),
+        "s(u)": Feature.path((0, 1, 2, 3, 0)),
+        "f[u]": Feature.edge(0, pole_pos),
+        "f[~u]": Feature.edge(0, pole_neg),
+        "D[u]": Feature.subcomplex(map(face_key, upper)),
+        "D[~u]": Feature.subcomplex(map(face_key, lower)),
     }
     if is_pseudomanifold(k) != "closed":
         raise GadgetError("variable sphere is not a closed pseudomanifold")
@@ -501,7 +487,7 @@ def build_variable_sphere(u: str) -> LabeledComplex:
     return lc
 
 
-def build_O(u: str) -> LabeledComplex:
+def build_O() -> LabeledComplex:
     """The pinched annulus tying a variable sphere to the conjunction hub.
 
     A strip of five triangles whose boundary is the disjoint-but-for-v(u)
@@ -523,14 +509,14 @@ def build_O(u: str) -> LabeledComplex:
     ]
     k = Complex.from_facets(facets)
     labels = {
-        f"v({u})": Feature.vertex(c0),
+        "v(u)": Feature.vertex(c0),
         "v_and": Feature.vertex(hub),
-        f"s({u})": Feature.path((c0, c1, c2, c3, c0)),
-        f"b({u})": Feature.edge(hub, c0),
-        f"p({u})": Feature.path((c0, x, hub)),
+        "s(u)": Feature.path((c0, c1, c2, c3, c0)),
+        "b(u)": Feature.edge(hub, c0),
+        "p(u)": Feature.path((c0, x, hub)),
     }
     lc = LabeledComplex(k, labels)
-    boundary = [e for n in ("s", "b", "p") for e in lc.feature(f"{n}({u})").edge_list()]
+    boundary = [e for n in ("s(u)", "b(u)", "p(u)") for e in lc.feature(n).edge_list()]
     _check_gadget(lc, "O gadget", -1, boundary, pinched=(c0,))
     return lc
 

@@ -42,7 +42,6 @@ from shellkit.complex_core import (
 from shellkit.gadgets import (
     OneHouseSpec,
     _amalgamate_with_maps,
-    _features_complex,
     build_literal_house,
     build_O,
     build_one_house,
@@ -204,17 +203,17 @@ def _compile(phi: Formula) -> LabeledComplex:
     }
     attachments = tuple(f"f(u{i})" for i in range(1, phi.n + 1))
     # Every copy of a gadget shape shares one build, checked once here.  The
-    # sphere and O are built for the placeholder variable ``u``, and their
-    # label names are mapped to each variable below.
+    # sphere and O name their labels for the placeholder variable ``u``,
+    # and those names are mapped to each variable below.
     shapes: dict[tuple, LabeledComplex] = {}
 
-    def shape(build, arg) -> LabeledComplex:
-        if (build, arg) not in shapes:
-            shapes[build, arg] = build(arg)
-        return shapes[build, arg]
+    def shape(build, *args) -> LabeledComplex:
+        if (build, args) not in shapes:
+            shapes[build, args] = build(*args)
+        return shapes[build, args]
 
     parts: list[tuple[str, LabeledComplex]] = [
-        ("A", build_one_house(OneHouseSpec(attachments=attachments)))
+        ("A", shape(build_one_house, OneHouseSpec(attachments=attachments)))
     ]
     idents: list[tuple[str, str, str, str]] = []
     b_spec = OneHouseSpec(attachments=("b",))
@@ -222,8 +221,8 @@ def _compile(phi: Formula) -> LabeledComplex:
         u, nu = f"u{i}", f"~u{i}"
         parts.extend(
             [
-                (f"S({u})", shape(build_variable_sphere, "u")),
-                (f"O({u})", shape(build_O, "u")),
+                (f"S({u})", shape(build_variable_sphere)),
+                (f"O({u})", shape(build_O)),
                 (f"B({u})", shape(build_one_house, b_spec)),
                 (f"X[{u}]", shape(build_literal_house, len(occ.get(i, ())))),
                 (f"X[{nu}]", shape(build_literal_house, len(occ.get(-i, ())))),
@@ -242,7 +241,7 @@ def _compile(phi: Formula) -> LabeledComplex:
         )
     for j, clause in enumerate(phi.clauses, start=1):
         cname = f"C(c{j})"
-        parts.append((cname, build_three_house()))
+        parts.append((cname, shape(build_three_house)))
         idents.append((cname, "e", "A", "f"))
         for t, lit in enumerate(clause, start=1):
             xname = f"X[{_lit_name(lit)}]"
@@ -294,8 +293,8 @@ def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) ->
     * Pure 2-dimensional: read off the facets recorded at the glue, the
       mapped facets of the parts (``_amalgamate_with_maps``), so no pass
       over the faces looks for them.
-    * Reduced Euler characteristic ``phi.n`` and the size bound: both read
-      off one ``f_vector`` pass over the faces.
+    * Reduced Euler characteristic ``phi.n``: one pass over the faces.
+      The size bound: the face count, which costs nothing.
     * Connected vertex links: checked here at the ``glued`` vertices only.
       A vertex w with one preimage v, in part P, lies only in images of
       faces of P through v, so its link in K_phi is the image of P's link
@@ -309,8 +308,7 @@ def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) ->
     k = lc.complex
     if not k.is_pure(2):
         raise ReductionError("compiled complex is not pure 2-dimensional")
-    fv = k.f_vector()
-    chi = sum(c if size % 2 else -c for size, c in enumerate(fv))
+    chi = k.reduced_euler_characteristic()
     if chi != phi.n:
         raise ReductionError(
             f"compiled complex has reduced Euler characteristic {chi}, "
@@ -319,7 +317,7 @@ def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) ->
     ok, failing = vertex_links_connected(k, glued)
     if not ok:
         raise ReductionError(f"compiled complex has a disconnected link at {failing}")
-    count = sum(fv[1:])
+    count = len(k.faces) - 1
     bound = _SIZE_CONSTANT * max(1, phi.n + phi.size)
     if count > bound:
         raise ReductionError(f"compiled complex has {count} simplices > {bound}")
@@ -346,8 +344,8 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
       features (checked among the glued vertices), and the facets are
       the mapped facets of the parts;
     * on K_phi, by ``_check_compiled``: purity on the recorded facets,
-      the reduced Euler characteristic and the size bound on one
-      f-vector, and vertex links at the glued vertices;
+      the reduced Euler characteristic, the size bound by the face count,
+      and vertex links at the glued vertices;
     * the labels, by ``LabeledComplex``: every labeled face is in K_phi.
     """
     return _compile(phi)
@@ -410,7 +408,7 @@ def schedule_collapse(
     pairs: list[CollapsePair] = []
 
     def collapse(what: str, piece: Complex, kept_labels: list[str]) -> None:
-        kept = _features_complex(lc, kept_labels)
+        kept = lc.subcomplex(*kept_labels)
         res = collapses_to(piece, kept)
         if not res.yes:
             raise ReductionError(f"{what} failed to collapse onto {kept_labels}")
@@ -488,14 +486,11 @@ def assignment_from_removal(
             f"removal has {len(removal)} triangles; expected {chi}"
         )
     out: dict[int, bool] = {}
-    for name in k.labels:
-        if not (name.startswith("S(u") and name.endswith(")")):
-            continue
-        i = int(name[3:-1])
-        mine = removal & set(k.subcomplex(name).facets)
+    for i in range(1, chi + 1):
+        mine = removal & k.subcomplex(f"S(u{i})").facets
         if not mine:
             return None
-        out[i] = min(mine, key=face_key) in set(k.subcomplex(f"D[u{i}]").facets)
+        out[i] = min(mine, key=face_key) in k.subcomplex(f"D[u{i}]").facets
     return out
 
 

@@ -247,7 +247,9 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     _check_pure_input(k)
     k, apexes = _cone_base(k)
     # Facet set, as a bitmask over ids handed out to facets as they are
-    # first seen -> the tree rec returned for it, or None for no.
+    # first seen -> the tree rec returned for it, or None for no.  An int
+    # key keeps no facet set alive; frozenset keys would hold every one seen
+    # (traced peak 4.3 -> 5.2 MB on sd^2 of a 3-simplex boundary, k = 0).
     exact: dict[int, dict | None] = {}
     facet_ids: dict[Face, int] = {}
     nodes = 0

@@ -1,4 +1,5 @@
 import random
+import re
 
 from shellkit.collapse import DEFAULT_BUDGET, CollapsePair, SearchResult, _FaceIndex, _sole_facets
 from shellkit.complex_core import (
@@ -218,11 +219,17 @@ def oracle_build_K_phi(phi):
             literal_houses[count] = build_literal_house(count)
         return literal_houses[count]
 
+    def named_for(lc, u):
+        """``lc`` with the placeholder variable ``u`` of its labels renamed."""
+        return LabeledComplex(
+            lc.complex, {re.sub(r"\bu\b", u, name): f for name, f in lc.labels.items()}
+        )
+
     for i in range(1, phi.n + 1):
         u, nu = f"u{i}", f"~u{i}"
         parts += [
-            (f"S({u})", build_variable_sphere(u)),
-            (f"O({u})", build_O(u)),
+            (f"S({u})", named_for(build_variable_sphere(), u)),
+            (f"O({u})", named_for(build_O(), u)),
             (f"B({u})", b_house),
             (f"X[{u}]", literal_house(len(occ.get(i, ())))),
             (f"X[{nu}]", literal_house(len(occ.get(-i, ())))),

@@ -374,7 +374,7 @@ def test_vertex_links_connected():
 
 
 def test_vertex_links_match_union_find_oracle():
-    o_gadget = build_O("u1")
+    o_gadget = build_O()
     cases = [
         Complex.empty(),
         Complex.from_facets(WEDGE),
@@ -395,7 +395,7 @@ def test_vertex_links_match_union_find_oracle():
         within = tuple(v for v in bad if v in some)
         assert vertex_links_connected(k, some) == (not within, within)
     assert pinched >= 50
-    v = o_gadget.feature("v(u1)").value[0]
+    v = o_gadget.feature("v(u)").value[0]
     assert vertex_links_connected(o_gadget.complex) == (False, (v,))
 
 

@@ -31,8 +31,8 @@ from shellkit.complex_core import Feature, LabeledComplex
 GOLDEN = {
     "one_house": lambda: build_one_house(OneHouseSpec()),
     "three_house": build_three_house,
-    "variable_sphere": lambda: build_variable_sphere("u1"),
-    "o_gadget": lambda: build_O("u1"),
+    "variable_sphere": build_variable_sphere,
+    "o_gadget": build_O,
     "literal_house_1": lambda: build_literal_house(1),
 }
 
@@ -102,26 +102,26 @@ def test_three_house_exit_targets_collapse():
 
 
 def test_variable_sphere_frozen():
-    lc = build_variable_sphere("u1")
+    lc = build_variable_sphere()
     k = lc.complex
     assert k.f_vector() == (1, 6, 12, 8)
     assert k.reduced_euler_characteristic() == 1
-    upper = lc.subcomplex("D[u1]")
-    lower = lc.subcomplex("D[~u1]")
+    upper = lc.subcomplex("D[u]")
+    lower = lc.subcomplex("D[~u]")
     assert len(upper.facets) == 4 and len(lower.facets) == 4
     assert upper.facets | lower.facets == k.facets
-    assert lc.feature("s(u1)").kind == "path"
-    assert lc.feature("v(u1)").kind == "vertex"
+    assert lc.feature("s(u)").kind == "path"
+    assert lc.feature("v(u)").kind == "vertex"
 
 
 def test_o_gadget_frozen():
-    lc = build_O("u1")
+    lc = build_O()
     k = lc.complex
     assert k.f_vector() == (1, 6, 11, 5)
     # The O gadget is a triangulated ring, not a disk.
     assert k.reduced_euler_characteristic() == -1
     assert not is_collapsible_2d_greedy(k).yes
-    for name in ("v(u1)", "v_and", "s(u1)", "b(u1)", "p(u1)"):
+    for name in ("v(u)", "v_and", "s(u)", "b(u)", "p(u)"):
         assert name in lc.labels
 
 
@@ -262,7 +262,7 @@ def test_gadget_check_refuses_a_pinched_torus():
     assert pinched.reduced_euler_characteristic() == 1 and not free_faces(pinched)
     with pytest.raises(GadgetError, match=r"disconnected links at \(4, 5\)"):
         _check_gadget(LabeledComplex(pinched, {}), "sphere", 1, ())
-    _check_gadget(build_variable_sphere("u"), "sphere", 1, ())
+    _check_gadget(build_variable_sphere(), "sphere", 1, ())
 
 
 def _o_boundary(lc):
@@ -270,7 +270,7 @@ def _o_boundary(lc):
 
 
 def test_gadget_check_refuses_an_unlisted_pinch():
-    o = build_O("u")
+    o = build_O()
     _check_gadget(o, "O", -1, _o_boundary(o), pinched=(0,))
     with pytest.raises(GadgetError, match=r"disconnected links at \(0,\)"):
         _check_gadget(o, "O", -1, _o_boundary(o))

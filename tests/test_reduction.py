@@ -6,10 +6,11 @@ from collections import Counter
 import pytest
 from conftest import oracle_build_K_phi
 
-from shellkit import complex_core, gadgets, reduction
+from shellkit import complex_core, reduction
 from shellkit.collapse import CollapseError, SearchResult, _FaceIndex, verify_collapse_sequence
 from shellkit.complex_core import (
     Complex,
+    LabeledComplex,
     facets_of,
     subdivide_labeled,
     to_json,
@@ -142,7 +143,6 @@ def test_build_K_phi_caches():
 def cold_compile(phi: Formula):
     """K_phi compiled from nothing, as a fresh process compiles it."""
     reduction._compile.cache_clear()
-    gadgets._three_house.cache_clear()
     return build_K_phi(phi)
 
 
@@ -176,6 +176,21 @@ def test_compile_matches_the_whole_complex_oracle(monkeypatch):
     assert repeats >= 20
 
 
+def test_subcomplex_reads_every_label_of_K_phi():
+    # One reader for the labelled pieces of K_phi: the closure of any
+    # feature, and for a subcomplex label the closure of its facets.
+    rng = random.Random(2901)
+    for n in range(1, 5):
+        lc = build_K_phi(random_formula(n, n + 1, rng))
+        for name, feat in lc.labels.items():
+            piece = lc.subcomplex(name)
+            assert set(piece.nonempty_faces) == feat.face_set(), name
+            if feat.kind == "subcomplex":
+                assert piece == Complex.from_facets(feat.value), name
+        both = lc.feature("s(u1)").face_set() | lc.feature("p(u1)").face_set()
+        assert set(lc.subcomplex("s(u1)", "p(u1)").nonempty_faces) == both
+
+
 def pendants_at(pick, seen):
     """An amalgamation that also hangs a triangle on two fresh vertices at
     each glued vertex ``pick`` chooses.  That keeps purity and the reduced
@@ -204,8 +219,9 @@ def test_compile_checks_the_link_at_each_glued_vertex(monkeypatch, phi, where):
 
 
 def test_cold_compile_checks_only_what_gluing_adds(monkeypatch):
-    # No pass over K_phi's faces looks for its facets, and each variable
-    # gadget is built once per compile, however many variables there are.
+    # No pass over K_phi's faces looks for its facets, each variable gadget
+    # is built once per compile, however many variables there are, and the
+    # three-house once, however many clauses.
     scanned = []
     facets_of_faces = complex_core.facets_of
 
@@ -215,16 +231,16 @@ def test_cold_compile_checks_only_what_gluing_adds(monkeypatch):
 
     monkeypatch.setattr(complex_core, "facets_of", scan)
     builds = Counter()
-    for name in ("build_variable_sphere", "build_O"):
+    for name in ("build_variable_sphere", "build_O", "build_three_house"):
 
-        def counted(u, name=name, build=getattr(reduction, name)):
+        def counted(name=name, build=getattr(reduction, name)):
             builds[name] += 1
-            return build(u)
+            return build()
 
         monkeypatch.setattr(reduction, name, counted)
     lc = cold_compile(Formula(3, ((1, -2, 3), (-1, 2, -3), (2, 2, -1))))
     reduction._compile.cache_clear()
-    assert builds == {"build_variable_sphere": 1, "build_O": 1}
+    assert builds == {"build_variable_sphere": 1, "build_O": 1, "build_three_house": 1}
     assert all(faces != lc.complex.faces for faces in scanned)
 
 
@@ -284,7 +300,7 @@ def test_house_targets_keep_what_neighbours_share(monkeypatch, phi):
     # so the replay of that house on K_phi must refuse it.
     lc = build_K_phi(phi)
     model = sat_oracle(phi)
-    features_complex = reduction._features_complex
+    subcomplex = LabeledComplex.subcomplex
     shared = {
         "b(u1)": ["b(u1)"],
         "f(u1)": [f"f(u{i})" for i in range(1, phi.n + 1)],
@@ -293,12 +309,12 @@ def test_house_targets_keep_what_neighbours_share(monkeypatch, phi):
         (edge,) = lc.feature(label).edge_list()
         for v in sorted(edge):
 
-            def to_endpoint(lc, names, kept_labels=kept_labels, v=v):
+            def to_endpoint(lc, *names, kept_labels=kept_labels, v=v):
                 if list(names) == kept_labels:
                     return Complex.from_facets([[v]])
-                return features_complex(lc, names)
+                return subcomplex(lc, *names)
 
-            monkeypatch.setattr(reduction, "_features_complex", to_endpoint)
+            monkeypatch.setattr(LabeledComplex, "subcomplex", to_endpoint)
             with pytest.raises(CollapseError, match=r"not free \(2 maximal cofaces\)"):
                 schedule_collapse(phi, model)
 

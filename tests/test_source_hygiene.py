@@ -262,10 +262,18 @@ def test_calls_in_finds_named_calls():
 # ``reduction._check_compiled`` checks vertex links only where gluing merges
 # vertices, because ``gadgets._check_gadget`` checks every link of each part.
 GADGET_BUILDERS = (
-    "build_one_house", "build_literal_house", "_three_house", "build_variable_sphere", "build_O"
+    "build_one_house", "build_literal_house", "build_three_house", "build_variable_sphere", "build_O"
 )
 
 
 @pytest.mark.parametrize("builder", GADGET_BUILDERS)
 def test_gadget_builders_call_the_one_check(builder):
     assert "_check_gadget" in calls_in((SRC / "gadgets.py").read_text(), builder)
+
+
+# ``reduction._compile`` builds every part through its ``shape`` table, so
+# each gadget shape is built and checked once per compile.
+def test_compile_builds_parts_through_one_table():
+    calls = calls_in((SRC / "reduction.py").read_text(), "_compile")
+    assert "shape" in calls
+    assert calls.isdisjoint(GADGET_BUILDERS)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
 Face = frozenset
@@ -565,21 +566,16 @@ class Feature:
         return cls("subcomplex", tuple(sorted(face_key(f) for f in facets)))
 
     def edge_list(self) -> list[frozenset]:
-        """Edges traversed by a path or edge feature."""
-        if self.kind == "edge":
-            return [frozenset(self.value)]
-        if self.kind == "path":
-            return [frozenset(p) for p in zip(self.value, self.value[1:])]
-        raise ValueError(f"{self.kind} feature has no edge list")
+        """Edges traversed by a vertex (none), edge (one) or path feature."""
+        if self.kind == "subcomplex":
+            raise ValueError("subcomplex feature has no edge list")
+        return [frozenset(p) for p in zip(self.value, self.value[1:])]
 
     def face_set(self) -> set[frozenset]:
         """Closure of the feature as a set of nonempty faces."""
         if self.kind == "subcomplex":
             return {g for facet in self.value for g in subfaces(facet, range(1, len(facet) + 1))}
-        out = {frozenset([v]) for v in self.value}
-        if self.kind != "vertex":
-            out.update(self.edge_list())
-        return out
+        return {frozenset([v]) for v in self.value}.union(self.edge_list())
 
 
 def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
@@ -618,13 +614,13 @@ def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
 
 @dataclass(frozen=True)
 class LabeledComplex:
-    """A complex together with a name -> Feature landmark table."""
+    """A complex together with a name -> Feature landmark table, kept read-only."""
 
     complex: Complex
     labels: Mapping[str, Feature]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", dict(self.labels))
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         for name, feat in self.labels.items():
             _validate_feature(name, feat, self.complex)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Collection, Mapping, Sequence
 
 from shellkit.collapse import CollapseSequence, collapses_to, free_faces
@@ -111,8 +112,8 @@ def boundary_simplex(d: int) -> Complex:
 
 
 @functools.lru_cache(maxsize=1)
-def fixtures() -> dict[str, LabeledComplex]:
-    """Named small complexes used across tests and the CLI."""
+def fixtures() -> Mapping[str, LabeledComplex]:
+    """Named small complexes used across tests and the CLI, read-only."""
     out = {
         "modified_dunce_hat": modified_dunce_hat(),
         "dunce_hat": LabeledComplex(dunce_hat(), {}),
@@ -120,7 +121,7 @@ def fixtures() -> dict[str, LabeledComplex]:
     }
     for d in (2, 3, 4):
         out[f"boundary_delta_{d}"] = LabeledComplex(boundary_simplex(d), {})
-    return out
+    return MappingProxyType(out)
 
 
 # -- flower meshes for lower walls ---------------------------------------------

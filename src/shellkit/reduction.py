@@ -194,13 +194,32 @@ def _occurrences(phi: Formula) -> dict[int, tuple[tuple[int, int], ...]]:
 
 
 @functools.lru_cache(maxsize=8)
-def _compile(phi: Formula) -> LabeledComplex:
+def build_K_phi(phi: Formula) -> LabeledComplex:
+    """Compile a formula into its marked 2-complex.
+
+    The output is pure 2-dimensional with all vertex links connected, its
+    reduced Euler characteristic equals the variable count, and its label
+    table names every gadget feature: the conjunction house ``A`` with
+    ``v_and``/``f_and`` and one ``f(u_i)`` per variable, each variable's
+    sphere ``S(u_i)`` with disks ``D[u_i]``/``D[~u_i]``, the connector
+    gadgets ``O``/``B``/``X``, and per-occurrence rays ``p[lit,cj#t]`` /
+    ``f[lit,cj#t]`` indexed by clause and position, so repeated literals
+    in a clause stay distinguishable.  All of these postconditions are
+    machine-checked on every compile, each where it can fail:
+
+    * on the parts, by ``gadgets._check_gadget``, called by each
+      builder, once per shape per compile: each gadget's purity, free
+      faces, reduced Euler characteristic and vertex links;
+    * at the glue, by ``_amalgamate_with_maps``: no part has two of its
+      vertices merged, faces of two parts meet only inside identified
+      features (checked among the glued vertices), and the facets are
+      the mapped facets of the parts;
+    * on K_phi, by ``_check_compiled``: purity on the recorded facets,
+      the reduced Euler characteristic, the size bound by the face count,
+      and vertex links at the glued vertices;
+    * the labels, by ``LabeledComplex``: every labeled face is in K_phi.
+    """
     occ = _occurrences(phi)
-    occ_slot = {
-        jt: k
-        for slots in occ.values()
-        for k, jt in enumerate(slots, start=1)
-    }
     attachments = tuple(f"f(u{i})" for i in range(1, phi.n + 1))
     # Every copy of a gadget shape shares one build, checked once here.  The
     # sphere and O name their labels for the placeholder variable ``u``,
@@ -216,6 +235,10 @@ def _compile(phi: Formula) -> LabeledComplex:
         ("A", shape(build_one_house, OneHouseSpec(attachments=attachments)))
     ]
     idents: list[tuple[str, str, str, str]] = []
+    # Each variable and each clause declares its parts, identifications and
+    # label sources at once: K_phi's label -> (part, the part's label), or
+    # (part, None) for the whole part, mapped into K_phi after the glue.
+    wanted: dict[str, tuple[str, str | None]] = {"v_and": ("A", "anchor"), "f_and": ("A", "f")}
     b_spec = OneHouseSpec(attachments=("b",))
     for i in range(1, phi.n + 1):
         u, nu = f"u{i}", f"~u{i}"
@@ -239,48 +262,34 @@ def _compile(phi: Formula) -> LabeledComplex:
                 (f"S({u})", "f[~u]", f"X[{nu}]", "f"),
             ]
         )
+        wanted[f"f({u})"] = ("A", f"f({u})")
+        for name in ("v({})", "s({})", "f[{}]", "f[~{}]", "D[{}]", "D[~{}]"):
+            wanted[name.format(u)] = (f"S({u})", name.format("u"))
+        wanted[f"b({u})"] = (f"O({u})", "b(u)")
+        wanted[f"p({u})"] = (f"O({u})", "p(u)")
+    seen: dict[int, int] = {}
     for j, clause in enumerate(phi.clauses, start=1):
         cname = f"C(c{j})"
         parts.append((cname, shape(build_three_house)))
         idents.append((cname, "e", "A", "f"))
         for t, lit in enumerate(clause, start=1):
-            xname = f"X[{_lit_name(lit)}]"
-            k = occ_slot[(j, t)]
-            idents.append((cname, f"p{t}", xname, f"occ{k}.p"))
-            idents.append((cname, f"f{t}", xname, f"occ{k}.f"))
+            name = _lit_name(lit)
+            xname = f"X[{name}]"
+            # Slot (j, t) is the k-th occurrence of its literal in clause order.
+            seen[lit] = k = seen.get(lit, 0) + 1
+            for ray in "pf":
+                idents.append((cname, f"{ray}{t}", xname, f"occ{k}.{ray}"))
+                wanted[f"{ray}[{name},c{j}#{t}]"] = (xname, f"occ{k}.{ray}")
+    # Every part is labeled whole, under its own name.
+    wanted.update((name, (name, None)) for name, _ in parts)
 
     merged, vmaps, glued = _amalgamate_with_maps(parts, idents)
     table = dict(parts)
-
-    def feat(part: str, label: str) -> Feature:
-        return map_feature(table[part].feature(label), vmaps[part])
-
-    def whole(part: str) -> Feature:
-        vmap = vmaps[part]
-        return Feature.subcomplex(
-            tuple(vmap[v] for v in f) for f in table[part].complex.facets
-        )
-
-    labels: dict[str, Feature] = {
-        "A": whole("A"),
-        "v_and": feat("A", "anchor"),
-        "f_and": feat("A", "f"),
-    }
-    for i in range(1, phi.n + 1):
-        u, nu = f"u{i}", f"~u{i}"
-        labels[f"f({u})"] = feat("A", f"f({u})")
-        for name in ("v({})", "s({})", "f[{}]", "f[~{}]", "D[{}]", "D[~{}]"):
-            labels[name.format(u)] = feat(f"S({u})", name.format("u"))
-        labels[f"b({u})"] = feat(f"O({u})", "b(u)")
-        labels[f"p({u})"] = feat(f"O({u})", "p(u)")
-        for part in (f"S({u})", f"O({u})", f"B({u})", f"X[{u}]", f"X[{nu}]"):
-            labels[part] = whole(part)
-    for j, clause in enumerate(phi.clauses, start=1):
-        labels[f"C(c{j})"] = whole(f"C(c{j})")
-        for t, lit in enumerate(clause, start=1):
-            name, k = _lit_name(lit), occ_slot[(j, t)]
-            labels[f"p[{name},c{j}#{t}]"] = feat(f"X[{name}]", f"occ{k}.p")
-            labels[f"f[{name},c{j}#{t}]"] = feat(f"X[{name}]", f"occ{k}.f")
+    labels: dict[str, Feature] = {}
+    for name, (part, label) in wanted.items():
+        piece, vmap = table[part], vmaps[part]
+        facets = (tuple(vmap[v] for v in f) for f in piece.complex.facets)
+        labels[name] = map_feature(piece.feature(label), vmap) if label else Feature.subcomplex(facets)
 
     lc = LabeledComplex(merged, labels)
     _check_compiled(phi, lc, glued)
@@ -321,34 +330,6 @@ def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) ->
     bound = _SIZE_CONSTANT * max(1, phi.n + phi.size)
     if count > bound:
         raise ReductionError(f"compiled complex has {count} simplices > {bound}")
-
-
-def build_K_phi(phi: Formula) -> LabeledComplex:
-    """Compile a formula into its marked 2-complex.
-
-    The output is pure 2-dimensional with all vertex links connected, its
-    reduced Euler characteristic equals the variable count, and its label
-    table names every gadget feature: the conjunction house ``A`` with
-    ``v_and``/``f_and`` and one ``f(u_i)`` per variable, each variable's
-    sphere ``S(u_i)`` with disks ``D[u_i]``/``D[~u_i]``, the connector
-    gadgets ``O``/``B``/``X``, and per-occurrence rays ``p[lit,cj#t]`` /
-    ``f[lit,cj#t]`` indexed by clause and position, so repeated literals
-    in a clause stay distinguishable.  All of these postconditions are
-    machine-checked on every compile, each where it can fail:
-
-    * on the parts, by ``gadgets._check_gadget``, called by each
-      builder, once per shape per compile: each gadget's purity, free
-      faces, reduced Euler characteristic and vertex links;
-    * at the glue, by ``_amalgamate_with_maps``: no part has two of its
-      vertices merged, faces of two parts meet only inside identified
-      features (checked among the glued vertices), and the facets are
-      the mapped facets of the parts;
-    * on K_phi, by ``_check_compiled``: purity on the recorded facets,
-      the reduced Euler characteristic, the size bound by the face count,
-      and vertex links at the glued vertices;
-    * the labels, by ``LabeledComplex``: every labeled face is in K_phi.
-    """
-    return _compile(phi)
 
 
 # -- the collapse schedule --------------------------------------------------------
@@ -392,7 +373,7 @@ def schedule_collapse(
     holds a coface of one of its faces meets a step whose face is not
     free in the index, and the replay raises ``CollapseError``.
     """
-    lc = _compile(phi)
+    lc = build_K_phi(phi)
     a = {int(v): bool(assignment[v]) for v in assignment}
     if set(a) != set(range(1, phi.n + 1)):
         raise ReductionError("assignment must cover exactly the formula's variables")
@@ -517,7 +498,7 @@ def decide_phi_via_complex(phi: Formula) -> SearchResult:
     the extracted assignment.  Raises ``InternalError`` when the winning
     removal does not read back as a model.
     """
-    lc = _compile(phi)
+    lc = build_K_phi(phi)
     pools = [
         sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
         for i in range(1, phi.n + 1)

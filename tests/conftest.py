@@ -205,7 +205,7 @@ def oracle_amalgamate(parts, identifications):
 
 def oracle_build_K_phi(phi):
     """Reference K_phi: the same parts, identifications and labels as
-    ``reduction._compile``, glued and checked whole."""
+    ``reduction.build_K_phi``, glued and checked whole."""
     occ = _occurrences(phi)
     occ_slot = {jt: k for slots in occ.values() for k, jt in enumerate(slots, start=1)}
     attachments = tuple(f"f(u{i})" for i in range(1, phi.n + 1))

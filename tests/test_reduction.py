@@ -16,6 +16,7 @@ from shellkit.complex_core import (
     to_json,
     vertex_links_connected,
 )
+from shellkit.gadgets import fixtures
 from shellkit.reduction import (
     CnfError,
     Formula,
@@ -140,9 +141,24 @@ def test_build_K_phi_caches():
     assert build_K_phi(XXX) is build_K_phi(Formula(1, ((1, 1, 1),)))
 
 
+def test_compiled_labels_are_read_only():
+    # The cache hands every caller the same K_phi, and ``fixtures()`` the
+    # same complexes, so no caller may edit their tables.
+    lc = build_K_phi(XXX)
+    names = set(lc.labels)
+    with pytest.raises(TypeError):
+        del lc.labels["D[u1]"]
+    with pytest.raises(TypeError):
+        lc.labels["D[u1]"] = lc.labels["D[~u1]"]
+    with pytest.raises(TypeError):
+        del fixtures()["torus_7"]
+    assert set(build_K_phi(Formula(1, ((1, 1, 1),))).labels) == names
+    assert schedule_collapse(XXX, {1: True})
+
+
 def cold_compile(phi: Formula):
     """K_phi compiled from nothing, as a fresh process compiles it."""
-    reduction._compile.cache_clear()
+    reduction.build_K_phi.cache_clear()
     return build_K_phi(phi)
 
 
@@ -239,7 +255,7 @@ def test_cold_compile_checks_only_what_gluing_adds(monkeypatch):
 
         monkeypatch.setattr(reduction, name, counted)
     lc = cold_compile(Formula(3, ((1, -2, 3), (-1, 2, -3), (2, 2, -1))))
-    reduction._compile.cache_clear()
+    reduction.build_K_phi.cache_clear()
     assert builds == {"build_variable_sphere": 1, "build_O": 1, "build_three_house": 1}
     assert all(faces != lc.complex.faces for faces in scanned)
 

@@ -271,9 +271,9 @@ def test_gadget_builders_call_the_one_check(builder):
     assert "_check_gadget" in calls_in((SRC / "gadgets.py").read_text(), builder)
 
 
-# ``reduction._compile`` builds every part through its ``shape`` table, so
-# each gadget shape is built and checked once per compile.
+# ``reduction.build_K_phi`` builds every part through its ``shape`` table,
+# so each gadget shape is built and checked once per compile.
 def test_compile_builds_parts_through_one_table():
-    calls = calls_in((SRC / "reduction.py").read_text(), "_compile")
+    calls = calls_in((SRC / "reduction.py").read_text(), "build_K_phi")
     assert "shape" in calls
     assert calls.isdisjoint(GADGET_BUILDERS)

@@ -2,9 +2,11 @@
 
 Every subcommand emits a RunReport (line-oriented text, or one JSON
 object with ``--json``) and exits 0 on yes/valid, 1 on no/invalid, 2 on
-usage or parse or precondition errors, 3 when a search budget ran out,
-and 4 when an internal invariant failed, so batch callers can tell
-refutation from resignation and a bad input from a fault of shellkit.
+a usage, parse or precondition ``ValueError``, 3 when a search budget ran
+out, and 4 on an ``InternalError``: a failed gadget or compile check, a
+witness of ``check`` that does not replay, or a no of ``solve-sat`` that
+brute force refutes.  So batch callers can tell refutation from
+resignation and a bad input from a fault of shellkit.
 The deciders recurse once per search level and witnesses once per level
 of nesting, so an input deeper than Python's recursion limit (``check
 shellable`` on a strip of a thousand triangles) ends with a message that
@@ -63,8 +65,8 @@ from shellkit.gadgets import (
     fixtures,
 )
 from shellkit.reduction import (
+    SAT_ORACLE_MAX_N,
     Formula,
-    ReductionError,
     _satisfies,
     assignment_from_removal,
     build_K_phi,
@@ -82,10 +84,6 @@ from shellkit.shelling import (
 )
 
 _EXIT = {"yes": 0, "no": 1, "inadmissible": 1, "budget_exceeded": 3}
-
-
-class CliError(ValueError):
-    """User-facing command error (usage, parse, precondition)."""
 
 
 @dataclass(frozen=True)
@@ -163,8 +161,8 @@ def _parse_property(prop: str) -> tuple[str, int | None]:
         try:
             return "k-decomposable", int(prop[len("k-decomposable(") : -1])
         except ValueError:
-            raise CliError(f"bad decomposability order in {prop!r}") from None
-    raise CliError(
+            raise ValueError(f"bad decomposability order in {prop!r}") from None
+    raise ValueError(
         f"unknown property {prop!r}; the properties are shellable, "
         "collapsible, k-decomposable(N) for order N, and hachimori-sd2"
     )
@@ -172,7 +170,7 @@ def _parse_property(prop: str) -> tuple[str, int | None]:
 
 def _cmd_check(args: argparse.Namespace) -> tuple[RunReport, dict]:
     if args.budget < 0:
-        raise CliError(f"--budget must be >= 0, got {args.budget}")
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
     prop, kk = _parse_property(args.property)
     text = _read_input(args.input)
     k = _load_complex(text).complex
@@ -234,8 +232,9 @@ def _witness_doc(prop: str, k: Complex | Formula, witness: tuple, kk: int | None
     """The document for the witness of a yes: of ``check prop`` on the
     complex ``k`` (``kk`` is the order of ``k-decomposable``), or with
     ``prop`` "sat" the certificate of ``solve-sat`` on the formula ``k``.
-    A collapse's target is read off its pairs, as the vertices that no
-    pair frees; the replay in ``check`` confirms it."""
+    A collapse's target is read off its pairs, as the vertices of ``k``
+    that no pair frees (taking out triangles keeps every vertex); the
+    replay in ``check`` confirms it."""
     if prop == "shellable":
         return {"kind": "shelling", "order": [list(face_key(f)) for f in witness]}
     if prop == "k-decomposable":
@@ -252,7 +251,7 @@ def _witness_doc(prop: str, k: Complex | Formula, witness: tuple, kk: int | None
     # Removed facets claim Hachimori's criterion for sd²(k).
     removal, pairs = witness if prop == "hachimori-sd2" else (None, witness)
     freed = {p.free for p in pairs}
-    target = [[v] for v in k.remove_facets(removal or ()).vertices if frozenset([v]) not in freed]
+    target = [[v] for v in k.vertices if frozenset([v]) not in freed]
     doc = {"kind": "collapse", "pairs": [p.as_lists() for p in pairs], "target_facets": target}
     if removal is not None:
         doc["removed_facets"] = _face_lists(removal)
@@ -352,13 +351,10 @@ def _verify_reduction_certificate(text: str, doc: Mapping) -> int | None:
     assignment = {int(v): b for v, b in raw_assignment.items()}
     phi = parse_cnf(text)
     if phi != witness_phi:
-        raise CliError("witness formula does not match the input formula")
+        raise ValueError("witness formula does not match the input formula")
     lc = build_K_phi(phi)
     removal = frozenset(read_faces(doc.get("removal", []), "'removal'"))
-    try:
-        extracted = assignment_from_removal(lc, removal)
-    except ReductionError:
-        extracted = None
+    extracted = assignment_from_removal(lc, removal)
     if extracted is None:
         return None
     if extracted != assignment or not _satisfies(phi, assignment):
@@ -400,22 +396,23 @@ def _cmd_solve_sat(args: argparse.Namespace) -> tuple[RunReport, dict]:
     if res.verdict == "budget_exceeded":
         # The search stops at the first removal past its budget.
         return report, {"reason": f"removal budget of {res.nodes - 1} exceeded"}
-    cert = res.witness[0] if res.yes else None
-    model = sat_oracle(phi) if phi.n <= 24 else None
-    if phi.n <= 24 and (cert is None) != (model is None):
-        dump = {
-            "formula": {"n": phi.n, "clauses": [list(c) for c in phi.clauses]},
-            "complex_verdict": "unsat" if cert is None else "sat",
-            "oracle_verdict": "unsat" if model is None else "sat",
-            "oracle_model": model,
-        }
-        print(
-            "internal disagreement between the complex pipeline and the "
-            "brute-force oracle:\n" + json.dumps(dump, indent=2),
-            file=sys.stderr,
-        )
-        raise InternalError("solver disagreement; see diagnostic dump on stderr")
-    if cert is None:
+    if not res.yes:
+        # A yes reads back as a model of phi (``decide_phi_via_complex``
+        # checks it), so only a no is cross-checked by brute force.
+        model = sat_oracle(phi) if phi.n <= SAT_ORACLE_MAX_N else None
+        if model is not None:
+            dump = {
+                "formula": {"n": phi.n, "clauses": [list(c) for c in phi.clauses]},
+                "complex_verdict": "unsat",
+                "oracle_verdict": "sat",
+                "oracle_model": model,
+            }
+            print(
+                "internal disagreement between the complex pipeline and the "
+                "brute-force oracle:\n" + json.dumps(dump, indent=2),
+                file=sys.stderr,
+            )
+            raise InternalError("solver disagreement; see diagnostic dump on stderr")
         return report, {}
     doc = _witness_doc("sat", phi, res.witness)
     witness_path = args.witness or f"{_stem(args.input)}.sat.witness.json"
@@ -443,7 +440,7 @@ def _cmd_gadget(args: argparse.Namespace) -> tuple[RunReport, dict]:
         payload = {"gadgets": sorted(builders)}
         return RunReport("gadget", "-", "yes"), payload
     if args.name not in builders:
-        raise CliError(
+        raise ValueError(
             f"unknown gadget {args.name!r}; available: {', '.join(sorted(builders))}"
         )
     text = format_facet_lines(builders[args.name]().complex)

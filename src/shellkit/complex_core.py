@@ -22,7 +22,7 @@ MAX_FACET_SIZE = 16
 
 
 class FormatError(ValueError):
-    """Raised for malformed facet-list text, JSON documents, or witnesses."""
+    """Raised for malformed input: facet lines, DIMACS CNF, JSON documents or witnesses."""
 
 
 class InternalError(RuntimeError):

@@ -14,8 +14,9 @@ The lower wall is meshed as a flower of ladders around a hub, which scales
 to any number of attachment rays.  Every builder of a part that K_phi
 glues calls :func:`_check_gadget`, the one postcondition rule (purity,
 exact free-face set, reduced Euler characteristic, the exact set of
-disconnected vertex links), and raises :class:`GadgetError` on any
-violation, so a constructed gadget is trustworthy by construction.
+disconnected vertex links), and raises ``InternalError`` on any
+violation, as the glue checks of ``_amalgamate_with_maps`` do, so a
+constructed gadget is trustworthy by construction.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from shellkit.complex_core import (
     Complex,
     Face,
     Feature,
+    InternalError,
     LabeledComplex,
     UnionFind,
     face_key,
@@ -37,10 +39,6 @@ from shellkit.complex_core import (
     subfaces,
     vertex_links_connected,
 )
-
-
-class GadgetError(ValueError):
-    """A gadget construction violated one of its checked postconditions."""
 
 
 # -- fixture facet lists -------------------------------------------------------
@@ -107,7 +105,7 @@ def torus_7() -> Complex:
 def boundary_simplex(d: int) -> Complex:
     """The boundary of the d-simplex on vertices 0..d."""
     if d < 1:
-        raise GadgetError("boundary_simplex needs d >= 1")
+        raise ValueError("boundary_simplex needs d >= 1")
     return Complex.from_facets(subfaces(range(d + 1), [d]))
 
 
@@ -154,7 +152,7 @@ def _open_flower(hub: int, rays: Sequence[Sequence[int]]) -> list[Face]:
     The boundary runs hub -> rays[0] -> ray tips -> reversed rays[-1] -> hub.
     """
     if len(rays) < 2:
-        raise GadgetError("an open flower needs at least two rays")
+        raise InternalError("an open flower needs at least two rays")
     tris: list[Face] = []
     for a, b in zip(rays, rays[1:]):
         tris.extend(_ladder(hub, a, b))
@@ -169,7 +167,7 @@ def _closed_flower(hub: int, rays: Sequence[Sequence[int]]) -> list[Face]:
     touch the first one.
     """
     if len(rays) < 3:
-        raise GadgetError("a closed flower needs at least three rays")
+        raise InternalError("a closed flower needs at least three rays")
     tris = _open_flower(hub, rays)
     tris.extend(_ladder(hub, rays[-1], rays[0]))
     return tris
@@ -192,9 +190,9 @@ class OneHouseSpec:
         seen = set()
         for name in self.attachments:
             if not name or name.startswith("_"):
-                raise GadgetError(f"bad attachment name: {name!r}")
+                raise ValueError(f"bad attachment name: {name!r}")
             if name in seen or name in ("f", "anchor", "L"):
-                raise GadgetError(f"duplicate or reserved attachment name: {name}")
+                raise ValueError(f"duplicate or reserved attachment name: {name}")
             seen.add(name)
 
 
@@ -225,7 +223,7 @@ def _assemble_house(
     """
     contact, far = f_path[0], f_path[-1]
     if {rim_path[0], rim_path[-1]} != {contact, far}:
-        raise GadgetError("rim path must share both endpoints with the free arc")
+        raise InternalError("rim path must share both endpoints with the free arc")
     apex = next_id
     fresh = [next_id + 1 + i for i in range(5)]
     fan = [
@@ -248,18 +246,18 @@ def _check_gadget(
     """
     k = lc.complex
     if not k.is_pure(2):
-        raise GadgetError(f"{what}: not pure 2-dimensional")
+        raise InternalError(f"{what}: not pure 2-dimensional")
     got = {f for f, _ in free_faces(k)}
     if got != set(free):
-        raise GadgetError(
+        raise InternalError(
             f"{what}: free faces {sorted(map(face_key, got))} != "
             f"expected {sorted(map(face_key, free))}"
         )
     if k.reduced_euler_characteristic() != chi:
-        raise GadgetError(f"{what}: reduced Euler characteristic is not {chi}")
+        raise InternalError(f"{what}: reduced Euler characteristic is not {chi}")
     failing = vertex_links_connected(k)[1]
     if failing != pinched:
-        raise GadgetError(f"{what}: disconnected links at {failing} != expected {pinched}")
+        raise InternalError(f"{what}: disconnected links at {failing} != expected {pinched}")
 
 
 def build_one_house(spec: OneHouseSpec) -> LabeledComplex:
@@ -307,7 +305,7 @@ def build_literal_house(occurrences: int) -> LabeledComplex:
     edge of a clause house glued onto both.
     """
     if occurrences < 0:
-        raise GadgetError("occurrence count cannot be negative")
+        raise ValueError("occurrence count cannot be negative")
     hub = 0
     x, v = 1, 2
     zr, z = 3, 4
@@ -425,7 +423,7 @@ def _check_three_house_star(lc: LabeledComplex) -> None:
         p = lc.feature(f"p{pos}")
         f = lc.feature(f"f{pos}")
         if p.value[-1] != f.value[0]:
-            raise GadgetError("p does not end at its free edge")
+            raise InternalError("p does not end at its free edge")
         edges.update(p.edge_list())
         edges.update(f.edge_list())
     hub = lc.feature("v").value[0]
@@ -434,9 +432,9 @@ def _check_three_house_star(lc: LabeledComplex) -> None:
         for vtx in e:
             degree[vtx] = degree.get(vtx, 0) + 1
     if len(edges) != 10 or degree.get(hub) != 4:
-        raise GadgetError("contact features do not form a 4-ray star")
+        raise InternalError("contact features do not form a 4-ray star")
     if sorted(degree.values()) != sorted([4] + [2] * 6 + [1] * 4):
-        raise GadgetError("contact features do not form a subdivided star")
+        raise InternalError("contact features do not form a subdivided star")
 
 
 def three_house_exit(lc: LabeledComplex, entry: int) -> tuple[CollapseSequence, Complex]:
@@ -452,7 +450,7 @@ def three_house_exit(lc: LabeledComplex, entry: int) -> tuple[CollapseSequence, 
     kept = lc.subcomplex(*names)
     result = collapses_to(lc.complex, kept)
     if not result.yes:
-        raise GadgetError(
+        raise InternalError(
             f"three-house failed to collapse keeping all doors but f{entry}: {result.verdict}"
         )
     return result.witness, kept
@@ -482,7 +480,7 @@ def build_variable_sphere() -> LabeledComplex:
         "D[~u]": Feature.subcomplex(map(face_key, lower)),
     }
     if is_pseudomanifold(k) != "closed":
-        raise GadgetError("variable sphere is not a closed pseudomanifold")
+        raise InternalError("variable sphere is not a closed pseudomanifold")
     lc = LabeledComplex(k, labels)
     _check_gadget(lc, "variable sphere", 1, ())
     return lc
@@ -535,11 +533,11 @@ def map_feature(feat: Feature, vmap: Mapping[int, int]) -> Feature:
 def _pairing(fa: Feature, fb: Feature, what: str) -> list[tuple[int, int]]:
     """Positional vertex pairs induced by identifying two features."""
     if fa.kind != fb.kind:
-        raise GadgetError(f"{what}: cannot identify a {fa.kind} with a {fb.kind}")
+        raise InternalError(f"{what}: cannot identify a {fa.kind} with a {fb.kind}")
     if fa.kind == "subcomplex":
-        raise GadgetError(f"{what}: subcomplex features cannot be identified")
+        raise InternalError(f"{what}: subcomplex features cannot be identified")
     if len(fa.value) != len(fb.value):
-        raise GadgetError(
+        raise InternalError(
             f"{what}: features have {len(fa.value)} and {len(fb.value)} vertices"
         )
     return list(zip(fa.value, fb.value))
@@ -578,13 +576,13 @@ def _amalgamate_with_maps(
     """
     table = dict(parts)
     if len(table) != len(parts):
-        raise GadgetError("part names must be unique")
+        raise InternalError("part names must be unique")
     uf = UnionFind()
     shared_feats: list[tuple[str, Feature]] = []
     for pa, la, pb, lb in identifications:
         for p in (pa, pb):
             if p not in table:
-                raise GadgetError(f"identification names unknown part {p!r}")
+                raise InternalError(f"identification names unknown part {p!r}")
         what = f"{pa}.{la} <-> {pb}.{lb}"
         fa, fb = table[pa].feature(la), table[pb].feature(lb)
         for va, vb in _pairing(fa, fb, what):
@@ -606,7 +604,7 @@ def _amalgamate_with_maps(
             seen: dict[int, int] = {}
             for v, mv in vmap.items():
                 if mv in seen:
-                    raise GadgetError(
+                    raise InternalError(
                         f"identifications merge vertices {seen[mv]} and {v} "
                         f"of part {name!r}"
                     )
@@ -637,7 +635,7 @@ def _amalgamate_with_maps(
         key=lambda t: (len(t), t),
     )
     if collisions:
-        raise GadgetError(
+        raise InternalError(
             f"parts overlap outside the declared identifications: {collisions[:8]}"
         )
 

@@ -34,6 +34,7 @@ from shellkit.complex_core import (
     Complex,
     Face,
     Feature,
+    FormatError,
     InternalError,
     LabeledComplex,
     face_key,
@@ -55,14 +56,7 @@ Assignment = Mapping[int, bool]
 # Ceiling on simplices per unit of formula size, checked at compile time.
 _SIZE_CONSTANT = 400
 
-
-class CnfError(ValueError):
-    """Raised on malformed DIMACS input."""
-
-
-class ReductionError(ValueError):
-    """Raised on bad reduction inputs, blown scale guards, or broken
-    internal collapse preconditions."""
+SAT_ORACLE_MAX_N = 24  # the most variables the exhaustive sat_oracle takes
 
 
 @dataclass(frozen=True)
@@ -79,14 +73,14 @@ class Formula:
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
-            raise ReductionError("variable count must be a nonnegative integer")
+            raise ValueError("variable count must be a nonnegative integer")
         for clause in self.clauses:
             if len(clause) != 3:
-                raise ReductionError(f"clause {clause!r} does not have 3 literals")
+                raise ValueError(f"clause {clause!r} does not have 3 literals")
             for lit in clause:
                 bad = isinstance(lit, bool) or not isinstance(lit, int)
                 if bad or lit == 0 or abs(lit) > self.n:
-                    raise ReductionError(
+                    raise ValueError(
                         f"literal {lit!r} out of range for {self.n} variables"
                     )
 
@@ -97,7 +91,7 @@ class Formula:
 
 
 def parse_cnf(text: str) -> Formula:
-    """Parse DIMACS CNF, accepting only 3-literal clauses."""
+    """Parse DIMACS CNF, accepting only 3-literal clauses, or raise FormatError."""
     n = m = None
     lits: list[int] = []
     clauses: list[tuple[int, int, int]] = []
@@ -107,27 +101,27 @@ def parse_cnf(text: str) -> Formula:
             continue
         if line.startswith("p"):
             if n is not None:
-                raise CnfError(f"line {lineno}: duplicate problem header")
+                raise FormatError(f"line {lineno}: duplicate problem header")
             fields = line.split()
             if len(fields) != 4 or fields[:2] != ["p", "cnf"]:
-                raise CnfError(f"line {lineno}: malformed header {line!r}")
+                raise FormatError(f"line {lineno}: malformed header {line!r}")
             try:
                 n, m = int(fields[2]), int(fields[3])
             except ValueError:
-                raise CnfError(f"line {lineno}: malformed header {line!r}") from None
+                raise FormatError(f"line {lineno}: malformed header {line!r}") from None
             if n < 0 or m < 0:
-                raise CnfError(f"line {lineno}: negative counts in header")
+                raise FormatError(f"line {lineno}: negative counts in header")
             continue
         if n is None:
-            raise CnfError(f"line {lineno}: clause before the problem header")
+            raise FormatError(f"line {lineno}: clause before the problem header")
         for tok in line.split():
             try:
                 lit = int(tok)
             except ValueError:
-                raise CnfError(f"line {lineno}: bad literal {tok!r}") from None
+                raise FormatError(f"line {lineno}: bad literal {tok!r}") from None
             if lit == 0:
                 if len(lits) != 3:
-                    raise CnfError(
+                    raise FormatError(
                         f"clause {len(clauses) + 1} has {len(lits)} literals; "
                         "exactly 3 required"
                     )
@@ -135,16 +129,16 @@ def parse_cnf(text: str) -> Formula:
                 lits.clear()
             else:
                 if abs(lit) > n:
-                    raise CnfError(
+                    raise FormatError(
                         f"line {lineno}: variable {abs(lit)} out of range 1..{n}"
                     )
                 lits.append(lit)
     if n is None:
-        raise CnfError("missing 'p cnf' header")
+        raise FormatError("missing 'p cnf' header")
     if lits:
-        raise CnfError("unterminated clause at end of input")
+        raise FormatError("unterminated clause at end of input")
     if len(clauses) != m:
-        raise CnfError(f"header declares {m} clauses, found {len(clauses)}")
+        raise FormatError(f"header declares {m} clauses, found {len(clauses)}")
     return Formula(n, tuple(clauses))
 
 
@@ -157,10 +151,10 @@ def _satisfies(phi: Formula, a: Assignment) -> bool:
 def sat_oracle(phi: Formula) -> dict[int, bool] | None:
     """Brute-force satisfiability; returns a model or None.
 
-    Exhausts all assignments, so it is guarded to at most 24 variables.
+    Exhausts all assignments, so it takes at most ``SAT_ORACLE_MAX_N`` variables.
     """
-    if phi.n > 24:
-        raise ReductionError(f"sat_oracle is exhaustive; n={phi.n} exceeds 24")
+    if phi.n > SAT_ORACLE_MAX_N:
+        raise ValueError(f"sat_oracle is exhaustive; n={phi.n} exceeds {SAT_ORACLE_MAX_N}")
     for bits in itertools.product((False, True), repeat=phi.n):
         a = {i: bits[i - 1] for i in range(1, phi.n + 1)}
         if _satisfies(phi, a):
@@ -205,7 +199,8 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
     gadgets ``O``/``B``/``X``, and per-occurrence rays ``p[lit,cj#t]`` /
     ``f[lit,cj#t]`` indexed by clause and position, so repeated literals
     in a clause stay distinguishable.  All of these postconditions are
-    machine-checked on every compile, each where it can fail:
+    machine-checked on every compile, each where it can fail, and a
+    failure of the first three raises ``InternalError``:
 
     * on the parts, by ``gadgets._check_gadget``, called by each
       builder, once per shape per compile: each gadget's purity, free
@@ -316,20 +311,20 @@ def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) ->
     """
     k = lc.complex
     if not k.is_pure(2):
-        raise ReductionError("compiled complex is not pure 2-dimensional")
+        raise InternalError("compiled complex is not pure 2-dimensional")
     chi = k.reduced_euler_characteristic()
     if chi != phi.n:
-        raise ReductionError(
+        raise InternalError(
             f"compiled complex has reduced Euler characteristic {chi}, "
             f"expected {phi.n}"
         )
     ok, failing = vertex_links_connected(k, glued)
     if not ok:
-        raise ReductionError(f"compiled complex has a disconnected link at {failing}")
+        raise InternalError(f"compiled complex has a disconnected link at {failing}")
     count = len(k.faces) - 1
     bound = _SIZE_CONSTANT * max(1, phi.n + phi.size)
     if count > bound:
-        raise ReductionError(f"compiled complex has {count} simplices > {bound}")
+        raise InternalError(f"compiled complex has {count} simplices > {bound}")
 
 
 # -- the collapse schedule --------------------------------------------------------
@@ -376,9 +371,9 @@ def schedule_collapse(
     lc = build_K_phi(phi)
     a = {int(v): bool(assignment[v]) for v in assignment}
     if set(a) != set(range(1, phi.n + 1)):
-        raise ReductionError("assignment must cover exactly the formula's variables")
+        raise ValueError("assignment must cover exactly the formula's variables")
     if not _satisfies(phi, a):
-        raise ReductionError("assignment does not satisfy the formula")
+        raise ValueError("assignment does not satisfy the formula")
 
     occ = _occurrences(phi)
     v_and = lc.feature("v_and").value[0]
@@ -392,7 +387,7 @@ def schedule_collapse(
         kept = lc.subcomplex(*kept_labels)
         res = collapses_to(piece, kept)
         if not res.yes:
-            raise ReductionError(f"{what} failed to collapse onto {kept_labels}")
+            raise InternalError(f"{what} failed to collapse onto {kept_labels}")
         if index.collapse(res.witness) != piece.faces - kept.faces:
             raise CollapseError(f"the pairs of {what} remove other faces than its own")
         pairs.extend(res.witness)
@@ -441,7 +436,7 @@ def schedule_collapse(
     # (g) prune the residual star down to the hub vertex.
     tail = collapses_to(index.complex(), Complex.from_facets([[v_and]]))
     if not tail.yes:
-        raise ReductionError("residual complex failed to collapse to v_and")
+        raise InternalError("residual complex failed to collapse to v_and")
     index.collapse(tail.witness)
     if index.faces != {frozenset({v_and})}:
         raise CollapseError("the schedule does not end at v_and")
@@ -457,15 +452,13 @@ def assignment_from_removal(
 ) -> dict[int, bool] | None:
     """Read an assignment off a removal set; None when inadmissible.
 
-    A removal is admissible when every variable sphere loses a triangle
-    (necessarily exactly one, as the cardinality matches the variable
-    count); the variable is true iff its triangle sits in ``D[u]``.
+    A removal is admissible when it has one triangle per variable and
+    every variable sphere loses one of them (so exactly one); the variable
+    is true iff its triangle sits in ``D[u]``.
     """
     chi = k.complex.reduced_euler_characteristic()
     if len(removal) != chi:
-        raise ReductionError(
-            f"removal has {len(removal)} triangles; expected {chi}"
-        )
+        return None
     out: dict[int, bool] = {}
     for i in range(1, chi + 1):
         mine = removal & k.subcomplex(f"S(u{i})").facets

@@ -1,6 +1,7 @@
 import random
 import re
 
+from shellkit import reduction
 from shellkit.collapse import DEFAULT_BUDGET, CollapsePair, SearchResult, _FaceIndex, _sole_facets
 from shellkit.complex_core import (
     Complex,
@@ -287,3 +288,19 @@ def oracle_build_K_phi(phi):
     assert vertex_links_connected(k) == (True, ())
     assert len(k.faces) - 1 <= _SIZE_CONSTANT * max(1, phi.n + phi.size)
     return lc
+
+
+def pendants_at(pick, seen):
+    """An amalgamation that also hangs a triangle on two fresh vertices at
+    each glued vertex ``pick`` chooses.  That keeps purity and the reduced
+    Euler characteristic but disconnects the link there, and only there."""
+    amalgamate = reduction._amalgamate_with_maps
+
+    def glue(parts, idents):
+        k, vmaps, glued = amalgamate(parts, idents)
+        fresh = max(k.vertices) + 1
+        pendants = [(v, fresh + 2 * i, fresh + 2 * i + 1) for i, v in enumerate(pick(glued))]
+        seen.append(glued)
+        return Complex.from_facets([*k.facets, *pendants]), vmaps, glued
+
+    return glue

@@ -5,12 +5,19 @@ import random
 import sys
 
 import pytest
+from conftest import pendants_at
 
-from shellkit import cli, reduction
+from shellkit import cli, gadgets, reduction
 from shellkit.collapse import SearchResult, is_collapsible_2d_greedy
-from shellkit.complex_core import InternalError, parse_facet_lines
+from shellkit.complex_core import (
+    InternalError,
+    from_json,
+    parse_facet_lines,
+    subdivide_labeled,
+    to_json,
+)
 from shellkit.gadgets import OneHouseSpec, boundary_simplex, build_one_house
-from shellkit.reduction import random_formula
+from shellkit.reduction import Formula, build_K_phi, random_formula
 
 SPHERE = "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 WEDGE = "0 1 2\n2 3 4\n"
@@ -230,8 +237,11 @@ def test_certificate_and_sd2_witness_share_the_removal_replay(tmp_path, capsys):
             phi = random_formula(n, rng.randint(1, 3), rng)
             lines = [f"p cnf {n} {len(phi.clauses)}"] + [f"{a} {b} {c} 0" for a, b, c in phi.clauses]
             cnf.write_text("\n".join(lines) + "\n")
-            if run(["solve-sat", str(cnf), "--witness", str(cert)], capsys)[0] == 0:
+            code = run(["solve-sat", str(cnf), "--witness", str(cert)], capsys)[0]
+            if code == 0:
                 break
+            # Redraw only an unsatisfiable formula, so a broken compile fails here.
+            assert code == 1, (phi, code)
         assert run(["reduce", str(cnf), "-o", str(kphi)], capsys)[0] == 0
         cert_doc = json.loads(cert.read_text())
         removal = [frozenset(f) for f in cert_doc["removal"]]
@@ -316,6 +326,33 @@ def test_reduce_then_stats(tmp_path, capsys):
     assert "links-connected: yes" in sout
 
 
+def test_reduce_sd2_writes_the_double_subdivision(tmp_path, capsys):
+    cnf, out_path = tmp_path / "phi.cnf", tmp_path / "phi.sd2.json"
+    cnf.write_text("p cnf 1 1\n1 1 1 0\n")
+    code, out, _ = run(["--json", "reduce", "--sd2", str(cnf), "-o", str(out_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["f-vector"] == [1, 2978, 9132, 6156]
+    sd2, _ = subdivide_labeled(build_K_phi(Formula(1, ((1, 1, 1),))), 2)
+    assert out_path.read_text() == to_json(sd2)
+
+
+def test_json_vertex_declarations(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text('{"vertices":[0,1],"facets":[[0,1,2]]}')
+    code, out, err = run(["stats", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: facets use undeclared vertices: [2]\n"
+    # A declared vertex in no facet is an isolated 0-face.
+    text = '{"vertices":[0,1,2,{"id":3}],"facets":[[0,1,2]]}'
+    path.write_text(text)
+    code, out, _ = run(["--json", "stats", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["stats"]["f-vector"] == [1, 4, 3, 1]
+    lc = from_json(to_json(from_json(text)))
+    assert lc.complex.f_vector() == (1, 4, 3, 1) and frozenset([3]) in lc.complex.faces
+    assert to_json(lc) == to_json(from_json(text))
+
+
 def test_reduce_to_stdout_keeps_report_on_stderr(tmp_path, capsys):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text(CNF)
@@ -384,6 +421,64 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "internal error: erasure and greedy disagree\n"
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve-sat", "verify"])
+def test_broken_compile_exits_four(command, tmp_path, capsys, monkeypatch):
+    # A compile whose link check fails is a fault of shellkit, not of the
+    # formula, on every command that compiles K_phi.
+    cnf, cert = tmp_path / "phi.cnf", tmp_path / "cert.json"
+    cnf.write_text(CNF)
+    assert run(["solve-sat", str(cnf), "--witness", str(cert)], capsys)[0] == 0
+    reduction.build_K_phi.cache_clear()
+    monkeypatch.setattr(reduction, "_amalgamate_with_maps", pendants_at(lambda g: [max(g)], []))
+    argv = {"reduce": [str(cnf)], "solve-sat": [str(cnf)], "verify": [str(cnf), str(cert)]}
+    code, out, err = run([command, *argv[command]], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: compiled complex has a disconnected link at (")
+    assert not (tmp_path / "phi.kphi.json").exists()
+
+
+def test_failed_gadget_check_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(gadgets, "free_faces", lambda k: [])
+    code, out, err = run(["gadget", "three_house"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: three-house: free faces [] != expected [(2, 3), ")
+
+
+def test_solve_sat_runs_brute_force_only_on_a_no(tmp_path, capsys, monkeypatch):
+    calls = []
+    oracle = cli.sat_oracle
+    monkeypatch.setattr(cli, "sat_oracle", lambda phi: calls.append(phi) or oracle(phi))
+    # The walk reads a yes back as a model, so nothing is left to check; brute
+    # force would try 2**20 assignments to reach the only model, all-true.
+    unit = tmp_path / "unit.cnf"
+    unit.write_text("p cnf 20 20\n" + "".join(f"{i} {i} {i} 0\n" for i in range(1, 21)))
+    code, out, _ = run(["solve-sat", str(unit)], capsys)
+    assert (code, calls) == (0, [])
+    assert "verdict: yes" in out
+    unsat = tmp_path / "unsat.cnf"
+    unsat.write_text(UNSAT)
+    assert run(["solve-sat", str(unsat)], capsys)[0] == 1
+    assert calls == [Formula(1, ((1, 1, 1), (-1, -1, -1)))]
+
+
+def test_solve_sat_no_refuted_by_brute_force_exits_four(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "decide_phi_via_complex", lambda phi: SearchResult("no", None, 2))
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(CNF)
+    code, out, err = run(["solve-sat", str(cnf)], capsys)
+    assert (code, out) == (4, "")
+    head, _, rest = err.partition(":\n")
+    assert head == "internal disagreement between the complex pipeline and the brute-force oracle"
+    dump, _, last = rest.rpartition("}\n")
+    assert json.loads(dump + "}") == {
+        "formula": {"n": 2, "clauses": [[1, -2, 2], [-1, 1, 2]]},
+        "complex_verdict": "unsat",
+        "oracle_verdict": "sat",
+        "oracle_model": {"1": False, "2": False},
+    }
+    assert last == "internal error: solver disagreement; see diagnostic dump on stderr\n"
 
 
 @pytest.mark.parametrize("prop, budget", [("shellable", "-5"), ("hachimori-sd2", "-1")])
@@ -648,6 +743,37 @@ def test_verify_fuzz_never_accepts_another_witness(tmp_path, capsys):
             )
             exits.append(code)
         assert exits.count(1) and exits.count(2) > count // 2, (name, exits)
+
+
+# Shedding trees that are well formed but wrong: (complex, k, tree, reason).
+FORGED_TREES = {
+    "empty leaf": (TRIANGLE, 0, {"leaf": []}, "leaf [] claims an empty complex"),
+    "shedding face above k": (
+        TRIANGLE_BOUNDARY,
+        0,
+        {**TRIANGLE_BOUNDARY_TREE, "shedding": [0, 1]},
+        "shedding face of dimension 1 exceeds k=0",
+    ),
+    "node not pure": ("0 1 2\n2 3\n", 0, {"shedding": [3]}, "node complex is not pure"),
+    # The link of 0 is the edge 1 2, but deleting 0 leaves only that edge.
+    "deletion not pure": (
+        TRIANGLE,
+        0,
+        {"shedding": [0], "link": {"leaf": [1, 2]}, "delete": {"leaf": [1, 2]}},
+        "deletion of [0] is not pure 2-dimensional",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_TREES))
+def test_verify_refuses_a_forged_shedding_tree(case, tmp_path, capsys):
+    text, kk, tree, reason = FORGED_TREES[case]
+    path, witness = tmp_path / "input.txt", tmp_path / "witness.json"
+    path.write_text(text)
+    witness.write_text(json.dumps({"kind": "decomposition", "k": kk, "tree": tree}))
+    code, out, _ = run(["verify", str(path), str(witness)], capsys)
+    assert code == 1, out
+    assert "verdict: no" in out and f"reason: {reason}\n" in out
 
 
 def test_decomposition_witness_with_int_ids_verifies(tmp_path, capsys):

@@ -13,7 +13,6 @@ from shellkit.collapse import (
 )
 from shellkit.complex_core import Complex, canonical_form, facets_of, format_facet_lines
 from shellkit.gadgets import (
-    GadgetError,
     OneHouseSpec,
     _amalgamate_with_maps,
     _check_gadget,
@@ -26,7 +25,7 @@ from shellkit.gadgets import (
     map_feature,
     three_house_exit,
 )
-from shellkit.complex_core import Feature, LabeledComplex
+from shellkit.complex_core import Feature, InternalError, LabeledComplex
 
 GOLDEN = {
     "one_house": lambda: build_one_house(OneHouseSpec()),
@@ -67,7 +66,7 @@ def test_one_house_attachments():
         feat = lc.feature(name)
         assert all(f in wall.faces for f in feat.face_set())
     for bad in (("t", "t"), ("anchor",)):
-        with pytest.raises(GadgetError, match="duplicate or reserved"):
+        with pytest.raises(ValueError, match="duplicate or reserved"):
             build_one_house(OneHouseSpec(attachments=bad))
 
 
@@ -210,14 +209,14 @@ def test_amalgamate_rejects_length_mismatch():
     b = LabeledComplex(
         Complex.from_facets([[0, 1, 2]]), {"p": Feature.path([0, 1])}
     )
-    with pytest.raises(GadgetError, match="vertices"):
+    with pytest.raises(InternalError, match="vertices"):
         _amalgamate_with_maps([("a", a), ("b", b)], [("a", "p", "b", "p")])
 
 
 def test_amalgamate_rejects_kind_mismatch():
     a = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {"x": Feature.vertex(0)})
     b = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {"x": Feature.edge(0, 1)})
-    with pytest.raises(GadgetError, match="cannot identify"):
+    with pytest.raises(InternalError, match="cannot identify"):
         _amalgamate_with_maps([("a", a), ("b", b)], [("a", "x", "b", "x")])
 
 
@@ -232,7 +231,7 @@ def test_amalgamate_rejects_hidden_overlap():
         Complex.from_facets([[0, 1, 2]]),
         {"e1": Feature.edge(0, 1), "e2": Feature.edge(1, 2)},
     )
-    with pytest.raises(GadgetError, match="overlap"):
+    with pytest.raises(InternalError, match="overlap"):
         _amalgamate_with_maps(
             [("a", a), ("b", b)],
             [("a", "e1", "b", "e1"), ("a", "e2", "b", "e2")],
@@ -247,7 +246,7 @@ def test_amalgamate_rejects_a_triangle_of_glued_vertices():
     a = LabeledComplex(Complex.from_facets([[0, 1, 2]]), edges)
     b = LabeledComplex(Complex.from_facets([[0, 1, 2], [0, 1, 3]]), edges)
     idents = [("a", name, "b", name) for name in edges]
-    with pytest.raises(GadgetError, match=r"overlap.*\[\(0, 1, 2\)\]"):
+    with pytest.raises(InternalError, match=r"overlap.*\[\(0, 1, 2\)\]"):
         _amalgamate_with_maps([("a", a), ("b", b)], idents)
 
 
@@ -260,7 +259,7 @@ def test_gadget_check_refuses_a_pinched_torus():
 
     pinched = Complex.from_facets(octahedron([0, 1, 2, 3]) + octahedron([6, 7, 8, 9]))
     assert pinched.reduced_euler_characteristic() == 1 and not free_faces(pinched)
-    with pytest.raises(GadgetError, match=r"disconnected links at \(4, 5\)"):
+    with pytest.raises(InternalError, match=r"disconnected links at \(4, 5\)"):
         _check_gadget(LabeledComplex(pinched, {}), "sphere", 1, ())
     _check_gadget(build_variable_sphere(), "sphere", 1, ())
 
@@ -272,7 +271,7 @@ def _o_boundary(lc):
 def test_gadget_check_refuses_an_unlisted_pinch():
     o = build_O()
     _check_gadget(o, "O", -1, _o_boundary(o), pinched=(0,))
-    with pytest.raises(GadgetError, match=r"disconnected links at \(0,\)"):
+    with pytest.raises(InternalError, match=r"disconnected links at \(0,\)"):
         _check_gadget(o, "O", -1, _o_boundary(o))
 
 
@@ -280,7 +279,7 @@ def test_gadget_check_refuses_a_missing_door():
     three = build_three_house()
     doors = [three.feature(f"f{t}").edge_list()[0] for t in (1, 2, 3)]
     _check_gadget(three, "three-house", 0, doors)
-    with pytest.raises(GadgetError, match="free faces"):
+    with pytest.raises(InternalError, match="free faces"):
         _check_gadget(three, "three-house", 0, doors[:2])
 
 
@@ -288,13 +287,24 @@ def test_gadget_check_refuses_a_wrong_euler_characteristic():
     house = build_one_house(OneHouseSpec())
     door = house.feature("f").edge_list()
     _check_gadget(house, "one-house", 0, door)
-    with pytest.raises(GadgetError, match="reduced Euler characteristic is not 1"):
+    with pytest.raises(InternalError, match="reduced Euler characteristic is not 1"):
         _check_gadget(house, "one-house", 1, door)
+
+
+def test_amalgamate_refuses_to_merge_two_vertices_of_one_part():
+    # Vertices 0 and 1 of a are both identified with vertex 0 of b.
+    a = LabeledComplex(
+        Complex.from_facets([[0, 1, 2]]), {"x": Feature.vertex(0), "y": Feature.vertex(1)}
+    )
+    b = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {"z": Feature.vertex(0)})
+    idents = [("a", "x", "b", "z"), ("a", "y", "b", "z")]
+    with pytest.raises(InternalError, match="identifications merge vertices 0 and 1 of part 'a'"):
+        _amalgamate_with_maps([("a", a), ("b", b)], idents)
 
 
 def test_amalgamate_rejects_duplicate_part_names():
     a = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {})
-    with pytest.raises(GadgetError, match="part name"):
+    with pytest.raises(InternalError, match="part name"):
         _amalgamate_with_maps([("a", a), ("a", a)], [])
 
 

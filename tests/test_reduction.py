@@ -4,12 +4,14 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import oracle_build_K_phi
+from conftest import oracle_build_K_phi, pendants_at
 
 from shellkit import complex_core, reduction
 from shellkit.collapse import CollapseError, SearchResult, _FaceIndex, verify_collapse_sequence
 from shellkit.complex_core import (
     Complex,
+    FormatError,
+    InternalError,
     LabeledComplex,
     facets_of,
     subdivide_labeled,
@@ -18,9 +20,7 @@ from shellkit.complex_core import (
 )
 from shellkit.gadgets import fixtures
 from shellkit.reduction import (
-    CnfError,
     Formula,
-    ReductionError,
     assignment_from_removal,
     build_K_phi,
     decide_phi_via_complex,
@@ -45,29 +45,30 @@ def test_parse_cnf_round_trip():
 
 
 def test_parse_cnf_errors():
-    with pytest.raises(CnfError, match="header"):
+    # DIMACS is input text, so a malformed one is a FormatError.
+    with pytest.raises(FormatError, match="header"):
         parse_cnf("1 2 3 0\n")
-    with pytest.raises(CnfError, match="exactly 3"):
+    with pytest.raises(FormatError, match="exactly 3"):
         parse_cnf("p cnf 3 1\n1 2 0\n")
-    with pytest.raises(CnfError, match="range"):
+    with pytest.raises(FormatError, match="range"):
         parse_cnf("p cnf 1 1\n1 1 2 0\n")
-    with pytest.raises(CnfError):
+    with pytest.raises(FormatError, match="header declares 2 clauses, found 1"):
         parse_cnf("p cnf 1 2\n1 1 1 0\n")
-    with pytest.raises(CnfError):
+    with pytest.raises(FormatError, match="unterminated clause"):
         parse_cnf("p cnf 1 1\n1 1 1\n")
 
 
 def test_formula_validation():
-    with pytest.raises(ReductionError):
+    with pytest.raises(ValueError, match=r"\(1, 1\) does not have 3 literals"):
         Formula(1, ((1, 1),))
-    with pytest.raises(ReductionError):
+    with pytest.raises(ValueError, match="literal 0 out of range"):
         Formula(1, ((0, 1, 1),))
-    with pytest.raises(ReductionError):
+    with pytest.raises(ValueError, match="literal 2 out of range"):
         Formula(1, ((2, 1, 1),))
     # Booleans are ints in Python but not literals or counts.
-    with pytest.raises(ReductionError):
+    with pytest.raises(ValueError, match="literal True out of range"):
         Formula(1, ((1, 1, True),))
-    with pytest.raises(ReductionError):
+    with pytest.raises(ValueError, match="variable count must be a nonnegative integer"):
         Formula(True, ((1, 1, 1),))
 
 
@@ -207,29 +208,13 @@ def test_subcomplex_reads_every_label_of_K_phi():
         assert set(lc.subcomplex("s(u1)", "p(u1)").nonempty_faces) == both
 
 
-def pendants_at(pick, seen):
-    """An amalgamation that also hangs a triangle on two fresh vertices at
-    each glued vertex ``pick`` chooses.  That keeps purity and the reduced
-    Euler characteristic but disconnects the link there, and only there."""
-    amalgamate = reduction._amalgamate_with_maps
-
-    def glue(parts, idents):
-        k, vmaps, glued = amalgamate(parts, idents)
-        fresh = max(k.vertices) + 1
-        pendants = [(v, fresh + 2 * i, fresh + 2 * i + 1) for i, v in enumerate(pick(glued))]
-        seen.append(glued)
-        return Complex.from_facets([*k.facets, *pendants]), vmaps, glued
-
-    return glue
-
-
 @pytest.mark.parametrize("phi", [XXX, MIXED])
 @pytest.mark.parametrize("where", ["one", "every"])
 def test_compile_checks_the_link_at_each_glued_vertex(monkeypatch, phi, where):
     seen = []
     pick = (lambda glued: [max(glued)]) if where == "one" else sorted
     monkeypatch.setattr(reduction, "_amalgamate_with_maps", pendants_at(pick, seen))
-    with pytest.raises(ReductionError, match="disconnected link") as info:
+    with pytest.raises(InternalError, match="disconnected link") as info:
         cold_compile(phi)
     assert str(info.value).endswith(str(tuple(pick(seen[0]))))
 
@@ -287,9 +272,9 @@ def test_schedule_collapse_mixed_formula():
 
 
 def test_schedule_collapse_rejects_bad_assignments():
-    with pytest.raises(ReductionError, match="satisfy"):
+    with pytest.raises(ValueError, match="satisfy"):
         schedule_collapse(XXX, {1: False})
-    with pytest.raises(ReductionError):
+    with pytest.raises(ValueError, match="cover exactly the formula's variables"):
         schedule_collapse(MIXED, {1: True})
 
 
@@ -363,9 +348,15 @@ def test_removal_reads_back_as_assignment():
 
 
 def test_assignment_from_removal_rejects_wrong_cardinality():
-    lc = build_K_phi(XXX)
-    with pytest.raises(ReductionError):
-        assignment_from_removal(lc, frozenset())
+    # A removal of the wrong size is inadmissible like any other.
+    lc = build_K_phi(MIXED)
+    (cert,) = decide_phi_via_complex(MIXED).witness
+    removal = frozenset(cert.removal)
+    assert assignment_from_removal(lc, removal) == cert.assignment
+    assert assignment_from_removal(lc, frozenset()) is None
+    assert assignment_from_removal(lc, frozenset(cert.removal[:1])) is None
+    extra = next(f for f in lc.complex.facets if f not in removal)
+    assert assignment_from_removal(lc, removal | {extra}) is None
 
 
 def test_assignment_from_removal_inadmissible_is_none():

@@ -10,6 +10,7 @@ Standard library only: it reads the modules and the benchmark with
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -277,3 +278,43 @@ def test_compile_builds_parts_through_one_table():
     calls = calls_in((SRC / "reduction.py").read_text(), "build_K_phi")
     assert "shape" in calls
     assert calls.isdisjoint(GADGET_BUILDERS)
+
+
+def exception_classes(sources: list[str]) -> set[str]:
+    """The classes defined at module level in ``sources`` that derive from
+    a built-in exception, directly or through another class among them."""
+    bases = {}
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+    builtin = {name for name, v in vars(builtins).items() if isinstance(v, type)}
+    found = {
+        name
+        for name, names in bases.items()
+        if any(issubclass(getattr(builtins, b), BaseException) for b in names & builtin)
+    }
+    while grown := {name for name, names in bases.items() if names & found} - found:
+        found |= grown
+    return found
+
+
+def test_exception_classes_finds_derived_errors():
+    sources = [
+        "class A(ValueError):\n    pass\nclass B:\n    pass\n",
+        "class C(A):\n    pass\nclass D(B, RuntimeError):\n    pass\nclass E(C):\n    pass\n",
+    ]
+    assert exception_classes(sources) == {"A", "C", "D", "E"}
+
+
+# A failed invariant is an ``InternalError`` (exit 4) and bad input a
+# ``ValueError`` (exit 2); besides the input text's ``FormatError``, only
+# the collapse and shelling checks and the search budget have their own.
+def test_the_exception_classes_of_src():
+    assert exception_classes([p.read_text() for p in SOURCES]) == {
+        "FormatError",
+        "InternalError",
+        "CollapseError",
+        "ShellingError",
+        "_BudgetExceeded",
+    }

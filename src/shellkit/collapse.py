@@ -203,25 +203,23 @@ def _erase(faces: Iterable[Face], keep: set[Face]) -> tuple[list[CollapsePair], 
     """
     live = set(faces)
     holders = ridge_holders(live)
-
-    def free(r: Face) -> bool:
-        # A collapsed ridge has no holder left, so it never looks free.
-        return len(holders[r]) == 1 and r not in keep
-
-    heap = [face_key(r) for r in holders if free(r)]
+    # A ridge is free when it has one holder and is not kept; a collapsed
+    # ridge has no holder left, so it never looks free.
+    heap = [face_key(r) for r, fs in holders.items() if len(fs) == 1 and r not in keep]
     heapq.heapify(heap)
     pairs: list[CollapsePair] = []
     while heap:
         r = frozenset(heapq.heappop(heap))
-        if not free(r):
+        if len(holders[r]) != 1 or r in keep:
             continue
         (f,) = holders[r]
         pairs.append(CollapsePair(r, f))
         live.discard(f)
         for v in f:
             other = f - {v}
-            holders[other].remove(f)
-            if free(other):
+            fs = holders[other]
+            fs.remove(f)
+            if len(fs) == 1 and other not in keep:
                 heapq.heappush(heap, face_key(other))
     return pairs, live
 

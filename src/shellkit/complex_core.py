@@ -10,8 +10,9 @@ f-vector its leading ``f_{-1}`` entry.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
@@ -179,15 +180,14 @@ class Complex:
     ) -> "Complex":
         """Wrap an already-closed face set (the empty face is added).
 
-        ``facets``, when given, is trusted like the faces: it must be
-        exactly their inclusion-maximal nonempty ones, and is recorded as
-        :attr:`facets` so that no pass over the faces looks for them.
+        The faces are copied once, into the frozenset the complex keeps;
+        with no nonempty face the complex is void.  ``facets``, when
+        given, is trusted like the faces: it must be exactly their
+        inclusion-maximal nonempty ones, and is recorded as :attr:`facets`
+        so that no pass over the faces looks for them.
         """
-        fs = set(faces)
-        fs.discard(frozenset())
-        if fs:
-            fs.add(frozenset())
-        k = cls(frozenset(fs), _trusted=True)
+        fs = frozenset(chain(faces, [frozenset()]))
+        k = cls(fs if len(fs) > 1 else frozenset(), _trusted=True)
         if facets is not None:
             k._facets = frozenset(facets)
         return k
@@ -251,16 +251,12 @@ class Complex:
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_d); the void complex reports (0,)."""
-        if not self._faces:
-            return (0,)
-        counts = [0] * (self.dim + 2)
-        for f in self._faces:
-            counts[len(f)] += 1
-        return tuple(counts)
+        counts = Counter(map(len, self._faces))
+        return tuple(counts[size] for size in range(max(counts, default=0) + 1))
 
     def reduced_euler_characteristic(self) -> int:
         """Sum of (-1)^dim over every face, the empty face included."""
-        return sum(-1 if len(f) % 2 == 0 else 1 for f in self._faces)
+        return sum(c if size % 2 else -c for size, c in enumerate(self.f_vector()))
 
     def is_pure(self, d: int | None = None) -> bool:
         """True when every facet has dimension ``d`` (default: ``self.dim``)."""
@@ -411,27 +407,43 @@ def vertex_links_connected(
 
     Returns ``(ok, failing_vertices)``, the failing vertices in vertex
     order.  A link that is empty or a single vertex counts as connected.
-    One pass over the faces reads every link: an edge {a, b} puts b among
-    the link vertices of a and a among those of b, and a triangle {a, b, c}
-    puts the edge {b, c} in the link of a, {a, c} in that of b and {a, b}
-    in that of c.  Then :func:`graph_connected` runs on each link checked,
-    whose edge ends closure puts among its vertices.
+
+    The link of v is the union of the simplices F - v over the facets F
+    through v, and the 1-skeleton of each is connected, so the link's is
+    connected exactly when these simplices chain together through shared
+    vertices.  One pass over the facets collects the star of each vertex
+    checked, and no other vertex gets any link data.  Then a set-growth
+    merge starts from the vertices of one facet of the star, adds every
+    facet that meets them, and repeats until a pass adds none: a facet
+    left over lies in another component.  Every facet of the star holds
+    v, so v leaves the reached set after each merge; through v any two
+    facets would meet.  No adjacency map is built per link: running
+    :func:`graph_connected` on one costs about twice as much.
     """
-    link_vertices: dict[int, list] = {v: [] for v in k.vertices}
-    link_adj: dict[int, dict] = {v: {} for v in k.vertices}
-    for f in k.faces:
-        if len(f) == 2:
-            a, b = f
-            link_vertices[a].append(b)
-            link_vertices[b].append(a)
-        elif len(f) == 3:
-            a, b, c = f
-            for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
-                adj = link_adj[v]
-                adj.setdefault(x, []).append(y)
-                adj.setdefault(y, []).append(x)
     check = k.vertices if vertices is None else sorted(vertices)
-    bad = [v for v in check if not graph_connected(link_vertices[v], link_adj[v])]
+    stars: dict[int, list[frozenset]] = {v: [] for v in check}
+    for f in k.facets:
+        for v in f:
+            if v in stars:
+                stars[v].append(f)
+    bad = []
+    for v in check:
+        star = stars[v]
+        reach = set(star[0]) if star else set()
+        reach.discard(v)
+        rest = star[1:]
+        while rest:
+            left = []
+            for f in rest:
+                if reach.isdisjoint(f):
+                    left.append(f)
+                else:
+                    reach.update(f)
+                    reach.discard(v)
+            if len(left) == len(rest):
+                bad.append(v)
+                break
+            rest = left
     return (not bad, tuple(bad))
 
 
@@ -563,7 +575,7 @@ class Feature:
 
     @classmethod
     def subcomplex(cls, facets: Iterable[Iterable[int]]) -> "Feature":
-        return cls("subcomplex", tuple(sorted(face_key(f) for f in facets)))
+        return cls("subcomplex", tuple(sorted(map(face_key, facets))))
 
     def edge_list(self) -> list[frozenset]:
         """Edges traversed by a vertex (none), edge (one) or path feature."""
@@ -589,8 +601,8 @@ def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
     subcomplex must be nonempty.
     """
     if feat.kind == "subcomplex":
-        faces = [frozenset(f) for f in feat.value]
-        if frozenset() in faces:
+        faces = list(map(frozenset, feat.value))
+        if not all(faces):
             raise ValueError(f"label {name!r}: subcomplex has an empty face")
     else:
         vs = feat.value
@@ -605,11 +617,9 @@ def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
             if len(set(interior)) != len(interior):
                 raise ValueError(f"label {name!r}: path revisits a vertex")
         faces = feat.face_set()
-    for face in faces:
-        if face not in k.faces:
-            raise ValueError(
-                f"label {name!r}: face {face_key(face)} is not in the complex"
-            )
+    if not k.faces.issuperset(faces):
+        face = next(f for f in faces if f not in k.faces)
+        raise ValueError(f"label {name!r}: face {face_key(face)} is not in the complex")
 
 
 @dataclass(frozen=True)
@@ -679,7 +689,12 @@ def _map_feature_once(feat: Feature, vid: Mapping[frozenset, int]) -> Feature:
             out.append(vid[frozenset([b])])
         return Feature.path(out)
     # The maximal chains inside a closure are the flags of its facets.
-    return Feature.subcomplex(_flags(Complex.from_facets(feat.value).facets, vid))
+    # Distinct faces of one size are already the facets of their closure,
+    # so only a label with mixed sizes or a repeat needs the closure.
+    facets = feat.value
+    if len(set(facets)) < len(facets) or len(set(map(len, facets))) > 1:
+        facets = Complex.from_facets(facets).facets
+    return Feature.subcomplex(_flags(facets, vid))
 
 
 # -- serialization -----------------------------------------------------------

@@ -525,9 +525,10 @@ def build_O() -> LabeledComplex:
 
 def map_feature(feat: Feature, vmap: Mapping[int, int]) -> Feature:
     """Rewrite a feature through a vertex map."""
+    image = vmap.__getitem__
     if feat.kind == "subcomplex":
-        return Feature.subcomplex(tuple(vmap[v] for v in f) for f in feat.value)
-    return Feature(feat.kind, tuple(vmap[v] for v in feat.value))
+        return Feature.subcomplex(map(image, f) for f in feat.value)
+    return Feature(feat.kind, tuple(map(image, feat.value)))
 
 
 def _pairing(fa: Feature, fb: Feature, what: str) -> list[tuple[int, int]]:
@@ -568,17 +569,16 @@ def _amalgamate_with_maps(
       parts.  No face has more than s vertices, so these are exactly the
       facets of the union, and they are recorded with no pass over the
       faces by ``facets_of``.  With mixed sizes the facets stay lazy.
-    * Overlaps, at the glue, among glued vertices only: a nonempty face
-      in two parts has, at each of its vertices, a preimage in each of
-      them, so all its vertices are glued.  Owners are therefore kept for
-      the faces whose vertices are all glued, and any of them owned twice
-      must lie in an identified feature.
+    * Overlaps, at the glue: each part maps injectively, so a face of
+      two or more parts is among the faces mapped so far when the second
+      of them is mapped.  One set intersection per part finds them, and
+      each nonempty one must lie in an identified feature.
     """
     table = dict(parts)
     if len(table) != len(parts):
         raise InternalError("part names must be unique")
     uf = UnionFind()
-    shared_feats: list[tuple[str, Feature]] = []
+    shared: dict[tuple[str, str], Feature] = {}
     for pa, la, pb, lb in identifications:
         for p in (pa, pb):
             if p not in table:
@@ -587,8 +587,7 @@ def _amalgamate_with_maps(
         fa, fb = table[pa].feature(la), table[pb].feature(lb)
         for va, vb in _pairing(fa, fb, what):
             uf.union((pa, va), (pb, vb))
-        shared_feats.append((pa, fa))
-        shared_feats.append((pb, fb))
+        shared[pa, la] = fa
 
     vmaps: dict[str, dict[int, int]] = {}
     ids: dict = {}
@@ -614,26 +613,21 @@ def _amalgamate_with_maps(
             preimages[mv] = preimages.get(mv, 0) + 1
     glued = frozenset(mv for mv, count in preimages.items() if count > 1)
 
+    # The two features of an identification merge positionally, so they
+    # map to the same faces: one side of each is expanded, and a feature
+    # identified several times, like O(u)'s p(u), once.
     allowed: set[Face] = set()
-    for pname, feat in shared_feats:
-        vmap = vmaps[pname]
-        for face in feat.face_set():
-            allowed.add(frozenset(vmap[v] for v in face))
+    for (pname, _), feat in shared.items():
+        allowed |= map_feature(feat, vmaps[pname]).face_set()
     faces: set[Face] = set()
-    owners: dict[Face, set[str]] = {}
+    overlap: set[Face] = set()
     for name, lc in parts:
-        vmap = vmaps[name]
-        image = vmap.__getitem__
-        local_glued = frozenset(v for v, mv in vmap.items() if mv in glued)
-        for face in lc.complex.faces:
-            mapped = frozenset(map(image, face))
-            faces.add(mapped)
-            if face and face <= local_glued:
-                owners.setdefault(mapped, set()).add(name)
-    collisions = sorted(
-        (face_key(f) for f, who in owners.items() if len(who) > 1 and f not in allowed),
-        key=lambda t: (len(t), t),
-    )
+        image = vmaps[name].__getitem__
+        mapped = [frozenset(map(image, face)) for face in lc.complex.faces]
+        overlap |= faces.intersection(mapped)
+        faces.update(mapped)
+    overlap.discard(frozenset())
+    collisions = sorted(map(face_key, overlap - allowed), key=lambda t: (len(t), t))
     if collisions:
         raise InternalError(
             f"parts overlap outside the declared identifications: {collisions[:8]}"

@@ -199,8 +199,8 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
     gadgets ``O``/``B``/``X``, and per-occurrence rays ``p[lit,cj#t]`` /
     ``f[lit,cj#t]`` indexed by clause and position, so repeated literals
     in a clause stay distinguishable.  All of these postconditions are
-    machine-checked on every compile, each where it can fail, and a
-    failure of the first three raises ``InternalError``:
+    machine-checked on every compile, each where it can fail, and any
+    failure raises ``InternalError``:
 
     * on the parts, by ``gadgets._check_gadget``, called by each
       builder, once per shape per compile: each gadget's purity, free
@@ -283,10 +283,13 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
     labels: dict[str, Feature] = {}
     for name, (part, label) in wanted.items():
         piece, vmap = table[part], vmaps[part]
-        facets = (tuple(vmap[v] for v in f) for f in piece.complex.facets)
+        facets = (map(vmap.__getitem__, f) for f in piece.complex.facets)
         labels[name] = map_feature(piece.feature(label), vmap) if label else Feature.subcomplex(facets)
 
-    lc = LabeledComplex(merged, labels)
+    try:
+        lc = LabeledComplex(merged, labels)
+    except ValueError as exc:
+        raise InternalError(f"compiled {exc}") from None
     _check_compiled(phi, lc, glued)
     return lc
 

@@ -290,6 +290,13 @@ def oracle_build_K_phi(phi):
     return lc
 
 
+def misplaced_vertex_labels(feat, vmap):
+    """``map_feature`` that maps every vertex label to -1, which is no
+    vertex of K_phi."""
+    mapped = map_feature(feat, vmap)
+    return Feature.vertex(-1) if mapped.kind == "vertex" else mapped
+
+
 def pendants_at(pick, seen):
     """An amalgamation that also hangs a triangle on two fresh vertices at
     each glued vertex ``pick`` chooses.  That keeps purity and the reduced

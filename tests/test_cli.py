@@ -5,7 +5,7 @@ import random
 import sys
 
 import pytest
-from conftest import pendants_at
+from conftest import misplaced_vertex_labels, pendants_at
 
 from shellkit import cli, gadgets, reduction
 from shellkit.collapse import SearchResult, is_collapsible_2d_greedy
@@ -437,6 +437,16 @@ def test_broken_compile_exits_four(command, tmp_path, capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert err.startswith("internal error: compiled complex has a disconnected link at (")
     assert not (tmp_path / "phi.kphi.json").exists()
+
+
+def test_misplaced_compiled_label_exits_four(tmp_path, capsys, monkeypatch):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(CNF)
+    reduction.build_K_phi.cache_clear()
+    monkeypatch.setattr(reduction, "map_feature", misplaced_vertex_labels)
+    code, out, err = run(["reduce", str(cnf)], capsys)
+    assert (code, out) == (4, "")
+    assert err == "internal error: compiled label 'v_and': face (-1,) is not in the complex\n"
 
 
 def test_failed_gadget_check_exits_four(capsys, monkeypatch):

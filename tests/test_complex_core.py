@@ -1,6 +1,7 @@
 """Core complex machinery against independent brute-force oracles."""
 
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -399,6 +400,28 @@ def test_vertex_links_match_union_find_oracle():
     assert vertex_links_connected(o_gadget.complex) == (False, (v,))
 
 
+# Each vertex's link, all at once and for a subset: the vertex where the
+# pieces meet is the only one whose link falls apart.
+LINK_EDGE_CASES = {
+    "bowtie": ([[0, 1, 2], [0, 3, 4]], (0,)),
+    "triangle and dangling edge": ([[0, 1, 2], [0, 3]], (0,)),
+    "two tetrahedra at a vertex": ([[0, 1, 2, 3], [0, 4, 5, 6]], (0,)),
+    # A merge that kept the vertex itself would join the fans through it.
+    "two fans at a vertex": ([[0, 1, 2], [0, 2, 3], [0, 4, 5], [0, 5, 6]], (0,)),
+}
+
+
+@pytest.mark.parametrize("case", LINK_EDGE_CASES)
+def test_vertex_links_edge_cases(case):
+    facets, pinched = LINK_EDGE_CASES[case]
+    k = Complex.from_facets(facets)
+    assert vertex_links_connected(k) == oracle_vertex_links_connected(k) == (False, pinched)
+    assert vertex_links_connected(k, [0]) == (False, (0,))
+    others = [v for v in k.vertices if v != 0]
+    assert vertex_links_connected(k, others) == (True, ())
+    assert vertex_links_connected(k, [0, *others]) == (False, (0,))
+
+
 # -- canonical form --
 
 
@@ -465,6 +488,31 @@ def test_subdivided_subcomplex_label_is_maximal_chains():
             for f in sub.feature("part").value
         }
         assert image == maximal
+
+
+def test_subdivided_json_labels_map_like_their_closure():
+    # Labels read from JSON may mix face sizes, list a face of another
+    # face or repeat one.  Each maps to the faces whose carrier lies in the
+    # closure of the label, as the closure of its faces does.
+    text = json.dumps({
+        "vertices": list(range(5)),
+        "facets": [[0, 1, 2], [0, 2, 3], [3, 4]],
+        "labels": {
+            "mixed": {"kind": "subcomplex", "value": [[0, 1, 2], [3, 4]]},
+            "redundant": {"kind": "subcomplex", "value": [[0, 1, 2], [0, 1], [2]]},
+            "repeat": {"kind": "subcomplex", "value": [[0, 2, 3], [3, 2, 0]]},
+            "plain": {"kind": "subcomplex", "value": [[0, 1, 2], [0, 2, 3]]},
+        },
+    })
+    lc = from_json(text)
+    for levels in (1, 2):
+        sub, overall = subdivide_labeled(lc, levels)
+        for name, feat in lc.labels.items():
+            closure = Complex.from_facets(feat.value).faces
+            preimage = Complex.from_faces(
+                g for g in sub.complex.faces if overall.face_carrier(g) in closure
+            )
+            assert sub.feature(name) == Feature.subcomplex(preimage.facets), (name, levels)
 
 
 def test_subdivision_preserves_chi():

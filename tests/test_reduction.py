@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import oracle_build_K_phi, pendants_at
+from conftest import misplaced_vertex_labels, oracle_build_K_phi, pendants_at
 
 from shellkit import complex_core, reduction
 from shellkit.collapse import CollapseError, SearchResult, _FaceIndex, verify_collapse_sequence
@@ -217,6 +217,13 @@ def test_compile_checks_the_link_at_each_glued_vertex(monkeypatch, phi, where):
     with pytest.raises(InternalError, match="disconnected link") as info:
         cold_compile(phi)
     assert str(info.value).endswith(str(tuple(pick(seen[0]))))
+
+
+def test_compile_refuses_a_label_outside_K_phi(monkeypatch):
+    # A label mapped off K_phi is a fault of the compile, not of the formula.
+    monkeypatch.setattr(reduction, "map_feature", misplaced_vertex_labels)
+    with pytest.raises(InternalError, match=r"^compiled label 'v_and': face \(-1,\) is not in"):
+        cold_compile(XXX)
 
 
 def test_cold_compile_checks_only_what_gluing_adds(monkeypatch):

@@ -280,6 +280,16 @@ def test_compile_builds_parts_through_one_table():
     assert calls.isdisjoint(GADGET_BUILDERS)
 
 
+# ``reduction._check_compiled`` checks the links of K_phi after the glue.
+# A check inside the glue would miss faces added after it, such as the
+# pendant triangles of ``test_compile_checks_the_link_at_each_glued_vertex``.
+def test_compiled_links_are_checked_after_the_glue():
+    source = (SRC / "reduction.py").read_text()
+    assert "vertex_links_connected" in calls_in(source, "_check_compiled")
+    assert "_check_compiled" in calls_in(source, "build_K_phi")
+    assert "vertex_links_connected" not in calls_in((SRC / "gadgets.py").read_text(), "_amalgamate_with_maps")
+
+
 def exception_classes(sources: list[str]) -> set[str]:
     """The classes defined at module level in ``sources`` that derive from
     a built-in exception, directly or through another class among them."""

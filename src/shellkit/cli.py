@@ -51,6 +51,7 @@ from shellkit.complex_core import (
     is_pseudomanifold,
     parse_facet_lines,
     read_faces,
+    sorted_face_keys,
     subdivide_labeled,
     to_json,
     vertex_links_connected,
@@ -225,7 +226,7 @@ def _dump(doc: Mapping) -> str:
 
 
 def _face_lists(faces: Iterable[frozenset]) -> list[list[int]]:
-    return [list(face_key(f)) for f in sorted(faces, key=face_sort_key)]
+    return list(map(list, sorted_face_keys(faces)))
 
 
 def _witness_doc(prop: str, k: Complex | Formula, witness: tuple, kk: int | None = None) -> dict:

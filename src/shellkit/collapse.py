@@ -26,6 +26,7 @@ from shellkit.complex_core import (
     face_sort_key,
     one_skeleton_connected,
     ridge_holders,
+    sorted_face_keys,
     subfaces,
 )
 
@@ -179,8 +180,8 @@ def verify_collapse_sequence(
     index.collapse(pairs)
     result = index.complex()
     if target is not None and result != target:
-        missing = sorted((face_key(f) for f in target.faces - result.faces if f), key=face_sort_key)
-        extra = sorted((face_key(f) for f in result.faces - target.faces if f), key=face_sort_key)
+        missing = sorted_face_keys(f for f in target.faces - result.faces if f)
+        extra = sorted_face_keys(f for f in result.faces - target.faces if f)
         raise CollapseError(
             f"sequence ends at the wrong complex (missing {missing[:5]}, "
             f"extra {extra[:5]})"

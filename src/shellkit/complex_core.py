@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
@@ -39,6 +39,14 @@ def face_sort_key(face: Iterable[int]) -> tuple:
     """Sort faces by dimension first, then lexicographically."""
     k = face_key(face)
     return (len(k), k)
+
+
+def sorted_face_keys(faces: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
+    """The ``face_key`` of each face, in ``face_sort_key`` order.  Each key
+    is computed once: a stable sort by size after the lexicographic one."""
+    keys = sorted(map(face_key, faces))
+    keys.sort(key=len)
+    return keys
 
 
 def facets_of(faces: Collection[frozenset]) -> frozenset:
@@ -468,17 +476,6 @@ class Subdivision:
         return frozenset().union(*(self.vertex_carrier[v] for v in face))
 
 
-def _flags(faces: Iterable[frozenset], vid: Mapping[frozenset, int]) -> Iterator[tuple[int, ...]]:
-    """The maximal chains of faces inside each given face, as ``vid`` tuples.
-
-    A maximal chain {v1} < {v1, v2} < ... < f is one ordering of the
-    vertices of f, so each face yields one tuple per vertex ordering.
-    """
-    for f in faces:
-        for order in permutations(sorted(f)):
-            yield tuple(vid[frozenset(order[:i])] for i in range(1, len(order) + 1))
-
-
 def barycentric_subdivision(k: Complex, levels: int = 1) -> Subdivision:
     """Barycentric subdivision iterated ``levels`` times.
 
@@ -660,14 +657,16 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
     overall = Subdivision(lc.complex, {v: frozenset([v]) for v in lc.complex.vertices}, 0)
     for _ in range(levels):
         k = current.complex
-        originals = sorted(k.nonempty_faces, key=face_sort_key)
-        vid = {f: i for i, f in enumerate(originals)}
-        # Every chain of faces extends to the flag of a facet, so sd is the
-        # closure of the flags; the empty face makes sd(void) the empty-face
-        # complex.
-        flags = Complex.from_facets(_flags(k.facets, vid))
-        sd = flags or Complex(frozenset({frozenset()}), _trusted=True)
-        labels = {name: _map_feature_once(feat, vid) for name, feat in current.labels.items()}
+        # face_sort_key order, each key made once: the size sort is stable.
+        originals = sorted(k.nonempty_faces, key=face_key)
+        originals.sort(key=len)
+        chains = _chains(originals)
+        # A chain is maximal when it is a full flag of a facet of k.
+        facets = [c for f in k.facets for c in chains[f] if len(c) == len(f)]
+        sd = Complex.from_faces(chain.from_iterable(chains.values()), facets)
+        # With no chains from_faces is void, but sd(void) is the empty-face complex.
+        sd = sd or Complex(frozenset({frozenset()}), _trusted=True)
+        labels = {name: _map_feature_once(feat, chains) for name, feat in current.labels.items()}
         current = LabeledComplex(sd, labels)
         overall = Subdivision(
             complex=sd,
@@ -677,24 +676,49 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
     return current, overall
 
 
-def _map_feature_once(feat: Feature, vid: Mapping[frozenset, int]) -> Feature:
+def _chains(originals: list[frozenset]) -> dict[frozenset, list[frozenset]]:
+    """Each face of ``originals``, a closed face set sorted by size, mapped
+    to the chains of faces whose top it is, as sets of positions in
+    ``originals``; the first is the face's own position alone.
+
+    A chain topped by g is g alone, or a chain topped by a proper subface
+    of g with g added.  Subfaces come first in ``originals``, so one pass
+    makes every chain once, and every face of sd is one of these chains.
+    """
+    chains: dict[frozenset, list[frozenset]] = {}
+    for i, g in enumerate(originals):
+        top = frozenset((i,))
+        own = [top]
+        for h in subfaces(g, range(1, len(g))):
+            own.extend([c | top for c in chains[h]])
+        chains[g] = own
+    return chains
+
+
+def _map_feature_once(feat: Feature, chains: Mapping[frozenset, list[frozenset]]) -> Feature:
+    def vid(face) -> int:
+        (i,) = chains[frozenset(face)][0]
+        return i
+
     if feat.kind == "vertex":
-        return Feature.vertex(vid[frozenset(feat.value)])
+        return Feature.vertex(vid(feat.value))
     if feat.kind in ("edge", "path"):
         # An edge (a, b) maps like the two-vertex path: a, ab, b.
         vs = feat.value
-        out = [vid[frozenset([vs[0]])]]
+        out = [vid(vs[:1])]
         for a, b in zip(vs, vs[1:]):
-            out.append(vid[frozenset((a, b))])
-            out.append(vid[frozenset([b])])
+            out.append(vid((a, b)))
+            out.append(vid((b,)))
         return Feature.path(out)
-    # The maximal chains inside a closure are the flags of its facets.
+    # The maximal chains inside a closure are the full flags of its facets.
     # Distinct faces of one size are already the facets of their closure,
     # so only a label with mixed sizes or a repeat needs the closure.
     facets = feat.value
     if len(set(facets)) < len(facets) or len(set(map(len, facets))) > 1:
         facets = Complex.from_facets(facets).facets
-    return Feature.subcomplex(_flags(facets, vid))
+    return Feature.subcomplex(
+        c for f in facets for c in chains[frozenset(f)] if len(c) == len(f)
+    )
 
 
 # -- serialization -----------------------------------------------------------
@@ -718,7 +742,7 @@ def parse_facet_lines(text: str) -> Complex:
 
 
 def format_facet_lines(k: Complex) -> str:
-    lines = [" ".join(str(v) for v in face_key(f)) for f in sorted(k.facets, key=face_sort_key)]
+    lines = [" ".join(map(str, key)) for key in sorted_face_keys(k.facets)]
     return "\n".join(lines) + "\n"
 
 
@@ -728,7 +752,7 @@ def to_json(lc: LabeledComplex | Complex) -> str:
         lc = LabeledComplex(lc, {})
     doc = {
         "vertices": [{"id": v} for v in lc.complex.vertices],
-        "facets": [list(face_key(f)) for f in sorted(lc.complex.facets, key=face_sort_key)],
+        "facets": list(map(list, sorted_face_keys(lc.complex.facets))),
         "labels": {
             name: {"kind": feat.kind, "value": _feature_value_json(feat)}
             for name, feat in sorted(lc.labels.items())

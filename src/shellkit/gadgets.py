@@ -36,6 +36,7 @@ from shellkit.complex_core import (
     UnionFind,
     face_key,
     is_pseudomanifold,
+    sorted_face_keys,
     subfaces,
     vertex_links_connected,
 )
@@ -627,7 +628,7 @@ def _amalgamate_with_maps(
         overlap |= faces.intersection(mapped)
         faces.update(mapped)
     overlap.discard(frozenset())
-    collisions = sorted(map(face_key, overlap - allowed), key=lambda t: (len(t), t))
+    collisions = sorted_face_keys(overlap - allowed)
     if collisions:
         raise InternalError(
             f"parts overlap outside the declared identifications: {collisions[:8]}"

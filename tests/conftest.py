@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import permutations
 
 from shellkit import reduction
 from shellkit.collapse import DEFAULT_BUDGET, CollapsePair, SearchResult, _FaceIndex, _sole_facets
@@ -7,9 +8,11 @@ from shellkit.complex_core import (
     Complex,
     Feature,
     LabeledComplex,
+    Subdivision,
     UnionFind,
     canonical_form,
     face_key,
+    face_sort_key,
     facets_of,
     one_skeleton_connected,
     vertex_links_connected,
@@ -78,6 +81,56 @@ def oracle_vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
         if not all(uf.find(w) == root for w in vs):
             bad.append(v)
     return (not bad, tuple(bad))
+
+
+# -- the flag-closure subdivision -----------------------------------------------
+#
+# The library makes each face of sd(K) once, as a chain topped by a face of
+# K.  This oracle is the subdivision it replaced: it lists the flags of each
+# facet (one per vertex ordering), closes them through
+# ``Complex.from_facets`` and lists the flags again for each label.
+
+
+EMPTY_FACE_COMPLEX = Complex(frozenset({frozenset()}), _trusted=True)
+
+
+def oracle_flags(faces, vid):
+    """The maximal chains of faces inside each given face, as ``vid`` tuples."""
+    for f in faces:
+        for order in permutations(sorted(f)):
+            yield tuple(vid[frozenset(order[:i])] for i in range(1, len(order) + 1))
+
+
+def oracle_map_feature_once(feat: Feature, vid) -> Feature:
+    if feat.kind == "vertex":
+        return Feature.vertex(vid[frozenset(feat.value)])
+    if feat.kind in ("edge", "path"):
+        vs = feat.value
+        out = [vid[frozenset([vs[0]])]]
+        for a, b in zip(vs, vs[1:]):
+            out.append(vid[frozenset((a, b))])
+            out.append(vid[frozenset([b])])
+        return Feature.path(out)
+    return Feature.subcomplex(oracle_flags(Complex.from_facets(feat.value).facets, vid))
+
+
+def oracle_subdivide_labeled(lc: LabeledComplex, levels: int):
+    current = lc
+    overall = Subdivision(lc.complex, {v: frozenset([v]) for v in lc.complex.vertices}, 0)
+    for _ in range(levels):
+        k = current.complex
+        originals = sorted(k.nonempty_faces, key=face_sort_key)
+        vid = {f: i for i, f in enumerate(originals)}
+        flags = Complex.from_facets(oracle_flags(k.facets, vid))
+        sd = flags or EMPTY_FACE_COMPLEX
+        labels = {name: oracle_map_feature_once(feat, vid) for name, feat in current.labels.items()}
+        current = LabeledComplex(sd, labels)
+        overall = Subdivision(
+            complex=sd,
+            vertex_carrier={i: overall.face_carrier(f) for i, f in enumerate(originals)},
+            levels=overall.levels + 1,
+        )
+    return current, overall
 
 
 # -- the all-dimension collapse search, rebuilt at every node ------------------

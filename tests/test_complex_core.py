@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_vertex_links_connected, random_complex, random_pure_2complex
+from conftest import (
+    EMPTY_FACE_COMPLEX,
+    oracle_subdivide_labeled,
+    oracle_vertex_links_connected,
+    random_complex,
+    random_pure_2complex,
+)
 from shellkit.complex_core import (
     Complex,
     Feature,
@@ -513,6 +519,72 @@ def test_subdivided_json_labels_map_like_their_closure():
                 g for g in sub.complex.faces if overall.face_carrier(g) in closure
             )
             assert sub.feature(name) == Feature.subcomplex(preimage.facets), (name, levels)
+
+
+def random_labels(rng: random.Random, k: Complex) -> dict[str, Feature]:
+    """A vertex, an edge, a path (closed when the walk allows) and two
+    subcomplexes of ``k``: distinct faces of mixed sizes, and faces with a
+    repeat and a redundant subface."""
+    if not k.vertices:
+        return {}
+    faces = sorted(k.nonempty_faces, key=face_key)
+    labels = {"spot": Feature.vertex(rng.choice(k.vertices))}
+    labels["part"] = Feature.subcomplex(rng.sample(faces, rng.randint(1, min(4, len(faces)))))
+    f = rng.choice(faces)
+    labels["messy"] = Feature.subcomplex([f, f, *subfaces(f, [rng.randint(1, len(f))])[:1]])
+    edges = [face_key(e) for e in faces if len(e) == 2]
+    if edges:
+        a, b = rng.choice(edges)
+        labels["edge"] = Feature.edge(b, a)
+        walk = [a, b]
+        for _ in range(rng.randint(0, 4)):
+            ends = [c for c in k.vertices if frozenset((walk[-1], c)) in k.faces]
+            ends = [c for c in ends if c not in walk or (c == walk[0] and len(walk) > 2)]
+            if not ends:
+                break
+            walk.append(rng.choice(ends))
+            if walk[-1] == walk[0]:
+                break
+        labels["walk"] = Feature.path(walk)
+    return labels
+
+
+def test_subdivision_matches_flag_closure_oracle():
+    # Every face of sd(K) is made once, as a chain topped by a face of K;
+    # the oracle closes the flags of the facets instead.  Labels go
+    # through JSON, as the CLI reads them.
+    rng = random.Random(33)
+    cases = [LabeledComplex(Complex.empty(), {}), LabeledComplex(EMPTY_FACE_COMPLEX, {})]
+    for dim in (0, 1, 2, 3):
+        for pure in (True, False):
+            for _ in range(4):
+                pool = rng.randint(dim + 1, dim + 5)
+                sizes = [dim + 1] + [
+                    dim + 1 if pure else rng.randint(1, dim + 1) for _ in range(rng.randint(0, 5))
+                ]
+                facets = [rng.sample(range(pool), size) for size in sizes]
+                if dim and not pure:
+                    # A smaller facet through a new vertex can lie in no other.
+                    facets.append([pool, *rng.sample(range(pool), rng.randint(0, dim - 1))])
+                k = Complex.from_facets(facets)
+                cases.append(from_json(to_json(LabeledComplex(k, random_labels(rng, k)))))
+    assert sum(not lc.complex.is_pure() for lc in cases) == 12
+    assert sum(lc.complex.dim == 3 for lc in cases) >= 8
+    kinds = Counter(feat.kind for lc in cases for feat in lc.labels.values())
+    assert min(kinds[kind] for kind in ("vertex", "edge", "path", "subcomplex")) >= 10
+    for lc in cases:
+        for levels in (0, 1, 2):
+            sub, overall = subdivide_labeled(lc, levels)
+            want, want_overall = oracle_subdivide_labeled(lc, levels)
+            assert sub.complex.faces == want.complex.faces
+            if levels and lc.complex.vertices:
+                # Recorded, so no pass over the faces looks for them.
+                assert sub.complex._facets is not None
+            assert sub.complex.facets == facets_of(sub.complex.faces)
+            assert overall.vertex_carrier == want_overall.vertex_carrier
+            assert overall.levels == want_overall.levels == levels
+            assert dict(sub.labels) == dict(want.labels)
+            assert to_json(sub) == to_json(want)
 
 
 def test_subdivision_preserves_chi():

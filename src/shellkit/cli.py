@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import sys
@@ -557,6 +558,7 @@ def _emit(report: RunReport, payload: Mapping, as_json: bool, to_stderr: bool) -
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     started = time.perf_counter()
+    gc.freeze()  # the command's collections skip every object alive before it
     try:
         report, payload = args.handler(args)
     except InternalError as exc:
@@ -574,6 +576,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.collect()  # frees the command's own cycles; the frozen heap is not scanned
+        gc.unfreeze()
     report = dataclasses.replace(
         report,
         wall_time=time.perf_counter() - started,

@@ -548,15 +548,18 @@ class Feature:
         amalgamation).
     kind "path": value is an ordered vertex tuple; closed paths repeat the
         first vertex at the end.
-    kind "subcomplex": value is a tuple of facet tuples.
+    kind "subcomplex": value is the frozenset of the frozenset faces whose
+        closure it is (a repeat is held once); only :func:`to_json` orders them.
     """
 
     kind: str
-    value: tuple
+    value: tuple | frozenset
 
     def __post_init__(self):
         if self.kind not in _FEATURE_KINDS:
             raise ValueError(f"unknown feature kind {self.kind!r}")
+        if self.kind == "subcomplex":
+            object.__setattr__(self, "value", frozenset(map(frozenset, self.value)))
 
     @classmethod
     def vertex(cls, v: int) -> "Feature":
@@ -572,7 +575,7 @@ class Feature:
 
     @classmethod
     def subcomplex(cls, facets: Iterable[Iterable[int]]) -> "Feature":
-        return cls("subcomplex", tuple(sorted(map(face_key, facets))))
+        return cls("subcomplex", facets)
 
     def edge_list(self) -> list[frozenset]:
         """Edges traversed by a vertex (none), edge (one) or path feature."""
@@ -598,8 +601,8 @@ def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
     subcomplex must be nonempty.
     """
     if feat.kind == "subcomplex":
-        faces = list(map(frozenset, feat.value))
-        if not all(faces):
+        faces = feat.value
+        if frozenset() in faces:
             raise ValueError(f"label {name!r}: subcomplex has an empty face")
     else:
         vs = feat.value
@@ -711,14 +714,12 @@ def _map_feature_once(feat: Feature, chains: Mapping[frozenset, list[frozenset]]
             out.append(vid((b,)))
         return Feature.path(out)
     # The maximal chains inside a closure are the full flags of its facets.
-    # Distinct faces of one size are already the facets of their closure,
-    # so only a label with mixed sizes or a repeat needs the closure.
+    # Faces of one size are already the facets of their closure, so only
+    # a label with mixed sizes needs the closure.
     facets = feat.value
-    if len(set(facets)) < len(facets) or len(set(map(len, facets))) > 1:
+    if len(set(map(len, facets))) > 1:
         facets = Complex.from_facets(facets).facets
-    return Feature.subcomplex(
-        c for f in facets for c in chains[frozenset(f)] if len(c) == len(f)
-    )
+    return Feature.subcomplex(c for f in facets for c in chains[f] if len(c) == len(f))
 
 
 # -- serialization -----------------------------------------------------------
@@ -747,7 +748,8 @@ def format_facet_lines(k: Complex) -> str:
 
 
 def to_json(lc: LabeledComplex | Complex) -> str:
-    """Canonical JSON for a (labeled) complex; round-trips bit-exactly."""
+    """Canonical JSON for a (labeled) complex; round-trips bit-exactly.
+    The one place that orders a subcomplex label's faces: by ``face_key``."""
     if isinstance(lc, Complex):
         lc = LabeledComplex(lc, {})
     doc = {
@@ -766,7 +768,7 @@ def _feature_value_json(feat: Feature):
         return feat.value[0]
     if feat.kind in ("edge", "path"):
         return list(feat.value)
-    return [list(f) for f in feat.value]
+    return [list(f) for f in sorted(map(face_key, feat.value))]
 
 
 def from_json(text: str) -> LabeledComplex:

@@ -284,7 +284,7 @@ def build_one_house(spec: OneHouseSpec) -> LabeledComplex:
     labels = {
         "f": Feature.edge(hub, contact),
         "anchor": Feature.vertex(hub),
-        "L": Feature.subcomplex(map(face_key, wall)),
+        "L": Feature.subcomplex(wall),
     }
     labels.update((name, Feature.edge(hub, end)) for name, end in ends.items())
     lc = LabeledComplex(Complex.from_facets(facets), labels)
@@ -338,7 +338,7 @@ def build_literal_house(occurrences: int) -> LabeledComplex:
         "p": Feature.path((v, x, hub)),
         "v": Feature.vertex(v),
         "v_and": Feature.vertex(hub),
-        "L": Feature.subcomplex(map(face_key, wall)),
+        "L": Feature.subcomplex(wall),
     }
     for n, (p_verts, f_edge) in enumerate(occ_feats, start=1):
         labels[f"occ{n}.p"] = Feature.path(p_verts)
@@ -477,8 +477,8 @@ def build_variable_sphere() -> LabeledComplex:
         "s(u)": Feature.path((0, 1, 2, 3, 0)),
         "f[u]": Feature.edge(0, pole_pos),
         "f[~u]": Feature.edge(0, pole_neg),
-        "D[u]": Feature.subcomplex(map(face_key, upper)),
-        "D[~u]": Feature.subcomplex(map(face_key, lower)),
+        "D[u]": Feature.subcomplex(upper),
+        "D[~u]": Feature.subcomplex(lower),
     }
     if is_pseudomanifold(k) != "closed":
         raise InternalError("variable sphere is not a closed pseudomanifold")

@@ -347,16 +347,15 @@ def schedule_collapse(
     ``b(u)`` and each ``O(u)`` onto ``s(u) + p(u)``, (f) finish the
     unsatisfied disks and literal houses, and (g) prune the residual
     star to ``v_and``.  Each piece, a punctured disk, a disk, a whole
-    house or an ``O(u)``, goes onto the faces it shares with what comes
-    later, read off K_phi's own labels, by one ``collapses_to``, and a
-    no raises.
+    house, an ``O(u)`` or the residual star, goes onto the faces it
+    shares with what comes later (the last onto ``v_and``), read off
+    K_phi's own labels, by one ``collapses_to``, and a no raises.
 
     One face index of K_phi minus the punctures, which
     ``Complex.remove_facets`` checks, carries the schedule: each pair is
-    replayed on it once, each piece's pairs must remove exactly its
-    faces outside its kept ones, and the prune must leave exactly
-    ``v_and``.  So the result is replayable evidence, not a trace of
-    intent.
+    replayed on it once, and each piece's pairs must remove exactly its
+    faces outside its kept ones, so the prune leaves exactly ``v_and``.
+    So the result is replayable evidence, not a trace of intent.
 
     This one replay implies both conditions for gluing local collapses.
     Let a piece M keep M', and let its pairs, which come from M, remove
@@ -379,7 +378,6 @@ def schedule_collapse(
         raise ValueError("assignment does not satisfy the formula")
 
     occ = _occurrences(phi)
-    v_and = lc.feature("v_and").value[0]
     sat_sign = {i: i if a[i] else -i for i in a}
     disks = [lc.subcomplex(f"D[{_lit_name(sat_sign[i])}]") for i in range(1, phi.n + 1)]
     removal = [min((f for f in d.faces if len(f) == 3), key=face_key) for d in disks]
@@ -437,13 +435,7 @@ def schedule_collapse(
         literal_house(-sat_sign[i])
 
     # (g) prune the residual star down to the hub vertex.
-    tail = collapses_to(index.complex(), Complex.from_facets([[v_and]]))
-    if not tail.yes:
-        raise InternalError("residual complex failed to collapse to v_and")
-    index.collapse(tail.witness)
-    if index.faces != {frozenset({v_and})}:
-        raise CollapseError("the schedule does not end at v_and")
-    pairs.extend(tail.witness)
+    collapse("the residual star", index.complex(), ["v_and"])
     return frozenset(removal), tuple(pairs)
 
 

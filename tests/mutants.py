@@ -1,0 +1,195 @@
+"""Mutation checks: break one claim of the code at a time, and see a test fail.
+
+Run from anywhere, with the test dependencies installed:
+
+    python3 tests/mutants.py
+
+Each mutant names a file, an exact snippet of its source, the replacement,
+the claim the replacement breaks and the pytest targets (test files or test
+ids) that must catch it.  For each mutant the tree is copied to a temporary
+directory, the snippet is replaced there (the working tree is never
+written), and the targets run in that copy under a timeout.  A mutant is
+*killed* when a test fails, *survived* when every test passes, and *timed
+out* when the run overruns; any other pytest exit is an *error*.  The
+script first runs every target on an unmutated copy, and stops with exit 2
+unless they all pass there; it exits 0 only when every mutant is killed.
+
+pytest does not collect this file: its name does not start with
+``test_``.  ``tests/test_source_hygiene.py`` checks that each snippet still
+occurs exactly once in its file, so a change that moves the code must move
+its mutant too.  Add a new mutant here instead of describing it elsewhere.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# Seconds per mutant: each target set takes a few seconds on an unmutated tree.
+TIMEOUT_S = 300
+_SKIP = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench", "BENCH_*.json"
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    claim: str
+    tests: tuple[str, ...]
+
+
+CATALOGUE = (
+    Mutant(
+        "label-writer-size-first",
+        "src/shellkit/complex_core.py",
+        "return [list(f) for f in sorted(map(face_key, feat.value))]",
+        "return [list(f) for f in sorted_face_keys(feat.value)]",
+        "to_json writes a subcomplex label's faces in plain face_key order",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "label-check-without-subset-test",
+        "src/shellkit/complex_core.py",
+        "    if not k.faces.issuperset(faces):\n",
+        "    if False:\n",
+        "a label whose faces are not all in the complex is refused",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "label-map-without-mixed-size-closure",
+        "src/shellkit/complex_core.py",
+        "    if len(set(map(len, facets))) > 1:\n",
+        "    if False:\n",
+        "a label with faces of mixed sizes maps like the closure of its faces",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "compile-without-b(u)",
+        "src/shellkit/reduction.py",
+        '        wanted[f"b({u})"] = (f"O({u})", "b(u)")\n',
+        "",
+        "K_phi labels the edge b(u) that B(u) collapses onto",
+        ("tests/test_reduction.py",),
+    ),
+    Mutant(
+        "link-merge-keeps-v-after-first-facet",
+        "src/shellkit/complex_core.py",
+        "        reach.discard(v)\n        rest = star[1:]\n",
+        "        rest = star[1:]\n",
+        "the link merge leaves v out of the reached set, so facets meet only off v",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "chains-only-through-ridges",
+        "src/shellkit/complex_core.py",
+        "        for h in subfaces(g, range(1, len(g))):\n",
+        "        for h in subfaces(g, [len(g) - 1]):\n",
+        "every chain of sd(K) is made: chains extend through every proper subface",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "label-chains-one-short",
+        "src/shellkit/complex_core.py",
+        "Feature.subcomplex(c for f in facets for c in chains[f] if len(c) == len(f))",
+        "Feature.subcomplex(c for f in facets for c in chains[f] if len(c) + 1 == len(f))",
+        "a subcomplex label maps to the full flags of its facets",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "command-without-freeze",
+        "src/shellkit/cli.py",
+        "    gc.freeze()  # the command's collections skip every object alive before it\n",
+        "",
+        "a command runs with the heap alive before it frozen",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "command-without-collect",
+        "src/shellkit/cli.py",
+        "        gc.collect()  # frees the command's own cycles; the frozen heap is not scanned\n",
+        "",
+        "the reference cycles a command made are freed when it returns",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "command-without-thaw",
+        "src/shellkit/cli.py",
+        "        gc.unfreeze()\n",
+        "",
+        "the heap is thawed when a command returns, on every exit",
+        ("tests/test_cli.py",),
+    ),
+)
+
+
+def apply(root: Path, mutant: Mutant) -> None:
+    """Replace the mutant's snippet in the tree at ``root``; the snippet
+    must occur exactly once."""
+    target = root / mutant.path
+    source = target.read_text()
+    count = source.count(mutant.snippet)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: snippet occurs {count} times in {mutant.path}")
+    target.write_text(source.replace(mutant.snippet, mutant.replacement))
+
+
+def run(mutant: Mutant | None, tests: tuple[str, ...]) -> tuple[str, float]:
+    """The verdict on one mutant, or on the unmutated tree when ``mutant``
+    is None, and the seconds its tests took."""
+    with tempfile.TemporaryDirectory(prefix="shellkit-mutant-") as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(ROOT, copy, ignore=_SKIP)
+        if mutant is not None:
+            apply(copy, mutant)
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+        started = time.perf_counter()
+        # A session of its own, so that a timeout kills every process the tests start.
+        proc = subprocess.Popen(
+            cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            code = proc.wait(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return "timed out", time.perf_counter() - started
+        elapsed = time.perf_counter() - started
+    verdicts = {0: "survived", 1: "killed"}
+    return verdicts.get(code, f"error (pytest exit {code})"), elapsed
+
+
+def main() -> int:
+    started = time.perf_counter()
+    # The targets must pass on the unmutated tree, or a kill proves nothing.
+    targets = tuple(dict.fromkeys(t for m in CATALOGUE for t in m.tests))
+    verdict, elapsed = run(None, targets)
+    passed = verdict == "survived"
+    print(f"{'passed' if passed else verdict:>10}  {elapsed:6.1f} s  (the unmutated tree)", flush=True)
+    if not passed:
+        return 2
+    verdicts = []
+    for m in CATALOGUE:
+        verdict, elapsed = run(m, m.tests)
+        verdicts.append(verdict)
+        print(f"{verdict:>10}  {elapsed:6.1f} s  {m.name}: {m.claim}", flush=True)
+    killed = verdicts.count("killed")
+    print(f"{killed} of {len(verdicts)} killed in {time.perf_counter() - started:.1f} s")
+    return 0 if killed == len(verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,10 @@
 """End-to-end runs of the command line entry point, in process."""
 
+import gc
 import json
 import random
 import sys
+import weakref
 
 import pytest
 from conftest import misplaced_vertex_labels, pendants_at
@@ -81,6 +83,53 @@ def test_stats_void_complex(tmp_path, capsys):
     assert doc["stats"]["dimension"] == -1
     assert doc["stats"]["reduced-euler-characteristic"] == 0
     assert doc["stats"]["pseudomanifold"] == "no"
+
+
+class _Node:
+    pass
+
+
+def test_command_runs_with_the_prior_heap_frozen(tmp_path, capsys, monkeypatch):
+    """A command's collections skip the objects alive before it, the
+    cycles it made are freed when it returns, and the heap is thawed
+    again on every exit: a verdict, an error or a fault."""
+    path = tmp_path / "sphere.txt"
+    path.write_text(SPHERE)
+    seen, cycles = [], []
+    parse = cli._PARSER.parse_args
+
+    def frozen_then(outcome):
+        def handler(args):
+            seen.append(gc.get_freeze_count())
+            node = _Node()
+            node.self = node
+            cycles.append(weakref.ref(node))
+            del node  # a raised error's traceback keeps this frame
+            if isinstance(outcome, Exception):
+                raise outcome
+            return handler.real(args)
+
+        def parse_args(argv):
+            args = parse(argv)
+            handler.real = args.handler
+            args.handler = handler
+            return args
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", parse_args)
+
+    assert gc.get_freeze_count() == 0
+    # No automatic collection, so only the command's own can free a cycle.
+    gc.disable()
+    try:
+        for outcome, want in ((None, 0), (ValueError("bad input"), 2), (InternalError("fault"), 4)):
+            frozen_then(outcome)
+            code, _, _ = run(["stats", str(path)], capsys)
+            assert code == want
+            assert seen[-1] > 0
+            assert cycles[-1]() is None
+            assert gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
 
 
 def test_check_shellable_writes_witness(tmp_path, capsys):

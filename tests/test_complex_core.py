@@ -40,6 +40,7 @@ from shellkit.complex_core import (
     vertex_links_connected,
 )
 from shellkit.gadgets import build_O, fixtures
+from shellkit.reduction import Formula, build_K_phi
 
 BD3 = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 STRIP = [[0, 1, 2], [1, 2, 3]]
@@ -521,6 +522,30 @@ def test_subdivided_json_labels_map_like_their_closure():
             assert sub.feature(name) == Feature.subcomplex(preimage.facets), (name, levels)
 
 
+def test_subcomplex_labels_hold_face_sets():
+    # A subcomplex label is a set of faces: their order and repeats do not
+    # count, and only to_json orders them, each once, by face_key.
+    assert Feature.subcomplex([(0, 1), (1, 0)]) == Feature.subcomplex([[1, 0]])
+    assert Feature("subcomplex", [[2, 0]]) == Feature.subcomplex([(0, 2), [2, 0]])
+    text = json.dumps({
+        "vertices": list(range(5)),
+        "facets": [[0, 1, 2], [2, 3], [3, 4]],
+        "labels": {
+            "part": {"kind": "subcomplex", "value": [[4], [4, 3], [2, 1, 0], [4], [0, 2, 1]]},
+        },
+    })
+    lc = from_json(text)
+    assert json.loads(to_json(lc))["labels"]["part"]["value"] == [[0, 1, 2], [3, 4], [4]]
+    assert to_json(from_json(to_json(lc))) == to_json(lc)
+    k_phi = build_K_phi(Formula(1, ((1, 1, 1),)))
+    sd, _ = subdivide_labeled(k_phi, 1)
+    for labeled in (k_phi, sd, lc, from_json(to_json(sd))):
+        values = [feat.value for feat in labeled.labels.values() if feat.kind == "subcomplex"]
+        assert values
+        for value in values:
+            assert type(value) is frozenset and all(type(f) is frozenset for f in value)
+
+
 def random_labels(rng: random.Random, k: Complex) -> dict[str, Feature]:
     """A vertex, an edge, a path (closed when the walk allows) and two
     subcomplexes of ``k``: distinct faces of mixed sizes, and faces with a
@@ -659,7 +684,7 @@ def _validate_feature_closure_oracle(name: str, feat: Feature, k: Complex) -> No
 
 def _degenerate(feat: Feature) -> bool:
     if feat.kind == "subcomplex":
-        return () in feat.value
+        return any(not f for f in feat.value)
     return feat.kind != "vertex" and any(a == b for a, b in zip(feat.value, feat.value[1:]))
 
 

@@ -1,7 +1,8 @@
 """Every name a module of shellkit imports at module level is used there,
 every private module-level name is read by some module of shellkit, and
 every public function, class and method has a reader besides the tests,
-and every builder of a part that K_phi glues calls the one gadget check.
+every builder of a part that K_phi glues calls the one gadget check, and
+every snippet of the mutation catalogue (``tests/mutants.py``) occurs once.
 
 The project has no linter; this keeps an import from outliving the last
 caller of what it imports, and a helper from outliving its last caller.
@@ -14,6 +15,8 @@ import builtins
 from pathlib import Path
 
 import pytest
+
+from mutants import CATALOGUE
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "shellkit"
@@ -328,3 +331,11 @@ def test_the_exception_classes_of_src():
         "ShellingError",
         "_BudgetExceeded",
     }
+
+
+# ``tests/mutants.py`` breaks one claim at a time by replacing an exact
+# snippet of source; a snippet that no longer occurs exactly once would
+# break nothing, or something else.
+@pytest.mark.parametrize("mutant", CATALOGUE, ids=lambda m: m.name)
+def test_each_mutant_snippet_occurs_once(mutant):
+    assert (ROOT / mutant.path).read_text().count(mutant.snippet) == 1

@@ -377,23 +377,21 @@ def is_pseudomanifold(k: Complex) -> str:
     return "with_boundary"
 
 
-def graph_connected(vertices: Collection, adj: Mapping) -> bool:
-    """Connectivity of a graph given as its distinct vertices and a map
-    from a vertex to its neighbours, all among ``vertices`` (a vertex with
-    none may be missing from ``adj``): one depth-first search from any
-    vertex must reach them all.  An empty or one-vertex graph counts as
-    connected."""
-    if len(vertices) <= 1:
-        return True
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
+def graph_connected(vertices: Iterable, adj: Mapping) -> bool:
+    """Connectivity of the graph that ``adj``, a map from a vertex to its
+    neighbours, induces on the distinct ``vertices``: one depth-first
+    search from any of them, passing through them alone, must reach them
+    all.  ``adj`` may name other vertices, which are skipped, and a vertex
+    with no neighbours may be missing from it.  An empty or one-vertex
+    graph counts as connected."""
+    left = set(vertices)
+    stack = [left.pop()] if left else []
     while stack:
         for y in adj.get(stack.pop(), ()):
-            if y not in seen:
-                seen.add(y)
+            if y in left:
+                left.remove(y)
                 stack.append(y)
-    return len(seen) == len(vertices)
+    return not left
 
 
 def one_skeleton_connected(k: Complex) -> bool:

@@ -55,10 +55,19 @@ def _restriction_ok(facet: Face, placed: Counter) -> bool:
     return not placed[r]
 
 
-def _may_be_shellable(facets: Collection[Face], by_ridge: Mapping[Face, list[Face]]) -> bool:
+def _may_be_shellable(
+    facets: Collection[Face],
+    by_ridge: Mapping[Face, list[Face]],
+    adj: Mapping[Face, list[Face]],
+    chi: int,
+    stars: Iterable[Collection[Face]],
+) -> bool:
     """False when the pure complex with these (nonempty) facets cannot be
-    shellable; True promises nothing.  ``by_ridge`` is the caller's
-    ``ridge_holders`` map of ``facets``, which the caller reads too.
+    shellable; True promises nothing.  ``by_ridge`` is its
+    ``ridge_holders`` map, ``adj`` the ``_facet_graph`` of its facets or of
+    a complex that holds them, ``chi`` its χ̃, and ``stars`` the stars (the
+    facets through one vertex) whose connectivity is tested: every star,
+    unless the caller knows that the others pass.
 
     A shellable pure d-complex passes four tests.  For d >= 1 each facet
     after the first meets its predecessors along a ridge, so the facet
@@ -66,35 +75,56 @@ def _may_be_shellable(facets: Collection[Face], by_ridge: Mapping[Face, list[Fac
     links are shellable, so for d >= 2 each link's facet graph is
     connected; the facets f - v of the link of v meet along r - v for the
     ridges r through v, so that graph is the one on the facets through v
-    joined along the ridges through v.  It is a wedge of d-spheres up to
-    homotopy, so (-1)^d χ̃ >= 0.  And for d >= 1, when χ̃ = 0 some ridge
-    lies in one facet alone: a shelling has exactly (-1)^d χ̃ facets whose
-    restriction face is the whole facet (Björner and Wachs, 1996), so with
-    χ̃ = 0 the last facet F has a vertex v outside its restriction face,
-    and the ridge F - v lies in no other facet.
+    joined along the ridges through v, which is the facet graph restricted
+    to the star: two facets through v that share a ridge share v too.  It
+    is a wedge of d-spheres up to homotopy, so (-1)^d χ̃ >= 0.  And for
+    d >= 1, when χ̃ = 0 some ridge lies in one facet alone: a shelling has
+    exactly (-1)^d χ̃ facets whose restriction face is the whole facet
+    (Björner and Wachs, 1996), so with χ̃ = 0 the last facet F has a
+    vertex v outside its restriction face, and the ridge F - v lies in no
+    other facet.
     """
     d = len(next(iter(facets))) - 1
-    star: dict[int, list[Face]] = {}
-    for f in facets:
-        for v in f:
-            star.setdefault(v, []).append(f)
-    adj: dict[Face, list[Face]] = {}
-    star_adj: dict[int, dict[Face, list[Face]]] = {v: {} for v in star}
-    for ridge, around in by_ridge.items():
-        f = around[0]
-        for g in around[1:]:
-            for graph in (adj, *(star_adj[v] for v in ridge)):
-                graph.setdefault(f, []).append(g)
-                graph.setdefault(g, []).append(f)
     if d >= 1 and not graph_connected(facets, adj):
         return False
-    if d >= 2 and not all(graph_connected(star[v], star_adj[v]) for v in star):
+    if d >= 2 and not all(graph_connected(star, adj) for star in stars):
         return False
-    faces = {g for f in facets for g in subfaces(f, range(d + 2))}
-    chi = sum(1 if len(g) % 2 else -1 for g in faces)
     if d >= 1 and chi == 0 and all(len(around) > 1 for around in by_ridge.values()):
         return False
     return (-1) ** d * chi >= 0
+
+
+def _facet_graph(by_ridge: Mapping[Face, list[Face]]) -> dict[Face, list[Face]]:
+    """Each facet mapped to every facet it shares a ridge with.  Each
+    ridge joins all its holders pairwise, so the graph restricted to any
+    subset of the facets is that subset's own facet graph."""
+    adj: dict[Face, list[Face]] = {}
+    for around in by_ridge.values():
+        for f in around:
+            adj.setdefault(f, []).extend(g for g in around if g is not f)
+    return adj
+
+
+def _reduced_euler(facets: Collection[Face]) -> int:
+    """χ̃ of the pure complex spanned by the distinct ``facets`` (nonempty;
+    the facet set {∅} spans the empty-face complex, χ̃ = -1), counted size
+    by size: the faces of r vertices, with sign (-1)^(r - 1), are the empty
+    face for r = 0, the facets for r = d + 1, the vertices of the facets
+    for r = 1, and a set of subfaces for each size between.  No closure is
+    built."""
+    top = len(next(iter(facets)))
+    chi = 0
+    for r in range(top + 1):
+        if r == top:
+            n = len(facets)
+        elif r == 0:
+            n = 1
+        elif r == 1:
+            n = len(frozenset().union(*facets))
+        else:
+            n = len({g for f in facets for g in subfaces(f, [r])})
+        chi += n if r % 2 else -n
+    return chi
 
 
 def _cone_base(k: Complex) -> tuple[Complex, frozenset]:
@@ -159,7 +189,8 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     # each prefix the search builds is a shelling of its own facets, so it
     # passes, and the facets left to place need not pass it.
     by_ridge = ridge_holders(facets)
-    if not _may_be_shellable(facets, by_ridge):
+    chi, stars = _reduced_euler(facets), _cofacets(facets, 0).values()
+    if not _may_be_shellable(facets, by_ridge, _facet_graph(by_ridge), chi, stars):
         return SearchResult("no", None, 0)
     # Bit j of nbrs[i] is set when facets i and j share a ridge, and two
     # facets share at most one.
@@ -201,6 +232,8 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
             return SearchResult("yes", tuple(f | apexes for f in chosen), nodes)
     except _BudgetExceeded:
         return SearchResult("budget_exceeded", None, nodes)
+    finally:
+        del extend  # its cell holds it: free the search without the collector
     return SearchResult("no", None, nodes)
 
 
@@ -221,9 +254,9 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     misses σ but lies in some F ⊇ σ lies in a ridge F - v with v in σ, and
     every other facet through that ridge misses σ; so the deletion is pure
     d-dimensional exactly when each such ridge lies in two or more facets,
-    and its facets are then those missing σ.  One ``ridge_holders`` map per
-    node tests every σ, and serves ``_may_be_shellable`` too; both
-    children are pure by construction.
+    and its facets are then those missing σ.  One ridge map per node tests
+    every σ, and serves ``_may_be_shellable`` too; both children are pure
+    by construction.
 
     A k-decomposable complex is shellable (Provan and Billera, 1980), so
     a node that fails ``_may_be_shellable`` is refuted at once; the full
@@ -232,6 +265,42 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     shedding faces in one fixed order and each child's result depends on
     its facet set alone, so the tree returned for a "yes" is the first one
     in that order.
+
+    The root and every link child (the facets through σ, few) build their
+    state from their facets: the ridge map, the facet graph, χ̃, and the
+    shedding candidates, each face of at most k + 1 vertices with the
+    facets through it, in ``face_key`` order (``_cofacets``).  A deletion
+    child inherits it from its parent (``_deletion_state``), and loses only
+    the facets through σ, the shed facets:
+    - *Ridge map and candidates.*  A face's holders in the child are its
+      holders in the parent less the shed facets, and only the faces of
+      shed facets hold one.  So each map of the child is a copy of the
+      parent's with new lists for those faces alone, a face left with none
+      dropped, and the order kept.
+    - *Facet graph.*  Whether two facets share a ridge depends on the two
+      alone, and ``_facet_graph`` joins every two holders of a ridge, so
+      the graph built at the nearest node built from scratch, walked
+      through the node's own facets only, is the node's facet graph.  It
+      is shared, not copied, and connectivity is tested in full at every
+      node.
+    - *χ̃.*  Let σ̄ be the full simplex on σ.  K = del σ ∪ (σ̄ * lk σ), and
+      the two meet in ∂σ̄ * lk σ, the faces τ ∪ λ with τ ⊊ σ and λ in
+      lk σ.  With χ̃(A ∪ B) = χ̃(A) + χ̃(B) - χ̃(A ∩ B),
+      χ̃(A * B) = -χ̃(A) χ̃(B), χ̃(σ̄) = 0 and χ̃(∂σ̄) = (-1)^|σ| (a sphere
+      of dimension |σ| - 2; the empty-face complex when |σ| = 1):
+      χ̃(del σ) = χ̃(K) - (-1)^|σ| χ̃(lk σ).  The deletion is pure, so
+      del σ is the complex the child's facets span, and χ̃(lk σ) is
+      counted size by size over the link's facets.
+    - *Stars.*  A vertex on no shed facet keeps its star, and its star
+      graph joins facets through the vertex only, so that graph is the
+      parent's too.  A child is explored only after its parent passed
+      ``_may_be_shellable``, so, down the chain of deletions from a node
+      built from scratch, where every star was tested, each such star
+      graph is connected.  Only the stars of the shed facets' vertices are
+      tested again.
+    Each node's prune therefore answers as it would on a state built from
+    scratch, and no verdict, tree or node count depends on the
+    inheritance.
 
     A cone v * L is k-decomposable exactly when L is (Provan and Billera,
     1980), so a cone is decided through its apex link (``_cone_base``), as
@@ -254,7 +323,10 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     facet_ids: dict[Face, int] = {}
     nodes = 0
 
-    def rec(facets: frozenset) -> dict | None:
+    def rec(facets: frozenset, parent: tuple | None = None) -> dict | None:
+        """``parent`` is None for a node built from scratch; for a deletion
+        child it is the child's mask, the facet graph, and the parent's
+        state and shedding face with its facets for ``_deletion_state``."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -265,29 +337,39 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         if len(facets) == 1:
             (facet,) = facets
             return {"leaf": list(face_key(facet))}
-        mask = 0
-        for f in facets:
-            mask |= 1 << facet_ids.setdefault(f, len(facet_ids))
+        if parent is None:
+            mask = 0
+            for f in facets:
+                mask |= 1 << facet_ids.setdefault(f, len(facet_ids))
+        else:
+            mask, adj, *shed = parent
         if mask in exact:
             return exact[mask]
-        by_ridge = ridge_holders(facets)
-        if not _may_be_shellable(facets, by_ridge):
+        if parent is None:
+            by_ridge, chi = ridge_holders(facets), _reduced_euler(facets)
+            adj, cofacets = _facet_graph(by_ridge), _cofacets(facets, kk)
+            stars = [around for sigma, around in cofacets.items() if len(sigma) == 1]
+        else:
+            by_ridge, chi, cofacets, stars = _deletion_state(*shed, kk)
+        if not _may_be_shellable(facets, by_ridge, adj, chi, stars):
             exact[mask] = None
             return None
         # v is in boundary[f] when the ridge f - v lies in f alone.
-        boundary = {f: {v for v in f if len(by_ridge[f - {v}]) == 1} for f in facets}
-        cofacets: dict[Face, list[Face]] = {}
-        for f in facets:
-            for sigma in subfaces(f, range(1, min(kk + 1, len(f)) + 1)):
-                cofacets.setdefault(sigma, []).append(f)
-        for sigma in sorted(cofacets, key=face_key):
-            around = cofacets[sigma]
-            if any(not boundary[f].isdisjoint(sigma) for f in around):
+        boundary: dict[Face, set[int]] = {}
+        for ridge, holders in by_ridge.items():
+            if len(holders) == 1:
+                boundary.setdefault(holders[0], set()).update(holders[0] - ridge)
+        for sigma, around in cofacets.items():
+            if any(not sigma.isdisjoint(boundary.get(f, ())) for f in around):
                 continue
             lk_tree = rec(frozenset(f - sigma for f in around if f != sigma))
             if lk_tree is None:
                 continue
-            dl_tree = rec(facets.difference(around))
+            child_mask = mask
+            for f in around:
+                child_mask &= ~(1 << facet_ids[f])
+            state = (child_mask, adj, by_ridge, chi, cofacets, sigma, around)
+            dl_tree = rec(facets.difference(around), state)
             if dl_tree is None:
                 continue
             tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
@@ -300,9 +382,58 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         tree = rec(k.facets)
     except _BudgetExceeded:
         return SearchResult("budget_exceeded", None, nodes)
+    finally:
+        del rec  # its cell holds it: free the search without the collector
     if tree is not None:
         return SearchResult("yes", (_cone_tree(tree, apexes),), nodes)
     return SearchResult("no", None, nodes)
+
+
+def _cofacets(facets: Iterable[Face], kk: int) -> dict[Face, list[Face]]:
+    """Each face of at most ``kk`` + 1 vertices of ``facets`` mapped to the
+    facets through it, the faces in ``face_key`` order."""
+    cofacets: dict[Face, list[Face]] = {}
+    for f in facets:
+        for sigma in subfaces(f, range(1, kk + 2)):
+            cofacets.setdefault(sigma, []).append(f)
+    return {sigma: cofacets[sigma] for sigma in sorted(cofacets, key=face_key)}
+
+
+def _without(
+    holders: Mapping[Face, list[Face]], faces: Iterable[Face], gone: Collection[Face]
+) -> dict[Face, list[Face]]:
+    """A copy of ``holders`` (a face -> the facets through it) in which the
+    lists of ``faces`` leave out the facets in ``gone``, and a face left
+    with none is dropped.  The faces keep their order."""
+    kept = dict(holders)
+    for face in faces:
+        rest = [g for g in holders[face] if g not in gone]
+        if rest:
+            kept[face] = rest
+        else:
+            del kept[face]
+    return kept
+
+
+def _deletion_state(
+    by_ridge: Mapping[Face, list[Face]],
+    chi: int,
+    cofacets: Mapping[Face, list[Face]],
+    sigma: Face,
+    around: list[Face],
+    kk: int,
+) -> tuple[dict[Face, list[Face]], int, dict[Face, list[Face]], list[list[Face]]]:
+    """The ridge map, χ̃ and ``_cofacets(…, kk)`` of the deletion of the
+    shedding face ``sigma`` from a node with these three, where ``around``
+    are the facets through ``sigma``, and the stars to test again.  The
+    proof is in ``decide_k_decomposable``."""
+    gone = set(around)
+    by_ridge = _without(by_ridge, {f - {v} for f in around for v in f}, gone)
+    touched = {tau for f in around for tau in subfaces(f, range(1, kk + 2))}
+    cofacets = _without(cofacets, touched, gone)
+    lk_chi = _reduced_euler([f - sigma for f in around])
+    stars = [cofacets[tau] for tau in touched if len(tau) == 1 and tau in cofacets]
+    return by_ridge, chi - (-1) ** len(sigma) * lk_chi, cofacets, stars
 
 
 def _cone_tree(tree: dict, apexes: frozenset) -> dict:

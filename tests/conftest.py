@@ -3,7 +3,14 @@ import re
 from itertools import permutations
 
 from shellkit import reduction
-from shellkit.collapse import DEFAULT_BUDGET, CollapsePair, SearchResult, _FaceIndex, _sole_facets
+from shellkit.collapse import (
+    DEFAULT_BUDGET,
+    CollapsePair,
+    SearchResult,
+    _BudgetExceeded,
+    _FaceIndex,
+    _sole_facets,
+)
 from shellkit.complex_core import (
     Complex,
     Feature,
@@ -14,7 +21,10 @@ from shellkit.complex_core import (
     face_key,
     face_sort_key,
     facets_of,
+    graph_connected,
     one_skeleton_connected,
+    ridge_holders,
+    subfaces,
     vertex_links_connected,
 )
 from shellkit.gadgets import (
@@ -28,6 +38,7 @@ from shellkit.gadgets import (
     map_feature,
 )
 from shellkit.reduction import _SIZE_CONSTANT, _lit_name, _occurrences
+from shellkit.shelling import ShellingError, _check_pure_input, _cone_base, _cone_tree
 
 
 def random_pure_2complex(rng: random.Random, max_facets: int = 8, pool: int = 9) -> Complex:
@@ -217,6 +228,99 @@ def oracle_collapses_to(k, target, budget=DEFAULT_BUDGET):
         k, budget, lambda index: index.faces == target_faces,
         lambda index, facets: frozenset(index.faces), target_faces,
     )
+
+
+# -- the decomposition search, rebuilt at every node --------------------------
+#
+# The library's decomposition search hands each deletion child its parent's
+# ridge map, χ̃ and star checks, updated for the shed facets.  This oracle is
+# the search it replaced: every node builds its ridge map, the closure of its
+# facets (to count χ̃) and the facet and star graphs of every vertex from its
+# bare facet set.
+
+
+def oracle_may_be_shellable(facets, by_ridge) -> bool:
+    """The prune on one node from scratch: facet-graph and star-graph
+    connectivity at every vertex, χ̃ over the closure, and the free-ridge
+    test when χ̃ = 0."""
+    d = len(next(iter(facets))) - 1
+    star = {}
+    for f in facets:
+        for v in f:
+            star.setdefault(v, []).append(f)
+    adj = {}
+    star_adj = {v: {} for v in star}
+    for ridge, around in by_ridge.items():
+        f = around[0]
+        for g in around[1:]:
+            for graph in (adj, *(star_adj[v] for v in ridge)):
+                graph.setdefault(f, []).append(g)
+                graph.setdefault(g, []).append(f)
+    if d >= 1 and not graph_connected(facets, adj):
+        return False
+    if d >= 2 and not all(graph_connected(star[v], star_adj[v]) for v in star):
+        return False
+    faces = {g for f in facets for g in subfaces(f, range(d + 2))}
+    chi = sum(1 if len(g) % 2 else -1 for g in faces)
+    if d >= 1 and chi == 0 and all(len(around) > 1 for around in by_ridge.values()):
+        return False
+    return (-1) ** d * chi >= 0
+
+
+def oracle_decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
+    """Reference: ``shelling.decide_k_decomposable`` with every node's
+    ridge map and prune built from its facet set alone."""
+    if kk < 0:
+        raise ShellingError("k must be >= 0")
+    _check_pure_input(k)
+    k, apexes = _cone_base(k)
+    exact = {}
+    nodes = 0
+
+    def rec(facets):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _BudgetExceeded
+        if not facets:
+            return {"leaf": []}
+        if len(facets) == 1:
+            (facet,) = facets
+            return {"leaf": list(face_key(facet))}
+        if facets in exact:
+            return exact[facets]
+        by_ridge = ridge_holders(facets)
+        if not oracle_may_be_shellable(facets, by_ridge):
+            exact[facets] = None
+            return None
+        boundary = {f: {v for v in f if len(by_ridge[f - {v}]) == 1} for f in facets}
+        cofacets = {}
+        for f in facets:
+            for sigma in subfaces(f, range(1, min(kk + 1, len(f)) + 1)):
+                cofacets.setdefault(sigma, []).append(f)
+        for sigma in sorted(cofacets, key=face_key):
+            around = cofacets[sigma]
+            if any(not boundary[f].isdisjoint(sigma) for f in around):
+                continue
+            lk_tree = rec(frozenset(f - sigma for f in around if f != sigma))
+            if lk_tree is None:
+                continue
+            dl_tree = rec(facets.difference(around))
+            if dl_tree is None:
+                continue
+            tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
+            exact[facets] = tree
+            return tree
+        exact[facets] = None
+        return None
+
+    try:
+        tree = rec(k.facets)
+    except _BudgetExceeded:
+        return SearchResult("budget_exceeded", None, nodes)
+    if tree is not None:
+        return SearchResult("yes", (_cone_tree(tree, apexes),), nodes)
+    return SearchResult("no", None, nodes)
 
 
 # -- the whole-complex compile of K_phi ----------------------------------------

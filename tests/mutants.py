@@ -108,6 +108,40 @@ CATALOGUE = (
         ("tests/test_complex_core.py",),
     ),
     Mutant(
+        "deletion-chi-sign-flipped",
+        "src/shellkit/shelling.py",
+        "chi - (-1) ** len(sigma) * lk_chi, cofacets, stars",
+        "chi + (-1) ** len(sigma) * lk_chi, cofacets, stars",
+        "a deletion child's χ̃ is χ̃(K) - (-1)^|σ| χ̃(lk σ)",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "deletion-ridges-keep-a-shed-facet",
+        "src/shellkit/shelling.py",
+        "    by_ridge = _without(by_ridge, {f - {v} for f in around for v in f}, gone)\n",
+        "    by_ridge = _without(by_ridge, {f - {v} for f in around for v in f}, gone - {around[0]})\n",
+        "a deletion child's ridge map holds none of the shed facets",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "deletion-stars-only-at-sigma",
+        "src/shellkit/shelling.py",
+        "if len(tau) == 1 and tau in cofacets]",
+        "if len(tau) == 1 and tau <= sigma and tau in cofacets]",
+        "a deletion child tests again the star of every vertex of the shed facets",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "facet-graph-through-first-holder",
+        "src/shellkit/shelling.py",
+        "        for f in around:\n            adj.setdefault(f, []).extend(g for g in around if g is not f)\n",
+        "        for g in around[1:]:\n"
+        "            adj.setdefault(around[0], []).append(g)\n"
+        "            adj.setdefault(g, []).append(around[0])\n",
+        "the facet graph joins every two holders of a ridge, so it serves every deletion below",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
         "command-without-freeze",
         "src/shellkit/cli.py",
         "    gc.freeze()  # the command's collections skip every object alive before it\n",

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import gc
 import itertools
 import json
 import math
@@ -9,7 +10,12 @@ import random
 
 import pytest
 
-from conftest import pendant_dunce_hat, random_complex, random_pure_2complex
+from conftest import (
+    oracle_decide_k_decomposable,
+    pendant_dunce_hat,
+    random_complex,
+    random_pure_2complex,
+)
 from shellkit.collapse import (
     find_removal,
     is_collapsible_2d_greedy,
@@ -34,6 +40,7 @@ from shellkit.gadgets import dunce_hat, fixtures, torus_7
 from shellkit.reduction import Formula, build_K_phi
 from shellkit.shelling import (
     ShellingError,
+    _deletion_state,
     _may_be_shellable,
     _restriction_ok,
     decide_k_decomposable,
@@ -433,6 +440,127 @@ def test_k_decomposable_matches_full_face_oracle():
     assert seen[12, "budget_exceeded", "no"] + seen[12, "budget_exceeded", "yes"] >= 10, seen
 
 
+def grown_pure_complex(rng: random.Random, d: int, size: int) -> Complex:
+    """A pure d-complex of ``size`` facets grown from one simplex: each new
+    facet holds a ridge of an earlier one and a vertex that is new or, with
+    probability 0.6, an old one.  Its facet graph is connected, so the
+    root prune refutes few of these, and the searches go deep."""
+    facets = [frozenset(range(d + 1))]
+    n = d + 1
+    while len(facets) < size:
+        f = rng.choice(facets)
+        ridge = f - {rng.choice(sorted(f))}
+        if rng.random() < 0.6:
+            v = rng.randrange(n)
+        else:
+            v, n = n, n + 1
+        if v not in ridge and ridge | {v} not in facets:
+            facets.append(ridge | {v})
+    return Complex.from_facets(facets)
+
+
+def test_inherited_search_matches_rebuilding_oracle():
+    # Random pure complexes of dimension 1, 2 and 3, their cones and the
+    # cones of those cones, at every k from 0 to d: the search whose
+    # deletion children inherit their parent's state returns what the
+    # search that rebuilds it at every node returns, the same verdict, tree
+    # and node count, under a budget that binds and one that does not.
+    rng = random.Random(71)
+    bases = [Complex.from_facets(BD3), Complex.from_facets(SEARCHED_NO)]
+    bases.append(barycentric_subdivision(Complex.from_facets(BD3), 1).complex)
+    bases += [random_pure_complex(rng, 1 + i % 3) for i in range(30)]
+    bases += [grown_pure_complex(rng, 2 + i % 2, 12) for i in range(60)]
+    seen = collections.Counter()
+    for family, complexes in (
+        ("base", bases),
+        ("cone", [cone(k) for k in bases[::3]]),
+        ("cone of cone", [cone(cone(k)) for k in bases[::5]]),
+    ):
+        for k in complexes:
+            for kk in range(k.dim + 1):
+                for budget in (15, 3000):
+                    res = decide_k_decomposable(k, kk, budget=budget)
+                    assert res == oracle_decide_k_decomposable(k, kk, budget), (k.facets, kk)
+                    seen[family, budget, res.verdict] += 1
+    for family in ("base", "cone", "cone of cone"):
+        assert seen[family, 3000, "yes"] >= 5 and seen[family, 3000, "no"] >= 5, seen
+    assert seen["base", 15, "budget_exceeded"] >= 5, seen
+
+
+def test_deletion_state_matches_the_built_deletion():
+    # For every face σ of a random pure complex whose deletion is pure of
+    # the same dimension: χ̃(del σ) = χ̃(K) - (-1)^|σ| χ̃(lk σ) on the built
+    # complexes, and the state the deletion inherits is its ridge map, its
+    # χ̃, its faces of at most k + 1 vertices (k = dim σ) with the facets
+    # through each, in face_key order, and every star that shedding σ
+    # changed.
+    def cofacets(k, kk):
+        faces = sorted((g for g in k.nonempty_faces if len(g) <= kk + 1), key=face_key)
+        return {g: [f for f in k.facets if g <= f] for g in faces}
+
+    def as_sets(holders):
+        return list(holders), {face: set(around) for face, around in holders.items()}
+
+    rng = random.Random(73)
+    checked = collections.Counter()
+    for i in range(60):
+        k = random_pure_complex(rng, 1 + i % 3)
+        d = k.dim
+        chi = k.reduced_euler_characteristic()
+        by_ridge = ridge_holders(k.facets)
+        stars = {v: [f for f in k.facets if v in f] for v in k.vertices}
+        for sigma in k.nonempty_faces:
+            dl = k.delete(sigma)
+            if not dl.faces or dl.dim != d or not dl.is_pure(d):
+                continue
+            lk = k.link(sigma)
+            dl_chi = dl.reduced_euler_characteristic()
+            assert dl_chi == chi - (-1) ** len(sigma) * lk.reduced_euler_characteristic()
+            kk = len(sigma) - 1
+            around = [f for f in k.facets if sigma <= f]
+            state = _deletion_state(by_ridge, chi, cofacets(k, kk), sigma, around, kk)
+            got_ridges, got_chi, got_cofacets, got_stars = state
+            assert got_chi == dl_chi, (k.facets, sigma)
+            assert as_sets(got_ridges)[1] == as_sets(ridge_holders(dl.facets))[1]
+            assert as_sets(got_cofacets) == as_sets(cofacets(dl, kk)), (k.facets, sigma)
+            dl_stars = {frozenset(f for f in dl.facets if v in f) for v in k.vertices}
+            changed = {
+                frozenset(f for f in dl.facets if v in f)
+                for v, star in stars.items()
+                if len(star) != len([f for f in dl.facets if v in f])
+            }
+            got = set(map(frozenset, got_stars))
+            assert changed - {frozenset()} <= got <= dl_stars, (k.facets, sigma)
+            checked[len(sigma), len(lk.facets) > 1] += 1
+    assert min(checked[size, many] for size in (1, 2) for many in (False, True)) >= 10, checked
+
+
+def test_deciders_leave_no_reference_cycles():
+    # A search's recursive closure is freed when the call returns, by
+    # reference counting alone, on a yes, a no and an overrun.
+    mdh = fixtures()["modified_dunce_hat"].complex
+    searched_no = Complex.from_facets(SEARCHED_NO)
+    calls = [
+        lambda: decide_k_decomposable(mdh, 1),
+        lambda: decide_k_decomposable(searched_no, 0),
+        lambda: decide_k_decomposable(mdh, 1, budget=5),
+        lambda: decide_shellable(mdh),
+        lambda: decide_shellable(searched_no),
+        lambda: decide_shellable(mdh, budget=3),
+    ]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for call in calls:
+            res = call()
+            assert res.nodes > 0
+            assert gc.collect() == 0, res
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_decide_shellable_matches_definition_oracle():
     complexes = random_pure_complexes(120)
     assert shellable_mismatches(complexes) == []
@@ -443,7 +571,7 @@ def test_decide_shellable_matches_definition_oracle():
 def test_oracle_comparisons_catch_a_wrong_pruning_rule(monkeypatch):
     # A mutant of _may_be_shellable whose χ̃ test has the wrong sign
     # refutes shellable complexes; both oracle comparisons must see it.
-    def chi_sign_flipped(facets, by_ridge):
+    def chi_sign_flipped(facets, by_ridge, adj, chi, stars):
         k = Complex.from_facets(facets)
         return (-1) ** k.dim * k.reduced_euler_characteristic() <= 0
 
@@ -501,6 +629,15 @@ def _pinched_sphere() -> Complex:
     return Complex.from_facets(facets + [[carrier[frozenset({0})], a, max(sub.complex.vertices) + 1]])
 
 
+def full_prune(k: Complex) -> bool:
+    """``_may_be_shellable`` on the whole of ``k``: every star tested, and
+    χ̃ counted over the face set."""
+    by_ridge = ridge_holders(k.facets)
+    adj = {f: [g for g in k.facets if len(f & g) == k.dim] for f in k.facets}
+    stars = [[f for f in k.facets if v in f] for v in k.vertices]
+    return _may_be_shellable(k.facets, by_ridge, adj, k.reduced_euler_characteristic(), stars)
+
+
 def test_may_be_shellable_each_rule_refutes():
     def facet_graph_connected(k):
         adj = collections.defaultdict(list)
@@ -527,7 +664,7 @@ def test_may_be_shellable_each_rule_refutes():
     assert facet_graph_connected(hat) and vertex_links_connected(hat)[0]
     assert hat.reduced_euler_characteristic() == 0 and not has_free_ridge(hat)
     refuted = [disjoint, pinched, torus, hat, Complex.from_facets([[0, 1], [2, 3]])]
-    assert not any(_may_be_shellable(k.facets, ridge_holders(k.facets)) for k in refuted)
+    assert not any(map(full_prune, refuted))
     # Necessary, not sufficient: the dunce hat with a pendant triangle
     # passes, but it is contractible and not collapsible, so not shellable.
     pendant = pendant_dunce_hat()
@@ -535,7 +672,7 @@ def test_may_be_shellable_each_rule_refutes():
     assert is_collapsible_2d_greedy(pendant).verdict == "no"
     passing = [Complex.from_facets(BD3), Complex.from_facets(OCTAHEDRON), pendant]
     passing += [Complex.from_facets([[0], [1], [2]]), Complex.from_facets([[0, 1], [1, 2]])]
-    assert all(_may_be_shellable(k.facets, ridge_holders(k.facets)) for k in passing)
+    assert all(map(full_prune, passing))
 
 
 def test_canonical_from_facets_matches_full_face_oracle():

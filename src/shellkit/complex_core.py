@@ -245,7 +245,8 @@ class Complex:
     def dim(self) -> int:
         """Largest face dimension; -1 for the void and empty-face complexes."""
         if self._dim is None:
-            self._dim = max((len(f) for f in self._faces), default=0) - 1
+            faces = self._faces if self._facets is None else self._facets
+            self._dim = max(map(len, faces), default=0) - 1
         return self._dim
 
     @property
@@ -281,22 +282,55 @@ class Complex:
 
         ``link(())`` is the complex itself.  The link of a face not in the
         complex is void.
+
+        When this complex's facets are known, the link's are recorded as
+        {F - σ : F ⊋ σ} over them, and its faces are theirs and the empty
+        face, so the link costs about the star of σ.  These sets are link
+        faces, since F - σ misses σ and its union with σ is F.  They cover
+        the link: a face τ of it lies with σ in some facet F, so τ lies in
+        F - σ, and F ⊋ σ unless τ is empty.  And they are pairwise
+        incomparable, since F - σ ⊆ G - σ gives F ⊆ G.  So they are exactly
+        its facets.
         """
         s = frozenset(sigma)
         if s not in self._faces:
             return Complex.empty()
         if not s:
             return self
-        out = {f for f in self._faces if not (f & s) and (f | s) in self._faces}
-        return Complex(frozenset(out), _trusted=True)
+        if self._facets is None:
+            out = {f for f in self._faces if not (f & s) and (f | s) in self._faces}
+            return Complex(frozenset(out), _trusted=True)
+        facets = frozenset(f - s for f in self._facets if s < f)
+        faces = {frozenset()}
+        for f in facets:
+            faces.update(subfaces(f, range(len(f) + 1)))
+        lk = Complex(frozenset(faces), _trusted=True)
+        lk._facets = facets
+        return lk
 
     def delete(self, sigma: Iterable[int]) -> "Complex":
-        """Remove every face containing ``sigma`` (a no-op if absent)."""
+        """Remove every face containing ``sigma`` (a no-op if absent).
+
+        When this complex's facets are known, the deletion's are recorded
+        too: the facets G that miss σ, and each nonempty F - v (F ⊇ σ a
+        facet, v in σ) that no such G contains.  A face of the deletion
+        lies in some facet; if every facet over it holds σ, it lies in some
+        F - v, which is in the deletion.  F - v lies in no facet G ⊇ σ but
+        F, since G ⊇ (F - v) ∪ σ = F; so it is maximal in the deletion
+        exactly when no G that misses σ contains it.
+        """
         s = frozenset(sigma)
         if not s:
             return Complex.empty()
         out = frozenset(f for f in self._faces if not s <= f)
-        return Complex(out, _trusted=True)
+        dl = Complex(out, _trusted=True)
+        if self._facets is not None:
+            kept = [g for g in self._facets if not s <= g]
+            freed = {f - {v} for f in self._facets if s <= f for v in s}
+            dl._facets = frozenset(kept).union(
+                t for t in freed if t and not any(t < g for g in kept)
+            )
+        return dl
 
     # perfbench traces this and tests/test_bench_hooks.py pins it, so it
     # leaves with the next benchmark change.
@@ -377,21 +411,33 @@ def is_pseudomanifold(k: Complex) -> str:
     return "with_boundary"
 
 
-def graph_connected(vertices: Iterable, adj: Mapping) -> bool:
+def graph_connected(vertices: Iterable, adj: Mapping, seeds: Iterable | None = None) -> bool:
     """Connectivity of the graph that ``adj``, a map from a vertex to its
-    neighbours, induces on the distinct ``vertices``: one depth-first
+    neighbours, induces on the distinct ``vertices``: one breadth-first
     search from any of them, passing through them alone, must reach them
     all.  ``adj`` may name other vertices, which are skipped, and a vertex
     with no neighbours may be missing from it.  An empty or one-vertex
-    graph counts as connected."""
+    graph counts as connected.
+
+    With ``seeds``, some of the vertices, the answer is whether the seeds
+    lie in one component: the search starts from a seed and stops as soon
+    as it has met them all."""
     left = set(vertices)
-    stack = [left.pop()] if left else []
-    while stack:
-        for y in adj.get(stack.pop(), ()):
+    want = left if seeds is None else set(seeds)
+    if not want:
+        return True
+    start = want.pop()
+    left.discard(start)
+    queue = [start]
+    for x in queue:  # the loop reads what it appends: breadth first
+        if not want:
+            return True
+        for y in adj.get(x, ()):
             if y in left:
                 left.remove(y)
-                stack.append(y)
-    return not left
+                want.discard(y)
+                queue.append(y)
+    return not want
 
 
 def one_skeleton_connected(k: Complex) -> bool:

@@ -63,15 +63,18 @@ def _may_be_shellable(
     stars: Iterable[Collection[Face]],
 ) -> bool:
     """False when the pure complex with these (nonempty) facets cannot be
-    shellable; True promises nothing.  ``by_ridge`` is its
-    ``ridge_holders`` map, ``adj`` the ``_facet_graph`` of its facets or of
-    a complex that holds them, ``chi`` its χ̃, and ``stars`` the stars (the
-    facets through one vertex) whose connectivity is tested: every star,
-    unless the caller knows that the others pass.
+    shellable, given that its facet graph (facets joined along shared
+    ridges) is connected for d >= 1; True promises nothing.  ``by_ridge``
+    is its ``ridge_holders`` map, ``adj`` the ``_facet_graph`` of its
+    facets or of a complex that holds them, ``chi`` its χ̃, and ``stars``
+    the stars (the facets through one vertex) whose connectivity is
+    tested: every star, unless the caller knows that the others pass.
 
     A shellable pure d-complex passes four tests.  For d >= 1 each facet
     after the first meets its predecessors along a ridge, so the facet
-    graph (facets joined along shared ridges) is connected.  Its vertex
+    graph is connected.  That test needs the graph alone, so callers run
+    it first, with ``graph_connected``, and build the rest of the state
+    only for a complex that passes; the other three are here.  Its vertex
     links are shellable, so for d >= 2 each link's facet graph is
     connected; the facets f - v of the link of v meet along r - v for the
     ridges r through v, so that graph is the one on the facets through v
@@ -85,8 +88,6 @@ def _may_be_shellable(
     other facet.
     """
     d = len(next(iter(facets))) - 1
-    if d >= 1 and not graph_connected(facets, adj):
-        return False
     if d >= 2 and not all(graph_connected(star, adj) for star in stars):
         return False
     if d >= 1 and chi == 0 and all(len(around) > 1 for around in by_ridge.values()):
@@ -189,8 +190,10 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     # each prefix the search builds is a shelling of its own facets, so it
     # passes, and the facets left to place need not pass it.
     by_ridge = ridge_holders(facets)
+    adj = _facet_graph(by_ridge)
     chi, stars = _reduced_euler(facets), _cofacets(facets, 0).values()
-    if not _may_be_shellable(facets, by_ridge, _facet_graph(by_ridge), chi, stars):
+    connected = graph_connected(facets, adj)
+    if not (connected and _may_be_shellable(facets, by_ridge, adj, chi, stars)):
         return SearchResult("no", None, 0)
     # Bit j of nbrs[i] is set when facets i and j share a ridge, and two
     # facets share at most one.
@@ -259,8 +262,12 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     by construction.
 
     A k-decomposable complex is shellable (Provan and Billera, 1980), so
-    a node that fails ``_may_be_shellable`` is refuted at once; the full
-    search would refute it too, so verdicts and trees do not change.
+    a node that fails the prune, the facet-graph test and then
+    ``_may_be_shellable``, is refuted at once; the full search would
+    refute it too, so verdicts and trees do not change.  The prune is a
+    conjunction of tests that read the node alone, so their order changes
+    no answer: the facet-graph test runs first, before a deletion child
+    builds any other state, because most refuted nodes fail it.
     Results are memoized exactly, by the facet set.  The search tries
     shedding faces in one fixed order and each child's result depends on
     its facet set alone, so the tree returned for a "yes" is the first one
@@ -281,8 +288,19 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
       alone, and ``_facet_graph`` joins every two holders of a ridge, so
       the graph built at the nearest node built from scratch, walked
       through the node's own facets only, is the node's facet graph.  It
-      is shared, not copied, and connectivity is tested in full at every
-      node.
+      is shared, not copied.
+    - *Connectivity from the frontier.*  For d >= 1 the parent's facet
+      graph is connected, since the parent passed the prune.  So a path
+      in it joins each child facet g to a shed facet; the last child
+      facet on the path before its first shed facet is a *frontier*
+      facet, a child facet that shares a ridge with a shed facet
+      (``_frontier``), and the path up to it runs through child facets.
+      So every child facet lies in the component of a frontier facet, and
+      the child's facet graph is connected exactly when all its frontier
+      facets lie in one component.  ``graph_connected`` tests that with
+      one breadth-first walk from a frontier facet through the child's
+      facets, which stops once it has met them all: about the shed star's
+      surroundings on a connected child, not the whole graph.
     - *χ̃.*  Let σ̄ be the full simplex on σ.  K = del σ ∪ (σ̄ * lk σ), and
       the two meet in ∂σ̄ * lk σ, the faces τ ∪ λ with τ ⊊ σ and λ in
       lk σ.  With χ̃(A ∪ B) = χ̃(A) + χ̃(B) - χ̃(A ∩ B),
@@ -326,7 +344,8 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     def rec(facets: frozenset, parent: tuple | None = None) -> dict | None:
         """``parent`` is None for a node built from scratch; for a deletion
         child it is the child's mask, the facet graph, and the parent's
-        state and shedding face with its facets for ``_deletion_state``."""
+        state and shedding face with its facets, for ``_frontier`` and
+        ``_deletion_state``."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -342,15 +361,26 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
             for f in facets:
                 mask |= 1 << facet_ids.setdefault(f, len(facet_ids))
         else:
-            mask, adj, *shed = parent
+            mask, adj, by_ridge, chi, cofacets, sigma, around = parent
         if mask in exact:
             return exact[mask]
         if parent is None:
-            by_ridge, chi = ridge_holders(facets), _reduced_euler(facets)
-            adj, cofacets = _facet_graph(by_ridge), _cofacets(facets, kk)
+            by_ridge = ridge_holders(facets)
+            adj = _facet_graph(by_ridge)
+        # The facet-graph test (for d >= 1) first: it needs the graph
+        # alone, and most refuted deletion children fail it.
+        if len(next(iter(facets))) > 1:
+            seeds = None if parent is None else _frontier(facets, adj, around)
+            if not graph_connected(facets, adj, seeds):
+                exact[mask] = None
+                return None
+        if parent is None:
+            chi, cofacets = _reduced_euler(facets), _cofacets(facets, kk)
             stars = [around for sigma, around in cofacets.items() if len(sigma) == 1]
         else:
-            by_ridge, chi, cofacets, stars = _deletion_state(*shed, kk)
+            by_ridge, chi, cofacets, stars = _deletion_state(
+                by_ridge, chi, cofacets, sigma, around, kk
+            )
         if not _may_be_shellable(facets, by_ridge, adj, chi, stars):
             exact[mask] = None
             return None
@@ -397,6 +427,15 @@ def _cofacets(facets: Iterable[Face], kk: int) -> dict[Face, list[Face]]:
         for sigma in subfaces(f, range(1, kk + 2)):
             cofacets.setdefault(sigma, []).append(f)
     return {sigma: cofacets[sigma] for sigma in sorted(cofacets, key=face_key)}
+
+
+def _frontier(
+    child: Collection[Face], adj: Mapping[Face, list[Face]], around: list[Face]
+) -> set[Face]:
+    """The facets of a deletion ``child`` that share a ridge with a shed
+    facet, one of ``around``, in the facet graph ``adj`` of a complex that
+    holds them all."""
+    return {g for f in around for g in adj[f] if g in child}
 
 
 def _without(
@@ -464,7 +503,7 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:
             if len(k.faces) > 1:
                 raise ShellingError("leaf [] claims an empty complex")
             return 1
-        if k != Complex.from_facets([facet]):
+        if k.facets != {facet}:
             raise ShellingError(
                 f"leaf {list(face_key(facet))} does not match the complex at this node"
             )

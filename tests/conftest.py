@@ -233,16 +233,19 @@ def oracle_collapses_to(k, target, budget=DEFAULT_BUDGET):
 # -- the decomposition search, rebuilt at every node --------------------------
 #
 # The library's decomposition search hands each deletion child its parent's
-# ridge map, χ̃ and star checks, updated for the shed facets.  This oracle is
-# the search it replaced: every node builds its ridge map, the closure of its
+# ridge map, χ̃ and star checks, updated for the shed facets, and tests its
+# facet graph from the facets next to the shed ones.  This oracle is the
+# search it replaced: every node builds its ridge map, the closure of its
 # facets (to count χ̃) and the facet and star graphs of every vertex from its
-# bare facet set.
+# bare facet set, and walks the whole facet graph.
 
 
-def oracle_may_be_shellable(facets, by_ridge) -> bool:
-    """The prune on one node from scratch: facet-graph and star-graph
-    connectivity at every vertex, χ̃ over the closure, and the free-ridge
-    test when χ̃ = 0."""
+def oracle_failed_rules(facets, by_ridge) -> set:
+    """The rules of the prune that one node fails, each tested from
+    scratch: "graph" (the facet graph is disconnected, d >= 1), "star"
+    (some star graph is, d >= 2), "free" (χ̃ = 0 and no ridge lies in one
+    facet alone, d >= 1) and "chi" ((-1)^d χ̃ < 0), with χ̃ counted over
+    the closure."""
     d = len(next(iter(facets))) - 1
     star = {}
     for f in facets:
@@ -256,20 +259,27 @@ def oracle_may_be_shellable(facets, by_ridge) -> bool:
             for graph in (adj, *(star_adj[v] for v in ridge)):
                 graph.setdefault(f, []).append(g)
                 graph.setdefault(g, []).append(f)
-    if d >= 1 and not graph_connected(facets, adj):
-        return False
-    if d >= 2 and not all(graph_connected(star[v], star_adj[v]) for v in star):
-        return False
     faces = {g for f in facets for g in subfaces(f, range(d + 2))}
     chi = sum(1 if len(g) % 2 else -1 for g in faces)
+    failed = set()
+    if d >= 1 and not graph_connected(facets, adj):
+        failed.add("graph")
+    if d >= 2 and not all(graph_connected(star[v], star_adj[v]) for v in star):
+        failed.add("star")
     if d >= 1 and chi == 0 and all(len(around) > 1 for around in by_ridge.values()):
-        return False
-    return (-1) ** d * chi >= 0
+        failed.add("free")
+    if (-1) ** d * chi < 0:
+        failed.add("chi")
+    return failed
 
 
-def oracle_decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
+def oracle_decide_k_decomposable(
+    k: Complex, kk: int, budget: int = DEFAULT_BUDGET, refuted: list | None = None
+) -> SearchResult:
     """Reference: ``shelling.decide_k_decomposable`` with every node's
-    ridge map and prune built from its facet set alone."""
+    ridge map and prune built from its facet set alone.  When ``refuted``
+    is a list, each node the prune refutes appends to it whether the node
+    is a deletion child and the set of rules it fails."""
     if kk < 0:
         raise ShellingError("k must be >= 0")
     _check_pure_input(k)
@@ -277,7 +287,7 @@ def oracle_decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDG
     exact = {}
     nodes = 0
 
-    def rec(facets):
+    def rec(facets, deletion=False):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -290,7 +300,10 @@ def oracle_decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDG
         if facets in exact:
             return exact[facets]
         by_ridge = ridge_holders(facets)
-        if not oracle_may_be_shellable(facets, by_ridge):
+        failed = oracle_failed_rules(facets, by_ridge)
+        if failed:
+            if refuted is not None:
+                refuted.append((deletion, failed))
             exact[facets] = None
             return None
         boundary = {f: {v for v in f if len(by_ridge[f - {v}]) == 1} for f in facets}
@@ -305,7 +318,7 @@ def oracle_decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDG
             lk_tree = rec(frozenset(f - sigma for f in around if f != sigma))
             if lk_tree is None:
                 continue
-            dl_tree = rec(facets.difference(around))
+            dl_tree = rec(facets.difference(around), deletion=True)
             if dl_tree is None:
                 continue
             tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}

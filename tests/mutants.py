@@ -142,6 +142,38 @@ CATALOGUE = (
         ("tests/test_shelling.py",),
     ),
     Mutant(
+        "frontier-from-first-shed-facet",
+        "src/shellkit/shelling.py",
+        "return {g for f in around for g in adj[f] if g in child}",
+        "return {g for f in around[:1] for g in adj[f] if g in child}",
+        "a deletion child's frontier is every facet next to any shed facet",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "deletion-without-connectivity-test",
+        "src/shellkit/shelling.py",
+        "            seeds = None if parent is None else _frontier(facets, adj, around)\n",
+        "            seeds = None if parent is None else ()\n",
+        "a deletion child whose facet graph is disconnected is refuted",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "leaf-accepts-any-facet-of-the-node",
+        "src/shellkit/shelling.py",
+        "        if k.facets != {facet}:\n",
+        "        if facet not in k.facets:\n",
+        "a leaf verifies only at a node whose one facet it is",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "deletion-facets-keep-covered-faces",
+        "src/shellkit/complex_core.py",
+        "                t for t in freed if t and not any(t < g for g in kept)\n",
+        "                t for t in freed if t\n",
+        "a deletion records a freed face F - v as a facet only when no kept facet holds it",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
         "command-without-freeze",
         "src/shellkit/cli.py",
         "    gc.freeze()  # the command's collections skip every object alive before it\n",

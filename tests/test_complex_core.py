@@ -213,6 +213,32 @@ def test_link_matches_definition_oracle():
             assert got == link_brute(k, sigma)
 
 
+def test_link_and_deletion_record_their_facets():
+    # On random pure and non-pure complexes whose facets are known, the
+    # link and the deletion of every face σ, and of σ = ∅ and of a face not
+    # in the complex, record exactly the facets of their faces, and their
+    # dimension is the largest face's.  A complex whose facets are not
+    # known yet gives the same link and deletion.
+    rng = random.Random(17)
+    complexes = [random_pure_2complex(rng) for _ in range(20)]
+    complexes += [random_complex(rng) for _ in range(20)]
+    assert any(not k.is_pure() for k in complexes)
+    recorded = 0
+    for k in complexes:
+        lazy = Complex.from_faces(k.faces)
+        assert k.facets  # known from here on
+        for sigma in [*k.faces, frozenset({0, 99})]:
+            for op in (Complex.link, Complex.delete):
+                got = op(k, sigma)
+                recorded += sigma in k.faces and got._facets is not None
+                assert got.facets == facets_of(got.faces), (op, k.facets, sigma)
+                assert got.dim == max(map(len, got.faces), default=0) - 1
+                assert op(lazy, sigma) == got
+    # Every link of a face in the complex records its facets, and every
+    # deletion of a nonempty one.
+    assert recorded == sum(2 * len(k.faces) - 1 for k in complexes)
+
+
 def test_link_frozen():
     k = Complex.from_facets(BD3)
     assert k.link([0]).facets == frozenset(

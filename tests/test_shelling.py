@@ -25,6 +25,7 @@ from shellkit.collapse import (
 from shellkit.complex_core import (
     Complex,
     FormatError,
+    UnionFind,
     _rank_colors,
     barycentric_subdivision,
     canonical_form,
@@ -41,6 +42,8 @@ from shellkit.reduction import Formula, build_K_phi
 from shellkit.shelling import (
     ShellingError,
     _deletion_state,
+    _facet_graph,
+    _frontier,
     _may_be_shellable,
     _restriction_ok,
     decide_k_decomposable,
@@ -535,6 +538,79 @@ def test_deletion_state_matches_the_built_deletion():
     assert min(checked[size, many] for size in (1, 2) for many in (False, True)) >= 10, checked
 
 
+def pinched_complex(rng: random.Random, d: int, size: int) -> Complex:
+    """A grown pure d-complex (``grown_pure_complex``) with two vertices
+    identified whose stars are disjoint, so that no facet repeats a vertex.
+    The glued vertex's star is often held together by a few ridges only,
+    so a deletion can leave it disconnected where the whole complex is
+    not."""
+    pairs = []
+    while not pairs:
+        k = grown_pure_complex(rng, d, size)
+        stars = {v: {f for f in k.facets if v in f} for v in k.vertices}
+        pairs = [
+            (u, w) for u, w in itertools.combinations(k.vertices, 2) if stars[u].isdisjoint(stars[w])
+        ]
+    u, w = rng.choice(pairs)
+    return Complex.from_facets([[u if v == w else v for v in f] for f in k.facets])
+
+
+def test_inherited_search_matches_rebuilding_oracle_on_pinched_complexes():
+    # The draws kept are those where the rebuilding oracle refutes some
+    # deletion child on one rule alone: a star graph, which only the stars
+    # re-tested at the shed facets' vertices see, or the facet graph, which
+    # the frontier walk tests.  On them the inherited search returns the
+    # oracle's verdict, tree and node count.  The star rule alone refutes
+    # mostly at d = 3; the facet graph alone mostly at d = 1, where no star
+    # is tested (at d = 2 a deletion that cuts the facet graph mostly cuts
+    # the star of a vertex on both sides too).
+    rng = random.Random(83)
+    kept = collections.Counter()
+    for i in range(300):
+        k = pinched_complex(rng, 1 + i % 3, 10 + i % 5)
+        for kk in range(k.dim + 1):
+            refuted = []
+            full = oracle_decide_k_decomposable(k, kk, 3000, refuted)
+            alone = {next(iter(rules)) for deletion, rules in refuted if deletion and len(rules) == 1}
+            alone &= {"star", "graph"}
+            if not alone:
+                continue
+            for budget in (15, 3000):
+                ref = full if budget == 3000 else oracle_decide_k_decomposable(k, kk, budget)
+                assert decide_k_decomposable(k, kk, budget) == ref, (sorted(map(sorted, k.facets)), kk)
+            kept.update(alone)
+            kept[full.verdict] += 1
+    assert kept["star"] >= 40 and kept["graph"] >= 40 and kept["yes"] >= 80, kept
+
+
+def test_frontier_walk_matches_the_built_deletion():
+    # For every face σ of random pure complexes with a connected facet
+    # graph, the walk from the frontier answers as connectivity of the
+    # facet graph of what is left, found by union-find over its shared
+    # ridges; where the deletion is pure, what is left is its facet set.
+    rng = random.Random(89)
+    seen = collections.Counter()
+    for i in range(150):
+        k = grown_pure_complex(rng, 1 + i % 3, rng.randint(3, 14))
+        adj = _facet_graph(ridge_holders(k.facets))
+        for sigma in k.nonempty_faces:
+            around = [f for f in k.facets if sigma <= f]
+            child = k.facets.difference(around)
+            if not child:
+                continue
+            uf = UnionFind()
+            for f, g in itertools.combinations(child, 2):
+                if len(f & g) == k.dim:
+                    uf.union(f, g)
+            connected = len({uf.find(f) for f in child}) == 1
+            assert graph_connected(child, adj, _frontier(child, adj, around)) == connected
+            dl = k.delete(sigma)
+            if dl.is_pure(k.dim):
+                assert dl.facets == child
+            seen[len(sigma), connected] += 1
+    assert min(seen[size, c] for size in (1, 2) for c in (False, True)) >= 30, seen
+
+
 def test_deciders_leave_no_reference_cycles():
     # A search's recursive closure is freed when the call returns, by
     # reference counting alone, on a yes, a no and an overrun.
@@ -630,10 +706,13 @@ def _pinched_sphere() -> Complex:
 
 
 def full_prune(k: Complex) -> bool:
-    """``_may_be_shellable`` on the whole of ``k``: every star tested, and
-    χ̃ counted over the face set."""
+    """The prune on the whole of ``k``: the facet-graph test for d >= 1,
+    then ``_may_be_shellable`` with every star tested and χ̃ counted over
+    the face set."""
     by_ridge = ridge_holders(k.facets)
     adj = {f: [g for g in k.facets if len(f & g) == k.dim] for f in k.facets}
+    if k.dim >= 1 and not graph_connected(k.facets, adj):
+        return False
     stars = [[f for f in k.facets if v in f] for v in k.vertices]
     return _may_be_shellable(k.facets, by_ridge, adj, k.reduced_euler_characteristic(), stars)
 
@@ -702,6 +781,23 @@ def test_verify_decomposition_and_tampering():
     bad["shedding"] = [0, 9]
     with pytest.raises(ShellingError, match="not in complex"):
         verify_decomposition(bd3, 0, bad)
+    # Forged leaves: one facet of a two-facet node, at the root and as the
+    # deletion of a strip's end vertex, and a proper face of a node's only
+    # facet, at the root and as a link.
+    pair = Complex.from_facets([[0, 1, 2], [1, 2, 3]])
+    strip = Complex.from_facets([[0, 1, 2], [1, 2, 3], [2, 3, 4]])
+    triangle = Complex.from_facets([[0, 1, 2]])
+    forged = [
+        (pair, {"leaf": [0, 1, 2]}),
+        (strip, {"shedding": [0], "link": {"leaf": [1, 2]}, "delete": {"leaf": [1, 2, 3]}}),
+        (triangle, {"leaf": [0, 1]}),
+        (pair, {"shedding": [0], "link": {"leaf": [1]}, "delete": {"leaf": [1, 2, 3]}}),
+    ]
+    for k, tree in forged:
+        with pytest.raises(ShellingError, match="does not match"):
+            verify_decomposition(k, 0, tree)
+    for k in (pair, strip, triangle):
+        assert verify_decomposition(k, 0, decide_k_decomposable(k, 0).witness[0]) >= 1
 
 
 def test_hachimori_frozen_verdicts():

@@ -275,63 +275,6 @@ class Complex:
             d = self.dim
         return all(len(f) == d + 1 for f in self.facets)
 
-    # -- local operations -------------------------------------------------
-
-    def link(self, sigma: Iterable[int]) -> "Complex":
-        """Faces disjoint from ``sigma`` whose union with it is a face.
-
-        ``link(())`` is the complex itself.  The link of a face not in the
-        complex is void.
-
-        When this complex's facets are known, the link's are recorded as
-        {F - σ : F ⊋ σ} over them, and its faces are theirs and the empty
-        face, so the link costs about the star of σ.  These sets are link
-        faces, since F - σ misses σ and its union with σ is F.  They cover
-        the link: a face τ of it lies with σ in some facet F, so τ lies in
-        F - σ, and F ⊋ σ unless τ is empty.  And they are pairwise
-        incomparable, since F - σ ⊆ G - σ gives F ⊆ G.  So they are exactly
-        its facets.
-        """
-        s = frozenset(sigma)
-        if s not in self._faces:
-            return Complex.empty()
-        if not s:
-            return self
-        if self._facets is None:
-            out = {f for f in self._faces if not (f & s) and (f | s) in self._faces}
-            return Complex(frozenset(out), _trusted=True)
-        facets = frozenset(f - s for f in self._facets if s < f)
-        faces = {frozenset()}
-        for f in facets:
-            faces.update(subfaces(f, range(len(f) + 1)))
-        lk = Complex(frozenset(faces), _trusted=True)
-        lk._facets = facets
-        return lk
-
-    def delete(self, sigma: Iterable[int]) -> "Complex":
-        """Remove every face containing ``sigma`` (a no-op if absent).
-
-        When this complex's facets are known, the deletion's are recorded
-        too: the facets G that miss σ, and each nonempty F - v (F ⊇ σ a
-        facet, v in σ) that no such G contains.  A face of the deletion
-        lies in some facet; if every facet over it holds σ, it lies in some
-        F - v, which is in the deletion.  F - v lies in no facet G ⊇ σ but
-        F, since G ⊇ (F - v) ∪ σ = F; so it is maximal in the deletion
-        exactly when no G that misses σ contains it.
-        """
-        s = frozenset(sigma)
-        if not s:
-            return Complex.empty()
-        out = frozenset(f for f in self._faces if not s <= f)
-        dl = Complex(out, _trusted=True)
-        if self._facets is not None:
-            kept = [g for g in self._facets if not s <= g]
-            freed = {f - {v} for f in self._facets if s <= f for v in s}
-            dl._facets = frozenset(kept).union(
-                t for t in freed if t and not any(t < g for g in kept)
-            )
-        return dl
-
     # perfbench traces this and tests/test_bench_hooks.py pins it, so it
     # leaves with the next benchmark change.
     def remove_facet(self, facet: Iterable[int]) -> "Complex":

@@ -128,16 +128,17 @@ def _reduced_euler(facets: Collection[Face]) -> int:
     return chi
 
 
-def _cone_base(k: Complex) -> tuple[Complex, frozenset]:
-    """``k`` as a join base * apexes: while the complex has two or more
-    facets and some vertex lies in all of them, it is the cone over the
-    link of the least such vertex v, so pass to that link and add v to
-    the apexes.  A pure d-complex goes down at most d + 1 times."""
-    apexes: frozenset = frozenset()
-    while len(k.facets) > 1 and (common := frozenset.intersection(*k.facets)):
-        v = min(common)
-        k, apexes = k.link([v]), apexes | {v}
-    return k, apexes
+def _cone_base(k: Complex) -> tuple[frozenset, frozenset]:
+    """``k`` as a join base * apexes, the base as its facet set: when the
+    complex has two or more facets, the vertices in all of them are the
+    apexes, and the base has the facets {F - apexes}.  A complex is the
+    cone over the link of a vertex v in every facet, with the facets
+    {F - v}; so the base is the link of each apex in turn.  Its facets
+    are distinct and share no vertex, so it is no cone."""
+    facets = k.facets
+    if len(facets) > 1 and (apexes := frozenset.intersection(*facets)):
+        return frozenset(f - apexes for f in facets), apexes
+    return facets, frozenset()
 
 
 def verify_shelling(k: Complex, order: Sequence[Iterable[int]]) -> None:
@@ -179,10 +180,9 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     apexes join every facet of its shelling.
     """
     _check_pure_input(k)
-    k, apexes = _cone_base(k)
-    d = k.dim
-    facets = sorted(k.facets, key=face_key)
-    m = len(facets)
+    base, apexes = _cone_base(k)
+    facets = sorted(base, key=face_key)
+    d, m = len(facets[0]) - 1, len(facets)
     if m == 1 or d == 0:
         return SearchResult("yes", tuple(f | apexes for f in facets), 0)
     # Sound precheck: a complex that fails it has no shelling.  It runs
@@ -332,7 +332,7 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     if kk < 0:
         raise ShellingError("k must be >= 0")
     _check_pure_input(k)
-    k, apexes = _cone_base(k)
+    base, apexes = _cone_base(k)
     # Facet set, as a bitmask over ids handed out to facets as they are
     # first seen -> the tree rec returned for it, or None for no.  An int
     # key keeps no facet set alive; frozenset keys would hold every one seen
@@ -409,7 +409,7 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         return None
 
     try:
-        tree = rec(k.facets)
+        tree = rec(base)
     except _BudgetExceeded:
         return SearchResult("budget_exceeded", None, nodes)
     finally:
@@ -494,43 +494,58 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:
     links and deletions are recomputed, never trusted from the witness.  A
     node that is not an object, a face that is not a list, a vertex id
     that is not an int (a bool included), or a face that repeats a vertex
-    is a ``FormatError``."""
-    if not isinstance(tree, Mapping):
-        raise FormatError("decomposition tree node must be an object")
-    if "leaf" in tree:
-        (facet,) = read_faces([tree["leaf"]], "leaf")
-        if not facet:
-            if len(k.faces) > 1:
-                raise ShellingError("leaf [] claims an empty complex")
-            return 1
-        if k.facets != {facet}:
-            raise ShellingError(
-                f"leaf {list(face_key(facet))} does not match the complex at this node"
-            )
-        return 1
-    if "shedding" not in tree:
-        raise ShellingError("tree node needs 'leaf' or 'shedding'")
-    (sigma,) = read_faces([tree["shedding"]], "shedding face")
-    if not sigma or sigma not in k.faces:
-        raise ShellingError(f"shedding face {list(face_key(sigma))} not in complex")
-    if len(sigma) > kk + 1:
-        raise ShellingError(
-            f"shedding face of dimension {len(sigma) - 1} exceeds k={kk}"
-        )
-    d = k.dim
-    if not k.is_pure(d):
+    is a ``FormatError``.
+
+    ``k`` must be nonempty and pure; then every node is a pure complex,
+    held as its facet set, and the tree is walked from an explicit stack,
+    each link before its deletion.  In a pure d-complex the link of σ has
+    the facets {F - σ : F ⊇ σ}; that of a facet is {∅}, the empty-face
+    complex of the leaf [].  Every face of the deletion of σ lies in a
+    facet that misses σ or in some F - v, F ⊇ σ a facet and v in σ, and
+    F - v lies in no other facet G through σ, since G ⊇ (F - v) ∪ σ = F.
+    So the deletion is pure d-dimensional exactly when some facet misses
+    σ and each F - v is a ridge of such a facet, and its facets are then
+    those that miss σ.  Both children are pure by construction, so no
+    node is tested for purity again.
+    """
+    if not k.faces:
+        raise ShellingError("a decomposition needs a nonempty complex")
+    if not k.is_pure():
         raise ShellingError("node complex is not pure")
-    lk = k.link(sigma)
-    if lk.dim != d - len(sigma) or not lk.is_pure(lk.dim):
-        raise ShellingError(f"link of {sorted(sigma)} is not pure of the right dim")
-    dl = k.delete(sigma)
-    if not dl.faces or dl.dim != d or not dl.is_pure(d):
-        raise ShellingError(f"deletion of {sorted(sigma)} is not pure {d}-dimensional")
-    checked = 1
-    for child_key, sub in (("link", lk), ("delete", dl)):
-        if child_key not in tree:
-            raise ShellingError(f"tree node missing {child_key!r}")
-        checked += verify_decomposition(sub, kk, tree[child_key])
+    checked = 0
+    # (a node's facets, the tree node that holds its subtree, and the key)
+    stack = [(k.facets or frozenset({frozenset()}), {"tree": tree}, "tree")]
+    while stack:
+        facets, parent, key = stack.pop()
+        if key not in parent:
+            raise ShellingError(f"tree node missing {key!r}")
+        node = parent[key]
+        if not isinstance(node, Mapping):
+            raise FormatError("decomposition tree node must be an object")
+        checked += 1
+        if "leaf" in node:
+            (leaf,) = read_faces([node["leaf"]], "leaf")
+            if facets != {leaf}:
+                if not leaf:
+                    raise ShellingError("leaf [] claims an empty complex")
+                raise ShellingError(
+                    f"leaf {list(face_key(leaf))} does not match the complex at this node"
+                )
+            continue
+        if "shedding" not in node:
+            raise ShellingError("tree node needs 'leaf' or 'shedding'")
+        (sigma,) = read_faces([node["shedding"]], "shedding face")
+        around = [f for f in facets if sigma <= f]
+        if not sigma or not around:
+            raise ShellingError(f"shedding face {list(face_key(sigma))} not in complex")
+        if len(sigma) > kk + 1:
+            raise ShellingError(f"shedding face of dimension {len(sigma) - 1} exceeds k={kk}")
+        kept = facets.difference(around)
+        if not kept or not all(any(f - {v} < g for g in kept) for f in around for v in sigma):
+            d = len(around[0]) - 1
+            raise ShellingError(f"deletion of {sorted(sigma)} is not pure {d}-dimensional")
+        stack.append((kept, node, "delete"))
+        stack.append((frozenset(f - sigma for f in around), node, "link"))
     return checked
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from collections.abc import Mapping
 from itertools import permutations
 
 from shellkit import reduction
@@ -14,6 +15,7 @@ from shellkit.collapse import (
 from shellkit.complex_core import (
     Complex,
     Feature,
+    FormatError,
     LabeledComplex,
     Subdivision,
     UnionFind,
@@ -23,6 +25,7 @@ from shellkit.complex_core import (
     facets_of,
     graph_connected,
     one_skeleton_connected,
+    read_faces,
     ridge_holders,
     subfaces,
     vertex_links_connected,
@@ -55,6 +58,19 @@ def random_complex(rng: random.Random, max_facets: int = 6, pool: int = 8) -> Co
     want = rng.randint(1, max_facets)
     facets = [rng.sample(range(pool), rng.randint(1, 3)) for _ in range(want)]
     return Complex.from_facets(facets)
+
+
+def link_of(k: Complex, sigma) -> Complex:
+    """The link of ``sigma`` by its definition: the faces that miss it and
+    whose union with it is a face."""
+    s = frozenset(sigma)
+    return Complex(frozenset(f for f in k.faces if not f & s and f | s in k.faces), _trusted=True)
+
+
+def deletion_of(k: Complex, sigma) -> Complex:
+    """The deletion of ``sigma`` by its definition: the faces that do not
+    contain it."""
+    return Complex(frozenset(f for f in k.faces if not f.issuperset(sigma)), _trusted=True)
 
 
 def pendant_dunce_hat() -> Complex:
@@ -283,7 +299,7 @@ def oracle_decide_k_decomposable(
     if kk < 0:
         raise ShellingError("k must be >= 0")
     _check_pure_input(k)
-    k, apexes = _cone_base(k)
+    base, apexes = _cone_base(k)
     exact = {}
     nodes = 0
 
@@ -328,12 +344,59 @@ def oracle_decide_k_decomposable(
         return None
 
     try:
-        tree = rec(k.facets)
+        tree = rec(base)
     except _BudgetExceeded:
         return SearchResult("budget_exceeded", None, nodes)
     if tree is not None:
         return SearchResult("yes", (_cone_tree(tree, apexes),), nodes)
     return SearchResult("no", None, nodes)
+
+
+# -- the shedding-tree replay on face sets, by recursion -----------------------
+#
+# The library replays a shedding tree on facet sets, from an explicit stack.
+# This oracle is the replay it replaced: every node is a whole face set, its
+# link and deletion are built by their definitions and tested for purity,
+# and the tree is walked by recursion.
+
+
+def oracle_verify_decomposition(k: Complex, kk: int, tree) -> int:
+    """Reference: ``shelling.verify_decomposition`` on face sets, with the
+    link and the deletion of each shedding face built from the node's faces
+    and both tested for purity at every node."""
+    if not isinstance(tree, Mapping):
+        raise FormatError("decomposition tree node must be an object")
+    if "leaf" in tree:
+        (facet,) = read_faces([tree["leaf"]], "leaf")
+        if not facet:
+            if len(k.faces) > 1:
+                raise ShellingError("leaf [] claims an empty complex")
+            return 1
+        if k.facets != {facet}:
+            raise ShellingError(f"leaf {list(face_key(facet))} does not match the complex at this node")
+        return 1
+    if "shedding" not in tree:
+        raise ShellingError("tree node needs 'leaf' or 'shedding'")
+    (sigma,) = read_faces([tree["shedding"]], "shedding face")
+    if not sigma or sigma not in k.faces:
+        raise ShellingError(f"shedding face {list(face_key(sigma))} not in complex")
+    if len(sigma) > kk + 1:
+        raise ShellingError(f"shedding face of dimension {len(sigma) - 1} exceeds k={kk}")
+    d = k.dim
+    if not k.is_pure(d):
+        raise ShellingError("node complex is not pure")
+    lk = link_of(k, sigma)
+    if lk.dim != d - len(sigma) or not lk.is_pure(lk.dim):
+        raise ShellingError(f"link of {sorted(sigma)} is not pure of the right dim")
+    dl = deletion_of(k, sigma)
+    if not dl.faces or dl.dim != d or not dl.is_pure(d):
+        raise ShellingError(f"deletion of {sorted(sigma)} is not pure {d}-dimensional")
+    checked = 1
+    for child_key, sub in (("link", lk), ("delete", dl)):
+        if child_key not in tree:
+            raise ShellingError(f"tree node missing {child_key!r}")
+        checked += oracle_verify_decomposition(sub, kk, tree[child_key])
+    return checked
 
 
 # -- the whole-complex compile of K_phi ----------------------------------------

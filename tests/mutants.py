@@ -160,18 +160,26 @@ CATALOGUE = (
     Mutant(
         "leaf-accepts-any-facet-of-the-node",
         "src/shellkit/shelling.py",
-        "        if k.facets != {facet}:\n",
-        "        if facet not in k.facets:\n",
+        "            if facets != {leaf}:\n",
+        "            if leaf not in facets:\n",
         "a leaf verifies only at a node whose one facet it is",
         ("tests/test_shelling.py",),
     ),
     Mutant(
-        "deletion-facets-keep-covered-faces",
-        "src/shellkit/complex_core.py",
-        "                t for t in freed if t and not any(t < g for g in kept)\n",
-        "                t for t in freed if t\n",
-        "a deletion records a freed face F - v as a facet only when no kept facet holds it",
-        ("tests/test_complex_core.py",),
+        "deletion-without-ridge-test",
+        "src/shellkit/shelling.py",
+        "        if not kept or not all(any(f - {v} < g for g in kept) for f in around for v in sigma):\n",
+        "        if not kept:\n",
+        "a deletion verifies only when each F - v (F a shed facet, v in σ) is a ridge of a kept facet",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "link-over-proper-cofaces-only",
+        "src/shellkit/shelling.py",
+        'stack.append((frozenset(f - sigma for f in around), node, "link"))',
+        'stack.append((frozenset(f - sigma for f in around if f != sigma), node, "link"))',
+        "the link of a facet is the empty-face complex {∅}, the leaf []",
+        ("tests/test_shelling.py",),
     ),
     Mutant(
         "command-without-freeze",

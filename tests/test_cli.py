@@ -835,6 +835,19 @@ def test_verify_refuses_a_forged_shedding_tree(case, tmp_path, capsys):
     assert "verdict: no" in out and f"reason: {reason}\n" in out
 
 
+def test_verify_refuses_a_decomposition_of_an_empty_complex(tmp_path, capsys):
+    # check refuses an empty input (exit 2) and verify refuses a shelling
+    # of it; a shedding tree of it is refused too, not accepted as a leaf.
+    path, witness = tmp_path / "empty.txt", tmp_path / "witness.json"
+    path.write_text("")
+    assert run(["check", "k-decomposable(0)", str(path)], capsys)[0] == 2
+    witness.write_text(json.dumps({"kind": "decomposition", "k": 0, "tree": {"leaf": []}}))
+    code, out, _ = run(["verify", str(path), str(witness)], capsys)
+    assert code == 1, out
+    assert "verdict: no" in out and "reason: a decomposition needs a nonempty complex\n" in out
+    assert "yes" not in out
+
+
 def test_decomposition_witness_with_int_ids_verifies(tmp_path, capsys):
     # The trees of the bool cases above, with ints in place of the bools.
     path = tmp_path / "input.txt"

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import (
+    deletion_of,
     oracle_collapses_to,
     oracle_is_collapsible_dfs,
     random_complex,
@@ -125,7 +126,7 @@ def test_elementary_collapse():
     assert frozenset({0, 1}) not in smaller.faces
     assert frozenset({0, 1, 2}) not in smaller.faces
     assert frozenset({0, 2}) in smaller.faces
-    assert collapse_step(k, [0], [0, 1, 2]) == k.delete([0])
+    assert collapse_step(k, [0], [0, 1, 2]) == deletion_of(k, [0])
     with pytest.raises(CollapseError, match="not free"):
         collapse_step(k, [1, 2], [1, 2, 3])
     with pytest.raises(CollapseError, match="already removed"):
@@ -156,7 +157,7 @@ def test_facet_and_free_rules_match_coface_scan():
             size = len(index.faces)
             states += 1
         for f, g in free_faces(k):
-            assert collapse_step(k, f, g) == k.delete(f)
+            assert collapse_step(k, f, g) == deletion_of(k, f)
     assert states > 500 and undos > 100
 
 

@@ -7,11 +7,16 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 
 from conftest import (
+    EMPTY_FACE_COMPLEX,
+    deletion_of,
+    link_of,
     oracle_decide_k_decomposable,
+    oracle_verify_decomposition,
     pendant_dunce_hat,
     random_complex,
     random_pure_2complex,
@@ -310,8 +315,7 @@ def reference_canonical(k: Complex):
 
 def reference_k_decomposable(k: Complex, kk: int, budget: int):
     """The unpruned search on full-face complexes: every tried face builds
-    its link and deletion with Complex.link and Complex.delete and checks
-    purity.  Results are memoized by the face set."""
+    its link and deletion by their definitions and checks purity.  Results are memoized by the face set."""
     memo = {}
     nodes = 0
     budget_hit = False
@@ -336,10 +340,10 @@ def reference_k_decomposable(k: Complex, kk: int, budget: int):
             memo[c.faces] = None
             return None
         for sigma in sorted((f for f in c.faces if f and len(f) <= kk + 1), key=face_key):
-            lk = c.link(sigma)
+            lk = link_of(c, sigma)
             if lk.dim != d - len(sigma) or not lk.is_pure(lk.dim):
                 continue
-            dl = c.delete(sigma)
+            dl = deletion_of(c, sigma)
             if not dl.faces or dl.dim != d or not dl.is_pure(d):
                 continue
             lk_tree = rec(lk)
@@ -513,10 +517,10 @@ def test_deletion_state_matches_the_built_deletion():
         by_ridge = ridge_holders(k.facets)
         stars = {v: [f for f in k.facets if v in f] for v in k.vertices}
         for sigma in k.nonempty_faces:
-            dl = k.delete(sigma)
+            dl = deletion_of(k, sigma)
             if not dl.faces or dl.dim != d or not dl.is_pure(d):
                 continue
-            lk = k.link(sigma)
+            lk = link_of(k, sigma)
             dl_chi = dl.reduced_euler_characteristic()
             assert dl_chi == chi - (-1) ** len(sigma) * lk.reduced_euler_characteristic()
             kk = len(sigma) - 1
@@ -604,7 +608,7 @@ def test_frontier_walk_matches_the_built_deletion():
                     uf.union(f, g)
             connected = len({uf.find(f) for f in child}) == 1
             assert graph_connected(child, adj, _frontier(child, adj, around)) == connected
-            dl = k.delete(sigma)
+            dl = deletion_of(k, sigma)
             if dl.is_pure(k.dim):
                 assert dl.facets == child
             seen[len(sigma), connected] += 1
@@ -798,6 +802,122 @@ def test_verify_decomposition_and_tampering():
             verify_decomposition(k, 0, tree)
     for k in (pair, strip, triangle):
         assert verify_decomposition(k, 0, decide_k_decomposable(k, 0).witness[0]) >= 1
+
+
+def random_shedding_tree(rng: random.Random, facets: frozenset, kk: int) -> dict:
+    """A shedding tree grown on ``facets`` with random shedding faces of at
+    most ``kk`` + 1 vertices, each node's children formed by the facet
+    rules, {F - σ : F ⊇ σ} and the facets that miss σ, but with no purity
+    test: the tree is wrong wherever a deletion is not pure."""
+    if len(facets) == 1:
+        return {"leaf": list(face_key(next(iter(facets))))}
+    f = rng.choice(sorted(facets, key=face_key))
+    sigma = frozenset(rng.sample(sorted(f), rng.randint(1, min(kk + 1, len(f)))))
+    around = {g for g in facets if sigma <= g}
+    kept = facets - around
+    return {
+        "shedding": sorted(sigma),
+        "link": random_shedding_tree(rng, frozenset(g - sigma for g in around), kk),
+        "delete": random_shedding_tree(rng, kept, kk) if kept else {"leaf": sorted(f)},
+    }
+
+
+def tree_nodes(tree: dict) -> list[dict]:
+    """Every node of a shedding tree."""
+    nodes, stack = [], [tree]
+    while stack:
+        nodes.append(stack.pop())
+        stack += [nodes[-1][key] for key in ("link", "delete") if key in nodes[-1]]
+    return nodes
+
+
+def tampered(rng: random.Random, tree: dict, faces: list, how: str) -> dict:
+    """A copy of ``tree`` with one node changed: its shedding face swapped
+    for one of ``faces``, its children swapped, its subtree cut to one of
+    the subtree's leaves, or a leaf swapped for another leaf of the tree or
+    one of ``faces``."""
+    tree = json.loads(json.dumps(tree))
+    nodes = tree_nodes(tree)
+    leaves = [node for node in nodes if "leaf" in node]
+    inner = [node for node in nodes if "shedding" in node]
+    if how == "wrong leaf" or not inner:
+        rng.choice(leaves)["leaf"] = rng.choice([leaf["leaf"] for leaf in leaves] + faces)
+        return tree
+    node = rng.choice(inner)
+    if how == "shedding face":
+        node["shedding"] = rng.choice(faces)
+    elif how == "children":
+        node["link"], node["delete"] = node["delete"], node["link"]
+    else:
+        cut = rng.choice([below["leaf"] for below in tree_nodes(node) if "leaf" in below])
+        node.clear()
+        node["leaf"] = cut
+    return tree
+
+
+def test_replay_matches_the_recursive_face_set_replay():
+    # On random pure complexes of dimension 1 to 3 and their cones, the
+    # replay on facet sets accepts and refuses the trees that the replay
+    # on face sets (``oracle_verify_decomposition``) does, with the same
+    # node count or the same reason: the deciders' trees at every k, the
+    # same trees checked at every other k, four tamperings of each, and
+    # random trees grown without the purity tests.
+    def replay(verify, k, kk, tree):
+        try:
+            return verify(k, kk, tree)
+        except ShellingError as exc:
+            return str(exc)
+
+    rng = random.Random(97)
+    seen = collections.Counter()
+    for i in range(60):
+        d = 1 + i % 3
+        base = grown_pure_complex(rng, d, rng.randint(2, 9)) if i % 2 else random_pure_complex(rng, d)
+        for k in (base, cone(base)):
+            faces = [sorted(f) for f in k.nonempty_faces]
+            for kk in range(k.dim + 1):
+                trees = [("random", random_shedding_tree(rng, k.facets, kk)) for _ in range(3)]
+                res = decide_k_decomposable(k, kk, budget=3000)
+                if res.yes:
+                    tree = res.witness[0]
+                    trees.append(("decider", tree))
+                    for how in ("shedding face", "children", "cut", "wrong leaf"):
+                        trees += [(how, tampered(rng, tree, faces, how)) for _ in range(2)]
+                for family, tree in trees:
+                    for at in range(k.dim + 1):
+                        got = replay(verify_decomposition, k, at, tree)
+                        assert got == replay(oracle_verify_decomposition, k, at, tree), (
+                            sorted(map(sorted, k.facets)), at, tree,
+                        )
+                        seen[family, at == kk, got.split()[0] if isinstance(got, str) else "yes"] += 1
+    assert seen["decider", True, "yes"] >= 100, seen
+    for how in ("shedding face", "children", "cut", "wrong leaf", "random"):
+        assert sum(n for (f, _, v), n in seen.items() if f == how and v != "yes") >= 50, seen
+    assert seen["random", True, "yes"] >= 20 and seen["random", True, "deletion"] >= 20, seen
+
+
+def test_replay_of_a_tree_deeper_than_the_recursion_limit():
+    # The strip of triangles i i+1 i+2 is vertex decomposable: step i sheds
+    # vertex i, whose link is the leaf [i+1, i+2], and the last leaf is the
+    # end triangle.  The tree nests 3,000 deep, past the recursion limit,
+    # and the replay walks it from a stack.
+    n = 3000
+    assert sys.getrecursionlimit() < n
+    k = Complex.from_facets([i, i + 1, i + 2] for i in range(n))
+    tree = {"leaf": [n - 1, n, n + 1]}
+    for i in reversed(range(n - 1)):
+        tree = {"shedding": [i], "link": {"leaf": [i + 1, i + 2]}, "delete": tree}
+    assert verify_decomposition(k, 0, tree) == 2 * n - 1
+
+
+def test_the_empty_face_complex_replays_and_the_void_does_not():
+    # The empty-face complex {∅} is decomposed by the leaf [], and that
+    # tree replays; the void complex has no decomposition to replay.
+    res = decide_k_decomposable(EMPTY_FACE_COMPLEX, 0)
+    assert (res.verdict, res.witness) == ("yes", ({"leaf": []},))
+    assert verify_decomposition(EMPTY_FACE_COMPLEX, 0, res.witness[0]) == 1
+    with pytest.raises(ShellingError, match="needs a nonempty complex"):
+        verify_decomposition(Complex.empty(), 0, {"leaf": []})
 
 
 def test_hachimori_frozen_verdicts():

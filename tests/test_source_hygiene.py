@@ -263,6 +263,20 @@ def test_calls_in_finds_named_calls():
         calls_in(source, "inner")
 
 
+# ``shelling.verify_decomposition`` replays a shedding tree from the node's
+# facets alone, so it stays a check independent of the search it verifies.
+SEARCH_HELPERS = (
+    "ridge_holders", "_deletion_state", "_without", "_frontier", "_cofacets", "_facet_graph",
+    "graph_connected", "_may_be_shellable", "_reduced_euler",
+)
+
+
+def test_the_decomposition_replay_calls_no_search_helper():
+    source = (SRC / "shelling.py").read_text()
+    assert set(SEARCH_HELPERS) <= names_read(source)
+    assert calls_in(source, "verify_decomposition").isdisjoint(SEARCH_HELPERS)
+
+
 # ``reduction._check_compiled`` checks vertex links only where gluing merges
 # vertices, because ``gadgets._check_gadget`` checks every link of each part.
 GADGET_BUILDERS = (

@@ -7,11 +7,11 @@ out, and 4 on an ``InternalError``: a failed gadget or compile check, a
 witness of ``check`` that does not replay, or a no of ``solve-sat`` that
 brute force refutes.  So batch callers can tell refutation from
 resignation and a bad input from a fault of shellkit.
-The deciders recurse once per search level, and JSON reading and writing
-once per level of a witness's nesting, so an input deeper than Python's
-recursion limit (``check shellable`` on a strip of a thousand triangles)
-ends with a message that names the command and exit 3, as a budget that
-ran out, never with a "no".
+The searches keep their levels on an explicit stack, so only a shedding
+tree's JSON, written by ``check k-decomposable`` and read by ``verify``,
+recurses once per level of its nesting; a tree nested deeper than
+Python's recursion limit ends with a message that names the command and
+exit 3, as a budget that ran out, never with a "no".
 
 Every decider returns a ``SearchResult``, and this module alone knows the
 witness format: ``check`` builds the document of a yes, replays it and
@@ -566,10 +566,8 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except RecursionError:
-        # ``verify`` searches nothing: only reading the witness's JSON recurses.
-        what = "the witness nests" if args.command == "verify" else "the search went"
         print(
-            f"error: {args.command}: {what} deeper than the recursion limit "
+            f"error: {args.command}: the witness nests deeper than the recursion limit "
             f"({sys.getrecursionlimit()}); no verdict",
             file=sys.stderr,
         )

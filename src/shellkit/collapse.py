@@ -42,6 +42,27 @@ class _BudgetExceeded(Exception):
     where the search starts, so no refutation is recorded after it."""
 
 
+def _run(search, *args):
+    """``search(*args)`` for a recursive search written as a generator
+    function: where it would call itself on ``args``, it yields ``args``
+    and receives that call's result, and its return value is its result.
+    The calls in progress are generators on one list, so the depth of a
+    search is bounded by memory, not by the recursion limit, and no
+    search refers to itself."""
+    stack = [search(*args)]
+    result = None
+    while stack:
+        try:
+            call = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(search(*call))
+            result = None
+    return result
+
+
 @dataclass(frozen=True)
 class CollapsePair:
     """One collapse step: remove ``free`` and everything above it."""
@@ -372,11 +393,12 @@ class TriangleErasure:
         with ``ascending`` each pick must also come later in its pool than
         the previous pick, which over copies of one pool is
         ``itertools.combinations`` order.  The search is a depth-first
-        walk that punctures on the way down and undoes on the way up.  A
-        disconnected complex is a no with 0 nodes; otherwise every choice
-        checked counts, the empty one of no pools included, and the walk
-        stops at the first one past ``budget`` with the verdict
-        budget_exceeded.  Every return leaves the erasure as it found it.
+        walk on ``_run`` that punctures on the way down and undoes on the
+        way up.  A disconnected complex is a no with 0 nodes; otherwise
+        every choice checked counts, the empty one of no pools included,
+        and the walk stops at the first one past ``budget`` with the
+        verdict budget_exceeded.  Every return leaves the erasure as it
+        found it.
 
         The picks of one choice must be distinct triangles.  Then the
         walk skips, unchecked, every candidate that an earlier refuted
@@ -398,58 +420,44 @@ class TriangleErasure:
         depth = len(ids)
         if not self._connected:
             return SearchResult("no", None, 0)
-
-        def positions(level: int, prev: int) -> range:
-            if ascending:
-                return range(prev + 1, len(ids[level]) - (depth - level) + 1)
-            return range(len(ids[level]))
-
-        start = len(self._log)
         chosen: list[int] = []
-        marks: list[int] = []
-        # One position iterator and one dominated set per level entered.
-        frames: list = []
-        dominated: list[set[int]] = []
         tried = 0
 
-        def refute() -> None:
-            # The children of the last pick are undone already, so the log
-            # since its mark is the pick and what its puncture erased.
-            chosen.pop()
-            mark = marks.pop()
-            dominated[-1].update(t for t, _, _ in self._log[mark:])
-            self.undo(mark)
-
-        while True:
+        def walk(prev: int):
+            nonlocal tried
             level = len(chosen)
             if level == depth:
                 tried += 1
                 if tried > budget:
-                    self.undo(start)
-                    return SearchResult("budget_exceeded", None, tried)
-                if self.collapsible():
-                    removal = tuple(pools[i][p] for i, p in enumerate(chosen))
-                    self.undo(start)
-                    return SearchResult("yes", removal, tried)
-                if not chosen:
-                    return SearchResult("no", None, tried)
-                refute()
-                continue
-            if len(frames) == level:
-                frames.append(iter(positions(level, chosen[-1] if chosen else -1)))
-                dominated.append(set())
-            pos = next(frames[-1], None)
-            if pos is None:
-                frames.pop()
-                dominated.pop()
-                if not chosen:
-                    return SearchResult("no", None, tried)
-                refute()
-                continue
-            t = ids[level][pos]
-            if t not in dominated[-1]:
+                    raise _BudgetExceeded
+                return self.collapsible()
+            end = len(ids[level]) - (depth - level) + 1 if ascending else len(ids[level])
+            dominated: set[int] = set()
+            for pos in range(prev + 1 if ascending else 0, end):
+                t = ids[level][pos]
+                if t in dominated:
+                    continue
                 chosen.append(pos)
-                marks.append(self.puncture(t))
+                mark = self.puncture(t)
+                if (yield (pos,)):
+                    return True
+                chosen.pop()
+                # The pick's children are undone already, so the log since
+                # its mark is the pick and what its puncture erased.
+                dominated.update(t for t, _, _ in self._log[mark:])
+                self.undo(mark)
+            return False
+
+        start = len(self._log)
+        try:
+            found = _run(walk, -1)
+        except _BudgetExceeded:
+            return SearchResult("budget_exceeded", None, tried)
+        finally:
+            self.undo(start)
+        if found:
+            return SearchResult("yes", tuple(pools[i][p] for i, p in enumerate(chosen)), tried)
+        return SearchResult("no", None, tried)
 
 
 def find_removal(
@@ -507,14 +515,14 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
     each state with no top face outside ``keep`` to the size below.  Each
     state reads its free ridges off one ``ridge_holders`` map.
     ``nodes`` counts the states the DFS enters plus the erasure steps;
-    ``budget`` bounds the states only.
+    ``budget`` bounds the states only.  The DFS runs on ``_run``.
     """
     live = {f for f in k.faces if f}
     removed: set[Face] = set()
     memo: set[frozenset[Face]] = set()
     states = steps = 0
 
-    def search(top: int) -> list[CollapsePair] | None:
+    def search(top: int):
         nonlocal states, steps
         if top <= 3:
             pairs = _erase_down(live, keep, top)
@@ -534,14 +542,14 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
         # As in ``_erase_down``, a free ridge is one that a single face of
         # size ``top`` outside keep holds.
         holders = ridge_holders(f for f in live if len(f) == top and f not in keep)
-        found = None if holders else search(top - 1)
+        found = None if holders else (yield (top - 1,))
         for ridge in sorted(
             (r for r, fs in holders.items() if len(fs) == 1 and r not in keep), key=face_key
         ):
             move = (ridge, holders[ridge][0])
             live.difference_update(move)
             removed.update(move)
-            rest = search(top)
+            rest = yield (top,)
             live.update(move)
             removed.difference_update(move)
             if rest is not None:
@@ -552,7 +560,7 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
         return found
 
     try:
-        pairs = search(k.dim + 1)
+        pairs = _run(search, k.dim + 1)
     except _BudgetExceeded:
         return SearchResult("budget_exceeded", None, states + steps)
     if pairs is not None:

@@ -23,7 +23,7 @@ from shellkit.complex_core import (
     subfaces,
     vertex_links_connected,
 )
-from shellkit.collapse import DEFAULT_BUDGET, SearchResult, _BudgetExceeded, find_removal
+from shellkit.collapse import DEFAULT_BUDGET, SearchResult, _BudgetExceeded, _run, find_removal
 
 
 class ShellingError(ValueError):
@@ -177,14 +177,16 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     v * L is shellable exactly when L is (Provan and Billera, 1980), and a
     shelling of L lifts to one of v * L by adding v to every facet.  So
     the search runs on the base L, ``nodes`` counts that search, and the
-    apexes join every facet of its shelling.
+    apexes join every facet of its shelling.  ``extend`` yields its calls
+    to ``collapse._run``, so the recursion limit does not bound the depth.
     """
     _check_pure_input(k)
     base, apexes = _cone_base(k)
     facets = sorted(base, key=face_key)
-    d, m = len(facets[0]) - 1, len(facets)
-    if m == 1 or d == 0:
+    # The empty-face complex {∅} has no facet and the empty order.
+    if len(facets) <= 1 or len(facets[0]) == 1:
         return SearchResult("yes", tuple(f | apexes for f in facets), 0)
+    d, m = len(facets[0]) - 1, len(facets)
     # Sound precheck: a complex that fails it has no shelling.  It runs
     # once, on the whole complex.  Inside the search it could not prune:
     # each prefix the search builds is a shelling of its own facets, so it
@@ -206,12 +208,8 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     chosen: list[Face] = []
     placed: Counter = Counter()
 
-    def extend(used: int) -> bool:
+    def extend(used: int):
         nonlocal nodes
-        if len(chosen) == m:
-            return True
-        if used in dead:
-            return False
         nodes += 1
         if nodes > budget:
             raise _BudgetExceeded
@@ -223,7 +221,10 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
                 continue
             chosen.append(facets[i])
             placed.update(faces_of[i])
-            if extend(used | 1 << i):
+            # A full order and a refuted prefix are answered here, so only
+            # the prefixes searched make a call and count a node.
+            after = used | 1 << i
+            if len(chosen) == m or (after not in dead and (yield (after,))):
                 return True
             chosen.pop()
             placed.subtract(faces_of[i])
@@ -231,12 +232,10 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
         return False
 
     try:
-        if extend(0):
+        if _run(extend, 0):
             return SearchResult("yes", tuple(f | apexes for f in chosen), nodes)
     except _BudgetExceeded:
         return SearchResult("budget_exceeded", None, nodes)
-    finally:
-        del extend  # its cell holds it: free the search without the collector
     return SearchResult("no", None, nodes)
 
 
@@ -326,8 +325,9 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     counts that search, and the cone's tree is the lift of the base's
     tree.  The link and deletion of a shedding face σ in v * L are the
     cones over its link and deletion in L, so the lift keeps every
-    shedding face and adds v to every leaf; the leaf [] of the empty-face
-    complex becomes [v].
+    shedding face and adds v to every leaf; the search makes its leaves
+    so, and the leaf [] of the empty-face complex becomes [v].  ``rec``
+    yields its calls to ``collapse._run``, as ``extend`` does.
     """
     if kk < 0:
         raise ShellingError("k must be >= 0")
@@ -341,7 +341,7 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     facet_ids: dict[Face, int] = {}
     nodes = 0
 
-    def rec(facets: frozenset, parent: tuple | None = None) -> dict | None:
+    def rec(facets: frozenset, parent: tuple | None = None):
         """``parent`` is None for a node built from scratch; for a deletion
         child it is the child's mask, the facet graph, and the parent's
         state and shedding face with its facets, for ``_frontier`` and
@@ -352,10 +352,10 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
             raise _BudgetExceeded
         if not facets:
             # The empty-face complex, the link of a facet: nothing to shed.
-            return {"leaf": []}
+            return {"leaf": list(face_key(apexes))}
         if len(facets) == 1:
             (facet,) = facets
-            return {"leaf": list(face_key(facet))}
+            return {"leaf": list(face_key(facet | apexes))}
         if parent is None:
             mask = 0
             for f in facets:
@@ -392,14 +392,14 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         for sigma, around in cofacets.items():
             if any(not sigma.isdisjoint(boundary.get(f, ())) for f in around):
                 continue
-            lk_tree = rec(frozenset(f - sigma for f in around if f != sigma))
+            lk_tree = yield (frozenset(f - sigma for f in around if f != sigma),)
             if lk_tree is None:
                 continue
             child_mask = mask
             for f in around:
                 child_mask &= ~(1 << facet_ids[f])
             state = (child_mask, adj, by_ridge, chi, cofacets, sigma, around)
-            dl_tree = rec(facets.difference(around), state)
+            dl_tree = yield (facets.difference(around), state)
             if dl_tree is None:
                 continue
             tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
@@ -409,13 +409,11 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         return None
 
     try:
-        tree = rec(base)
+        tree = _run(rec, base)
     except _BudgetExceeded:
         return SearchResult("budget_exceeded", None, nodes)
-    finally:
-        del rec  # its cell holds it: free the search without the collector
     if tree is not None:
-        return SearchResult("yes", (_cone_tree(tree, apexes),), nodes)
+        return SearchResult("yes", (tree,), nodes)
     return SearchResult("no", None, nodes)
 
 
@@ -473,20 +471,6 @@ def _deletion_state(
     lk_chi = _reduced_euler([f - sigma for f in around])
     stars = [cofacets[tau] for tau in touched if len(tau) == 1 and tau in cofacets]
     return by_ridge, chi - (-1) ** len(sigma) * lk_chi, cofacets, stars
-
-
-def _cone_tree(tree: dict, apexes: frozenset) -> dict:
-    """The shedding tree of the join of the complex that ``tree``
-    decomposes with the simplex on ``apexes``."""
-    if not apexes:
-        return tree
-    if "leaf" in tree:
-        return {"leaf": list(face_key(apexes.union(tree["leaf"])))}
-    return {
-        "shedding": tree["shedding"],
-        "link": _cone_tree(tree["link"], apexes),
-        "delete": _cone_tree(tree["delete"], apexes),
-    }
 
 
 def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:

@@ -1,6 +1,8 @@
 import random
 import re
+import sys
 from collections.abc import Mapping
+from contextlib import contextmanager
 from itertools import permutations
 
 from shellkit import reduction
@@ -41,7 +43,7 @@ from shellkit.gadgets import (
     map_feature,
 )
 from shellkit.reduction import _SIZE_CONSTANT, _lit_name, _occurrences
-from shellkit.shelling import ShellingError, _check_pure_input, _cone_base, _cone_tree
+from shellkit.shelling import ShellingError, _check_pure_input, _cone_base
 
 
 def random_pure_2complex(rng: random.Random, max_facets: int = 8, pool: int = 9) -> Complex:
@@ -119,6 +121,27 @@ def oracle_vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
 
 
 EMPTY_FACE_COMPLEX = Complex(frozenset({frozenset()}), _trusted=True)
+
+
+def strip(n: int) -> Complex:
+    """The strip of the ``n`` triangles i i+1 i+2, a shellable disk."""
+    return Complex.from_facets([i, i + 1, i + 2] for i in range(n))
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Run the block under a recursion limit ``frames`` above the depth of
+    its caller, so that a search recursing once per level past that many
+    levels would raise ``RecursionError``."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def oracle_flags(faces, vid):
@@ -293,9 +316,10 @@ def oracle_decide_k_decomposable(
     k: Complex, kk: int, budget: int = DEFAULT_BUDGET, refuted: list | None = None
 ) -> SearchResult:
     """Reference: ``shelling.decide_k_decomposable`` with every node's
-    ridge map and prune built from its facet set alone.  When ``refuted``
-    is a list, each node the prune refutes appends to it whether the node
-    is a deletion child and the set of rules it fails."""
+    ridge map and prune built from its facet set alone, and a cone's tree
+    lifted from its base's tree after the search (``oracle_cone_tree``).
+    When ``refuted`` is a list, each node the prune refutes appends to it
+    whether the node is a deletion child and the set of rules it fails."""
     if kk < 0:
         raise ShellingError("k must be >= 0")
     _check_pure_input(k)
@@ -348,8 +372,23 @@ def oracle_decide_k_decomposable(
     except _BudgetExceeded:
         return SearchResult("budget_exceeded", None, nodes)
     if tree is not None:
-        return SearchResult("yes", (_cone_tree(tree, apexes),), nodes)
+        return SearchResult("yes", (oracle_cone_tree(tree, apexes),), nodes)
     return SearchResult("no", None, nodes)
+
+
+def oracle_cone_tree(tree: dict, apexes: frozenset) -> dict:
+    """Reference lift: the shedding tree of the join of the complex that
+    ``tree`` decomposes with the simplex on ``apexes``, built by recursion
+    over a finished tree."""
+    if not apexes:
+        return tree
+    if "leaf" in tree:
+        return {"leaf": list(face_key(apexes.union(tree["leaf"])))}
+    return {
+        "shedding": tree["shedding"],
+        "link": oracle_cone_tree(tree["link"], apexes),
+        "delete": oracle_cone_tree(tree["delete"], apexes),
+    }
 
 
 # -- the shedding-tree replay on face sets, by recursion -----------------------

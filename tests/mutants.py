@@ -182,6 +182,40 @@ CATALOGUE = (
         ("tests/test_shelling.py",),
     ),
     Mutant(
+        "empty-leaf-without-apexes",
+        "src/shellkit/shelling.py",
+        '            return {"leaf": list(face_key(apexes))}\n',
+        '            return {"leaf": []}\n',
+        "the leaf of the empty-face complex in a cone's search is the simplex on the apexes",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "dominated-shared-across-levels",
+        "src/shellkit/collapse.py",
+        "        tried = 0\n\n        def walk(prev: int):\n            nonlocal tried\n"
+        "            level = len(chosen)\n            if level == depth:\n"
+        "                tried += 1\n                if tried > budget:\n"
+        "                    raise _BudgetExceeded\n                return self.collapsible()\n"
+        "            end = len(ids[level]) - (depth - level) + 1 if ascending else len(ids[level])\n"
+        "            dominated: set[int] = set()\n",
+        "        tried = 0\n        dominated: set[int] = set()\n\n        def walk(prev: int):\n"
+        "            nonlocal tried\n"
+        "            level = len(chosen)\n            if level == depth:\n"
+        "                tried += 1\n                if tried > budget:\n"
+        "                    raise _BudgetExceeded\n                return self.collapsible()\n"
+        "            end = len(ids[level]) - (depth - level) + 1 if ascending else len(ids[level])\n",
+        "the removal walk's dominated ids hold for one level's prefix only",
+        ("tests/test_erasure.py",),
+    ),
+    Mutant(
+        "shelling-search-without-dead-prefixes",
+        "src/shellkit/shelling.py",
+        "if len(chosen) == m or (after not in dead and (yield (after,))):",
+        "if len(chosen) == m or (yield (after,)):",
+        "a prefix the shelling search refuted is not searched again, so it counts no node",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
         "command-without-freeze",
         "src/shellkit/cli.py",
         "    gc.freeze()  # the command's collections skip every object alive before it\n",

@@ -7,12 +7,14 @@ import sys
 import weakref
 
 import pytest
-from conftest import misplaced_vertex_labels, pendants_at
+from conftest import misplaced_vertex_labels, pendants_at, recursion_headroom, strip
 
 from shellkit import cli, gadgets, reduction
 from shellkit.collapse import SearchResult, is_collapsible_2d_greedy
 from shellkit.complex_core import (
     InternalError,
+    cone,
+    format_facet_lines,
     from_json,
     parse_facet_lines,
     subdivide_labeled,
@@ -551,30 +553,32 @@ def test_check_negative_budget_is_usage_error(prop, budget, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
-    # A strip of triangles is a shellable disk, but the shelling search
-    # recurses once per facet.  Under a recursion limit 100 frames above
-    # this one, a 300-triangle strip runs out of stack as a longer strip
-    # does under the default limit.
+def test_only_a_witness_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
+    # The searches keep their levels on an explicit stack, so with 100
+    # frames of headroom a 300-triangle strip gets a shelling and the cone
+    # over a 150-triangle strip a collapse.  Only a shedding tree's JSON
+    # recurses once per level: the strip's vertex decomposition nests 299
+    # deep, too deep to write.
     path = tmp_path / "strip.txt"
-    path.write_text("".join(f"{i} {i + 1} {i + 2}\n" for i in range(300)))
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 100)
-    try:
-        code, out, err = run(["check", "shellable", str(path)], capsys)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: check: the search went deeper than the recursion limit")
-    assert not (tmp_path / "strip.shellable.witness.json").exists()
-    # Under the restored limit the same strip is a yes with a witness.
-    code, _, _ = run(["check", "shellable", str(path)], capsys)
-    assert code == 0
+    path.write_text(format_facet_lines(strip(300)))
+    cone_path = tmp_path / "cone.txt"
+    cone_path.write_text(format_facet_lines(cone(strip(150))))
     witness = tmp_path / "strip.shellable.witness.json"
+    with recursion_headroom(100):
+        assert run(["check", "shellable", str(path)], capsys)[0] == 0
+        assert run(["verify", str(path), str(witness)], capsys)[0] == 0
+        assert run(["check", "collapsible", str(cone_path)], capsys)[0] == 0
+        code, out, err = run(["check", "k-decomposable(0)", str(path)], capsys)
+        limit = sys.getrecursionlimit()
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: check: the witness nests deeper than the recursion limit "
+        f"({limit}); no verdict\n"
+    )
+    assert not (tmp_path / "strip.k-decomposable.witness.json").exists()
+    # Under the restored limit the same strip is a yes with a witness.
+    assert run(["check", "k-decomposable(0)", str(path)], capsys)[0] == 0
+    witness = tmp_path / "strip.k-decomposable.witness.json"
     assert run(["verify", str(path), str(witness)], capsys)[0] == 0
 
 

@@ -13,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import recursion_headroom
 from shellkit import collapse
 from shellkit.collapse import SearchResult, TriangleErasure, find_removal, is_collapsible_2d_greedy
 from shellkit.complex_core import (
@@ -362,6 +363,21 @@ def test_find_removal_needs_distinct_picks():
         find_removal(k, [[a, b, a]] * 2, budget=10, ascending=True)
     # A repeat inside one pool of the product order still picks distinct triangles.
     assert find_removal(k, [[a, a]], budget=10).yes
+
+
+def test_removal_walk_deeper_than_the_recursion_limit():
+    # A wedge of 150 tetrahedron boundaries at vertex 0 has χ̃ = 150, and
+    # one triangle off each sphere leaves a wedge of disks, a collapsible
+    # complex.  With one single-triangle pool per sphere the walk goes 150
+    # levels deep, 50 past its headroom of frames, and still answers.
+    n = 150
+    spheres = [[0, 3 * i + 1, 3 * i + 2, 3 * i + 3] for i in range(n)]
+    k = Complex.from_facets(t for s in spheres for t in itertools.combinations(s, 3))
+    pools = [[frozenset(s[1:])] for s in spheres]
+    with recursion_headroom(100):
+        res = find_removal(k, pools, budget=10)
+    assert (res.verdict, res.nodes) == ("yes", 1)
+    assert res.witness[0] == tuple(pool[0] for pool in pools)
 
 
 def test_removals_tried_are_pinned():

@@ -20,8 +20,11 @@ from conftest import (
     pendant_dunce_hat,
     random_complex,
     random_pure_2complex,
+    recursion_headroom,
+    strip,
 )
 from shellkit.collapse import (
+    collapses_to,
     find_removal,
     is_collapsible_2d_greedy,
     is_collapsible_dfs,
@@ -616,25 +619,46 @@ def test_frontier_walk_matches_the_built_deletion():
 
 
 def test_deciders_leave_no_reference_cycles():
-    # A search's recursive closure is freed when the call returns, by
-    # reference counting alone, on a yes, a no and an overrun.
+    # A search's state is freed when the call returns, by reference
+    # counting alone, on a yes, a no and an overrun where it has one.
     mdh = fixtures()["modified_dunce_hat"].complex
     searched_no = Complex.from_facets(SEARCHED_NO)
+    cone_strip = cone(strip(12))
+    apex = Complex.from_facets([[max(cone_strip.vertices)]])
+    # Two solid tetrahedra hung on the dunce hat: a searched collapse no.
+    hat = dunce_hat()
+    a, b = hat.vertices[:2]
+    hung = Complex.from_facets([*hat.facets, [a, 100, 101, 102], [b, 103, 104, 105]])
+    vertex = Complex.from_facets([[a]])
+    sphere = Complex.from_facets(subfaces(range(4), [3]))
+    sphere_pool = [sorted(sphere.facets, key=face_key)]
+    hat_pools = [sorted(hat.facets, key=face_key)] * 2
     calls = [
-        lambda: decide_k_decomposable(mdh, 1),
-        lambda: decide_k_decomposable(searched_no, 0),
-        lambda: decide_k_decomposable(mdh, 1, budget=5),
-        lambda: decide_shellable(mdh),
-        lambda: decide_shellable(searched_no),
-        lambda: decide_shellable(mdh, budget=3),
+        ("yes", lambda: decide_k_decomposable(mdh, 1)),
+        ("no", lambda: decide_k_decomposable(searched_no, 0)),
+        ("budget_exceeded", lambda: decide_k_decomposable(mdh, 1, budget=5)),
+        ("yes", lambda: decide_shellable(mdh)),
+        ("no", lambda: decide_shellable(searched_no)),
+        ("budget_exceeded", lambda: decide_shellable(mdh, budget=3)),
+        ("yes", lambda: is_collapsible_dfs(cone_strip)),
+        ("no", lambda: is_collapsible_dfs(hung)),
+        ("budget_exceeded", lambda: is_collapsible_dfs(cone_strip, budget=3)),
+        ("yes", lambda: collapses_to(cone_strip, apex)),
+        ("no", lambda: collapses_to(hung, vertex)),
+        ("budget_exceeded", lambda: collapses_to(cone_strip, apex, budget=3)),
+        ("yes", lambda: is_collapsible_2d_greedy(mdh)),
+        ("no", lambda: is_collapsible_2d_greedy(pendant_dunce_hat())),
+        ("yes", lambda: find_removal(sphere, sphere_pool, 10)),
+        ("no", lambda: find_removal(hat, hat_pools, 100, ascending=True)),
+        ("budget_exceeded", lambda: find_removal(hat, hat_pools, 3, ascending=True)),
     ]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        for call in calls:
+        for verdict, call in calls:
             res = call()
-            assert res.nodes > 0
+            assert (res.verdict, res.nodes > 0) == (verdict, True)
             assert gc.collect() == 0, res
     finally:
         if was_enabled:
@@ -910,12 +934,34 @@ def test_replay_of_a_tree_deeper_than_the_recursion_limit():
     assert verify_decomposition(k, 0, tree) == 2 * n - 1
 
 
+def test_searches_deeper_than_the_recursion_limit():
+    # The searches keep their levels on one explicit stack, not in Python
+    # frames: with 100 frames of headroom, the shelling search places 300
+    # facets one level below the other, the decomposition search sheds 299
+    # vertices, and the collapse search removes 150 tetrahedra.
+    k, coned = strip(300), cone(strip(150))
+    with recursion_headroom(100):
+        order = decide_shellable(k)
+        tree = decide_k_decomposable(k, 0)
+        pairs = is_collapsible_dfs(coned)
+    assert (order.verdict, order.nodes) == ("yes", 300)
+    verify_shelling(k, order.witness)
+    assert (tree.verdict, tree.nodes) == ("yes", 599)
+    assert verify_decomposition(k, 0, tree.witness[0]) == 599
+    assert pairs.verdict == "yes"
+    verify_collapse_sequence(coned, pairs.witness)
+
+
 def test_the_empty_face_complex_replays_and_the_void_does_not():
-    # The empty-face complex {∅} is decomposed by the leaf [], and that
-    # tree replays; the void complex has no decomposition to replay.
+    # The empty-face complex {∅} is decomposed by the leaf [] and shelled
+    # by the empty order, and both replay; the void complex has no
+    # decomposition to replay.
     res = decide_k_decomposable(EMPTY_FACE_COMPLEX, 0)
     assert (res.verdict, res.witness) == ("yes", ({"leaf": []},))
     assert verify_decomposition(EMPTY_FACE_COMPLEX, 0, res.witness[0]) == 1
+    res = decide_shellable(EMPTY_FACE_COMPLEX)
+    assert (res.verdict, res.witness, res.nodes) == ("yes", (), 0)
+    verify_shelling(EMPTY_FACE_COMPLEX, res.witness)
     with pytest.raises(ShellingError, match="needs a nonempty complex"):
         verify_decomposition(Complex.empty(), 0, {"leaf": []})
 

@@ -267,7 +267,7 @@ def test_calls_in_finds_named_calls():
 # facets alone, so it stays a check independent of the search it verifies.
 SEARCH_HELPERS = (
     "ridge_holders", "_deletion_state", "_without", "_frontier", "_cofacets", "_facet_graph",
-    "graph_connected", "_may_be_shellable", "_reduced_euler",
+    "graph_connected", "_may_be_shellable", "_reduced_euler", "_run",
 )
 
 

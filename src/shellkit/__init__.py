@@ -21,6 +21,7 @@ from shellkit.collapse import (
     CollapsePair,
     SearchResult,
     collapses_to,
+    free_faces,
     is_collapsible_2d_greedy,
     is_collapsible_dfs,
     verify_collapse_sequence,
@@ -55,6 +56,7 @@ __all__ = [
     "CollapsePair",
     "SearchResult",
     "collapses_to",
+    "free_faces",
     "is_collapsible_2d_greedy",
     "is_collapsible_dfs",
     "verify_collapse_sequence",

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 Face = frozenset
 
@@ -403,17 +403,9 @@ def vertex_links_connected(
     Returns ``(ok, failing_vertices)``, the failing vertices in vertex
     order.  A link that is empty or a single vertex counts as connected.
 
-    The link of v is the union of the simplices F - v over the facets F
-    through v, and the 1-skeleton of each is connected, so the link's is
-    connected exactly when these simplices chain together through shared
-    vertices.  One pass over the facets collects the star of each vertex
-    checked, and no other vertex gets any link data.  Then a set-growth
-    merge starts from the vertices of one facet of the star, adds every
-    facet that meets them, and repeats until a pass adds none: a facet
-    left over lies in another component.  Every facet of the star holds
-    v, so v leaves the reached set after each merge; through v any two
-    facets would meet.  No adjacency map is built per link: running
-    :func:`graph_connected` on one costs about twice as much.
+    One pass over the facets collects the star of each vertex checked, and
+    no other vertex gets any link data; :func:`_link_connected` then
+    decides each link from its star.
     """
     check = k.vertices if vertices is None else sorted(vertices)
     stars: dict[int, list[frozenset]] = {v: [] for v in check}
@@ -421,25 +413,40 @@ def vertex_links_connected(
         for v in f:
             if v in stars:
                 stars[v].append(f)
-    bad = []
-    for v in check:
-        star = stars[v]
-        reach = set(star[0]) if star else set()
-        reach.discard(v)
-        rest = star[1:]
-        while rest:
-            left = []
-            for f in rest:
-                if reach.isdisjoint(f):
-                    left.append(f)
-                else:
-                    reach.update(f)
-                    reach.discard(v)
-            if len(left) == len(rest):
-                bad.append(v)
-                break
-            rest = left
-    return (not bad, tuple(bad))
+    bad = tuple(v for v in check if not _link_connected(v, stars[v]))
+    return (not bad, bad)
+
+
+def _link_connected(v: int, star: Sequence[frozenset]) -> bool:
+    """Whether the 1-skeleton of the link of ``v`` is connected, read off
+    ``star``, the facets through ``v``; an empty star counts as connected.
+
+    The link of v is the union of the simplices F - v over the facets F of
+    the star, and the 1-skeleton of each is connected, so the link's is
+    connected exactly when these simplices chain together through shared
+    vertices.  A set-growth merge decides it: start from the vertices of
+    one facet of the star, add every facet that meets them, and repeat
+    until a pass adds none; a facet left over lies in another component.
+    Every facet of the star holds v, so v leaves the reached set after
+    each merge; through v any two facets would meet.  No adjacency map is
+    built per link: running :func:`graph_connected` on one costs about
+    twice as much.
+    """
+    reach = set(star[0]) if star else set()
+    reach.discard(v)
+    rest = star[1:]
+    while rest:
+        left = []
+        for f in rest:
+            if reach.isdisjoint(f):
+                left.append(f)
+            else:
+                reach.update(f)
+                reach.discard(v)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
 
 
 # -- barycentric subdivision ------------------------------------------------

@@ -14,19 +14,23 @@ The lower wall is meshed as a flower of ladders around a hub, which scales
 to any number of attachment rays.  Every builder of a part that K_phi
 glues calls :func:`_check_gadget`, the one postcondition rule (purity,
 exact free-face set, reduced Euler characteristic, the exact set of
-disconnected vertex links), and raises ``InternalError`` on any
-violation, as the glue checks of ``_amalgamate_with_maps`` do, so a
-constructed gadget is trustworthy by construction.
+disconnected vertex links, all read off the ridge map and the vertex
+stars of its facets), and raises ``InternalError`` on any violation, as
+the glue checks of ``_amalgamate_with_maps`` do, so a constructed gadget
+is trustworthy by construction.  The three-house also checks its exits:
+one collapse through door 1, carried to doors 2 and 3 by a door rotation
+that it checks to be an automorphism (``_check_door_rotation``).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Collection, Mapping, Sequence
 
-from shellkit.collapse import CollapseSequence, collapses_to, free_faces
+from shellkit.collapse import CollapseSequence, collapses_to
 from shellkit.complex_core import (
     Complex,
     Face,
@@ -34,11 +38,12 @@ from shellkit.complex_core import (
     InternalError,
     LabeledComplex,
     UnionFind,
+    _link_connected,
     face_key,
     is_pseudomanifold,
+    ridge_holders,
     sorted_face_keys,
     subfaces,
-    vertex_links_connected,
 )
 
 
@@ -244,19 +249,39 @@ def _check_gadget(
     with a disconnected link exactly ``pinched``, in vertex order.  So
     every link is checked: ``reduction._check_compiled`` relies on this
     to check links only at the vertices that gluing merges.
+
+    After the purity test, everything is read off two maps of the facets:
+    the ridge map (``ridge_holders``) and a map from each vertex to its
+    star, the facets through it.  In a pure 2-complex every face lies in
+    a triangle, and every edge is a ridge, so:
+
+    * a free face, one with a single facet over it (the rule of
+      ``collapse.free_faces``), is a ridge with one holder or a vertex
+      whose star has one facet;
+    * the reduced Euler characteristic is V - E + F - 1, with V the
+      vertices, E the ridges and F the facets;
+    * each link is decided from its star by the merge of
+      ``vertex_links_connected``, ``complex_core._link_connected``.
     """
     k = lc.complex
     if not k.is_pure(2):
         raise InternalError(f"{what}: not pure 2-dimensional")
-    got = {f for f, _ in free_faces(k)}
+    facets = k.facets
+    holders = ridge_holders(facets)
+    stars: dict[int, list[Face]] = {}
+    for f in facets:
+        for v in f:
+            stars.setdefault(v, []).append(f)
+    got = {ridge for ridge, held in holders.items() if len(held) == 1}
+    got.update(frozenset([v]) for v, star in stars.items() if len(star) == 1)
     if got != set(free):
         raise InternalError(
             f"{what}: free faces {sorted(map(face_key, got))} != "
             f"expected {sorted(map(face_key, free))}"
         )
-    if k.reduced_euler_characteristic() != chi:
+    if len(stars) - len(holders) + len(facets) - 1 != chi:
         raise InternalError(f"{what}: reduced Euler characteristic is not {chi}")
-    failing = vertex_links_connected(k)[1]
+    failing = tuple(v for v in sorted(stars) if not _link_connected(v, stars[v]))
     if failing != pinched:
         raise InternalError(f"{what}: disconnected links at {failing} != expected {pinched}")
 
@@ -364,8 +389,19 @@ def build_three_house() -> LabeledComplex:
     the house collapses onto the contact star no matter which two free
     edges are kept.  Labels: ``v``, ``e``, ``f1..f3``, and two-edge
     paths ``p1..p3`` with p_i meeting f_i in one vertex and missing the
-    other free edges.  Its postconditions include ``three_house_exit``
-    through each door.
+    other free edges.
+
+    Its postconditions include an exit through each door, checked by one
+    collapse.  The door rotation fixes ``v`` and ``w`` and shifts each of
+    the five rings (``alpha``, ``beta``, ``rim_b``, ``rim_c``, ``mid``)
+    by one wall; ``_check_door_rotation`` checks that it is an
+    automorphism of the house that takes f_i to f_(i+1), p_i to p_(i+1)
+    and e to itself.  An automorphism maps a free face and its only
+    facet to a free face and its only facet, so it maps a collapse onto
+    a subcomplex to a collapse onto the image of that subcomplex.  It
+    maps the kept set of door 1 (e, p1..p3, f2, f3) onto that of door 2
+    (e, p2, p3, p1, f3, f1) and, applied twice, onto that of door 3.  So
+    ``three_house_exit`` through door 1 alone proves all three exits.
     """
     v, w = 0, 1
     alpha = [2 + 5 * i for i in range(3)]
@@ -412,9 +448,26 @@ def build_three_house() -> LabeledComplex:
     lc = LabeledComplex(Complex.from_facets(facets), labels)
     _check_gadget(lc, "three-house", 0, [frozenset(door) for door in zip(alpha, beta)])
     _check_three_house_star(lc)
-    for entry in (1, 2, 3):
-        three_house_exit(lc, entry)
+    rotate = {x: x for x in lc.complex.vertices}  # v and w stay
+    for ring in (alpha, beta, rim_b, rim_c, mid):
+        rotate.update(zip(ring, ring[1:] + ring[:1]))
+    _check_door_rotation(lc, rotate)
+    three_house_exit(lc, 1)
     return lc
+
+
+def _check_door_rotation(lc: LabeledComplex, rotate: Mapping[int, int]) -> None:
+    """``rotate``, a permutation of the three-house's vertices, must map
+    its facets onto its facets, so it is an automorphism, and take each
+    door's labels to the next door's: f_i to f_(i+1), p_i to p_(i+1)
+    (indices mod 3), and e to itself."""
+    facets = lc.complex.facets
+    if {frozenset(map(rotate.__getitem__, f)) for f in facets} != facets:
+        raise InternalError("three-house: the door rotation does not map facets onto facets")
+    moves = [("e", "e")] + [(f"{x}{i}", f"{x}{i % 3 + 1}") for x in "fp" for i in (1, 2, 3)]
+    for name, image in moves:
+        if map_feature(lc.feature(name), rotate) != lc.feature(image):
+            raise InternalError(f"three-house: the door rotation does not take {name} to {image}")
 
 
 def _check_three_house_star(lc: LabeledComplex) -> None:
@@ -443,7 +496,8 @@ def three_house_exit(lc: LabeledComplex, entry: int) -> tuple[CollapseSequence, 
 
     Returns the witness and the kept subcomplex: the hub edge ``e``, all
     three two-edge paths, and the two doors other than ``entry``.  The
-    build runs it through every door as a postcondition.  The collapse
+    build runs it through door 1 as a postcondition, and its door rotation
+    carries that exit to the other two doors.  The collapse
     schedule keeps the same faces of each clause house, read off K_phi's
     own labels, with ``f_and`` in the place of ``e``.
     """
@@ -548,14 +602,15 @@ def _pairing(fa: Feature, fb: Feature, what: str) -> list[tuple[int, int]]:
 def _amalgamate_with_maps(
     parts: Sequence[tuple[str, LabeledComplex]],
     identifications: Sequence[tuple[str, str, str, str]],
-) -> tuple[Complex, dict[str, dict[int, int]], frozenset[int]]:
+) -> tuple[Complex, dict[str, dict[int, int]], frozenset[int], dict[str, list[Face]]]:
     """Quotient labeled parts along feature identifications
     ``(part_a, label_a, part_b, label_b)``: the two features must have the
     same kind and vertex count and merge positionally, and faces of two
     parts may coincide only inside identified features.  Returns the
     merged complex, without labels, the vertex map of each part into it,
-    and the glued vertices: those with two or more preimages.  Callers map
-    the labels they need through the maps.
+    the glued vertices (those with two or more preimages), and the mapped
+    facets of each part.  Callers map the labels they need through the
+    maps, and label a whole part by its mapped facets.
 
     What the parts fix is not checked again here; the glue checks what
     gluing can break.
@@ -569,11 +624,17 @@ def _amalgamate_with_maps(
       the faces of size s of the union are the mapped facets of the
       parts.  No face has more than s vertices, so these are exactly the
       facets of the union, and they are recorded with no pass over the
-      faces by ``facets_of``.  With mixed sizes the facets stay lazy.
+      faces.  With mixed sizes the facets stay lazy.
     * Overlaps, at the glue: each part maps injectively, so a face of
       two or more parts is among the faces mapped so far when the second
       of them is mapped.  One set intersection per part finds them, and
       each nonempty one must lie in an identified feature.
+    * The mapped facets of a part are the objects the merged face set
+      holds when they have three or more vertices.  A set keeps the first
+      of two equal objects added, so a facet's image is held unless an
+      earlier part has an equal face, an overlap; but overlaps lie in
+      identified features, vertices, edges and paths, whose faces have at
+      most two vertices.
     """
     table = dict(parts)
     if len(table) != len(parts):
@@ -622,9 +683,12 @@ def _amalgamate_with_maps(
         allowed |= map_feature(feat, vmaps[pname]).face_set()
     faces: set[Face] = set()
     overlap: set[Face] = set()
+    part_facets: dict[str, list[Face]] = {}
     for name, lc in parts:
         image = vmaps[name].__getitem__
-        mapped = [frozenset(map(image, face)) for face in lc.complex.faces]
+        top = lc.complex.facets
+        mapped = [frozenset(map(image, face)) for face in chain(top, lc.complex.faces - top)]
+        part_facets[name] = mapped[: len(top)]
         overlap |= faces.intersection(mapped)
         faces.update(mapped)
     overlap.discard(frozenset())
@@ -634,6 +698,6 @@ def _amalgamate_with_maps(
             f"parts overlap outside the declared identifications: {collisions[:8]}"
         )
 
-    sizes = {len(f) for _, lc in parts for f in lc.complex.facets}
-    facets = [f for f in faces if len(f) in sizes] if len(sizes) == 1 else None
-    return Complex.from_faces(faces, facets), vmaps, glued
+    tops = list(chain.from_iterable(part_facets.values()))
+    facets = tops if len(set(map(len, tops))) == 1 else None
+    return Complex.from_faces(faces, facets), vmaps, glued, part_facets

@@ -204,7 +204,9 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
 
     * on the parts, by ``gadgets._check_gadget``, called by each
       builder, once per shape per compile: each gadget's purity, free
-      faces, reduced Euler characteristic and vertex links;
+      faces, reduced Euler characteristic and vertex links, read off the
+      ridge map and the vertex stars of its facets; the three-house's
+      exits by one collapse and its door rotation;
     * at the glue, by ``_amalgamate_with_maps``: no part has two of its
       vertices merged, faces of two parts meet only inside identified
       features (checked among the glued vertices), and the facets are
@@ -213,6 +215,10 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
       the reduced Euler characteristic, the size bound by the face count,
       and vertex links at the glued vertices;
     * the labels, by ``LabeledComplex``: every labeled face is in K_phi.
+
+    The label of each whole part is built from the facets the glue
+    mapped, the same objects K_phi's face set holds, so no facet is
+    mapped twice and the label shares K_phi's faces.
     """
     occ = _occurrences(phi)
     attachments = tuple(f"f(u{i})" for i in range(1, phi.n + 1))
@@ -278,13 +284,14 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
     # Every part is labeled whole, under its own name.
     wanted.update((name, (name, None)) for name, _ in parts)
 
-    merged, vmaps, glued = _amalgamate_with_maps(parts, idents)
+    merged, vmaps, glued, part_facets = _amalgamate_with_maps(parts, idents)
     table = dict(parts)
     labels: dict[str, Feature] = {}
     for name, (part, label) in wanted.items():
-        piece, vmap = table[part], vmaps[part]
-        facets = (map(vmap.__getitem__, f) for f in piece.complex.facets)
-        labels[name] = map_feature(piece.feature(label), vmap) if label else Feature.subcomplex(facets)
+        if label:
+            labels[name] = map_feature(table[part].feature(label), vmaps[part])
+        else:
+            labels[name] = Feature.subcomplex(part_facets[part])
 
     try:
         lc = LabeledComplex(merged, labels)
@@ -306,7 +313,8 @@ def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) ->
       A vertex w with one preimage v, in part P, lies only in images of
       faces of P through v, so its link in K_phi is the image of P's link
       of v, which P's builder checked: every builder of a part calls
-      ``gadgets._check_gadget``, which finds every disconnected link and
+      ``gadgets._check_gadget``, which finds every disconnected link, by
+      the star merge that ``vertex_links_connected`` runs here, and
       allows only the listed pinches, and only O(u) lists one, v(u).
       Every vertex of O(u) lies on s(u), b(u) or p(u), which are
       identified with other parts, so the pinch is glued and checked

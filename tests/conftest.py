@@ -3,7 +3,7 @@ import re
 import sys
 from collections.abc import Mapping
 from contextlib import contextmanager
-from itertools import permutations
+from itertools import combinations, permutations
 
 from shellkit import reduction
 from shellkit.collapse import (
@@ -60,6 +60,42 @@ def random_complex(rng: random.Random, max_facets: int = 6, pool: int = 8) -> Co
     want = rng.randint(1, max_facets)
     facets = [rng.sample(range(pool), rng.randint(1, 3)) for _ in range(want)]
     return Complex.from_facets(facets)
+
+
+def grown_pure_complex(rng: random.Random, d: int, size: int) -> Complex:
+    """A pure d-complex of ``size`` facets grown from one simplex: each new
+    facet holds a ridge of an earlier one and a vertex that is new or, with
+    probability 0.6, an old one.  Its facet graph is connected, so the
+    root prune refutes few of these, and the searches go deep."""
+    facets = [frozenset(range(d + 1))]
+    n = d + 1
+    while len(facets) < size:
+        f = rng.choice(facets)
+        ridge = f - {rng.choice(sorted(f))}
+        if rng.random() < 0.6:
+            v = rng.randrange(n)
+        else:
+            v, n = n, n + 1
+        if v not in ridge and ridge | {v} not in facets:
+            facets.append(ridge | {v})
+    return Complex.from_facets(facets)
+
+
+def pinched_complex(rng: random.Random, d: int, size: int) -> Complex:
+    """A grown pure d-complex (``grown_pure_complex``) with two vertices
+    identified whose stars are disjoint, so that no facet repeats a vertex.
+    The glued vertex's star is often held together by a few ridges only,
+    so a deletion can leave it disconnected where the whole complex is
+    not."""
+    pairs = []
+    while not pairs:
+        k = grown_pure_complex(rng, d, size)
+        stars = {v: {f for f in k.facets if v in f} for v in k.vertices}
+        pairs = [
+            (u, w) for u, w in combinations(k.vertices, 2) if stars[u].isdisjoint(stars[w])
+        ]
+    u, w = rng.choice(pairs)
+    return Complex.from_facets([[u if v == w else v for v in f] for f in k.facets])
 
 
 def link_of(k: Complex, sigma) -> Complex:
@@ -576,10 +612,10 @@ def pendants_at(pick, seen):
     amalgamate = reduction._amalgamate_with_maps
 
     def glue(parts, idents):
-        k, vmaps, glued = amalgamate(parts, idents)
+        k, vmaps, glued, part_facets = amalgamate(parts, idents)
         fresh = max(k.vertices) + 1
         pendants = [(v, fresh + 2 * i, fresh + 2 * i + 1) for i, v in enumerate(pick(glued))]
         seen.append(glued)
-        return Complex.from_facets([*k.facets, *pendants]), vmaps, glued
+        return Complex.from_facets([*k.facets, *pendants]), vmaps, glued, part_facets
 
     return glue

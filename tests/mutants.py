@@ -86,10 +86,58 @@ CATALOGUE = (
     Mutant(
         "link-merge-keeps-v-after-first-facet",
         "src/shellkit/complex_core.py",
-        "        reach.discard(v)\n        rest = star[1:]\n",
-        "        rest = star[1:]\n",
+        "    reach.discard(v)\n    rest = star[1:]\n",
+        "    rest = star[1:]\n",
         "the link merge leaves v out of the reached set, so facets meet only off v",
         ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "gadget-check-without-free-vertices",
+        "src/shellkit/gadgets.py",
+        "    got.update(frozenset([v]) for v, star in stars.items() if len(star) == 1)\n",
+        "",
+        "the gadget check counts a vertex in a single facet as a free face",
+        ("tests/test_gadgets.py",),
+    ),
+    Mutant(
+        "gadget-check-chi-off-by-one",
+        "src/shellkit/gadgets.py",
+        "if len(stars) - len(holders) + len(facets) - 1 != chi:",
+        "if len(stars) - len(holders) + len(facets) != chi:",
+        "the gadget check's reduced Euler characteristic is V - E + F - 1",
+        ("tests/test_gadgets.py",),
+    ),
+    Mutant(
+        "gadget-check-without-link-check",
+        "src/shellkit/gadgets.py",
+        "    failing = tuple(v for v in sorted(stars) if not _link_connected(v, stars[v]))\n",
+        "    failing = pinched\n",
+        "the gadget check finds every disconnected vertex link",
+        ("tests/test_gadgets.py",),
+    ),
+    Mutant(
+        "door-rotation-without-label-test",
+        "src/shellkit/gadgets.py",
+        "        if map_feature(lc.feature(name), rotate) != lc.feature(image):\n",
+        "        if False:\n",
+        "the door rotation takes f_i, p_i and e to f_(i+1), p_(i+1) and e",
+        ("tests/test_gadgets.py",),
+    ),
+    Mutant(
+        "door-rotation-keeps-mid-fixed",
+        "src/shellkit/gadgets.py",
+        "    for ring in (alpha, beta, rim_b, rim_c, mid):\n",
+        "    for ring in (alpha, beta, rim_b, rim_c):\n",
+        "the door rotation shifts all five rings of the three-house",
+        ("tests/test_gadgets.py",),
+    ),
+    Mutant(
+        "whole-part-labels-from-another-part",
+        "src/shellkit/reduction.py",
+        "            labels[name] = Feature.subcomplex(part_facets[part])\n",
+        '            labels[name] = Feature.subcomplex(part_facets["A"])\n',
+        "each whole-part label of K_phi holds that part's own facets",
+        ("tests/test_reduction.py",),
     ),
     Mutant(
         "chains-only-through-ridges",

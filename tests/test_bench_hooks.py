@@ -28,6 +28,7 @@ PUBLIC_NAMES = [
     "CollapsePair",
     "SearchResult",
     "collapses_to",
+    "free_faces",
     "is_collapsible_2d_greedy",
     "is_collapsible_dfs",
     "verify_collapse_sequence",

@@ -501,7 +501,8 @@ def test_misplaced_compiled_label_exits_four(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_gadget_check_exits_four(capsys, monkeypatch):
-    monkeypatch.setattr(gadgets, "free_faces", lambda k: [])
+    # A gadget check whose ridge map holds no ridge finds no free face.
+    monkeypatch.setattr(gadgets, "ridge_holders", lambda facets: {})
     code, out, err = run(["gadget", "three_house"], capsys)
     assert (code, out) == (4, "")
     assert err.startswith("internal error: three-house: free faces [] != expected [(2, 3), ")

@@ -1,20 +1,30 @@
 """House builders, their frozen meshes, and feature-based amalgamation."""
 
 import importlib.resources
+import random
 
 import pytest
+from conftest import pinched_complex, random_pure_2complex
 
 from shellkit.collapse import (
+    CollapsePair,
     _FaceIndex,
     collapses_to,
     free_faces,
     is_collapsible_2d_greedy,
     verify_collapse_sequence,
 )
-from shellkit.complex_core import Complex, canonical_form, facets_of, format_facet_lines
+from shellkit.complex_core import (
+    Complex,
+    canonical_form,
+    facets_of,
+    format_facet_lines,
+    vertex_links_connected,
+)
 from shellkit.gadgets import (
     OneHouseSpec,
     _amalgamate_with_maps,
+    _check_door_rotation,
     _check_gadget,
     build_literal_house,
     build_O,
@@ -100,6 +110,89 @@ def test_three_house_exit_targets_collapse():
         verify_collapse_sequence(k, res.witness, target)
 
 
+# The three-house's vertices are v = 0, w = 1 and five rings of three, one
+# vertex per wall: alpha, beta, rim_b, rim_c and mid are 2..6 + 5i for wall i.
+DOOR_ROTATION = {x: x if x < 2 else 2 + (x + 3) % 15 for x in range(17)}
+
+
+def test_door_rotation_carries_the_door_1_exit_to_the_others():
+    lc = build_three_house()
+    k = lc.complex
+    _check_door_rotation(lc, DOOR_ROTATION)
+
+    def image(face):
+        return frozenset(map(DOOR_ROTATION.__getitem__, face))
+
+    witness, kept = three_house_exit(lc, 1)
+    for entry in (2, 3):
+        # The image of the door-1 witness is an exit through the next door.
+        witness = [CollapsePair(image(p.free), image(p.coface)) for p in witness]
+        kept = Complex.from_faces(map(image, kept.nonempty_faces))
+        names = ["e", "p1", "p2", "p3"] + [f"f{t}" for t in (1, 2, 3) if t != entry]
+        assert kept == lc.subcomplex(*names) == three_house_exit(lc, entry)[1]
+        verify_collapse_sequence(k, witness, kept)
+
+
+def test_door_rotation_refuses_a_tampered_house():
+    lc = build_three_house()
+    k, labels = lc.complex, dict(lc.labels)
+    wall = min(k.facets, key=sorted)
+    tampered = [
+        LabeledComplex(k.remove_facets([wall]), labels),
+        LabeledComplex(k, {**labels, "f2": labels["f3"], "f3": labels["f2"]}),
+        LabeledComplex(k, {**labels, "p3": Feature.path(reversed(labels["p3"].value))}),
+        LabeledComplex(k, {**labels, "e": Feature.edge(0, 6)}),
+    ]
+    for house in tampered:
+        with pytest.raises(InternalError, match="three-house: the door rotation does not"):
+            _check_door_rotation(house, DOOR_ROTATION)
+    # A rotation that keeps one ring in place is no automorphism.
+    mid_fixed = {x: x if x % 5 == 1 else r for x, r in DOOR_ROTATION.items()}
+    with pytest.raises(InternalError, match="does not map facets onto facets"):
+        _check_door_rotation(lc, mid_fixed)
+
+
+def gadget_shapes():
+    yield "one-house", build_one_house(OneHouseSpec())
+    yield "one-house b", build_one_house(OneHouseSpec(attachments=("b",)))
+    yield "one-house t s", build_one_house(OneHouseSpec(attachments=("t", "s")))
+    for count in range(4):
+        yield f"literal house {count}", build_literal_house(count)
+    yield "three-house", build_three_house()
+    yield "variable sphere", build_variable_sphere()
+    yield "O", build_O()
+
+
+def test_one_pass_gadget_check_matches_the_separate_rules():
+    # On every gadget shape and on random pure 2-complexes, pinched ones
+    # included, the one-pass check accepts exactly the free faces, reduced
+    # Euler characteristic and disconnected links that free_faces,
+    # reduced_euler_characteristic and vertex_links_connected find.
+    rng = random.Random(3901)
+    shapes = [(what, lc.complex) for what, lc in gadget_shapes()]
+    shapes += [("random", random_pure_2complex(rng, 10, 8)) for _ in range(150)]
+    shapes += [("pinched", pinched_complex(rng, 2, rng.randint(4, 12))) for _ in range(60)]
+    seen = {"free vertex": 0, "pinch": 0, "chi": set()}
+    for what, k in shapes:
+        free = {f for f, _ in free_faces(k)}
+        chi = k.reduced_euler_characteristic()
+        pinched = vertex_links_connected(k)[1]
+        lc = LabeledComplex(k, {})
+        _check_gadget(lc, what, chi, free, pinched)
+        with pytest.raises(InternalError, match="reduced Euler characteristic"):
+            _check_gadget(lc, what, chi + 1, free, pinched)
+        with pytest.raises(InternalError, match="free faces"):
+            _check_gadget(lc, what, chi, free ^ {min(k.facets, key=sorted)}, pinched)
+        if pinched:
+            with pytest.raises(InternalError, match="disconnected links"):
+                _check_gadget(lc, what, chi, free, pinched[1:])
+        seen["free vertex"] += any(len(f) == 1 for f in free)
+        seen["pinch"] += bool(pinched)
+        seen["chi"].add(chi)
+    assert seen["free vertex"] >= 50 and seen["pinch"] >= 50, seen
+    assert {-1, 0, 1, 2} <= seen["chi"], seen
+
+
 def test_variable_sphere_frozen():
     lc = build_variable_sphere()
     k = lc.complex
@@ -180,7 +273,7 @@ def two_triangle_parts():
 
 
 def test_amalgamate_two_triangles():
-    merged, vmaps, glued = _amalgamate_with_maps(
+    merged, vmaps, glued, part_facets = _amalgamate_with_maps(
         two_triangle_parts(), [("a", "hinge", "b", "hinge")]
     )
     assert merged.f_vector() == (1, 4, 5, 2)
@@ -188,18 +281,30 @@ def test_amalgamate_two_triangles():
     assert (vmaps["a"][0], vmaps["a"][1]) == (vmaps["b"][1], vmaps["b"][2])
     assert glued == {vmaps["a"][0], vmaps["a"][1]}
     assert merged.facets == facets_of(merged.faces)
+    # Each part's mapped facets, as the objects the merged complex holds.
+    stored = {f: f for f in merged.faces}
+    for name in ("a", "b"):
+        (facet,) = part_facets[name]
+        assert facet == frozenset(vmaps[name][v] for v in (0, 1, 2))
+        assert stored[facet] is facet
     # With facets of mixed sizes the merged facets are found, not recorded.
     tri = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {"tip": Feature.vertex(2)})
     edge = LabeledComplex(Complex.from_facets([[0, 1]]), {"tip": Feature.vertex(0)})
-    mixed, _, _ = _amalgamate_with_maps([("t", tri), ("e", edge)], [("t", "tip", "e", "tip")])
+    mixed, vmaps, _, part_facets = _amalgamate_with_maps(
+        [("t", tri), ("e", edge)], [("t", "tip", "e", "tip")]
+    )
     assert mixed.facets == facets_of(mixed.faces) and len(mixed.facets) == 2
+    assert part_facets["e"] == [frozenset(vmaps["e"][v] for v in (0, 1))]
 
 
 def test_amalgamate_is_order_insensitive():
-    one, _, _ = _amalgamate_with_maps(two_triangle_parts(), [("a", "hinge", "b", "hinge")])
+    one, _, _, facets_one = _amalgamate_with_maps(
+        two_triangle_parts(), [("a", "hinge", "b", "hinge")]
+    )
     parts = list(reversed(two_triangle_parts()))
-    other, _, _ = _amalgamate_with_maps(parts, [("a", "hinge", "b", "hinge")])
+    other, _, _, facets_other = _amalgamate_with_maps(parts, [("a", "hinge", "b", "hinge")])
     assert canonical_form(one) == canonical_form(other)
+    assert set(facets_one) == set(facets_other) == {"a", "b"}
 
 
 def test_amalgamate_rejects_length_mismatch():

@@ -193,6 +193,22 @@ def test_compile_matches_the_whole_complex_oracle(monkeypatch):
     assert repeats >= 20
 
 
+def test_whole_part_labels_hold_the_faces_of_K_phi():
+    # Each part's label holds the very face objects of K_phi, with no copy.
+    rng = random.Random(3902)
+    for n in range(1, 5):
+        phi = random_formula(n, n + 1, rng)
+        lc = cold_compile(phi)
+        stored = {f: f for f in lc.complex.faces}
+        parts = ["A"] + [f"C(c{j})" for j in range(1, len(phi.clauses) + 1)]
+        for i in range(1, n + 1):
+            parts += [f"S(u{i})", f"O(u{i})", f"B(u{i})", f"X[u{i}]", f"X[~u{i}]"]
+        for name in parts:
+            feat = lc.feature(name)
+            assert feat.kind == "subcomplex" and feat.value, name
+            assert all(stored[f] is f for f in feat.value), name
+
+
 def test_subcomplex_reads_every_label_of_K_phi():
     # One reader for the labelled pieces of K_phi: the closure of any
     # feature, and for a subcomplex label the closure of its facets.

@@ -14,10 +14,12 @@ import pytest
 from conftest import (
     EMPTY_FACE_COMPLEX,
     deletion_of,
+    grown_pure_complex,
     link_of,
     oracle_decide_k_decomposable,
     oracle_verify_decomposition,
     pendant_dunce_hat,
+    pinched_complex,
     random_complex,
     random_pure_2complex,
     recursion_headroom,
@@ -450,25 +452,6 @@ def test_k_decomposable_matches_full_face_oracle():
     assert seen[12, "budget_exceeded", "no"] + seen[12, "budget_exceeded", "yes"] >= 10, seen
 
 
-def grown_pure_complex(rng: random.Random, d: int, size: int) -> Complex:
-    """A pure d-complex of ``size`` facets grown from one simplex: each new
-    facet holds a ridge of an earlier one and a vertex that is new or, with
-    probability 0.6, an old one.  Its facet graph is connected, so the
-    root prune refutes few of these, and the searches go deep."""
-    facets = [frozenset(range(d + 1))]
-    n = d + 1
-    while len(facets) < size:
-        f = rng.choice(facets)
-        ridge = f - {rng.choice(sorted(f))}
-        if rng.random() < 0.6:
-            v = rng.randrange(n)
-        else:
-            v, n = n, n + 1
-        if v not in ridge and ridge | {v} not in facets:
-            facets.append(ridge | {v})
-    return Complex.from_facets(facets)
-
-
 def test_inherited_search_matches_rebuilding_oracle():
     # Random pure complexes of dimension 1, 2 and 3, their cones and the
     # cones of those cones, at every k from 0 to d: the search whose
@@ -543,23 +526,6 @@ def test_deletion_state_matches_the_built_deletion():
             assert changed - {frozenset()} <= got <= dl_stars, (k.facets, sigma)
             checked[len(sigma), len(lk.facets) > 1] += 1
     assert min(checked[size, many] for size in (1, 2) for many in (False, True)) >= 10, checked
-
-
-def pinched_complex(rng: random.Random, d: int, size: int) -> Complex:
-    """A grown pure d-complex (``grown_pure_complex``) with two vertices
-    identified whose stars are disjoint, so that no facet repeats a vertex.
-    The glued vertex's star is often held together by a few ridges only,
-    so a deletion can leave it disconnected where the whole complex is
-    not."""
-    pairs = []
-    while not pairs:
-        k = grown_pure_complex(rng, d, size)
-        stars = {v: {f for f in k.facets if v in f} for v in k.vertices}
-        pairs = [
-            (u, w) for u, w in itertools.combinations(k.vertices, 2) if stars[u].isdisjoint(stars[w])
-        ]
-    u, w = rng.choice(pairs)
-    return Complex.from_facets([[u if v == w else v for v in f] for f in k.facets])
 
 
 def test_inherited_search_matches_rebuilding_oracle_on_pinched_complexes():

@@ -243,17 +243,19 @@ def test_one_face_enumerator(path):
     assert combinations_uses(path.read_text()) == []
 
 
+def calls_made(source: str, function: str) -> list[ast.Call]:
+    """The calls inside the module-level function ``function`` of
+    ``source``, nested definitions included."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return [n for n in ast.walk(node) if isinstance(n, ast.Call)]
+    raise LookupError(function)
+
+
 def calls_in(source: str, function: str) -> set[str]:
     """The names called as plain names inside the module-level function
     ``function`` of ``source``, nested definitions included."""
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name == function:
-            return {
-                n.func.id
-                for n in ast.walk(node)
-                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-            }
-    raise LookupError(function)
+    return {c.func.id for c in calls_made(source, function) if isinstance(c.func, ast.Name)}
 
 
 def test_calls_in_finds_named_calls():
@@ -287,6 +289,21 @@ GADGET_BUILDERS = (
 @pytest.mark.parametrize("builder", GADGET_BUILDERS)
 def test_gadget_builders_call_the_one_check(builder):
     assert "_check_gadget" in calls_in((SRC / "gadgets.py").read_text(), builder)
+
+
+# ``gadgets._check_gadget`` reads the free faces, χ̃ and the links off the
+# ridge map and the vertex stars of the facets, and ``build_three_house`` collapses through door 1
+# only: its door rotation carries that exit to doors 2 and 3.
+@pytest.mark.parametrize("function", ["_check_gadget", "build_three_house"])
+def test_gadget_checks_run_one_pass_and_one_exit(function):
+    source = (SRC / "gadgets.py").read_text()
+    calls = calls_made(source, function)
+    called = {getattr(c.func, "id", None) or getattr(c.func, "attr", None) for c in calls}
+    assert called.isdisjoint({"free_faces", "reduced_euler_characteristic", "vertex_links_connected"})
+    exits = [ast.unparse(c) for c in calls if getattr(c.func, "id", None) == "three_house_exit"]
+    assert exits == (["three_house_exit(lc, 1)"] if function == "build_three_house" else [])
+    loops = [n for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert not any("three_house_exit(" in ast.unparse(loop) for loop in loops)
 
 
 # ``reduction.build_K_phi`` builds every part through its ``shape`` table,

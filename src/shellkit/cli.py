@@ -3,10 +3,12 @@
 Every subcommand emits a RunReport (line-oriented text, or one JSON
 object with ``--json``) and exits 0 on yes/valid, 1 on no/invalid, 2 on
 a usage, parse or precondition ``ValueError``, 3 when a search budget ran
-out, and 4 on an ``InternalError``: a failed gadget or compile check, a
-witness of ``check`` that does not replay, or a no of ``solve-sat`` that
-brute force refutes.  So batch callers can tell refutation from
-resignation and a bad input from a fault of shellkit.
+out, and 4 on an ``InternalError``: a failed gadget, compile or
+subdivision check, a witness of ``check`` that does not replay, or a no
+of ``solve-sat`` that brute force refutes.  Any other exception is a
+crash of shellkit and exits 4 too, with its type named on stderr, never
+1.  So batch callers can tell refutation from resignation and a bad input
+from a fault of shellkit.
 The searches keep their levels on an explicit stack, so only a shedding
 tree's JSON, written by ``check k-decomposable`` and read by ``verify``,
 recurses once per level of its nesting; a tree nested deeper than
@@ -338,31 +340,36 @@ def _replay_witness(k: Complex, doc: Mapping) -> int:
 
 def _verify_reduction_certificate(text: str, doc: Mapping) -> int | None:
     """Replay a certificate on the formula in ``text``: the number of pairs
-    replayed, or None when its removal is inadmissible."""
+    replayed, or None when its removal is inadmissible.  Every field is
+    required, so a missing or mistyped one is a FormatError, even beside
+    an inadmissible removal."""
     spec = doc.get("formula")
     if not isinstance(spec, dict):
         raise FormatError("reduction certificate needs a 'formula' object")
-    clauses = spec.get("clauses", [])
+    clauses = spec.get("clauses")
     if not (isinstance(clauses, list) and all(isinstance(c, list) for c in clauses)):
         raise FormatError("certificate formula needs a list of clauses")
-    witness_phi = Formula(spec.get("n", -1), tuple(map(tuple, clauses)))
-    raw_assignment = doc.get("assignment") or {}
+    witness_phi = Formula(spec.get("n"), tuple(map(tuple, clauses)))
+    raw_assignment = doc.get("assignment")
     if not isinstance(raw_assignment, dict) or not all(
         isinstance(b, bool) for b in raw_assignment.values()
     ):
         raise FormatError("certificate 'assignment' must map variables to true or false")
     assignment = {int(v): b for v, b in raw_assignment.items()}
+    for key in ("removal", "pairs"):
+        if not isinstance(doc.get(key), list):
+            raise FormatError(f"reduction certificate needs a {key!r} list")
     phi = parse_cnf(text)
     if phi != witness_phi:
         raise ValueError("witness formula does not match the input formula")
     lc = build_K_phi(phi)
-    removal = frozenset(read_faces(doc.get("removal", []), "'removal'"))
+    removal = frozenset(read_faces(doc["removal"], "'removal'"))
     extracted = assignment_from_removal(lc, removal)
     if extracted is None:
         return None
     if extracted != assignment or not _satisfies(phi, assignment):
         raise CollapseError("certificate assignment does not match its removal")
-    pairs = _pairs_from_json(doc.get("pairs", []))
+    pairs = _pairs_from_json(doc["pairs"])
     return _replay_removal(lc.complex, sorted(removal, key=face_sort_key), pairs)
 
 
@@ -575,6 +582,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     finally:
         gc.collect()  # frees the command's own cycles; the frozen heap is not scanned
         gc.unfreeze()

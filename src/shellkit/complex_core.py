@@ -646,7 +646,8 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
 
     Vertices map to vertices, edges to two-edge paths, paths to paths twice
     as long, and subcomplexes to their carrier preimage (one level at a
-    time).
+    time).  A mapped label that fails validation is a fault of this map,
+    an ``InternalError``.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
@@ -664,7 +665,11 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
         # With no chains from_faces is void, but sd(void) is the empty-face complex.
         sd = sd or Complex(frozenset({frozenset()}), _trusted=True)
         labels = {name: _map_feature_once(feat, chains) for name, feat in current.labels.items()}
-        current = LabeledComplex(sd, labels)
+        try:
+            current = LabeledComplex(sd, labels)
+        except ValueError as exc:
+            # The labels of a validated LabeledComplex map to valid labels.
+            raise InternalError(f"subdivided {exc}") from None
         overall = Subdivision(
             complex=sd,
             vertex_carrier={i: overall.face_carrier(f) for i, f in enumerate(originals)},
@@ -788,7 +793,7 @@ def from_json(text: str) -> LabeledComplex:
         # Isolated vertices are legitimate 0-faces.
         faces = set(k.faces) | {frozenset([v]) for v in isolated} | {frozenset()}
         k = Complex(frozenset(faces), _trusted=True)
-    raw_labels = doc.get("labels") or {}
+    raw_labels = doc.get("labels", {})
     if not isinstance(raw_labels, dict):
         raise FormatError("'labels' must be an object")
     labels = {name: _feature_from_json(name, spec) for name, spec in raw_labels.items()}

@@ -72,9 +72,10 @@ def _may_be_shellable(
 
     A shellable pure d-complex passes four tests.  For d >= 1 each facet
     after the first meets its predecessors along a ridge, so the facet
-    graph is connected.  That test needs the graph alone, so callers run
-    it first, with ``graph_connected``, and build the rest of the state
-    only for a complex that passes; the other three are here.  Its vertex
+    graph is connected.  That test needs the graph alone, so the two
+    builders of a node's state, ``_built_state`` and ``_deletion_state``,
+    run it first and build the rest only for a complex that passes; the
+    other three are here, and only the builders call this.  Its vertex
     links are shellable, so for d >= 2 each link's facet graph is
     connected; the facets f - v of the link of v meet along r - v for the
     ridges r through v, so that graph is the one on the facets through v
@@ -170,8 +171,11 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     partial order extends depends only on which facets it uses, not their
     order.  Candidates go most placed ridge neighbours first, and each is
     tested by its restriction face (``_restriction_ok``) in d + 2 lookups.
-    The verdict "no" is an exhaustive refutation, or, at 0 nodes, a failed
-    ``_may_be_shellable``.
+    The verdict "no" is an exhaustive refutation, or, at 0 nodes, the
+    prune of ``_built_state``, run once, on the whole complex.  Inside the
+    search it could not prune: each prefix the search builds is a shelling
+    of its own facets, so it passes, and the facets left to place need
+    not pass it.
 
     A cone is decided through its apex link (``_cone_base``): a cone
     v * L is shellable exactly when L is (Provan and Billera, 1980), and a
@@ -186,21 +190,14 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     # The empty-face complex {∅} has no facet and the empty order.
     if len(facets) <= 1 or len(facets[0]) == 1:
         return SearchResult("yes", tuple(f | apexes for f in facets), 0)
-    d, m = len(facets[0]) - 1, len(facets)
-    # Sound precheck: a complex that fails it has no shelling.  It runs
-    # once, on the whole complex.  Inside the search it could not prune:
-    # each prefix the search builds is a shelling of its own facets, so it
-    # passes, and the facets left to place need not pass it.
-    by_ridge = ridge_holders(facets)
-    adj = _facet_graph(by_ridge)
-    chi, stars = _reduced_euler(facets), _cofacets(facets, 0).values()
-    connected = graph_connected(facets, adj)
-    if not (connected and _may_be_shellable(facets, by_ridge, adj, chi, stars)):
+    state = _built_state(facets, 0)
+    if state is None:
         return SearchResult("no", None, 0)
+    d, m, adj = len(facets[0]) - 1, len(facets), state[1]
     # Bit j of nbrs[i] is set when facets i and j share a ridge, and two
     # facets share at most one.
     bit = {f: 1 << i for i, f in enumerate(facets)}
-    nbrs = [sum(bit[g] for v in f for g in by_ridge[f - {v}] if g != f) for f in facets]
+    nbrs = [sum(bit[g] for g in adj[f]) for f in facets]
     faces_of = [subfaces(f, range(d + 2)) for f in facets]
 
     dead: set[int] = set()
@@ -256,28 +253,31 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     misses σ but lies in some F ⊇ σ lies in a ridge F - v with v in σ, and
     every other facet through that ridge misses σ; so the deletion is pure
     d-dimensional exactly when each such ridge lies in two or more facets,
-    and its facets are then those missing σ.  One ridge map per node tests
-    every σ, and serves ``_may_be_shellable`` too; both children are pure
-    by construction.
+    and its facets are then those missing σ.  So one ridge map per node
+    tests every σ, read per candidate, and serves ``_may_be_shellable``
+    too; both children are pure by construction.
 
     A k-decomposable complex is shellable (Provan and Billera, 1980), so
     a node that fails the prune, the facet-graph test and then
     ``_may_be_shellable``, is refuted at once; the full search would
     refute it too, so verdicts and trees do not change.  The prune is a
     conjunction of tests that read the node alone, so their order changes
-    no answer: the facet-graph test runs first, before a deletion child
-    builds any other state, because most refuted nodes fail it.
+    no answer: the facet-graph test runs first, before any other state is
+    built, because most refuted nodes fail it.  Each node takes its state
+    from one of two builders, which run the prune and return None for a
+    node it refutes.
     Results are memoized exactly, by the facet set.  The search tries
     shedding faces in one fixed order and each child's result depends on
     its facet set alone, so the tree returned for a "yes" is the first one
     in that order.
 
     The root and every link child (the facets through σ, few) build their
-    state from their facets: the ridge map, the facet graph, χ̃, and the
-    shedding candidates, each face of at most k + 1 vertices with the
-    facets through it, in ``face_key`` order (``_cofacets``).  A deletion
-    child inherits it from its parent (``_deletion_state``), and loses only
-    the facets through σ, the shed facets:
+    state from their facets (``_built_state``): the ridge map, the facet
+    graph, χ̃, and the shedding candidates, each face of at most k + 1
+    vertices with the facets through it, in ``face_key`` order
+    (``_cofacets``).  A deletion child inherits it from its parent
+    (``_deletion_state``), and loses only the facets through σ, the shed
+    facets:
     - *Ridge map and candidates.*  A face's holders in the child are its
       holders in the parent less the shed facets, and only the faces of
       shed facets hold one.  So each map of the child is a copy of the
@@ -341,11 +341,12 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     facet_ids: dict[Face, int] = {}
     nodes = 0
 
-    def rec(facets: frozenset, parent: tuple | None = None):
-        """``parent`` is None for a node built from scratch; for a deletion
-        child it is the child's mask, the facet graph, and the parent's
-        state and shedding face with its facets, for ``_frontier`` and
-        ``_deletion_state``."""
+    def rec(facets: frozenset, mask: int | None = None, parent: tuple | None = None):
+        """The tree of the node with these facets, or None.  A deletion
+        child also gets its mask and, for ``_deletion_state``, its
+        parent's state, σ and the facets through σ; any other node is
+        built by ``_built_state``.  A node either builder refutes has no
+        candidates, so every no leaves by the one exit at the end."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -356,41 +357,16 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         if len(facets) == 1:
             (facet,) = facets
             return {"leaf": list(face_key(facet | apexes))}
-        if parent is None:
-            mask = 0
-            for f in facets:
-                mask |= 1 << facet_ids.setdefault(f, len(facet_ids))
-        else:
-            mask, adj, by_ridge, chi, cofacets, sigma, around = parent
+        if mask is None:
+            mask = sum(1 << facet_ids.setdefault(f, len(facet_ids)) for f in facets)
         if mask in exact:
             return exact[mask]
-        if parent is None:
-            by_ridge = ridge_holders(facets)
-            adj = _facet_graph(by_ridge)
-        # The facet-graph test (for d >= 1) first: it needs the graph
-        # alone, and most refuted deletion children fail it.
-        if len(next(iter(facets))) > 1:
-            seeds = None if parent is None else _frontier(facets, adj, around)
-            if not graph_connected(facets, adj, seeds):
-                exact[mask] = None
-                return None
-        if parent is None:
-            chi, cofacets = _reduced_euler(facets), _cofacets(facets, kk)
-            stars = [around for sigma, around in cofacets.items() if len(sigma) == 1]
-        else:
-            by_ridge, chi, cofacets, stars = _deletion_state(
-                by_ridge, chi, cofacets, sigma, around, kk
-            )
-        if not _may_be_shellable(facets, by_ridge, adj, chi, stars):
-            exact[mask] = None
-            return None
-        # v is in boundary[f] when the ridge f - v lies in f alone.
-        boundary: dict[Face, set[int]] = {}
-        for ridge, holders in by_ridge.items():
-            if len(holders) == 1:
-                boundary.setdefault(holders[0], set()).update(holders[0] - ridge)
+        state = _built_state(facets, kk) if parent is None else _deletion_state(facets, kk, *parent)
+        # A refuted node has no candidates, so it falls through to the no.
+        by_ridge, cofacets = (state[0], state[3]) if state else ({}, {})
         for sigma, around in cofacets.items():
-            if any(not sigma.isdisjoint(boundary.get(f, ())) for f in around):
+            # σ is shed only when each ridge f - v, v in σ, has other holders.
+            if any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):
                 continue
             lk_tree = yield (frozenset(f - sigma for f in around if f != sigma),)
             if lk_tree is None:
@@ -398,8 +374,7 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
             child_mask = mask
             for f in around:
                 child_mask &= ~(1 << facet_ids[f])
-            state = (child_mask, adj, by_ridge, chi, cofacets, sigma, around)
-            dl_tree = yield (facets.difference(around), state)
+            dl_tree = yield (facets.difference(around), child_mask, (state, sigma, around))
             if dl_tree is None:
                 continue
             tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
@@ -452,25 +427,44 @@ def _without(
     return kept
 
 
+def _built_state(facets: Collection[Face], kk: int) -> tuple | None:
+    """A node's state built from its (two or more, distinct) facets: the
+    ridge map, the facet graph, χ̃ and ``_cofacets(facets, kk)``, or None
+    when the prune refutes the node: the facet-graph test (d >= 1) first,
+    then ``_may_be_shellable`` on every star."""
+    by_ridge = ridge_holders(facets)
+    adj = _facet_graph(by_ridge)
+    if len(next(iter(facets))) > 1 and not graph_connected(facets, adj):
+        return None
+    chi, cofacets = _reduced_euler(facets), _cofacets(facets, kk)
+    stars = [around for sigma, around in cofacets.items() if len(sigma) == 1]
+    if not _may_be_shellable(facets, by_ridge, adj, chi, stars):
+        return None
+    return by_ridge, adj, chi, cofacets
+
+
 def _deletion_state(
-    by_ridge: Mapping[Face, list[Face]],
-    chi: int,
-    cofacets: Mapping[Face, list[Face]],
-    sigma: Face,
-    around: list[Face],
-    kk: int,
-) -> tuple[dict[Face, list[Face]], int, dict[Face, list[Face]], list[list[Face]]]:
-    """The ridge map, χ̃ and ``_cofacets(…, kk)`` of the deletion of the
-    shedding face ``sigma`` from a node with these three, where ``around``
-    are the facets through ``sigma``, and the stars to test again.  The
-    proof is in ``decide_k_decomposable``."""
+    facets: frozenset, kk: int, parent: tuple, sigma: Face, around: list[Face]
+) -> tuple | None:
+    """The state of ``_built_state`` for the deletion of the shedding
+    face ``sigma`` from a node with the state ``parent``, inherited from
+    it, where ``facets`` are the child's facets and ``around`` the facets
+    through ``sigma``; None when the prune refutes the child: the
+    facet-graph test from the frontier first, then ``_may_be_shellable``
+    on the stars of the shed facets' vertices.  The proof is in
+    ``decide_k_decomposable``."""
+    by_ridge, adj, chi, cofacets = parent
+    if len(around[0]) > 1 and not graph_connected(facets, adj, _frontier(facets, adj, around)):
+        return None
     gone = set(around)
     by_ridge = _without(by_ridge, {f - {v} for f in around for v in f}, gone)
     touched = {tau for f in around for tau in subfaces(f, range(1, kk + 2))}
     cofacets = _without(cofacets, touched, gone)
-    lk_chi = _reduced_euler([f - sigma for f in around])
+    chi -= (-1) ** len(sigma) * _reduced_euler([f - sigma for f in around])
     stars = [cofacets[tau] for tau in touched if len(tau) == 1 and tau in cofacets]
-    return by_ridge, chi - (-1) ** len(sigma) * lk_chi, cofacets, stars
+    if not _may_be_shellable(facets, by_ridge, adj, chi, stars):
+        return None
+    return by_ridge, adj, chi, cofacets
 
 
 def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:

@@ -158,8 +158,8 @@ CATALOGUE = (
     Mutant(
         "deletion-chi-sign-flipped",
         "src/shellkit/shelling.py",
-        "chi - (-1) ** len(sigma) * lk_chi, cofacets, stars",
-        "chi + (-1) ** len(sigma) * lk_chi, cofacets, stars",
+        "    chi -= (-1) ** len(sigma) * _reduced_euler(",
+        "    chi += (-1) ** len(sigma) * _reduced_euler(",
         "a deletion child's χ̃ is χ̃(K) - (-1)^|σ| χ̃(lk σ)",
         ("tests/test_shelling.py",),
     ),
@@ -200,9 +200,25 @@ CATALOGUE = (
     Mutant(
         "deletion-without-connectivity-test",
         "src/shellkit/shelling.py",
-        "            seeds = None if parent is None else _frontier(facets, adj, around)\n",
-        "            seeds = None if parent is None else ()\n",
+        "graph_connected(facets, adj, _frontier(facets, adj, around))",
+        "graph_connected(facets, adj, ())",
         "a deletion child whose facet graph is disconnected is refuted",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "shedding-test-at-one-vertex-of-sigma",
+        "src/shellkit/shelling.py",
+        "            if any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):\n",
+        "            if any(len(by_ridge[f - {v}]) == 1 for f in around for v in sorted(sigma)[:1]):\n",
+        "a candidate is skipped when any ridge f - v, v in σ, lies in one facet alone",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "shedding-test-skips-no-candidate",
+        "src/shellkit/shelling.py",
+        "            if any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):\n",
+        "            if False:\n",
+        "a candidate whose deletion is not pure of the node's dimension is skipped",
         ("tests/test_shelling.py",),
     ),
     Mutant(

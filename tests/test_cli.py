@@ -9,9 +9,10 @@ import weakref
 import pytest
 from conftest import misplaced_vertex_labels, pendants_at, recursion_headroom, strip
 
-from shellkit import cli, gadgets, reduction
+from shellkit import cli, complex_core, gadgets, reduction
 from shellkit.collapse import SearchResult, is_collapsible_2d_greedy
 from shellkit.complex_core import (
+    Feature,
     InternalError,
     cone,
     format_facet_lines,
@@ -474,6 +475,20 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     assert err == "internal error: erasure and greedy disagree\n"
 
 
+def test_crash_exits_four(tmp_path, capsys, monkeypatch):
+    # An exception no handler names is a fault of shellkit, never a "no".
+    def broken(k, budget):
+        raise KeyError("lost facet")
+
+    monkeypatch.setattr(cli, "decide_shellable", broken)
+    path = tmp_path / "sphere.txt"
+    path.write_text(SPHERE)
+    code, out, err = run(["check", "shellable", str(path)], capsys)
+    assert (code, out) == (4, "")
+    assert err == "internal error: KeyError: 'lost facet'\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("command", ["reduce", "solve-sat", "verify"])
 def test_broken_compile_exits_four(command, tmp_path, capsys, monkeypatch):
     # A compile whose link check fails is a fault of shellkit, not of the
@@ -498,6 +513,28 @@ def test_misplaced_compiled_label_exits_four(tmp_path, capsys, monkeypatch):
     code, out, err = run(["reduce", str(cnf)], capsys)
     assert (code, out) == (4, "")
     assert err == "internal error: compiled label 'v_and': face (-1,) is not in the complex\n"
+
+
+@pytest.mark.parametrize("command", ["reduce --sd2", "subdivide"])
+def test_misplaced_subdivided_label_exits_four(command, tmp_path, capsys, monkeypatch):
+    # A label of a validated complex maps to a valid label, so a subdivided
+    # label off the complex is a fault of the map, on K_phi or a JSON input.
+    cnf, kphi = tmp_path / "phi.cnf", tmp_path / "phi.kphi.json"
+    cnf.write_text(CNF)
+    assert run(["reduce", str(cnf), "-o", str(kphi)], capsys)[0] == 0
+    map_once = complex_core._map_feature_once
+
+    def misplaced(feat, chains):
+        mapped = map_once(feat, chains)
+        return Feature.vertex(-1) if mapped.kind == "vertex" else mapped
+
+    monkeypatch.setattr(complex_core, "_map_feature_once", misplaced)
+    name, *flags = command.split()
+    code, out, err = run([name, *flags, str(cnf if flags else kphi)], capsys)
+    assert (code, out) == (4, "")
+    # The first vertex label checked: v_and on K_phi, the least name in JSON.
+    label = "v_and" if flags else "v(u1)"
+    assert err == f"internal error: subdivided label {label!r}: face (-1,) is not in the complex\n"
 
 
 def test_failed_gadget_check_exits_four(capsys, monkeypatch):
@@ -603,7 +640,8 @@ def test_verify_deeper_than_recursion_limit_names_the_witness(tmp_path, capsys):
 
 # Each case is (complex file text or None for the CNF, witness base, patch):
 # "stats" runs stats on the text; otherwise verify runs on a witness of the
-# given kind with the patch applied on top.
+# given kind with the patch applied on top, where a DROP value drops the key.
+DROP = object()
 TRIANGLE = "0 1 2\n"
 TRIANGLE_BOUNDARY = "0 1\n1 2\n0 2\n"
 TRIANGLE_BOUNDARY_TREE = {
@@ -616,6 +654,13 @@ MALFORMED = {
     "vertices-not-a-list": ('{"vertices":5,"facets":[[0]]}', "stats", {}),
     "vertex-entry-without-id": ('{"vertices":[{"v":0}],"facets":[[0]]}', "stats", {}),
     "labels-not-an-object": ('{"vertices":[0],"facets":[[0]],"labels":[1]}', "stats", {}),
+    # Falsy, but present and not an object.
+    "labels-an-empty-list": ('{"vertices":[0],"facets":[[0]],"labels":[]}', "stats", {}),
+    "labels-zero": ('{"vertices":[0],"facets":[[0]],"labels":0}', "stats", {}),
+    "labels-false": ('{"vertices":[0],"facets":[[0]],"labels":false}', "stats", {}),
+    "labels-an-empty-string": ('{"vertices":[0],"facets":[[0]],"labels":""}', "stats", {}),
+    "labels-null": ('{"vertices":[0],"facets":[[0]],"labels":null}', "stats", {}),
+    "collapse-without-pairs": (TRIANGLE, "collapse", {"pairs": DROP}),
     "label-facets-not-faces": (
         '{"vertices":[0],"facets":[[0]],"labels":{"x":{"kind":"subcomplex","value":[5]}}}',
         "stats",
@@ -702,6 +747,11 @@ MALFORMED = {
     ),
     "certificate-assignment-not-an-object": (None, "certificate", {"assignment": [1]}),
     "certificate-pair-not-proper": (None, "certificate", {"pairs": [[[0, 1], [0, 1]]]}),
+    "certificate-without-formula-clauses": (None, "certificate", {"formula": {"n": 2}}),
+    "certificate-without-removal": (None, "certificate", {"removal": DROP}),
+    "certificate-without-pairs": (None, "certificate", {"pairs": DROP}),
+    "certificate-without-assignment": (None, "certificate", {"assignment": DROP}),
+    "certificate-assignment-an-empty-list": (None, "certificate", {"assignment": []}),
 }
 
 
@@ -723,7 +773,7 @@ def test_malformed_json_is_usage_error(case, tmp_path, capsys):
             doc = {"kind": "decomposition", "k": 1}
         else:
             doc = {"kind": "shelling", "order": [[0, 1, 2]]}
-        witness.write_text(json.dumps({**doc, **patch}))
+        witness.write_text(json.dumps({k: v for k, v in {**doc, **patch}.items() if v is not DROP}))
         argv = ["verify", str(path), str(witness)]
     code, out, err = run(argv, capsys)
     assert code == 2, (out, err)

@@ -51,6 +51,8 @@ from shellkit.gadgets import dunce_hat, fixtures, torus_7
 from shellkit.reduction import Formula, build_K_phi
 from shellkit.shelling import (
     ShellingError,
+    _built_state,
+    _cone_base,
     _deletion_state,
     _facet_graph,
     _frontier,
@@ -481,51 +483,55 @@ def test_inherited_search_matches_rebuilding_oracle():
 
 
 def test_deletion_state_matches_the_built_deletion():
-    # For every face σ of a random pure complex whose deletion is pure of
-    # the same dimension: χ̃(del σ) = χ̃(K) - (-1)^|σ| χ̃(lk σ) on the built
-    # complexes, and the state the deletion inherits is its ridge map, its
-    # χ̃, its faces of at most k + 1 vertices (k = dim σ) with the facets
-    # through each, in face_key order, and every star that shedding σ
-    # changed.
-    def cofacets(k, kk):
-        faces = sorted((g for g in k.nonempty_faces if len(g) <= kk + 1), key=face_key)
-        return {g: [f for f in k.facets if g <= f] for g in faces}
-
+    # Down random chains of deletions from a state built from scratch, the
+    # state each deletion child inherits is the one _built_state builds from
+    # its facets: the same ridge map, facet graph on its facets, χ̃, and
+    # candidates with their facets in the same order, and None for exactly
+    # the children the built prune refutes.  The children are those the
+    # search makes: σ with no ridge f - v (v in σ) of a single facet, and
+    # two or more facets left.  χ̃(del σ) = χ̃(K) - (-1)^|σ| χ̃(lk σ) holds on the built
+    # complexes, and the deletion is pure with the facets that miss σ.
     def as_sets(holders):
-        return list(holders), {face: set(around) for face, around in holders.items()}
+        return {face: set(around) for face, around in holders.items()}
+
+    def same_state(got, built, facets):
+        by_ridge, adj, chi, cofacets = got
+        assert as_sets(by_ridge) == as_sets(built[0])
+        assert {f: set(adj[f]) & facets for f in facets} == {f: set(built[1][f]) for f in facets}
+        assert chi == built[2]
+        assert list(cofacets) == list(built[3]) and as_sets(cofacets) == as_sets(built[3])
 
     rng = random.Random(73)
     checked = collections.Counter()
-    for i in range(60):
-        k = random_pure_complex(rng, 1 + i % 3)
+    complexes = [grown_pure_complex(rng, 1 + i % 3, rng.randint(4, 12)) for i in range(60)]
+    complexes += [pinched_complex(rng, 1 + i % 3, 10 + i % 5) for i in range(60)]
+    for k in complexes:
         d = k.dim
-        chi = k.reduced_euler_characteristic()
-        by_ridge = ridge_holders(k.facets)
-        stars = {v: [f for f in k.facets if v in f] for v in k.vertices}
-        for sigma in k.nonempty_faces:
-            dl = deletion_of(k, sigma)
-            if not dl.faces or dl.dim != d or not dl.is_pure(d):
-                continue
-            lk = link_of(k, sigma)
-            dl_chi = dl.reduced_euler_characteristic()
-            assert dl_chi == chi - (-1) ** len(sigma) * lk.reduced_euler_characteristic()
-            kk = len(sigma) - 1
-            around = [f for f in k.facets if sigma <= f]
-            state = _deletion_state(by_ridge, chi, cofacets(k, kk), sigma, around, kk)
-            got_ridges, got_chi, got_cofacets, got_stars = state
-            assert got_chi == dl_chi, (k.facets, sigma)
-            assert as_sets(got_ridges)[1] == as_sets(ridge_holders(dl.facets))[1]
-            assert as_sets(got_cofacets) == as_sets(cofacets(dl, kk)), (k.facets, sigma)
-            dl_stars = {frozenset(f for f in dl.facets if v in f) for v in k.vertices}
-            changed = {
-                frozenset(f for f in dl.facets if v in f)
-                for v, star in stars.items()
-                if len(star) != len([f for f in dl.facets if v in f])
-            }
-            got = set(map(frozenset, got_stars))
-            assert changed - {frozenset()} <= got <= dl_stars, (k.facets, sigma)
-            checked[len(sigma), len(lk.facets) > 1] += 1
-    assert min(checked[size, many] for size in (1, 2) for many in (False, True)) >= 10, checked
+        for kk in range(min(d, 2)):
+            facets, state = k.facets, _built_state(k.facets, kk)
+            while state is not None and len(facets) > 1:
+                passed = []
+                for sigma, around in state[3].items():
+                    if any(len(state[0][f - {v}]) == 1 for f in around for v in sigma):
+                        continue
+                    child = facets.difference(around)
+                    if len(child) < 2:
+                        continue  # rec answers a leaf before it builds a state
+                    node = Complex.from_facets(facets)
+                    dl, lk = deletion_of(node, sigma), link_of(node, sigma)
+                    assert dl.is_pure(d) and dl.facets == child
+                    chi = node.reduced_euler_characteristic()
+                    lk_chi = lk.reduced_euler_characteristic()
+                    assert dl.reduced_euler_characteristic() == chi - (-1) ** len(sigma) * lk_chi
+                    got = _deletion_state(child, kk, state, sigma, around)
+                    built = _built_state(child, kk)
+                    assert (got is None) == (built is None), (sorted(map(sorted, facets)), sigma)
+                    if got is not None:
+                        same_state(got, built, child)
+                        passed.append((child, got))
+                    checked[len(sigma), got is None] += 1
+                facets, state = rng.choice(passed) if passed else (facets, None)
+    assert min(checked[size, refuted] for size in (1, 2) for refuted in (False, True)) >= 50, checked
 
 
 def test_inherited_search_matches_rebuilding_oracle_on_pinched_complexes():
@@ -636,6 +642,24 @@ def test_decide_shellable_matches_definition_oracle():
     assert shellable_mismatches(complexes) == []
     verdicts = collections.Counter(reference_shellable(k) for k in complexes)
     assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_shellable_precheck_is_the_built_state_of_the_base():
+    # decide_shellable answers no in 0 nodes exactly when the prune of
+    # _built_state refutes the base of its cone rule at k = 0; a complex
+    # with one facet or of dimension 0 is a yes without a search.  The
+    # searched no and the pendant dunce hat pass the prune and are searched.
+    complexes = random_pure_complexes(120)
+    complexes += [Complex.from_facets(SEARCHED_NO), pendant_dunce_hat()]
+    seen = collections.Counter()
+    for k in complexes + [cone(k) for k in complexes[::2]]:
+        base = _cone_base(k)[0]
+        res = decide_shellable(k, budget=3000)
+        refuted = _built_state(base, 0) is None
+        assert ((res.verdict, res.nodes) == ("no", 0)) == refuted, k.facets
+        seen[refuted, res.verdict] += 1
+    assert seen[True, "no"] >= 20 and seen[False, "yes"] >= 20, seen
+    assert seen[False, "no"] and seen[False, "budget_exceeded"], seen
 
 
 def test_oracle_comparisons_catch_a_wrong_pruning_rule(monkeypatch):

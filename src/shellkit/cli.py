@@ -208,7 +208,8 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[RunReport, dict]:
     phi = parse_cnf(text)
     lc = build_K_phi(phi)
     if args.sd2:
-        lc, _ = subdivide_labeled(lc, 2)
+        # The carriers are not written; holding them keeps the level below alive.
+        lc = subdivide_labeled(lc, 2)[0]
     out = args.output or f"{_stem(args.input)}{'.sd2' if args.sd2 else ''}.kphi.json"
     written = _write_output(out, to_json(lc))
     payload = {
@@ -462,7 +463,8 @@ def _cmd_gadget(args: argparse.Namespace) -> tuple[RunReport, dict]:
 def _cmd_subdivide(args: argparse.Namespace) -> tuple[RunReport, dict]:
     text = _read_input(args.input)
     lc = _load_complex(text)
-    sub, _ = subdivide_labeled(lc, args.levels)
+    # The carriers are not written; holding them keeps the level below alive.
+    sub = subdivide_labeled(lc, args.levels)[0]
     as_json = text.lstrip().startswith("{")
     out_text = to_json(sub) if as_json else format_facet_lines(sub.complex)
     ext = "json" if as_json else "txt"

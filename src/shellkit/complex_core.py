@@ -1,18 +1,25 @@
-"""Finite abstract simplicial complexes with explicit face storage.
+"""Finite abstract simplicial complexes.
 
-A complex is stored as the full set of its faces (not just facets).  Faces
-are ``frozenset`` instances over integer vertex ids.  The empty face is a
-member of every nonempty complex, which makes the reduced Euler
-characteristic a plain signed count over all stored faces and gives the
-f-vector its leading ``f_{-1}`` entry.
+Faces are ``frozenset`` instances over integer vertex ids.  A complex is
+held in one of two forms.  The closed form stores the full set of its faces
+(not just facets); every construction but one builds it, because the
+compile, the label checks and the searches read faces.  The facets-only
+form stores the facets and a recorded f-vector, and derives the face set
+the first time something reads it; the last level of
+:func:`subdivide_labeled` is built this way, because its writers and counts
+read only the facets.  The empty face is a member of every nonempty
+complex, which makes the reduced Euler characteristic a plain signed count
+over all faces and gives the f-vector its leading ``f_{-1}`` entry.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
+from math import factorial
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -131,12 +138,14 @@ class Complex:
     Construct through :meth:`from_facets` (validates and closes downward) or
     :meth:`from_faces` (trusted input: the face set must already be closed
     under taking subsets).  The void complex has no faces at all; every other
-    complex contains the empty face.
+    complex contains the empty face.  On the facets-only form (see the
+    module docstring) only reading :attr:`faces` or :attr:`nonempty_faces`,
+    equality, hashing and the removal of facets build the face set.
     """
 
-    __slots__ = ("_faces", "_hash", "_facets", "_vertices", "_dim")
+    __slots__ = ("_faces", "_hash", "_facets", "_vertices", "_dim", "_f_vector", "_stars")
 
-    def __init__(self, faces: frozenset, _trusted: bool = False):
+    def __init__(self, faces: frozenset | None, _trusted: bool = False):
         if not _trusted:
             raise TypeError("use Complex.from_facets or Complex.from_faces")
         self._faces = faces
@@ -144,6 +153,8 @@ class Complex:
         self._facets = None
         self._vertices = None
         self._dim = None
+        self._f_vector = None
+        self._stars = None
 
     # -- construction ---------------------------------------------------
 
@@ -201,6 +212,16 @@ class Complex:
         return k
 
     @classmethod
+    def _of_facets(cls, facets: Iterable[frozenset], f_vector: tuple[int, ...]) -> "Complex":
+        """The facets-only form, trusted: ``facets``, at least one, must be
+        the inclusion-maximal faces of a complex whose f-vector is
+        ``f_vector``.  No face below the facets is built here."""
+        k = cls(None, _trusted=True)
+        k._facets = frozenset(facets)
+        k._f_vector = f_vector
+        return k
+
+    @classmethod
     def empty(cls) -> "Complex":
         """The void complex (no faces, not even the empty one)."""
         return cls(frozenset(), _trusted=True)
@@ -209,27 +230,50 @@ class Complex:
 
     @property
     def faces(self) -> frozenset:
+        """Every face, the empty one included; on the facets-only form the
+        closure of the facets, built the first time it is read."""
+        if self._faces is None:
+            faces: set = set()
+            for f in self._facets:
+                faces.update(subfaces(f, range(len(f) + 1)))
+            self._faces = frozenset(faces)
         return self._faces
 
     @property
     def nonempty_faces(self) -> Iterator[frozenset]:
-        return (f for f in self._faces if f)
+        return (f for f in self.faces if f)
 
     def __contains__(self, face) -> bool:
-        return frozenset(face) in self._faces
+        """Membership.  On the facets-only form a face is in the complex
+        when it is empty or a facet, or when a facet of the star of one of
+        its vertices holds it; a facet that holds it lies in the star of
+        each of its vertices, so the smallest of these stars is searched.
+        The stars are indexed once, on the first such question."""
+        f = frozenset(face)
+        if self._faces is not None:
+            return f in self._faces
+        if not f or f in self._facets:
+            return True
+        if self._stars is None:
+            self._stars = {}
+            for g in self._facets:
+                for v in g:
+                    self._stars.setdefault(v, []).append(g)
+        star = min((self._stars.get(v, ()) for v in f), key=len)
+        return any(f <= g for g in star)
 
     def __bool__(self) -> bool:
-        return bool(self._faces)
+        return self._faces is None or bool(self._faces)
 
     def __len__(self) -> int:
-        return len(self._faces)
+        return sum(self.f_vector()) if self._faces is None else len(self._faces)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Complex) and self._faces == other._faces
+        return isinstance(other, Complex) and self.faces == other.faces
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._faces)
+            self._hash = hash(self.faces)
         return self._hash
 
     def __repr__(self) -> str:
@@ -237,8 +281,11 @@ class Complex:
 
     @property
     def vertices(self) -> tuple[int, ...]:
+        """The vertices in order: the union of the facets when they are
+        recorded, else of the faces."""
         if self._vertices is None:
-            self._vertices = tuple(sorted(v for f in self._faces if len(f) == 1 for v in f))
+            faces = self._faces if self._facets is None else self._facets
+            self._vertices = tuple(sorted(set().union(*faces)))
         return self._vertices
 
     @property
@@ -259,9 +306,12 @@ class Complex:
         return self._facets
 
     def f_vector(self) -> tuple[int, ...]:
-        """(f_{-1}, f_0, ..., f_d); the void complex reports (0,)."""
-        counts = Counter(map(len, self._faces))
-        return tuple(counts[size] for size in range(max(counts, default=0) + 1))
+        """(f_{-1}, f_0, ..., f_d); the void complex reports (0,).  The faces
+        are counted once, and the facets-only form records its count."""
+        if self._f_vector is None:
+            counts = Counter(map(len, self._faces))
+            self._f_vector = tuple(counts[size] for size in range(max(counts, default=0) + 1))
+        return self._f_vector
 
     def reduced_euler_characteristic(self) -> int:
         """Sum of (-1)^dim over every face, the empty face included."""
@@ -269,7 +319,7 @@ class Complex:
 
     def is_pure(self, d: int | None = None) -> bool:
         """True when every facet has dimension ``d`` (default: ``self.dim``)."""
-        if not self._faces:
+        if not self:
             return True
         if d is None:
             d = self.dim
@@ -289,18 +339,19 @@ class Complex:
         its turn when it is a facet here, or when each face one vertex
         bigger has already been dropped.
         """
+        faces = self.faces
         removed: set = set()
         for raw in facets:
             f = frozenset(raw)
             covered = f not in self.facets and any(
-                f | {v} in self._faces and f | {v} not in removed
+                f | {v} in faces and f | {v} not in removed
                 for v in self.vertices
                 if v not in f
             )
-            if not f or f in removed or f not in self._faces or covered:
+            if not f or f in removed or f not in faces or covered:
                 raise ValueError(f"{face_key(f)} is not a facet")
             removed.add(f)
-        return Complex(self._faces - removed, _trusted=True)
+        return Complex(faces - removed, _trusted=True)
 
 
 # -- joins and cones -------------------------------------------------------
@@ -457,14 +508,26 @@ class Subdivision:
     """A subdivided complex plus the carrier table back to the original.
 
     ``vertex_carrier`` maps each new vertex id to the original face it
-    subdivides (after composing through all levels).  The carrier of a new
-    face is the union of its vertices' carriers, which is always an original
-    face because carriers along a chain are nested.
+    subdivides (after composing through all levels).  It is composed the
+    first time it is read: new vertex i is the barycenter of face i of
+    ``_barycenters``, the faces of the complex one level down, whose
+    carriers come from ``_below``, the subdivision one level fewer (None at
+    level 0, where each vertex carries itself).  The carrier of a new face
+    is the union of its vertices' carriers, which is always an original
+    face because carriers along a chain are nested.  Equality compares
+    ``complex`` and ``levels`` only.
     """
 
     complex: Complex
-    vertex_carrier: Mapping[int, frozenset]
     levels: int
+    _below: "Subdivision | None" = field(default=None, repr=False, compare=False, kw_only=True)
+    _barycenters: Sequence[frozenset] = field(default=(), repr=False, compare=False, kw_only=True)
+
+    @cached_property
+    def vertex_carrier(self) -> Mapping[int, frozenset]:
+        if self._below is None:
+            return {v: frozenset([v]) for v in self.complex.vertices}
+        return {i: self._below.face_carrier(f) for i, f in enumerate(self._barycenters)}
 
     def face_carrier(self, face: Iterable[int]) -> frozenset:
         return frozenset().union(*(self.vertex_carrier[v] for v in face))
@@ -588,11 +651,11 @@ def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
     """Check that ``feat`` is well formed and lies in ``k``.
 
     Only the faces that generate the feature are looked up: the facets of
-    a subcomplex, or ``feat.face_set()`` for a vertex, edge or path.  The
-    face set of a ``Complex`` is closed under subsets, so this accepts
-    exactly when every face of ``feat.face_set()`` is in ``k``.  Each step
-    of an edge or path must join two distinct vertices and each face of a
-    subcomplex must be nonempty.
+    a subcomplex, or ``feat.face_set()`` for a vertex, edge or path.  A
+    ``Complex`` is closed under subsets, so this accepts exactly when every
+    face of ``feat.face_set()`` is in ``k``.  Each step of an edge or path
+    must join two distinct vertices and each face of a subcomplex must be
+    nonempty.
     """
     if feat.kind == "subcomplex":
         faces = feat.value
@@ -611,8 +674,12 @@ def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
             if len(set(interior)) != len(interior):
                 raise ValueError(f"label {name!r}: path revisits a vertex")
         faces = feat.face_set()
-    if not k.faces.issuperset(faces):
-        face = next(f for f in faces if f not in k.faces)
+    # One subset test on a closed complex; the facets-only form looks up
+    # each face in its vertex stars.
+    closed = k._faces is not None
+    held = k.faces.issuperset(faces) if closed else all(map(k.__contains__, faces))
+    if not held:
+        face = next(f for f in faces if f not in k)
         raise ValueError(f"label {name!r}: face {face_key(face)} is not in the complex")
 
 
@@ -648,50 +715,91 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
     as long, and subcomplexes to their carrier preimage (one level at a
     time).  A mapped label that fails validation is a fault of this map,
     an ``InternalError``.
+
+    Each level numbers the nonempty faces of its input K in
+    ``face_sort_key`` order: vertex i of sd K is the barycenter of face i,
+    and a face of sd K is a chain of faces of K, held as the set of their
+    numbers.  Every level but the last keeps all the chains, closed,
+    because the next level reads every face.  The last level makes only
+    the full flags of the facets of K, which are the facets of sd K, and
+    is held in the facets-only form with its f-vector counted, not built:
+
+        f_j(sd K) = sum over s of f_s(K) * j! * S(s, j),
+
+    for j >= 1, where f_s counts the faces of s vertices, S(s, j) is a
+    Stirling number of the second kind, and f_{-1}(sd K) = 1.  Proof: the
+    chains g_1 < ... < g_j = g of j nonempty faces topped by an s-vertex
+    face g are in bijection with the ordered partitions of g into j
+    blocks.  A chain gives the blocks g_1, g_2 - g_1, ..., g_j - g_{j-1},
+    each nonempty because the inclusions are strict; the blocks give back
+    the chain of their prefix unions, each a subset of g and so a face of
+    K.  There are S(s, j) partitions of an s-set into j blocks, and j!
+    orders of each; summing over the faces g of K counts every chain once,
+    by its top.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
     current = lc
-    overall = Subdivision(lc.complex, {v: frozenset([v]) for v in lc.complex.vertices}, 0)
-    for _ in range(levels):
+    overall = Subdivision(lc.complex, 0)
+    for level in range(levels):
         k = current.complex
+        last = level == levels - 1
         # face_sort_key order, each key made once: the size sort is stable.
         originals = sorted(k.nonempty_faces, key=face_key)
         originals.sort(key=len)
-        chains = _chains(originals)
+        chains = _chains(originals, flags=last)
         # A chain is maximal when it is a full flag of a facet of k.
         facets = [c for f in k.facets for c in chains[f] if len(c) == len(f)]
-        sd = Complex.from_faces(chain.from_iterable(chains.values()), facets)
-        # With no chains from_faces is void, but sd(void) is the empty-face complex.
-        sd = sd or Complex(frozenset({frozenset()}), _trusted=True)
+        if not facets:
+            # sd of the void and of the empty-face complex is the empty-face complex.
+            sd = Complex(frozenset({frozenset()}), _trusted=True)
+        elif last:
+            sd = Complex._of_facets(facets, _sd_f_vector(k.f_vector()))
+        else:
+            sd = Complex.from_faces(chain.from_iterable(chains.values()), facets)
         labels = {name: _map_feature_once(feat, chains) for name, feat in current.labels.items()}
         try:
             current = LabeledComplex(sd, labels)
         except ValueError as exc:
             # The labels of a validated LabeledComplex map to valid labels.
             raise InternalError(f"subdivided {exc}") from None
-        overall = Subdivision(
-            complex=sd,
-            vertex_carrier={i: overall.face_carrier(f) for i, f in enumerate(originals)},
-            levels=overall.levels + 1,
-        )
+        overall = Subdivision(sd, level + 1, _below=overall, _barycenters=originals)
     return current, overall
 
 
-def _chains(originals: list[frozenset]) -> dict[frozenset, list[frozenset]]:
+def _sd_f_vector(fk: tuple[int, ...]) -> tuple[int, ...]:
+    """The f-vector of sd K from the f-vector ``fk`` of a nonempty K:
+    f_j(sd K) = sum over s of fk[s] * j! * S(s, j), proved in
+    :func:`subdivide_labeled`.  S(s, j) comes from the recurrence
+    S(s, j) = j S(s - 1, j) + S(s - 1, j - 1), with S(0, 0) = 1."""
+    stirling = [[1]]
+    for s in range(1, len(fk)):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, s + 1)])
+    return (1,) + tuple(
+        factorial(j) * sum(fk[s] * stirling[s][j] for s in range(j, len(fk)))
+        for j in range(1, len(fk))
+    )
+
+
+def _chains(originals: list[frozenset], flags: bool) -> dict[frozenset, list[frozenset]]:
     """Each face of ``originals``, a closed face set sorted by size, mapped
     to the chains of faces whose top it is, as sets of positions in
-    ``originals``; the first is the face's own position alone.
+    ``originals``; with ``flags``, to its full flags only, the chains with
+    one face of each size up to it.
 
     A chain topped by g is g alone, or a chain topped by a proper subface
-    of g with g added.  Subfaces come first in ``originals``, so one pass
-    makes every chain once, and every face of sd is one of these chains.
+    of g with g added; a full flag of g is g alone when g is a vertex, and
+    else a full flag of a ridge of g with g added.  Subfaces come first in
+    ``originals``, so one pass makes every chain once, and every face of
+    sd is one of these chains.  A face comes after its proper subfaces, so
+    the top of a chain is its largest position.
     """
     chains: dict[frozenset, list[frozenset]] = {}
     for i, g in enumerate(originals):
         top = frozenset((i,))
-        own = [top]
-        for h in subfaces(g, range(1, len(g))):
+        own = [] if flags and len(g) > 1 else [top]
+        for h in subfaces(g, range(max(1, len(g) - 1) if flags else 1, len(g))):
             own.extend([c | top for c in chains[h]])
         chains[g] = own
     return chains
@@ -699,8 +807,8 @@ def _chains(originals: list[frozenset]) -> dict[frozenset, list[frozenset]]:
 
 def _map_feature_once(feat: Feature, chains: Mapping[frozenset, list[frozenset]]) -> Feature:
     def vid(face) -> int:
-        (i,) = chains[frozenset(face)][0]
-        return i
+        # The barycenter of a face is the top of each chain it tops.
+        return max(chains[frozenset(face)][0])
 
     if feat.kind == "vertex":
         return Feature.vertex(vid(feat.value))

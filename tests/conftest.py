@@ -19,7 +19,6 @@ from shellkit.complex_core import (
     Feature,
     FormatError,
     LabeledComplex,
-    Subdivision,
     UnionFind,
     canonical_form,
     face_key,
@@ -201,8 +200,11 @@ def oracle_map_feature_once(feat: Feature, vid) -> Feature:
 
 
 def oracle_subdivide_labeled(lc: LabeledComplex, levels: int):
+    """The subdivided labeled complex, closed, and the carrier of each of
+    its vertices, composed level by level as the union of the carriers of
+    the face below that the vertex subdivides."""
     current = lc
-    overall = Subdivision(lc.complex, {v: frozenset([v]) for v in lc.complex.vertices}, 0)
+    carrier = {v: frozenset([v]) for v in lc.complex.vertices}
     for _ in range(levels):
         k = current.complex
         originals = sorted(k.nonempty_faces, key=face_sort_key)
@@ -211,12 +213,8 @@ def oracle_subdivide_labeled(lc: LabeledComplex, levels: int):
         sd = flags or EMPTY_FACE_COMPLEX
         labels = {name: oracle_map_feature_once(feat, vid) for name, feat in current.labels.items()}
         current = LabeledComplex(sd, labels)
-        overall = Subdivision(
-            complex=sd,
-            vertex_carrier={i: overall.face_carrier(f) for i, f in enumerate(originals)},
-            levels=overall.levels + 1,
-        )
-    return current, overall
+        carrier = {i: frozenset().union(*(carrier[v] for v in f)) for i, f in enumerate(originals)}
+    return current, carrier
 
 
 # -- the all-dimension collapse search, rebuilt at every node ------------------

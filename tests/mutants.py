@@ -62,9 +62,33 @@ CATALOGUE = (
     Mutant(
         "label-check-without-subset-test",
         "src/shellkit/complex_core.py",
-        "    if not k.faces.issuperset(faces):\n",
+        "    if not held:\n",
         "    if False:\n",
         "a label whose faces are not all in the complex is refused",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "facets-only-label-check-skips-non-facets",
+        "src/shellkit/complex_core.py",
+        "all(map(k.__contains__, faces))",
+        "all(f in k.facets for f in faces if len(f) == k.dim + 1)",
+        "a label on the last subdivision level is refused when a face below the facets is off it",
+        ("tests/test_complex_core.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "sd-f-vector-without-factorial",
+        "src/shellkit/complex_core.py",
+        "        factorial(j) * sum(",
+        "        sum(",
+        "the last subdivision level records f_j(sd K) = sum of f_s(K) j! S(s, j)",
+        ("tests/test_complex_core.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "carriers-composed-one-level-fewer",
+        "src/shellkit/complex_core.py",
+        "return {i: self._below.face_carrier(f) for i, f in enumerate(self._barycenters)}",
+        "return {i: frozenset(f) for i, f in enumerate(self._barycenters)}",
+        "vertex_carrier composes the carriers through every level",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
@@ -142,8 +166,8 @@ CATALOGUE = (
     Mutant(
         "chains-only-through-ridges",
         "src/shellkit/complex_core.py",
-        "        for h in subfaces(g, range(1, len(g))):\n",
-        "        for h in subfaces(g, [len(g) - 1]):\n",
+        "range(max(1, len(g) - 1) if flags else 1, len(g))",
+        "range(max(1, len(g) - 1), len(g))",
         "every chain of sd(K) is made: chains extend through every proper subface",
         ("tests/test_complex_core.py",),
     ),

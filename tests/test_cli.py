@@ -15,6 +15,7 @@ from shellkit.complex_core import (
     Feature,
     InternalError,
     cone,
+    face_key,
     format_facet_lines,
     from_json,
     parse_facet_lines,
@@ -519,22 +520,36 @@ def test_misplaced_compiled_label_exits_four(tmp_path, capsys, monkeypatch):
 def test_misplaced_subdivided_label_exits_four(command, tmp_path, capsys, monkeypatch):
     # A label of a validated complex maps to a valid label, so a subdivided
     # label off the complex is a fault of the map, on K_phi or a JSON input.
+    # A path that skips the barycenter of its first edge on the last level
+    # keeps its vertices but not that edge, which only the star index of
+    # the facets-only last level can refuse.
     cnf, kphi = tmp_path / "phi.cnf", tmp_path / "phi.kphi.json"
     cnf.write_text(CNF)
     assert run(["reduce", str(cnf), "-o", str(kphi)], capsys)[0] == 0
     map_once = complex_core._map_feature_once
-
-    def misplaced(feat, chains):
-        mapped = map_once(feat, chains)
-        return Feature.vertex(-1) if mapped.kind == "vertex" else mapped
-
-    monkeypatch.setattr(complex_core, "_map_feature_once", misplaced)
     name, *flags = command.split()
-    code, out, err = run([name, *flags, str(cnf if flags else kphi)], capsys)
-    assert (code, out) == (4, "")
-    # The first vertex label checked: v_and on K_phi, the least name in JSON.
-    label = "v_and" if flags else "v(u1)"
-    assert err == f"internal error: subdivided label {label!r}: face (-1,) is not in the complex\n"
+    for misplace in ("vertex", "path edge"):
+        off = []
+
+        def misplaced(feat, chains):
+            mapped = map_once(feat, chains)
+            if misplace == "vertex":
+                return Feature.vertex(-1) if mapped.kind == "vertex" else mapped
+            # The last level's chains are flags: an edge tops two-face chains only.
+            if mapped.kind == "path" and len(chains[frozenset(feat.value[:2])][0]) == 2:
+                mapped = Feature.path(mapped.value[:1] + mapped.value[2:])
+                off.append(face_key(mapped.value[:2]))
+            return mapped
+
+        monkeypatch.setattr(complex_core, "_map_feature_once", misplaced)
+        code, out, err = run([name, *flags, str(cnf if flags else kphi)], capsys)
+        assert (code, out) == (4, "")
+        # The first label checked: on K_phi v_and or f_and, in JSON the least name.
+        if misplace == "vertex":
+            label, face = ("v_and" if flags else "v(u1)"), (-1,)
+        else:
+            label, face = ("f_and" if flags else "b(u1)"), off[0]
+        assert err == f"internal error: subdivided label {label!r}: face {face} is not in the complex\n"
 
 
 def test_failed_gadget_check_exits_four(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from conftest import (
     link_of,
     oracle_subdivide_labeled,
     oracle_vertex_links_connected,
+    pinched_complex,
     random_complex,
     random_pure_2complex,
 )
@@ -23,6 +24,7 @@ from shellkit.complex_core import (
     Feature,
     FormatError,
     LabeledComplex,
+    _sd_f_vector,
     _validate_feature,
     barycentric_subdivision,
     canonical_form,
@@ -455,6 +457,16 @@ def test_canonical_form_stable_and_faithful(seed, shuffle_seed):
 # -- barycentric subdivision --
 
 
+def test_faces_are_counted_once():
+    # f_vector keeps its count, and reduced_euler_characteristic reads it.
+    k = Complex.from_facets(BD3)
+    assert k._f_vector is None
+    f = k.f_vector()
+    assert f == (1, 4, 6, 4) and k.f_vector() is f
+    k._f_vector = (1, 4, 6, 5)
+    assert k.reduced_euler_characteristic() == 2
+
+
 def test_subdivision_frozen():
     sd = barycentric_subdivision(Complex.from_facets(BD3)).complex
     assert sd.f_vector() == (1, 14, 36, 24)
@@ -595,16 +607,113 @@ def test_subdivision_matches_flag_closure_oracle():
     for lc in cases:
         for levels in (0, 1, 2):
             sub, overall = subdivide_labeled(lc, levels)
-            want, want_overall = oracle_subdivide_labeled(lc, levels)
+            want, want_carrier = oracle_subdivide_labeled(lc, levels)
             assert sub.complex.faces == want.complex.faces
             if levels and lc.complex.vertices:
                 # Recorded, so no pass over the faces looks for them.
                 assert sub.complex._facets is not None
             assert sub.complex.facets == facets_of(sub.complex.faces)
-            assert overall.vertex_carrier == want_overall.vertex_carrier
-            assert overall.levels == want_overall.levels == levels
+            assert overall.vertex_carrier == want_carrier
+            assert overall.levels == levels
             assert dict(sub.labels) == dict(want.labels)
             assert to_json(sub) == to_json(want)
+
+
+def test_last_level_is_facets_only_and_matches_the_oracle():
+    # The last level keeps only its facets and a counted f-vector.  Every
+    # query but the face set answers from them, and the face set derived
+    # later is the oracle's closure of the flags.
+    rng = random.Random(41)
+    cases = []
+    for dim in (1, 2, 3):
+        for _ in range(5):
+            cases.append(random_complex_upto(rng, dim))
+            cases.append(pinched_complex(rng, dim, rng.randint(3, 6)))
+    assert sum(not k.is_pure() for k in cases) >= 4
+    checked = 0
+    for k in cases:
+        lc = from_json(to_json(LabeledComplex(k, random_labels(rng, k))))
+        for levels in (1, 2) if k.dim < 3 else (1,):
+            sub, overall = subdivide_labeled(lc, levels)
+            want, want_carrier = oracle_subdivide_labeled(lc, levels)
+            sd, closed = sub.complex, want.complex
+            assert sd._faces is None
+            assert sd.facets == closed.facets
+            assert dict(sub.labels) == dict(want.labels)
+            assert overall.vertex_carrier == want_carrier
+            counts = Counter(map(len, closed.faces))
+            assert sd.f_vector() == tuple(counts[size] for size in range(max(counts) + 1))
+            assert sd.reduced_euler_characteristic() == k.reduced_euler_characteristic()
+            assert (sd.dim, sd.vertices, len(sd), bool(sd)) == (
+                closed.dim, closed.vertices, len(closed), bool(closed)
+            )
+            assert sd.is_pure() == closed.is_pure() and sd.is_pure(0) == closed.is_pure(0)
+            # Membership: every face below the facets, and near misses.
+            probes = list(closed.faces) + [
+                frozenset(rng.sample(closed.vertices, rng.randint(1, min(4, len(closed.vertices)))))
+                for _ in range(40)
+            ] + [frozenset([-1]), frozenset([closed.vertices[0], -1])]
+            assert all((f in sd) == (f in closed.faces) for f in probes)
+            checked += sum(f not in closed.faces for f in probes)
+            assert to_json(sub) == to_json(want)
+            assert format_facet_lines(sd) == format_facet_lines(closed)
+            assert sd._faces is None
+            # Equality and hash agree with the closed twin.
+            assert sd == closed and closed == sd and sd != Complex.empty()
+            assert sd != EMPTY_FACE_COMPLEX and EMPTY_FACE_COMPLEX != sd
+            assert sd != closed.remove_facets([min(closed.facets, key=face_sort_key)])
+            assert hash(sd) == hash(closed)
+            assert sd.faces == closed.faces
+    assert checked >= 500
+    # The void and the empty-face complex subdivide to the empty-face
+    # complex, closed, and still compare as they do.
+    for k in (Complex.empty(), EMPTY_FACE_COMPLEX):
+        for levels in (1, 2):
+            sub, overall = subdivide_labeled(LabeledComplex(k, {}), levels)
+            assert sub.complex._faces == {frozenset()}
+            assert sub.complex == EMPTY_FACE_COMPLEX != Complex.empty()
+            assert (sub.complex.f_vector(), len(sub.complex), bool(sub.complex)) == ((1,), 1, True)
+            assert overall.vertex_carrier == {}
+    assert (Complex.empty().f_vector(), bool(Complex.empty())) == ((0,), False)
+    assert hash(EMPTY_FACE_COMPLEX) != hash(Complex.empty())
+
+
+def test_sd_f_vector_counts_ordered_partitions():
+    # The chains of j faces topped by an s-vertex face g are the ordered
+    # partitions of g into j blocks, j! S(s, j) of them: the surjections of
+    # g onto j ordered blocks.
+    for s in range(1, 6):
+        simplex = Complex.from_facets([range(s)])
+        sub, carrier = oracle_subdivide_labeled(LabeledComplex(simplex, {}), 1)
+        top = Counter(
+            len(c)
+            for c in sub.complex.faces
+            if frozenset().union(*(carrier[v] for v in c)) == set(range(s))
+        )
+        for j in range(1, s + 1):
+            onto = sum(len(set(blocks)) == j for blocks in itertools.product(range(j), repeat=s))
+            assert top[j] == onto
+        assert _sd_f_vector(simplex.f_vector()) == sub.complex.f_vector()
+
+
+def test_sd2_of_k_phi_is_written_without_its_closure():
+    # sd²'s last level is its facets and a counted f-vector: writing it,
+    # counting it and reading χ̃ build no face below the facets, and no
+    # carrier is composed until one is read.
+    lc, sub = subdivide_labeled(build_K_phi(Formula(1, ((1, 1, 1),))), 2)
+    text = to_json(lc)
+    assert lc.complex.f_vector() == (1, 2978, 9132, 6156)
+    assert lc.complex.reduced_euler_characteristic() == 1
+    assert format_facet_lines(lc.complex).count("\n") == 6156
+    assert lc.complex._faces is None
+    assert "vertex_carrier" not in vars(sub)
+    assert from_json(text).complex.f_vector() == lc.complex.f_vector()
+    # The level below is kept for the carriers but is not compared, and
+    # the old positional form (complex, vertex_carrier, levels) is refused.
+    again = subdivide_labeled(build_K_phi(Formula(1, ((1, 1, 1),))), 2)[1]
+    assert sub == again and sub._below is not again._below
+    with pytest.raises(TypeError):
+        type(sub)(sub.complex, sub.vertex_carrier, 2)
 
 
 def test_subdivision_preserves_chi():

@@ -383,118 +383,93 @@ class TriangleErasure:
         exactly when that characteristic is 0."""
         return self.remaining == 0 and self._connected and self._chi == self.removed
 
-    def first_collapsible(
-        self, pools: Sequence[Sequence[Face]], budget: int, ascending: bool = False
-    ) -> SearchResult:
-        """First choice of one triangle per pool whose removal leaves a
-        collapsible complex; ``nodes`` counts the choices checked.
 
-        Choices are tried in ``itertools.product`` order over the pools;
-        with ``ascending`` each pick must also come later in its pool than
-        the previous pick, which over copies of one pool is
-        ``itertools.combinations`` order.  The search is a depth-first
-        walk on ``_run`` that punctures on the way down and undoes on the
-        way up.  A disconnected complex is a no with 0 nodes; otherwise
-        every choice checked counts, the empty one of no pools included,
-        and the walk stops at the first one past ``budget`` with the
-        verdict budget_exceeded.  Every return leaves the erasure as it
-        found it.
+def find_removal(k: Complex, pools: Sequence[Sequence[Face]], budget: int) -> SearchResult:
+    """First removal of χ̃(k) triangles, one from each of χ̃ of the pools,
+    that leaves ``k`` collapsible: Hachimori's criterion on its pools.
 
-        The picks of one choice must be distinct triangles.  Then the
-        walk skips, unchecked, every candidate that an earlier refuted
-        sibling dominates.  Say the prefix P plus the candidate t is
-        refuted, and a later sibling t' is not live in erase(K - P - t):
-        it is t itself or its puncture erased it.  Erasure is monotone
-        and confluent, so for every completion C of t',
-        erase(K - P - t' - C) contains erase(K - P - t - t' - C), which
-        is erase(K - P - t - C).  With distinct picks a choice is
-        collapsible exactly when nothing is left, and each completion of
-        t' is one of t (the same later pools, or in ascending order later
-        positions), so P plus t' is refuted too.  The dominated ids of a
-        level are those logged since a refuted candidate's mark, and they
-        hold for that level's prefix only, so each level entered starts
-        an empty set.  The first collapsible choice does not change; only
-        the count of choices checked falls.
-        """
-        ids = [[self.tri_id[t] for t in pool] for pool in pools]
-        depth = len(ids)
-        if not self._connected:
-            return SearchResult("no", None, 0)
-        chosen: list[int] = []
-        tried = 0
+    With χ̃ pools every removal takes one triangle per pool, in
+    ``itertools.product`` order; with one singleton pool per triangle it
+    is every set of χ̃ triangles, in ``itertools.combinations`` order.
+    The walk runs on ``_run`` over one ``TriangleErasure``: level ``i``
+    picks from a pool after the previous pick's, leaving enough pools for
+    the levels below, punctures on the way down and undoes on the way
+    up.  A disconnected complex, a negative χ̃ or fewer pools than χ̃ is
+    a no with 0 nodes; otherwise ``nodes`` counts the removals checked,
+    the empty one of χ̃ = 0 included, and the verdict is budget_exceeded,
+    with ``nodes`` = ``budget`` + 1, at the first one past ``budget``.
+    On yes the witness is ``(removal, pairs)``: the greedy decider
+    replays the verdict on the punctured complex, and its pairs collapse
+    it to a vertex.  A disagreement is an internal error, not a property
+    of the input.
 
-        def walk(prev: int):
-            nonlocal tried
-            level = len(chosen)
-            if level == depth:
-                tried += 1
-                if tried > budget:
-                    raise _BudgetExceeded
-                return self.collapsible()
-            end = len(ids[level]) - (depth - level) + 1 if ascending else len(ids[level])
-            dominated: set[int] = set()
-            for pos in range(prev + 1 if ascending else 0, end):
-                t = ids[level][pos]
-                if t in dominated:
-                    continue
-                chosen.append(pos)
-                mark = self.puncture(t)
-                if (yield (pos,)):
-                    return True
-                chosen.pop()
-                # The pick's children are undone already, so the log since
-                # its mark is the pick and what its puncture erased.
-                dominated.update(t for t, _, _ in self._log[mark:])
-                self.undo(mark)
-            return False
-
-        start = len(self._log)
-        try:
-            found = _run(walk, -1)
-        except _BudgetExceeded:
-            return SearchResult("budget_exceeded", None, tried)
-        finally:
-            self.undo(start)
-        if found:
-            return SearchResult("yes", tuple(pools[i][p] for i, p in enumerate(chosen)), tried)
-        return SearchResult("no", None, tried)
-
-
-def find_removal(
-    k: Complex,
-    pools: Sequence[Sequence[Face]],
-    budget: int,
-    ascending: bool = False,
-) -> SearchResult:
-    """Search for one triangle per pool whose removal leaves ``k``
-    collapsible, with ``TriangleErasure.first_collapsible``: ``nodes``
-    counts the removals checked after dominance pruning, and the verdict
-    is budget_exceeded, with ``nodes`` = ``budget`` + 1, once they overrun
-    ``budget``.  On yes the witness is ``(removal, pairs)``: the greedy
-    decider replays the verdict on the punctured complex, and its pairs
-    collapse it to a vertex.  A disagreement is an internal error, not a
-    property of the input.
-
-    The pruning needs the picks of a removal to be distinct, so a
-    triangle in two pools, or twice in the one pool of ``ascending``,
-    raises ValueError.
+    A triangle in two pools raises ValueError, so the picks of a removal
+    are distinct.  Then the walk skips, unchecked, every candidate that
+    an earlier refuted sibling dominates, siblings being ordered by
+    (pool, position).  Say the prefix P plus the candidate t, from pool
+    q, is refuted, and a later sibling t', from pool q' >= q, is not
+    live in erase(K - P - t): it is t itself or its puncture erased it.
+    Erasure is monotone and confluent, so for every completion C of t',
+    erase(K - P - t' - C) contains erase(K - P - t - t' - C), which is
+    erase(K - P - t - C).  With distinct picks a removal is collapsible
+    exactly when nothing is left, and each completion of t' picks from
+    pools after q' >= q, so it is one of t, and P plus t' is refuted
+    too.  The dominated ids of a level are those logged since a refuted
+    candidate's mark, and they hold for that level's prefix only, so
+    each level entered starts an empty set.  The first collapsible
+    removal does not change; only the count of removals checked falls.
     """
     seen: set[Face] = set()
-    for pool in pools[:1] if ascending else map(set, pools):
+    for pool in map(set, pools):
         for t in pool:
             if t in seen:
                 raise ValueError(f"triangle {face_key(t)} could be picked twice")
             seen.add(t)
-    res = TriangleErasure(k).first_collapsible(pools, budget, ascending)
-    if not res.yes:
-        return res
-    greedy = is_collapsible_2d_greedy(k.remove_facets(res.witness))
+    engine = TriangleErasure(k)
+    ids = [[engine.tri_id[t] for t in pool] for pool in pools]
+    picks = engine._chi
+    if not engine._connected or not 0 <= picks <= len(ids):
+        return SearchResult("no", None, 0)
+    chosen: list[Face] = []
+    tried = 0
+
+    def walk(prev: int):
+        nonlocal tried
+        level = len(chosen)
+        if level == picks:
+            tried += 1
+            if tried > budget:
+                raise _BudgetExceeded
+            return engine.collapsible()
+        dominated: set[int] = set()
+        for q in range(prev + 1, len(ids) - (picks - level) + 1):
+            for t, i in zip(pools[q], ids[q]):
+                if i in dominated:
+                    continue
+                chosen.append(t)
+                mark = engine.puncture(i)
+                if (yield (q,)):
+                    return True
+                chosen.pop()
+                # The pick's children are undone already, so the log since
+                # its mark is the pick and what its puncture erased.
+                dominated.update(j for j, _, _ in engine._log[mark:])
+                engine.undo(mark)
+        return False
+
+    try:
+        found = _run(walk, -1)
+    except _BudgetExceeded:
+        return SearchResult("budget_exceeded", None, tried)
+    if not found:
+        return SearchResult("no", None, tried)
+    removal = tuple(chosen)
+    greedy = is_collapsible_2d_greedy(k.remove_facets(removal))
     if not greedy.yes:
         raise InternalError(
-            "erasure found "
-            f"{sorted(map(face_key, res.witness))} collapsible, greedy disagrees"
+            f"erasure found {sorted(map(face_key, removal))} collapsible, greedy disagrees"
         )
-    return SearchResult("yes", (res.witness, greedy.witness), res.nodes)
+    return SearchResult("yes", (removal, greedy.witness), tried)
 
 
 # -- collapse search by dimension ---------------------------------------------

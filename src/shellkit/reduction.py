@@ -7,7 +7,9 @@ complex whose reduced Euler characteristic equals the variable count.
 plus a replayable collapse of the punctured complex down to one vertex,
 ``assignment_from_removal`` reads an assignment back off a removal set,
 and ``decide_phi_via_complex`` closes the loop at desk scale by searching
-the admissible removals with ``collapse.find_removal``; its
+the admissible removals, one triangle per sphere label, with
+``collapse.find_removal``, the search of Hachimori's criterion on pools;
+on K_phi these removals are all the criterion can take.  Its
 ``SearchResult`` carries a certificate as the witness of a yes.
 ``sat_oracle`` provides brute-force ground truth.
 """
@@ -218,7 +220,10 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
 
     The label of each whole part is built from the facets the glue
     mapped, the same objects K_phi's face set holds, so no facet is
-    mapped twice and the label shares K_phi's faces.
+    mapped twice and the label shares K_phi's faces.  So the value of a
+    sphere's label ``S(u_i)`` is exactly its triangles, and so is that
+    of a disk ``D[u_i]``/``D[~u_i]``, the mapped ``upper``/``lower`` of
+    ``build_variable_sphere``; the removal readers take them from there.
     """
     occ = _occurrences(phi)
     attachments = tuple(f"f(u{i})" for i in range(1, phi.n + 1))
@@ -387,8 +392,8 @@ def schedule_collapse(
 
     occ = _occurrences(phi)
     sat_sign = {i: i if a[i] else -i for i in a}
-    disks = [lc.subcomplex(f"D[{_lit_name(sat_sign[i])}]") for i in range(1, phi.n + 1)]
-    removal = [min((f for f in d.faces if len(f) == 3), key=face_key) for d in disks]
+    lits = [_lit_name(sat_sign[i]) for i in range(1, phi.n + 1)]
+    removal = [min(lc.feature(f"D[{lit}]").value, key=face_key) for lit in lits]
     index = _FaceIndex(lc.complex.remove_facets(removal))
     pairs: list[CollapsePair] = []
 
@@ -409,8 +414,8 @@ def schedule_collapse(
         collapse(f"X[{lit}]", lc.subcomplex(f"X[{lit}]"), kept)
 
     # (a) retract each punctured disk to rim plus spoke.
-    for i, disk, tau in zip(range(1, phi.n + 1), disks, removal):
-        lit = _lit_name(sat_sign[i])
+    for i, lit, tau in zip(range(1, phi.n + 1), lits, removal):
+        disk = lc.subcomplex(f"D[{lit}]")
         collapse(f"punctured D[{lit}]", disk.remove_facet(tau), [f"s(u{i})", f"f[{lit}]"])
 
     # (b) collapse each satisfied literal house onto its occurrence star.
@@ -464,10 +469,10 @@ def assignment_from_removal(
         return None
     out: dict[int, bool] = {}
     for i in range(1, chi + 1):
-        mine = removal & k.subcomplex(f"S(u{i})").facets
+        mine = removal & k.feature(f"S(u{i})").value
         if not mine:
             return None
-        out[i] = min(mine, key=face_key) in k.subcomplex(f"D[u{i}]").facets
+        out[i] = min(mine, key=face_key) in k.feature(f"D[u{i}]").value
     return out
 
 
@@ -484,21 +489,29 @@ def decide_phi_via_complex(phi: Formula) -> SearchResult:
     """Decide satisfiability through the compiled complex, at desk scale.
 
     Searches the admissible removal sets (one triangle per variable
-    sphere, in ``itertools.product`` order over the spheres) with
-    ``collapse.find_removal`` for the first one whose removal leaves a
-    collapsible complex, and returns its result: ``nodes`` counts the
-    removals checked after dominance pruning, and the verdict is
-    budget_exceeded once they overrun ``DEFAULT_BUDGET``, read when the
-    call is made.  On yes the witness is ``(certificate,)``: the winning
-    removal, the greedy collapse witness of the punctured complex, and
-    the extracted assignment.  Raises ``InternalError`` when the winning
-    removal does not read back as a model.
+    sphere, in ``itertools.product`` order over the spheres' label
+    triangles) with ``collapse.find_removal`` for the first one whose
+    removal leaves a collapsible complex, and returns its result:
+    ``nodes`` counts the removals checked after dominance pruning, and
+    the verdict is budget_exceeded once they overrun ``DEFAULT_BUDGET``,
+    read when the call is made.  On yes the witness is
+    ``(certificate,)``: the winning removal, the greedy collapse witness
+    of the punctured complex, and the extracted assignment.  Raises
+    ``InternalError`` when the winning removal does not read back as a
+    model.
+
+    This is the whole search of Hachimori's criterion on K_phi, so a no
+    here means sd²(K_phi) is not shellable.  Each ``S(u_i)`` is a closed
+    2-pseudomanifold (``build_variable_sphere`` checks it), and the glue
+    maps it injectively, so its triangles form a GF(2) 2-cycle.  K_phi
+    has no 3-faces, so a removal R that misses a sphere leaves that
+    cycle as a nonzero class of H₂(K_phi - R; GF(2)), and a collapsible
+    complex has H₂ = 0.  Parts meet only in vertices, edges and paths,
+    so no two spheres share a triangle, and χ̃ = n.  So a collapsible
+    removal of χ̃ triangles takes exactly one per sphere.
     """
     lc = build_K_phi(phi)
-    pools = [
-        sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
-        for i in range(1, phi.n + 1)
-    ]
+    pools = [sorted(lc.feature(f"S(u{i})").value, key=face_key) for i in range(1, phi.n + 1)]
     res = find_removal(lc.complex, pools, DEFAULT_BUDGET)
     if not res.yes:
         return res

@@ -537,10 +537,11 @@ def hachimori_decide_sd2(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResu
     exactly when every vertex link of the complex itself is connected
     and removing some set of χ̃ triangles leaves it collapsible.  Any
     other input raises ShellingError, as in ``decide_shellable``.  A
-    disconnected link or a negative χ̃ is a no with 0 nodes; otherwise
-    the removal sets are searched with ``collapse.find_removal`` in
-    ``itertools.combinations`` order over the triangles, and its result
-    is returned as it is: on yes the witness is ``(removal, pairs)``, the
+    disconnected link is a no with 0 nodes; otherwise the removal sets
+    are searched with ``collapse.find_removal`` over one singleton pool
+    per triangle, in ``itertools.combinations`` order over the
+    triangles, so a negative χ̃ is a no with 0 nodes too.  Its result is
+    returned as it is: on yes the witness is ``(removal, pairs)``, the
     removed triangles and a collapse of the remainder to a vertex, and
     ``nodes`` counts the removals checked after dominance pruning.  The
     verdict is budget_exceeded once the removals checked overrun
@@ -548,9 +549,7 @@ def hachimori_decide_sd2(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResu
     """
     if k.dim != 2 or not k.is_pure():
         raise ShellingError("the sd2 criterion applies to pure 2-dimensional complexes")
-    chi = k.reduced_euler_characteristic()
-    if chi < 0 or not vertex_links_connected(k)[0]:
+    if not vertex_links_connected(k)[0]:
         return SearchResult("no", None, 0)
     triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
-    return find_removal(k, [triangles] * chi, budget, ascending=True)
-
+    return find_removal(k, [[t] for t in triangles], budget)

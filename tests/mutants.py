@@ -280,19 +280,62 @@ CATALOGUE = (
     Mutant(
         "dominated-shared-across-levels",
         "src/shellkit/collapse.py",
-        "        tried = 0\n\n        def walk(prev: int):\n            nonlocal tried\n"
-        "            level = len(chosen)\n            if level == depth:\n"
-        "                tried += 1\n                if tried > budget:\n"
-        "                    raise _BudgetExceeded\n                return self.collapsible()\n"
-        "            end = len(ids[level]) - (depth - level) + 1 if ascending else len(ids[level])\n"
-        "            dominated: set[int] = set()\n",
-        "        tried = 0\n        dominated: set[int] = set()\n\n        def walk(prev: int):\n"
-        "            nonlocal tried\n"
-        "            level = len(chosen)\n            if level == depth:\n"
-        "                tried += 1\n                if tried > budget:\n"
-        "                    raise _BudgetExceeded\n                return self.collapsible()\n"
-        "            end = len(ids[level]) - (depth - level) + 1 if ascending else len(ids[level])\n",
+        "    tried = 0\n\n    def walk(prev: int):\n        nonlocal tried\n"
+        "        level = len(chosen)\n        if level == picks:\n"
+        "            tried += 1\n            if tried > budget:\n"
+        "                raise _BudgetExceeded\n            return engine.collapsible()\n"
+        "        dominated: set[int] = set()\n",
+        "    tried = 0\n    dominated: set[int] = set()\n\n    def walk(prev: int):\n"
+        "        nonlocal tried\n"
+        "        level = len(chosen)\n        if level == picks:\n"
+        "            tried += 1\n            if tried > budget:\n"
+        "                raise _BudgetExceeded\n            return engine.collapsible()\n",
         "the removal walk's dominated ids hold for one level's prefix only",
+        ("tests/test_erasure.py",),
+    ),
+    Mutant(
+        "dominated-by-a-leaf-at-every-ancestor",
+        "src/shellkit/collapse.py",
+        "    tried = 0\n\n    def walk(prev: int):\n        nonlocal tried\n"
+        "        level = len(chosen)\n        if level == picks:\n"
+        "            tried += 1\n            if tried > budget:\n"
+        "                raise _BudgetExceeded\n            return engine.collapsible()\n"
+        "        dominated: set[int] = set()\n",
+        "    tried = 0\n    levels: list[set[int]] = []\n\n    def walk(prev: int):\n"
+        "        nonlocal tried\n"
+        "        level = len(chosen)\n        if level == picks:\n"
+        "            tried += 1\n            if tried > budget:\n"
+        "                raise _BudgetExceeded\n"
+        "            if not engine.collapsible():\n"
+        "                for d in levels:\n"
+        "                    d.update(j for j, _, _ in engine._log)\n"
+        "            return engine.collapsible()\n"
+        "        dominated: set[int] = set()\n        levels.append(dominated)\n",
+        "a refuted removal's erasures dominate siblings at its own level only, not at its ancestors'",
+        ("tests/test_erasure.py",),
+    ),
+    Mutant(
+        "removal-budget-gate-inclusive",
+        "src/shellkit/collapse.py",
+        "            if tried > budget:\n",
+        "            if tried >= budget:\n",
+        "the removal walk overruns at the first removal past its budget, not at the budget",
+        ("tests/test_erasure.py",),
+    ),
+    Mutant(
+        "removal-walk-counts-every-node",
+        "src/shellkit/collapse.py",
+        "        level = len(chosen)\n        if level == picks:\n            tried += 1\n",
+        "        level = len(chosen)\n        tried += 1\n        if level == picks:\n",
+        "the removal walk's nodes are the removals it checks, its leaves only",
+        ("tests/test_erasure.py",),
+    ),
+    Mutant(
+        "pick-from-the-previous-picks-pool",
+        "src/shellkit/collapse.py",
+        "        for q in range(prev + 1, len(ids) - (picks - level) + 1):\n",
+        "        for q in range(max(prev, 0), len(ids) - (picks - level) + 1):\n",
+        "each pick of a removal comes from a pool after the previous pick's",
         ("tests/test_erasure.py",),
     ),
     Mutant(

@@ -23,6 +23,7 @@ from shellkit.complex_core import (
     one_skeleton_connected,
     vertex_links_connected,
 )
+from shellkit.gadgets import dunce_hat
 from shellkit.reduction import (
     Formula,
     _satisfies,
@@ -201,7 +202,7 @@ def _hachimori_reference(k: Complex, pool=None):
 def _find_in_pool(k: Complex, pool):
     """The search ``hachimori_decide_sd2`` runs, over a part of the triangles."""
     pool = sorted({frozenset(f) for f in pool}, key=face_key)
-    return find_removal(k, [pool] * k.reduced_euler_characteristic(), 10**6, ascending=True)
+    return find_removal(k, [[t] for t in pool], 10**6)
 
 
 def test_hachimori_matches_combinations_loop():
@@ -251,6 +252,30 @@ def test_hachimori_on_compiled_complexes_matches_combinations_loop():
         assert res.witness == _hachimori_reference(lc.complex, pool)
 
 
+def test_pooled_search_is_the_whole_criterion_search_on_k_phi():
+    # A collapsible removal of χ̃ = n triangles of K_phi takes one per
+    # variable sphere (decide_phi_via_complex's docstring), so the pooled
+    # search and the search over every set of n triangles agree.
+    rng = random.Random(2042)
+    family = [random_formula(1 + i % 2, rng.randint(2, 5), rng) for i in range(6)]
+    family += [
+        Formula(1, ((1, 1, 1), (-1, -1, -1))),
+        Formula(2, ((1, 2, 2), (-1, -2, -2), (1, -2, -2), (-1, 2, 2))),
+    ]
+    verdicts = Counter()
+    for phi in family:
+        lc = build_K_phi(phi)
+        full = hachimori_decide_sd2(lc.complex)
+        pooled = decide_phi_via_complex(phi)
+        assert full.verdict == pooled.verdict == ("no" if sat_oracle(phi) is None else "yes")
+        verdicts[full.verdict] += 1
+        if full.yes:
+            removal = set(full.witness[0])
+            for i in range(1, phi.n + 1):
+                assert len(removal & lc.feature(f"S(u{i})").value) == 1, (phi, i)
+    assert verdicts["yes"] and verdicts["no"], verdicts
+
+
 def random_pooled_complex(rng: random.Random):
     """A random pure 2-complex with chi >= 2, its triangles split into chi
     disjoint pools, or None when the draw has chi < 2."""
@@ -285,19 +310,12 @@ def test_product_order_matches_product_loop_on_random_pools():
     assert verdicts["yes"] and verdicts["no"], verdicts
 
 
-def engine_state(engine: TriangleErasure) -> tuple:
-    return (
-        engine.remaining, engine.removed, list(engine._live), list(engine._punctured),
-        list(engine._count), list(engine._log),
-    )
-
-
 def budget_sweep_cases():
-    """(complex, pools, ascending) triples: random pooled 2-complexes in
-    product order and, over all their triangles, in ascending order; K_phi
-    over its sphere pools for n <= 3, sat and unsat; K_phi of the
-    unsatisfiable n=1 formula over all its triangles, as the sd² criterion
-    searches; removals of no triangle; and a disconnected complex."""
+    """(complex, pools) pairs: random pooled 2-complexes over their pools
+    and over one singleton pool per triangle; K_phi over its sphere pools
+    for n <= 3, sat and unsat; K_phi of the unsatisfiable n=1 formula
+    over all its triangles, as the sd² criterion searches; removals of no
+    triangle; and a disconnected complex."""
     rng = random.Random(2022)
     cases = []
     while len(cases) < 80:
@@ -306,7 +324,7 @@ def budget_sweep_cases():
             continue
         k, pools = case
         flat = sorted(k.facets, key=face_key)
-        cases += [(k, pools, False), (k, [flat] * len(pools), True)]
+        cases += [(k, pools), (k, [[t] for t in flat])]
     for phi in (
         Formula(1, ((1, 1, 1), (-1, -1, -1))),
         Formula(2, ((1, 2, 2), (-1, -2, -2), (1, -2, -2))),
@@ -318,39 +336,29 @@ def budget_sweep_cases():
             sorted(lc.subcomplex(f"S(u{i})").facets, key=face_key)
             for i in range(1, phi.n + 1)
         ]
-        cases.append((lc.complex, pools, False))
+        cases.append((lc.complex, pools))
     kphi = build_K_phi(Formula(1, ((1, 1, 1), (-1, -1, -1)))).complex
-    cases.append((kphi, [sorted(kphi.facets, key=face_key)], True))
+    cases.append((kphi, [[t] for t in sorted(kphi.facets, key=face_key)]))
     for facets in ([[0, 1, 2]], [[0, 1], [1, 2], [0, 2]]):
-        cases.append((Complex.from_facets(facets), [], False))
+        cases.append((Complex.from_facets(facets), []))
     a, b = frozenset({0, 1, 2}), frozenset({3, 4, 5})
-    cases.append((Complex.from_facets([a, b]), [[a], [b]], False))
+    cases.append((Complex.from_facets([a, b]), [[a], [b]]))
     return cases
 
 
 def test_removal_budget_sweep():
     # Below the unbounded count N the walk overruns at the first removal
-    # past the budget; from N on the budget is invisible.  Every call,
-    # an overrun included, leaves the erasure as it was built.
+    # past the budget; from N on the budget is invisible.
     verdicts = Counter()
-    for k, pools, ascending in budget_sweep_cases():
-        engine = TriangleErasure(k)
-        fresh = engine_state(engine)
-        full = engine.first_collapsible(pools, 10**6, ascending)
-        assert engine_state(engine) == fresh
+    for k, pools in budget_sweep_cases():
+        full = find_removal(k, pools, 10**6)
         verdicts[full.verdict] += 1
         for b in range(full.nodes + 2):
-            res = engine.first_collapsible(pools, b, ascending)
-            assert engine_state(engine) == fresh, (b, full)
+            res = find_removal(k, pools, b)
             if b < full.nodes:
                 assert (res.verdict, res.witness, res.nodes) == ("budget_exceeded", None, b + 1)
             else:
                 assert res == full, (b, full)
-        over = find_removal(k, pools, full.nodes - 1, ascending) if full.nodes else None
-        assert over is None or (over.verdict, over.nodes) == ("budget_exceeded", full.nodes)
-        res = find_removal(k, pools, full.nodes, ascending)
-        assert (res.verdict, res.nodes) == (full.verdict, full.nodes)
-        assert res.witness is None or res.witness[0] == full.witness
     assert verdicts["yes"] and verdicts["no"] > 4, verdicts
 
 
@@ -360,9 +368,30 @@ def test_find_removal_needs_distinct_picks():
     with pytest.raises(ValueError, match="picked twice"):
         find_removal(k, [[a, b], [c, a]], budget=10)
     with pytest.raises(ValueError, match="picked twice"):
-        find_removal(k, [[a, b, a]] * 2, budget=10, ascending=True)
-    # A repeat inside one pool of the product order still picks distinct triangles.
+        find_removal(k, [[a], [b], [a]], budget=10)
+    # A repeat inside one pool still picks distinct triangles.
     assert find_removal(k, [[a, a]], budget=10).yes
+
+
+def test_find_removal_pick_count_edge_cases():
+    # The walk picks χ̃ triangles.  With χ̃ < 0, or fewer pools than χ̃,
+    # no removal of that size exists: a no at 0 nodes.  With χ̃ = 0 the
+    # one empty removal is checked, whatever the pools.
+    cycle = Complex.from_facets([[0, 1], [1, 2], [0, 2], [2, 3], [3, 4], [2, 4]])
+    assert cycle.reduced_euler_characteristic() == -2
+    assert find_removal(cycle, [], budget=10) == SearchResult("no", None, 0)
+    sphere = Complex.from_facets([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    assert find_removal(sphere, [], budget=10) == SearchResult("no", None, 0)
+    assert find_removal(sphere, [], budget=0) == SearchResult("no", None, 0)
+    two = sphere.remove_facet({1, 2, 3})
+    assert two.reduced_euler_characteristic() == 0
+    for pools in ([], [[frozenset({0, 1, 2})]]):
+        res = find_removal(two, pools, budget=10)
+        assert (res.verdict, res.nodes, res.witness[0]) == ("yes", 1, ())
+        res = find_removal(two, pools, budget=0)
+        assert (res.verdict, res.nodes) == ("budget_exceeded", 1)
+    hat = dunce_hat()
+    assert find_removal(hat, [[t] for t in hat.facets], budget=10) == SearchResult("no", None, 1)
 
 
 def test_removal_walk_deeper_than_the_recursion_limit():

@@ -192,7 +192,7 @@ def _sd2_search_on_non_pure(k: Complex):
     if chi < 0 or not vertex_links_connected(k)[0]:
         return SearchResult("no", None, 0)
     triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
-    return find_removal(k, [triangles] * chi, 2000, ascending=True)
+    return find_removal(k, [[t] for t in triangles], 2000)
 
 
 def _complex_records(k: Complex) -> list:

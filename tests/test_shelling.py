@@ -604,7 +604,11 @@ def test_deciders_leave_no_reference_cycles():
     vertex = Complex.from_facets([[a]])
     sphere = Complex.from_facets(subfaces(range(4), [3]))
     sphere_pool = [sorted(sphere.facets, key=face_key)]
-    hat_pools = [sorted(hat.facets, key=face_key)] * 2
+    # Two hollow tetrahedra hung on the dunce hat: χ̃ = 2, and a removal no.
+    hat_spheres = Complex.from_facets(
+        [*hat.facets, *subfaces({a, 100, 101, 102}, [3]), *subfaces({a, 103, 104, 105}, [3])]
+    )
+    hat_pools = [[t] for t in sorted(hat_spheres.facets, key=face_key)]
     calls = [
         ("yes", lambda: decide_k_decomposable(mdh, 1)),
         ("no", lambda: decide_k_decomposable(searched_no, 0)),
@@ -621,8 +625,8 @@ def test_deciders_leave_no_reference_cycles():
         ("yes", lambda: is_collapsible_2d_greedy(mdh)),
         ("no", lambda: is_collapsible_2d_greedy(pendant_dunce_hat())),
         ("yes", lambda: find_removal(sphere, sphere_pool, 10)),
-        ("no", lambda: find_removal(hat, hat_pools, 100, ascending=True)),
-        ("budget_exceeded", lambda: find_removal(hat, hat_pools, 3, ascending=True)),
+        ("no", lambda: find_removal(hat_spheres, hat_pools, 100)),
+        ("budget_exceeded", lambda: find_removal(hat_spheres, hat_pools, 3)),
     ]
     was_enabled = gc.isenabled()
     gc.disable()

@@ -292,20 +292,21 @@ class TriangleErasure:
     erasure leaves the same triangles, namely the largest subset with no
     free edge.  Hence erase(K - R - t) = erase(erase(K - R) - t), and a
     removal search can puncture one triangle at a time, paying only for
-    what that triangle frees, and undo back to any earlier mark.
+    what that triangle frees, and undo a puncture by putting back what it
+    took.
 
-    Triangles (ids in ``face_key`` order) and the edges in a triangle, in
-    the order of the triangles' ``ridge_holders`` map, are numbered once;
-    the state is a live and a punctured flag per triangle, a live-triangle
-    count per edge, and a log of punctures and erasures that ``undo``
-    rolls back.  The edge order sets only the order of erasures, which by
-    confluence leave the same triangles.
+    Triangles (ids in ``face_key`` order; in dimension <= 2 every
+    triangle is a facet) and the edges in a triangle, in the order of the
+    triangles' ``ridge_holders`` map, are numbered once; the state is a
+    live flag per triangle, a live-triangle count per edge and
+    ``remaining``, the number of live triangles.  The edge order sets only
+    the order of erasures, which by confluence leave the same triangles.
     """
 
     def __init__(self, k: Complex):
         if k.dim > 2:
             raise ValueError("erasure requires dimension <= 2")
-        triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
+        triangles = sorted((f for f in k.facets if len(f) == 3), key=face_key)
         self.tri_id: dict[Face, int] = {t: i for i, t in enumerate(triangles)}
         self._edge_tris = [[self.tri_id[t] for t in ts] for ts in ridge_holders(triangles).values()]
         self._tri_edges: list[list[int]] = [[] for _ in triangles]
@@ -314,74 +315,45 @@ class TriangleErasure:
                 self._tri_edges[t].append(e)
         self._count = [len(ts) for ts in self._edge_tris]
         self._live = [True] * len(triangles)
-        self._punctured = [False] * len(triangles)
-        # Entries are (triangle, was live, was punctured): an erasure is
-        # (t, True, False), a puncture (t, live before, True).
-        self._log: list[tuple[int, bool, bool]] = []
-        self._chi = k.reduced_euler_characteristic()
-        self._connected = bool(k.vertices) and one_skeleton_connected(k)
-        self.removed = 0
         self.remaining = len(triangles)
-        self._erase([e for e, c in enumerate(self._count) if c == 1])
+        self._take(list(dict.fromkeys(ts[0] for ts in self._edge_tris if len(ts) == 1)))
 
-    def _drop(self, t: int) -> None:
-        self._live[t] = False
-        self.remaining -= 1
-        count = self._count
-        for e in self._tri_edges[t]:
-            count[e] -= 1
+    def _take(self, taken: list[int]) -> list[int]:
+        """Take the distinct live triangles ``taken``, then erase what
+        they free; returns ``taken``, the erased ids appended.  A triangle
+        is marked dead when it is taken and its edges are counted down
+        when the loop reaches it, so an edge whose count falls to 1 holds
+        at most one live triangle, and that one is free; an edge becomes
+        free only when its count falls, so none is left free."""
+        count, live, edge_tris = self._count, self._live, self._edge_tris
+        for t in taken:
+            live[t] = False
+        for t in taken:  # the loop reads what it appends
+            for e in self._tri_edges[t]:
+                count[e] -= 1
+                if count[e] == 1:
+                    for s in edge_tris[e]:
+                        if live[s]:
+                            live[s] = False
+                            taken.append(s)
+        self.remaining -= len(taken)
+        return taken
 
-    def _erase(self, stack: list[int]) -> None:
-        count, live, edge_tris, tri_edges, log = (
-            self._count, self._live, self._edge_tris, self._tri_edges, self._log,
-        )
-        while stack:
-            e = stack.pop()
-            if count[e] != 1:
-                continue
-            t = next(i for i in edge_tris[e] if live[i])
-            self._drop(t)
-            log.append((t, True, False))
-            stack.extend(f for f in tri_edges[t] if count[f] == 1)
+    def puncture(self, t: int) -> list[int]:
+        """Remove triangle ``t`` and erase what it frees; returns the ids
+        taken, ``t`` first if it was live, for ``undo``.  An erased
+        triangle frees nothing, so puncturing it takes nothing."""
+        return self._take([t] if self._live[t] else [])
 
-    def puncture(self, t: int) -> int:
-        """Remove triangle ``t`` and erase what it frees; returns the mark
-        to ``undo`` to.  An already erased triangle counts as removed but
-        frees nothing; puncturing the same triangle twice is a no-op."""
-        mark = len(self._log)
-        if self._punctured[t]:
-            return mark
-        live = self._live[t]
-        self._punctured[t] = True
-        self.removed += 1
-        self._log.append((t, live, True))
-        if live:
-            self._drop(t)
-            self._erase([e for e in self._tri_edges[t] if self._count[e] == 1])
-        return mark
-
-    def undo(self, mark: int) -> None:
-        """Roll back every puncture and erasure made since ``mark``."""
-        log, count = self._log, self._count
-        while len(log) > mark:
-            t, was_live, punctured = log.pop()
-            if was_live:
-                self._live[t] = True
-                self.remaining += 1
-                for e in self._tri_edges[t]:
-                    count[e] += 1
-            if punctured:
-                self._punctured[t] = False
-                self.removed -= 1
-
-    def collapsible(self) -> bool:
-        """Does the complex minus the punctured triangles collapse to a
-        point?  Exactly when erasure leaves no triangle and the residual
-        graph is a tree.  Erasure keeps the 1-skeleton, which removals do
-        not touch, connected, and keeps the reduced Euler characteristic,
-        which each removal lowers by one; a connected graph is a tree
-        exactly when that characteristic is 0."""
-        return self.remaining == 0 and self._connected and self._chi == self.removed
+    def undo(self, taken: list[int]) -> None:
+        """Put back the triangles ``taken``, the list one ``puncture``
+        returned; punctures are undone in the reverse of their order."""
+        count, live = self._count, self._live
+        for t in taken:
+            live[t] = True
+            for e in self._tri_edges[t]:
+                count[e] += 1
+        self.remaining += len(taken)
 
 
 def find_removal(k: Complex, pools: Sequence[Sequence[Face]], budget: int) -> SearchResult:
@@ -401,34 +373,48 @@ def find_removal(k: Complex, pools: Sequence[Sequence[Face]], budget: int) -> Se
     On yes the witness is ``(removal, pairs)``: the greedy decider
     replays the verdict on the punctured complex, and its pairs collapse
     it to a vertex.  A disagreement is an internal error, not a property
-    of the input.
+    of the input.  A pool entry that is not a triangle of ``k``, or a
+    triangle in two pools, raises ValueError; a repeat inside one pool is
+    picked once.
 
-    A triangle in two pools raises ValueError, so the picks of a removal
-    are distinct.  Then the walk skips, unchecked, every candidate that
-    an earlier refuted sibling dominates, siblings being ordered by
-    (pool, position).  Say the prefix P plus the candidate t, from pool
-    q, is refuted, and a later sibling t', from pool q' >= q, is not
-    live in erase(K - P - t): it is t itself or its puncture erased it.
-    Erasure is monotone and confluent, so for every completion C of t',
-    erase(K - P - t' - C) contains erase(K - P - t - t' - C), which is
-    erase(K - P - t - C).  With distinct picks a removal is collapsible
-    exactly when nothing is left, and each completion of t' picks from
-    pools after q' >= q, so it is one of t, and P plus t' is refuted
-    too.  The dominated ids of a level are those logged since a refuted
-    candidate's mark, and they hold for that level's prefix only, so
-    each level entered starts an empty set.  The first collapsible
-    removal does not change; only the count of removals checked falls.
+    So the picks of a removal R are distinct, and K - R is collapsible
+    exactly when erasure leaves no triangle.  Removing triangles keeps
+    the 1-skeleton, so K - R is connected, and χ̃(K - R) = χ̃ - |R| = 0.
+    Erasure keeps both, so a remainder with no triangle is a connected
+    graph with χ̃ = 0, a tree, which collapses to a vertex; and by
+    confluence a remainder with a triangle is one that no collapse
+    empties of triangles.
+
+    The walk skips, unchecked, every candidate that an earlier refuted
+    sibling dominates, siblings being ordered by (pool, position).  Say
+    the prefix P plus the candidate t, from pool q, is refuted, and a
+    later sibling t', from pool q' >= q, is among what t's puncture took,
+    so it is not live in erase(K - P - t).  Erasure is monotone and
+    confluent, so for every completion C of t', erase(K - P - t' - C)
+    contains erase(K - P - t - t' - C), which is erase(K - P - t - C).  A
+    removal is collapsible exactly when nothing is left, and each
+    completion of t' picks from pools after q' >= q, so it is one of t,
+    and P plus t' is refuted too.  The dominated ids of a level are what
+    its refuted candidates' punctures took, and they hold for that level's
+    prefix only, so each level entered starts an empty set.  The first
+    collapsible removal does not change; only the count of removals
+    checked falls.
     """
-    seen: set[Face] = set()
-    for pool in map(set, pools):
-        for t in pool:
-            if t in seen:
-                raise ValueError(f"triangle {face_key(t)} could be picked twice")
-            seen.add(t)
     engine = TriangleErasure(k)
-    ids = [[engine.tri_id[t] for t in pool] for pool in pools]
-    picks = engine._chi
-    if not engine._connected or not 0 <= picks <= len(ids):
+    # Per pool, each distinct triangle's id mapped to the triangle.
+    ids: list[dict[int, Face]] = []
+    pool_of: dict[int, int] = {}
+    for q, pool in enumerate(pools):
+        ids.append({})
+        for t in map(frozenset, pool):
+            i = engine.tri_id.get(t)
+            if i is None:
+                raise ValueError(f"{face_key(t)} is not a triangle of the complex")
+            if pool_of.setdefault(i, q) != q:
+                raise ValueError(f"triangle {face_key(t)} could be picked twice")
+            ids[q][i] = t
+    picks = k.reduced_euler_characteristic()
+    if not (k.vertices and one_skeleton_connected(k)) or not 0 <= picks <= len(ids):
         return SearchResult("no", None, 0)
     chosen: list[Face] = []
     tried = 0
@@ -440,21 +426,19 @@ def find_removal(k: Complex, pools: Sequence[Sequence[Face]], budget: int) -> Se
             tried += 1
             if tried > budget:
                 raise _BudgetExceeded
-            return engine.collapsible()
+            return engine.remaining == 0
         dominated: set[int] = set()
         for q in range(prev + 1, len(ids) - (picks - level) + 1):
-            for t, i in zip(pools[q], ids[q]):
+            for i, t in ids[q].items():
                 if i in dominated:
                     continue
                 chosen.append(t)
-                mark = engine.puncture(i)
+                taken = engine.puncture(i)
                 if (yield (q,)):
                     return True
                 chosen.pop()
-                # The pick's children are undone already, so the log since
-                # its mark is the pick and what its puncture erased.
-                dominated.update(j for j, _, _ in engine._log[mark:])
-                engine.undo(mark)
+                engine.undo(taken)
+                dominated.update(taken)
         return False
 
     try:

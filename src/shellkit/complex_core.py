@@ -435,11 +435,13 @@ def graph_connected(vertices: Iterable, adj: Mapping, seeds: Iterable | None = N
 
 
 def one_skeleton_connected(k: Complex) -> bool:
-    """Connectivity of the graph of vertices and edges (void: True)."""
+    """Connectivity of the graph of vertices and edges (void: True).  Every
+    edge lies in a facet, and a facet's vertices are joined by its edges,
+    so joining each facet's vertices to its first one gives the same
+    components."""
     adj: dict[int, list] = {}
-    for f in k.faces:
-        if len(f) == 2:
-            a, b = f
+    for a, *rest in k.facets:
+        for b in rest:
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
     return graph_connected(k.vertices, adj)

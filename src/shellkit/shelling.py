@@ -31,7 +31,7 @@ class ShellingError(ValueError):
 
 
 def _check_pure_input(k: Complex) -> int:
-    if not k.faces:
+    if not k:
         raise ShellingError("shellability needs a nonempty complex")
     d = k.dim
     if not k.is_pure(d):
@@ -486,7 +486,7 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:
     those that miss σ.  Both children are pure by construction, so no
     node is tested for purity again.
     """
-    if not k.faces:
+    if not k:
         raise ShellingError("a decomposition needs a nonempty complex")
     if not k.is_pure():
         raise ShellingError("node complex is not pure")
@@ -551,5 +551,4 @@ def hachimori_decide_sd2(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResu
         raise ShellingError("the sd2 criterion applies to pure 2-dimensional complexes")
     if not vertex_links_connected(k)[0]:
         return SearchResult("no", None, 0)
-    triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
-    return find_removal(k, [[t] for t in triangles], budget)
+    return find_removal(k, [[t] for t in sorted(k.facets, key=face_key)], budget)

@@ -283,13 +283,13 @@ CATALOGUE = (
         "    tried = 0\n\n    def walk(prev: int):\n        nonlocal tried\n"
         "        level = len(chosen)\n        if level == picks:\n"
         "            tried += 1\n            if tried > budget:\n"
-        "                raise _BudgetExceeded\n            return engine.collapsible()\n"
+        "                raise _BudgetExceeded\n            return engine.remaining == 0\n"
         "        dominated: set[int] = set()\n",
         "    tried = 0\n    dominated: set[int] = set()\n\n    def walk(prev: int):\n"
         "        nonlocal tried\n"
         "        level = len(chosen)\n        if level == picks:\n"
         "            tried += 1\n            if tried > budget:\n"
-        "                raise _BudgetExceeded\n            return engine.collapsible()\n",
+        "                raise _BudgetExceeded\n            return engine.remaining == 0\n",
         "the removal walk's dominated ids hold for one level's prefix only",
         ("tests/test_erasure.py",),
     ),
@@ -299,19 +299,53 @@ CATALOGUE = (
         "    tried = 0\n\n    def walk(prev: int):\n        nonlocal tried\n"
         "        level = len(chosen)\n        if level == picks:\n"
         "            tried += 1\n            if tried > budget:\n"
-        "                raise _BudgetExceeded\n            return engine.collapsible()\n"
-        "        dominated: set[int] = set()\n",
+        "                raise _BudgetExceeded\n            return engine.remaining == 0\n"
+        "        dominated: set[int] = set()\n"
+        "        for q in range(prev + 1, len(ids) - (picks - level) + 1):\n"
+        "            for i, t in ids[q].items():\n"
+        "                if i in dominated:\n                    continue\n"
+        "                chosen.append(t)\n                taken = engine.puncture(i)\n"
+        "                if (yield (q,)):\n                    return True\n"
+        "                chosen.pop()\n                engine.undo(taken)\n"
+        "                dominated.update(taken)\n",
         "    tried = 0\n    levels: list[set[int]] = []\n\n    def walk(prev: int):\n"
         "        nonlocal tried\n"
         "        level = len(chosen)\n        if level == picks:\n"
         "            tried += 1\n            if tried > budget:\n"
-        "                raise _BudgetExceeded\n"
-        "            if not engine.collapsible():\n"
-        "                for d in levels:\n"
-        "                    d.update(j for j, _, _ in engine._log)\n"
-        "            return engine.collapsible()\n"
-        "        dominated: set[int] = set()\n        levels.append(dominated)\n",
-        "a refuted removal's erasures dominate siblings at its own level only, not at its ancestors'",
+        "                raise _BudgetExceeded\n            return engine.remaining == 0\n"
+        "        dominated: set[int] = set()\n        levels[level:] = [dominated]\n"
+        "        for q in range(prev + 1, len(ids) - (picks - level) + 1):\n"
+        "            for i, t in ids[q].items():\n"
+        "                if i in dominated:\n                    continue\n"
+        "                chosen.append(t)\n                taken = engine.puncture(i)\n"
+        "                if (yield (q,)):\n                    return True\n"
+        "                chosen.pop()\n                engine.undo(taken)\n"
+        "                for d in levels:\n                    d.update(taken)\n",
+        "a refuted candidate's puncture dominates siblings at its own level only, not at its ancestors'",
+        ("tests/test_erasure.py",),
+    ),
+    Mutant(
+        "undo-skips-edge-counts",
+        "src/shellkit/collapse.py",
+        "                count[e] += 1\n",
+        "                pass\n",
+        "undoing a puncture restores the live-triangle count of each edge of what it took",
+        ("tests/test_erasure.py",),
+    ),
+    Mutant(
+        "puncture-omits-the-pick",
+        "src/shellkit/collapse.py",
+        "return self._take([t] if self._live[t] else [])",
+        "return self._take([t] if self._live[t] else [])[1:]",
+        "a puncture returns the punctured triangle with what it erased, so undo puts both back",
+        ("tests/test_erasure.py",),
+    ),
+    Mutant(
+        "removal-guard-without-connectivity",
+        "src/shellkit/collapse.py",
+        "    if not (k.vertices and one_skeleton_connected(k)) or not 0 <= picks <= len(ids):\n",
+        "    if not k.vertices or not 0 <= picks <= len(ids):\n",
+        "a disconnected complex has no collapsible removal, so the removal walk refuses it at 0 nodes",
         ("tests/test_erasure.py",),
     ),
     Mutant(

@@ -83,62 +83,82 @@ def random_small_complex(rng: random.Random) -> Complex:
 
 
 def test_erasure_matches_greedy_after_random_removals():
+    # Each puncture takes what erase(K - R) loses against the erasure
+    # before it, and undoing the punctures in reverse order puts it back.
+    # With χ̃ distinct picks from a connected K, an erasure that leaves no
+    # triangle is the greedy decider's yes (find_removal's docstring).
     rng = random.Random(2016)
     seen = Counter()
     for _ in range(400):
         k = random_small_complex(rng)
         triangles = sorted((f for f in k.faces if len(f) == 3), key=face_key)
         engine = TriangleErasure(k)
-        base = (engine.remaining, engine.collapsible())
-        assert base[0] == len(erase_naive(triangles))
-        assert base[1] == is_collapsible_2d_greedy(k).yes
+        face = {i: t for t, i in engine.tri_id.items()}
+        base = erase_naive(triangles)
+        assert engine.remaining == len(base)
+        connected = one_skeleton_connected(k)
         for _ in range(4):
-            removal = []
-            mark = None
+            removal, punctures = [], []
             for _ in range(rng.randint(0, min(3, len(triangles)))):
                 tau = rng.choice(triangles)
                 if tau in removal:
                     continue
-                if tau not in erase_naive(set(triangles) - set(removal)):
-                    seen["already erased"] += 1
+                before = erase_naive(set(triangles) - set(removal))
                 removal.append(tau)
-                m = engine.puncture(engine.tri_id[tau])
-                mark = m if mark is None else mark
-                trimmed = k
-                for t in removal:
-                    trimmed = trimmed.remove_facet(t)
-                assert engine.remaining == len(erase_naive(set(triangles) - set(removal)))
-                assert engine.collapsible() == is_collapsible_2d_greedy(trimmed).yes, (
-                    sorted(map(face_key, k.facets)),
-                    sorted(map(face_key, removal)),
-                )
-                seen["collapsible" if engine.collapsible() else "not collapsible"] += 1
-                if k.reduced_euler_characteristic() != len(removal):
-                    seen["chi != |R|"] += 1
-            if mark is not None:
-                engine.undo(mark)
-            assert (engine.remaining, engine.collapsible()) == base
-        seen["connected" if one_skeleton_connected(k) else "disconnected"] += 1
+                after = erase_naive(set(triangles) - set(removal))
+                taken = engine.puncture(engine.tri_id[tau])
+                punctures.append(taken)
+                assert len(set(taken)) == len(taken)
+                assert {face[i] for i in taken} == before - after
+                if tau in before:
+                    assert taken[0] == engine.tri_id[tau]
+                else:
+                    assert taken == []
+                    seen["already erased"] += 1
+                assert engine.remaining == len(after)
+                if connected and k.reduced_euler_characteristic() == len(removal):
+                    emptied = engine.remaining == 0
+                    assert emptied == is_collapsible_2d_greedy(k.remove_facets(removal)).yes, (
+                        sorted(map(face_key, k.facets)),
+                        sorted(map(face_key, removal)),
+                    )
+                    seen["collapsible" if emptied else "not collapsible"] += 1
+                else:
+                    seen["chi != |R| or disconnected"] += 1
+            lost = base - erase_naive(set(triangles) - set(removal))
+            assert {face[i] for taken in punctures for i in taken} == lost
+            for taken in reversed(punctures):
+                engine.undo(taken)
+            assert engine.remaining == len(base)
+        seen["connected" if connected else "disconnected"] += 1
         seen["non-pure" if not k.is_pure(2) else "pure"] += 1
     for case in (
-        "already erased", "collapsible", "not collapsible", "chi != |R|",
+        "already erased", "collapsible", "not collapsible", "chi != |R| or disconnected",
         "disconnected", "connected", "non-pure", "pure",
     ):
         assert seen[case] > 0, case
 
 
 def test_erasure_puncture_of_erased_triangle():
-    # A lone triangle erases completely, yet removing it leaves a cycle.
-    k = Complex.from_facets([[0, 1, 2]])
+    # The pendant triangle {1, 2, 4} erases at once, so puncturing it takes
+    # nothing; a triangle of the sphere takes the whole sphere, after which
+    # the other three are erased too and take nothing.
+    sphere = [frozenset(t) for t in ([0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3])]
+    k = Complex.from_facets([*sphere, [1, 2, 4]])
     engine = TriangleErasure(k)
-    assert engine.remaining == 0 and engine.collapsible()
-    mark = engine.puncture(engine.tri_id[frozenset({0, 1, 2})])
-    assert engine.remaining == 0 and not engine.collapsible()
-    assert not is_collapsible_2d_greedy(k.remove_facet({0, 1, 2})).yes
-    engine.puncture(engine.tri_id[frozenset({0, 1, 2})])  # twice: no-op
-    assert engine.remaining == 0 and not engine.collapsible()
-    engine.undo(mark)
-    assert engine.collapsible()
+    tid = engine.tri_id
+    assert engine.remaining == 4
+    assert engine.puncture(tid[frozenset({1, 2, 4})]) == []
+    taken = engine.puncture(tid[sphere[0]])
+    assert taken[0] == tid[sphere[0]] and sorted(taken) == sorted(tid[t] for t in sphere)
+    assert engine.remaining == 0
+    assert [engine.puncture(tid[t]) for t in sphere] == [[]] * 4
+    engine.undo(taken)
+    assert engine.remaining == 4
+    assert sorted(engine.puncture(tid[sphere[3]])) == sorted(taken)
+    # A lone triangle erases completely, so its puncture takes nothing.
+    lone = TriangleErasure(Complex.from_facets([[0, 1, 2]]))
+    assert lone.remaining == 0 and lone.puncture(0) == [] and lone.remaining == 0
 
 
 # -- (b) the removal searches against the candidate loops --------------------
@@ -371,6 +391,13 @@ def test_find_removal_needs_distinct_picks():
         find_removal(k, [[a], [b], [a]], budget=10)
     # A repeat inside one pool still picks distinct triangles.
     assert find_removal(k, [[a, a]], budget=10).yes
+
+
+def test_find_removal_refuses_a_pool_entry_off_the_triangles():
+    sphere = Complex.from_facets([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    for pools, face in (([[{0, 1}]], r"\(0, 1\)"), ([[{4, 5, 6}]], r"\(4, 5, 6\)")):
+        with pytest.raises(ValueError, match=face + " is not a triangle"):
+            find_removal(sphere, pools, budget=10)
 
 
 def test_find_removal_pick_count_edge_cases():

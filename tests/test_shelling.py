@@ -960,6 +960,22 @@ def test_the_empty_face_complex_replays_and_the_void_does_not():
         verify_decomposition(Complex.empty(), 0, {"leaf": []})
 
 
+def test_shelling_searches_and_replays_read_no_closure():
+    # The last level of sd² holds only its facets, and both searches and
+    # both replays read facets alone, so none of them builds the face set.
+    for facets in ([[0, 1], [1, 2], [0, 2]], [[0, 1, 2], [1, 2, 3]]):
+        k = barycentric_subdivision(Complex.from_facets(facets), 2).complex
+        order = decide_shellable(k)
+        assert order.yes and k._faces is None
+        verify_shelling(k, order.witness)
+        assert k._faces is None
+        k = barycentric_subdivision(Complex.from_facets(facets), 2).complex
+        tree = decide_k_decomposable(k, 0)
+        assert tree.yes and k._faces is None
+        verify_decomposition(k, 0, tree.witness[0])
+        assert k._faces is None
+
+
 def test_hachimori_frozen_verdicts():
     mdh = fixtures()["modified_dunce_hat"].complex
     res = hachimori_decide_sd2(mdh)

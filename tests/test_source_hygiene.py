@@ -243,13 +243,29 @@ def test_one_face_enumerator(path):
     assert combinations_uses(path.read_text()) == []
 
 
+def function_def(source: str, function: str) -> ast.FunctionDef:
+    """The module-level function ``function`` of ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return node
+    raise LookupError(function)
+
+
 def calls_made(source: str, function: str) -> list[ast.Call]:
     """The calls inside the module-level function ``function`` of
     ``source``, nested definitions included."""
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name == function:
-            return [n for n in ast.walk(node) if isinstance(n, ast.Call)]
-    raise LookupError(function)
+    return [n for n in ast.walk(function_def(source, function)) if isinstance(n, ast.Call)]
+
+
+def attributes_read(source: str, function: str, name: str) -> set[str]:
+    """The attributes that the module-level function ``function`` of
+    ``source`` reads off the plain name ``name``, nested definitions
+    included."""
+    return {
+        n.attr
+        for n in ast.walk(function_def(source, function))
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == name
+    }
 
 
 def calls_in(source: str, function: str) -> set[str]:
@@ -263,6 +279,20 @@ def test_calls_in_finds_named_calls():
     assert calls_in(source, "f") == {"g", "h", "m"}
     with pytest.raises(LookupError):
         calls_in(source, "inner")
+
+
+def test_attributes_read_finds_the_named_objects_fields():
+    source = "def f(e):\n    e.a(e._b)\n    x.c\n    def inner():\n        return e.d.g\n"
+    assert attributes_read(source, "f", "e") == {"a", "_b", "d"}
+
+
+# ``collapse.find_removal`` holds Hachimori's conditions, and its engine,
+# ``TriangleErasure``, only erases: the walk reads the engine's public
+# protocol alone.
+def test_the_removal_walk_reads_no_private_engine_field():
+    read = attributes_read((SRC / "collapse.py").read_text(), "find_removal", "engine")
+    assert {"puncture", "undo", "remaining"} <= read
+    assert not [a for a in read if a.startswith("_")]
 
 
 # ``shelling.verify_decomposition`` replays a shedding tree from the node's

@@ -143,7 +143,7 @@ class Complex:
     equality, hashing and the removal of facets build the face set.
     """
 
-    __slots__ = ("_faces", "_hash", "_facets", "_vertices", "_dim", "_f_vector", "_stars")
+    __slots__ = ("_faces", "_hash", "_facets", "_vertices", "_dim", "_f_vector")
 
     def __init__(self, faces: frozenset | None, _trusted: bool = False):
         if not _trusted:
@@ -154,7 +154,6 @@ class Complex:
         self._vertices = None
         self._dim = None
         self._f_vector = None
-        self._stars = None
 
     # -- construction ---------------------------------------------------
 
@@ -244,23 +243,13 @@ class Complex:
         return (f for f in self.faces if f)
 
     def __contains__(self, face) -> bool:
-        """Membership.  On the facets-only form a face is in the complex
-        when it is empty or a facet, or when a facet of the star of one of
-        its vertices holds it; a facet that holds it lies in the star of
-        each of its vertices, so the smallest of these stars is searched.
-        The stars are indexed once, on the first such question."""
+        """Membership; on the facets-only form, whether some facet holds
+        the face, by one scan of the facets (:class:`LabeledComplex` checks
+        its labels without it)."""
         f = frozenset(face)
         if self._faces is not None:
             return f in self._faces
-        if not f or f in self._facets:
-            return True
-        if self._stars is None:
-            self._stars = {}
-            for g in self._facets:
-                for v in g:
-                    self._stars.setdefault(v, []).append(g)
-        star = min((self._stars.get(v, ()) for v in f), key=len)
-        return any(f <= g for g in star)
+        return any(f <= g for g in self._facets)
 
     def __bool__(self) -> bool:
         return self._faces is None or bool(self._faces)
@@ -649,40 +638,41 @@ class Feature:
         return {frozenset([v]) for v in self.value}.union(self.edge_list())
 
 
-def _validate_feature(name: str, feat: Feature, k: Complex) -> None:
-    """Check that ``feat`` is well formed and lies in ``k``.
-
-    Only the faces that generate the feature are looked up: the facets of
-    a subcomplex, or ``feat.face_set()`` for a vertex, edge or path.  A
-    ``Complex`` is closed under subsets, so this accepts exactly when every
-    face of ``feat.face_set()`` is in ``k``.  Each step of an edge or path
-    must join two distinct vertices and each face of a subcomplex must be
-    nonempty.
-    """
+def _feature_faces(name: str, feat: Feature) -> Collection[frozenset]:
+    """The faces that generate ``feat``, once it is checked to be well
+    formed: the facets of a subcomplex, else ``feat.face_set()``.  A
+    complex is closed under subsets, so it holds ``feat`` exactly when it
+    holds these.  Each step of an edge or path must join two distinct
+    vertices, and each face of a subcomplex must be nonempty."""
     if feat.kind == "subcomplex":
-        faces = feat.value
-        if frozenset() in faces:
+        if frozenset() in feat.value:
             raise ValueError(f"label {name!r}: subcomplex has an empty face")
-    else:
-        vs = feat.value
-        if any(a == b for a, b in zip(vs, vs[1:])):
-            raise ValueError(
-                f"label {name!r}: a {feat.kind} step must join two distinct vertices"
-            )
-        if feat.kind == "path":
-            if len(vs) < 2:
-                raise ValueError(f"label {name!r}: path needs at least two vertices")
-            interior = vs[:-1] if vs[0] == vs[-1] else vs
-            if len(set(interior)) != len(interior):
-                raise ValueError(f"label {name!r}: path revisits a vertex")
-        faces = feat.face_set()
-    # One subset test on a closed complex; the facets-only form looks up
-    # each face in its vertex stars.
-    closed = k._faces is not None
-    held = k.faces.issuperset(faces) if closed else all(map(k.__contains__, faces))
-    if not held:
-        face = next(f for f in faces if f not in k)
-        raise ValueError(f"label {name!r}: face {face_key(face)} is not in the complex")
+        return feat.value
+    vs = feat.value
+    if any(a == b for a, b in zip(vs, vs[1:])):
+        raise ValueError(f"label {name!r}: a {feat.kind} step must join two distinct vertices")
+    if feat.kind == "path":
+        if len(vs) < 2:
+            raise ValueError(f"label {name!r}: path needs at least two vertices")
+        interior = vs[:-1] if vs[0] == vs[-1] else vs
+        if len(set(interior)) != len(interior):
+            raise ValueError(f"label {name!r}: path revisits a vertex")
+    return feat.face_set()
+
+
+def _off_facets(facets: frozenset, faces: Iterable[frozenset]) -> set[frozenset]:
+    """The faces of ``faces``, all nonempty, that no facet of ``facets``
+    holds.  A face that is not a facet is held when a facet of the star of
+    one of its vertices holds it; such a facet lies in the star of each of
+    its vertices, so the smallest of these stars is searched.  One pass
+    over the facets indexes the stars of these vertices alone."""
+    below = {f for f in faces if f not in facets}
+    stars: dict[int, list[frozenset]] = {v: [] for f in below for v in f}
+    for g in facets:
+        for v in g:
+            if v in stars:
+                stars[v].append(g)
+    return {f for f in below if not any(f <= g for g in min(map(stars.get, f), key=len))}
 
 
 @dataclass(frozen=True)
@@ -693,9 +683,17 @@ class LabeledComplex:
     labels: Mapping[str, Feature]
 
     def __post_init__(self):
+        # A closed complex holds a label when one subset test says so; the
+        # facets-only form, when none of its faces is off the facets.
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
-        for name, feat in self.labels.items():
-            _validate_feature(name, feat, self.complex)
+        k = self.complex
+        wanted = {name: _feature_faces(name, feat) for name, feat in self.labels.items()}
+        off = None if k._faces is not None else _off_facets(k.facets, chain(*wanted.values()))
+        for name, faces in wanted.items():
+            held = k.faces.issuperset(faces) if off is None else off.isdisjoint(faces)
+            if not held:
+                face = next(f for f in faces if f not in k)
+                raise ValueError(f"label {name!r}: face {face_key(face)} is not in the complex")
 
     def feature(self, name: str) -> Feature:
         if name not in self.labels:
@@ -750,16 +748,18 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
         originals = sorted(k.nonempty_faces, key=face_key)
         originals.sort(key=len)
         chains = _chains(originals, flags=last)
+        labels = {name: _map_feature_once(feat, chains) for name, feat in current.labels.items()}
         # A chain is maximal when it is a full flag of a facet of k.
         facets = [c for f in k.facets for c in chains[f] if len(c) == len(f)]
         if not facets:
             # sd of the void and of the empty-face complex is the empty-face complex.
             sd = Complex(frozenset({frozenset()}), _trusted=True)
         elif last:
+            # The labels are mapped, so every lower flag can go before sd is built.
+            del chains
             sd = Complex._of_facets(facets, _sd_f_vector(k.f_vector()))
         else:
             sd = Complex.from_faces(chain.from_iterable(chains.values()), facets)
-        labels = {name: _map_feature_once(feat, chains) for name, feat in current.labels.items()}
         try:
             current = LabeledComplex(sd, labels)
         except ValueError as exc:
@@ -856,28 +856,57 @@ def format_facet_lines(k: Complex) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The most items :func:`to_json` hands the JSON encoder in one call.
+_BATCH = 512
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def to_json(lc: LabeledComplex | Complex) -> str:
     """Canonical JSON for a (labeled) complex; round-trips bit-exactly.
-    The one place that orders a subcomplex label's faces: by ``face_key``."""
+    The one place that orders a subcomplex label's faces: by ``face_key``.
+
+    The text is the compact, key-sorted ``json.dumps`` of {"facets": the
+    sorted face keys, "labels": {name: {"kind", "value"}}, "vertices":
+    [{"id": v}, ...]} and a newline, but no such tree is built: at most
+    ``_BATCH`` items go to the encoder per call, small labels together."""
     if isinstance(lc, Complex):
         lc = LabeledComplex(lc, {})
-    doc = {
-        "vertices": [{"id": v} for v in lc.complex.vertices],
-        "facets": list(map(list, sorted_face_keys(lc.complex.facets))),
-        "labels": {
-            name: {"kind": feat.kind, "value": _feature_value_json(feat)}
-            for name, feat in sorted(lc.labels.items())
-        },
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    k = lc.complex
+    parts = ['{"facets":[', *_array_items(sorted_face_keys(k.facets))]
+    parts += ('],"labels":{', ",".join(_label_entries(lc.labels)), '},"vertices":[')
+    parts += _array_items(k.vertices, lambda batch: [{"id": v} for v in batch])
+    parts.append("]}\n")
+    return "".join(parts)
 
 
-def _feature_value_json(feat: Feature):
-    if feat.kind == "vertex":
-        return feat.value[0]
-    if feat.kind in ("edge", "path"):
-        return list(feat.value)
-    return [list(f) for f in sorted(map(face_key, feat.value))]
+def _array_items(items: Sequence, each=None) -> Iterator[str]:
+    """The items of a JSON array, ``_BATCH`` per encoder call (each batch
+    mapped by ``each`` first), and the commas between the batches."""
+    for i in range(0, len(items), _BATCH):
+        if i:
+            yield ","
+        batch = items[i : i + _BATCH]
+        yield _encode(batch if each is None else each(batch))[1:-1]
+
+
+def _label_entries(labels: Mapping[str, Feature]) -> Iterator[str]:
+    """The entries of the "labels" object in name order: a label of more
+    than ``_BATCH`` items alone and in batches, the others together."""
+    shared, size = {}, 0
+    for name, feat in sorted(labels.items()):
+        value = sorted(map(face_key, feat.value)) if feat.kind == "subcomplex" else feat.value
+        if shared and size + len(value) > _BATCH:
+            yield _encode(shared)[1:-1]
+            shared, size = {}, 0
+        if len(value) > _BATCH:
+            items = "".join(_array_items(value))
+            yield f'{_encode(name)}:{{"kind":{_encode(feat.kind)},"value":[{items}]}}'
+        else:
+            size += len(value)
+            value = value[0] if feat.kind == "vertex" else value
+            shared[name] = {"kind": feat.kind, "value": value}
+    if shared:
+        yield _encode(shared)[1:-1]
 
 
 def from_json(text: str) -> LabeledComplex:

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -28,6 +29,7 @@ from shellkit.complex_core import (
     one_skeleton_connected,
     read_faces,
     ridge_holders,
+    sorted_face_keys,
     subfaces,
     vertex_links_connected,
 )
@@ -215,6 +217,30 @@ def oracle_subdivide_labeled(lc: LabeledComplex, levels: int):
         current = LabeledComplex(sd, labels)
         carrier = {i: frozenset().union(*(carrier[v] for v in f)) for i, f in enumerate(originals)}
     return current, carrier
+
+
+def oracle_to_json(lc: LabeledComplex | Complex) -> str:
+    """The whole-document writer that ``to_json`` replaced: one tree of the
+    document and one ``json.dumps`` call over it."""
+    if isinstance(lc, Complex):
+        lc = LabeledComplex(lc, {})
+
+    def value(feat: Feature):
+        if feat.kind == "vertex":
+            return feat.value[0]
+        if feat.kind in ("edge", "path"):
+            return list(feat.value)
+        return [list(f) for f in sorted(map(face_key, feat.value))]
+
+    doc = {
+        "vertices": [{"id": v} for v in lc.complex.vertices],
+        "facets": list(map(list, sorted_face_keys(lc.complex.facets))),
+        "labels": {
+            name: {"kind": feat.kind, "value": value(feat)}
+            for name, feat in sorted(lc.labels.items())
+        },
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # -- the all-dimension collapse search, rebuilt at every node ------------------

@@ -54,9 +54,17 @@ CATALOGUE = (
     Mutant(
         "label-writer-size-first",
         "src/shellkit/complex_core.py",
-        "return [list(f) for f in sorted(map(face_key, feat.value))]",
-        "return [list(f) for f in sorted_face_keys(feat.value)]",
+        "sorted(map(face_key, feat.value))",
+        "sorted_face_keys(feat.value)",
         "to_json writes a subcomplex label's faces in plain face_key order",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "writer-drops-batch-separator",
+        "src/shellkit/complex_core.py",
+        '        if i:\n            yield ","\n',
+        "",
+        "to_json joins the batches of an array with a comma, so its text is the whole-document writer's",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
@@ -70,10 +78,18 @@ CATALOGUE = (
     Mutant(
         "facets-only-label-check-skips-non-facets",
         "src/shellkit/complex_core.py",
-        "all(map(k.__contains__, faces))",
-        "all(f in k.facets for f in faces if len(f) == k.dim + 1)",
+        "below = {f for f in faces if f not in facets}",
+        "below = {f for f in faces if f not in facets and len(f) == len(next(iter(facets)))}",
         "a label on the last subdivision level is refused when a face below the facets is off it",
         ("tests/test_complex_core.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "last-level-keeps-chains",
+        "src/shellkit/complex_core.py",
+        "            del chains\n",
+        "",
+        "the last subdivision level drops its lower flags before it builds sd and checks the labels",
+        ("tests/test_complex_core.py",),
     ),
     Mutant(
         "sd-f-vector-without-factorial",

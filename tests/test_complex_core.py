@@ -1,8 +1,10 @@
 """Core complex machinery against independent brute-force oracles."""
 
+import gc
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -14,6 +16,7 @@ from conftest import (
     deletion_of,
     link_of,
     oracle_subdivide_labeled,
+    oracle_to_json,
     oracle_vertex_links_connected,
     pinched_complex,
     random_complex,
@@ -24,8 +27,8 @@ from shellkit.complex_core import (
     Feature,
     FormatError,
     LabeledComplex,
+    _BATCH,
     _sd_f_vector,
-    _validate_feature,
     barycentric_subdivision,
     canonical_form,
     cone,
@@ -44,7 +47,7 @@ from shellkit.complex_core import (
     vertex_links_connected,
 )
 from shellkit.gadgets import build_O, fixtures
-from shellkit.reduction import Formula, build_K_phi
+from shellkit.reduction import Formula, build_K_phi, random_formula
 
 BD3 = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 STRIP = [[0, 1, 2], [1, 2, 3]]
@@ -701,7 +704,7 @@ def test_sd2_of_k_phi_is_written_without_its_closure():
     # counting it and reading χ̃ build no face below the facets, and no
     # carrier is composed until one is read.
     lc, sub = subdivide_labeled(build_K_phi(Formula(1, ((1, 1, 1),))), 2)
-    text = to_json(lc)
+    text = _written_and_read_back(lc)
     assert lc.complex.f_vector() == (1, 2978, 9132, 6156)
     assert lc.complex.reduced_euler_characteristic() == 1
     assert format_facet_lines(lc.complex).count("\n") == 6156
@@ -824,6 +827,10 @@ def random_feature(rng: random.Random, k: Complex) -> Feature:
     return Feature.path(walk)
 
 
+def _label_check(name: str, feat: Feature, k: Complex) -> None:
+    LabeledComplex(k, {name: feat})
+
+
 def _check_outcome(check, feat: Feature, k: Complex):
     try:
         check("x", feat, k)
@@ -842,8 +849,11 @@ def test_feature_check_matches_closure_oracle():
             want = _check_outcome(_validate_feature_closure_oracle, feat, k)
             if want is None and _degenerate(feat):
                 want = ValueError
-            got = _check_outcome(_validate_feature, feat, k)
+            got = _check_outcome(_label_check, feat, k)
             assert got == want, (feat, sorted(map(face_key, k.facets)))
+            # The facets-only form checks the same labels by its facets.
+            facets_only = Complex._of_facets(k.facets, k.f_vector())
+            assert _check_outcome(_label_check, feat, facets_only) == want
             seen[feat.kind, got is None, _degenerate(feat)] += 1
     for kind in ("vertex", "edge", "path", "subcomplex"):
         assert seen[kind, True, False] and seen[kind, False, False], kind
@@ -896,3 +906,89 @@ def test_json_accepts_bare_complex():
     k = Complex.from_facets(STRIP)
     back = from_json(to_json(k))
     assert back.complex == k and back.labels == {}
+
+
+def _written_and_read_back(lc: LabeledComplex | Complex) -> str:
+    text = to_json(lc)
+    assert text == oracle_to_json(lc)
+    back = from_json(text)
+    assert to_json(back) == text
+    assert dict(back.labels) == dict(getattr(lc, "labels", {}))
+    return text
+
+
+def test_to_json_is_the_whole_document_writers_text():
+    # to_json encodes at most _BATCH items per encoder call.  Facet,
+    # vertex and label counts and label sizes on both sides of each batch
+    # edge, names that JSON escapes, the degenerate complexes and K_phi
+    # all give the whole-document writer's text, which reads back.
+    b = _BATCH
+    sizes = (0, 1, b - 1, b, b + 1, 3 * b + 1)
+    odd = '"\\\n é∂'  # a quote, a backslash, a newline and non-ASCII text
+    rng = random.Random(44)
+
+    def triangles(m: int) -> list[frozenset]:
+        out: set = set()
+        while len(out) < m:
+            out.add(frozenset(rng.sample(range(m // 4 + 5), 3)))
+        return sorted(out, key=face_key)
+
+    for k in (Complex.empty(), EMPTY_FACE_COMPLEX, Complex.from_facets([[0, 1, 2], [7]])):
+        _written_and_read_back(k)
+    for m in sizes:
+        # m facets, and m isolated vertices with a label each.
+        tri = triangles(m)
+        _written_and_read_back(
+            LabeledComplex(Complex.from_facets(tri), {f"s{odd}": Feature.subcomplex(tri[: m // 2])})
+        )
+        dots = Complex.from_facets([[v] for v in range(m)])
+        _written_and_read_back(LabeledComplex(dots, {f"{v}{odd}": Feature.vertex(v) for v in range(m)}))
+    # Labels of each size, small and large in turn, on one complex: its
+    # faces of every size, and the vertices of a long path.
+    path = range(10**6, 10**6 + 3 * b + 1)
+    k = Complex.from_facets(triangles(3 * b + 1) + list(zip(path, path[1:])))
+    faces = sorted(k.nonempty_faces, key=face_key)
+    labels = {"a": Feature.vertex(path[0])}
+    for s in sizes:
+        labels[f"{s:05}{odd}"] = Feature.subcomplex(rng.sample(faces, s))
+        if s > 1:
+            labels[f"{s:05}{odd}path"] = Feature.path(path[:s])
+    _written_and_read_back(LabeledComplex(k, labels))
+    for n in (1, 2, 3):
+        _written_and_read_back(build_K_phi(random_formula(n, 2 * n, rng)))
+
+
+def _traced(call, *args):
+    """``call(*args)`` under ``tracemalloc``: its result, the bytes it
+    allocated that are still held when it returns, and its traced peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = call(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
+def test_sd2_text_is_written_in_bounded_memory():
+    # The writer holds the text, the sorted facet keys and one batch: about
+    # 2.9 times the text on sd² of K_phi at n = 1.  One json.dumps over the
+    # whole document (oracle_to_json) peaks at about 21 times.
+    lc = subdivide_labeled(build_K_phi(Formula(1, ((1, 1, 1),))), 2)[0]
+    text, _, peak = _traced(to_json, lc)
+    assert len(text) == 226_928
+    assert peak < 5 * len(text)
+
+
+def test_last_subdivision_level_peaks_near_what_it_keeps():
+    # The last level maps the labels, drops the lower flags before it
+    # builds sd's facet set, and checks the labels against a star index
+    # that it does not keep.  On K_phi at n = 1 the peak is about 1.22
+    # times what the call keeps; holding the lower flags through the
+    # label check reads about 1.41.
+    kphi = build_K_phi(Formula(1, ((1, 1, 1),)))
+    (lc, _), kept, peak = _traced(subdivide_labeled, kphi, 2)
+    assert len(lc.complex.facets) == 6156
+    assert peak < 1.27 * kept
+

@@ -152,7 +152,7 @@ def _cmd_stats(args: argparse.Namespace) -> tuple[RunReport, dict]:
         "dimension": k.dim,
         "pure": pure,
         # A pseudomanifold is pure and nonempty; anything else is not one.
-        "pseudomanifold": is_pseudomanifold(k) if pure and k.faces else "no",
+        "pseudomanifold": is_pseudomanifold(k) if pure and k else "no",
         "links-connected": links_ok,
     }
     report = RunReport("stats", _digest(text), "yes")

@@ -1,15 +1,17 @@
 """Finite abstract simplicial complexes.
 
 Faces are ``frozenset`` instances over integer vertex ids.  A complex is
-held in one of two forms.  The closed form stores the full set of its faces
-(not just facets); every construction but one builds it, because the
-compile, the label checks and the searches read faces.  The facets-only
-form stores the facets and a recorded f-vector, and derives the face set
-the first time something reads it; the last level of
-:func:`subdivide_labeled` is built this way, because its writers and counts
-read only the facets.  The empty face is a member of every nonempty
-complex, which makes the reduced Euler characteristic a plain signed count
-over all faces and gives the f-vector its leading ``f_{-1}`` entry.
+held in one of two forms, which only :class:`Complex` tells apart.  The
+closed form stores the full set of its faces (not just facets); every
+construction but one builds it, because the compile, the label checks and
+the searches read faces.  The facets-only form stores the facets and a
+recorded f-vector, and derives the face set the first time something
+reads it; the last level of :func:`subdivide_labeled` is built this way,
+because its writers and counts read only the facets.  Each form has one
+membership rule, ``Complex._off``.  The empty face is a member of every
+nonempty complex, which makes the reduced Euler characteristic a plain
+signed count over all faces and gives the f-vector its leading ``f_{-1}``
+entry.
 """
 
 from __future__ import annotations
@@ -138,22 +140,25 @@ class Complex:
     Construct through :meth:`from_facets` (validates and closes downward) or
     :meth:`from_faces` (trusted input: the face set must already be closed
     under taking subsets).  The void complex has no faces at all; every other
-    complex contains the empty face.  On the facets-only form (see the
-    module docstring) only reading :attr:`faces` or :attr:`nonempty_faces`,
-    equality, hashing and the removal of facets build the face set.
+    complex contains the empty face.  Its form (see the module docstring)
+    is known to this class alone: every slot is set by ``__init__``, and
+    ``in`` and the label check ask :meth:`_off`.  On the facets-only form
+    only reading :attr:`faces` or :attr:`nonempty_faces`, equality,
+    hashing and the removal of facets build the face set.
     """
 
-    __slots__ = ("_faces", "_hash", "_facets", "_vertices", "_dim", "_f_vector")
+    __slots__ = ("_faces", "_facets", "_vertices", "_dim", "_f_vector")
 
-    def __init__(self, faces: frozenset | None, _trusted: bool = False):
+    def __init__(
+        self, faces: frozenset | None, facets=None, f_vector=None, *, _trusted: bool = False
+    ):
         if not _trusted:
             raise TypeError("use Complex.from_facets or Complex.from_faces")
         self._faces = faces
-        self._hash = None
-        self._facets = None
+        self._facets = None if facets is None else frozenset(facets)
         self._vertices = None
         self._dim = None
-        self._f_vector = None
+        self._f_vector = f_vector
 
     # -- construction ---------------------------------------------------
 
@@ -187,10 +192,7 @@ class Complex:
             faces.add(f)
             for r in range(len(vs)):
                 faces.update(map(frozenset, combinations(vs, r)))
-        k = cls(frozenset(faces), _trusted=True)
-        if len(sizes) == 1:
-            k._facets = frozenset(given)
-        return k
+        return cls(frozenset(faces), given if len(sizes) == 1 else None, _trusted=True)
 
     @classmethod
     def from_faces(
@@ -205,20 +207,14 @@ class Complex:
         so that no pass over the faces looks for them.
         """
         fs = frozenset(chain(faces, [frozenset()]))
-        k = cls(fs if len(fs) > 1 else frozenset(), _trusted=True)
-        if facets is not None:
-            k._facets = frozenset(facets)
-        return k
+        return cls(fs if len(fs) > 1 else frozenset(), facets, _trusted=True)
 
     @classmethod
     def _of_facets(cls, facets: Iterable[frozenset], f_vector: tuple[int, ...]) -> "Complex":
-        """The facets-only form, trusted: ``facets``, at least one, must be
-        the inclusion-maximal faces of a complex whose f-vector is
-        ``f_vector``.  No face below the facets is built here."""
-        k = cls(None, _trusted=True)
-        k._facets = frozenset(facets)
-        k._f_vector = f_vector
-        return k
+        """The facets-only form, trusted: ``facets`` are the facets of a
+        complex whose f-vector is ``f_vector`` (with no facet, the
+        empty-face complex).  No face below the facets is built here."""
+        return cls(None, facets, f_vector, _trusted=True)
 
     @classmethod
     def empty(cls) -> "Complex":
@@ -232,9 +228,9 @@ class Complex:
         """Every face, the empty one included; on the facets-only form the
         closure of the facets, built the first time it is read."""
         if self._faces is None:
-            faces: set = set()
+            faces = {frozenset()}
             for f in self._facets:
-                faces.update(subfaces(f, range(len(f) + 1)))
+                faces.update(subfaces(f, range(1, len(f) + 1)))
             self._faces = frozenset(faces)
         return self._faces
 
@@ -242,14 +238,26 @@ class Complex:
     def nonempty_faces(self) -> Iterator[frozenset]:
         return (f for f in self.faces if f)
 
+    def _off(self, faces: Collection[frozenset]) -> set[frozenset]:
+        """The faces of ``faces`` that the complex does not hold.  The closed
+        form builds a set only when its one subset test fails.  The
+        facets-only form holds the empty face, and a face below the facets
+        when a facet in the star of one of its vertices (the smallest star)
+        holds it.  Each call indexes the stars in one pass over all facets,
+        so that form is asked in batches, not one ``in`` at a time."""
+        held, facets = self._faces, self._facets
+        if held is not None:
+            return set() if held.issuperset(faces) else {f for f in faces if f not in held}
+        below = {f for f in faces if f and f not in facets}
+        stars: dict[int, list[frozenset]] = {v: [] for f in below for v in f}
+        for g in facets:
+            for v in g:
+                if v in stars:
+                    stars[v].append(g)
+        return {f for f in below if not any(f <= g for g in min(map(stars.get, f), key=len))}
+
     def __contains__(self, face) -> bool:
-        """Membership; on the facets-only form, whether some facet holds
-        the face, by one scan of the facets (:class:`LabeledComplex` checks
-        its labels without it)."""
-        f = frozenset(face)
-        if self._faces is not None:
-            return f in self._faces
-        return any(f <= g for g in self._facets)
+        return not self._off([frozenset(face)])
 
     def __bool__(self) -> bool:
         return self._faces is None or bool(self._faces)
@@ -261,9 +269,7 @@ class Complex:
         return isinstance(other, Complex) and self.faces == other.faces
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.faces)
-        return self._hash
+        return hash(self.faces)
 
     def __repr__(self) -> str:
         return f"Complex(dim={self.dim}, facets={len(self.facets)})"
@@ -308,10 +314,7 @@ class Complex:
 
     def is_pure(self, d: int | None = None) -> bool:
         """True when every facet has dimension ``d`` (default: ``self.dim``)."""
-        if not self:
-            return True
-        if d is None:
-            d = self.dim
+        d = self.dim if d is None else d
         return all(len(f) == d + 1 for f in self.facets)
 
     # perfbench traces this and tests/test_bench_hooks.py pins it, so it
@@ -355,10 +358,11 @@ def join(k: Complex, l: Complex) -> Complex:
     if set(k.vertices) & set(l.vertices):
         overlap = sorted(set(k.vertices) & set(l.vertices))
         raise ValueError(f"join requires disjoint vertex ids, shared: {overlap}")
-    if not k.faces or not l.faces:
+    if not k or not l:
         return Complex.empty()
-    out = {a | b for a in k.faces for b in l.faces}
-    return Complex(frozenset(out), _trusted=True)
+    if len(k) == 1 or len(l) == 1:  # {∅} is the identity; from_faces voids {∅} * {∅}
+        return l if len(k) == 1 else k
+    return Complex.from_faces(a | b for a in k.faces for b in l.faces)
 
 
 def cone(k: Complex, ell: int = 0) -> Complex:
@@ -381,7 +385,7 @@ def is_pseudomanifold(k: Complex) -> str:
     or ``"no"`` (some ridge in three or more facets).  Raises on non-pure
     input.
     """
-    if not k.faces:
+    if not k:
         raise ValueError("pseudomanifold check needs a nonempty complex")
     d = k.dim
     if not k.is_pure(d):
@@ -548,7 +552,7 @@ def canonical_form(k: Complex) -> tuple:
     converse direction is not promised: isomorphic complexes with different
     ids may produce different keys, which only costs memo hits.
     """
-    if not k.faces:
+    if not k:
         return ("void",)
     adj: dict[int, set[int]] = {}
     profile: dict[int, list[int]] = {}
@@ -660,21 +664,6 @@ def _feature_faces(name: str, feat: Feature) -> Collection[frozenset]:
     return feat.face_set()
 
 
-def _off_facets(facets: frozenset, faces: Iterable[frozenset]) -> set[frozenset]:
-    """The faces of ``faces``, all nonempty, that no facet of ``facets``
-    holds.  A face that is not a facet is held when a facet of the star of
-    one of its vertices holds it; such a facet lies in the star of each of
-    its vertices, so the smallest of these stars is searched.  One pass
-    over the facets indexes the stars of these vertices alone."""
-    below = {f for f in faces if f not in facets}
-    stars: dict[int, list[frozenset]] = {v: [] for f in below for v in f}
-    for g in facets:
-        for v in g:
-            if v in stars:
-                stars[v].append(g)
-    return {f for f in below if not any(f <= g for g in min(map(stars.get, f), key=len))}
-
-
 @dataclass(frozen=True)
 class LabeledComplex:
     """A complex together with a name -> Feature landmark table, kept read-only."""
@@ -683,16 +672,13 @@ class LabeledComplex:
     labels: Mapping[str, Feature]
 
     def __post_init__(self):
-        # A closed complex holds a label when one subset test says so; the
-        # facets-only form, when none of its faces is off the facets.
+        # One membership query for every label's faces.
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
-        k = self.complex
         wanted = {name: _feature_faces(name, feat) for name, feat in self.labels.items()}
-        off = None if k._faces is not None else _off_facets(k.facets, chain(*wanted.values()))
+        off = self.complex._off([*chain.from_iterable(wanted.values())])
         for name, faces in wanted.items():
-            held = k.faces.issuperset(faces) if off is None else off.isdisjoint(faces)
-            if not held:
-                face = next(f for f in faces if f not in k)
+            if not off.isdisjoint(faces):
+                face = next(f for f in faces if f in off)
                 raise ValueError(f"label {name!r}: face {face_key(face)} is not in the complex")
 
     def feature(self, name: str) -> Feature:
@@ -753,7 +739,7 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
         facets = [c for f in k.facets for c in chains[f] if len(c) == len(f)]
         if not facets:
             # sd of the void and of the empty-face complex is the empty-face complex.
-            sd = Complex(frozenset({frozenset()}), _trusted=True)
+            sd = Complex._of_facets((), (1,))
         elif last:
             # The labels are mapped, so every lower flag can go before sd is built.
             del chains
@@ -927,11 +913,10 @@ def from_json(text: str) -> LabeledComplex:
     used = set(k.vertices)
     if not used <= declared:
         raise FormatError(f"facets use undeclared vertices: {sorted(used - declared)}")
-    isolated = declared - used
+    isolated = [frozenset([v]) for v in declared - used]
     if isolated:
-        # Isolated vertices are legitimate 0-faces.
-        faces = set(k.faces) | {frozenset([v]) for v in isolated} | {frozenset()}
-        k = Complex(frozenset(faces), _trusted=True)
+        # Isolated vertices are legitimate 0-faces, and facets.
+        k = Complex.from_faces(chain(k.faces, isolated), chain(k.facets, isolated))
     raw_labels = doc.get("labels", {})
     if not isinstance(raw_labels, dict):
         raise FormatError("'labels' must be an object")

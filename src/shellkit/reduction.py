@@ -337,7 +337,7 @@ def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) ->
     ok, failing = vertex_links_connected(k, glued)
     if not ok:
         raise InternalError(f"compiled complex has a disconnected link at {failing}")
-    count = len(k.faces) - 1
+    count = len(k) - 1
     bound = _SIZE_CONSTANT * max(1, phi.n + phi.size)
     if count > bound:
         raise InternalError(f"compiled complex has {count} simplices > {bound}")

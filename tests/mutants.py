@@ -70,18 +70,42 @@ CATALOGUE = (
     Mutant(
         "label-check-without-subset-test",
         "src/shellkit/complex_core.py",
-        "    if not held:\n",
-        "    if False:\n",
+        "            if not off.isdisjoint(faces):\n",
+        "            if False:\n",
         "a label whose faces are not all in the complex is refused",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
         "facets-only-label-check-skips-non-facets",
         "src/shellkit/complex_core.py",
-        "below = {f for f in faces if f not in facets}",
-        "below = {f for f in faces if f not in facets and len(f) == len(next(iter(facets)))}",
+        "below = {f for f in faces if f and f not in facets}",
+        "below = {f for f in faces if f and f not in facets and len(f) == len(next(iter(facets)))}",
         "a label on the last subdivision level is refused when a face below the facets is off it",
         ("tests/test_complex_core.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "closed-label-check-misses-nothing",
+        "src/shellkit/complex_core.py",
+        "return set() if held.issuperset(faces) else",
+        "return set() if True else",
+        "the closed form's one subset test lets no missing face through",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "empty-face-complex-without-empty-face",
+        "src/shellkit/complex_core.py",
+        "            faces = {frozenset()}\n",
+        "            faces = set()\n",
+        "the closure of the facets-only form holds the empty face, the empty-face complex's only one",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "join-without-identity",
+        "src/shellkit/complex_core.py",
+        "    if len(k) == 1 or len(l) == 1:",
+        "    if False:",
+        "the empty-face complex is the join identity: {∅} * {∅} is {∅}, not the void complex",
+        ("tests/test_complex_core.py::test_empty_face_complex_is_the_join_identity",),
     ),
     Mutant(
         "last-level-keeps-chains",
@@ -130,6 +154,79 @@ CATALOGUE = (
         "    rest = star[1:]\n",
         "the link merge leaves v out of the reached set, so facets meet only off v",
         ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "glue-records-mixed-size-facets",
+        "src/shellkit/gadgets.py",
+        "    facets = tops if len(set(map(len, tops))) == 1 else None\n",
+        "    facets = tops\n",
+        "the glue records the parts' facets as the quotient's only when they all have one size",
+        ("tests/test_gadgets.py",),
+    ),
+    Mutant(
+        "occurrence-index-pinned-to-1",
+        "src/shellkit/reduction.py",
+        "seen[lit] = k = seen.get(lit, 0) + 1",
+        "seen[lit] = k = 1",
+        "slot (j, t) is glued to the k-th occurrence house of its literal, k counted in clause order",
+        # tests/test_cli.py does not finish under this mutant.
+        ("tests/test_reduction.py",),
+    ),
+    Mutant(
+        "compiled-links-skip-last-glued",
+        "src/shellkit/reduction.py",
+        "    ok, failing = vertex_links_connected(k, glued)\n",
+        "    ok, failing = vertex_links_connected(k, sorted(glued)[:-1])\n",
+        "the compile checks the link of every glued vertex, the last one too",
+        ("tests/test_reduction.py",),
+    ),
+    Mutant(
+        "glue-records-no-facets",
+        "src/shellkit/gadgets.py",
+        "    facets = tops if len(set(map(len, tops))) == 1 else None\n",
+        "    facets = None\n",
+        "the glue records the parts' facets when they all have one size, so no facets_of pass runs on K_phi",
+        ("tests/test_reduction.py",),
+    ),
+    Mutant(
+        "compiled-links-skip-first-glued",
+        "src/shellkit/reduction.py",
+        "    ok, failing = vertex_links_connected(k, glued)\n",
+        "    ok, failing = vertex_links_connected(k, sorted(glued)[1:])\n",
+        "the compile checks the link of every glued vertex, the first one too",
+        ("tests/test_reduction.py",),
+    ),
+    Mutant(
+        "compiled-without-link-check",
+        "src/shellkit/reduction.py",
+        "    ok, failing = vertex_links_connected(k, glued)\n",
+        "    ok, failing = True, ()\n",
+        "the compile refuses a K_phi with a disconnected link at a glued vertex",
+        ("tests/test_reduction.py",),
+    ),
+    Mutant(
+        "links-asked-skip-first",
+        "src/shellkit/complex_core.py",
+        "check = k.vertices if vertices is None else sorted(vertices)",
+        "check = k.vertices if vertices is None else sorted(vertices)[1:]",
+        "vertex_links_connected checks the link of every vertex asked for, the first one too",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "sphere-built-per-variable",
+        "src/shellkit/reduction.py",
+        '                (f"S({u})", shape(build_variable_sphere)),\n',
+        '                (f"S({u})", build_variable_sphere()),\n',
+        "a compile builds and checks the variable sphere once, whatever the number of variables",
+        ("tests/test_reduction.py",),
+    ),
+    Mutant(
+        "o-built-per-variable",
+        "src/shellkit/reduction.py",
+        '                (f"O({u})", shape(build_O)),\n',
+        '                (f"O({u})", build_O()),\n',
+        "a compile builds and checks O once, whatever the number of variables",
+        ("tests/test_reduction.py",),
     ),
     Mutant(
         "gadget-check-without-free-vertices",

@@ -288,15 +288,30 @@ def test_remove_facets_matches_one_by_one():
 
 def test_join_chi_product_rule():
     rng = random.Random(13)
+    pairs = []
     for _ in range(15):
         a = random_complex(rng, max_facets=4, pool=5)
         b_raw = random_complex(rng, max_facets=4, pool=5)
-        b = Complex.from_facets([[v + 10 for v in f] for f in b_raw.facets])
+        pairs.append((a, Complex.from_facets([[v + 10 for v in f] for f in b_raw.facets])))
+    # The void and the empty-face complex (reduced Euler characteristics
+    # 0 and -1), on either side and against each other.
+    edge = Complex.from_facets([[20, 21]])
+    for special in (Complex.empty(), EMPTY_FACE_COMPLEX):
+        pairs += [(special, edge), (edge, special), (special, EMPTY_FACE_COMPLEX)]
+    for a, b in pairs:
         j = join(a, b)
         assert (
             j.reduced_euler_characteristic()
             == -a.reduced_euler_characteristic() * b.reduced_euler_characteristic()
         )
+
+
+def test_empty_face_complex_is_the_join_identity():
+    edge = Complex.from_facets([[0, 1]])
+    assert join(EMPTY_FACE_COMPLEX, EMPTY_FACE_COMPLEX) == EMPTY_FACE_COMPLEX != Complex.empty()
+    assert join(EMPTY_FACE_COMPLEX, edge) == edge == join(edge, EMPTY_FACE_COMPLEX)
+    assert join(Complex.empty(), EMPTY_FACE_COMPLEX) == Complex.empty()
+    assert join(EMPTY_FACE_COMPLEX, Complex.empty()) == Complex.empty()
 
 
 def test_cone_frozen():
@@ -669,16 +684,49 @@ def test_last_level_is_facets_only_and_matches_the_oracle():
             assert sd.faces == closed.faces
     assert checked >= 500
     # The void and the empty-face complex subdivide to the empty-face
-    # complex, closed, and still compare as they do.
+    # complex, whose closure is {∅}, and still compare as they do.
     for k in (Complex.empty(), EMPTY_FACE_COMPLEX):
         for levels in (1, 2):
             sub, overall = subdivide_labeled(LabeledComplex(k, {}), levels)
-            assert sub.complex._faces == {frozenset()}
+            assert sub.complex.faces == {frozenset()}
             assert sub.complex == EMPTY_FACE_COMPLEX != Complex.empty()
             assert (sub.complex.f_vector(), len(sub.complex), bool(sub.complex)) == ((1,), 1, True)
             assert overall.vertex_carrier == {}
     assert (Complex.empty().f_vector(), bool(Complex.empty())) == ((0,), False)
     assert hash(EMPTY_FACE_COMPLEX) != hash(Complex.empty())
+
+
+def test_pseudomanifold_check_of_sd2_builds_no_closure():
+    # Emptiness is asked of the complex, not of its face set.
+    book = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
+    for facets, kind in ((BD3, "closed"), (STRIP, "with_boundary"), (book, "no")):
+        sd2 = subdivide_labeled(LabeledComplex(Complex.from_facets(facets), {}), 2)[0].complex
+        assert is_pseudomanifold(sd2) == kind
+        assert canonical_form(sd2)[0] == "cx"
+        assert sd2._faces is None
+
+
+def test_membership_of_both_forms_agrees_with_the_closure():
+    # The empty face, faces on vertices the complex lacks, facets and
+    # their ridges, on the closed and the facets-only form alike.
+    rng = random.Random(45)
+    void_sd = subdivide_labeled(LabeledComplex(Complex.empty(), {}), 1)[0].complex
+    cases = [Complex.empty(), EMPTY_FACE_COMPLEX, void_sd]
+    for _ in range(6):
+        k = random_complex(rng)
+        cases += [k, subdivide_labeled(LabeledComplex(k, {}), 1)[0].complex]
+    facets_only = [k for k in cases if k._faces is None]
+    assert len(facets_only) == 7
+    for k in cases:
+        closure = {g for f in k.facets for g in subfaces(f, range(len(f) + 1))}
+        closure |= {frozenset()} if k else set()
+        vs = list(k.vertices)
+        probes = [frozenset(), frozenset([-1]), frozenset(vs[:1] + [-1])]
+        probes += [frozenset(rng.sample(vs, min(len(vs), rng.randint(1, 3)))) for _ in range(30)]
+        probes += list(k.facets) + [f - {v} for f in k.facets for v in f]
+        assert all((f in k) == (f in closure) for f in probes)
+        assert k._off(probes) == {f for f in probes if f not in closure}
+    assert all(k._faces is None for k in facets_only)
 
 
 def test_sd_f_vector_counts_ordered_partitions():

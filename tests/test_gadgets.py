@@ -297,6 +297,18 @@ def test_amalgamate_two_triangles():
     assert part_facets["e"] == [frozenset(vmaps["e"][v] for v in (0, 1))]
 
 
+def test_amalgamate_records_no_part_facet_below_another():
+    # A 1-dimensional part glued onto a triangle's edge: its facet is an
+    # edge of the triangle in the quotient, so it is not a facet there.
+    tri = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {"e": Feature.edge(0, 1)})
+    edge = LabeledComplex(Complex.from_facets([[0, 1]]), {"e": Feature.edge(0, 1)})
+    for parts in ([("t", tri), ("x", edge)], [("x", edge), ("t", tri)]):
+        merged, vmaps, glued, part_facets = _amalgamate_with_maps(parts, [("t", "e", "x", "e")])
+        assert merged.f_vector() == (1, 3, 3, 1) and len(glued) == 2
+        assert merged.facets == facets_of(merged.faces) == set(part_facets["t"])
+        assert part_facets["x"] == [frozenset(vmaps["t"][v] for v in (0, 1))]
+
+
 def test_amalgamate_is_order_insensitive():
     one, _, _, facets_one = _amalgamate_with_maps(
         two_triangle_parts(), [("a", "hinge", "b", "hinge")]

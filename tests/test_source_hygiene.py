@@ -1,8 +1,9 @@
 """Every name a module of shellkit imports at module level is used there,
 every private module-level name is read by some module of shellkit, and
 every public function, class and method has a reader besides the tests,
-every builder of a part that K_phi glues calls the one gadget check, and
-every snippet of the mutation catalogue (``tests/mutants.py``) occurs once.
+every builder of a part that K_phi glues calls the one gadget check, no
+code outside ``Complex`` reads how a complex is stored, and every snippet
+of the mutation catalogue (``tests/mutants.py``) occurs once.
 
 The project has no linter; this keeps an import from outliving the last
 caller of what it imports, and a helper from outliving its last caller.
@@ -404,6 +405,46 @@ def test_the_exception_classes_of_src():
         "ShellingError",
         "_BudgetExceeded",
     }
+
+
+# How a complex is stored, closed or facets-only, is a private matter of
+# ``Complex``: no code outside the class reads its slots or calls its raw
+# constructor, so every other reader goes through its methods.  The walk
+# matches by attribute name, not by type, so no other class in ``src/`` may
+# use these names; and it sees a raw construction only when spelt
+# ``Complex(...)``, not through ``type(k)(...)`` or another class's ``cls``.
+COMPLEX_SLOTS = {"_faces", "_facets", "_f_vector", "_vertices", "_dim"}
+
+
+def storage_uses(source: str) -> list[int]:
+    """The lines of ``source``, outside ``class Complex``, that read a slot
+    of ``Complex`` or call ``Complex(...)``."""
+    lines = []
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == "Complex":
+            continue
+        slot = isinstance(node, ast.Attribute) and node.attr in COMPLEX_SLOTS
+        raw = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Complex"
+        if slot or raw:
+            lines.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_storage_uses_finds_slot_reads_and_raw_constructions():
+    source = (
+        "class Complex:\n    def f(self):\n        return Complex(self._faces)\n"
+        "def g(k):\n    return k._facets, k.faces, k.dim\n"
+        "x = Complex(None, _trusted=True)\ny = Complex.from_faces(z)._dim\n"
+    )
+    assert storage_uses(source) == [5, 6, 7]
+
+
+def test_only_complex_touches_its_storage():
+    found = {p.name: storage_uses(p.read_text()) for p in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # ``tests/mutants.py`` breaks one claim at a time by replacing an exact

@@ -22,6 +22,8 @@ from shellkit.complex_core import (
     Complex,
     Face,
     InternalError,
+    _drop_holders,
+    _put_back,
     face_key,
     face_sort_key,
     one_skeleton_connected,
@@ -471,8 +473,13 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
     a homotopy equivalence, whichever edges the erasure used.  Above that
     a DFS branches over the (ridge, top face) moves in lex order,
     memoizes refuted states by their exact removed-face set, and hands
-    each state with no top face outside ``keep`` to the size below.  Each
-    state reads its free ridges off one ``ridge_holders`` map.
+    each state with no top face outside ``keep`` to the size below.  One
+    map per size, edited per move: the ``ridge_holders`` map of the top
+    faces outside ``keep`` is built once per entry into a size, and each
+    move drops its top face from it (``complex_core._drop_holders``) and
+    puts the face back (``_put_back``) when the move is undone.  A ridge
+    left with no live holder keeps an empty list, so no top face is left
+    when every list is empty.
     ``nodes`` counts the states the DFS enters plus the erasure steps;
     ``budget`` bounds the states only.  The DFS runs on ``_run``.
     """
@@ -481,7 +488,7 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
     memo: set[frozenset[Face]] = set()
     states = steps = 0
 
-    def search(top: int):
+    def search(top: int, holders: dict | None = None):
         nonlocal states, steps
         if top <= 3:
             pairs = _erase_down(live, keep, top)
@@ -498,17 +505,20 @@ def _collapse_search(k: Complex, keep: set[Face], size: int, budget: int) -> Sea
         key = frozenset(removed)
         if key in memo:
             return None
-        # As in ``_erase_down``, a free ridge is one that a single face of
-        # size ``top`` outside keep holds.
-        holders = ridge_holders(f for f in live if len(f) == top and f not in keep)
-        found = None if holders else (yield (top - 1,))
-        for ridge in sorted(
-            (r for r, fs in holders.items() if len(fs) == 1 and r not in keep), key=face_key
-        ):
-            move = (ridge, holders[ridge][0])
+        if holders is None:
+            # As in ``_erase_down``, a free ridge is one that a single face
+            # of size ``top`` outside keep holds.  The ridges are put in
+            # lex order once, and the edits keep it.
+            holders = ridge_holders(f for f in live if len(f) == top and f not in keep)
+            holders = {r: holders[r] for r in sorted(holders, key=face_key)}
+        found = None if any(holders.values()) else (yield (top - 1,))
+        for ridge, face in [(r, h[0]) for r, h in holders.items() if len(h) == 1 and r not in keep]:
+            move = (ridge, face)
+            record = _drop_holders(holders, [face - {v} for v in face], {face})
             live.difference_update(move)
             removed.update(move)
-            rest = yield (top,)
+            rest = yield (top, holders)
+            _put_back(record)
             live.update(move)
             removed.difference_update(move)
             if rest is not None:

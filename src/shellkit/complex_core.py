@@ -90,6 +90,26 @@ def ridge_holders(facets: Iterable[frozenset]) -> dict[frozenset, list[frozenset
     return holders
 
 
+def _drop_holders(holders: dict, keys: Iterable[frozenset], gone: Collection[frozenset]) -> tuple:
+    """Take the facets ``gone`` out of the lists of ``keys`` in ``holders``,
+    a map like ``ridge_holders``'s, in place; returns the record for
+    ``_put_back``.  A key left with no holders keeps an empty list, so the
+    keys and their order stay, and a loop over the map may run on across
+    the edit and its undo.  Each list is replaced, not edited, so a list
+    read before the edit is left whole."""
+    saved = {key: holders[key] for key in keys}
+    holders.update((key, [g for g in around if g not in gone]) for key, around in saved.items())
+    return holders, saved
+
+
+def _put_back(*records: tuple) -> None:
+    """Undo the ``_drop_holders`` calls that returned ``records``: the
+    lists they replaced go back.  Edits of one map are undone in the
+    reverse of their order."""
+    for holders, saved in reversed(records):
+        holders.update(saved)
+
+
 class UnionFind:
     """Disjoint sets over arbitrary hashable items, with path compression."""
 

@@ -16,7 +16,6 @@ on K_phi these removals are all the criterion can take.  Its
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -189,7 +188,6 @@ def _occurrences(phi: Formula) -> dict[int, tuple[tuple[int, int], ...]]:
     return {lit: tuple(slots) for lit, slots in occ.items()}
 
 
-@functools.lru_cache(maxsize=8)
 def build_K_phi(phi: Formula) -> LabeledComplex:
     """Compile a formula into its marked 2-complex.
 

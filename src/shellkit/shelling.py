@@ -16,6 +16,8 @@ from shellkit.complex_core import (
     Complex,
     Face,
     FormatError,
+    _drop_holders,
+    _put_back,
     face_key,
     graph_connected,
     read_faces,
@@ -72,10 +74,10 @@ def _may_be_shellable(
 
     A shellable pure d-complex passes four tests.  For d >= 1 each facet
     after the first meets its predecessors along a ridge, so the facet
-    graph is connected.  That test needs the graph alone, so the two
-    builders of a node's state, ``_built_state`` and ``_deletion_state``,
-    run it first and build the rest only for a complex that passes; the
-    other three are here, and only the builders call this.  Its vertex
+    graph is connected.  That test needs the graph alone, so
+    ``_built_state`` and ``_shed``, which build or edit a node's state,
+    run it first and do the rest only for a complex that passes; the
+    other three are here, and only those two call this.  Its vertex
     links are shellable, so for d >= 2 each link's facet graph is
     connected; the facets f - v of the link of v meet along r - v for the
     ridges r through v, so that graph is the one on the facets through v
@@ -86,12 +88,13 @@ def _may_be_shellable(
     exactly (-1)^d χ̃ facets whose restriction face is the whole facet
     (Björner and Wachs, 1996), so with χ̃ = 0 the last facet F has a
     vertex v outside its restriction face, and the ridge F - v lies in no
-    other facet.
+    other facet.  A ridge whose facets were all shed keeps an empty list
+    (``_shed``), so the test looks for a list of length exactly 1.
     """
     d = len(next(iter(facets))) - 1
     if d >= 2 and not all(graph_connected(star, adj) for star in stars):
         return False
-    if d >= 1 and chi == 0 and all(len(around) > 1 for around in by_ridge.values()):
+    if d >= 1 and chi == 0 and not any(len(around) == 1 for around in by_ridge.values()):
         return False
     return (-1) ** d * chi >= 0
 
@@ -253,7 +256,7 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     misses σ but lies in some F ⊇ σ lies in a ridge F - v with v in σ, and
     every other facet through that ridge misses σ; so the deletion is pure
     d-dimensional exactly when each such ridge lies in two or more facets,
-    and its facets are then those missing σ.  So one ridge map per node
+    and its facets are then those missing σ.  So the node's ridge map
     tests every σ, read per candidate, and serves ``_may_be_shellable``
     too; both children are pure by construction.
 
@@ -263,9 +266,9 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     refute it too, so verdicts and trees do not change.  The prune is a
     conjunction of tests that read the node alone, so their order changes
     no answer: the facet-graph test runs first, before any other state is
-    built, because most refuted nodes fail it.  Each node takes its state
-    from one of two builders, which run the prune and return None for a
-    node it refutes.
+    built, because most refuted nodes fail it.  Each node's state comes
+    from ``_built_state`` or ``_shed``, which run the prune and return
+    None for a node it refutes.
     Results are memoized exactly, by the facet set.  The search tries
     shedding faces in one fixed order and each child's result depends on
     its facet set alone, so the tree returned for a "yes" is the first one
@@ -275,14 +278,22 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     state from their facets (``_built_state``): the ridge map, the facet
     graph, χ̃, and the shedding candidates, each face of at most k + 1
     vertices with the facets through it, in ``face_key`` order
-    (``_cofacets``).  A deletion child inherits it from its parent
-    (``_deletion_state``), and loses only the facets through σ, the shed
-    facets:
+    (``_cofacets``).  A deletion child shares its parent's maps: ``_shed``
+    edits them in place for the child, which loses only the facets
+    through σ, the shed facets, and ``_put_back`` undoes the edits once
+    the child's search returns.  So one set of maps serves every chain of
+    deletions, and a leaf or a memo hit, which answers before it reads a
+    state, pays for no shed:
     - *Ridge map and candidates.*  A face's holders in the child are its
       holders in the parent less the shed facets, and only the faces of
-      shed facets hold one.  So each map of the child is a copy of the
-      parent's with new lists for those faces alone, a face left with none
-      dropped, and the order kept.
+      shed facets hold one.  So the shed gives those faces alone new
+      lists (``complex_core._drop_holders``), and ``_put_back`` puts the
+      old ones back.  A face left with no holders keeps an
+      empty list, so the keys keep their order and a parent's loop over
+      its candidates runs on across the child's edit.  The candidate loop
+      skips a face with no holders, stars are read only where they are
+      nonempty, and the χ̃ = 0 rule looks for a ridge of exactly one
+      facet.
     - *Facet graph.*  Whether two facets share a ridge depends on the two
       alone, and ``_facet_graph`` joins every two holders of a ridge, so
       the graph built at the nearest node built from scratch, walked
@@ -307,7 +318,8 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
       of dimension |σ| - 2; the empty-face complex when |σ| = 1):
       χ̃(del σ) = χ̃(K) - (-1)^|σ| χ̃(lk σ).  The deletion is pure, so
       del σ is the complex the child's facets span, and χ̃(lk σ) is
-      counted size by size over the link's facets.
+      counted size by size over the link's facets.  χ̃ is a number of
+      each node's own state, so the parent's needs no undo.
     - *Stars.*  A vertex on no shed facet keeps its star, and its star
       graph joins facets through the vertex only, so that graph is the
       parent's too.  A child is explored only after its parent passed
@@ -316,8 +328,7 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
       graph is connected.  Only the stars of the shed facets' vertices are
       tested again.
     Each node's prune therefore answers as it would on a state built from
-    scratch, and no verdict, tree or node count depends on the
-    inheritance.
+    scratch, and no verdict, tree or node count depends on the shed.
 
     A cone v * L is k-decomposable exactly when L is (Provan and Billera,
     1980), so a cone is decided through its apex link (``_cone_base``), as
@@ -341,12 +352,12 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     facet_ids: dict[Face, int] = {}
     nodes = 0
 
-    def rec(facets: frozenset, mask: int | None = None, parent: tuple | None = None):
+    def rec(facets: frozenset, mask: int | None = None, state: tuple | None = None):
         """The tree of the node with these facets, or None.  A deletion
-        child also gets its mask and, for ``_deletion_state``, its
-        parent's state, σ and the facets through σ; any other node is
-        built by ``_built_state``.  A node either builder refutes has no
-        candidates, so every no leaves by the one exit at the end."""
+        child also gets its mask and the state its parent shed into it,
+        None when the shed's prune refutes it; any other node is built by
+        ``_built_state``.  A node the prune refutes has no candidates, so
+        every no leaves by the one exit at the end."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -359,22 +370,27 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
             return {"leaf": list(face_key(facet | apexes))}
         if mask is None:
             mask = sum(1 << facet_ids.setdefault(f, len(facet_ids)) for f in facets)
+            if mask not in exact:
+                state = _built_state(facets, kk)
         if mask in exact:
             return exact[mask]
-        state = _built_state(facets, kk) if parent is None else _deletion_state(facets, kk, *parent)
-        # A refuted node has no candidates, so it falls through to the no.
         by_ridge, cofacets = (state[0], state[3]) if state else ({}, {})
         for sigma, around in cofacets.items():
-            # σ is shed only when each ridge f - v, v in σ, has other holders.
-            if any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):
+            # σ is shed only when it lies in a live facet and each ridge
+            # f - v, v in σ, has other holders.
+            if not around or any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):
                 continue
             lk_tree = yield (frozenset(f - sigma for f in around if f != sigma),)
             if lk_tree is None:
                 continue
-            child_mask = mask
-            for f in around:
-                child_mask &= ~(1 << facet_ids[f])
-            dl_tree = yield (facets.difference(around), child_mask, (state, sigma, around))
+            child = facets.difference(around)
+            child_mask = mask & ~sum(1 << facet_ids[f] for f in around)
+            # A leaf or a memo hit answers before it reads a state, so it
+            # pays for no shed.
+            fresh = len(child) > 1 and child_mask not in exact
+            shed, records = _shed(state, child, kk, sigma, around) if fresh else (None, ())
+            dl_tree = yield (child, child_mask, shed)
+            _put_back(*records)
             if dl_tree is None:
                 continue
             tree = {"shedding": list(face_key(sigma)), "link": lk_tree, "delete": dl_tree}
@@ -411,22 +427,6 @@ def _frontier(
     return {g for f in around for g in adj[f] if g in child}
 
 
-def _without(
-    holders: Mapping[Face, list[Face]], faces: Iterable[Face], gone: Collection[Face]
-) -> dict[Face, list[Face]]:
-    """A copy of ``holders`` (a face -> the facets through it) in which the
-    lists of ``faces`` leave out the facets in ``gone``, and a face left
-    with none is dropped.  The faces keep their order."""
-    kept = dict(holders)
-    for face in faces:
-        rest = [g for g in holders[face] if g not in gone]
-        if rest:
-            kept[face] = rest
-        else:
-            del kept[face]
-    return kept
-
-
 def _built_state(facets: Collection[Face], kk: int) -> tuple | None:
     """A node's state built from its (two or more, distinct) facets: the
     ridge map, the facet graph, χ̃ and ``_cofacets(facets, kk)``, or None
@@ -443,28 +443,26 @@ def _built_state(facets: Collection[Face], kk: int) -> tuple | None:
     return by_ridge, adj, chi, cofacets
 
 
-def _deletion_state(
-    facets: frozenset, kk: int, parent: tuple, sigma: Face, around: list[Face]
-) -> tuple | None:
-    """The state of ``_built_state`` for the deletion of the shedding
-    face ``sigma`` from a node with the state ``parent``, inherited from
-    it, where ``facets`` are the child's facets and ``around`` the facets
-    through ``sigma``; None when the prune refutes the child: the
-    facet-graph test from the frontier first, then ``_may_be_shellable``
-    on the stars of the shed facets' vertices.  The proof is in
-    ``decide_k_decomposable``."""
-    by_ridge, adj, chi, cofacets = parent
+def _shed(state: tuple, facets: frozenset, kk: int, sigma: Face, around: list[Face]) -> tuple:
+    """The state of a node's deletion of the shedding face ``sigma``, made
+    by editing the maps of the node's ``state`` in place, where ``facets``
+    are the child's facets and ``around`` the facets through ``sigma``; or
+    None when the prune refutes the child: the facet-graph test from the
+    frontier first, then ``_may_be_shellable`` on the stars of the shed
+    facets' vertices.  It comes with the records of the edits, for
+    ``_put_back`` once the child's search returns, since the two states
+    share their maps.  The proof is in ``decide_k_decomposable``."""
+    by_ridge, adj, chi, cofacets = state
     if len(around[0]) > 1 and not graph_connected(facets, adj, _frontier(facets, adj, around)):
-        return None
+        return None, ()
     gone = set(around)
-    by_ridge = _without(by_ridge, {f - {v} for f in around for v in f}, gone)
+    ridges = {f - {v} for f in around for v in f}
     touched = {tau for f in around for tau in subfaces(f, range(1, kk + 2))}
-    cofacets = _without(cofacets, touched, gone)
+    records = _drop_holders(by_ridge, ridges, gone), _drop_holders(cofacets, touched, gone)
     chi -= (-1) ** len(sigma) * _reduced_euler([f - sigma for f in around])
-    stars = [cofacets[tau] for tau in touched if len(tau) == 1 and tau in cofacets]
-    if not _may_be_shellable(facets, by_ridge, adj, chi, stars):
-        return None
-    return by_ridge, adj, chi, cofacets
+    stars = [cofacets[tau] for tau in touched if len(tau) == 1 and cofacets[tau]]
+    shed = (by_ridge, adj, chi, cofacets)
+    return (shed if _may_be_shellable(facets, by_ridge, adj, chi, stars) else None), records
 
 
 def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:

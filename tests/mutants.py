@@ -303,17 +303,49 @@ CATALOGUE = (
     Mutant(
         "deletion-ridges-keep-a-shed-facet",
         "src/shellkit/shelling.py",
-        "    by_ridge = _without(by_ridge, {f - {v} for f in around for v in f}, gone)\n",
-        "    by_ridge = _without(by_ridge, {f - {v} for f in around for v in f}, gone - {around[0]})\n",
+        "_drop_holders(by_ridge, ridges, gone)",
+        "_drop_holders(by_ridge, ridges, gone - {around[0]})",
         "a deletion child's ridge map holds none of the shed facets",
         ("tests/test_shelling.py",),
     ),
     Mutant(
         "deletion-stars-only-at-sigma",
         "src/shellkit/shelling.py",
-        "if len(tau) == 1 and tau in cofacets]",
-        "if len(tau) == 1 and tau <= sigma and tau in cofacets]",
+        "if len(tau) == 1 and cofacets[tau]]",
+        "if len(tau) == 1 and tau <= sigma and cofacets[tau]]",
         "a deletion child tests again the star of every vertex of the shed facets",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "shed-leaves-chi",
+        "src/shellkit/shelling.py",
+        "    chi -= (-1) ** len(sigma) * _reduced_euler([f - sigma for f in around])\n",
+        "",
+        "a shed moves χ̃ to the deletion child's",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "put-back-misses-one-list",
+        "src/shellkit/complex_core.py",
+        "        holders.update(saved)\n",
+        "        holders.update(list(saved.items())[1:])\n",
+        "a put-back restores every list its drop replaced, so the parent's state is whole again",
+        ("tests/test_shelling.py", "tests/test_collapse.py"),
+    ),
+    Mutant(
+        "free-ridge-rule-counts-dead-keys",
+        "src/shellkit/shelling.py",
+        "not any(len(around) == 1 for around in by_ridge.values())",
+        "all(len(around) > 1 for around in by_ridge.values())",
+        "the χ̃ = 0 rule looks for a ridge of one facet, and a ridge the shed left with none is not one",
+        ("tests/test_shelling.py::test_inherited_search_matches_rebuilding_oracle",),
+    ),
+    Mutant(
+        "candidate-loop-sheds-a-dead-face",
+        "src/shellkit/shelling.py",
+        "            if not around or any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):\n",
+        "            if any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):\n",
+        "a face whose facets were all shed is no candidate",
         ("tests/test_shelling.py",),
     ),
     Mutant(
@@ -345,16 +377,16 @@ CATALOGUE = (
     Mutant(
         "shedding-test-at-one-vertex-of-sigma",
         "src/shellkit/shelling.py",
-        "            if any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):\n",
-        "            if any(len(by_ridge[f - {v}]) == 1 for f in around for v in sorted(sigma)[:1]):\n",
+        "            if not around or any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):\n",
+        "            if not around or any(len(by_ridge[f - {v}]) == 1 for f in around for v in sorted(sigma)[:1]):\n",
         "a candidate is skipped when any ridge f - v, v in σ, lies in one facet alone",
         ("tests/test_shelling.py",),
     ),
     Mutant(
         "shedding-test-skips-no-candidate",
         "src/shellkit/shelling.py",
-        "            if any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):\n",
-        "            if False:\n",
+        "            if not around or any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):\n",
+        "            if not around:\n",
         "a candidate whose deletion is not pure of the node's dimension is skipped",
         ("tests/test_shelling.py",),
     ),
@@ -484,6 +516,14 @@ CATALOGUE = (
         "        for q in range(max(prev, 0), len(ids) - (picks - level) + 1):\n",
         "each pick of a removal comes from a pool after the previous pick's",
         ("tests/test_erasure.py",),
+    ),
+    Mutant(
+        "collapse-move-not-put-back",
+        "src/shellkit/collapse.py",
+        "            _put_back(record)\n",
+        "",
+        "the collapse search puts each top face back in its size's ridge map when the move is undone",
+        ("tests/test_collapse.py",),
     ),
     Mutant(
         "shelling-search-without-dead-prefixes",

@@ -497,7 +497,6 @@ def test_broken_compile_exits_four(command, tmp_path, capsys, monkeypatch):
     cnf, cert = tmp_path / "phi.cnf", tmp_path / "cert.json"
     cnf.write_text(CNF)
     assert run(["solve-sat", str(cnf), "--witness", str(cert)], capsys)[0] == 0
-    reduction.build_K_phi.cache_clear()
     monkeypatch.setattr(reduction, "_amalgamate_with_maps", pendants_at(lambda g: [max(g)], []))
     argv = {"reduce": [str(cnf)], "solve-sat": [str(cnf)], "verify": [str(cnf), str(cert)]}
     code, out, err = run([command, *argv[command]], capsys)
@@ -509,7 +508,6 @@ def test_broken_compile_exits_four(command, tmp_path, capsys, monkeypatch):
 def test_misplaced_compiled_label_exits_four(tmp_path, capsys, monkeypatch):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text(CNF)
-    reduction.build_K_phi.cache_clear()
     monkeypatch.setattr(reduction, "map_feature", misplaced_vertex_labels)
     code, out, err = run(["reduce", str(cnf)], capsys)
     assert (code, out) == (4, "")

@@ -13,6 +13,7 @@ from conftest import (
     random_complex,
     random_pure_2complex,
     restore_faces,
+    strip,
 )
 from shellkit import cli
 from shellkit.collapse import (
@@ -273,13 +274,16 @@ def test_incremental_search_matches_rebuilding_oracle():
     # that rebuilds its state at every node, for the whole-complex decider
     # and for collapses onto a vertex and onto a random subcomplex, in
     # dimensions 2 and 3.  Every yes replays onto its target, also where
-    # the oracle overran its budget.
+    # the oracle overran its budget.  The cones of strips run long chains
+    # of tetrahedron moves, each undone on the way back up.
     rng = random.Random(404)
     budget = 600
     seen = set()
     decided = set()
-    for i in range(75):
-        if i % 3 == 0:
+    for i in range(80):
+        if i >= 75:
+            k = cone(strip((4, 9, 17, 33, 60)[i - 75]))
+        elif i % 3 == 0:
             k = random_pure_2complex(rng, max_facets=9, pool=8)
         elif i % 3 == 1:
             k = cone(random_pure_2complex(rng, max_facets=5, pool=7))

@@ -138,13 +138,9 @@ def test_sd2_keeps_chi_and_connected_links():
         assert ok, bad
 
 
-def test_build_K_phi_caches():
-    assert build_K_phi(XXX) is build_K_phi(Formula(1, ((1, 1, 1),)))
-
-
 def test_compiled_labels_are_read_only():
-    # The cache hands every caller the same K_phi, and ``fixtures()`` the
-    # same complexes, so no caller may edit their tables.
+    # ``fixtures()`` hands every caller the same complexes, so no caller
+    # may edit their tables, nor those of K_phi.
     lc = build_K_phi(XXX)
     names = set(lc.labels)
     with pytest.raises(TypeError):
@@ -155,12 +151,6 @@ def test_compiled_labels_are_read_only():
         del fixtures()["torus_7"]
     assert set(build_K_phi(Formula(1, ((1, 1, 1),))).labels) == names
     assert schedule_collapse(XXX, {1: True})
-
-
-def cold_compile(phi: Formula):
-    """K_phi compiled from nothing, as a fresh process compiles it."""
-    reduction.build_K_phi.cache_clear()
-    return build_K_phi(phi)
 
 
 def test_compile_matches_the_whole_complex_oracle(monkeypatch):
@@ -181,7 +171,7 @@ def test_compile_matches_the_whole_complex_oracle(monkeypatch):
     assert {phi.n for phi in formulas} == set(range(9))
     repeats = 0
     for phi in formulas:
-        lc, ref = cold_compile(phi), oracle_build_K_phi(phi)
+        lc, ref = build_K_phi(phi), oracle_build_K_phi(phi)
         k = lc.complex
         assert k.faces == ref.complex.faces
         assert k._facets == facets_of(k.faces), "facets not recorded at the glue"
@@ -198,7 +188,7 @@ def test_whole_part_labels_hold_the_faces_of_K_phi():
     rng = random.Random(3902)
     for n in range(1, 5):
         phi = random_formula(n, n + 1, rng)
-        lc = cold_compile(phi)
+        lc = build_K_phi(phi)
         stored = {f: f for f in lc.complex.faces}
         parts = ["A"] + [f"C(c{j})" for j in range(1, len(phi.clauses) + 1)]
         for i in range(1, n + 1):
@@ -231,7 +221,7 @@ def test_compile_checks_the_link_at_each_glued_vertex(monkeypatch, phi, where):
     pick = (lambda glued: [max(glued)]) if where == "one" else sorted
     monkeypatch.setattr(reduction, "_amalgamate_with_maps", pendants_at(pick, seen))
     with pytest.raises(InternalError, match="disconnected link") as info:
-        cold_compile(phi)
+        build_K_phi(phi)
     assert str(info.value).endswith(str(tuple(pick(seen[0]))))
 
 
@@ -239,7 +229,7 @@ def test_compile_refuses_a_label_outside_K_phi(monkeypatch):
     # A label mapped off K_phi is a fault of the compile, not of the formula.
     monkeypatch.setattr(reduction, "map_feature", misplaced_vertex_labels)
     with pytest.raises(InternalError, match=r"^compiled label 'v_and': face \(-1,\) is not in"):
-        cold_compile(XXX)
+        build_K_phi(XXX)
 
 
 def test_cold_compile_checks_only_what_gluing_adds(monkeypatch):
@@ -262,8 +252,7 @@ def test_cold_compile_checks_only_what_gluing_adds(monkeypatch):
             return build()
 
         monkeypatch.setattr(reduction, name, counted)
-    lc = cold_compile(Formula(3, ((1, -2, 3), (-1, 2, -3), (2, 2, -1))))
-    reduction.build_K_phi.cache_clear()
+    lc = build_K_phi(Formula(3, ((1, -2, 3), (-1, 2, -3), (2, 2, -1))))
     assert builds == {"build_variable_sphere": 1, "build_O": 1, "build_three_house": 1}
     assert all(faces != lc.complex.faces for faces in scanned)
 

@@ -36,6 +36,7 @@ from shellkit.complex_core import (
     Complex,
     FormatError,
     UnionFind,
+    _put_back,
     _rank_colors,
     barycentric_subdivision,
     canonical_form,
@@ -53,11 +54,11 @@ from shellkit.shelling import (
     ShellingError,
     _built_state,
     _cone_base,
-    _deletion_state,
     _facet_graph,
     _frontier,
     _may_be_shellable,
     _restriction_ok,
+    _shed,
     decide_k_decomposable,
     decide_shellable,
     hachimori_decide_sd2,
@@ -463,6 +464,12 @@ def test_inherited_search_matches_rebuilding_oracle():
     rng = random.Random(71)
     bases = [Complex.from_facets(BD3), Complex.from_facets(SEARCHED_NO)]
     bases.append(barycentric_subdivision(Complex.from_facets(BD3), 1).complex)
+    # The dunce hat with a 2-sphere on one of its triangles: shedding the
+    # sphere's apex leaves the hat, with χ̃ = 0 and no free ridge, which
+    # the χ̃ = 0 rule refutes though the shed left three ridges empty.
+    hat = dunce_hat()
+    apex, t = max(hat.vertices) + 1, min(hat.facets, key=face_key)
+    bases.append(Complex.from_facets([*hat.facets, *({apex} | t - {u} for u in t)]))
     bases += [random_pure_complex(rng, 1 + i % 3) for i in range(30)]
     bases += [grown_pure_complex(rng, 2 + i % 2, 12) for i in range(60)]
     seen = collections.Counter()
@@ -482,24 +489,39 @@ def test_inherited_search_matches_rebuilding_oracle():
     assert seen["base", 15, "budget_exceeded"] >= 5, seen
 
 
-def test_deletion_state_matches_the_built_deletion():
-    # Down random chains of deletions from a state built from scratch, the
-    # state each deletion child inherits is the one _built_state builds from
-    # its facets: the same ridge map, facet graph on its facets, χ̃, and
-    # candidates with their facets in the same order, and None for exactly
-    # the children the built prune refutes.  The children are those the
-    # search makes: σ with no ridge f - v (v in σ) of a single facet, and
-    # two or more facets left.  χ̃(del σ) = χ̃(K) - (-1)^|σ| χ̃(lk σ) holds on the built
-    # complexes, and the deletion is pure with the facets that miss σ.
+def test_shed_state_matches_the_built_deletion_and_restores():
+    # Down random chains of deletions from a state built from scratch,
+    # _shed edits the node's state into the one _built_state builds from
+    # the child's facets: the same ridge map and candidates once the keys
+    # left empty are dropped, with the candidates in the same order, the
+    # same facet graph on the child's facets and χ̃; and it refutes
+    # exactly the children the built prune refutes.  After each
+    # _put_back, the parent's state is its snapshot from before the shed:
+    # the same keys in the same order, the same lists in the same order
+    # and the same χ̃, also back up a whole chain of deletions.  The
+    # children are those the search makes: σ in a live facet with no ridge
+    # f - v (v in σ) of a single facet, and two or more facets left.
+    # χ̃(del σ) = χ̃(K) - (-1)^|σ| χ̃(lk σ) holds on the built complexes,
+    # and the deletion is pure with the facets that miss σ.
     def as_sets(holders):
-        return {face: set(around) for face, around in holders.items()}
+        return {face: set(around) for face, around in holders.items() if around}
+
+    def snapshot(state):
+        by_ridge, adj, chi, cofacets = state
+        return [
+            [(face, list(around)) for face, around in by_ridge.items()],
+            adj,
+            chi,
+            [(face, list(around)) for face, around in cofacets.items()],
+        ]
 
     def same_state(got, built, facets):
         by_ridge, adj, chi, cofacets = got
         assert as_sets(by_ridge) == as_sets(built[0])
         assert {f: set(adj[f]) & facets for f in facets} == {f: set(built[1][f]) for f in facets}
         assert chi == built[2]
-        assert list(cofacets) == list(built[3]) and as_sets(cofacets) == as_sets(built[3])
+        assert [face for face, around in cofacets.items() if around] == list(built[3])
+        assert as_sets(cofacets) == as_sets(built[3])
 
     rng = random.Random(73)
     checked = collections.Counter()
@@ -509,28 +531,41 @@ def test_deletion_state_matches_the_built_deletion():
         d = k.dim
         for kk in range(min(d, 2)):
             facets, state = k.facets, _built_state(k.facets, kk)
+            chain = []  # (parent's state, records, its snapshot) per shed kept
             while state is not None and len(facets) > 1:
                 passed = []
                 for sigma, around in state[3].items():
-                    if any(len(state[0][f - {v}]) == 1 for f in around for v in sigma):
+                    if not around or any(len(state[0][f - {v}]) == 1 for f in around for v in sigma):
                         continue
                     child = facets.difference(around)
                     if len(child) < 2:
-                        continue  # rec answers a leaf before it builds a state
+                        continue  # rec answers a leaf before it sheds
                     node = Complex.from_facets(facets)
                     dl, lk = deletion_of(node, sigma), link_of(node, sigma)
                     assert dl.is_pure(d) and dl.facets == child
                     chi = node.reduced_euler_characteristic()
                     lk_chi = lk.reduced_euler_characteristic()
                     assert dl.reduced_euler_characteristic() == chi - (-1) ** len(sigma) * lk_chi
-                    got = _deletion_state(child, kk, state, sigma, around)
+                    before = snapshot(state)
+                    shed, records = _shed(state, child, kk, sigma, around)
                     built = _built_state(child, kk)
-                    assert (got is None) == (built is None), (sorted(map(sorted, facets)), sigma)
-                    if got is not None:
-                        same_state(got, built, child)
-                        passed.append((child, got))
-                    checked[len(sigma), got is None] += 1
-                facets, state = rng.choice(passed) if passed else (facets, None)
+                    assert (shed is None) == (built is None), (sorted(map(sorted, facets)), sigma)
+                    if shed is not None:
+                        same_state(shed, built, child)
+                        passed.append((child, sigma))
+                    _put_back(*records)
+                    assert snapshot(state) == before
+                    checked[len(sigma), shed is None] += 1
+                if not passed:
+                    break
+                child, sigma = rng.choice(passed)
+                before = snapshot(state)
+                shed, records = _shed(state, child, kk, sigma, state[3][sigma])
+                chain.append((state, records, before))
+                facets, state = child, shed
+            for parent, records, before in reversed(chain):
+                _put_back(*records)
+                assert snapshot(parent) == before
     assert min(checked[size, refuted] for size in (1, 2) for refuted in (False, True)) >= 50, checked
 
 

@@ -299,8 +299,9 @@ def test_the_removal_walk_reads_no_private_engine_field():
 # ``shelling.verify_decomposition`` replays a shedding tree from the node's
 # facets alone, so it stays a check independent of the search it verifies.
 SEARCH_HELPERS = (
-    "ridge_holders", "_built_state", "_deletion_state", "_without", "_frontier", "_cofacets",
-    "_facet_graph", "graph_connected", "_may_be_shellable", "_reduced_euler", "_run",
+    "ridge_holders", "_built_state", "_shed", "_drop_holders", "_put_back",
+    "_frontier", "_cofacets", "_facet_graph", "graph_connected", "_may_be_shellable",
+    "_reduced_euler", "_run",
 )
 
 
@@ -310,13 +311,14 @@ def test_the_decomposition_replay_calls_no_search_helper():
     assert calls_in(source, "verify_decomposition").isdisjoint(SEARCH_HELPERS)
 
 
-# A node's state, and the prune that refutes it, come from one of two
-# builders, which both shelling searches share.
+# A node's state, and the prune that refutes it, come from ``_built_state``,
+# which both shelling searches share, or from ``_shed``, which edits a
+# node's state in place into its deletion child's.
 def test_only_the_node_builders_prune():
     source = (SRC / "shelling.py").read_text()
     functions = [n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)]
     pruning = {f for f in functions if "_may_be_shellable" in calls_in(source, f)}
-    assert pruning == {"_built_state", "_deletion_state"}
+    assert pruning == {"_built_state", "_shed"}
     assert calls_in(source, "decide_shellable").isdisjoint(
         {"ridge_holders", "_facet_graph", "_reduced_euler", "graph_connected"}
     )

@@ -48,6 +48,7 @@ from shellkit.complex_core import (
     FormatError,
     InternalError,
     LabeledComplex,
+    _encode,
     face_key,
     face_sort_key,
     format_facet_lines,
@@ -227,7 +228,9 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[RunReport, dict]:
 
 
 def _dump(doc: Mapping) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """The text of a witness file: the document in the canonical JSON form
+    of ``complex_core`` and a newline."""
+    return _encode(doc) + "\n"
 
 
 def _face_lists(faces: Iterable[frozenset]) -> list[list[int]]:
@@ -265,21 +268,21 @@ def _witness_doc(prop: str, k: Complex | Formula, witness: tuple, kk: int | None
 
 
 def _pairs_from_json(raw) -> tuple:
-    """Collapse pairs from a JSON list of ``[free, coface]`` face pairs;
-    a malformed entry, or a free face that is not a proper nonempty
-    subface of its coface, raises FormatError."""
+    """Collapse pairs from a JSON list of ``[free, coface]`` face pairs,
+    read in one pass: the shape of every entry is checked, every face is
+    read by one ``read_faces`` call, and the faces pair off in order.  A
+    malformed entry, a bad face, or a free face that is not a proper
+    nonempty subface of its coface raises FormatError, in that order."""
     if not isinstance(raw, list):
         raise FormatError("collapse witness needs a 'pairs' list")
-    pairs = []
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise FormatError(f"bad collapse pair: {entry!r}")
-        free, coface = read_faces(entry, "collapse pair")
-        try:
-            pairs.append(CollapsePair(free, coface))
-        except CollapseError as exc:
-            raise FormatError(str(exc)) from None
-    return tuple(pairs)
+    faces = read_faces([face for entry in raw for face in entry], "collapse pair")
+    try:
+        return tuple(map(CollapsePair, faces[::2], faces[1::2]))
+    except CollapseError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def _replay_removal(
@@ -440,8 +443,8 @@ def _gadget_builders() -> dict:
         "o_gadget": build_O,
         "literal_house_1": lambda: build_literal_house(1),
     }
-    for name in sorted(fixtures()):
-        builders[name] = (lambda n=name: fixtures()[n])
+    for name, lc in fixtures().items():
+        builders[name] = lambda lc=lc: lc
     return builders
 
 
@@ -544,7 +547,7 @@ def _emit(report: RunReport, payload: Mapping, as_json: bool, to_stderr: bool) -
     if as_json:
         doc = dataclasses.asdict(report)
         doc.update(payload)
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")), file=out)
+        print(_encode(doc), file=out)
         return
     stats = payload.get("stats")
     if stats:

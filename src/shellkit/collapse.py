@@ -569,7 +569,7 @@ def collapses_to(
     subcomplex raises CollapseError.
     """
     target_faces = {f for f in target.faces if f}
-    if not target_faces <= {f for f in k.faces if f}:
+    if not target_faces <= k.faces:
         raise CollapseError("target is not a subcomplex")
     # No move removes a target face (the target is closed), so the search
     # is done when the face counts are equal.

@@ -873,8 +873,8 @@ def to_json(lc: LabeledComplex | Complex) -> str:
 
     The text is the compact, key-sorted ``json.dumps`` of {"facets": the
     sorted face keys, "labels": {name: {"kind", "value"}}, "vertices":
-    [{"id": v}, ...]} and a newline, but no such tree is built: at most
-    ``_BATCH`` items go to the encoder per call, small labels together."""
+    [{"id": v}, ...]} and a newline, but no such tree is built: each label
+    is one entry, and at most ``_BATCH`` items go to the encoder per call."""
     if isinstance(lc, Complex):
         lc = LabeledComplex(lc, {})
     k = lc.complex
@@ -896,26 +896,21 @@ def _array_items(items: Sequence, each=None) -> Iterator[str]:
 
 
 def _label_entries(labels: Mapping[str, Feature]) -> Iterator[str]:
-    """The entries of the "labels" object in name order: a label of more
-    than ``_BATCH`` items alone and in batches, the others together."""
-    shared, size = {}, 0
+    """The entries of the "labels" object, one per label in name order: a
+    vertex label's value is its vertex, and a subcomplex label's faces go
+    to the encoder ``_BATCH`` at a time."""
     for name, feat in sorted(labels.items()):
-        value = sorted(map(face_key, feat.value)) if feat.kind == "subcomplex" else feat.value
-        if shared and size + len(value) > _BATCH:
-            yield _encode(shared)[1:-1]
-            shared, size = {}, 0
-        if len(value) > _BATCH:
-            items = "".join(_array_items(value))
-            yield f'{_encode(name)}:{{"kind":{_encode(feat.kind)},"value":[{items}]}}'
+        if feat.kind == "subcomplex":
+            value = f'[{"".join(_array_items(sorted(map(face_key, feat.value))))}]'
         else:
-            size += len(value)
-            value = value[0] if feat.kind == "vertex" else value
-            shared[name] = {"kind": feat.kind, "value": value}
-    if shared:
-        yield _encode(shared)[1:-1]
+            value = _encode(feat.value[0] if feat.kind == "vertex" else feat.value)
+        yield f'{_encode(name)}:{{"kind":{_encode(feat.kind)},"value":{value}}}'
 
 
 def from_json(text: str) -> LabeledComplex:
+    """The labeled complex of a :func:`to_json` document, built by one
+    :meth:`Complex.from_facets` call over its facets and the declared
+    vertices that lie in no facet.  A malformed document raises FormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -925,18 +920,16 @@ def from_json(text: str) -> LabeledComplex:
     for key in ("vertices", "facets"):
         if key not in doc:
             raise FormatError(f"missing key {key!r}")
-    k = Complex.from_facets(read_faces(doc["facets"], "'facets'"))
+    facets = read_faces(doc["facets"], "'facets'")
     vertices = doc["vertices"]
     if not isinstance(vertices, list):
         raise FormatError("'vertices' must be a list")
     declared = {_validate_vertex(v.get("id") if isinstance(v, dict) else v) for v in vertices}
-    used = set(k.vertices)
+    used = set().union(*facets)
     if not used <= declared:
         raise FormatError(f"facets use undeclared vertices: {sorted(used - declared)}")
-    isolated = [frozenset([v]) for v in declared - used]
-    if isolated:
-        # Isolated vertices are legitimate 0-faces, and facets.
-        k = Complex.from_faces(chain(k.faces, isolated), chain(k.facets, isolated))
+    # Isolated vertices are legitimate 0-faces, and facets.
+    k = Complex.from_facets(chain(facets, (frozenset([v]) for v in declared - used)))
     raw_labels = doc.get("labels", {})
     if not isinstance(raw_labels, dict):
         raise FormatError("'labels' must be an object")

@@ -24,7 +24,6 @@ that it checks to be an automorphism (``_check_door_rotation``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
@@ -115,7 +114,6 @@ def boundary_simplex(d: int) -> Complex:
     return Complex.from_facets(subfaces(range(d + 1), [d]))
 
 
-@functools.lru_cache(maxsize=1)
 def fixtures() -> Mapping[str, LabeledComplex]:
     """Named small complexes used across tests and the CLI, read-only."""
     out = {
@@ -656,20 +654,14 @@ def _amalgamate_with_maps(
     preimages: dict[int, int] = {}
     for name, lc in parts:
         vmap: dict[int, int] = {}
+        seen: dict[int, int] = {}
         for v in lc.complex.vertices:
-            root = uf.find((name, v))
-            if root not in ids:
-                ids[root] = len(ids)
-            vmap[v] = ids[root]
-        if len(set(vmap.values())) != len(vmap):
-            seen: dict[int, int] = {}
-            for v, mv in vmap.items():
-                if mv in seen:
-                    raise InternalError(
-                        f"identifications merge vertices {seen[mv]} and {v} "
-                        f"of part {name!r}"
-                    )
-                seen[mv] = v
+            mv = vmap[v] = ids.setdefault(uf.find((name, v)), len(ids))
+            if mv in seen:
+                raise InternalError(
+                    f"identifications merge vertices {seen[mv]} and {v} of part {name!r}"
+                )
+            seen[mv] = v
         vmaps[name] = vmap
         for mv in vmap.values():
             preimages[mv] = preimages.get(mv, 0) + 1

@@ -68,6 +68,22 @@ CATALOGUE = (
         ("tests/test_complex_core.py",),
     ),
     Mutant(
+        "vertex-label-written-as-list",
+        "src/shellkit/complex_core.py",
+        'feat.value[0] if feat.kind == "vertex" else feat.value',
+        "feat.value",
+        "to_json writes a vertex label's value as its vertex, not as a one-vertex list",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "json-drops-isolated-vertices",
+        "src/shellkit/complex_core.py",
+        "chain(facets, (frozenset([v]) for v in declared - used))",
+        "facets",
+        "from_json keeps a declared vertex that lies in no facet as a facet",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
         "label-check-without-subset-test",
         "src/shellkit/complex_core.py",
         "            if not off.isdisjoint(faces):\n",
@@ -154,6 +170,14 @@ CATALOGUE = (
         "    rest = star[1:]\n",
         "the link merge leaves v out of the reached set, so facets meet only off v",
         ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "glue-merge-unchecked",
+        "src/shellkit/gadgets.py",
+        "            if mv in seen:\n",
+        "            if False:\n",
+        "the glue refuses identifications that merge two vertices of one part",
+        ("tests/test_gadgets.py",),
     ),
     Mutant(
         "glue-records-mixed-size-facets",
@@ -555,6 +579,14 @@ CATALOGUE = (
         "        gc.unfreeze()\n",
         "",
         "the heap is thawed when a command returns, on every exit",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "pairs-read-crosswise",
+        "src/shellkit/cli.py",
+        "faces[::2], faces[1::2]",
+        "faces[1::2], faces[::2]",
+        "the pair reader pairs each free face with the coface after it, not the other way round",
         ("tests/test_cli.py",),
     ),
 )

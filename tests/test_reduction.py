@@ -139,8 +139,8 @@ def test_sd2_keeps_chi_and_connected_links():
 
 
 def test_compiled_labels_are_read_only():
-    # ``fixtures()`` hands every caller the same complexes, so no caller
-    # may edit their tables, nor those of K_phi.
+    # The tables of ``fixtures()`` and of K_phi are read-only: no caller
+    # may edit a complex it was handed.
     lc = build_K_phi(XXX)
     names = set(lc.labels)
     with pytest.raises(TypeError):

@@ -2,8 +2,9 @@
 every private module-level name is read by some module of shellkit, and
 every public function, class and method has a reader besides the tests,
 every builder of a part that K_phi glues calls the one gadget check, no
-code outside ``Complex`` reads how a complex is stored, and every snippet
-of the mutation catalogue (``tests/mutants.py``) occurs once.
+code outside ``Complex`` reads how a complex is stored, the canonical JSON
+form is set up once, and every snippet of the mutation catalogue
+(``tests/mutants.py``) occurs once.
 
 The project has no linter; this keeps an import from outliving the last
 caller of what it imports, and a helper from outliving its last caller.
@@ -447,6 +448,19 @@ def test_storage_uses_finds_slot_reads_and_raw_constructions():
 def test_only_complex_touches_its_storage():
     found = {p.name: storage_uses(p.read_text()) for p in SOURCES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def keyword_uses(source: str, keyword: str) -> int:
+    """The number of calls in ``source`` that pass ``keyword`` by name."""
+    calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    return sum(kw.arg == keyword for call in calls for kw in call.keywords)
+
+
+# Sorted keys and compact separators are set up once, by
+# ``complex_core._encode``, and every canonical JSON writer encodes through it.
+def test_one_canonical_json_encoder():
+    found = {p.name: keyword_uses(p.read_text(), "separators") for p in SOURCES}
+    assert {name: n for name, n in found.items() if n} == {"complex_core.py": 1}
 
 
 # ``tests/mutants.py`` breaks one claim at a time by replacing an exact

@@ -56,6 +56,7 @@ from shellkit.complex_core import (
     is_pseudomanifold,
     parse_facet_lines,
     read_faces,
+    read_object,
     sorted_face_keys,
     subdivide_labeled,
     to_json,
@@ -310,16 +311,16 @@ def _replay_witness(k: Complex, doc: Mapping) -> int:
     """
     kind = doc.get("kind")
     if kind == "shelling":
-        order = doc.get("order")
-        if not isinstance(order, list) or not order:
+        order = read_faces(doc.get("order"), "shelling order")
+        if not order:
             raise FormatError("shelling witness needs a nonempty 'order' list")
-        verify_shelling(k, read_faces(order, "shelling order"))
+        verify_shelling(k, order)
         return len(order)
     if kind == "decomposition":
         kk = doc.get("k")
-        if type(kk) is not int or kk < 0 or not isinstance(doc.get("tree"), dict):
-            raise FormatError("decomposition witness needs integer 'k' >= 0 and object 'tree'")
-        return verify_decomposition(k, kk, doc["tree"])
+        if type(kk) is not int or kk < 0:
+            raise FormatError("decomposition witness needs integer 'k' >= 0")
+        return verify_decomposition(k, kk, doc.get("tree"))
     if kind != "collapse":
         raise FormatError(f"unknown witness kind {kind!r}")
     pairs = _pairs_from_json(doc.get("pairs"))
@@ -345,8 +346,8 @@ def _replay_witness(k: Complex, doc: Mapping) -> int:
 def _verify_reduction_certificate(text: str, doc: Mapping) -> int | None:
     """Replay a certificate on the formula in ``text``: the number of pairs
     replayed, or None when its removal is inadmissible.  Every field is
-    required, so a missing or mistyped one is a FormatError, even beside
-    an inadmissible removal."""
+    required and read before the removal is judged, so a missing or
+    mistyped one is a FormatError, even beside an inadmissible removal."""
     spec = doc.get("formula")
     if not isinstance(spec, dict):
         raise FormatError("reduction certificate needs a 'formula' object")
@@ -360,32 +361,23 @@ def _verify_reduction_certificate(text: str, doc: Mapping) -> int | None:
     ):
         raise FormatError("certificate 'assignment' must map variables to true or false")
     assignment = {int(v): b for v, b in raw_assignment.items()}
-    for key in ("removal", "pairs"):
-        if not isinstance(doc.get(key), list):
-            raise FormatError(f"reduction certificate needs a {key!r} list")
     phi = parse_cnf(text)
     if phi != witness_phi:
         raise ValueError("witness formula does not match the input formula")
     lc = build_K_phi(phi)
-    removal = frozenset(read_faces(doc["removal"], "'removal'"))
+    removal = frozenset(read_faces(doc.get("removal"), "'removal'"))
+    pairs = _pairs_from_json(doc.get("pairs"))
     extracted = assignment_from_removal(lc, removal)
     if extracted is None:
         return None
     if extracted != assignment or not _satisfies(phi, assignment):
         raise CollapseError("certificate assignment does not match its removal")
-    pairs = _pairs_from_json(doc["pairs"])
     return _replay_removal(lc.complex, sorted(removal, key=face_sort_key), pairs)
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[RunReport, dict]:
     text = _read_input(args.input)
-    witness_text = Path(args.witness).read_text()
-    try:
-        doc = json.loads(witness_text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad witness JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FormatError("witness must be a JSON object")
+    doc = read_object(Path(args.witness).read_text(), "witness")
     kind = doc.get("kind")
     reason, nodes = None, 0
     try:

@@ -142,12 +142,16 @@ def _validate_vertex(v) -> int:
     return v
 
 
+def _face_lists(raw, what: str) -> list:
+    if not (isinstance(raw, list) and all(isinstance(f, list) for f in raw)):
+        raise FormatError(f"{what} must be a list of faces, each a list of vertex ids")
+    return raw
+
+
 def read_faces(raw, what: str) -> list[frozenset]:
     """Faces from a JSON document: a list of lists of distinct int vertex
     ids.  Any other shape raises FormatError naming ``what``."""
-    if not (isinstance(raw, list) and all(isinstance(f, list) for f in raw)):
-        raise FormatError(f"{what} must be a list of faces, each a list of vertex ids")
-    faces = [frozenset(map(_validate_vertex, f)) for f in raw]
+    faces = [frozenset(map(_validate_vertex, f)) for f in _face_lists(raw, what)]
     for face, f in zip(raw, faces):
         if len(face) != len(f):
             raise FormatError(f"{what}: face {face} repeats a vertex")
@@ -189,9 +193,9 @@ class Complex:
         Rejects empty facets, repeated vertices inside a facet, and
         non-integer vertex ids.  Facets that are faces of other facets are
         harmless (they disappear into the closure).  The facets of a closure
-        are the inclusion-maximal faces given, so when every given facet has
-        the same size the distinct ones are recorded as :attr:`facets`, with
-        no pass over the faces; with mixed sizes ``facets`` stays lazy.
+        are the inclusion-maximal faces given: when the faces kept (a face
+        already held is skipped before its size counts) all have one size
+        they are recorded as :attr:`facets`; with mixed sizes it stays lazy.
         """
         faces: set = set()
         given: list = []
@@ -205,9 +209,9 @@ class Complex:
                 raise FormatError(f"facet {vs} repeats a vertex")
             if len(vs) > MAX_FACET_SIZE:
                 raise FormatError(f"facet with {len(vs)} vertices exceeds limit")
-            sizes.add(len(vs))
             if f in faces:
                 continue
+            sizes.add(len(vs))
             given.append(f)
             faces.add(f)
             for r in range(len(vs)):
@@ -907,29 +911,29 @@ def _label_entries(labels: Mapping[str, Feature]) -> Iterator[str]:
         yield f'{_encode(name)}:{{"kind":{_encode(feat.kind)},"value":{value}}}'
 
 
-def from_json(text: str) -> LabeledComplex:
-    """The labeled complex of a :func:`to_json` document, built by one
-    :meth:`Complex.from_facets` call over its facets and the declared
-    vertices that lie in no facet.  A malformed document raises FormatError."""
+def read_object(text: str, what: str) -> dict:
+    """The JSON object in ``text``; anything else raises FormatError naming ``what``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from None
+        raise FormatError(f"bad {what} JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise FormatError("top level must be an object")
-    for key in ("vertices", "facets"):
-        if key not in doc:
-            raise FormatError(f"missing key {key!r}")
-    facets = read_faces(doc["facets"], "'facets'")
-    vertices = doc["vertices"]
+        raise FormatError(f"{what} must be a JSON object")
+    return doc
+
+
+def from_json(text: str) -> LabeledComplex:
+    """The labeled complex of a :func:`to_json` document, built by one
+    :meth:`Complex.from_facets` call over its facet lists and each declared vertex
+    as a singleton.  An undeclared vertex or a malformed field raises FormatError."""
+    doc = read_object(text, "complex")
+    facets, vertices = _face_lists(doc.get("facets"), "'facets'"), doc.get("vertices")
     if not isinstance(vertices, list):
         raise FormatError("'vertices' must be a list")
     declared = {_validate_vertex(v.get("id") if isinstance(v, dict) else v) for v in vertices}
-    used = set().union(*facets)
-    if not used <= declared:
-        raise FormatError(f"facets use undeclared vertices: {sorted(used - declared)}")
-    # Isolated vertices are legitimate 0-faces, and facets.
-    k = Complex.from_facets(chain(facets, (frozenset([v]) for v in declared - used)))
+    k = Complex.from_facets(chain(facets, ([v] for v in declared)))
+    if len(k.vertices) != len(declared):
+        raise FormatError(f"facets use undeclared vertices: {sorted(set(k.vertices) - declared)}")
     raw_labels = doc.get("labels", {})
     if not isinstance(raw_labels, dict):
         raise FormatError("'labels' must be an object")
@@ -941,19 +945,16 @@ def from_json(text: str) -> LabeledComplex:
 
 
 def _feature_from_json(name: str, spec) -> Feature:
+    """Label ``name``, one shape rule per kind; :func:`_feature_faces` checks a path."""
     if not isinstance(spec, dict) or "kind" not in spec or "value" not in spec:
         raise FormatError(f"label {name!r}: need kind and value")
     kind, value = spec["kind"], spec["value"]
     if kind == "vertex":
         return Feature.vertex(_validate_vertex(value))
-    if kind == "edge":
-        if not isinstance(value, list) or len(value) != 2:
-            raise FormatError(f"label {name!r}: edge value must be a pair")
-        return Feature.edge(*map(_validate_vertex, value))
-    if kind == "path":
-        if not isinstance(value, list) or len(value) < 2:
-            raise FormatError(f"label {name!r}: path value must list vertices")
-        return Feature.path([_validate_vertex(v) for v in value])
+    if kind in ("edge", "path"):
+        if not isinstance(value, list) or (kind == "edge" and len(value) != 2):
+            raise FormatError(f"label {name!r}: {kind} value must list vertices, two for an edge")
+        return Feature(kind, tuple(map(_validate_vertex, value)))
     if kind == "subcomplex":
         return Feature.subcomplex(read_faces(value, f"label {name!r}: subcomplex value"))
     raise FormatError(f"label {name!r}: unknown kind {kind!r}")

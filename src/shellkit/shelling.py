@@ -465,12 +465,12 @@ def _shed(state: tuple, facets: frozenset, kk: int, sigma: Face, around: list[Fa
     return (shed if _may_be_shellable(facets, by_ridge, adj, chi, stars) else None), records
 
 
-def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:
+def verify_decomposition(k: Complex, kk: int, tree) -> int:
     """Check a shedding tree and return the number of its nodes checked:
     links and deletions are recomputed, never trusted from the witness.  A
-    node that is not an object, a face that is not a list, a vertex id
-    that is not an int (a bool included), or a face that repeats a vertex
-    is a ``FormatError``.
+    node that is not an object (the root is read first, whatever ``k`` is),
+    a face that is not a list, a vertex id that is not an int (a bool
+    included), or a face that repeats a vertex is a ``FormatError``.
 
     ``k`` must be nonempty and pure; then every node is a pure complex,
     held as its facet set, and the tree is walked from an explicit stack,
@@ -484,6 +484,8 @@ def verify_decomposition(k: Complex, kk: int, tree: Mapping) -> int:
     those that miss σ.  Both children are pure by construction, so no
     node is tested for purity again.
     """
+    if not isinstance(tree, Mapping):
+        raise FormatError("decomposition tree node must be an object")
     if not k:
         raise ShellingError("a decomposition needs a nonempty complex")
     if not k.is_pure():

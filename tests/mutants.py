@@ -78,10 +78,26 @@ CATALOGUE = (
     Mutant(
         "json-drops-isolated-vertices",
         "src/shellkit/complex_core.py",
-        "chain(facets, (frozenset([v]) for v in declared - used))",
+        "chain(facets, ([v] for v in declared))",
         "facets",
         "from_json keeps a declared vertex that lies in no facet as a facet",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "json-accepts-undeclared-vertices",
+        "src/shellkit/complex_core.py",
+        "    if len(k.vertices) != len(declared):\n",
+        "    if False:\n",
+        "from_json refuses a document whose facets use a vertex it does not declare",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "facet-size-counted-before-the-skip",
+        "src/shellkit/complex_core.py",
+        "            if f in faces:\n                continue\n            sizes.add(len(vs))\n",
+        "            sizes.add(len(vs))\n            if f in faces:\n                continue\n",
+        "from_facets counts the size of a face it keeps only, so from_json records the facets of a one-size complex",
+        ("tests/test_complex_core.py",),
     ),
     Mutant(
         "label-check-without-subset-test",
@@ -587,6 +603,36 @@ CATALOGUE = (
         "faces[::2], faces[1::2]",
         "faces[1::2], faces[::2]",
         "the pair reader pairs each free face with the coface after it, not the other way round",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "decomposition-tree-read-after-the-complex",
+        "src/shellkit/shelling.py",
+        "    if not isinstance(tree, Mapping):\n"
+        '        raise FormatError("decomposition tree node must be an object")\n'
+        "    if not k:\n",
+        "    if not k:\n",
+        "a decomposition tree that is not an object is a format error on an empty or impure complex too",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "certificate-assignment-unchecked",
+        "src/shellkit/cli.py",
+        "    if extracted != assignment or not _satisfies(phi, assignment):\n",
+        "    if False:\n",
+        "verify refuses a certificate whose assignment is not the one its removal encodes",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "certificate-pairs-read-after-admissibility",
+        "src/shellkit/cli.py",
+        "    pairs = _pairs_from_json(doc.get(\"pairs\"))\n"
+        "    extracted = assignment_from_removal(lc, removal)\n"
+        "    if extracted is None:\n        return None\n",
+        "    extracted = assignment_from_removal(lc, removal)\n"
+        "    if extracted is None:\n        return None\n"
+        "    pairs = _pairs_from_json(doc.get(\"pairs\"))\n",
+        "a certificate's pairs are read before its removal is judged, so a bad pair is a format error",
         ("tests/test_cli.py",),
     ),
 )

@@ -652,8 +652,9 @@ def test_verify_deeper_than_recursion_limit_names_the_witness(tmp_path, capsys):
 
 
 # Each case is (complex file text or None for the CNF, witness base, patch):
-# "stats" runs stats on the text; otherwise verify runs on a witness of the
-# given kind with the patch applied on top, where a DROP value drops the key.
+# "stats", or "check" and a property, runs on the text; otherwise verify
+# runs on a witness of the given kind with the patch applied on top, where
+# a DROP value drops the key, or on the patch itself when it is a list.
 DROP = object()
 TRIANGLE = "0 1 2\n"
 TRIANGLE_BOUNDARY = "0 1\n1 2\n0 2\n"
@@ -663,6 +664,32 @@ TRIANGLE_BOUNDARY_TREE = {
     "delete": {"leaf": [1, 2]},
 }
 MALFORMED = {
+    "complex-not-json": ('{"vertices":[0],"facets":[[0]]', "stats", {}),
+    "complex-without-facets": ('{"vertices":[0]}', "stats", {}),
+    "complex-without-vertices": ('{"facets":[[0]]}', "stats", {}),
+    "label-without-value": (
+        '{"vertices":[0],"facets":[[0]],"labels":{"x":{"kind":"vertex"}}}',
+        "stats",
+        {},
+    ),
+    "edge-label-not-a-pair": (
+        '{"vertices":[0,1],"facets":[[0,1]],"labels":{"x":{"kind":"edge","value":[0]}}}',
+        "stats",
+        {},
+    ),
+    "path-label-not-a-list": (
+        '{"vertices":[0,1],"facets":[[0,1]],"labels":{"x":{"kind":"path","value":5}}}',
+        "stats",
+        {},
+    ),
+    "label-kind-unknown": (
+        '{"vertices":[0],"facets":[[0]],"labels":{"x":{"kind":"cone","value":0}}}',
+        "stats",
+        {},
+    ),
+    "decomposability-order-not-an-integer": (TRIANGLE, "check k-decomposable(x)", {}),
+    "decomposability-order-negative": (TRIANGLE, "check k-decomposable(-1)", {}),
+    "witness-a-json-list": (TRIANGLE, "shelling", [{"kind": "shelling", "order": [[0, 1, 2]]}]),
     "facets-not-faces": ('{"vertices":[0],"facets":[5]}', "stats", {}),
     "vertices-not-a-list": ('{"vertices":5,"facets":[[0]]}', "stats", {}),
     "vertex-entry-without-id": ('{"vertices":[{"v":0}],"facets":[[0]]}', "stats", {}),
@@ -685,6 +712,18 @@ MALFORMED = {
     "pair-face-repeats-a-vertex": (TRIANGLE, "collapse", {"pairs": [[[0, 0], [0, 1]]]}),
     "target-not-faces": (TRIANGLE, "collapse", {"target_facets": [[0, "1"]]}),
     "shelling-order-not-faces": (TRIANGLE, "shelling", {"order": [1, 2]}),
+    "shelling-order-empty": (TRIANGLE, "shelling", {"order": []}),
+    "shelling-without-order": (TRIANGLE, "shelling", {"order": DROP}),
+    "decomposition-without-tree": (TRIANGLE_BOUNDARY, "decomposition", {}),
+    "decomposition-tree-not-an-object": (TRIANGLE_BOUNDARY, "decomposition", {"tree": [0]}),
+    # The tree's shape is read before the complex is judged empty or impure.
+    "decomposition-without-tree-on-an-impure-complex": ("0 1 2\n2 3\n", "decomposition", {}),
+    "decomposition-tree-not-an-object-on-an-impure-complex": (
+        "0 1 2\n2 3\n",
+        "decomposition",
+        {"tree": [0]},
+    ),
+    "decomposition-tree-not-an-object-on-the-void-complex": ("", "decomposition", {"tree": [0]}),
     "decomposition-link-not-an-object": (
         TRIANGLE_BOUNDARY,
         "decomposition",
@@ -760,6 +799,13 @@ MALFORMED = {
     ),
     "certificate-assignment-not-an-object": (None, "certificate", {"assignment": [1]}),
     "certificate-pair-not-proper": (None, "certificate", {"pairs": [[[0, 1], [0, 1]]]}),
+    # Every field is read before the removal is judged, and no removal is
+    # inadmissible.
+    "certificate-pair-malformed-beside-an-inadmissible-removal": (
+        None,
+        "certificate",
+        {"removal": [], "pairs": [[5]]},
+    ),
     "certificate-without-formula-clauses": (None, "certificate", {"formula": {"n": 2}}),
     "certificate-without-removal": (None, "certificate", {"removal": DROP}),
     "certificate-without-pairs": (None, "certificate", {"pairs": DROP}),
@@ -773,8 +819,8 @@ def test_malformed_json_is_usage_error(case, tmp_path, capsys):
     text, base, patch = MALFORMED[case]
     path = tmp_path / ("phi.cnf" if text is None else "input.json")
     path.write_text(CNF if text is None else text)
-    if base == "stats":
-        argv = ["stats", str(path)]
+    if base.startswith(("stats", "check")):
+        argv = [*base.split(), str(path)]
     else:
         witness = tmp_path / "witness.json"
         if base == "certificate":
@@ -786,7 +832,9 @@ def test_malformed_json_is_usage_error(case, tmp_path, capsys):
             doc = {"kind": "decomposition", "k": 1}
         else:
             doc = {"kind": "shelling", "order": [[0, 1, 2]]}
-        witness.write_text(json.dumps({k: v for k, v in {**doc, **patch}.items() if v is not DROP}))
+        if isinstance(patch, dict):
+            patch = {k: v for k, v in {**doc, **patch}.items() if v is not DROP}
+        witness.write_text(json.dumps(patch))
         argv = ["verify", str(path), str(witness)]
     code, out, err = run(argv, capsys)
     assert code == 2, (out, err)
@@ -972,6 +1020,19 @@ def test_verify_inadmissible_removal(tmp_path, capsys):
     code, out, _ = run(["verify", str(cnf), str(cert)], capsys)
     assert code == 1
     assert "verdict: inadmissible" in out
+
+
+def test_verify_refuses_a_certificate_with_another_assignment(tmp_path, capsys):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(CNF)
+    run(["solve-sat", str(cnf)], capsys)
+    cert = tmp_path / "phi.sat.witness.json"
+    doc = json.loads(cert.read_text())
+    doc["assignment"]["1"] = not doc["assignment"]["1"]
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run(["verify", str(cnf), str(cert)], capsys)
+    assert code == 1
+    assert "reason: certificate assignment does not match its removal\n" in out
 
 
 def test_gadget_listing_and_dump(tmp_path, capsys):

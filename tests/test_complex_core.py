@@ -22,6 +22,7 @@ from conftest import (
     random_complex,
     random_pure_2complex,
 )
+from shellkit import complex_core
 from shellkit.complex_core import (
     Complex,
     Feature,
@@ -954,6 +955,27 @@ def test_json_accepts_bare_complex():
     k = Complex.from_facets(STRIP)
     back = from_json(to_json(k))
     assert back.complex == k and back.labels == {}
+
+
+def test_from_json_records_the_facets_it_reads(monkeypatch):
+    # Every declared vertex joins the facet lists as a singleton; one that
+    # lies in a facet adds no facet size, so a one-size complex keeps the
+    # facets it read and no pass over its faces looks for them.
+    scanned = []
+    facets_of_faces = complex_core.facets_of
+
+    def scan(faces):
+        scanned.append(faces)
+        return facets_of_faces(faces)
+
+    monkeypatch.setattr(complex_core, "facets_of", scan)
+    sd, _ = subdivide_labeled(build_K_phi(Formula(1, ((1, 1, 1),))), 1)
+    back = from_json(to_json(sd))
+    assert back.complex.facets == sd.complex.facets
+    assert scanned == []
+    # A declared vertex in no facet is still a facet.
+    lone = from_json('{"vertices":[0,1,2,3],"facets":[[0,1,2]]}').complex
+    assert lone.facets == {frozenset([0, 1, 2]), frozenset([3])}
 
 
 def _written_and_read_back(lc: LabeledComplex | Complex) -> str:

@@ -56,6 +56,18 @@ def test_parse_cnf_errors():
         parse_cnf("p cnf 1 2\n1 1 1 0\n")
     with pytest.raises(FormatError, match="unterminated clause"):
         parse_cnf("p cnf 1 1\n1 1 1\n")
+    # A repeated, misshapen, non-integer or negative header, a bad literal
+    # and no header at all; only the error class is pinned.
+    for text in (
+        "p cnf 1 0\np cnf 1 0\n",
+        "p cnf 1\n",
+        "p cnf one 0\n",
+        "p cnf -1 0\n",
+        "p cnf 1 1\n1 x 1 0\n",
+        "c no header\n",
+    ):
+        with pytest.raises(FormatError):
+            parse_cnf(text)
 
 
 def test_formula_validation():

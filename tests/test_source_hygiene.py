@@ -3,8 +3,8 @@ every private module-level name is read by some module of shellkit, and
 every public function, class and method has a reader besides the tests,
 every builder of a part that K_phi glues calls the one gadget check, no
 code outside ``Complex`` reads how a complex is stored, the canonical JSON
-form is set up once, and every snippet of the mutation catalogue
-(``tests/mutants.py``) occurs once.
+form is set up once, one reader turns text into a JSON object, and every
+snippet of the mutation catalogue (``tests/mutants.py``) occurs once.
 
 The project has no linter; this keeps an import from outliving the last
 caller of what it imports, and a helper from outliving its last caller.
@@ -461,6 +461,25 @@ def keyword_uses(source: str, keyword: str) -> int:
 def test_one_canonical_json_encoder():
     found = {p.name: keyword_uses(p.read_text(), "separators") for p in SOURCES}
     assert {name: n for name, n in found.items() if n} == {"complex_core.py": 1}
+
+
+# Text becomes a JSON object in one reader, ``complex_core.read_object``,
+# which ``from_json`` and ``verify`` share.
+def test_one_json_object_reader():
+    found = {p.name: p.read_text().count("json.loads(") for p in SOURCES}
+    assert {name: n for name, n in found.items() if n} == {"complex_core.py": 1}
+    core, cli = (SRC / "complex_core.py").read_text(), (SRC / "cli.py").read_text()
+    loads = [c for c in calls_made(core, "read_object") if ast.unparse(c.func) == "json.loads"]
+    assert len(loads) == 1
+    assert "read_object" in calls_in(core, "from_json") & calls_in(cli, "_cmd_verify")
+
+
+# ``from_json`` reads each facet once, in its one ``Complex.from_facets`` call.
+def test_from_json_reads_each_facet_once():
+    core = (SRC / "complex_core.py").read_text()
+    assert "read_faces" not in calls_in(core, "from_json")
+    built = [c for c in calls_made(core, "from_json") if ast.unparse(c.func) == "Complex.from_facets"]
+    assert len(built) == 1
 
 
 # ``tests/mutants.py`` breaks one claim at a time by replacing an exact

@@ -2,16 +2,14 @@
 
 Faces are ``frozenset`` instances over integer vertex ids.  A complex is
 held in one of two forms, which only :class:`Complex` tells apart.  The
-closed form stores the full set of its faces (not just facets); every
-construction but one builds it, because the compile, the label checks and
-the searches read faces.  The facets-only form stores the facets and a
-recorded f-vector, and derives the face set the first time something
-reads it; the last level of :func:`subdivide_labeled` is built this way,
-because its writers and counts read only the facets.  Each form has one
-membership rule, ``Complex._off``.  The empty face is a member of every
-nonempty complex, which makes the reduced Euler characteristic a plain
-signed count over all faces and gives the f-vector its leading ``f_{-1}``
-entry.
+closed form stores the full set of its faces (not just facets).  The
+facets-only form stores the facets, records or counts its f-vector, and
+derives the face set the first time something reads it;
+:meth:`Complex.from_facets` of one facet size and the last level of
+:func:`subdivide_labeled` build it.  Each form has one membership rule,
+``Complex._off``.  The empty face is a member of every nonempty complex,
+which makes the reduced Euler characteristic a plain signed count over all
+faces and gives the f-vector its leading ``f_{-1}`` entry.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, filterfalse, repeat
 from math import factorial
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -75,8 +73,34 @@ def facets_of(faces: Collection[frozenset]) -> frozenset:
 def subfaces(facet: Collection[int], sizes: Iterable[int]) -> list[frozenset]:
     """The faces of ``facet`` with the given numbers of vertices, size by
     size in the order of ``sizes``, each size in no particular order.
-    Every face enumeration but ``Complex.from_facets``'s goes through it."""
+    Every face enumeration but ``_faces_of_size``'s goes through it."""
     return [frozenset(c) for r in sizes for c in combinations(facet, r)]
+
+
+def _faces_of_size(facets: Iterable[frozenset], r: int) -> Iterator[frozenset]:
+    """The r-subsets of each of ``facets``, made anew: the one closure and
+    count kernel."""
+    return map(frozenset, chain.from_iterable(map(combinations, facets, repeat(r))))
+
+
+def _closure(facets: Collection[frozenset]) -> frozenset:
+    """The faces that ``facets`` span, size by size; facets keep their objects."""
+    faces = set(facets)
+    for r in range(max(map(len, facets), default=0)):
+        faces.update(_faces_of_size(facets, r))
+    return frozenset(faces)
+
+
+def _f_vector_of(facets: Collection[frozenset]) -> tuple[int, ...]:
+    """The f-vector of the complex that distinct ``facets`` (nonempty; {∅}
+    gives (1,)) span, counted size by size: no larger face holds a largest
+    facet, so those are counted as given."""
+    top = max(map(len, facets))
+    counts = [len(set().union(*facets))]
+    counts += (len(set(_faces_of_size(facets, r))) for r in range(2, top))
+    counts.append(sum(len(f) == top for f in facets))
+    # For top <= 1 the vertices are the largest faces, or there are none.
+    return (1, *counts[:top])
 
 
 def ridge_holders(facets: Iterable[frozenset]) -> dict[frozenset, list[frozenset]]:
@@ -161,20 +185,21 @@ def read_faces(raw, what: str) -> list[frozenset]:
 class Complex:
     """An immutable abstract simplicial complex.
 
-    Construct through :meth:`from_facets` (validates and closes downward) or
-    :meth:`from_faces` (trusted input: the face set must already be closed
-    under taking subsets).  The void complex has no faces at all; every other
-    complex contains the empty face.  Its form (see the module docstring)
-    is known to this class alone: every slot is set by ``__init__``, and
-    ``in`` and the label check ask :meth:`_off`.  On the facets-only form
-    only reading :attr:`faces` or :attr:`nonempty_faces`, equality,
-    hashing and the removal of facets build the face set.
+    Construct through :meth:`from_facets` (validates) or :meth:`from_faces`
+    (trusted input: the face set must already be closed under taking
+    subsets).  The void complex has no faces at all; every other complex
+    contains the empty face.  Its form (see the module docstring) is known
+    to this class alone: every slot is set by ``__init__``, ``in`` and the
+    label check ask :meth:`_off`, and the writers :meth:`_facet_keys`.  On
+    the facets-only form only reading :attr:`faces` or
+    :attr:`nonempty_faces`, equality, hashing and the removal of facets
+    build the face set.
     """
 
-    __slots__ = ("_faces", "_facets", "_vertices", "_dim", "_f_vector")
+    __slots__ = ("_faces", "_facets", "_vertices", "_dim", "_f_vector", "_keys")
 
     def __init__(
-        self, faces: frozenset | None, facets=None, f_vector=None, *, _trusted: bool = False
+        self, faces: frozenset | None, facets=None, f_vector=None, keys=None, *, _trusted=False
     ):
         if not _trusted:
             raise TypeError("use Complex.from_facets or Complex.from_faces")
@@ -183,23 +208,20 @@ class Complex:
         self._vertices = None
         self._dim = None
         self._f_vector = f_vector
+        self._keys = keys
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "Complex":
-        """Build the closure of a facet list.
+        """The complex that a facet list spans.
 
         Rejects empty facets, repeated vertices inside a facet, and
-        non-integer vertex ids.  Facets that are faces of other facets are
-        harmless (they disappear into the closure).  The facets of a closure
-        are the inclusion-maximal faces given: when the faces kept (a face
-        already held is skipped before its size counts) all have one size
-        they are recorded as :attr:`facets`; with mixed sizes it stays lazy.
+        non-integer vertex ids; a repeat is kept once.  Distinct faces of
+        one size are the facets, held in the facets-only form; with mixed
+        sizes a face may lie in another, and the closure is built here.
         """
-        faces: set = set()
-        given: list = []
-        sizes: set = set()
+        given: set = set()
         for raw in facets:
             vs = list(map(_validate_vertex, raw))
             if not vs:
@@ -209,14 +231,10 @@ class Complex:
                 raise FormatError(f"facet {vs} repeats a vertex")
             if len(vs) > MAX_FACET_SIZE:
                 raise FormatError(f"facet with {len(vs)} vertices exceeds limit")
-            if f in faces:
-                continue
-            sizes.add(len(vs))
-            given.append(f)
-            faces.add(f)
-            for r in range(len(vs)):
-                faces.update(map(frozenset, combinations(vs, r)))
-        return cls(frozenset(faces), given if len(sizes) == 1 else None, _trusted=True)
+            given.add(f)
+        if len(set(map(len, given))) == 1:
+            return cls(None, given, _trusted=True)
+        return cls(_closure(given), _trusted=True)
 
     @classmethod
     def from_faces(
@@ -234,11 +252,12 @@ class Complex:
         return cls(fs if len(fs) > 1 else frozenset(), facets, _trusted=True)
 
     @classmethod
-    def _of_facets(cls, facets: Iterable[frozenset], f_vector: tuple[int, ...]) -> "Complex":
+    def _of_facets(cls, facets, f_vector: tuple[int, ...], keys: Mapping | None = None) -> Complex:
         """The facets-only form, trusted: ``facets`` are the facets of a
         complex whose f-vector is ``f_vector`` (with no facet, the
-        empty-face complex).  No face below the facets is built here."""
-        return cls(None, facets, f_vector, _trusted=True)
+        empty-face complex); ``keys`` may map each to its ``face_key`` in
+        ``face_sort_key`` order."""
+        return cls(None, facets, f_vector, keys, _trusted=True)
 
     @classmethod
     def empty(cls) -> "Complex":
@@ -252,10 +271,8 @@ class Complex:
         """Every face, the empty one included; on the facets-only form the
         closure of the facets, built the first time it is read."""
         if self._faces is None:
-            faces = {frozenset()}
-            for f in self._facets:
-                faces.update(subfaces(f, range(1, len(f) + 1)))
-            self._faces = frozenset(faces)
+            # No facet: the empty-face complex, which the facet set {∅} spans.
+            self._faces = _closure(self._facets or (frozenset(),))
         return self._faces
 
     @property
@@ -266,19 +283,19 @@ class Complex:
         """The faces of ``faces`` that the complex does not hold.  The closed
         form builds a set only when its one subset test fails.  The
         facets-only form holds the empty face, and a face below the facets
-        when a facet in the star of one of its vertices (the smallest star)
-        holds it.  Each call indexes the stars in one pass over all facets,
-        so that form is asked in batches, not one ``in`` at a time."""
+        when a facet in the star of its least vertex holds it.  Each call
+        indexes those stars in one pass over all facets, so that form is
+        asked in batches, not one ``in`` at a time."""
         held, facets = self._faces, self._facets
         if held is not None:
             return set() if held.issuperset(faces) else {f for f in faces if f not in held}
         below = {f for f in faces if f and f not in facets}
-        stars: dict[int, list[frozenset]] = {v: [] for f in below for v in f}
-        for g in facets:
-            for v in g:
-                if v in stars:
-                    stars[v].append(g)
-        return {f for f in below if not any(f <= g for g in min(map(stars.get, f), key=len))}
+        stars: dict[int, list[frozenset]] = {min(f): [] for f in below}
+        asked = frozenset(stars)
+        for g in filterfalse(asked.isdisjoint, facets):
+            for v in asked & g:
+                stars[v].append(g)
+        return {f for f in below if not any(map(f.issubset, stars[min(f)]))}
 
     def __contains__(self, face) -> bool:
         return not self._off([frozenset(face)])
@@ -325,16 +342,28 @@ class Complex:
         return self._facets
 
     def f_vector(self) -> tuple[int, ...]:
-        """(f_{-1}, f_0, ..., f_d); the void complex reports (0,).  The faces
-        are counted once, and the facets-only form records its count."""
+        """(f_{-1}, f_0, ..., f_d); the void complex reports (0,).  Counted
+        once, from the faces or, facets-only, from the facets."""
         if self._f_vector is None:
-            counts = Counter(map(len, self._faces))
-            self._f_vector = tuple(counts[size] for size in range(max(counts, default=0) + 1))
+            if self._faces is None:
+                self._f_vector = _f_vector_of(self._facets)
+            else:
+                counts = Counter(map(len, self._faces))
+                self._f_vector = tuple(counts[size] for size in range(max(counts, default=0) + 1))
         return self._f_vector
 
     def reduced_euler_characteristic(self) -> int:
         """Sum of (-1)^dim over every face, the empty face included."""
         return sum(c if size % 2 else -c for size, c in enumerate(self.f_vector()))
+
+    def _facet_keys(self) -> list[tuple[int, ...]]:
+        """Each facet's ``face_key`` in ``face_sort_key`` order: recorded, or sorted here."""
+        return sorted_face_keys(self.facets) if self._keys is None else list(self._keys.values())
+
+    def _keys_of(self, faces: Iterable[frozenset]) -> list[tuple[int, ...]]:
+        """Each face's ``face_key``; a recorded facet's is looked up."""
+        keys = self._keys or {}
+        return [keys.get(f) or face_key(f) for f in faces]
 
     def is_pure(self, d: int | None = None) -> bool:
         """True when every facet has dimension ``d`` (default: ``self.dim``)."""
@@ -529,7 +558,7 @@ class Subdivision:
     ``vertex_carrier`` maps each new vertex id to the original face it
     subdivides (after composing through all levels).  It is composed the
     first time it is read: new vertex i is the barycenter of face i of
-    ``_barycenters``, the faces of the complex one level down, whose
+    ``_barycenters``, the face keys of the complex one level down, whose
     carriers come from ``_below``, the subdivision one level fewer (None at
     level 0, where each vertex carries itself).  The carrier of a new face
     is the union of its vertices' carriers, which is always an original
@@ -540,7 +569,7 @@ class Subdivision:
     complex: Complex
     levels: int
     _below: "Subdivision | None" = field(default=None, repr=False, compare=False, kw_only=True)
-    _barycenters: Sequence[frozenset] = field(default=(), repr=False, compare=False, kw_only=True)
+    _barycenters: Sequence[tuple] = field(default=(), repr=False, compare=False, kw_only=True)
 
     @cached_property
     def vertex_carrier(self) -> Mapping[int, frozenset]:
@@ -668,9 +697,9 @@ class Feature:
 
 def _feature_faces(name: str, feat: Feature) -> Collection[frozenset]:
     """The faces that generate ``feat``, once it is checked to be well
-    formed: the facets of a subcomplex, else ``feat.face_set()``.  A
-    complex is closed under subsets, so it holds ``feat`` exactly when it
-    holds these.  Each step of an edge or path must join two distinct
+    formed: the facets of a subcomplex, the edges of an edge or path, else
+    the vertex.  A complex is closed under subsets, so it holds ``feat``
+    exactly when it holds these.  Each step of an edge or path must join two distinct
     vertices, and each face of a subcomplex must be nonempty."""
     if feat.kind == "subcomplex":
         if frozenset() in feat.value:
@@ -685,7 +714,7 @@ def _feature_faces(name: str, feat: Feature) -> Collection[frozenset]:
         interior = vs[:-1] if vs[0] == vs[-1] else vs
         if len(set(interior)) != len(interior):
             raise ValueError(f"label {name!r}: path revisits a vertex")
-    return feat.face_set()
+    return feat.face_set() if feat.kind == "vertex" else feat.edge_list()
 
 
 @dataclass(frozen=True)
@@ -728,11 +757,13 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
 
     Each level numbers the nonempty faces of its input K in
     ``face_sort_key`` order: vertex i of sd K is the barycenter of face i,
-    and a face of sd K is a chain of faces of K, held as the set of their
-    numbers.  Every level but the last keeps all the chains, closed,
-    because the next level reads every face.  The last level makes only
-    the full flags of the facets of K, which are the facets of sd K, and
-    is held in the facets-only form with its f-vector counted, not built:
+    and a face of sd K is a chain of faces of K, the increasing tuple of
+    their numbers, which is its ``face_key``: only level 0 sorts faces.
+    Labels share sd's one frozenset per chain.  Every level but the last
+    keeps all the chains, closed, because the next level reads every face.
+    The last level makes only the full flags of the facets of K, which are
+    the facets of sd K, and is held in the facets-only form with their
+    keys recorded in ``face_sort_key`` order and its f-vector counted:
 
         f_j(sd K) = sum over s of f_s(K) * j! * S(s, j),
 
@@ -751,31 +782,47 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
         raise ValueError("levels must be >= 0")
     current = lc
     overall = Subdivision(lc.complex, 0)
+    # Each face of K mapped to its key, made once; the keys in face_sort_key order.
+    index = {f: face_key(f) for f in lc.complex.nonempty_faces}
+    keys = sorted(index.values())
+    keys.sort(key=len)
     for level in range(levels):
         k = current.complex
         last = level == levels - 1
-        # face_sort_key order, each key made once: the size sort is stable.
-        originals = sorted(k.nonempty_faces, key=face_key)
-        originals.sort(key=len)
-        chains = _chains(originals, flags=last)
-        labels = {name: _map_feature_once(feat, chains) for name, feat in current.labels.items()}
+        chains = _chains(keys, index, flags=last)
         # A chain is maximal when it is a full flag of a facet of k.
-        facets = [c for f in k.facets for c in chains[f] if len(c) == len(f)]
-        if not facets:
+        flags = [c for f in k.facets for c in chains[index[f]] if len(c) == len(f)]
+        if last:
+            # face_sort_key order, with no per-face sort: each chain is its key.
+            flags.sort()
+            flags.sort(key=len)
+        own = {c: frozenset(c) for c in (flags if last else chain.from_iterable(chains.values()))}
+        labels = {
+            name: _map_feature_once(feat, chains, index, own) for name, feat in current.labels.items()
+        }
+        # The labels are mapped, so every lower flag can go before sd is built.
+        del chains, index
+        if not flags:
             # sd of the void and of the empty-face complex is the empty-face complex.
             sd = Complex._of_facets((), (1,))
         elif last:
-            # The labels are mapped, so every lower flag can go before sd is built.
-            del chains
-            sd = Complex._of_facets(facets, _sd_f_vector(k.f_vector()))
+            # Each facet with its key, in face_sort_key order; the reverse map goes first.
+            keyed = {f: c for c, f in own.items()}
+            del own
+            sd = Complex._of_facets(keyed, _sd_f_vector(k.f_vector()), keyed)
         else:
-            sd = Complex.from_faces(chain.from_iterable(chains.values()), facets)
+            sd = Complex.from_faces(own.values(), map(own.get, flags))
         try:
             current = LabeledComplex(sd, labels)
         except ValueError as exc:
             # The labels of a validated LabeledComplex map to valid labels.
             raise InternalError(f"subdivided {exc}") from None
-        overall = Subdivision(sd, level + 1, _below=overall, _barycenters=originals)
+        overall = Subdivision(sd, level + 1, _below=overall, _barycenters=keys)
+        if not last:
+            # The next level's numbering: each chain is its own face's key.
+            keys = sorted(own)
+            keys.sort(key=len)
+            index = {f: c for c, f in own.items()}
     return current, overall
 
 
@@ -794,33 +841,39 @@ def _sd_f_vector(fk: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _chains(originals: list[frozenset], flags: bool) -> dict[frozenset, list[frozenset]]:
-    """Each face of ``originals``, a closed face set sorted by size, mapped
-    to the chains of faces whose top it is, as sets of positions in
-    ``originals``; with ``flags``, to its full flags only, the chains with
-    one face of each size up to it.
+def _chains(keys: list[tuple[int, ...]], index: Mapping, flags: bool) -> dict[tuple, list[tuple]]:
+    """Each face of a closed face set, by its key in ``keys`` (sorted by
+    size; ``index`` maps a face to its key), mapped to the chains of faces
+    whose top it is, as tuples of positions in ``keys``; with ``flags``,
+    to its full flags only, the chains with one face of each size up to it.
 
     A chain topped by g is g alone, or a chain topped by a proper subface
     of g with g added; a full flag of g is g alone when g is a vertex, and
-    else a full flag of a ridge of g with g added.  Subfaces come first in
-    ``originals``, so one pass makes every chain once, and every face of
-    sd is one of these chains.  A face comes after its proper subfaces, so
-    the top of a chain is its largest position.
+    else a full flag of a ridge of g (its key less one entry) with g added.
+    Subfaces come first in ``keys``, so one pass makes every chain once,
+    and every face of sd is one of these chains; g's position is the
+    largest, so adding it last keeps a chain an increasing tuple, its key.
     """
-    chains: dict[frozenset, list[frozenset]] = {}
-    for i, g in enumerate(originals):
-        top = frozenset((i,))
-        own = [] if flags and len(g) > 1 else [top]
-        for h in subfaces(g, range(max(1, len(g) - 1) if flags else 1, len(g))):
-            own.extend([c | top for c in chains[h]])
+    chains: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for i, g in enumerate(keys):
+        top = (i,)
+        if flags:
+            below = [g[:j] + g[j + 1 :] for j in range(len(g))] if len(g) > 1 else []
+        else:
+            below = [index[h] for h in subfaces(g, range(1, len(g)))]
+        own = [] if flags and below else [top]
+        for h in below:
+            own.extend([c + top for c in chains[h]])
         chains[g] = own
     return chains
 
 
-def _map_feature_once(feat: Feature, chains: Mapping[frozenset, list[frozenset]]) -> Feature:
+def _map_feature_once(feat: Feature, chains: Mapping, index: Mapping, own: Mapping) -> Feature:
+    """``feat`` mapped onto sd; a chain in ``own`` maps to sd's frozenset."""
+
     def vid(face) -> int:
-        # The barycenter of a face is the top of each chain it tops.
-        return max(chains[frozenset(face)][0])
+        # The barycenter of a face is the top of each chain it tops, its last position.
+        return chains[index[frozenset(face)]][0][-1]
 
     if feat.kind == "vertex":
         return Feature.vertex(vid(feat.value))
@@ -838,7 +891,8 @@ def _map_feature_once(feat: Feature, chains: Mapping[frozenset, list[frozenset]]
     facets = feat.value
     if len(set(map(len, facets))) > 1:
         facets = Complex.from_facets(facets).facets
-    return Feature.subcomplex(c for f in facets for c in chains[f] if len(c) == len(f))
+    flags = (c for f in facets for c in chains[index[f]] if len(c) == len(f))
+    return Feature.subcomplex(own.get(c, c) for c in flags)
 
 
 # -- serialization -----------------------------------------------------------
@@ -862,7 +916,7 @@ def parse_facet_lines(text: str) -> Complex:
 
 
 def format_facet_lines(k: Complex) -> str:
-    lines = [" ".join(map(str, key)) for key in sorted_face_keys(k.facets)]
+    lines = [" ".join(map(str, key)) for key in k._facet_keys()]
     return "\n".join(lines) + "\n"
 
 
@@ -882,8 +936,8 @@ def to_json(lc: LabeledComplex | Complex) -> str:
     if isinstance(lc, Complex):
         lc = LabeledComplex(lc, {})
     k = lc.complex
-    parts = ['{"facets":[', *_array_items(sorted_face_keys(k.facets))]
-    parts += ('],"labels":{', ",".join(_label_entries(lc.labels)), '},"vertices":[')
+    parts = ['{"facets":[', *_array_items(k._facet_keys())]
+    parts += ('],"labels":{', ",".join(_label_entries(lc.labels, k)), '},"vertices":[')
     parts += _array_items(k.vertices, lambda batch: [{"id": v} for v in batch])
     parts.append("]}\n")
     return "".join(parts)
@@ -899,13 +953,13 @@ def _array_items(items: Sequence, each=None) -> Iterator[str]:
         yield _encode(batch if each is None else each(batch))[1:-1]
 
 
-def _label_entries(labels: Mapping[str, Feature]) -> Iterator[str]:
+def _label_entries(labels: Mapping[str, Feature], k: Complex) -> Iterator[str]:
     """The entries of the "labels" object, one per label in name order: a
-    vertex label's value is its vertex, and a subcomplex label's faces go
-    to the encoder ``_BATCH`` at a time."""
+    vertex label's value is its vertex, and a subcomplex label's faces,
+    keyed by ``k``, go to the encoder ``_BATCH`` at a time."""
     for name, feat in sorted(labels.items()):
         if feat.kind == "subcomplex":
-            value = f'[{"".join(_array_items(sorted(map(face_key, feat.value))))}]'
+            value = f'[{"".join(_array_items(sorted(k._keys_of(feat.value))))}]'
         else:
             value = _encode(feat.value[0] if feat.kind == "vertex" else feat.value)
         yield f'{_encode(name)}:{{"kind":{_encode(feat.kind)},"value":{value}}}'
@@ -924,28 +978,33 @@ def read_object(text: str, what: str) -> dict:
 
 def from_json(text: str) -> LabeledComplex:
     """The labeled complex of a :func:`to_json` document, built by one
-    :meth:`Complex.from_facets` call over its facet lists and each declared vertex
-    as a singleton.  An undeclared vertex or a malformed field raises FormatError."""
+    :meth:`Complex.from_facets` call over its facet lists and each declared
+    vertex in no facet as a singleton; labels hold its facets' objects.  An
+    undeclared vertex or a malformed field raises FormatError."""
     doc = read_object(text, "complex")
     facets, vertices = _face_lists(doc.get("facets"), "'facets'"), doc.get("vertices")
     if not isinstance(vertices, list):
         raise FormatError("'vertices' must be a list")
     declared = {_validate_vertex(v.get("id") if isinstance(v, dict) else v) for v in vertices}
-    k = Complex.from_facets(chain(facets, ([v] for v in declared)))
+    # Only int ids are read here: from_facets refuses a facet with any other.
+    isolated = declared.difference(v for f in facets for v in f if type(v) is int)
+    k = Complex.from_facets(chain(facets, ([v] for v in isolated)))
     if len(k.vertices) != len(declared):
         raise FormatError(f"facets use undeclared vertices: {sorted(set(k.vertices) - declared)}")
     raw_labels = doc.get("labels", {})
     if not isinstance(raw_labels, dict):
         raise FormatError("'labels' must be an object")
-    labels = {name: _feature_from_json(name, spec) for name, spec in raw_labels.items()}
+    held = {f: f for f in k.facets}
+    labels = {name: _feature_from_json(name, spec, held) for name, spec in raw_labels.items()}
     try:
         return LabeledComplex(k, labels)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
-def _feature_from_json(name: str, spec) -> Feature:
-    """Label ``name``, one shape rule per kind; :func:`_feature_faces` checks a path."""
+def _feature_from_json(name: str, spec, held: Mapping[frozenset, frozenset]) -> Feature:
+    """Label ``name``, one shape rule per kind; :func:`_feature_faces` checks a
+    path.  A subcomplex face is read as its value in ``held``, if any."""
     if not isinstance(spec, dict) or "kind" not in spec or "value" not in spec:
         raise FormatError(f"label {name!r}: need kind and value")
     kind, value = spec["kind"], spec["value"]
@@ -956,5 +1015,6 @@ def _feature_from_json(name: str, spec) -> Feature:
             raise FormatError(f"label {name!r}: {kind} value must list vertices, two for an edge")
         return Feature(kind, tuple(map(_validate_vertex, value)))
     if kind == "subcomplex":
-        return Feature.subcomplex(read_faces(value, f"label {name!r}: subcomplex value"))
+        faces = read_faces(value, f"label {name!r}: subcomplex value")
+        return Feature.subcomplex(held.get(f, f) for f in faces)
     raise FormatError(f"label {name!r}: unknown kind {kind!r}")

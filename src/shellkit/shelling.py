@@ -17,6 +17,7 @@ from shellkit.complex_core import (
     Face,
     FormatError,
     _drop_holders,
+    _f_vector_of,
     _put_back,
     face_key,
     graph_connected,
@@ -111,25 +112,11 @@ def _facet_graph(by_ridge: Mapping[Face, list[Face]]) -> dict[Face, list[Face]]:
 
 
 def _reduced_euler(facets: Collection[Face]) -> int:
-    """χ̃ of the pure complex spanned by the distinct ``facets`` (nonempty;
-    the facet set {∅} spans the empty-face complex, χ̃ = -1), counted size
-    by size: the faces of r vertices, with sign (-1)^(r - 1), are the empty
-    face for r = 0, the facets for r = d + 1, the vertices of the facets
-    for r = 1, and a set of subfaces for each size between.  No closure is
-    built."""
-    top = len(next(iter(facets)))
-    chi = 0
-    for r in range(top + 1):
-        if r == top:
-            n = len(facets)
-        elif r == 0:
-            n = 1
-        elif r == 1:
-            n = len(frozenset().union(*facets))
-        else:
-            n = len({g for f in facets for g in subfaces(f, [r])})
-        chi += n if r % 2 else -n
-    return chi
+    """χ̃ of the complex spanned by the distinct ``facets`` (nonempty; the
+    facet set {∅} spans the empty-face complex, χ̃ = -1), signed over the
+    f-vector that ``complex_core._f_vector_of`` counts size by size.  No
+    closure is built."""
+    return sum(n if r % 2 else -n for r, n in enumerate(_f_vector_of(facets)))
 
 
 def _cone_base(k: Complex) -> tuple[frozenset, frozenset]:

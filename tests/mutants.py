@@ -54,8 +54,8 @@ CATALOGUE = (
     Mutant(
         "label-writer-size-first",
         "src/shellkit/complex_core.py",
-        "sorted(map(face_key, feat.value))",
-        "sorted_face_keys(feat.value)",
+        "sorted(k._keys_of(feat.value))",
+        "sorted_face_keys(k._keys_of(feat.value))",
         "to_json writes a subcomplex label's faces in plain face_key order",
         ("tests/test_complex_core.py",),
     ),
@@ -78,7 +78,7 @@ CATALOGUE = (
     Mutant(
         "json-drops-isolated-vertices",
         "src/shellkit/complex_core.py",
-        "chain(facets, ([v] for v in declared))",
+        "chain(facets, ([v] for v in isolated))",
         "facets",
         "from_json keeps a declared vertex that lies in no facet as a facet",
         ("tests/test_cli.py",),
@@ -94,9 +94,10 @@ CATALOGUE = (
     Mutant(
         "facet-size-counted-before-the-skip",
         "src/shellkit/complex_core.py",
-        "            if f in faces:\n                continue\n            sizes.add(len(vs))\n",
-        "            sizes.add(len(vs))\n            if f in faces:\n                continue\n",
-        "from_facets counts the size of a face it keeps only, so from_json records the facets of a one-size complex",
+        "declared.difference(v for f in facets for v in f if type(v) is int)",
+        "declared",
+        "from_json gives only a declared vertex in no facet as a singleton, so a declared vertex "
+        "inside a facet adds no facet size and a one-size document is read with its facets recorded",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
@@ -126,8 +127,8 @@ CATALOGUE = (
     Mutant(
         "empty-face-complex-without-empty-face",
         "src/shellkit/complex_core.py",
-        "            faces = {frozenset()}\n",
-        "            faces = set()\n",
+        "self._faces = _closure(self._facets or (frozenset(),))",
+        "self._faces = _closure(self._facets)",
         "the closure of the facets-only form holds the empty face, the empty-face complex's only one",
         ("tests/test_complex_core.py",),
     ),
@@ -142,8 +143,8 @@ CATALOGUE = (
     Mutant(
         "last-level-keeps-chains",
         "src/shellkit/complex_core.py",
-        "            del chains\n",
-        "",
+        "        del chains, index\n",
+        "        del index\n",
         "the last subdivision level drops its lower flags before it builds sd and checks the labels",
         ("tests/test_complex_core.py",),
     ),
@@ -319,16 +320,40 @@ CATALOGUE = (
     Mutant(
         "chains-only-through-ridges",
         "src/shellkit/complex_core.py",
-        "range(max(1, len(g) - 1) if flags else 1, len(g))",
-        "range(max(1, len(g) - 1), len(g))",
+        "subfaces(g, range(1, len(g)))",
+        "subfaces(g, range(max(1, len(g) - 1), len(g)))",
         "every chain of sd(K) is made: chains extend through every proper subface",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "chain-top-prepended",
+        "src/shellkit/complex_core.py",
+        "own.extend([c + top for c in chains[h]])",
+        "own.extend([top + c for c in chains[h]])",
+        "a chain of sd(K) is made increasing, its top last, so it is the face_key of its face",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "count-skips-a-middle-size",
+        "src/shellkit/complex_core.py",
+        "_faces_of_size(facets, r))) for r in range(2, top))",
+        "_faces_of_size(facets, r))) for r in range(3, top))",
+        "the facets-only count has every size between the vertices and the largest facets",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "recorded-keys-out-of-order",
+        "src/shellkit/complex_core.py",
+        "            flags.sort()\n",
+        "",
+        "the last subdivision level records its facet keys in face_sort_key order, which the writers read",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
         "label-chains-one-short",
         "src/shellkit/complex_core.py",
-        "Feature.subcomplex(c for f in facets for c in chains[f] if len(c) == len(f))",
-        "Feature.subcomplex(c for f in facets for c in chains[f] if len(c) + 1 == len(f))",
+        "for c in chains[index[f]] if len(c) == len(f))",
+        "for c in chains[index[f]] if len(c) + 1 == len(f))",
         "a subcomplex label maps to the full flags of its facets",
         ("tests/test_complex_core.py",),
     ),

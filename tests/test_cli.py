@@ -529,12 +529,12 @@ def test_misplaced_subdivided_label_exits_four(command, tmp_path, capsys, monkey
     for misplace in ("vertex", "path edge"):
         off = []
 
-        def misplaced(feat, chains):
-            mapped = map_once(feat, chains)
+        def misplaced(feat, chains, *maps):
+            mapped = map_once(feat, chains, *maps)
             if misplace == "vertex":
                 return Feature.vertex(-1) if mapped.kind == "vertex" else mapped
             # The last level's chains are flags: an edge tops two-face chains only.
-            if mapped.kind == "path" and len(chains[frozenset(feat.value[:2])][0]) == 2:
+            if mapped.kind == "path" and len(chains[face_key(feat.value[:2])][0]) == 2:
                 mapped = Feature.path(mapped.value[:1] + mapped.value[2:])
                 off.append(face_key(mapped.value[:2]))
             return mapped

@@ -151,6 +151,68 @@ def test_from_facets_matches_closure_oracle():
     }
 
 
+def _assert_closed_twin(k: Complex, twin: Complex, rng: random.Random) -> None:
+    """``k`` answers as ``twin``, its closure in the closed form, on every
+    query and in both writers; a facets-only ``k`` builds no closure
+    before equality asks for one."""
+    facets_only = k._faces is None
+    assert k.f_vector() == twin.f_vector()
+    assert k.reduced_euler_characteristic() == twin.reduced_euler_characteristic()
+    assert (k.dim, k.vertices, k.facets, len(k), bool(k)) == (
+        twin.dim, twin.vertices, twin.facets, len(twin), bool(twin)
+    )
+    vs = list(twin.vertices)
+    probes = list(twin.faces) + [frozenset([-1]), frozenset(vs[:1] + [-1])]
+    probes += [frozenset(rng.sample(vs, rng.randint(1, min(4, len(vs))))) for _ in range(20)]
+    assert all((f in k) == (f in twin) for f in probes)
+    assert to_json(k) == to_json(twin)
+    assert format_facet_lines(k) == format_facet_lines(twin)
+    assert (k._faces is None) == facets_only
+    assert k == twin and twin == k and hash(k) == hash(twin)
+    assert k.faces == twin.faces
+
+
+def test_from_facets_agrees_with_its_closed_twin():
+    # Pure and mixed-size facet lists with repeated and nested facets, and
+    # JSON documents that declare vertices in no facet: one facet size is
+    # read in the facets-only form, any other list closed, and either form
+    # answers as the closed form of the oracle's closure.
+    rng = random.Random(50)
+    forms = Counter()
+    for _ in range(300):
+        sizes = rng.choice(((1,), (2,), (3,), (4,), (1, 3), (2, 3), (1, 2, 3, 4)))
+        facets = random_facet_list(rng, sizes)
+        k = Complex.from_facets(facets)
+        twin = Complex.from_faces(all_faces_brute(facets))
+        forms["facets-only" if k._faces is None else "closed"] += 1
+        _assert_closed_twin(k, twin, rng)
+    for _ in range(150):
+        facets = random_facet_list(rng, rng.choice(((2,), (3,), (2, 3))))
+        used = sorted(set().union(*map(set, facets)))
+        isolated = list(range(max(used) + 1, max(used) + 1 + rng.randint(0, 2)))
+        declared = used + isolated
+        rng.shuffle(declared)
+        doc = {"facets": [list(f) for f in facets], "labels": {}, "vertices": [{"id": v} for v in declared]}
+        k = from_json(json.dumps(doc)).complex
+        twin = Complex.from_faces(all_faces_brute(facets + [[v] for v in isolated]))
+        forms["json " + ("facets-only" if k._faces is None else "closed")] += 1
+        _assert_closed_twin(k, twin, rng)
+    assert min(forms.values()) >= 30 and len(forms) == 4, forms
+
+
+def test_label_faces_are_the_complexs_own_faces():
+    # A subdivided label and a label read from JSON hold the facets of
+    # their complex, not equal copies of them.
+    kphi = build_K_phi(Formula(1, ((1, 1, 1),)))
+    for levels in (1, 2):
+        lc = subdivide_labeled(kphi, levels)[0]
+        for sub in (lc, from_json(to_json(lc))):
+            own = {id(f) for f in sub.complex.facets}
+            faces = [f for feat in sub.labels.values() if feat.kind == "subcomplex" for f in feat.value]
+            assert len(faces) > 1000
+            assert all(id(f) in own for f in faces)
+
+
 @pytest.mark.parametrize(
     "facets, message",
     [
@@ -958,9 +1020,9 @@ def test_json_accepts_bare_complex():
 
 
 def test_from_json_records_the_facets_it_reads(monkeypatch):
-    # Every declared vertex joins the facet lists as a singleton; one that
-    # lies in a facet adds no facet size, so a one-size complex keeps the
-    # facets it read and no pass over its faces looks for them.
+    # Only a declared vertex that lies in no facet joins the facet lists as
+    # a singleton, so a one-size complex is read in the facets-only form and
+    # no pass over its faces looks for its facets.
     scanned = []
     facets_of_faces = complex_core.facets_of
 
@@ -1042,9 +1104,10 @@ def _traced(call, *args):
 
 
 def test_sd2_text_is_written_in_bounded_memory():
-    # The writer holds the text, the sorted facet keys and one batch: about
-    # 2.9 times the text on sd² of K_phi at n = 1.  One json.dumps over the
-    # whole document (oracle_to_json) peaks at about 21 times.
+    # The writer holds the text, the list of the facet keys that the last
+    # level recorded and one batch: about 2.2 times the text on sd² of
+    # K_phi at n = 1.  One json.dumps over the whole document
+    # (oracle_to_json) peaks at about 21 times.
     lc = subdivide_labeled(build_K_phi(Formula(1, ((1, 1, 1),))), 2)[0]
     text, _, peak = _traced(to_json, lc)
     assert len(text) == 226_928
@@ -1054,11 +1117,11 @@ def test_sd2_text_is_written_in_bounded_memory():
 def test_last_subdivision_level_peaks_near_what_it_keeps():
     # The last level maps the labels, drops the lower flags before it
     # builds sd's facet set, and checks the labels against a star index
-    # that it does not keep.  On K_phi at n = 1 the peak is about 1.22
+    # that it does not keep.  On K_phi at n = 1 the peak is about 1.12
     # times what the call keeps; holding the lower flags through the
-    # label check reads about 1.41.
+    # label check reads about 1.19.
     kphi = build_K_phi(Formula(1, ((1, 1, 1),)))
     (lc, _), kept, peak = _traced(subdivide_labeled, kphi, 2)
     assert len(lc.complex.facets) == 6156
-    assert peak < 1.27 * kept
+    assert peak < 1.16 * kept
 

@@ -2,9 +2,11 @@
 every private module-level name is read by some module of shellkit, and
 every public function, class and method has a reader besides the tests,
 every builder of a part that K_phi glues calls the one gadget check, no
-code outside ``Complex`` reads how a complex is stored, the canonical JSON
-form is set up once, one reader turns text into a JSON object, and every
-snippet of the mutation catalogue (``tests/mutants.py``) occurs once.
+code outside ``Complex`` reads how a complex is stored, faces are
+enumerated by ``subfaces`` and one closure and count kernel alone, the
+canonical JSON form is set up once, one reader turns text into a JSON
+object, and every snippet of the mutation catalogue (``tests/mutants.py``)
+occurs once.
 
 The project has no linter; this keeps an import from outliving the last
 caller of what it imports, and a helper from outliving its last caller.
@@ -245,6 +247,43 @@ def test_one_face_enumerator(path):
     assert combinations_uses(path.read_text()) == []
 
 
+def combinations_readers(source: str) -> set[str]:
+    """The functions and methods of ``source`` that read the name
+    ``combinations``, each named by its innermost definition."""
+    readers = set()
+    stack = [(ast.parse(source), None)]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Name) and node.id == "combinations":
+            readers.add(owner)
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return readers
+
+
+def test_combinations_readers_finds_functions_and_methods():
+    source = (
+        "from itertools import combinations\nx = combinations\n"
+        "def f():\n    return [combinations(a, 2) for a in b]\n"
+        "class C:\n    def m(self):\n        def inner():\n            return combinations\n"
+    )
+    assert combinations_readers(source) == {None, "f", "inner"}
+
+
+# Inside ``complex_core`` the faces of a facet are enumerated by
+# ``subfaces``, and a complex's faces size by size by the one closure and
+# count kernel, ``_faces_of_size``, which ``Complex.from_facets``, the
+# facets-only closure and every facets-only count share.
+def test_one_closure_and_count_kernel():
+    core = (SRC / "complex_core.py").read_text()
+    assert combinations_readers(core) == {"subfaces", "_faces_of_size"}
+    assert calls_in(core, "_closure") >= {"_faces_of_size"}
+    assert calls_in(core, "_f_vector_of") >= {"_faces_of_size"}
+    shelling = (SRC / "shelling.py").read_text()
+    assert calls_in(shelling, "_reduced_euler") == {"sum", "enumerate", "_f_vector_of"}
+
+
 def function_def(source: str, function: str) -> ast.FunctionDef:
     """The module-level function ``function`` of ``source``."""
     for node in ast.parse(source).body:
@@ -416,7 +455,7 @@ def test_the_exception_classes_of_src():
 # matches by attribute name, not by type, so no other class in ``src/`` may
 # use these names; and it sees a raw construction only when spelt
 # ``Complex(...)``, not through ``type(k)(...)`` or another class's ``cls``.
-COMPLEX_SLOTS = {"_faces", "_facets", "_f_vector", "_vertices", "_dim"}
+COMPLEX_SLOTS = {"_faces", "_facets", "_f_vector", "_vertices", "_dim", "_keys"}
 
 
 def storage_uses(source: str) -> list[int]:

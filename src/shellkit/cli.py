@@ -29,7 +29,6 @@ import argparse
 import dataclasses
 import gc
 import hashlib
-import json
 import sys
 import time
 from dataclasses import dataclass
@@ -415,7 +414,7 @@ def _cmd_solve_sat(args: argparse.Namespace) -> tuple[RunReport, dict]:
             }
             print(
                 "internal disagreement between the complex pipeline and the "
-                "brute-force oracle:\n" + json.dumps(dump, indent=2),
+                "brute-force oracle:\n" + _encode(dump),
                 file=sys.stderr,
             )
             raise InternalError("solver disagreement; see diagnostic dump on stderr")

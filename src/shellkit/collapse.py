@@ -547,8 +547,6 @@ def is_collapsible_dfs(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult
     characteristic and connectivity, so complexes failing either invariant
     of the point are refused without search.
     """
-    if not k:
-        return SearchResult("no", None, 0)
     if k.reduced_euler_characteristic() != 0 or not one_skeleton_connected(k):
         return SearchResult("no", None, 0)
     # Collapses keep the face set closed, so a single face left is a vertex.

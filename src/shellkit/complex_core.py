@@ -57,17 +57,15 @@ def sorted_face_keys(faces: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
 
 
 def facets_of(faces: Collection[frozenset]) -> frozenset:
-    """Facets of a closed face set: the nonempty faces that are not a
-    codimension-1 face of another face.
-
-    In a closed face set a non-maximal face always has a coface one
-    dimension up, so marking every codimension-1 subface finds them.
-    """
+    """Facets of a closed face set: its inclusion-maximal faces, so none
+    for the void complex and ∅ alone for the empty-face complex {∅}.  A
+    non-maximal face of a closed face set has a coface one dimension up,
+    so marking every codimension-1 subface finds them."""
     covered = set()
     for f in faces:
-        if len(f) > 1:
+        if f:
             covered.update(f - {v} for v in f)
-    return frozenset(f for f in faces if f and f not in covered)
+    return frozenset(f for f in faces if f not in covered)
 
 
 def subfaces(facet: Collection[int], sizes: Iterable[int]) -> list[frozenset]:
@@ -92,9 +90,9 @@ def _closure(facets: Collection[frozenset]) -> frozenset:
 
 
 def _f_vector_of(facets: Collection[frozenset]) -> tuple[int, ...]:
-    """The f-vector of the complex that distinct ``facets`` (nonempty; {∅}
-    gives (1,)) span, counted size by size: no larger face holds a largest
-    facet, so those are counted as given."""
+    """The f-vector of the complex that one or more distinct ``facets``
+    span, counted size by size: no larger face holds a largest facet, so
+    those are counted as given."""
     top = max(map(len, facets))
     counts = [len(set().union(*facets))]
     counts += (len(set(_faces_of_size(facets, r))) for r in range(2, top))
@@ -187,13 +185,14 @@ class Complex:
 
     Construct through :meth:`from_facets` (validates) or :meth:`from_faces`
     (trusted input: the face set must already be closed under taking
-    subsets).  The void complex has no faces at all; every other complex
-    contains the empty face.  Its form (see the module docstring) is known
-    to this class alone: every slot is set by ``__init__``, ``in`` and the
-    label check ask :meth:`_off`, and the writers :meth:`_facet_keys`.  On
-    the facets-only form only reading :attr:`faces` or
-    :attr:`nonempty_faces`, equality, hashing and the removal of facets
-    build the face set.
+    subsets).  The facets are the inclusion-maximal faces: the void
+    complex has no face and no facet, and the empty face, which every
+    other complex contains, is the one facet of the empty-face complex
+    {∅}.  Its form (see the module docstring) is known to this class
+    alone: every slot is set by ``__init__``, ``in`` and the label check
+    ask :meth:`_off`, and the writers :meth:`_facet_keys`.  On the
+    facets-only form only reading :attr:`faces` or :attr:`nonempty_faces`,
+    equality, hashing and the removal of facets build the face set.
     """
 
     __slots__ = ("_faces", "_facets", "_vertices", "_dim", "_f_vector", "_keys")
@@ -214,18 +213,18 @@ class Complex:
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "Complex":
-        """The complex that a facet list spans.
+        """The complex that a facet list spans: ``[]`` is the void complex
+        and ``[[]]`` the empty-face complex, and an empty facet beside
+        others lies in their closure.
 
-        Rejects empty facets, repeated vertices inside a facet, and
-        non-integer vertex ids; a repeat is kept once.  Distinct faces of
-        one size are the facets, held in the facets-only form; with mixed
-        sizes a face may lie in another, and the closure is built here.
+        Rejects repeated vertices inside a facet and non-integer vertex
+        ids; a repeat is kept once.  Distinct faces of one size are the
+        facets, held in the facets-only form; with mixed sizes a face may
+        lie in another, and the closure is built here.
         """
         given: set = set()
         for raw in facets:
             vs = list(map(_validate_vertex, raw))
-            if not vs:
-                raise FormatError("empty facet")
             f = frozenset(vs)
             if len(f) != len(vs):
                 raise FormatError(f"facet {vs} repeats a vertex")
@@ -245,8 +244,8 @@ class Complex:
         The faces are copied once, into the frozenset the complex keeps;
         with no nonempty face the complex is void.  ``facets``, when
         given, is trusted like the faces: it must be exactly their
-        inclusion-maximal nonempty ones, and is recorded as :attr:`facets`
-        so that no pass over the faces looks for them.
+        inclusion-maximal ones, and is recorded as :attr:`facets` so that
+        no pass over the faces looks for them.
         """
         fs = frozenset(chain(faces, [frozenset()]))
         return cls(fs if len(fs) > 1 else frozenset(), facets, _trusted=True)
@@ -254,15 +253,9 @@ class Complex:
     @classmethod
     def _of_facets(cls, facets, f_vector: tuple[int, ...], keys: Mapping | None = None) -> Complex:
         """The facets-only form, trusted: ``facets`` are the facets of a
-        complex whose f-vector is ``f_vector`` (with no facet, the
-        empty-face complex); ``keys`` may map each to its ``face_key`` in
-        ``face_sort_key`` order."""
+        complex whose f-vector is ``f_vector``; ``keys`` may map each to
+        its ``face_key`` in ``face_sort_key`` order."""
         return cls(None, facets, f_vector, keys, _trusted=True)
-
-    @classmethod
-    def empty(cls) -> "Complex":
-        """The void complex (no faces, not even the empty one)."""
-        return cls(frozenset(), _trusted=True)
 
     # -- basic queries ---------------------------------------------------
 
@@ -271,8 +264,7 @@ class Complex:
         """Every face, the empty one included; on the facets-only form the
         closure of the facets, built the first time it is read."""
         if self._faces is None:
-            # No facet: the empty-face complex, which the facet set {∅} spans.
-            self._faces = _closure(self._facets or (frozenset(),))
+            self._faces = _closure(self._facets)
         return self._faces
 
     @property
@@ -334,9 +326,8 @@ class Complex:
 
     @property
     def facets(self) -> frozenset:
-        """Inclusion-maximal nonempty faces: recorded by :meth:`from_facets`
-        when its facets all have one size, else found once by
-        :func:`facets_of`."""
+        """Inclusion-maximal faces: recorded by :meth:`from_facets` when
+        its facets all have one size, else found once by :func:`facets_of`."""
         if self._facets is None:
             self._facets = facets_of(self._faces)
         return self._facets
@@ -382,7 +373,8 @@ class Complex:
 
         Removing facets keeps the face set closed, so a face is a facet by
         its turn when it is a facet here, or when each face one vertex
-        bigger has already been dropped.
+        bigger has already been dropped: the empty face once every vertex
+        is, which leaves the void complex.
         """
         faces = self.faces
         removed: set = set()
@@ -393,7 +385,7 @@ class Complex:
                 for v in self.vertices
                 if v not in f
             )
-            if not f or f in removed or f not in faces or covered:
+            if f in removed or f not in faces or covered:
                 raise ValueError(f"{face_key(f)} is not a facet")
             removed.add(f)
         return Complex(faces - removed, _trusted=True)
@@ -405,17 +397,15 @@ class Complex:
 def join(k: Complex, l: Complex) -> Complex:
     """Simplicial join: all unions of a face of ``k`` with a face of ``l``.
 
-    The vertex sets must be disjoint.  The empty-face complex is the join
-    identity and the void complex annihilates.
+    The vertex sets must be disjoint.  Its facets are the unions of a
+    facet of each, so the empty-face complex, whose one facet ∅ is the
+    unit of ∪, is the join identity, and the void complex, with no facet,
+    annihilates.
     """
     if set(k.vertices) & set(l.vertices):
         overlap = sorted(set(k.vertices) & set(l.vertices))
         raise ValueError(f"join requires disjoint vertex ids, shared: {overlap}")
-    if not k or not l:
-        return Complex.empty()
-    if len(k) == 1 or len(l) == 1:  # {∅} is the identity; from_faces voids {∅} * {∅}
-        return l if len(k) == 1 else k
-    return Complex.from_faces(a | b for a in k.faces for b in l.faces)
+    return Complex.from_facets(a | b for a in k.facets for b in l.facets)
 
 
 def cone(k: Complex, ell: int = 0) -> Complex:
@@ -486,7 +476,7 @@ def one_skeleton_connected(k: Complex) -> bool:
     so joining each facet's vertices to its first one gives the same
     components."""
     adj: dict[int, list] = {}
-    for a, *rest in k.facets:
+    for a, *rest in filter(None, k.facets):
         for b in rest:
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
@@ -790,8 +780,8 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
         k = current.complex
         last = level == levels - 1
         chains = _chains(keys, index, flags=last)
-        # A chain is maximal when it is a full flag of a facet of k.
-        flags = [c for f in k.facets for c in chains[index[f]] if len(c) == len(f)]
+        # A chain is maximal when it is a full flag of a facet of k; ∅ is no vertex of sd.
+        flags = [c for f in k.facets if f for c in chains[index[f]] if len(c) == len(f)]
         if last:
             # face_sort_key order, with no per-face sort: each chain is its key.
             flags.sort()
@@ -804,7 +794,7 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
         del chains, index
         if not flags:
             # sd of the void and of the empty-face complex is the empty-face complex.
-            sd = Complex._of_facets((), (1,))
+            sd = Complex._of_facets([frozenset()], (1,))
         elif last:
             # Each facet with its key, in face_sort_key order; the reverse map goes first.
             keyed = {f: c for c, f in own.items()}

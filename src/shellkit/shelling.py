@@ -4,7 +4,7 @@ An order of the facets of a pure d-complex is a shelling when each facet
 after the first meets the union of its predecessors in a nonempty pure
 (d-1)-dimensional complex.  For d = 0 that intersection is the empty face
 alone, so any set of isolated vertices is shellable.  A single facet is
-always shellable.
+always shellable, the facet ∅ of the empty-face complex {∅} too.
 """
 
 from __future__ import annotations
@@ -112,10 +112,9 @@ def _facet_graph(by_ridge: Mapping[Face, list[Face]]) -> dict[Face, list[Face]]:
 
 
 def _reduced_euler(facets: Collection[Face]) -> int:
-    """χ̃ of the complex spanned by the distinct ``facets`` (nonempty; the
-    facet set {∅} spans the empty-face complex, χ̃ = -1), signed over the
-    f-vector that ``complex_core._f_vector_of`` counts size by size.  No
-    closure is built."""
+    """χ̃ of the complex spanned by one or more distinct ``facets``, signed
+    over the f-vector that ``complex_core._f_vector_of`` counts size by
+    size.  No closure is built."""
     return sum(n if r % 2 else -n for r, n in enumerate(_f_vector_of(facets)))
 
 
@@ -177,7 +176,6 @@ def decide_shellable(k: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     _check_pure_input(k)
     base, apexes = _cone_base(k)
     facets = sorted(base, key=face_key)
-    # The empty-face complex {∅} has no facet and the empty order.
     if len(facets) <= 1 or len(facets[0]) == 1:
         return SearchResult("yes", tuple(f | apexes for f in facets), 0)
     state = _built_state(facets, 0)
@@ -239,7 +237,8 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     d-decomposable coincides with shellable.
 
     The search runs on facet sets.  In a pure d-complex the link of σ is
-    pure of dimension d - |σ|, with facets {F - σ : F ⊇ σ}.  A face that
+    pure of dimension d - |σ|, with facets {F - σ : F ⊇ σ}: {∅} for a
+    facet σ, whose one facet is a leaf like any other.  A face that
     misses σ but lies in some F ⊇ σ lies in a ridge F - v with v in σ, and
     every other facet through that ridge misses σ; so the deletion is pure
     d-dimensional exactly when each such ridge lies in two or more facets,
@@ -349,9 +348,6 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
         nodes += 1
         if nodes > budget:
             raise _BudgetExceeded
-        if not facets:
-            # The empty-face complex, the link of a facet: nothing to shed.
-            return {"leaf": list(face_key(apexes))}
         if len(facets) == 1:
             (facet,) = facets
             return {"leaf": list(face_key(facet | apexes))}
@@ -367,7 +363,7 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
             # f - v, v in σ, has other holders.
             if not around or any(len(by_ridge[f - {v}]) == 1 for f in around for v in sigma):
                 continue
-            lk_tree = yield (frozenset(f - sigma for f in around if f != sigma),)
+            lk_tree = yield (frozenset(f - sigma for f in around),)
             if lk_tree is None:
                 continue
             child = facets.difference(around)
@@ -479,7 +475,7 @@ def verify_decomposition(k: Complex, kk: int, tree) -> int:
         raise ShellingError("node complex is not pure")
     checked = 0
     # (a node's facets, the tree node that holds its subtree, and the key)
-    stack = [(k.facets or frozenset({frozenset()}), {"tree": tree}, "tree")]
+    stack = [(k.facets, {"tree": tree}, "tree")]
     while stack:
         facets, parent, key = stack.pop()
         if key not in parent:

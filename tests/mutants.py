@@ -127,18 +127,35 @@ CATALOGUE = (
     Mutant(
         "empty-face-complex-without-empty-face",
         "src/shellkit/complex_core.py",
-        "self._faces = _closure(self._facets or (frozenset(),))",
-        "self._faces = _closure(self._facets)",
-        "the closure of the facets-only form holds the empty face, the empty-face complex's only one",
+        "    return frozenset(f for f in faces if f not in covered)\n",
+        "    return frozenset(f for f in faces if f and f not in covered)\n",
+        "the empty face is the one facet of the empty-face complex, as remove_facets leaves it",
         ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "from-facets-refuses-the-empty-facet",
+        "src/shellkit/complex_core.py",
+        "            f = frozenset(vs)\n",
+        "            if not vs:\n                raise FormatError(\"empty facet\")\n"
+        "            f = frozenset(vs)\n",
+        "an empty facet is the empty face, so the empty-face complex reads back from JSON",
+        ("tests/test_complex_core.py", "tests/test_cli.py"),
     ),
     Mutant(
         "join-without-identity",
         "src/shellkit/complex_core.py",
-        "    if len(k) == 1 or len(l) == 1:",
-        "    if False:",
-        "the empty-face complex is the join identity: {∅} * {∅} is {∅}, not the void complex",
+        "    return Complex.from_facets(a | b for a in k.facets for b in l.facets)",
+        "    return Complex.from_facets(a | b for a in k.facets for b in l.facets if b)",
+        "the empty-face complex is the join identity: its one facet ∅ is the unit of ∪",
         ("tests/test_complex_core.py::test_empty_face_complex_is_the_join_identity",),
+    ),
+    Mutant(
+        "sd-of-the-empty-complexes-without-the-empty-facet",
+        "src/shellkit/complex_core.py",
+        "            sd = Complex._of_facets([frozenset()], (1,))",
+        "            sd = Complex._of_facets((), (1,))",
+        "sd of the void and of the empty-face complex is {∅}, whose one facet is ∅",
+        ("tests/test_complex_core.py", "tests/test_cli.py"),
     ),
     Mutant(
         "last-level-keeps-chains",
@@ -480,10 +497,18 @@ CATALOGUE = (
         ("tests/test_shelling.py",),
     ),
     Mutant(
+        "search-link-over-proper-cofaces-only",
+        "src/shellkit/shelling.py",
+        "            lk_tree = yield (frozenset(f - sigma for f in around),)",
+        "            lk_tree = yield (frozenset(f - sigma for f in around if f != sigma),)",
+        "the search's link of a facet is the empty-face complex {∅}, whose one facet is a leaf",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
         "empty-leaf-without-apexes",
         "src/shellkit/shelling.py",
-        '            return {"leaf": list(face_key(apexes))}\n',
-        '            return {"leaf": []}\n',
+        '            return {"leaf": list(face_key(facet | apexes))}\n',
+        '            return {"leaf": list(face_key(facet | apexes)) if facet else []}\n',
         "the leaf of the empty-face complex in a cone's search is the simplex on the apexes",
         ("tests/test_shelling.py",),
     ),

@@ -89,6 +89,30 @@ def test_stats_void_complex(tmp_path, capsys):
     assert doc["stats"]["pseudomanifold"] == "no"
 
 
+def test_a_void_document_subdivides_to_the_empty_face_complex(tmp_path, capsys):
+    # sd of the void complex is {∅}, written as the one facet [], and
+    # stats reads it back with the f-vector subdivide reported.  {∅} is
+    # shelled by the order [[]] and decomposed by the leaf [], and both
+    # replay.
+    path = tmp_path / "void.json"
+    path.write_text('{"facets":[],"labels":{},"vertices":[]}\n')
+    code, out, _ = run(["--json", "subdivide", str(path)], capsys)
+    assert code == 0 and json.loads(out)["f-vector"] == [1]
+    sd = tmp_path / "void.sd1.json"
+    assert sd.read_text() == '{"facets":[[]],"labels":{},"vertices":[]}\n'
+    code, out, _ = run(["--json", "stats", str(sd)], capsys)
+    assert code == 0 and json.loads(out)["stats"]["f-vector"] == [1]
+    order, tree = tmp_path / "order.json", tmp_path / "tree.json"
+    code, _, _ = run(["check", "shellable", str(sd), "--witness", str(order)], capsys)
+    assert code == 0 and order.read_text() == '{"kind":"shelling","order":[[]]}\n'
+    code, _, _ = run(["check", "k-decomposable(0)", str(sd), "--witness", str(tree)], capsys)
+    assert code == 0
+    assert tree.read_text() == '{"k":0,"kind":"decomposition","tree":{"leaf":[]}}\n'
+    for witness in (order, tree):
+        code, out, _ = run(["verify", str(sd), str(witness)], capsys)
+        assert code == 0 and "verdict: yes" in out
+
+
 class _Node:
     pass
 

@@ -6,6 +6,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from conftest import (
     random_complex,
     random_pure_2complex,
 )
-from shellkit import complex_core
+from shellkit import cli, complex_core
+from shellkit.collapse import find_removal, is_collapsible_2d_greedy
 from shellkit.complex_core import (
     Complex,
     Feature,
@@ -38,8 +40,10 @@ from shellkit.complex_core import (
     facets_of,
     format_facet_lines,
     from_json,
+    graph_connected,
     is_pseudomanifold,
     join,
+    one_skeleton_connected,
     parse_facet_lines,
     ridge_holders,
     subdivide_labeled,
@@ -47,8 +51,8 @@ from shellkit.complex_core import (
     to_json,
     vertex_links_connected,
 )
-from shellkit.gadgets import build_O, fixtures
-from shellkit.reduction import Formula, build_K_phi, random_formula
+from shellkit.gadgets import OneHouseSpec, boundary_simplex, build_literal_house, build_O, fixtures
+from shellkit.reduction import SAT_ORACLE_MAX_N, Formula, build_K_phi, random_formula, sat_oracle
 
 BD3 = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 STRIP = [[0, 1, 2], [1, 2, 3]]
@@ -146,7 +150,7 @@ def test_from_facets_matches_closure_oracle():
         )
     assert draws >= 50
     assert Complex.from_facets([]).faces == frozenset()
-    assert subdivide_labeled(LabeledComplex(Complex.empty(), {}), 1)[0].complex.faces == {
+    assert subdivide_labeled(LabeledComplex(Complex.from_facets([]), {}), 1)[0].complex.faces == {
         frozenset()
     }
 
@@ -216,14 +220,15 @@ def test_label_faces_are_the_complexs_own_faces():
 @pytest.mark.parametrize(
     "facets, message",
     [
-        ([[0, 1], []], "empty facet"),
+        # An empty facet is the empty face; the facets after it are checked.
+        ([[], [0, True]], "vertex id must be an int, got True"),
         ([[0, 1, 0]], "facet [0, 1, 0] repeats a vertex"),
         ([(2, 1, 2)], "facet [2, 1, 2] repeats a vertex"),
         ([[0, True]], "vertex id must be an int, got True"),
         ([[0, "1"]], "vertex id must be an int, got '1'"),
         ([[0, 1.0]], "vertex id must be an int, got 1.0"),
         ([range(17)], "facet with 17 vertices exceeds limit"),
-        # The checks run in this order: vertex type, empty, repeat, size.
+        # The checks run in this order: vertex type, repeat, size.
         ([[0, 0, "a"]], "vertex id must be an int, got 'a'"),
         ([[*range(17), 0]], f"facet {[*range(17), 0]} repeats a vertex"),
     ],
@@ -232,6 +237,103 @@ def test_from_facets_input_errors(facets, message):
     with pytest.raises(FormatError) as exc:
         Complex.from_facets(facets)
     assert type(exc.value) is FormatError and str(exc.value) == message
+
+
+class _IntId(int):
+    """An int subclass other than bool: a valid vertex id."""
+
+
+SIMPLEX_3 = Complex.from_facets([[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: Complex(frozenset()),
+            TypeError("use Complex.from_facets or Complex.from_faces"),
+            id="raw-construction",
+        ),
+        pytest.param(
+            lambda: repr(Complex.from_facets(STRIP)), "Complex(dim=2, facets=2)", id="repr"
+        ),
+        pytest.param(
+            lambda: cone(SIMPLEX_3, -1), ValueError("cone dimension must be >= 0"), id="cone-negative"
+        ),
+        pytest.param(
+            lambda: is_pseudomanifold(Complex.from_facets([])),
+            ValueError("pseudomanifold check needs a nonempty complex"),
+            id="pseudomanifold-void",
+        ),
+        pytest.param(
+            lambda: is_pseudomanifold(Complex.from_facets([[0, 1, 2], [2, 3]])),
+            ValueError("pseudomanifold check needs a pure complex"),
+            id="pseudomanifold-impure",
+        ),
+        pytest.param(
+            lambda: Feature("blob", (1,)), ValueError("unknown feature kind 'blob'"), id="feature-kind"
+        ),
+        pytest.param(
+            lambda: Feature.subcomplex([[0, 1]]).edge_list(),
+            ValueError("subcomplex feature has no edge list"),
+            id="subcomplex-edge-list",
+        ),
+        pytest.param(
+            lambda: LabeledComplex(SIMPLEX_3, {}).feature("x"),
+            KeyError("no label 'x'"),
+            id="label-missing",
+        ),
+        pytest.param(
+            lambda: is_collapsible_2d_greedy(SIMPLEX_3),
+            ValueError("greedy decider requires dimension <= 2"),
+            id="greedy-3-complex",
+        ),
+        pytest.param(
+            lambda: find_removal(SIMPLEX_3, [], 10),
+            ValueError("erasure requires dimension <= 2"),
+            id="removal-3-complex",
+        ),
+        pytest.param(
+            lambda: join(Complex.from_facets([range(9)]), Complex.from_facets([range(9, 18)])),
+            FormatError("facet with 18 vertices exceeds limit"),
+            id="join-facet-too-large",
+        ),
+        pytest.param(lambda: graph_connected([], {}), True, id="graph-without-vertices"),
+        pytest.param(
+            lambda: Complex.from_facets([[_IntId(3), 4]]).vertices, (3, 4), id="int-subclass-vertex"
+        ),
+        pytest.param(
+            lambda: boundary_simplex(0),
+            ValueError("boundary_simplex needs d >= 1"),
+            id="boundary-simplex-0",
+        ),
+        pytest.param(
+            lambda: OneHouseSpec(("_x",)).validate(),
+            ValueError("bad attachment name: '_x'"),
+            id="house-attachment-name",
+        ),
+        pytest.param(
+            lambda: build_literal_house(-1),
+            ValueError("occurrence count cannot be negative"),
+            id="literal-house-negative",
+        ),
+        pytest.param(
+            lambda: sat_oracle(Formula(SAT_ORACLE_MAX_N + 1, ((1, 2, 3),))),
+            ValueError(f"sat_oracle is exhaustive; n={SAT_ORACLE_MAX_N + 1} exceeds {SAT_ORACLE_MAX_N}"),
+            id="sat-oracle-too-large",
+        ),
+        pytest.param(lambda: cli._stem("-"), Path("stdin"), id="stdin-output-name"),
+    ],
+)
+def test_public_api_edge_branches(call, expected):
+    # Each row runs a branch of the public API that no other test reaches:
+    # an error, by its class and message, or else the value returned.
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as exc:
+            call()
+        assert type(exc.value) is type(expected) and exc.value.args == expected.args
+    else:
+        assert call() == expected
 
 
 def test_f_vector_frozen():
@@ -266,13 +368,14 @@ def test_is_pure():
 
 def test_link_matches_definition_oracle():
     # On random complexes of mixed dimension, the facets of the link of
-    # each face σ are {F - σ : F ⊋ σ} over the facets F: the rule the
-    # shedding-tree replay and the cone rule read links by.
+    # each face σ are {F - σ : F ⊇ σ} over the facets F, so {∅} for a
+    # facet: the rule the shedding-tree replay and the cone rule read
+    # links by.
     rng = random.Random(11)
     for _ in range(20):
         k = random_complex(rng)
         for sigma in k.nonempty_faces:
-            rule = {f - sigma for f in k.facets if sigma < f}
+            rule = {f - sigma for f in k.facets if sigma <= f}
             assert link_of(k, sigma).facets == rule, (k.facets, sigma)
 
 
@@ -359,7 +462,7 @@ def test_join_chi_product_rule():
     # The void and the empty-face complex (reduced Euler characteristics
     # 0 and -1), on either side and against each other.
     edge = Complex.from_facets([[20, 21]])
-    for special in (Complex.empty(), EMPTY_FACE_COMPLEX):
+    for special in (Complex.from_facets([]), EMPTY_FACE_COMPLEX):
         pairs += [(special, edge), (edge, special), (special, EMPTY_FACE_COMPLEX)]
     for a, b in pairs:
         j = join(a, b)
@@ -367,14 +470,43 @@ def test_join_chi_product_rule():
             j.reduced_euler_characteristic()
             == -a.reduced_euler_characteristic() * b.reduced_euler_characteristic()
         )
+        # The faces are the unions of a face of each, the facets of a facet of each.
+        assert j.faces == {f | g for f in a.faces for g in b.faces}
+        assert j.facets == {f | g for f in a.facets for g in b.facets}
 
 
 def test_empty_face_complex_is_the_join_identity():
     edge = Complex.from_facets([[0, 1]])
-    assert join(EMPTY_FACE_COMPLEX, EMPTY_FACE_COMPLEX) == EMPTY_FACE_COMPLEX != Complex.empty()
+    assert join(EMPTY_FACE_COMPLEX, EMPTY_FACE_COMPLEX) == EMPTY_FACE_COMPLEX != Complex.from_facets([])
     assert join(EMPTY_FACE_COMPLEX, edge) == edge == join(edge, EMPTY_FACE_COMPLEX)
-    assert join(Complex.empty(), EMPTY_FACE_COMPLEX) == Complex.empty()
-    assert join(EMPTY_FACE_COMPLEX, Complex.empty()) == Complex.empty()
+    assert join(Complex.from_facets([]), EMPTY_FACE_COMPLEX) == Complex.from_facets([])
+    assert join(EMPTY_FACE_COMPLEX, Complex.from_facets([])) == Complex.from_facets([])
+
+
+def test_facets_are_the_maximal_faces_of_every_complex():
+    # The facets are the inclusion-maximal faces, so none for the void
+    # complex and ∅ alone for {∅}, and an empty facet beside others
+    # changes nothing; on random complexes and both empty ones.
+    void, empty_face = Complex.from_facets([]), Complex.from_facets([[]])
+    assert (void.facets, empty_face.facets) == (frozenset(), {frozenset()})
+    assert empty_face == EMPTY_FACE_COMPLEX != void
+    assert to_json(void) == '{"facets":[],"labels":{},"vertices":[]}\n'
+    assert to_json(empty_face) == '{"facets":[[]],"labels":{},"vertices":[]}\n'
+    rng = random.Random(51)
+    cases = [void, empty_face] + [random_complex(rng, max_facets=4, pool=6) for _ in range(60)]
+    for k in cases:
+        assert k.facets == {f for f in k.faces if not any(f < g for g in k.faces)}
+        assert (not k.facets) == (not k)
+        listed = [sorted(f) for f in k.facets]
+        if listed:
+            listed.insert(rng.randint(0, len(listed)), [])
+            assert Complex.from_facets(listed) == k
+    # The closed form finds ∅ as its one facet once every vertex is
+    # removed, and removing ∅ leaves the void complex.
+    closed = Complex.from_facets([[0, 1]]).remove_facets([[0, 1], [0], [1]])
+    assert closed._faces == {frozenset()} and closed.facets == {frozenset()}
+    assert closed.remove_facets([[]]) == void
+    assert one_skeleton_connected(empty_face) and one_skeleton_connected(void)
 
 
 def test_cone_frozen():
@@ -462,7 +594,7 @@ def test_vertex_links_connected():
 def test_vertex_links_match_union_find_oracle():
     o_gadget = build_O()
     cases = [
-        Complex.empty(),
+        Complex.from_facets([]),
         Complex.from_facets(WEDGE),
         Complex.from_facets(WEDGE + [[4, 5], [6]]),
         Complex.from_facets([[0, 1, 2, 3], [3, 4, 5, 6], [6, 7]]),
@@ -556,7 +688,7 @@ def test_subdivision_frozen():
 
 def test_subdivision_faces_are_chains_oracle():
     rng = random.Random(23)
-    cases = [Complex.empty()] + [Complex.from_facets(f) for f in (BD3, STRIP, [[0, 1, 2, 3]])]
+    cases = [Complex.from_facets([])] + [Complex.from_facets(f) for f in (BD3, STRIP, [[0, 1, 2, 3]])]
     cases += [random_complex_upto(rng, dim) for dim in (0, 1, 2, 3) for _ in range(8)]
     for k in cases:
         sub = barycentric_subdivision(k)
@@ -667,7 +799,7 @@ def test_subdivision_matches_flag_closure_oracle():
     # the oracle closes the flags of the facets instead.  Labels go
     # through JSON, as the CLI reads them.
     rng = random.Random(33)
-    cases = [LabeledComplex(Complex.empty(), {}), LabeledComplex(EMPTY_FACE_COMPLEX, {})]
+    cases = [LabeledComplex(Complex.from_facets([]), {}), LabeledComplex(EMPTY_FACE_COMPLEX, {})]
     for dim in (0, 1, 2, 3):
         for pure in (True, False):
             for _ in range(4):
@@ -740,7 +872,7 @@ def test_last_level_is_facets_only_and_matches_the_oracle():
             assert format_facet_lines(sd) == format_facet_lines(closed)
             assert sd._faces is None
             # Equality and hash agree with the closed twin.
-            assert sd == closed and closed == sd and sd != Complex.empty()
+            assert sd == closed and closed == sd and sd != Complex.from_facets([])
             assert sd != EMPTY_FACE_COMPLEX and EMPTY_FACE_COMPLEX != sd
             assert sd != closed.remove_facets([min(closed.facets, key=face_sort_key)])
             assert hash(sd) == hash(closed)
@@ -748,15 +880,15 @@ def test_last_level_is_facets_only_and_matches_the_oracle():
     assert checked >= 500
     # The void and the empty-face complex subdivide to the empty-face
     # complex, whose closure is {∅}, and still compare as they do.
-    for k in (Complex.empty(), EMPTY_FACE_COMPLEX):
+    for k in (Complex.from_facets([]), EMPTY_FACE_COMPLEX):
         for levels in (1, 2):
             sub, overall = subdivide_labeled(LabeledComplex(k, {}), levels)
-            assert sub.complex.faces == {frozenset()}
-            assert sub.complex == EMPTY_FACE_COMPLEX != Complex.empty()
+            assert sub.complex.faces == {frozenset()} == sub.complex.facets
+            assert sub.complex == EMPTY_FACE_COMPLEX != Complex.from_facets([])
             assert (sub.complex.f_vector(), len(sub.complex), bool(sub.complex)) == ((1,), 1, True)
             assert overall.vertex_carrier == {}
-    assert (Complex.empty().f_vector(), bool(Complex.empty())) == ((0,), False)
-    assert hash(EMPTY_FACE_COMPLEX) != hash(Complex.empty())
+    assert (Complex.from_facets([]).f_vector(), bool(Complex.from_facets([]))) == ((0,), False)
+    assert hash(EMPTY_FACE_COMPLEX) != hash(Complex.from_facets([]))
 
 
 def test_pseudomanifold_check_of_sd2_builds_no_closure():
@@ -773,8 +905,8 @@ def test_membership_of_both_forms_agrees_with_the_closure():
     # The empty face, faces on vertices the complex lacks, facets and
     # their ridges, on the closed and the facets-only form alike.
     rng = random.Random(45)
-    void_sd = subdivide_labeled(LabeledComplex(Complex.empty(), {}), 1)[0].complex
-    cases = [Complex.empty(), EMPTY_FACE_COMPLEX, void_sd]
+    void_sd = subdivide_labeled(LabeledComplex(Complex.from_facets([]), {}), 1)[0].complex
+    cases = [Complex.from_facets([]), EMPTY_FACE_COMPLEX, void_sd]
     for _ in range(6):
         k = random_complex(rng)
         cases += [k, subdivide_labeled(LabeledComplex(k, {}), 1)[0].complex]
@@ -1044,6 +1176,9 @@ def _written_and_read_back(lc: LabeledComplex | Complex) -> str:
     text = to_json(lc)
     assert text == oracle_to_json(lc)
     back = from_json(text)
+    # Equal facets make equal complexes, and comparing them builds no closure.
+    k = getattr(lc, "complex", lc)
+    assert back.complex.facets == k.facets and back.complex.f_vector() == k.f_vector()
     assert to_json(back) == text
     assert dict(back.labels) == dict(getattr(lc, "labels", {}))
     return text
@@ -1065,7 +1200,7 @@ def test_to_json_is_the_whole_document_writers_text():
             out.add(frozenset(rng.sample(range(m // 4 + 5), 3)))
         return sorted(out, key=face_key)
 
-    for k in (Complex.empty(), EMPTY_FACE_COMPLEX, Complex.from_facets([[0, 1, 2], [7]])):
+    for k in (Complex.from_facets([]), EMPTY_FACE_COMPLEX, Complex.from_facets([[0, 1, 2], [7]])):
         _written_and_read_back(k)
     for m in sizes:
         # m facets, and m isolated vertices with a label each.

@@ -482,4 +482,4 @@ def test_facets_match_subset_scan():
             frozenset(f) for f in facets if not any(set(f) < set(g) for g in facets)
         )
     assert all(dims[d] for d in range(5)), dims
-    assert Complex.empty().facets == frozenset()
+    assert Complex.from_facets([]).facets == frozenset()

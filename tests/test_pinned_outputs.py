@@ -281,7 +281,7 @@ def subdivision_records() -> list:
             records.append([to_json(sub), _carriers(overall)])
     empty_face = Complex(frozenset({frozenset()}), _trusted=True)
     inputs = [lc.complex for _, lc in sorted(fixtures().items())]
-    for k in inputs + [Complex.empty(), empty_face]:
+    for k in inputs + [Complex.from_facets([]), empty_face]:
         for levels in (1, 2):
             sub = barycentric_subdivision(k, levels)
             faces = sorted(sub.complex.faces, key=face_sort_key)

@@ -813,7 +813,7 @@ def test_may_be_shellable_each_rule_refutes():
 
 def test_canonical_from_facets_matches_full_face_oracle():
     rng = random.Random(59)
-    inputs = [Complex.empty(), Complex.from_faces([frozenset()])]
+    inputs = [Complex.from_facets([]), Complex.from_facets([[]])]
     for _ in range(150):
         k = random_complex(rng)
         inputs.append(k)
@@ -982,17 +982,20 @@ def test_searches_deeper_than_the_recursion_limit():
 
 
 def test_the_empty_face_complex_replays_and_the_void_does_not():
-    # The empty-face complex {∅} is decomposed by the leaf [] and shelled
-    # by the empty order, and both replay; the void complex has no
-    # decomposition to replay.
+    # The empty-face complex {∅} has one facet, ∅: it is decomposed by
+    # the leaf [] and shelled by the order (∅,), and both replay, but the
+    # empty order does not; the void complex has no decomposition to
+    # replay.
     res = decide_k_decomposable(EMPTY_FACE_COMPLEX, 0)
     assert (res.verdict, res.witness) == ("yes", ({"leaf": []},))
     assert verify_decomposition(EMPTY_FACE_COMPLEX, 0, res.witness[0]) == 1
     res = decide_shellable(EMPTY_FACE_COMPLEX)
-    assert (res.verdict, res.witness, res.nodes) == ("yes", (), 0)
+    assert (res.verdict, res.witness, res.nodes) == ("yes", (frozenset(),), 0)
     verify_shelling(EMPTY_FACE_COMPLEX, res.witness)
+    with pytest.raises(ShellingError, match="does not enumerate the facets"):
+        verify_shelling(EMPTY_FACE_COMPLEX, [])
     with pytest.raises(ShellingError, match="needs a nonempty complex"):
-        verify_decomposition(Complex.empty(), 0, {"leaf": []})
+        verify_decomposition(Complex.from_facets([]), 0, {"leaf": []})
 
 
 def test_shelling_searches_and_replays_read_no_closure():

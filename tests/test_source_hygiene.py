@@ -496,10 +496,12 @@ def keyword_uses(source: str, keyword: str) -> int:
 
 
 # Sorted keys and compact separators are set up once, by
-# ``complex_core._encode``, and every canonical JSON writer encodes through it.
+# ``complex_core._encode``, and every JSON writer, stderr's included, encodes
+# through it.
 def test_one_canonical_json_encoder():
     found = {p.name: keyword_uses(p.read_text(), "separators") for p in SOURCES}
     assert {name: n for name, n in found.items() if n} == {"complex_core.py": 1}
+    assert [p.name for p in SOURCES if "json.dumps(" in p.read_text()] == []
 
 
 # Text becomes a JSON object in one reader, ``complex_core.read_object``,

@@ -5,7 +5,7 @@ held in one of two forms, which only :class:`Complex` tells apart.  The
 closed form stores the full set of its faces (not just facets).  The
 facets-only form stores the facets, records or counts its f-vector, and
 derives the face set the first time something reads it;
-:meth:`Complex.from_facets` of one facet size and the last level of
+:meth:`Complex.from_facets` of one facet size and every level of
 :func:`subdivide_labeled` build it.  Each form has one membership rule,
 ``Complex._off``.  The empty face is a member of every nonempty complex,
 which makes the reduced Euler characteristic a plain signed count over all
@@ -75,17 +75,17 @@ def subfaces(facet: Collection[int], sizes: Iterable[int]) -> list[frozenset]:
     return [frozenset(c) for r in sizes for c in combinations(facet, r)]
 
 
-def _faces_of_size(facets: Iterable[frozenset], r: int) -> Iterator[frozenset]:
-    """The r-subsets of each of ``facets``, made anew: the one closure and
-    count kernel."""
-    return map(frozenset, chain.from_iterable(map(combinations, facets, repeat(r))))
+def _faces_of_size(facets: Iterable[Sequence[int]], r: int) -> Iterator[tuple[int, ...]]:
+    """Each r-subset of each of ``facets``, a tuple in its facet's order,
+    so those of a key are keys: the one closure and count kernel."""
+    return chain.from_iterable(map(combinations, facets, repeat(r)))
 
 
 def _closure(facets: Collection[frozenset]) -> frozenset:
     """The faces that ``facets`` span, size by size; facets keep their objects."""
     faces = set(facets)
     for r in range(max(map(len, facets), default=0)):
-        faces.update(_faces_of_size(facets, r))
+        faces.update(map(frozenset, _faces_of_size(facets, r)))
     return frozenset(faces)
 
 
@@ -95,7 +95,7 @@ def _f_vector_of(facets: Collection[frozenset]) -> tuple[int, ...]:
     those are counted as given."""
     top = max(map(len, facets))
     counts = [len(set().union(*facets))]
-    counts += (len(set(_faces_of_size(facets, r))) for r in range(2, top))
+    counts += (len(set(map(frozenset, _faces_of_size(facets, r)))) for r in range(2, top))
     counts.append(sum(len(f) == top for f in facets))
     # For top <= 1 the vertices are the largest faces, or there are none.
     return (1, *counts[:top])
@@ -190,9 +190,10 @@ class Complex:
     other complex contains, is the one facet of the empty-face complex
     {∅}.  Its form (see the module docstring) is known to this class
     alone: every slot is set by ``__init__``, ``in`` and the label check
-    ask :meth:`_off`, and the writers :meth:`_facet_keys`.  On the
-    facets-only form only reading :attr:`faces` or :attr:`nonempty_faces`,
-    equality, hashing and the removal of facets build the face set.
+    ask :meth:`_off`, and the writers and the subdivision
+    :meth:`_facet_keys`.  On the facets-only form only reading
+    :attr:`faces`, equality, hashing and the removal of facets build the
+    face set.
     """
 
     __slots__ = ("_faces", "_facets", "_vertices", "_dim", "_f_vector", "_keys")
@@ -239,16 +240,19 @@ class Complex:
     def from_faces(
         cls, faces: Iterable[frozenset], facets: Iterable[frozenset] | None = None
     ) -> "Complex":
-        """Wrap an already-closed face set (the empty face is added).
+        """Wrap an already-closed face set, adding ∅ only beside a nonempty
+        face: ``[]`` is the void complex and ``[∅]`` the empty-face complex.
 
-        The faces are copied once, into the frozenset the complex keeps;
-        with no nonempty face the complex is void.  ``facets``, when
-        given, is trusted like the faces: it must be exactly their
-        inclusion-maximal ones, and is recorded as :attr:`facets` so that
-        no pass over the faces looks for them.
+        The faces are copied into the frozenset the complex keeps (once
+        more when ∅ is added).  ``facets``, when given, is trusted like
+        the faces: it must be exactly their inclusion-maximal ones, and is
+        recorded as :attr:`facets` so that no pass over the faces looks for
+        them.
         """
-        fs = frozenset(chain(faces, [frozenset()]))
-        return cls(fs if len(fs) > 1 else frozenset(), facets, _trusted=True)
+        fs = frozenset(faces)
+        if fs and frozenset() not in fs:
+            fs |= {frozenset()}
+        return cls(fs, facets, _trusted=True)
 
     @classmethod
     def _of_facets(cls, facets, f_vector: tuple[int, ...], keys: Mapping | None = None) -> Complex:
@@ -266,10 +270,6 @@ class Complex:
         if self._faces is None:
             self._faces = _closure(self._facets)
         return self._faces
-
-    @property
-    def nonempty_faces(self) -> Iterator[frozenset]:
-        return (f for f in self.faces if f)
 
     def _off(self, faces: Collection[frozenset]) -> set[frozenset]:
         """The faces of ``faces`` that the complex does not hold.  The closed
@@ -748,12 +748,12 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
     Each level numbers the nonempty faces of its input K in
     ``face_sort_key`` order: vertex i of sd K is the barycenter of face i,
     and a face of sd K is a chain of faces of K, the increasing tuple of
-    their numbers, which is its ``face_key``: only level 0 sorts faces.
-    Labels share sd's one frozenset per chain.  Every level but the last
-    keeps all the chains, closed, because the next level reads every face.
-    The last level makes only the full flags of the facets of K, which are
-    the facets of sd K, and is held in the facets-only form with their
-    keys recorded in ``face_sort_key`` order and its f-vector counted:
+    their numbers, which is its ``face_key``.  The faces of K are the
+    subsets of its facets' keys, which level 0 sorts and each later level
+    reads as the level below recorded them, so no level builds a closure.
+    Only full flags are made; those of the facets of K are the facets of
+    sd K, held facets-only with their keys recorded in ``face_sort_key``
+    order, and labels share their frozensets.  The f-vector is counted:
 
         f_j(sd K) = sum over s of f_s(K) * j! * S(s, j),
 
@@ -772,52 +772,39 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
         raise ValueError("levels must be >= 0")
     current = lc
     overall = Subdivision(lc.complex, 0)
-    # Each face of K mapped to its key, made once; the keys in face_sort_key order.
-    index = {f: face_key(f) for f in lc.complex.nonempty_faces}
-    keys = sorted(index.values())
-    keys.sort(key=len)
     for level in range(levels):
         k = current.complex
-        last = level == levels - 1
-        chains = _chains(keys, index, flags=last)
-        # A chain is maximal when it is a full flag of a facet of k; ∅ is no vertex of sd.
-        flags = [c for f in k.facets if f for c in chains[index[f]] if len(c) == len(f)]
-        if last:
-            # face_sort_key order, with no per-face sort: each chain is its key.
-            flags.sort()
-            flags.sort(key=len)
-        own = {c: frozenset(c) for c in (flags if last else chain.from_iterable(chains.values()))}
+        top = k._facet_keys()
+        # The key of every nonempty face of k in face_sort_key order: size by size, each sorted.
+        keys = [g for r in range(1, k.dim + 2) for g in sorted(set(_faces_of_size(top, r)))]
+        flags = _chains(keys)
+        # The full flags of the facets of k are the facets of sd k.  The void
+        # complex and {∅} have only the empty chain: sd of either is {∅}.
+        facets = [c for f in top for c in flags[f]] or [()]
+        # face_sort_key order, with no per-face sort: each flag is its key.
+        facets.sort()
+        facets.sort(key=len)
+        own = {c: frozenset(c) for c in facets}
         labels = {
-            name: _map_feature_once(feat, chains, index, own) for name, feat in current.labels.items()
+            name: _map_feature_once(feat, k, flags, own) for name, feat in current.labels.items()
         }
         # The labels are mapped, so every lower flag can go before sd is built.
-        del chains, index
-        if not flags:
-            # sd of the void and of the empty-face complex is the empty-face complex.
-            sd = Complex._of_facets([frozenset()], (1,))
-        elif last:
-            # Each facet with its key, in face_sort_key order; the reverse map goes first.
-            keyed = {f: c for c, f in own.items()}
-            del own
-            sd = Complex._of_facets(keyed, _sd_f_vector(k.f_vector()), keyed)
-        else:
-            sd = Complex.from_faces(own.values(), map(own.get, flags))
+        del flags
+        # Each facet with its key, in face_sort_key order; the reverse map goes first.
+        keyed = {f: c for c, f in own.items()}
+        del own
+        sd = Complex._of_facets(keyed, _sd_f_vector(k.f_vector()), keyed)
         try:
             current = LabeledComplex(sd, labels)
         except ValueError as exc:
             # The labels of a validated LabeledComplex map to valid labels.
             raise InternalError(f"subdivided {exc}") from None
         overall = Subdivision(sd, level + 1, _below=overall, _barycenters=keys)
-        if not last:
-            # The next level's numbering: each chain is its own face's key.
-            keys = sorted(own)
-            keys.sort(key=len)
-            index = {f: c for c, f in own.items()}
     return current, overall
 
 
 def _sd_f_vector(fk: tuple[int, ...]) -> tuple[int, ...]:
-    """The f-vector of sd K from the f-vector ``fk`` of a nonempty K:
+    """The f-vector of sd K from the f-vector ``fk`` of K:
     f_j(sd K) = sum over s of fk[s] * j! * S(s, j), proved in
     :func:`subdivide_labeled`.  S(s, j) comes from the recurrence
     S(s, j) = j S(s - 1, j) + S(s - 1, j - 1), with S(0, 0) = 1."""
@@ -831,39 +818,32 @@ def _sd_f_vector(fk: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _chains(keys: list[tuple[int, ...]], index: Mapping, flags: bool) -> dict[tuple, list[tuple]]:
-    """Each face of a closed face set, by its key in ``keys`` (sorted by
-    size; ``index`` maps a face to its key), mapped to the chains of faces
-    whose top it is, as tuples of positions in ``keys``; with ``flags``,
-    to its full flags only, the chains with one face of each size up to it.
+def _chains(keys: list[tuple[int, ...]]) -> dict[tuple, list[tuple]]:
+    """Each face of K by its key in ``keys``, the keys of all its nonempty
+    faces in ``face_sort_key`` order, mapped to its full flags: the chains
+    with one face of each size up to it, as tuples of positions in ``keys``.
 
-    A chain topped by g is g alone, or a chain topped by a proper subface
-    of g with g added; a full flag of g is g alone when g is a vertex, and
-    else a full flag of a ridge of g (its key less one entry) with g added.
-    Subfaces come first in ``keys``, so one pass makes every chain once,
-    and every face of sd is one of these chains; g's position is the
-    largest, so adding it last keeps a chain an increasing tuple, its key.
+    A full flag of g is a full flag of a ridge of g (its key less one
+    entry) with g's position appended; the one flag of the empty face is
+    the empty chain, so a vertex's is its position alone.  Ridges come
+    first in ``keys``, so one pass makes every flag once; g's position is
+    the largest, so appending it keeps a flag an increasing tuple, its key.
     """
-    chains: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    flags: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): [()]}
     for i, g in enumerate(keys):
-        top = (i,)
-        if flags:
-            below = [g[:j] + g[j + 1 :] for j in range(len(g))] if len(g) > 1 else []
-        else:
-            below = [index[h] for h in subfaces(g, range(1, len(g)))]
-        own = [] if flags and below else [top]
-        for h in below:
-            own.extend([c + top for c in chains[h]])
-        chains[g] = own
-    return chains
+        top, ridges = (i,), (g[:j] + g[j + 1 :] for j in range(len(g)))
+        flags[g] = [c + top for h in ridges for c in flags[h]]
+    return flags
 
 
-def _map_feature_once(feat: Feature, chains: Mapping, index: Mapping, own: Mapping) -> Feature:
-    """``feat`` mapped onto sd; a chain in ``own`` maps to sd's frozenset."""
+def _map_feature_once(feat: Feature, k: Complex, flags: Mapping, own: Mapping) -> Feature:
+    """``feat``, a label of ``k``, mapped onto sd k through ``flags``, the
+    full flags of each face of ``k`` by its key; a flag in ``own`` maps to
+    sd's frozenset."""
 
     def vid(face) -> int:
-        # The barycenter of a face is the top of each chain it tops, its last position.
-        return chains[index[frozenset(face)]][0][-1]
+        # The barycenter of a face is the top of each of its flags, their last position.
+        return flags[face_key(face)][0][-1]
 
     if feat.kind == "vertex":
         return Feature.vertex(vid(feat.value))
@@ -881,8 +861,7 @@ def _map_feature_once(feat: Feature, chains: Mapping, index: Mapping, own: Mappi
     facets = feat.value
     if len(set(map(len, facets))) > 1:
         facets = Complex.from_facets(facets).facets
-    flags = (c for f in facets for c in chains[index[f]] if len(c) == len(f))
-    return Feature.subcomplex(own.get(c, c) for c in flags)
+    return Feature.subcomplex(own.get(c, c) for g in k._keys_of(facets) for c in flags[g])
 
 
 # -- serialization -----------------------------------------------------------
@@ -906,7 +885,13 @@ def parse_facet_lines(text: str) -> Complex:
 
 
 def format_facet_lines(k: Complex) -> str:
-    lines = [" ".join(map(str, key)) for key in k._facet_keys()]
+    """Facet-list text, one line per facet in ``face_sort_key`` order.  It
+    has no line for the empty face, so the empty-face complex {∅} raises
+    ``ValueError``; JSON writes it."""
+    keys = k._facet_keys()
+    if keys == [()]:
+        raise ValueError("facet lines cannot hold the empty-face complex {∅}; write it as JSON")
+    lines = [" ".join(map(str, key)) for key in keys]
     return "\n".join(lines) + "\n"
 
 

@@ -209,7 +209,7 @@ def oracle_subdivide_labeled(lc: LabeledComplex, levels: int):
     carrier = {v: frozenset([v]) for v in lc.complex.vertices}
     for _ in range(levels):
         k = current.complex
-        originals = sorted(k.nonempty_faces, key=face_sort_key)
+        originals = sorted(k.faces - {frozenset()}, key=face_sort_key)
         vid = {f: i for i, f in enumerate(originals)}
         flags = Complex.from_facets(oracle_flags(k.facets, vid))
         sd = flags or EMPTY_FACE_COMPLEX
@@ -530,7 +530,7 @@ def oracle_amalgamate(parts, identifications):
     }
     owners = {}
     for name, lc in parts:
-        for face in lc.complex.nonempty_faces:
+        for face in lc.complex.faces - {frozenset()}:
             owners.setdefault(frozenset(vmaps[name][v] for v in face), set()).add(name)
     assert all(len(who) == 1 or f in allowed for f, who in owners.items())
     return Complex.from_faces(owners), vmaps

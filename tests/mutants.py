@@ -113,7 +113,7 @@ CATALOGUE = (
         "src/shellkit/complex_core.py",
         "below = {f for f in faces if f and f not in facets}",
         "below = {f for f in faces if f and f not in facets and len(f) == len(next(iter(facets)))}",
-        "a label on the last subdivision level is refused when a face below the facets is off it",
+        "a label on a subdivision level is refused when a face below the facets is off it",
         ("tests/test_complex_core.py", "tests/test_cli.py"),
     ),
     Mutant(
@@ -152,17 +152,17 @@ CATALOGUE = (
     Mutant(
         "sd-of-the-empty-complexes-without-the-empty-facet",
         "src/shellkit/complex_core.py",
-        "            sd = Complex._of_facets([frozenset()], (1,))",
-        "            sd = Complex._of_facets((), (1,))",
+        "for c in flags[f]] or [()]",
+        "for c in flags[f]] or []",
         "sd of the void and of the empty-face complex is {∅}, whose one facet is ∅",
         ("tests/test_complex_core.py", "tests/test_cli.py"),
     ),
     Mutant(
-        "last-level-keeps-chains",
+        "level-keeps-its-flags",
         "src/shellkit/complex_core.py",
-        "        del chains, index\n",
-        "        del index\n",
-        "the last subdivision level drops its lower flags before it builds sd and checks the labels",
+        "        del flags\n",
+        "",
+        "each subdivision level drops its lower flags before it builds sd and checks the labels",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
@@ -170,7 +170,7 @@ CATALOGUE = (
         "src/shellkit/complex_core.py",
         "        factorial(j) * sum(",
         "        sum(",
-        "the last subdivision level records f_j(sd K) = sum of f_s(K) j! S(s, j)",
+        "each subdivision level records f_j(sd K) = sum of f_s(K) j! S(s, j)",
         ("tests/test_complex_core.py", "tests/test_cli.py"),
     ),
     Mutant(
@@ -335,43 +335,43 @@ CATALOGUE = (
         ("tests/test_reduction.py",),
     ),
     Mutant(
-        "chains-only-through-ridges",
+        "flags-skip-a-ridge",
         "src/shellkit/complex_core.py",
-        "subfaces(g, range(1, len(g)))",
-        "subfaces(g, range(max(1, len(g) - 1), len(g)))",
-        "every chain of sd(K) is made: chains extend through every proper subface",
+        "for j in range(len(g)))",
+        "for j in range(len(g) - 1))",
+        "every full flag of sd(K) is made: a face's flags extend those of each of its ridges",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
         "chain-top-prepended",
         "src/shellkit/complex_core.py",
-        "own.extend([c + top for c in chains[h]])",
-        "own.extend([top + c for c in chains[h]])",
-        "a chain of sd(K) is made increasing, its top last, so it is the face_key of its face",
+        "[c + top for h in ridges for c in flags[h]]",
+        "[top + c for h in ridges for c in flags[h]]",
+        "a flag of sd(K) is made increasing, its top last, so it is the face_key of its face",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
         "count-skips-a-middle-size",
         "src/shellkit/complex_core.py",
-        "_faces_of_size(facets, r))) for r in range(2, top))",
-        "_faces_of_size(facets, r))) for r in range(3, top))",
+        "_faces_of_size(facets, r)))) for r in range(2, top))",
+        "_faces_of_size(facets, r)))) for r in range(3, top))",
         "the facets-only count has every size between the vertices and the largest facets",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
         "recorded-keys-out-of-order",
         "src/shellkit/complex_core.py",
-        "            flags.sort()\n",
+        "        facets.sort()\n",
         "",
-        "the last subdivision level records its facet keys in face_sort_key order, which the writers read",
+        "each subdivision level records its facet keys in face_sort_key order, which the writers read",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
-        "label-chains-one-short",
+        "keys-start-at-edges",
         "src/shellkit/complex_core.py",
-        "for c in chains[index[f]] if len(c) == len(f))",
-        "for c in chains[index[f]] if len(c) + 1 == len(f))",
-        "a subcomplex label maps to the full flags of its facets",
+        "for r in range(1, k.dim + 2)",
+        "for r in range(2, k.dim + 2)",
+        "each subdivision level numbers every nonempty face of its input, its vertices first",
         ("tests/test_complex_core.py",),
     ),
     Mutant(

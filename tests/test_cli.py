@@ -113,6 +113,17 @@ def test_a_void_document_subdivides_to_the_empty_face_complex(tmp_path, capsys):
         assert code == 0 and "verdict: yes" in out
 
 
+def test_a_void_facet_line_file_is_not_subdivided(tmp_path, capsys):
+    # sd of the void complex is {∅}, which facet lines cannot hold: the
+    # command exits 2 before it writes, and JSON input subdivides instead.
+    path = tmp_path / "void.txt"
+    path.write_text("# none\n")
+    code, out, err = run(["subdivide", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: facet lines cannot hold the empty-face complex") and "JSON" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["void.txt"]
+
+
 class _Node:
     pass
 
@@ -542,9 +553,9 @@ def test_misplaced_compiled_label_exits_four(tmp_path, capsys, monkeypatch):
 def test_misplaced_subdivided_label_exits_four(command, tmp_path, capsys, monkeypatch):
     # A label of a validated complex maps to a valid label, so a subdivided
     # label off the complex is a fault of the map, on K_phi or a JSON input.
-    # A path that skips the barycenter of its first edge on the last level
-    # keeps its vertices but not that edge, which only the star index of
-    # the facets-only last level can refuse.
+    # A path that skips the barycenter of its first edge keeps its vertices
+    # but not that edge, which only the star index of the facets-only sd
+    # can refuse.
     cnf, kphi = tmp_path / "phi.cnf", tmp_path / "phi.kphi.json"
     cnf.write_text(CNF)
     assert run(["reduce", str(cnf), "-o", str(kphi)], capsys)[0] == 0
@@ -553,12 +564,11 @@ def test_misplaced_subdivided_label_exits_four(command, tmp_path, capsys, monkey
     for misplace in ("vertex", "path edge"):
         off = []
 
-        def misplaced(feat, chains, *maps):
-            mapped = map_once(feat, chains, *maps)
+        def misplaced(feat, *maps):
+            mapped = map_once(feat, *maps)
             if misplace == "vertex":
                 return Feature.vertex(-1) if mapped.kind == "vertex" else mapped
-            # The last level's chains are flags: an edge tops two-face chains only.
-            if mapped.kind == "path" and len(chains[face_key(feat.value[:2])][0]) == 2:
+            if mapped.kind == "path":
                 mapped = Feature.path(mapped.value[:1] + mapped.value[2:])
                 off.append(face_key(mapped.value[:2]))
             return mapped

@@ -46,6 +46,7 @@ from shellkit.complex_core import (
     one_skeleton_connected,
     parse_facet_lines,
     ridge_holders,
+    sorted_face_keys,
     subdivide_labeled,
     subfaces,
     to_json,
@@ -202,6 +203,24 @@ def test_from_facets_agrees_with_its_closed_twin():
         forms["json " + ("facets-only" if k._faces is None else "closed")] += 1
         _assert_closed_twin(k, twin, rng)
     assert min(forms.values()) >= 30 and len(forms) == 4, forms
+
+
+def test_from_faces_holds_its_faces_as_given():
+    # ∅ is added only beside a nonempty face, so [] is the void complex
+    # and [∅] the empty-face complex, as from_facets builds them.
+    assert Complex.from_faces([frozenset()]) == Complex.from_facets([[]])
+    assert Complex.from_faces([frozenset()]).facets == {frozenset()}
+    void = Complex.from_faces([])
+    assert (bool(void), void.f_vector(), void.facets) == (False, (0,), frozenset())
+    rng = random.Random(52)
+    cases = [Complex.from_facets([]), EMPTY_FACE_COMPLEX, Complex.from_facets([[]])]
+    cases += [random_complex(rng) for _ in range(30)]
+    for k in cases:
+        again = Complex.from_faces(k.faces)
+        assert again == k and (again.f_vector(), again.facets) == (k.f_vector(), k.facets)
+        if k.dim >= 0:
+            # Without ∅ the same faces build the same complex.
+            assert Complex.from_faces(k.faces - {frozenset()}) == k
 
 
 def test_label_faces_are_the_complexs_own_faces():
@@ -374,7 +393,7 @@ def test_link_matches_definition_oracle():
     rng = random.Random(11)
     for _ in range(20):
         k = random_complex(rng)
-        for sigma in k.nonempty_faces:
+        for sigma in k.faces - {frozenset()}:
             rule = {f - sigma for f in k.facets if sigma <= f}
             assert link_of(k, sigma).facets == rule, (k.facets, sigma)
 
@@ -422,7 +441,7 @@ def test_remove_facets_matches_one_by_one():
     raised = valid = 0
     for _ in range(400):
         k = random_complex(rng, max_facets=6, pool=7)
-        faces = sorted(k.nonempty_faces, key=sorted)
+        faces = sorted(k.faces - {frozenset()}, key=sorted)
         cur, picks = k, []
         for _ in range(rng.randint(0, 6)):
             roll = rng.random()
@@ -693,9 +712,9 @@ def test_subdivision_faces_are_chains_oracle():
     for k in cases:
         sub = barycentric_subdivision(k)
         chains = {
-            frozenset(sub.vertex_carrier[v] for v in f) for f in sub.complex.nonempty_faces
+            frozenset(sub.vertex_carrier[v] for v in f) for f in sub.complex.faces if f
         }
-        assert chains == chains_brute(k.nonempty_faces)
+        assert chains == chains_brute(k.faces - {frozenset()})
         # The carriers name the new faces one to one; the empty face is kept.
         assert len(chains) == len(sub.complex) - 1
 
@@ -704,7 +723,7 @@ def test_subdivided_subcomplex_label_is_maximal_chains():
     rng = random.Random(29)
     for _ in range(12):
         k = random_complex_upto(rng, 3)
-        faces = sorted(k.nonempty_faces, key=sorted)
+        faces = sorted(k.faces - {frozenset()}, key=sorted)
         part = rng.sample(faces, rng.randint(1, min(4, len(faces))))
         lc = LabeledComplex(k, {"part": Feature.subcomplex(part)})
         sub, overall = subdivide_labeled(lc, 1)
@@ -772,7 +791,7 @@ def random_labels(rng: random.Random, k: Complex) -> dict[str, Feature]:
     repeat and a redundant subface."""
     if not k.vertices:
         return {}
-    faces = sorted(k.nonempty_faces, key=face_key)
+    faces = sorted(k.faces - {frozenset()}, key=face_key)
     labels = {"spot": Feature.vertex(rng.choice(k.vertices))}
     labels["part"] = Feature.subcomplex(rng.sample(faces, rng.randint(1, min(4, len(faces)))))
     f = rng.choice(faces)
@@ -832,8 +851,9 @@ def test_subdivision_matches_flag_closure_oracle():
             assert to_json(sub) == to_json(want)
 
 
-def test_last_level_is_facets_only_and_matches_the_oracle():
-    # The last level keeps only its facets and a counted f-vector.  Every
+def test_every_level_is_facets_only_and_matches_the_oracle():
+    # Every level keeps only its facets, their recorded keys and a counted
+    # f-vector, and reads the level below through those keys alone.  Every
     # query but the face set answers from them, and the face set derived
     # later is the oracle's closure of the flags.
     rng = random.Random(41)
@@ -844,10 +864,25 @@ def test_last_level_is_facets_only_and_matches_the_oracle():
             cases.append(pinched_complex(rng, dim, rng.randint(3, 6)))
     assert sum(not k.is_pure() for k in cases) >= 4
     checked = 0
+    read = Counter()
     for k in cases:
-        lc = from_json(to_json(LabeledComplex(k, random_labels(rng, k))))
-        for levels in (1, 2) if k.dim < 3 else (1,):
+        text = to_json(LabeledComplex(k, random_labels(rng, k)))
+        for levels in (1, 2, 3) if k.dim == 1 else (1, 2):
+            lc = from_json(text)
+            read_facets_only = lc.complex._faces is None
             sub, overall = subdivide_labeled(lc, levels)
+            # A complex read as its facets is subdivided without its closure.
+            assert (lc.complex._faces is None) == read_facets_only
+            read[read_facets_only, levels] += 1
+            below = overall
+            while below.levels:
+                level = below.complex
+                assert level._faces is None and level._keys is not None
+                assert level._facet_keys() == sorted_face_keys(level.facets)
+                assert to_json(level) == oracle_to_json(level)
+                assert level._faces is None
+                below = below._below
+            assert below.complex is lc.complex
             want, want_carrier = oracle_subdivide_labeled(lc, levels)
             sd, closed = sub.complex, want.complex
             assert sd._faces is None
@@ -866,7 +901,9 @@ def test_last_level_is_facets_only_and_matches_the_oracle():
                 frozenset(rng.sample(closed.vertices, rng.randint(1, min(4, len(closed.vertices)))))
                 for _ in range(40)
             ] + [frozenset([-1]), frozenset([closed.vertices[0], -1])]
-            assert all((f in sd) == (f in closed.faces) for f in probes)
+            # Asked in one batch; ``in`` asks one face per pass over the facets.
+            assert sd._off(probes) == {f for f in probes if f not in closed.faces}
+            assert all((f in sd) == (f in closed.faces) for f in probes[-45:])
             checked += sum(f not in closed.faces for f in probes)
             assert to_json(sub) == to_json(want)
             assert format_facet_lines(sd) == format_facet_lines(closed)
@@ -878,6 +915,7 @@ def test_last_level_is_facets_only_and_matches_the_oracle():
             assert hash(sd) == hash(closed)
             assert sd.faces == closed.faces
     assert checked >= 500
+    assert read[True, 3] >= 2 and read[True, 2] >= 8 and read[False, 2] >= 2, read
     # The void and the empty-face complex subdivide to the empty-face
     # complex, whose closure is {∅}, and still compare as they do.
     for k in (Complex.from_facets([]), EMPTY_FACE_COMPLEX):
@@ -911,7 +949,7 @@ def test_membership_of_both_forms_agrees_with_the_closure():
         k = random_complex(rng)
         cases += [k, subdivide_labeled(LabeledComplex(k, {}), 1)[0].complex]
     facets_only = [k for k in cases if k._faces is None]
-    assert len(facets_only) == 7
+    assert len(facets_only) == 8
     for k in cases:
         closure = {g for f in k.facets for g in subfaces(f, range(len(f) + 1))}
         closure |= {frozenset()} if k else set()
@@ -1041,7 +1079,7 @@ def _degenerate(feat: Feature) -> bool:
 def random_feature(rng: random.Random, k: Complex) -> Feature:
     """A feature of a random kind, drawn from the faces of ``k`` half the
     time and from a vertex pool wider than the complex otherwise."""
-    faces = sorted(k.nonempty_faces, key=face_sort_key)
+    faces = sorted(k.faces - {frozenset()}, key=face_sort_key)
     inside = rng.random() < 0.5
     verts = list(k.vertices) if inside else list(range(9))
     kind = rng.choice(("vertex", "edge", "path", "subcomplex"))
@@ -1110,6 +1148,20 @@ def test_feature_check_matches_closure_oracle():
 def test_parse_format_round_trip():
     k = Complex.from_facets(BD3)
     assert parse_facet_lines(format_facet_lines(k)) == k
+
+
+def test_facet_lines_never_say_the_empty_face_complex():
+    # The format has no line for the empty face: {∅}, sd of the void
+    # complex among others, is refused and sent to JSON, and the void
+    # complex reads back from no facet line (random nonempty complexes
+    # round-trip in test_parse_format_round_trip_random).
+    void = Complex.from_facets([])
+    sd_of_void = subdivide_labeled(LabeledComplex(void, {}), 1)[0].complex
+    for k in (EMPTY_FACE_COMPLEX, Complex.from_facets([[]]), sd_of_void):
+        with pytest.raises(ValueError) as exc:
+            format_facet_lines(k)
+        assert type(exc.value) is ValueError and "JSON" in str(exc.value)
+    assert parse_facet_lines(format_facet_lines(void)) == void
 
 
 def test_parse_errors_carry_line_numbers():
@@ -1214,7 +1266,7 @@ def test_to_json_is_the_whole_document_writers_text():
     # faces of every size, and the vertices of a long path.
     path = range(10**6, 10**6 + 3 * b + 1)
     k = Complex.from_facets(triangles(3 * b + 1) + list(zip(path, path[1:])))
-    faces = sorted(k.nonempty_faces, key=face_key)
+    faces = sorted(k.faces - {frozenset()}, key=face_key)
     labels = {"a": Feature.vertex(path[0])}
     for s in sizes:
         labels[f"{s:05}{odd}"] = Feature.subcomplex(rng.sample(faces, s))
@@ -1250,11 +1302,11 @@ def test_sd2_text_is_written_in_bounded_memory():
 
 
 def test_last_subdivision_level_peaks_near_what_it_keeps():
-    # The last level maps the labels, drops the lower flags before it
-    # builds sd's facet set, and checks the labels against a star index
-    # that it does not keep.  On K_phi at n = 1 the peak is about 1.12
-    # times what the call keeps; holding the lower flags through the
-    # label check reads about 1.19.
+    # Each level maps the labels, drops the lower flags before it builds
+    # sd's facet set, and checks the labels against a star index that it
+    # does not keep.  On K_phi at n = 1 the peak is about 1.11 times what
+    # the call keeps; holding the lower flags through the label check
+    # reads about 1.23.
     kphi = build_K_phi(Formula(1, ((1, 1, 1),)))
     (lc, _), kept, peak = _traced(subdivide_labeled, kphi, 2)
     assert len(lc.complex.facets) == 6156

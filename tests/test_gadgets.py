@@ -127,7 +127,7 @@ def test_door_rotation_carries_the_door_1_exit_to_the_others():
     for entry in (2, 3):
         # The image of the door-1 witness is an exit through the next door.
         witness = [CollapsePair(image(p.free), image(p.coface)) for p in witness]
-        kept = Complex.from_faces(map(image, kept.nonempty_faces))
+        kept = Complex.from_faces(map(image, kept.faces - {frozenset()}))
         names = ["e", "p1", "p2", "p3"] + [f"f{t}" for t in (1, 2, 3) if t != entry]
         assert kept == lc.subcomplex(*names) == three_house_exit(lc, entry)[1]
         verify_collapse_sequence(k, witness, kept)

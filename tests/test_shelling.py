@@ -607,7 +607,7 @@ def test_frontier_walk_matches_the_built_deletion():
     for i in range(150):
         k = grown_pure_complex(rng, 1 + i % 3, rng.randint(3, 14))
         adj = _facet_graph(ridge_holders(k.facets))
-        for sigma in k.nonempty_faces:
+        for sigma in k.faces - {frozenset()}:
             around = [f for f in k.facets if sigma <= f]
             child = k.facets.difference(around)
             if not child:
@@ -927,7 +927,7 @@ def test_replay_matches_the_recursive_face_set_replay():
         d = 1 + i % 3
         base = grown_pure_complex(rng, d, rng.randint(2, 9)) if i % 2 else random_pure_complex(rng, d)
         for k in (base, cone(base)):
-            faces = [sorted(f) for f in k.nonempty_faces]
+            faces = [sorted(f) for f in k.faces if f]
             for kk in range(k.dim + 1):
                 trees = [("random", random_shedding_tree(rng, k.facets, kk)) for _ in range(3)]
                 res = decide_k_decomposable(k, kk, budget=3000)

@@ -1,8 +1,8 @@
 """Simplicial complex toolkit.
 
-Finite abstract simplicial complexes with explicit face storage, collapse
-and shelling machinery, house-with-rooms gadget builders, and a reduction
-from 3-CNF satisfiability to complex collapsibility questions.
+Finite abstract simplicial complexes, held as their faces or as their
+facets, collapse and shelling machinery, house-with-rooms gadget builders,
+and a reduction from 3-CNF satisfiability to collapsing K_phi and shelling sd²(K_phi).
 """
 
 from shellkit.complex_core import (

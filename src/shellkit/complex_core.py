@@ -112,6 +112,19 @@ def ridge_holders(facets: Iterable[frozenset]) -> dict[frozenset, list[frozenset
     return holders
 
 
+def _stars(facets: Iterable[frozenset], vertices: Iterable[int]) -> dict[int, list[frozenset]]:
+    """Each of ``vertices`` mapped to its star, the facets through it, in
+    the order of ``facets``; a vertex of no facet gets an empty list.  The
+    one vertex-star map of the package: one pass that skips every facet
+    through none of the vertices."""
+    stars: dict[int, list[frozenset]] = {v: [] for v in vertices}
+    asked = frozenset(stars)
+    for g in filterfalse(asked.isdisjoint, facets):
+        for v in asked & g:
+            stars[v].append(g)
+    return stars
+
+
 def _drop_holders(holders: dict, keys: Iterable[frozenset], gone: Collection[frozenset]) -> tuple:
     """Take the facets ``gone`` out of the lists of ``keys`` in ``holders``,
     a map like ``ridge_holders``'s, in place; returns the record for
@@ -130,30 +143,6 @@ def _put_back(*records: tuple) -> None:
     reverse of their order."""
     for holders, saved in reversed(records):
         holders.update(saved)
-
-
-class UnionFind:
-    """Disjoint sets over arbitrary hashable items, with path compression."""
-
-    def __init__(self) -> None:
-        self._parent: dict = {}
-
-    def find(self, x):
-        parent = self._parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
 
 
 def _validate_vertex(v) -> int:
@@ -276,17 +265,13 @@ class Complex:
         form builds a set only when its one subset test fails.  The
         facets-only form holds the empty face, and a face below the facets
         when a facet in the star of its least vertex holds it.  Each call
-        indexes those stars in one pass over all facets, so that form is
-        asked in batches, not one ``in`` at a time."""
+        builds those stars by one :func:`_stars` pass over all facets, so
+        that form is asked in batches, not one ``in`` at a time."""
         held, facets = self._faces, self._facets
         if held is not None:
             return set() if held.issuperset(faces) else {f for f in faces if f not in held}
         below = {f for f in faces if f and f not in facets}
-        stars: dict[int, list[frozenset]] = {min(f): [] for f in below}
-        asked = frozenset(stars)
-        for g in filterfalse(asked.isdisjoint, facets):
-            for v in asked & g:
-                stars[v].append(g)
+        stars = _stars(facets, map(min, below))
         return {f for f in below if not any(map(f.issubset, stars[min(f)]))}
 
     def __contains__(self, face) -> bool:
@@ -492,16 +477,12 @@ def vertex_links_connected(
     Returns ``(ok, failing_vertices)``, the failing vertices in vertex
     order.  A link that is empty or a single vertex counts as connected.
 
-    One pass over the facets collects the star of each vertex checked, and
-    no other vertex gets any link data; :func:`_link_connected` then
-    decides each link from its star.
+    One :func:`_stars` pass over the facets collects the star of each
+    vertex checked, and no other vertex gets any link data;
+    :func:`_link_connected` then decides each link from its star.
     """
     check = k.vertices if vertices is None else sorted(vertices)
-    stars: dict[int, list[frozenset]] = {v: [] for v in check}
-    for f in k.facets:
-        for v in f:
-            if v in stars:
-                stars[v].append(f)
+    stars = _stars(k.facets, check)
     bad = tuple(v for v in check if not _link_connected(v, stars[v]))
     return (not bad, bad)
 

@@ -36,8 +36,8 @@ from shellkit.complex_core import (
     Feature,
     InternalError,
     LabeledComplex,
-    UnionFind,
     _link_connected,
+    _stars,
     face_key,
     is_pseudomanifold,
     ridge_holders,
@@ -249,9 +249,9 @@ def _check_gadget(
     to check links only at the vertices that gluing merges.
 
     After the purity test, everything is read off two maps of the facets:
-    the ridge map (``ridge_holders``) and a map from each vertex to its
-    star, the facets through it.  In a pure 2-complex every face lies in
-    a triangle, and every edge is a ridge, so:
+    the ridge map (``ridge_holders``) and the stars of the vertices, in
+    vertex order (``complex_core._stars``).  In a pure 2-complex every
+    face lies in a triangle, and every edge is a ridge, so:
 
     * a free face, one with a single facet over it (the rule of
       ``collapse.free_faces``), is a ridge with one holder or a vertex
@@ -266,10 +266,7 @@ def _check_gadget(
         raise InternalError(f"{what}: not pure 2-dimensional")
     facets = k.facets
     holders = ridge_holders(facets)
-    stars: dict[int, list[Face]] = {}
-    for f in facets:
-        for v in f:
-            stars.setdefault(v, []).append(f)
+    stars = _stars(facets, k.vertices)
     got = {ridge for ridge, held in holders.items() if len(held) == 1}
     got.update(frozenset([v]) for v, star in stars.items() if len(star) == 1)
     if got != set(free):
@@ -279,7 +276,7 @@ def _check_gadget(
         )
     if len(stars) - len(holders) + len(facets) - 1 != chi:
         raise InternalError(f"{what}: reduced Euler characteristic is not {chi}")
-    failing = tuple(v for v in sorted(stars) if not _link_connected(v, stars[v]))
+    failing = tuple(v for v, star in stars.items() if not _link_connected(v, star))
     if failing != pinched:
         raise InternalError(f"{what}: disconnected links at {failing} != expected {pinched}")
 
@@ -608,7 +605,9 @@ def _amalgamate_with_maps(
     merged complex, without labels, the vertex map of each part into it,
     the glued vertices (those with two or more preimages), and the mapped
     facets of each part.  Callers map the labels they need through the
-    maps, and label a whole part by its mapped facets.
+    maps, and label a whole part by its mapped facets.  The vertex classes
+    are one ``parent`` map whose ``find`` halves paths; each class is
+    numbered when the parts' vertices first reach it, whatever its root.
 
     What the parts fix is not checked again here; the glue checks what
     gluing can break.
@@ -627,6 +626,9 @@ def _amalgamate_with_maps(
       two or more parts is among the faces mapped so far when the second
       of them is mapped.  One set intersection per part finds them, and
       each nonempty one must lie in an identified feature.
+    * Glued vertices, from the overlaps: the two preimages of a vertex
+      lie in two parts, as each part maps injectively, so the vertex is
+      a face of both and in ``overlap``.
     * The mapped facets of a part are the objects the merged face set
       holds when they have three or more vertices.  A set keeps the first
       of two equal objects added, so a facet's image is held unless an
@@ -637,7 +639,13 @@ def _amalgamate_with_maps(
     table = dict(parts)
     if len(table) != len(parts):
         raise InternalError("part names must be unique")
-    uf = UnionFind()
+    parent: dict = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = x = parent.get(parent[x], parent[x])
+        return x
+
     shared: dict[tuple[str, str], Feature] = {}
     for pa, la, pb, lb in identifications:
         for p in (pa, pb):
@@ -646,26 +654,22 @@ def _amalgamate_with_maps(
         what = f"{pa}.{la} <-> {pb}.{lb}"
         fa, fb = table[pa].feature(la), table[pb].feature(lb)
         for va, vb in _pairing(fa, fb, what):
-            uf.union((pa, va), (pb, vb))
+            parent[find((pb, vb))] = find((pa, va))
         shared[pa, la] = fa
 
     vmaps: dict[str, dict[int, int]] = {}
     ids: dict = {}
-    preimages: dict[int, int] = {}
     for name, lc in parts:
         vmap: dict[int, int] = {}
         seen: dict[int, int] = {}
         for v in lc.complex.vertices:
-            mv = vmap[v] = ids.setdefault(uf.find((name, v)), len(ids))
+            mv = vmap[v] = ids.setdefault(find((name, v)), len(ids))
             if mv in seen:
                 raise InternalError(
                     f"identifications merge vertices {seen[mv]} and {v} of part {name!r}"
                 )
             seen[mv] = v
         vmaps[name] = vmap
-        for mv in vmap.values():
-            preimages[mv] = preimages.get(mv, 0) + 1
-    glued = frozenset(mv for mv, count in preimages.items() if count > 1)
 
     # The two features of an identification merge positionally, so they
     # map to the same faces: one side of each is expanded, and a feature
@@ -689,6 +693,7 @@ def _amalgamate_with_maps(
         raise InternalError(
             f"parts overlap outside the declared identifications: {collisions[:8]}"
         )
+    glued = frozenset(chain.from_iterable(f for f in overlap if len(f) == 1))
 
     tops = list(chain.from_iterable(part_facets.values()))
     facets = tops if len(set(map(len, tops))) == 1 else None

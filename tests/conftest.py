@@ -20,7 +20,6 @@ from shellkit.complex_core import (
     Feature,
     FormatError,
     LabeledComplex,
-    UnionFind,
     canonical_form,
     face_key,
     face_sort_key,
@@ -45,6 +44,24 @@ from shellkit.gadgets import (
 )
 from shellkit.reduction import _SIZE_CONSTANT, _lit_name, _occurrences
 from shellkit.shelling import ShellingError, _check_pure_input, _cone_base
+
+
+class UnionFind:
+    """Disjoint sets over hashable items, for the reference checks: the
+    library's glue keeps its own vertex classes, so no reference shares
+    union code with the glue it checks."""
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(self, a, b) -> None:
+        self.parent[self.find(b)] = self.find(a)
 
 
 def random_pure_2complex(rng: random.Random, max_facets: int = 8, pool: int = 9) -> Complex:

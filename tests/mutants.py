@@ -222,6 +222,22 @@ CATALOGUE = (
         ("tests/test_gadgets.py",),
     ),
     Mutant(
+        "glue-union-attaches-the-element",
+        "src/shellkit/gadgets.py",
+        "            parent[find((pb, vb))] = find((pa, va))\n",
+        "            parent[(pb, vb)] = find((pa, va))\n",
+        "the glue unions two vertex classes at their roots, so a vertex identified twice keeps both",
+        ("tests/test_reduction.py",),
+    ),
+    Mutant(
+        "glued-misses-vertex-overlaps",
+        "src/shellkit/gadgets.py",
+        "    glued = frozenset(chain.from_iterable(f for f in overlap if len(f) == 1))\n",
+        "    glued = frozenset(chain.from_iterable(f for f in overlap if len(f) == 2))\n",
+        "the glued vertices are the vertex overlaps, a vertex glued outside any shared edge too",
+        ("tests/test_gadgets.py",),
+    ),
+    Mutant(
         "occurrence-index-pinned-to-1",
         "src/shellkit/reduction.py",
         "seen[lit] = k = seen.get(lit, 0) + 1",
@@ -271,6 +287,14 @@ CATALOGUE = (
         ("tests/test_complex_core.py",),
     ),
     Mutant(
+        "star-map-puts-a-facet-in-one-star",
+        "src/shellkit/complex_core.py",
+        "        for v in asked & g:\n            stars[v].append(g)\n",
+        "        stars[min(asked & g)].append(g)\n",
+        "a facet is in the star of every vertex asked for that it holds, not of its least one only",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
         "sphere-built-per-variable",
         "src/shellkit/reduction.py",
         '                (f"S({u})", shape(build_variable_sphere)),\n',
@@ -305,7 +329,7 @@ CATALOGUE = (
     Mutant(
         "gadget-check-without-link-check",
         "src/shellkit/gadgets.py",
-        "    failing = tuple(v for v in sorted(stars) if not _link_connected(v, stars[v]))\n",
+        "    failing = tuple(v for v, star in stars.items() if not _link_connected(v, star))\n",
         "    failing = pinched\n",
         "the gadget check finds every disconnected vertex link",
         ("tests/test_gadgets.py",),
@@ -613,6 +637,31 @@ CATALOGUE = (
         "            _put_back(record)\n",
         "",
         "the collapse search puts each top face back in its size's ridge map when the move is undone",
+        ("tests/test_collapse.py",),
+    ),
+    Mutant(
+        "replay-accepts-two-maximal-cofaces",
+        "src/shellkit/collapse.py",
+        "            if len(maximal) != 1:\n",
+        "            if not maximal:\n",
+        "the checked replay refuses a free face with two maximal cofaces",
+        ("tests/test_collapse.py", "tests/test_reduction.py"),
+    ),
+    Mutant(
+        "replay-keeps-the-free-face",
+        "src/shellkit/collapse.py",
+        "            cof.append(f)\n",
+        "",
+        "the checked replay removes the free face with its cofaces",
+        ("tests/test_collapse.py",),
+    ),
+    Mutant(
+        "replay-without-removed-check",
+        "src/shellkit/collapse.py",
+        "            if f not in self.faces:\n"
+        '                raise CollapseError(f"step {i}: {face_key(f)} already removed")\n',
+        "",
+        "the checked replay refuses a step whose free face is already gone",
         ("tests/test_collapse.py",),
     ),
     Mutant(

@@ -290,10 +290,12 @@ def test_amalgamate_two_triangles():
     # With facets of mixed sizes the merged facets are found, not recorded.
     tri = LabeledComplex(Complex.from_facets([[0, 1, 2]]), {"tip": Feature.vertex(2)})
     edge = LabeledComplex(Complex.from_facets([[0, 1]]), {"tip": Feature.vertex(0)})
-    mixed, vmaps, _, part_facets = _amalgamate_with_maps(
+    mixed, vmaps, glued, part_facets = _amalgamate_with_maps(
         [("t", tri), ("e", edge)], [("t", "tip", "e", "tip")]
     )
     assert mixed.facets == facets_of(mixed.faces) and len(mixed.facets) == 2
+    # A vertex glued outside any shared edge is glued too.
+    assert glued == {vmaps["t"][2]} == {vmaps["e"][0]}
     assert part_facets["e"] == [frozenset(vmaps["e"][v] for v in (0, 1))]
 
 

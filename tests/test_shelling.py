@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     EMPTY_FACE_COMPLEX,
+    UnionFind,
     deletion_of,
     grown_pure_complex,
     link_of,
@@ -35,7 +36,6 @@ from shellkit.collapse import (
 from shellkit.complex_core import (
     Complex,
     FormatError,
-    UnionFind,
     _put_back,
     _rank_colors,
     barycentric_subdivision,

@@ -3,7 +3,8 @@ every private module-level name is read by some module of shellkit, and
 every public function, class and method has a reader besides the tests,
 every builder of a part that K_phi glues calls the one gadget check, no
 code outside ``Complex`` reads how a complex is stored, faces are
-enumerated by ``subfaces`` and one closure and count kernel alone, the
+enumerated by ``subfaces`` and one closure and count kernel alone,
+vertex stars by one star map, no module defines a union-find class, the
 canonical JSON form is set up once, one reader turns text into a JSON
 object, and every snippet of the mutation catalogue (``tests/mutants.py``)
 occurs once.
@@ -247,16 +248,16 @@ def test_one_face_enumerator(path):
     assert combinations_uses(path.read_text()) == []
 
 
-def combinations_readers(source: str) -> set[str]:
+def readers_of(source: str, name: str) -> set[str]:
     """The functions and methods of ``source`` that read the name
-    ``combinations``, each named by its innermost definition."""
+    ``name``, each named by its innermost definition."""
     readers = set()
     stack = [(ast.parse(source), None)]
     while stack:
         node, owner = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Name) and node.id == "combinations":
+        if isinstance(node, ast.Name) and node.id == name:
             readers.add(owner)
         stack.extend((child, owner) for child in ast.iter_child_nodes(node))
     return readers
@@ -268,7 +269,7 @@ def test_combinations_readers_finds_functions_and_methods():
         "def f():\n    return [combinations(a, 2) for a in b]\n"
         "class C:\n    def m(self):\n        def inner():\n            return combinations\n"
     )
-    assert combinations_readers(source) == {None, "f", "inner"}
+    assert readers_of(source, "combinations") == {None, "f", "inner"}
 
 
 # Inside ``complex_core`` the faces of a facet are enumerated by
@@ -277,11 +278,27 @@ def test_combinations_readers_finds_functions_and_methods():
 # facets-only closure and every facets-only count share.
 def test_one_closure_and_count_kernel():
     core = (SRC / "complex_core.py").read_text()
-    assert combinations_readers(core) == {"subfaces", "_faces_of_size"}
+    assert readers_of(core, "combinations") == {"subfaces", "_faces_of_size"}
     assert calls_in(core, "_closure") >= {"_faces_of_size"}
     assert calls_in(core, "_f_vector_of") >= {"_faces_of_size"}
     shelling = (SRC / "shelling.py").read_text()
     assert calls_in(shelling, "_reduced_euler") == {"sum", "enumerate", "_f_vector_of"}
+
+
+# A vertex's star, the facets through it, comes from ``_stars`` alone: the
+# membership rule of the facets-only form, the link check and the gadget
+# check read it, and it is the one pass that skips facets with
+# ``filterfalse``.  The glue keeps its vertex classes in a plain parent
+# map, so no module defines a union-find class.
+def test_one_vertex_star_map():
+    core = (SRC / "complex_core.py").read_text()
+    assert readers_of(core, "_stars") == {"_off", "vertex_links_connected"}
+    assert "_stars" in calls_in((SRC / "gadgets.py").read_text(), "_check_gadget")
+    assert readers_of(core, "filterfalse") == {"_stars"}
+    classes = {
+        n.name for p in MODULES for n in ast.walk(ast.parse(p.read_text())) if isinstance(n, ast.ClassDef)
+    }
+    assert "UnionFind" not in classes
 
 
 def function_def(source: str, function: str) -> ast.FunctionDef:

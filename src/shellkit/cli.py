@@ -304,6 +304,8 @@ def _replay_removal(
 def _replay_witness(k: Complex, doc: Mapping) -> int:
     """Replay a shelling, decomposition or collapse witness on ``k``, and
     return what was replayed: facets placed, tree nodes checked or pairs.
+    A collapse witness claims that ``k`` less its ``removed_facets``, if
+    any, collapses to a single vertex.
 
     Raises ShellingError or CollapseError when the witness does not hold,
     and FormatError when the document is malformed or of another kind.
@@ -324,21 +326,18 @@ def _replay_witness(k: Complex, doc: Mapping) -> int:
         raise FormatError(f"unknown witness kind {kind!r}")
     pairs = _pairs_from_json(doc.get("pairs"))
     target = Complex.from_facets(read_faces(doc.get("target_facets"), "'target_facets'"))
-    removed = doc.get("removed_facets")
-    if removed is None:
-        verify_collapse_sequence(k, pairs, target)
-        return len(pairs)
-    # Hachimori's criterion for sd²(k): k is 2-dimensional with connected
-    # vertex links, and taking out the triangles leaves a complex that
-    # collapses to a single vertex.  Such a k is pure: a maximal edge or
-    # vertex would disconnect a link or the complex.
-    removed = read_faces(removed, "'removed_facets'")
+    removed = read_faces(doc.get("removed_facets", []), "'removed_facets'")
     replayed = _replay_removal(k, removed, pairs, target)
-    if k.dim != 2 or any(len(f) != 3 for f in removed):
-        raise CollapseError("removed facets must be triangles of a 2-complex")
-    ok, bad = vertex_links_connected(k)
-    if not ok:
-        raise CollapseError(f"the link of vertex {bad[0]} is disconnected")
+    if "removed_facets" in doc:
+        # Hachimori's criterion for sd²(k): k is 2-dimensional with connected
+        # vertex links, and taking out the triangles leaves a complex that
+        # collapses to a single vertex.  Such a k is pure: a maximal edge or
+        # vertex would disconnect a link or the complex.
+        if k.dim != 2 or any(len(f) != 3 for f in removed):
+            raise CollapseError("removed facets must be triangles of a 2-complex")
+        ok, bad = vertex_links_connected(k)
+        if not ok:
+            raise CollapseError(f"the link of vertex {bad[0]} is disconnected")
     return replayed
 
 
@@ -346,7 +345,8 @@ def _verify_reduction_certificate(text: str, doc: Mapping) -> int | None:
     """Replay a certificate on the formula in ``text``: the number of pairs
     replayed, or None when its removal is inadmissible.  Every field is
     required and read before the removal is judged, so a missing or
-    mistyped one is a FormatError, even beside an inadmissible removal."""
+    mistyped one is a FormatError, even beside an inadmissible removal,
+    and the assignment is compared as written, keys included."""
     spec = doc.get("formula")
     if not isinstance(spec, dict):
         raise FormatError("reduction certificate needs a 'formula' object")
@@ -354,12 +354,11 @@ def _verify_reduction_certificate(text: str, doc: Mapping) -> int | None:
     if not (isinstance(clauses, list) and all(isinstance(c, list) for c in clauses)):
         raise FormatError("certificate formula needs a list of clauses")
     witness_phi = Formula(spec.get("n"), tuple(map(tuple, clauses)))
-    raw_assignment = doc.get("assignment")
-    if not isinstance(raw_assignment, dict) or not all(
-        isinstance(b, bool) for b in raw_assignment.values()
+    assignment = doc.get("assignment")
+    if not isinstance(assignment, dict) or not all(
+        isinstance(b, bool) for b in assignment.values()
     ):
         raise FormatError("certificate 'assignment' must map variables to true or false")
-    assignment = {int(v): b for v, b in raw_assignment.items()}
     phi = parse_cnf(text)
     if phi != witness_phi:
         raise ValueError("witness formula does not match the input formula")
@@ -369,7 +368,7 @@ def _verify_reduction_certificate(text: str, doc: Mapping) -> int | None:
     extracted = assignment_from_removal(lc, removal)
     if extracted is None:
         return None
-    if extracted != assignment or not _satisfies(phi, assignment):
+    if {str(v): b for v, b in extracted.items()} != assignment or not _satisfies(phi, extracted):
         raise CollapseError("certificate assignment does not match its removal")
     return _replay_removal(lc.complex, sorted(removal, key=face_sort_key), pairs)
 

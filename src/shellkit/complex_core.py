@@ -851,13 +851,16 @@ def _map_feature_once(feat: Feature, k: Complex, flags: Mapping, own: Mapping) -
 def parse_facet_lines(text: str) -> Complex:
     """Facet-list text: one facet per line, whitespace-separated vertex ids.
 
-    ``#`` starts a comment; blank lines are skipped.
+    ``#`` starts a comment; blank lines are skipped.  A line that is not
+    ASCII or holds ``_`` is refused, so an id is a sign and ASCII digits.
     """
     facets = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if not line.isascii() or "_" in line:
+            raise FormatError(f"line {lineno}: vertex ids must be ASCII digits")
         try:
             facets.append([int(tok) for tok in line.split()])
         except ValueError as exc:

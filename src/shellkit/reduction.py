@@ -92,7 +92,8 @@ class Formula:
 
 
 def parse_cnf(text: str) -> Formula:
-    """Parse DIMACS CNF, accepting only 3-literal clauses, or raise FormatError."""
+    """Parse DIMACS CNF, accepting only 3-literal clauses, or raise FormatError.
+    Every line but a comment must be ASCII with no ``_``, so integers are digits."""
     n = m = None
     lits: list[int] = []
     clauses: list[tuple[int, int, int]] = []
@@ -100,6 +101,8 @@ def parse_cnf(text: str) -> Formula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if not line.isascii() or "_" in line:
+            raise FormatError(f"line {lineno}: integers must be ASCII digits")
         if line.startswith("p"):
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate problem header")
@@ -307,9 +310,10 @@ def build_K_phi(phi: Formula) -> LabeledComplex:
 def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) -> None:
     """Check K_phi's postconditions where gluing can break them.
 
-    * Pure 2-dimensional: read off the facets recorded at the glue, the
-      mapped facets of the parts (``_amalgamate_with_maps``), so no pass
-      over the faces looks for them.
+    * Pure 2-dimensional, with no test: each part's builder calls
+      ``gadgets._check_gadget``, which tests purity, and the glue records
+      the parts' mapped facets, all triangles, as K_phi's facets
+      (``_amalgamate_with_maps``), so every face lies in a triangle.
     * Reduced Euler characteristic ``phi.n``: one pass over the faces.
       The size bound: the face count, which costs nothing.
     * Connected vertex links: checked here at the ``glued`` vertices only.
@@ -324,8 +328,6 @@ def _check_compiled(phi: Formula, lc: LabeledComplex, glued: Collection[int]) ->
       here.
     """
     k = lc.complex
-    if not k.is_pure(2):
-        raise InternalError("compiled complex is not pure 2-dimensional")
     chi = k.reduced_euler_characteristic()
     if chi != phi.n:
         raise InternalError(

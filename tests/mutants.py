@@ -665,6 +665,22 @@ CATALOGUE = (
         ("tests/test_collapse.py",),
     ),
     Mutant(
+        "gadget-check-without-purity",
+        "src/shellkit/gadgets.py",
+        "    if not k.is_pure(2):\n",
+        "    if False:\n",
+        "each part that K_phi glues is pure 2-dimensional, which K_phi's compile does not test again",
+        ("tests/test_gadgets.py",),
+    ),
+    Mutant(
+        "three-house-rays-may-meet",
+        "src/shellkit/gadgets.py",
+        " or len({hub, *rest}) != len(rest) + 1",
+        "",
+        "the three-house's contact rays meet only at the hub",
+        ("tests/test_gadgets.py",),
+    ),
+    Mutant(
         "shelling-search-without-dead-prefixes",
         "src/shellkit/shelling.py",
         "if len(chosen) == m or (after not in dead and (yield (after,))):",
@@ -717,9 +733,44 @@ CATALOGUE = (
     Mutant(
         "certificate-assignment-unchecked",
         "src/shellkit/cli.py",
-        "    if extracted != assignment or not _satisfies(phi, assignment):\n",
+        "    if {str(v): b for v, b in extracted.items()} != assignment or not _satisfies(phi, extracted):\n",
         "    if False:\n",
         "verify refuses a certificate whose assignment is not the one its removal encodes",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "certificate-assignment-read-through-int-keys",
+        "src/shellkit/cli.py",
+        "{str(v): b for v, b in extracted.items()} != assignment",
+        "extracted != {int(v): b for v, b in assignment.items()}",
+        "a certificate's assignment is compared as written, so a key such as \"01\" is no name of x1",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "plain-collapse-witness-ends-anywhere",
+        "src/shellkit/cli.py",
+        "    removed = read_faces(doc.get(\"removed_facets\", []), \"'removed_facets'\")\n",
+        "    if \"removed_facets\" not in doc:\n"
+        "        verify_collapse_sequence(k, pairs, target)\n"
+        "        return len(pairs)\n"
+        "    removed = read_faces(doc.get(\"removed_facets\", []), \"'removed_facets'\")\n",
+        "a collapse witness without removed facets claims a collapse to a single vertex too",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "facet-lines-read-any-int",
+        "src/shellkit/complex_core.py",
+        "        if not line.isascii() or \"_\" in line:\n",
+        "        if False:\n",
+        "a facet line holds vertex ids in ASCII digits only, so 1_2 is no id 12",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "dimacs-reads-any-int",
+        "src/shellkit/reduction.py",
+        "        if not line.isascii() or \"_\" in line:\n",
+        "        if False:\n",
+        "a DIMACS line that is no comment holds integers in ASCII digits only, so 1_0 is no literal 10",
         ("tests/test_cli.py",),
     ),
     Mutant(

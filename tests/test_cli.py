@@ -741,6 +741,8 @@ MALFORMED = {
         {},
     ),
     "removed-facets-not-faces": (TRIANGLE, "collapse", {"removed_facets": [5]}),
+    # Present but null is no list of faces, not an absent key.
+    "removed-facets-null": (TRIANGLE, "collapse", {"removed_facets": None}),
     "pair-face-not-a-list": (TRIANGLE, "collapse", {"pairs": [[1, [0, 1]]]}),
     "pair-not-proper": (TRIANGLE, "collapse", {"pairs": [[[0, 1], [0, 1]]]}),
     "pair-face-repeats-a-vertex": (TRIANGLE, "collapse", {"pairs": [[[0, 0], [0, 1]]]}),
@@ -1067,6 +1069,58 @@ def test_verify_refuses_a_certificate_with_another_assignment(tmp_path, capsys):
     code, out, _ = run(["verify", str(cnf), str(cert)], capsys)
     assert code == 1
     assert "reason: certificate assignment does not match its removal\n" in out
+
+
+def test_verify_refuses_a_collapse_of_k_onto_k(tmp_path, capsys):
+    # No pairs, with the input's facets as the target: a collapse witness
+    # claims a collapse to a single vertex, and this complex, with χ̃ = -1,
+    # has none.
+    text = "0 1 2\n1 2 3\n2 3 4\n3 4 0\n4 0 1\n0 2 5\n"
+    path, witness = tmp_path / "k.txt", tmp_path / "witness.json"
+    path.write_text(text)
+    facets = [list(face_key(f)) for f in parse_facet_lines(text).facets]
+    witness.write_text(json.dumps({"kind": "collapse", "pairs": [], "target_facets": facets}))
+    code, out, _ = run(["verify", str(path), str(witness)], capsys)
+    assert code == 1, out
+    assert "reason: the collapse does not end at a single vertex\n" in out
+    assert run(["check", "collapsible", str(path)], capsys)[0] == 1
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "\u0661"])
+def test_verify_compares_the_assignment_as_written(key, tmp_path, capsys):
+    # The key reads as 1 through int() and comes after "1", so a reader
+    # that parsed the keys would see x1 set as the removal sets it, where
+    # the document sets x1 both ways.
+    cnf, cert = tmp_path / "phi.cnf", tmp_path / "cert.json"
+    cnf.write_text(CNF)
+    assert run(["solve-sat", str(cnf), "--witness", str(cert)], capsys)[0] == 0
+    doc = json.loads(cert.read_text())
+    x1 = doc["assignment"].pop("1")
+    doc["assignment"] = {"1": not x1, key: x1, **doc["assignment"]}
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run(["verify", str(cnf), str(cert)], capsys)
+    assert code == 1, out
+    assert "reason: certificate assignment does not match its removal\n" in out
+
+
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("stats", "0 1 2\n0 1_2 3\n", 2),
+        ("stats", "0 1 \u0663\n", 1),
+        ("reduce", "p cnf 10 1\n1_0 2 3 0\n", 2),
+        ("reduce", "p cnf 1_0 1\n1 2 3 0\n", 1),
+        ("reduce", "p cnf 3 1\n1 2 \u0663 0\n", 2),
+    ],
+)
+def test_integer_tokens_are_ascii_digits(command, text, line, tmp_path, capsys):
+    # int() also reads "1_0" as 10 and other scripts' digits, such as
+    # U+0663, as theirs.
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run([command, str(path), *(["-o", "-"] if command == "reduce" else [])], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: ")
 
 
 def test_gadget_listing_and_dump(tmp_path, capsys):

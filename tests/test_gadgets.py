@@ -26,6 +26,7 @@ from shellkit.gadgets import (
     _amalgamate_with_maps,
     _check_door_rotation,
     _check_gadget,
+    _check_three_house_star,
     build_literal_house,
     build_O,
     build_one_house,
@@ -408,6 +409,43 @@ def test_gadget_check_refuses_a_wrong_euler_characteristic():
     _check_gadget(house, "one-house", 0, door)
     with pytest.raises(InternalError, match="reduced Euler characteristic is not 1"):
         _check_gadget(house, "one-house", 1, door)
+
+
+def test_gadget_check_refuses_an_impure_complex():
+    # A triangle with a pendant edge at 0 is 2-dimensional but not pure.
+    # Its free faces, its χ̃ and its one pinch at 0 are given as the other
+    # rules read them, so only the purity test refuses it.
+    k = Complex.from_facets([[0, 1, 2], [0, 3]])
+    free = [frozenset(f) for f in ([0, 1], [0, 2], [1, 2], [0], [1], [2], [3])]
+    with pytest.raises(InternalError, match="not pure 2-dimensional"):
+        _check_gadget(LabeledComplex(k, {}), "pendant", 0, free, pinched=(0,))
+
+
+# Contact features of a three-house, with hub 0, that are no 4-ray star
+# though each p_i ends where f_i starts: (e, p1, f1, p2, f2, p3, f3).
+NOT_A_STAR = {
+    # Ten distinct edges, the hub of degree 4 and the degrees of a
+    # subdivided 4-ray star, but p1 runs through the hub and p3, f3 are a
+    # triangle apart: three rays and a triangle.
+    "star plus triangle": ((0, 1), (2, 0, 3), (3, 4), (0, 5, 6), (6, 7), (8, 9, 10), (10, 8)),
+    # Every ray starts at the hub, but p1 and p3 meet at 3.
+    "rays that meet": ((0, 1), (0, 2, 3), (3, 4), (0, 5, 6), (6, 7), (0, 8, 3), (3, 9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_STAR))
+def test_three_house_star_check_refuses_what_is_no_star(case):
+    e, *doors = NOT_A_STAR[case]
+    labels = {"v": Feature.vertex(0), "e": Feature.edge(*e)}
+    for pos in (1, 2, 3):
+        p, f = doors[2 * pos - 2 : 2 * pos]
+        labels[f"p{pos}"], labels[f"f{pos}"] = Feature.path(p), Feature.edge(*f)
+    edges = {frozenset(x) for feat in labels.values() for x in feat.edge_list()}
+    assert len(edges) == 10
+    lc = LabeledComplex(Complex.from_facets(edges), labels)
+    with pytest.raises(InternalError, match="4-ray star"):
+        _check_three_house_star(lc)
+    _check_three_house_star(build_three_house())
 
 
 def test_amalgamate_refuses_to_merge_two_vertices_of_one_part():

@@ -6,8 +6,8 @@ code outside ``Complex`` reads how a complex is stored, faces are
 enumerated by ``subfaces`` and one closure and count kernel alone,
 vertex stars by one star map, no module defines a union-find class, the
 canonical JSON form is set up once, one reader turns text into a JSON
-object, and every snippet of the mutation catalogue (``tests/mutants.py``)
-occurs once.
+object, every collapse claim replays through one path, and every
+snippet of the mutation catalogue (``tests/mutants.py``) occurs once.
 
 The project has no linter; this keeps an import from outliving the last
 caller of what it imports, and a helper from outliving its last caller.
@@ -424,6 +424,23 @@ def test_compiled_links_are_checked_after_the_glue():
     assert "vertex_links_connected" in calls_in(source, "_check_compiled")
     assert "_check_compiled" in calls_in(source, "build_K_phi")
     assert "vertex_links_connected" not in calls_in((SRC / "gadgets.py").read_text(), "_amalgamate_with_maps")
+
+
+# Each claim has one exact rule.  Every collapse witness and certificate
+# replays through ``cli._replay_removal``, which alone calls
+# ``verify_collapse_sequence`` and requires a single vertex at the end,
+# and ``reduction._check_compiled`` tests no purity that gluing cannot
+# break.
+def test_one_collapse_replay():
+    source = (SRC / "cli.py").read_text()
+    functions = [n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)]
+    replaying = {f for f in functions if "verify_collapse_sequence" in calls_in(source, f)}
+    assert replaying == {"_replay_removal"}
+    called = [ast.unparse(c.func) for c in calls_made(source, "_replay_witness")]
+    assert called.count("_replay_removal") == 1
+    assert "_replay_removal" in calls_in(source, "_verify_reduction_certificate")
+    checks = calls_made((SRC / "reduction.py").read_text(), "_check_compiled")
+    assert not [c for c in checks if ast.unparse(c.func).split(".")[-1] == "is_pure"]
 
 
 def exception_classes(sources: list[str]) -> set[str]:

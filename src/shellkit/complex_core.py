@@ -92,11 +92,13 @@ def _closure(facets: Collection[frozenset]) -> frozenset:
 def _f_vector_of(facets: Collection[frozenset]) -> tuple[int, ...]:
     """The f-vector of the complex that one or more distinct ``facets``
     span, counted size by size: no larger face holds a largest facet, so
-    those are counted as given."""
-    top = max(map(len, facets))
+    those are counted as given; those between, as tuples of the sorted
+    facets: a sorted tuple of int ids is the one key of its set."""
+    sizes, keys = list(map(len, facets)), list(map(sorted, facets))
+    top = max(sizes)
     counts = [len(set().union(*facets))]
-    counts += (len(set(map(frozenset, _faces_of_size(facets, r)))) for r in range(2, top))
-    counts.append(sum(len(f) == top for f in facets))
+    counts += (len(set(_faces_of_size(keys, r))) for r in range(2, top))
+    counts.append(sizes.count(top))
     # For top <= 1 the vertices are the largest faces, or there are none.
     return (1, *counts[:top])
 
@@ -145,28 +147,38 @@ def _put_back(*records: tuple) -> None:
         holders.update(saved)
 
 
-def _validate_vertex(v) -> int:
-    if type(v) is int:
-        return v
-    if isinstance(v, bool) or not isinstance(v, int):
+def _check_ids(rows: Iterable[Sequence]) -> None:
+    """The one vertex-id rule, over a document's ``rows`` of ids at once: an
+    ``int`` or an ``int`` subclass but ``bool``, by one C-level pass over the
+    ids' types; a FormatError names the first offender, so ``rows`` is read twice."""
+    ids = chain.from_iterable
+    bad = {t for t in set(map(type, ids(rows))) if not issubclass(t, int) or issubclass(t, bool)}
+    if bad:
+        v = next(v for v in ids(rows) if type(v) in bad)
         raise FormatError(f"vertex id must be an int, got {v!r}")
-    return v
+
+
+def _face_sets(rows: Sequence[Sequence], name: str) -> list[frozenset]:
+    """``rows`` as frozensets, under :func:`_check_ids`; the first row that
+    repeats a vertex, so makes a shorter set, raises FormatError as ``name``."""
+    _check_ids(rows)
+    faces = list(map(frozenset, rows))
+    if list(map(len, faces)) != list(map(len, rows)):
+        row = next(r for r, f in zip(rows, faces) if len(r) != len(f))
+        raise FormatError(f"{name} {list(row)} repeats a vertex")
+    return faces
 
 
 def _face_lists(raw, what: str) -> list:
-    if not (isinstance(raw, list) and all(isinstance(f, list) for f in raw)):
+    if not (isinstance(raw, list) and all(map(isinstance, raw, repeat(list)))):
         raise FormatError(f"{what} must be a list of faces, each a list of vertex ids")
     return raw
 
 
 def read_faces(raw, what: str) -> list[frozenset]:
     """Faces from a JSON document: a list of lists of distinct int vertex
-    ids.  Any other shape raises FormatError naming ``what``."""
-    faces = [frozenset(map(_validate_vertex, f)) for f in _face_lists(raw, what)]
-    for face, f in zip(raw, faces):
-        if len(face) != len(f):
-            raise FormatError(f"{what}: face {face} repeats a vertex")
-    return faces
+    ids, checked list-wide.  Any other shape raises FormatError naming ``what``."""
+    return _face_sets(_face_lists(raw, what), f"{what}: face")
 
 
 class Complex:
@@ -207,21 +219,18 @@ class Complex:
         and ``[[]]`` the empty-face complex, and an empty facet beside
         others lies in their closure.
 
-        Rejects repeated vertices inside a facet and non-integer vertex
-        ids; a repeat is kept once.  Distinct faces of one size are the
-        facets, held in the facets-only form; with mixed sizes a face may
-        lie in another, and the closure is built here.
+        Rejects non-integer vertex ids, then repeated vertices inside a
+        facet, then facets over ``MAX_FACET_SIZE``, each check list-wide,
+        naming the first offender; a repeated facet is kept once.  Distinct
+        faces of one size are the facets, held in the facets-only form; with
+        mixed sizes a face may lie in another, and the closure is built here.
         """
-        given: set = set()
-        for raw in facets:
-            vs = list(map(_validate_vertex, raw))
-            f = frozenset(vs)
-            if len(f) != len(vs):
-                raise FormatError(f"facet {vs} repeats a vertex")
-            if len(vs) > MAX_FACET_SIZE:
-                raise FormatError(f"facet with {len(vs)} vertices exceeds limit")
-            given.add(f)
-        if len(set(map(len, given))) == 1:
+        given = _face_sets(list(map(tuple, facets)), "facet")
+        sizes = set(map(len, given))
+        if max(sizes, default=0) > MAX_FACET_SIZE:
+            size = next(n for n in map(len, given) if n > MAX_FACET_SIZE)
+            raise FormatError(f"facet with {size} vertices exceeds limit")
+        if len(sizes) == 1:
             return cls(None, given, _trusted=True)
         return cls(_closure(given), _trusted=True)
 
@@ -410,20 +419,20 @@ def is_pseudomanifold(k: Complex) -> str:
 
     Returns ``"closed"`` (every (d-1)-face in exactly two facets),
     ``"with_boundary"`` (degrees one or two, at least one boundary ridge),
-    or ``"no"`` (some ridge in three or more facets).  Raises on non-pure
-    input.
+    or ``"no"`` (some ridge in three or more facets); {∅}, with no ridge,
+    is closed.  Raises on the void complex and on non-pure input.  One
+    ``Counter`` of the sorted facets' d-subsets gives the degrees.
     """
     if not k:
         raise ValueError("pseudomanifold check needs a nonempty complex")
     d = k.dim
     if not k.is_pure(d):
         raise ValueError("pseudomanifold check needs a pure complex")
-    degrees = [len(fs) for fs in ridge_holders(k.facets).values()]
-    if any(c > 2 for c in degrees):
+    # {∅}'s one facet ∅ has no ridge; dropping it keeps size -1 unasked.
+    degrees = set(Counter(_faces_of_size(map(sorted, filter(None, k.facets)), d)).values())
+    if max(degrees, default=2) > 2:
         return "no"
-    if all(c == 2 for c in degrees):
-        return "closed"
-    return "with_boundary"
+    return "closed" if degrees <= {2} else "with_boundary"
 
 
 def graph_connected(vertices: Iterable, adj: Mapping, seeds: Iterable | None = None) -> bool:
@@ -938,16 +947,18 @@ def read_object(text: str, what: str) -> dict:
 def from_json(text: str) -> LabeledComplex:
     """The labeled complex of a :func:`to_json` document, built by one
     :meth:`Complex.from_facets` call over its facet lists and each declared
-    vertex in no facet as a singleton; labels hold its facets' objects.  An
-    undeclared vertex or a malformed field raises FormatError."""
+    vertex in no facet as a singleton; labels hold its facets' objects.
+    One :func:`_check_ids` call checks the declared ids, then the facets',
+    so that those hash as ints where the isolated vertices are found.
+    An undeclared vertex or a malformed field raises FormatError."""
     doc = read_object(text, "complex")
     facets, vertices = _face_lists(doc.get("facets"), "'facets'"), doc.get("vertices")
     if not isinstance(vertices, list):
         raise FormatError("'vertices' must be a list")
-    declared = {_validate_vertex(v.get("id") if isinstance(v, dict) else v) for v in vertices}
-    # Only int ids are read here: from_facets refuses a facet with any other.
-    isolated = declared.difference(v for f in facets for v in f if type(v) is int)
-    k = Complex.from_facets(chain(facets, ([v] for v in isolated)))
+    ids = [v.get("id") if isinstance(v, dict) else v for v in vertices]
+    _check_ids([ids, *facets])
+    declared = set(ids)
+    k = Complex.from_facets(chain(facets, ([v] for v in declared.difference(*facets))))
     if len(k.vertices) != len(declared):
         raise FormatError(f"facets use undeclared vertices: {sorted(set(k.vertices) - declared)}")
     raw_labels = doc.get("labels", {})
@@ -967,13 +978,13 @@ def _feature_from_json(name: str, spec, held: Mapping[frozenset, frozenset]) -> 
     if not isinstance(spec, dict) or "kind" not in spec or "value" not in spec:
         raise FormatError(f"label {name!r}: need kind and value")
     kind, value = spec["kind"], spec["value"]
-    if kind == "vertex":
-        return Feature.vertex(_validate_vertex(value))
-    if kind in ("edge", "path"):
-        if not isinstance(value, list) or (kind == "edge" and len(value) != 2):
+    if kind in ("vertex", "edge", "path"):
+        vs = [value] if kind == "vertex" else value
+        if not isinstance(vs, list) or (kind == "edge" and len(vs) != 2):
             raise FormatError(f"label {name!r}: {kind} value must list vertices, two for an edge")
-        return Feature(kind, tuple(map(_validate_vertex, value)))
+        _check_ids([vs])
+        return Feature(kind, tuple(vs))
     if kind == "subcomplex":
         faces = read_faces(value, f"label {name!r}: subcomplex value")
-        return Feature.subcomplex(held.get(f, f) for f in faces)
+        return Feature.subcomplex(map(held.get, faces, faces))
     raise FormatError(f"label {name!r}: unknown kind {kind!r}")

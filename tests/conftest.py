@@ -177,6 +177,16 @@ def oracle_vertex_links_connected(k: Complex) -> tuple[bool, tuple[int, ...]]:
 EMPTY_FACE_COMPLEX = Complex(frozenset({frozenset()}), _trusted=True)
 
 
+def oracle_is_pseudomanifold(k: Complex) -> str:
+    """The class ``is_pseudomanifold`` gives a nonempty pure complex, read
+    off the ridge degrees of ``ridge_holders``, a map of frozensets that
+    shares no count with the sorted ridge keys the library counts."""
+    degrees = [len(fs) for fs in ridge_holders(k.facets).values()]
+    if any(c > 2 for c in degrees):
+        return "no"
+    return "closed" if all(c == 2 for c in degrees) else "with_boundary"
+
+
 def strip(n: int) -> Complex:
     """The strip of the ``n`` triangles i i+1 i+2, a shellable disk."""
     return Complex.from_facets([i, i + 1, i + 2] for i in range(n))

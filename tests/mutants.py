@@ -78,10 +78,34 @@ CATALOGUE = (
     Mutant(
         "json-drops-isolated-vertices",
         "src/shellkit/complex_core.py",
-        "chain(facets, ([v] for v in isolated))",
+        "chain(facets, ([v] for v in declared.difference(*facets)))",
         "facets",
         "from_json keeps a declared vertex that lies in no facet as a facet",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "id-rule-lets-bool-through",
+        "src/shellkit/complex_core.py",
+        "not issubclass(t, int) or issubclass(t, bool)}",
+        "not issubclass(t, int)}",
+        "a vertex id is an int or an int subclass other than bool, in every reader",
+        ("tests/test_complex_core.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "reader-skips-the-repeat-test",
+        "src/shellkit/complex_core.py",
+        "    if list(map(len, faces)) != list(map(len, rows)):\n",
+        "    if False:\n",
+        "every reader refuses a face that repeats a vertex",
+        ("tests/test_complex_core.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "pseudomanifold-counts-facets-not-ridges",
+        "src/shellkit/complex_core.py",
+        "filter(None, k.facets)), d))",
+        "filter(None, k.facets)), d + 1))",
+        "the pseudomanifold test reads the degrees of the ridges, the faces of size d",
+        ("tests/test_complex_core.py",),
     ),
     Mutant(
         "json-accepts-undeclared-vertices",
@@ -94,7 +118,7 @@ CATALOGUE = (
     Mutant(
         "facet-size-counted-before-the-skip",
         "src/shellkit/complex_core.py",
-        "declared.difference(v for f in facets for v in f if type(v) is int)",
+        "declared.difference(*facets)",
         "declared",
         "from_json gives only a declared vertex in no facet as a singleton, so a declared vertex "
         "inside a facet adds no facet size and a one-size document is read with its facets recorded",
@@ -135,9 +159,9 @@ CATALOGUE = (
     Mutant(
         "from-facets-refuses-the-empty-facet",
         "src/shellkit/complex_core.py",
-        "            f = frozenset(vs)\n",
-        "            if not vs:\n                raise FormatError(\"empty facet\")\n"
-        "            f = frozenset(vs)\n",
+        "        given = _face_sets(list(map(tuple, facets)), \"facet\")\n",
+        "        given = _face_sets(list(map(tuple, facets)), \"facet\")\n"
+        "        if frozenset() in given:\n            raise FormatError(\"empty facet\")\n",
         "an empty facet is the empty face, so the empty-face complex reads back from JSON",
         ("tests/test_complex_core.py", "tests/test_cli.py"),
     ),
@@ -377,8 +401,8 @@ CATALOGUE = (
     Mutant(
         "count-skips-a-middle-size",
         "src/shellkit/complex_core.py",
-        "_faces_of_size(facets, r)))) for r in range(2, top))",
-        "_faces_of_size(facets, r)))) for r in range(3, top))",
+        "len(set(_faces_of_size(keys, r))) for r in range(2, top))",
+        "len(set(_faces_of_size(keys, r))) for r in range(3, top))",
         "the facets-only count has every size between the vertices and the largest facets",
         ("tests/test_complex_core.py",),
     ),

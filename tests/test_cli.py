@@ -12,13 +12,16 @@ from conftest import misplaced_vertex_labels, pendants_at, recursion_headroom, s
 from shellkit import cli, complex_core, gadgets, reduction
 from shellkit.collapse import SearchResult, is_collapsible_2d_greedy
 from shellkit.complex_core import (
+    Complex,
     Feature,
+    FormatError,
     InternalError,
     cone,
     face_key,
     format_facet_lines,
     from_json,
     parse_facet_lines,
+    read_faces,
     subdivide_labeled,
     to_json,
 )
@@ -102,6 +105,8 @@ def test_a_void_document_subdivides_to_the_empty_face_complex(tmp_path, capsys):
     assert sd.read_text() == '{"facets":[[]],"labels":{},"vertices":[]}\n'
     code, out, _ = run(["--json", "stats", str(sd)], capsys)
     assert code == 0 and json.loads(out)["stats"]["f-vector"] == [1]
+    # {∅} is pure of dimension -1 with no ridge: a closed pseudomanifold.
+    assert json.loads(out)["stats"]["pseudomanifold"] == "closed"
     order, tree = tmp_path / "order.json", tmp_path / "tree.json"
     code, _, _ = run(["check", "shellable", str(sd), "--witness", str(order)], capsys)
     assert code == 0 and order.read_text() == '{"kind":"shelling","order":[[]]}\n'
@@ -439,6 +444,69 @@ def test_json_vertex_declarations(tmp_path, capsys):
     lc = from_json(to_json(from_json(text)))
     assert lc.complex.f_vector() == (1, 4, 3, 1) and frozenset([3]) in lc.complex.faces
     assert to_json(lc) == to_json(from_json(text))
+
+
+_ID = "vertex id must be an int, got {}"
+_TOKEN = "line 1: invalid literal for int() with base 10: {!r}"
+_REPEAT = "facet [0, 1, 0] repeats a vertex"
+_LIMIT = "facet with 17 vertices exceeds limit"
+
+# One fault per document, through every reader of vertex ids: facets, the
+# declared ids, and per reader what it gives, a FormatError text or None
+# for no FormatError.  The facet lines are the facets' JSON tokens; the
+# pair reader reads each facet as the coface of the pair [[0], facet].
+READER_CASES = {
+    # name: (facets, declared, facet lines, from_facets, read_faces, from_json, pair reader)
+    "true": ([[0, True]], [0, 1], _TOKEN.format("true"), *[_ID.format(True)] * 4),
+    "float": ([[0, 1.0]], [0, 1], _TOKEN.format("1.0"), *[_ID.format(1.0)] * 4),
+    "string": ([[0, "1"]], [0, 1], _TOKEN.format('"1"'), *[_ID.format("'1'")] * 4),
+    "null": ([[0, None]], [0, 1], _TOKEN.format("null"), *[_ID.format(None)] * 4),
+    "nested": ([[0, [1]]], [0, 1], _TOKEN.format("[1]"), *[_ID.format([1])] * 4),
+    "repeat": (
+        [[0, 1, 0]],
+        [0, 1],
+        _REPEAT,
+        _REPEAT,
+        f"'facets': face {_REPEAT[6:]}",
+        _REPEAT,
+        f"collapse pair: face {_REPEAT[6:]}",
+    ),
+    "17-vertices": ([[*range(17)]], [*range(17)], _LIMIT, _LIMIT, None, _LIMIT, None),
+    "undeclared": ([[0, 1]], [0], None, None, None, "facets use undeclared vertices: [1]", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_every_reader_names_a_fault_alike(case, tmp_path, capsys):
+    facets, declared, *expected = READER_CASES[case]
+    doc = json.dumps({"facets": facets, "labels": {}, "vertices": [{"id": v} for v in declared]})
+    pairs = [[[0], f] for f in facets]
+    files = {name: tmp_path / name for name in ("k.txt", "k.json", "triangle.txt", "w.json")}
+    files["k.txt"].write_text("".join(" ".join(map(json.dumps, f)) + "\n" for f in facets))
+    files["k.json"].write_text(doc)
+    files["triangle.txt"].write_text(TRIANGLE)
+    files["w.json"].write_text(json.dumps({"kind": "collapse", "pairs": pairs, "target_facets": [[0, 1, 2]]}))
+    readers = [
+        (lambda: parse_facet_lines(files["k.txt"].read_text()), ["stats", "k.txt"]),
+        (lambda: Complex.from_facets(facets), None),
+        (lambda: read_faces(facets, "'facets'"), None),
+        (lambda: from_json(doc), ["stats", "k.json"]),
+        (lambda: cli._pairs_from_json(pairs), ["verify", "triangle.txt", "w.json"]),
+    ]
+    for (call, argv), message in zip(readers, expected):
+        if message is None:
+            call()
+        else:
+            with pytest.raises(FormatError) as exc:
+                call()
+            assert type(exc.value) is FormatError and str(exc.value) == message, argv
+        if argv:
+            code, _, err = run([argv[0], *(str(files[name]) for name in argv[1:])], capsys)
+            if message is None:
+                # Read: stats says yes, and no pair collapses the triangle.
+                assert (code, err) == (int(argv[0] == "verify"), ""), argv
+            else:
+                assert (code, err) == (2, f"error: {message}\n"), argv
 
 
 def test_reduce_to_stdout_keeps_report_on_stderr(tmp_path, capsys):

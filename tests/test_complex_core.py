@@ -1,5 +1,6 @@
 """Core complex machinery against independent brute-force oracles."""
 
+import enum
 import gc
 import itertools
 import json
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from conftest import (
     EMPTY_FACE_COMPLEX,
     deletion_of,
+    grown_pure_complex,
     link_of,
+    oracle_is_pseudomanifold,
     oracle_subdivide_labeled,
     oracle_to_json,
     oracle_vertex_links_connected,
@@ -45,6 +48,7 @@ from shellkit.complex_core import (
     join,
     one_skeleton_connected,
     parse_facet_lines,
+    read_faces,
     ridge_holders,
     sorted_face_keys,
     subdivide_labeled,
@@ -250,6 +254,9 @@ def test_label_faces_are_the_complexs_own_faces():
         # The checks run in this order: vertex type, repeat, size.
         ([[0, 0, "a"]], "vertex id must be an int, got 'a'"),
         ([[*range(17), 0]], f"facet {[*range(17), 0]} repeats a vertex"),
+        # Each check runs over the whole list before the next one.
+        ([[0, 1, 0], [0, True]], "vertex id must be an int, got True"),
+        ([range(17), [0, 0]], "facet [0, 0] repeats a vertex"),
     ],
 )
 def test_from_facets_input_errors(facets, message):
@@ -260,6 +267,13 @@ def test_from_facets_input_errors(facets, message):
 
 class _IntId(int):
     """An int subclass other than bool: a valid vertex id."""
+
+
+class _Corner(enum.IntEnum):
+    """Int subclasses other than bool, as a document of them may be."""
+
+    A = 0
+    B = 1
 
 
 SIMPLEX_3 = Complex.from_facets([[0, 1, 2, 3]])
@@ -320,6 +334,14 @@ SIMPLEX_3 = Complex.from_facets([[0, 1, 2, 3]])
         pytest.param(lambda: graph_connected([], {}), True, id="graph-without-vertices"),
         pytest.param(
             lambda: Complex.from_facets([[_IntId(3), 4]]).vertices, (3, 4), id="int-subclass-vertex"
+        ),
+        pytest.param(
+            lambda: Complex.from_facets([[_Corner.A, _Corner.B, 2], [_Corner.B, 2, 3]]).f_vector(),
+            (1, 4, 5, 2),
+            id="int-enum-vertices",
+        ),
+        pytest.param(
+            lambda: read_faces([[_Corner.B, 2]], "faces"), [frozenset({1, 2})], id="int-enum-face"
         ),
         pytest.param(
             lambda: boundary_simplex(0),
@@ -566,6 +588,56 @@ def test_pseudomanifold_matches_ridge_count_oracle():
             else ("closed" if min(counts.values()) == 2 else "with_boundary")
         )
         assert is_pseudomanifold(k) == expected
+
+
+def test_pseudomanifold_matches_the_ridge_holders_oracle():
+    # {∅} has no ridge, so it is closed; one vertex holds the ridge ∅
+    # once, two hold it twice (the 0-sphere) and three thrice.
+    octahedron = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    cases = {
+        "{∅}": ([[]], "closed"),
+        "one vertex": ([[0]], "with_boundary"),
+        "two vertices": ([[0], [1]], "closed"),
+        "three vertices": ([[0], [1], [2]], "no"),
+        "edge": ([[0, 1]], "with_boundary"),
+        "path": ([[0, 1], [1, 2], [2, 3]], "with_boundary"),
+        "octahedron": (octahedron, "closed"),
+        "disk": ([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]], "with_boundary"),
+        "ridge of three": ([[0, 1, 2], [0, 1, 3], [0, 1, 4]], "no"),
+    }
+    for name, (facets, kind) in cases.items():
+        k = Complex.from_facets(facets)
+        assert is_pseudomanifold(k) == oracle_is_pseudomanifold(k) == kind, name
+    assert is_pseudomanifold(EMPTY_FACE_COMPLEX) == "closed"
+    with pytest.raises(ValueError):
+        is_pseudomanifold(Complex.from_facets([]))
+    rng = random.Random(55)
+    seen = Counter()
+    for d in (1, 2, 3):
+        for _ in range(40):
+            grown = grown_pure_complex(rng, d, rng.randint(1, 12))
+            drawn = Complex.from_facets({frozenset(rng.sample(range(d + 4), d + 1)) for _ in range(9)})
+            for k in (grown, drawn):
+                seen[is_pseudomanifold(k)] += 1
+                assert is_pseudomanifold(k) == oracle_is_pseudomanifold(k), k.facets
+    assert set(seen) == {"closed", "with_boundary", "no"}
+
+
+def test_facets_only_count_matches_the_closure():
+    # Each size is counted on the facets' sorted keys; the oracle closes
+    # the facets over frozensets and counts every face by its size.
+    rng = random.Random(56)
+    for _ in range(200):
+        top = rng.randint(1, 5)
+        facets = {frozenset(rng.sample(range(8), top))}
+        facets |= {frozenset(rng.sample(range(8), rng.randint(1, top))) for _ in range(rng.randint(0, 8))}
+        counts = Counter(map(len, all_faces_brute(facets) | {frozenset()}))
+        expected = tuple(counts[size] for size in range(top + 1))
+        assert complex_core._f_vector_of(facets) == expected, facets
+        if len(set(map(len, facets))) == 1:
+            assert Complex.from_facets(facets).f_vector() == expected, facets
+    assert Complex.from_facets([]).f_vector() == (0,)
+    assert Complex.from_facets([[]]).f_vector() == EMPTY_FACE_COMPLEX.f_vector() == (1,)
 
 
 def random_facet_lists(count: int, seed: int) -> list[list[frozenset]]:

@@ -4,7 +4,7 @@ every public function, class and method has a reader besides the tests,
 every builder of a part that K_phi glues calls the one gadget check, no
 code outside ``Complex`` reads how a complex is stored, faces are
 enumerated by ``subfaces`` and one closure and count kernel alone,
-vertex stars by one star map, no module defines a union-find class, the
+vertex ids are checked by one rule, vertex stars by one star map, no module defines a union-find class, the
 canonical JSON form is set up once, one reader turns text into a JSON
 object, every collapse claim replays through one path, and every
 snippet of the mutation catalogue (``tests/mutants.py``) occurs once.
@@ -281,8 +281,23 @@ def test_one_closure_and_count_kernel():
     assert readers_of(core, "combinations") == {"subfaces", "_faces_of_size"}
     assert calls_in(core, "_closure") >= {"_faces_of_size"}
     assert calls_in(core, "_f_vector_of") >= {"_faces_of_size"}
+    # The pseudomanifold test counts sorted ridge keys, with no ridge map.
+    assert "_faces_of_size" in calls_in(core, "is_pseudomanifold")
+    assert "ridge_holders" not in calls_in(core, "is_pseudomanifold")
     shelling = (SRC / "shelling.py").read_text()
     assert calls_in(shelling, "_reduced_euler") == {"sum", "enumerate", "_f_vector_of"}
+
+
+# A vertex id is checked by one rule, ``_check_ids``, over a document's
+# ids at once: the facet readers (through ``_face_sets``), the declared
+# vertices of ``from_json`` and its label values call it, and no other
+# code checks an id.
+def test_one_vertex_id_rule():
+    core = (SRC / "complex_core.py").read_text()
+    assert readers_of(core, "_check_ids") == {"_face_sets", "from_json", "_feature_from_json"}
+    assert readers_of(core, "_face_sets") == {"read_faces", "from_facets"}
+    assert [p.name for p in SOURCES if "vertex id must be an int" in p.read_text()] == ["complex_core.py"]
+    assert core.count("vertex id must be an int") == 1
 
 
 # A vertex's star, the facets through it, comes from ``_stars`` alone: the

@@ -233,7 +233,7 @@ def _dump(doc: Mapping) -> str:
     return _encode(doc) + "\n"
 
 
-def _face_lists(faces: Iterable[frozenset]) -> list[list[int]]:
+def _sorted_rows(faces: Iterable[frozenset]) -> list[list[int]]:
     return list(map(list, sorted_face_keys(faces)))
 
 
@@ -253,7 +253,7 @@ def _witness_doc(prop: str, k: Complex | Formula, witness: tuple, kk: int | None
         return {
             "kind": "reduction-certificate",
             "formula": {"n": k.n, "clauses": [list(c) for c in k.clauses]},
-            "removal": _face_lists(cert.removal),
+            "removal": _sorted_rows(cert.removal),
             "pairs": [p.as_lists() for p in cert.pairs],
             "assignment": {str(v): bool(cert.assignment[v]) for v in sorted(cert.assignment)},
         }
@@ -263,7 +263,7 @@ def _witness_doc(prop: str, k: Complex | Formula, witness: tuple, kk: int | None
     target = [[v] for v in k.vertices if frozenset([v]) not in freed]
     doc = {"kind": "collapse", "pairs": [p.as_lists() for p in pairs], "target_facets": target}
     if removal is not None:
-        doc["removed_facets"] = _face_lists(removal)
+        doc["removed_facets"] = _sorted_rows(removal)
     return doc
 
 

@@ -253,11 +253,11 @@ class Complex:
         return cls(fs, facets, _trusted=True)
 
     @classmethod
-    def _of_facets(cls, facets, f_vector: tuple[int, ...], keys: Mapping | None = None) -> Complex:
-        """The facets-only form, trusted: ``facets`` are the facets of a
-        complex whose f-vector is ``f_vector``; ``keys`` may map each to
-        its ``face_key`` in ``face_sort_key`` order."""
-        return cls(None, facets, f_vector, keys, _trusted=True)
+    def _of_facets(cls, table: Mapping, f_vector: tuple[int, ...]) -> Complex:
+        """The facets-only form, trusted: ``table`` maps each facet's
+        ``face_key``, in ``face_sort_key`` order, to the facet, of a
+        complex whose f-vector is ``f_vector``."""
+        return cls(None, table.values(), f_vector, table, _trusted=True)
 
     # -- basic queries ---------------------------------------------------
 
@@ -343,12 +343,7 @@ class Complex:
 
     def _facet_keys(self) -> list[tuple[int, ...]]:
         """Each facet's ``face_key`` in ``face_sort_key`` order: recorded, or sorted here."""
-        return sorted_face_keys(self.facets) if self._keys is None else list(self._keys.values())
-
-    def _keys_of(self, faces: Iterable[frozenset]) -> list[tuple[int, ...]]:
-        """Each face's ``face_key``; a recorded facet's is looked up."""
-        keys = self._keys or {}
-        return [keys.get(f) or face_key(f) for f in faces]
+        return sorted_face_keys(self.facets) if self._keys is None else list(self._keys)
 
     def is_pure(self, d: int | None = None) -> bool:
         """True when every facet has dimension ``d`` (default: ``self.dim``)."""
@@ -742,8 +737,8 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
     subsets of its facets' keys, which level 0 sorts and each later level
     reads as the level below recorded them, so no level builds a closure.
     Only full flags are made; those of the facets of K are the facets of
-    sd K, held facets-only with their keys recorded in ``face_sort_key``
-    order, and labels share their frozensets.  The f-vector is counted:
+    sd K, held facets-only as one key → facet table in ``face_sort_key``
+    order, whose frozensets the labels share.  The f-vector is counted:
 
         f_j(sd K) = sum over s of f_s(K) * j! * S(s, j),
 
@@ -776,14 +771,11 @@ def subdivide_labeled(lc: LabeledComplex, levels: int = 1) -> tuple[LabeledCompl
         facets.sort(key=len)
         own = {c: frozenset(c) for c in facets}
         labels = {
-            name: _map_feature_once(feat, k, flags, own) for name, feat in current.labels.items()
+            name: _map_feature_once(feat, flags, own) for name, feat in current.labels.items()
         }
         # The labels are mapped, so every lower flag can go before sd is built.
         del flags
-        # Each facet with its key, in face_sort_key order; the reverse map goes first.
-        keyed = {f: c for c, f in own.items()}
-        del own
-        sd = Complex._of_facets(keyed, _sd_f_vector(k.f_vector()), keyed)
+        sd = Complex._of_facets(own, _sd_f_vector(k.f_vector()))
         try:
             current = LabeledComplex(sd, labels)
         except ValueError as exc:
@@ -826,10 +818,10 @@ def _chains(keys: list[tuple[int, ...]]) -> dict[tuple, list[tuple]]:
     return flags
 
 
-def _map_feature_once(feat: Feature, k: Complex, flags: Mapping, own: Mapping) -> Feature:
-    """``feat``, a label of ``k``, mapped onto sd k through ``flags``, the
-    full flags of each face of ``k`` by its key; a flag in ``own`` maps to
-    sd's frozenset."""
+def _map_feature_once(feat: Feature, flags: Mapping, own: Mapping) -> Feature:
+    """``feat``, a label of K, mapped onto sd K through ``flags``, the full
+    flags of each face of K by its key; a flag in ``own`` maps to sd's
+    frozenset."""
 
     def vid(face) -> int:
         # The barycenter of a face is the top of each of its flags, their last position.
@@ -851,7 +843,7 @@ def _map_feature_once(feat: Feature, k: Complex, flags: Mapping, own: Mapping) -
     facets = feat.value
     if len(set(map(len, facets))) > 1:
         facets = Complex.from_facets(facets).facets
-    return Feature.subcomplex(own.get(c, c) for g in k._keys_of(facets) for c in flags[g])
+    return Feature.subcomplex(own.get(c, c) for g in map(face_key, facets) for c in flags[g])
 
 
 # -- serialization -----------------------------------------------------------
@@ -905,7 +897,7 @@ def to_json(lc: LabeledComplex | Complex) -> str:
         lc = LabeledComplex(lc, {})
     k = lc.complex
     parts = ['{"facets":[', *_array_items(k._facet_keys())]
-    parts += ('],"labels":{', ",".join(_label_entries(lc.labels, k)), '},"vertices":[')
+    parts += ('],"labels":{', ",".join(_label_entries(lc.labels)), '},"vertices":[')
     parts += _array_items(k.vertices, lambda batch: [{"id": v} for v in batch])
     parts.append("]}\n")
     return "".join(parts)
@@ -921,13 +913,13 @@ def _array_items(items: Sequence, each=None) -> Iterator[str]:
         yield _encode(batch if each is None else each(batch))[1:-1]
 
 
-def _label_entries(labels: Mapping[str, Feature], k: Complex) -> Iterator[str]:
+def _label_entries(labels: Mapping[str, Feature]) -> Iterator[str]:
     """The entries of the "labels" object, one per label in name order: a
-    vertex label's value is its vertex, and a subcomplex label's faces,
-    keyed by ``k``, go to the encoder ``_BATCH`` at a time."""
+    vertex label's value is its vertex, and a subcomplex label's face
+    keys go to the encoder ``_BATCH`` at a time."""
     for name, feat in sorted(labels.items()):
         if feat.kind == "subcomplex":
-            value = f'[{"".join(_array_items(sorted(k._keys_of(feat.value))))}]'
+            value = f'[{"".join(_array_items(sorted(map(face_key, feat.value))))}]'
         else:
             value = _encode(feat.value[0] if feat.kind == "vertex" else feat.value)
         yield f'{_encode(name)}:{{"kind":{_encode(feat.kind)},"value":{value}}}'

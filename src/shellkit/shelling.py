@@ -328,7 +328,8 @@ def decide_k_decomposable(k: Complex, kk: int, budget: int = DEFAULT_BUDGET) -> 
     """
     if kk < 0:
         raise ShellingError("k must be >= 0")
-    _check_pure_input(k)
+    # A shedding face has at most d + 1 vertices, so a k above d asks what k = d asks.
+    kk = min(kk, _check_pure_input(k))
     base, apexes = _cone_base(k)
     # Facet set, as a bitmask over ids handed out to facets as they are
     # first seen -> the tree rec returned for it, or None for no.  An int

@@ -54,9 +54,25 @@ CATALOGUE = (
     Mutant(
         "label-writer-size-first",
         "src/shellkit/complex_core.py",
-        "sorted(k._keys_of(feat.value))",
-        "sorted_face_keys(k._keys_of(feat.value))",
+        "sorted(map(face_key, feat.value))",
+        "sorted_face_keys(feat.value)",
         "to_json writes a subcomplex label's faces in plain face_key order",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "label-writer-unsorted",
+        "src/shellkit/complex_core.py",
+        "sorted(map(face_key, feat.value))",
+        "list(map(face_key, feat.value))",
+        "to_json sorts a subcomplex label's face keys, which no level's facet table orders",
+        ("tests/test_complex_core.py",),
+    ),
+    Mutant(
+        "labels-own-their-faces",
+        "src/shellkit/complex_core.py",
+        "own.get(c, c) for g in",
+        "frozenset(c) for g in",
+        "a mapped subcomplex label holds the level table's own frozenset of each facet it names",
         ("tests/test_complex_core.py",),
     ),
     Mutant(
@@ -436,6 +452,14 @@ CATALOGUE = (
         "_drop_holders(by_ridge, ridges, gone)",
         "_drop_holders(by_ridge, ridges, gone - {around[0]})",
         "a deletion child's ridge map holds none of the shed facets",
+        ("tests/test_shelling.py",),
+    ),
+    Mutant(
+        "decomposition-order-unclamped",
+        "src/shellkit/shelling.py",
+        "    kk = min(kk, _check_pure_input(k))\n",
+        "    _check_pure_input(k)\n",
+        "the decomposition search asks k = d for every k above d, so it enumerates no face above d + 1 vertices",
         ("tests/test_shelling.py",),
     ),
     Mutant(

@@ -924,10 +924,12 @@ def test_subdivision_matches_flag_closure_oracle():
 
 
 def test_every_level_is_facets_only_and_matches_the_oracle():
-    # Every level keeps only its facets, their recorded keys and a counted
-    # f-vector, and reads the level below through those keys alone.  Every
-    # query but the face set answers from them, and the face set derived
-    # later is the oracle's closure of the flags.
+    # Every level keeps only its facets, in one table from each facet's key
+    # to the facet, and a counted f-vector, and reads the level below
+    # through those keys alone.  Every query but the face set answers from
+    # them, and the face set derived later is the oracle's closure of the
+    # flags.  A subcomplex label holds the table's own frozenset of each
+    # facet it names.
     rng = random.Random(41)
     cases = []
     for dim in (1, 2, 3):
@@ -936,7 +938,7 @@ def test_every_level_is_facets_only_and_matches_the_oracle():
             cases.append(pinched_complex(rng, dim, rng.randint(3, 6)))
     assert sum(not k.is_pure() for k in cases) >= 4
     checked = 0
-    read = Counter()
+    read, shared = Counter(), Counter()
     for k in cases:
         text = to_json(LabeledComplex(k, random_labels(rng, k)))
         for levels in (1, 2, 3) if k.dim == 1 else (1, 2):
@@ -951,12 +953,19 @@ def test_every_level_is_facets_only_and_matches_the_oracle():
                 level = below.complex
                 assert level._faces is None and level._keys is not None
                 assert level._facet_keys() == sorted_face_keys(level.facets)
+                assert list(map(face_key, level._keys.values())) == level._facet_keys()
                 assert to_json(level) == oracle_to_json(level)
                 assert level._faces is None
                 below = below._below
             assert below.complex is lc.complex
             want, want_carrier = oracle_subdivide_labeled(lc, levels)
             sd, closed = sub.complex, want.complex
+            for feat in sub.labels.values():
+                if feat.kind == "subcomplex":
+                    for f in feat.value:
+                        held = sd._keys.get(face_key(f))
+                        assert held is None or held is f
+                        shared[held is f] += 1
             assert sd._faces is None
             assert sd.facets == closed.facets
             assert dict(sub.labels) == dict(want.labels)
@@ -988,6 +997,7 @@ def test_every_level_is_facets_only_and_matches_the_oracle():
             assert sd.faces == closed.faces
     assert checked >= 500
     assert read[True, 3] >= 2 and read[True, 2] >= 8 and read[False, 2] >= 2, read
+    assert shared[True] >= 1000 and shared[False] >= 100, shared
     # The void and the empty-face complex subdivide to the empty-face
     # complex, whose closure is {∅}, and still compare as they do.
     for k in (Complex.from_facets([]), EMPTY_FACE_COMPLEX):
@@ -1205,7 +1215,8 @@ def test_feature_check_matches_closure_oracle():
             got = _check_outcome(_label_check, feat, k)
             assert got == want, (feat, sorted(map(face_key, k.facets)))
             # The facets-only form checks the same labels by its facets.
-            facets_only = Complex._of_facets(k.facets, k.f_vector())
+            table = {face_key(f): f for f in sorted(k.facets, key=face_sort_key)}
+            facets_only = Complex._of_facets(table, k.f_vector())
             assert _check_outcome(_label_check, feat, facets_only) == want
             seen[feat.kind, got is None, _degenerate(feat)] += 1
     for kind in ("vertex", "edge", "path", "subcomplex"):

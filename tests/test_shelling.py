@@ -253,6 +253,42 @@ def test_k_decomposable_frozen():
     assert decide_k_decomposable(wedge, 2).verdict == "no"
 
 
+def test_k_decomposable_order_is_clamped_at_the_dimension(monkeypatch):
+    # A shedding face has at most d + 1 vertices, so k above d asks what
+    # k = d asks: the search enumerates no larger face, and its verdict,
+    # node count and tree are those at k = d.  The spy fails at the first
+    # larger size asked for, before it enumerates anything.
+    asked = []
+    enumerate_faces = shelling.subfaces
+
+    def spy(facet, sizes):
+        sizes = list(sizes)
+        asked.append(max(sizes, default=0))
+        assert asked[-1] <= limit, (asked[-1], limit)
+        return enumerate_faces(facet, sizes)
+
+    monkeypatch.setattr(shelling, "subfaces", spy)
+    seen = collections.Counter()
+    cases = [
+        [[0, 1, 2], [1, 2, 3]],
+        [[0, 1, 2], [2, 3, 4]],
+        BD3,
+        [f + [9] for f in BD3],
+        [[0, 1], [1, 2], [2, 3]],
+        [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5]],
+    ]
+    for facets in cases:
+        k = Complex.from_facets(facets)
+        limit = k.dim + 1
+        at_dim = decide_k_decomposable(k, k.dim)
+        huge = decide_k_decomposable(k, 10**6)
+        assert (huge.verdict, huge.nodes, huge.witness) == (
+            at_dim.verdict, at_dim.nodes, at_dim.witness
+        )
+        seen[huge.verdict] += 1
+    assert seen == {"yes": 5, "no": 1} and len(asked) >= 20
+
+
 def test_shellable_iff_2_decomposable_random():
     rng = random.Random(31)
     for _ in range(40):

@@ -2,7 +2,8 @@
 every private module-level name is read by some module of shellkit, and
 every public function, class and method has a reader besides the tests,
 every builder of a part that K_phi glues calls the one gadget check, no
-code outside ``Complex`` reads how a complex is stored, faces are
+code outside ``Complex`` reads how a complex is stored, each level of sd
+is held as one key → facet table, faces are
 enumerated by ``subfaces`` and one closure and count kernel alone,
 vertex ids are checked by one rule, vertex stars by one star map, no module defines a union-find class, the
 canonical JSON form is set up once, one reader turns text into a JSON
@@ -562,6 +563,29 @@ def test_one_json_object_reader():
     loads = [c for c in calls_made(core, "read_object") if ast.unparse(c.func) == "json.loads"]
     assert len(loads) == 1
     assert "read_object" in calls_in(core, "from_json") & calls_in(cli, "_cmd_verify")
+
+
+# Each level of sd is held as one table, each facet's key to the facet in
+# ``face_sort_key`` order: ``subdivide_labeled`` builds one dict over sd's
+# facets (its other dict is over the labels) and records it through
+# ``Complex._of_facets``, which takes it with no default, and no method
+# looks a face's key up in it: a label face's key is its ``face_key``.
+def test_one_facet_table_per_level():
+    core = (SRC / "complex_core.py").read_text()
+    (complex_class,) = [
+        n for n in ast.parse(core).body if isinstance(n, ast.ClassDef) and n.name == "Complex"
+    ]
+    methods = {n.name: n for n in complex_class.body if isinstance(n, ast.FunctionDef)}
+    assert "_keys_of" not in methods
+    params = methods["_of_facets"].args
+    assert params.defaults == [] and params.kw_defaults == []
+    level = function_def(core, "subdivide_labeled")
+    comps = [n for n in ast.walk(level) if isinstance(n, ast.DictComp)]
+    sources = sorted(ast.unparse(g.iter) for n in comps for g in n.generators)
+    assert sources == ["current.labels.items()", "facets"]
+    built = [c for c in calls_made(core, "subdivide_labeled") if ast.unparse(c.func) == "Complex._of_facets"]
+    assert [ast.unparse(c.args[0]) for c in built] == ["own"]
+    assert "dict" not in calls_in(core, "subdivide_labeled")
 
 
 # ``from_json`` reads each facet once, in its one ``Complex.from_facets`` call.
